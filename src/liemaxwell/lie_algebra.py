@@ -387,9 +387,14 @@ def _catalog_text() -> str:
 
 
 def catalog_checksum(document: dict | None = None) -> str:
-    """SHA-256 over the canonicalized (version, entries) payload."""
+    """SHA-256 over the canonicalized (version, entries) payload.
+
+    Without a document, the checksum of the packaged catalog as verified when
+    it was loaded.
+    """
     if document is None:
-        document = json.loads(_catalog_text())
+        catalog()
+        return _PACKAGED_SHA256
     payload = {"version": document["version"], "entries": document["entries"]}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -410,10 +415,14 @@ def load_catalog(source: str | Path | None = None) -> list[CatalogEntry]:
     names = [e.name for e in entries]
     if len(set(names)) != len(names):
         raise CatalogError("duplicate entry names in catalog")
+    if source is None:
+        global _PACKAGED_SHA256
+        _PACKAGED_SHA256 = actual
     return entries
 
 
 _CATALOG_CACHE: list[CatalogEntry] | None = None
+_PACKAGED_SHA256: str | None = None
 
 
 def catalog() -> list[CatalogEntry]:

@@ -3,9 +3,10 @@
 The closedness condition dF = 0 is handled by restriction, not penalty: the
 kernel of the closedness system reparameterizes F before optimization, so the
 search runs over metric parameters plus kernel coordinates.  Refinement is
-damped Gauss-Newton (Levenberg-Marquardt) with central finite-difference
-Jacobians; steps that violate the catalog's positivity constraints are
-rejected by backtracking, never projected back.
+damped Gauss-Newton (Levenberg-Marquardt) with complex-step Jacobians, taken
+in one batched call of the complex-analytic residual kernel; steps that
+violate the catalog's positivity constraints are rejected by backtracking,
+never projected back.
 
 Determinism contract: the per-seed RNG is ``default_rng(seed ^ index)`` and
 results are merged in index order, so serial and parallel runs produce the
@@ -15,6 +16,7 @@ same outcome for identical (entry, seed, n_seeds).
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -64,6 +66,9 @@ class Candidate:
             raise CandidateError("f_coeffs must have six components")
         if self.orientation not in (1, -1):
             raise CandidateError("orientation must be +1 or -1")
+        params = [*self.algebra_params.values(), *self.metric_params.values()]
+        if not (np.isfinite(self.f_coeffs).all() and all(map(math.isfinite, params))):
+            raise CandidateError("f_coeffs, algebra_params and metric_params must be finite")
 
     def to_dict(self) -> dict:
         return {
@@ -164,9 +169,11 @@ class ResidualContext:
     vector carries), so dF = 0 holds by construction.  In unit_F mode a final
     row |F|^2_g - 1 excludes the trivial solution.
 
-    The evaluation here is a fused fast path (one matrix inverse per call,
-    d as a precomputed 4x6 matrix); it agrees with the module-level
-    ``residual_vector`` to round-off and is property-tested against it.
+    The evaluation here is a fused, batched fast path (one matrix inverse per
+    point, d as a precomputed 4x6 matrix) that is complex-analytic, so
+    ``residual_jacobian`` differentiates it by the complex step.  It agrees
+    with the module-level ``residual_vector`` to round-off and is
+    property-tested against it.
     """
 
     def __init__(self, entry: CatalogEntry, algebra_params: dict, orientation: int = 1,
@@ -223,13 +230,15 @@ class ResidualContext:
         return x
 
     def metric_of(self, x: np.ndarray) -> np.ndarray:
-        g = self._g0.copy()
+        """Metric (..., 4, 4) of x (..., n), in the dtype of x."""
+        g = np.empty(x.shape[:-1] + (4, 4), dtype=np.result_type(x, float))
+        g[...] = self._g0
         for k, rows, cols in self._slots:
-            g[rows, cols] = x[k]
+            g[..., rows, cols] = x[..., k, None]
         return g
 
     def f_of(self, x: np.ndarray) -> np.ndarray:
-        return self.kernel @ x[len(self.metric_names):]
+        return x[..., len(self.metric_names):] @ self.kernel.T
 
     def feasible(self, x: np.ndarray) -> bool:
         env = {n: x[k] for k, n in enumerate(self.metric_names)}
@@ -243,42 +252,50 @@ class ResidualContext:
         return True
 
     def residual(self, x: np.ndarray) -> np.ndarray:
+        """Residual rows (B, n_rows) of a batch x (B, n); a 1-D x gives one row vector.
+
+        Every step is complex-analytic (no abs, no casts to float, scratch in
+        the dtype of x), so a complex x carries derivatives in its imaginary
+        part; ``residual_jacobian`` relies on this.
+        """
+        single = x.ndim == 1
+        x = np.atleast_2d(x)
         g = self.metric_of(x)
-        nm = len(self.metric_names)
-        f6 = self.kernel @ x[nm:]
+        f6 = self.f_of(x)
         c = self._c
         g_inv = np.linalg.inv(g)
         det = np.linalg.det(g)
-        if not det > 0:
+        if not np.all(det.real > 0):
             raise ValueError("metric determinant must be positive")
-        # Koszul, curvature, Ricci.
-        cg = c @ g
-        rhs = 0.5 * (cg + cg.transpose(1, 2, 0) - cg.transpose(2, 0, 1))
-        gamma = rhs @ g_inv.T
-        t1 = np.tensordot(gamma, gamma, axes=([2], [1])).transpose(2, 0, 1, 3)
-        t2 = np.tensordot(c, gamma, axes=([2], [0]))
-        r4 = -(t1 - t1.transpose(1, 0, 2, 3) - t2) @ g
-        ric = np.tensordot(r4, g_inv, axes=([1, 3], [0, 1]))
-        s = float((g_inv * ric).sum())
+        # Koszul, curvature, Ricci; gamma[z, i, j, k] is the e_k part of nabla_{e_i} e_j.
+        cg = c @ g[:, None]
+        rhs = 0.5 * (cg + cg.transpose(0, 2, 3, 1) - cg.transpose(0, 3, 1, 2))
+        gamma = rhs @ g_inv.transpose(0, 2, 1)[:, None]
+        t1 = gamma[:, None] @ gamma[:, :, None]
+        t2 = np.einsum("ijk,zkmn->zijmn", c, gamma)
+        r4 = -(t1 - t1.transpose(0, 2, 1, 3, 4) - t2) @ g[:, None, None]
+        ric = np.einsum("zijkl,zjl->zik", r4, g_inv)
+        s = np.einsum("zij,zij->z", g_inv, ric)
         # Stress term.
-        fm = np.zeros((4, 4))
-        fm[_PAIR_ROWS, _PAIR_COLS] = f6
-        fm -= fm.T
+        fm = np.zeros_like(g)
+        fm[:, _PAIR_ROWS, _PAIR_COLS] = f6
+        fm -= fm.transpose(0, 2, 1)
         fg = fm @ g_inv
         comp = fg @ fm
-        tr = float((g_inv * comp).sum())
-        em = ric - 0.25 * s * g + comp - 0.25 * tr * g
-        out = np.empty(self.n_rows)
-        out[:10] = em[_TRIU_ROWS, _TRIU_COLS]
-        out[10:14] = self._d_matrix @ f6
+        tr = np.einsum("zij,zij->z", g_inv, comp)
+        em = ric + comp - (0.25 * (s + tr))[:, None, None] * g
+        out = np.empty((len(x), self.n_rows), dtype=g.dtype)
+        out[:, :10] = em[:, _TRIU_ROWS, _TRIU_COLS]
+        out[:, 10:14] = f6 @ self._d_matrix.T
         # Hodge star and co-closedness rows.
         fu = g_inv @ fg  # F with both indices raised: g^{-1} F g^{-1}
-        star_mat = np.tensordot(self._eps, fu, axes=([2, 3], [0, 1]))
-        star6 = (0.5 * self.orientation * np.sqrt(det)) * star_mat[_PAIR_ROWS, _PAIR_COLS]
-        out[14:18] = self._d_matrix @ star6
+        star_mat = np.einsum("ijkl,zkl->zij", self._eps, fu)
+        star6 = (0.5 * self.orientation * np.sqrt(det))[:, None] \
+            * star_mat[:, _PAIR_ROWS, _PAIR_COLS]
+        out[:, 14:18] = star6 @ self._d_matrix.T
         if self.mode == "unit_F":
-            out[18] = 0.5 * (fm * fu).sum() - 1.0
-        return out
+            out[:, 18] = 0.5 * np.einsum("zij,zij->z", fm, fu) - 1.0
+        return out[0] if single else out
 
     def candidate(self, x: np.ndarray) -> Candidate:
         return Candidate(
@@ -298,37 +315,23 @@ class ResidualContext:
         return y, defect
 
 
-def residual_jacobian(fun, x: np.ndarray, free_idx: list[int] | None = None) -> np.ndarray:
-    """Central finite-difference Jacobian, step 1e-6 * max(1, |x_i|).
+#: Complex step: far below round-off of any real part, so the real part of a
+#: probe equals x exactly and the derivative carries no truncation error.
+COMPLEX_STEP = 1e-30
 
-    Probe points that leave the feasible region (degenerate metric) fall back
-    to a one-sided difference against the base point; a fully blocked
-    direction yields a zero column (backtracking owns feasibility).
+
+def residual_jacobian(fun, x: np.ndarray, free_idx: list[int] | None = None) -> np.ndarray:
+    """Complex-step Jacobian J[:, col] = Im fun(x + i h e_k) / h, k = free_idx[col].
+
+    ``fun`` must be complex-analytic and take a batch (B, n) to (B, rows);
+    all probes go in one call.  The real part never moves, so no probe can
+    leave the feasible region (Squire & Trapp, SIAM Rev. 40(1), 1998).
     """
     x = np.asarray(x, dtype=float)
-    if free_idx is None:
-        free_idx = list(range(len(x)))
-    r0 = fun(x)
-    jac = np.zeros((len(r0), len(free_idx)))
-    for col, k in enumerate(free_idx):
-        h = 1e-6 * max(1.0, abs(x[k]))
-        xp = x.copy(); xp[k] += h
-        xm = x.copy(); xm[k] -= h
-        try:
-            rp = fun(xp)
-        except (ValueError, np.linalg.LinAlgError):
-            rp = None
-        try:
-            rm = fun(xm)
-        except (ValueError, np.linalg.LinAlgError):
-            rm = None
-        if rp is not None and rm is not None:
-            jac[:, col] = (rp - rm) / (2 * h)
-        elif rp is not None:
-            jac[:, col] = (rp - r0) / h
-        elif rm is not None:
-            jac[:, col] = (r0 - rm) / h
-    return jac
+    cols = np.arange(len(x)) if free_idx is None else np.asarray(free_idx, dtype=int)
+    probes = np.tile(x.astype(complex), (len(cols), 1))
+    probes[np.arange(len(cols)), cols] += 1j * COMPLEX_STEP
+    return fun(probes).imag.T / COMPLEX_STEP
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +363,7 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int) -> 
         if it >= 25 and np.abs(r).max() > 5e-2:
             return x, False, it, "slow progress", n_evals
         jac = residual_jacobian(ctx.residual, x, free_idx=free)
-        n_evals += 2 * len(free)
+        n_evals += len(free)  # one batched call of len(free) rows
         a = jac.T @ jac
         grad = jac.T @ r
         diag = np.maximum(np.diag(a), 1e-12)
@@ -579,6 +582,8 @@ def multistart_search(entry, n_seeds: int, seed: int = 0, mode: str = "unit_F",
     """Refine from n_seeds deterministic random starts and collect solutions."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be >= 1")
     entry = entry if isinstance(entry, CatalogEntry) else entry_by_name(entry)
     t0 = time.perf_counter()
     tasks = [(entry.name, seed, i, mode, orientation, tol, max_iter)

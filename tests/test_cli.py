@@ -100,6 +100,18 @@ def test_verify_malformed_input(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field,raw", [("f_coeffs", "[0.5, 0.5, Infinity, 0.5, 0.5, 0.5]"),
+                                       ("algebra_params", '{"a": 1e400}')])
+def test_verify_nonfinite_input(tmp_path, capsys, field, raw):
+    doc = {"entry": "A4,6^{a,0}", "algebra_params": {"a": 0.5}, "orientation": 1,
+           "metric_params": {"a1": 0.1, "a2": 0.0, "a3": 1.0}, "f_coeffs": [0.5] * 6}
+    doc[field] = "RAW"
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(doc).replace('"RAW"', raw))
+    code, out, err = run(["verify", str(path)], capsys)
+    assert code == 2 and "finite" in err and not out
+
+
 def test_verify_require_flag(sol_2a2, capsys):
     code, _, _ = run(["verify", str(sol_2a2), "--require", "NonEinsteinEM"], capsys)
     assert code == 0
@@ -117,6 +129,13 @@ def test_family_command(capsys):
 def test_nonpositive_tolerance_is_input_error(capsys):
     code, _, err = run(["search", "2A2", "--seeds", "2", "--tol", "-1"], capsys)
     assert code == 2 and "positive" in err
+
+
+@pytest.mark.parametrize("argv", [["search", "2A2", "--seeds", "2", "--jobs", "0"],
+                                  ["classify", "--entries", "2A2", "--seeds", "2", "--jobs", "0"]])
+def test_zero_jobs_is_input_error(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and "n_jobs" in err
 
 
 def test_search_determinism(capsys, tmp_path):

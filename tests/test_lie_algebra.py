@@ -175,6 +175,13 @@ def test_catalog_checksum_is_valid():
     assert doc["sha256"] == la.catalog_checksum(doc)
 
 
+def test_packaged_checksum_is_cached(monkeypatch):
+    doc = json.loads(la._catalog_text())
+    la.catalog()
+    monkeypatch.setattr(la, "_catalog_text", lambda: pytest.fail("catalog read again"))
+    assert la.catalog_checksum() == la.catalog_checksum(doc) == doc["sha256"]
+
+
 def test_catalog_rejects_tampering(tmp_path):
     doc = json.loads(la._catalog_text())
     doc["entries"][0]["verdict"] = "NoSolution"

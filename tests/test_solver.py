@@ -63,6 +63,60 @@ def test_context_agrees_with_residual_vector():
         assert np.abs(got - want).max() < 1e-12 * scale, entry.name
 
 
+def _batch(entry, mode, rng, size=4):
+    ctx = solver.ResidualContext(entry, solver.sample_algebra_params(entry, rng), mode=mode)
+    xs = np.array([ctx.pack(solver.sample_metric_params(entry, rng),
+                            rng.uniform(-1, 1, ctx.kernel.shape[1])) for _ in range(size)])
+    return ctx, xs
+
+
+def test_batched_residual_matches_single_calls():
+    rng = np.random.default_rng(41)
+    for entry in la.catalog():
+        for mode in ("unit_F", "free_F"):
+            ctx, xs = _batch(entry, mode, rng)
+            got = ctx.residual(xs)
+            want = np.stack([ctx.residual(x) for x in xs])
+            assert got.shape == (len(xs), ctx.n_rows) and want.dtype == float
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(got - want).max() <= 1e-14 * scale, (entry.name, mode)
+
+
+def test_residual_of_real_complex_input_is_real():
+    ctx, xs = _batch(la.entry_by_name("A4,12"), "unit_F", np.random.default_rng(42))
+    got = ctx.residual(xs.astype(complex))
+    want = ctx.residual(xs)
+    assert np.all(got.imag == 0)
+    assert np.abs(got.real - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+def test_jacobian_probes_keep_the_real_part():
+    # a1 = 1e-8 sits where a central step of 1e-6 leaves the positive cone.
+    entry = la.entry_by_name("A4,4")
+    ctx = solver.ResidualContext(entry, {}, mode="unit_F")
+    x = ctx.pack({"a1": 1e-8, "a2": 0.0, "a3": 1.0}, np.array([0.3, -0.2, 0.5]))
+    below = x.copy()
+    below[0] -= 1e-6
+    with pytest.raises(ValueError, match="determinant"):
+        ctx.residual(below)
+    seen = []
+
+    def fun(z):
+        assert np.array_equal(z.real, np.broadcast_to(x, z.shape))
+        seen.append(len(z))
+        return ctx.residual(z)
+
+    jac = solver.residual_jacobian(fun, x, free_idx=ctx.free_idx)
+    assert seen == [len(x)]
+    assert jac.shape == (ctx.n_rows, len(x)) and np.isfinite(jac).all()
+
+
+def test_jacobian_of_empty_free_set():
+    ctx = solver.ResidualContext(la.entry_by_name("2A2"), {}, mode="unit_F")
+    x = ctx.pack({"a1": 0, "a2": 0, "a3": 0, "a4": 0, "a5": 2.0}, np.ones(ctx.kernel.shape[1]))
+    assert solver.residual_jacobian(ctx.residual, x, free_idx=[]).shape == (ctx.n_rows, 0)
+
+
 def test_refine_to_family_point():
     # With everything frozen except f34 the unique root is a34 = sqrt(3),
     # cross-checked by bisecting (1 + a34^2)/(1 + a12^2) - a5.
@@ -148,6 +202,9 @@ def test_multistart_abelian_free_f():
 def test_multistart_rejects_bad_seeds():
     with pytest.raises(ValueError):
         solver.multistart_search("2A2", n_seeds=0, seed=0)
+    for n_jobs in (0, -1):
+        with pytest.raises(ValueError, match="n_jobs"):
+            solver.multistart_search("2A2", n_seeds=2, seed=0, n_jobs=n_jobs)
 
 
 def test_search_determinism_and_parallel_merge():
