@@ -3,11 +3,14 @@
 Grammar (deliberately minimal): +, -, *, ^ (nonnegative integer exponent),
 parentheses, decimal/integer literals and parameter identifiers.  Evaluation
 is exact when the environment supplies Fraction values, since literals are
-parsed with Fraction and only ring operations are performed.
+parsed with Fraction and only ring operations are performed.  Each source
+string is parsed once into a closure and reused.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from fractions import Fraction
 
@@ -37,10 +40,32 @@ def _tokenize(src: str) -> list[tuple[str, str]]:
     return tokens
 
 
+def _ident(name: str, src: str):
+    def load(env):
+        if name not in env:
+            raise ExpressionError(f"unknown parameter {name!r} in {src!r}")
+        return env[name]
+    return load
+
+
+def _unary(op, f):
+    return lambda env: op(f(env))
+
+
+def _binary(op, f, g):
+    return lambda env: op(f(env), g(env))
+
+
 class _Parser:
-    def __init__(self, src: str, env: dict):
+    """Recursive descent from tokens to a closure ``env -> value``.
+
+    The closure performs the operations the grammar prescribes, in the order
+    a direct left-to-right evaluation would, so compiled results are
+    bit-identical to interpreting the string.
+    """
+
+    def __init__(self, src: str):
         self.src = src
-        self.env = env
         self.tokens = _tokenize(src)
         self.k = 0
 
@@ -53,10 +78,10 @@ class _Parser:
         return tok
 
     def parse(self):
-        val = self.expr()
+        fn = self.expr()
         if self.peek()[0] != "end":
             raise ExpressionError(f"trailing input in {self.src!r}")
-        return val
+        return fn
 
     def expr(self):
         kind, text = self.peek()
@@ -64,27 +89,27 @@ class _Parser:
         if kind == "op" and text in "+-":
             self.take()
             negate = text == "-"
-        val = self.term()
+        fn = self.term()
         if negate:
-            val = -val
+            fn = _unary(operator.neg, fn)
         while True:
             kind, text = self.peek()
             if kind == "op" and text in "+-":
                 self.take()
                 rhs = self.term()
-                val = val + rhs if text == "+" else val - rhs
+                fn = _binary(operator.add if text == "+" else operator.sub, fn, rhs)
             else:
-                return val
+                return fn
 
     def term(self):
-        val = self.power()
+        fn = self.power()
         while True:
             kind, text = self.peek()
             if kind == "op" and text == "*":
                 self.take()
-                val = val * self.power()
+                fn = _binary(operator.mul, fn, self.power())
             else:
-                return val
+                return fn
 
     def power(self):
         base = self.atom()
@@ -94,35 +119,40 @@ class _Parser:
             kind, text = self.take()
             if kind != "num" or "." in text:
                 raise ExpressionError(f"exponent must be a nonnegative integer in {self.src!r}")
-            return base ** int(text)
+            exponent = int(text)
+            return lambda env: base(env) ** exponent
         return base
 
     def atom(self):
         kind, text = self.take()
         if kind == "num":
-            return Fraction(text)
+            value = Fraction(text)
+            return lambda env: value
         if kind == "ident":
-            if text not in self.env:
-                raise ExpressionError(f"unknown parameter {text!r} in {self.src!r}")
-            return self.env[text]
+            return _ident(text, self.src)
         if kind == "op" and text == "(":
-            val = self.expr()
+            fn = self.expr()
             kind, text = self.take()
             if not (kind == "op" and text == ")"):
                 raise ExpressionError(f"unbalanced parentheses in {self.src!r}")
-            return val
+            return fn
         if kind == "op" and text == "-":
-            return -self.atom()
+            return _unary(operator.neg, self.atom())
         raise ExpressionError(f"unexpected token {text!r} in {self.src!r}")
+
+
+@functools.lru_cache(maxsize=1024)
+def _compile(src: str):
+    """Closure ``env -> value`` for an expression string, parsed once per string."""
+    return _Parser(src).parse()
 
 
 def eval_expr(src: str, env: dict):
     """Evaluate an expression string against parameter values in ``env``."""
-    return _Parser(src, env).parse()
+    return _compile(src)(env)
 
 
 def expr_identifiers(src: str) -> set[str]:
     """Parameter names referenced by an expression (syntax check included)."""
-    names = {text for kind, text in _tokenize(src) if kind == "ident"}
-    _Parser(src, {n: Fraction(0) for n in names}).parse()
-    return names
+    _compile(src)
+    return {text for kind, text in _tokenize(src) if kind == "ident"}

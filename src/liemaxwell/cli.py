@@ -179,6 +179,11 @@ def cmd_verify(args) -> int:
     config = RunConfig(command="verify", entries=[entry.name], tol=tol,
                        orientation=cand.orientation)
     report = em_residual(L, g, cand.f_coeffs, cand.orientation, tol=tol)
+    computed = (report.r_em, report.r_dF, report.r_dstarF, report.scalar_curvature)
+    if not all(np.isfinite(computed)):
+        print("error: residuals are not finite: the candidate's values overflow "
+              "floating point", file=sys.stderr)
+        return EXIT_INPUT
     if entry.family:
         fam = family_by_id(entry.family["id"])
         omega = fam.omega_from_metric(cand.metric_params, cand.orientation)

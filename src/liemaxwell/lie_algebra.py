@@ -98,10 +98,30 @@ def bracket(L: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def jacobi_defect(L: LieAlgebra):
-    """Max-abs of the Jacobi expression over all index quadruples (0 iff Lie)."""
-    t = np.einsum("ijm,mkl->ijkl", L.c, L.c)
-    expr = t + np.transpose(t, (1, 2, 0, 3)) + np.transpose(t, (2, 0, 1, 3))
-    return np.abs(expr).max()
+    """Max-abs of the Jacobi expression over all index quadruples (0 iff Lie).
+
+    With t[i,j,k,l] = sum_m c[i,j,m] c[m,k,l], the expression is the cyclic
+    sum t[i,j,k,l] + t[j,k,i,l] + t[k,i,j,l].  Only products of nonzero
+    structure constants are formed, so exact mode stays cheap.
+    """
+    by_first: dict[int, list] = {m: [] for m in range(DIM)}
+    nonzero = []
+    for (i, j, m), v in np.ndenumerate(L.c):
+        if v != 0:
+            nonzero.append((i, j, m, v))
+            by_first[i].append((j, m, v))
+    # Lexicographic (i, j, m) order adds the terms of each t entry by ascending m.
+    t: dict[tuple[int, int, int, int], object] = {}
+    for i, j, m, v in nonzero:
+        for k, l, w in by_first[m]:
+            t[i, j, k, l] = t.get((i, j, k, l), 0) + v * w
+    worst = Fraction(0) if L.exact else 0.0
+    # Every rotation of (i, j, k) with a nonzero term; all other sums vanish.
+    touched = {rot for a, b, d, l in t for rot in ((a, b, d, l), (b, d, a, l), (d, a, b, l))}
+    for i, j, k, l in touched:
+        expr = t.get((i, j, k, l), 0) + t.get((k, i, j, l), 0) + t.get((j, k, i, l), 0)
+        worst = max(worst, abs(expr))
+    return worst
 
 
 def is_unimodular(L: LieAlgebra, tol: float = 1e-12) -> bool:

@@ -8,6 +8,12 @@ in one batched call of the complex-analytic residual kernel; steps that
 violate the catalog's positivity constraints are rejected by backtracking,
 never projected back.
 
+The kernel (``ResidualContext.residual``) takes Ricci straight from the
+structure constants, g and g^-1 (Besse, Einstein Manifolds, Cor. 7.38) and
+never forms the curvature tensor.  Every reported verdict is re-verified by
+the geometry modules, which derive curvature independently (Koszul
+connection, Riemann tensor, Ricci contraction).
+
 Determinism contract: the per-seed RNG is ``default_rng(seed ^ index)`` and
 results are merged in index order, so serial and parallel runs produce the
 same outcome for identical (entry, seed, n_seeds).
@@ -25,15 +31,16 @@ from pathlib import Path
 import numpy as np
 
 from ._expr import eval_expr
+from ._smallmat import determinant
 from .families import Family, family_by_id
 from .forms import LEVI4, hodge_star, norm_sq
 from .kahler import classify_hermitian_type, ricci_form
-from .lie_algebra import (CatalogEntry, LieAlgebra, catalog_checksum,
+from .lie_algebra import (PAIRS, CatalogEntry, LieAlgebra, catalog_checksum,
                           closedness_constraints, d_two_form, entry_by_name, instantiate,
                           metric_from_params)
 from .maxwell import (NON_EINSTEIN_EM, TOL_SOLUTION, EMReport, em_residual, stress_energy,
                       verify_kahler_decomposition)
-from .metric_geometry import EPS_PD, curvature_summary, leading_minors
+from .metric_geometry import EPS_PD, curvature_summary
 
 #: Solutions closer than this (max-norm over the canonicalized parameter
 #: vector) are considered the same point.
@@ -114,21 +121,31 @@ def _check_invariants(entry: CatalogEntry, g: np.ndarray) -> None:
         raise CandidateError(f"{entry.name}: metric constraints violated: {failures}")
 
 
-def _constraint_failures(entry: CatalogEntry, g: np.ndarray) -> list[str]:
+def _failures(entry: CatalogEntry, g: np.ndarray):
+    """Failed admissibility checks of a metric, yielded lazily in a fixed order:
+    the entry's constraint polynomials (with margin EPS_PD), then the leading
+    principal minors."""
     values = {}
     for i in range(4):
         for j in range(4):
             cell = entry.metric_shape[i][j]
             if isinstance(cell, str):
                 values[cell] = float(g[i, j])
-    failures = []
     for poly in entry.metric_constraints:
         if not eval_expr(poly, values) > EPS_PD:
-            failures.append(poly)
-    for k, m in enumerate(leading_minors(g), start=1):
-        if not m > 0:
-            failures.append(f"minor{k}")
-    return failures
+            yield poly
+    for k in range(1, 5):
+        if not determinant(g[:k, :k]) > 0:
+            yield f"minor{k}"
+
+
+def _constraint_failures(entry: CatalogEntry, g: np.ndarray) -> list[str]:
+    return list(_failures(entry, g))
+
+
+def _admissible(entry: CatalogEntry, g: np.ndarray) -> bool:
+    """``not _constraint_failures(entry, g)``, stopping at the first failure."""
+    return next(_failures(entry, g), None) is None
 
 
 def _stacked_residual(L: LieAlgebra, g: np.ndarray, f6: np.ndarray,
@@ -155,8 +172,6 @@ def residual_vector(c: Candidate) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_PAIR_ROWS = np.array([i for i, _ in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]])
-_PAIR_COLS = np.array([j for _, j in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]])
 _TRIU_ROWS = np.array([i for i, _ in _UPPER])
 _TRIU_COLS = np.array([j for _, j in _UPPER])
 
@@ -169,11 +184,14 @@ class ResidualContext:
     vector carries), so dF = 0 holds by construction.  In unit_F mode a final
     row |F|^2_g - 1 excludes the trivial solution.
 
-    The evaluation here is a fused, batched fast path (one matrix inverse per
-    point, d as a precomputed 4x6 matrix) that is complex-analytic, so
-    ``residual_jacobian`` differentiates it by the complex step.  It agrees
-    with the module-level ``residual_vector`` to round-off and is
-    property-tested against it.
+    The evaluation here is the fast path: a batched, complex-analytic kernel
+    that takes Ricci straight from the structure constants, g and g^-1
+    (Besse, Einstein Manifolds, Cor. 7.38), with every x-independent map
+    precomputed as a matrix.  ``residual_jacobian`` differentiates it by the
+    complex step.  The module-level ``residual_vector`` derives the same rows
+    independently (Koszul connection, Riemann tensor, Ricci contraction,
+    Hodge star) through the geometry modules; the two agree to round-off and
+    are property-tested against each other.
     """
 
     def __init__(self, entry: CatalogEntry, algebra_params: dict, orientation: int = 1,
@@ -185,10 +203,11 @@ class ResidualContext:
         self.orientation = orientation
         self.mode = mode
         self.L = instantiate(entry, algebra_params)
-        self._c = np.asarray(self.L.c, dtype=float)
+        c = np.asarray(self.L.c, dtype=float)
+        self._c = c
         self.metric_names = list(entry.metric_param_names)
         system = closedness_constraints(self.L)
-        self._d_matrix = np.asarray(system.matrix, dtype=float)
+        self._d_t = np.asarray(system.matrix, dtype=float).T
         self.kernel = np.array([np.asarray(v, dtype=float) for v in system.kernel]).T \
             if system.kernel else np.zeros((6, 0))
         self.f_names = [f"f{lbl}" for lbl in system.free_pairs]
@@ -198,25 +217,30 @@ class ResidualContext:
         if unknown:
             raise ValueError(f"unknown frozen parameters {sorted(unknown)}; have {self.names}")
         self.free_idx = [k for k, n in enumerate(self.names) if n not in frozen_set]
-        # Literal part of the metric and the parameter positions in it.
-        self._g0 = np.zeros((4, 4))
-        self._slots: list[tuple[int, np.ndarray, np.ndarray]] = []
-        slot_map: dict[str, list[tuple[int, int]]] = {n: [] for n in self.metric_names}
+        # Metric = literal part + metric parameters placed by one matmul.
+        self._g0 = np.zeros(16)
+        self._place = np.zeros((len(self.metric_names), 16))
         for i in range(4):
             for j in range(4):
                 cell = entry.metric_shape[i][j]
                 if isinstance(cell, str):
-                    slot_map[cell].append((i, j))
+                    self._place[self.metric_names.index(cell), 4 * i + j] = 1.0
                 else:
-                    self._g0[i, j] = cell
-        for k, n in enumerate(self.metric_names):
-            ij = np.array(slot_map[n])
-            self._slots.append((k, ij[:, 0], ij[:, 1]))
-        # Constraint polynomials compiled once; the grammar maps to Python
-        # by rewriting '^' as '**'.
-        self._constraints = [compile(poly.replace("^", "**"), "<constraint>", "eval")
-                             for poly in entry.metric_constraints]
-        self._eps = np.asarray(LEVI4, dtype=float)
+                    self._g0[4 * i + j] = cell
+        # Six 2-form coefficients -> antisymmetric 4x4 matrix, flattened.
+        self._f_place = np.zeros((6, 16))
+        for p, (i, j) in enumerate(PAIRS):
+            self._f_place[p, 4 * i + j] = 1.0
+            self._f_place[p, 4 * j + i] = -1.0
+        # Hodge star then d: F^{kl} (raised, flattened) -> d*F / (sign sqrt det g).
+        eps_pairs = np.array([LEVI4[i, j] for i, j in PAIRS], dtype=float).reshape(6, 16)
+        self._star_d = 0.5 * orientation * eps_pairs.T @ self._d_t
+        # Ricci ingredients that do not depend on the metric, each with its
+        # factor -1/2: the structure constants, the Killing form
+        # B_ab = c_ai^k c_bk^i and the trace form t_a = c_ak^k.
+        self._c_half = -0.5 * c
+        self._killing_half = -0.5 * np.einsum("aik,bki->ab", c, c)
+        self._trace_half = -0.5 * np.einsum("akk->a", c)
 
     @property
     def n_rows(self) -> int:
@@ -231,19 +255,16 @@ class ResidualContext:
 
     def metric_of(self, x: np.ndarray) -> np.ndarray:
         """Metric (..., 4, 4) of x (..., n), in the dtype of x."""
-        g = np.empty(x.shape[:-1] + (4, 4), dtype=np.result_type(x, float))
-        g[...] = self._g0
-        for k, rows, cols in self._slots:
-            g[..., rows, cols] = x[..., k, None]
-        return g
+        g = x[..., :len(self.metric_names)] @ self._place + self._g0
+        return g.reshape(x.shape[:-1] + (4, 4))
 
     def f_of(self, x: np.ndarray) -> np.ndarray:
         return x[..., len(self.metric_names):] @ self.kernel.T
 
     def feasible(self, x: np.ndarray) -> bool:
         env = {n: x[k] for k, n in enumerate(self.metric_names)}
-        for code in self._constraints:
-            if not eval(code, {"__builtins__": {}}, env) > EPS_PD:
+        for poly in self.entry.metric_constraints:
+            if not eval_expr(poly, env) > EPS_PD:
                 return False
         try:
             np.linalg.cholesky(self.metric_of(x))
@@ -259,42 +280,42 @@ class ResidualContext:
         part; ``residual_jacobian`` relies on this.
         """
         single = x.ndim == 1
-        x = np.atleast_2d(x)
+        if single:
+            x = x[None]
+        n = len(x)
         g = self.metric_of(x)
         f6 = self.f_of(x)
-        c = self._c
         g_inv = np.linalg.inv(g)
         det = np.linalg.det(g)
-        if not np.all(det.real > 0):
+        if not (det.real > 0).all():
             raise ValueError("metric determinant must be positive")
-        # Koszul, curvature, Ricci; gamma[z, i, j, k] is the e_k part of nabla_{e_i} e_j.
-        cg = c @ g[:, None]
-        rhs = 0.5 * (cg + cg.transpose(0, 2, 3, 1) - cg.transpose(0, 3, 1, 2))
-        gamma = rhs @ g_inv.transpose(0, 2, 1)[:, None]
-        t1 = gamma[:, None] @ gamma[:, :, None]
-        t2 = np.einsum("ijk,zkmn->zijmn", c, gamma)
-        r4 = -(t1 - t1.transpose(0, 2, 1, 3, 4) - t2) @ g[:, None, None]
-        ric = np.einsum("zijkl,zjl->zik", r4, g_inv)
-        s = np.einsum("zij,zij->z", g_inv, ric)
-        # Stress term.
-        fm = np.zeros_like(g)
-        fm[:, _PAIR_ROWS, _PAIR_COLS] = f6
-        fm -= fm.transpose(0, 2, 1)
+        # Ricci of a left-invariant metric (Besse 7.38), with H = g^-1 t:
+        #   Ric_ab = -1/2 g^ij g([e_a,e_i],[e_b,e_j])
+        #            + 1/4 g^im g^jn g([e_i,e_j],e_a) g([e_m,e_n],e_b)
+        #            - 1/2 B_ab - 1/2 (g([H,e_a],e_b) + g([H,e_b],e_a)).
+        # cg[z, i, j, l] = g([e_i,e_j], e_l) carries all three metric terms.
+        cg = self._c @ g[:, None]
+        rows = cg.reshape(n, 4, 16)
+        ric = rows @ (g_inv[:, None] @ self._c_half).reshape(n, 4, 16).transpose(0, 2, 1)
+        raised = g_inv @ (g_inv[:, None] @ cg).reshape(n, 4, 16)
+        ric += 0.25 * (cg.reshape(n, 16, 4).transpose(0, 2, 1) @ raised.reshape(n, 16, 4))
+        mean = ((g_inv @ self._trace_half)[:, None] @ rows).reshape(n, 4, 4)
+        ric += mean
+        ric += mean.transpose(0, 2, 1)
+        ric += self._killing_half
+        # Stress term; the trace of Ric + F g^-1 F is s + tr_g(F g^-1 F).
+        fm = (f6 @ self._f_place).reshape(n, 4, 4)
         fg = fm @ g_inv
-        comp = fg @ fm
-        tr = np.einsum("zij,zij->z", g_inv, comp)
-        em = ric + comp - (0.25 * (s + tr))[:, None, None] * g
-        out = np.empty((len(x), self.n_rows), dtype=g.dtype)
+        em = ric + fg @ fm
+        em -= 0.25 * (g_inv.reshape(n, 1, 16) @ em.reshape(n, 16, 1)) * g
+        out = np.empty((n, self.n_rows), dtype=g.dtype)
         out[:, :10] = em[:, _TRIU_ROWS, _TRIU_COLS]
-        out[:, 10:14] = f6 @ self._d_matrix.T
-        # Hodge star and co-closedness rows.
-        fu = g_inv @ fg  # F with both indices raised: g^{-1} F g^{-1}
-        star_mat = np.einsum("ijkl,zkl->zij", self._eps, fu)
-        star6 = (0.5 * self.orientation * np.sqrt(det))[:, None] \
-            * star_mat[:, _PAIR_ROWS, _PAIR_COLS]
-        out[:, 14:18] = star6 @ self._d_matrix.T
+        out[:, 10:14] = f6 @ self._d_t
+        # Co-closedness rows: F with both indices raised, starred and differentiated.
+        fu = (g_inv @ fg).reshape(n, 16)
+        out[:, 14:18] = np.sqrt(det)[:, None] * (fu @ self._star_d)
         if self.mode == "unit_F":
-            out[:, 18] = 0.5 * np.einsum("zij,zij->z", fm, fu) - 1.0
+            out[:, 18:] = 0.5 * (fm.reshape(n, 1, 16) @ fu[:, :, None])[:, 0] - 1.0
         return out[0] if single else out
 
     def candidate(self, x: np.ndarray) -> Candidate:
@@ -435,7 +456,7 @@ class SearchOutcome:
     entry_name: str
     mode: str
     seed: int
-    seeds_used: int
+    seeds_used: int  # seeds that reached refinement, not seeds attempted
     solutions: list[tuple[Candidate, EMReport]] = field(default_factory=list)
     best_nonsolution_residual: float = float("inf")
     wall_time: float = 0.0
@@ -484,7 +505,7 @@ def sample_metric_params(entry: CatalogEntry, rng: np.random.Generator,
             else:
                 params[n] = float(rng.uniform(-3.0 * shrink, 3.0 * shrink))
         g = metric_from_params(entry, params)
-        if not _constraint_failures(entry, g):
+        if _admissible(entry, g):
             return params
     raise ValueError(f"{entry.name}: empty feasible box (no admissible metric in {max_tries} draws)")
 
@@ -594,12 +615,12 @@ def multistart_search(entry, n_seeds: int, seed: int = 0, mode: str = "unit_F",
     else:
         results = [_run_seed(t) for t in tasks]
     results.sort(key=lambda r: r["index"])
-    outcome = SearchOutcome(entry_name=entry.name, mode=mode, seed=seed, seeds_used=n_seeds)
+    refined = [res for res in results if res["status"] == "refined"]
+    outcome = SearchOutcome(entry_name=entry.name, mode=mode, seed=seed,
+                            seeds_used=len(refined))
     kept_vectors: list[np.ndarray] = []
     best_miss = float("inf")
-    for res in results:
-        if res["status"] != "refined":
-            continue
+    for res in refined:
         cand, report = res["candidate"], res["report"]
         if report.is_solution:
             vec = _canonical_vector(cand)
@@ -737,8 +758,9 @@ def classify_algebra(entry, budget: tuple[int, int] = (200, 45), seed: int = 0,
     |F|_g > 1 where the unit-norm slice is empty.
 
     A negative verdict is numerical evidence only, never a proof: it is
-    reported as "no solution found at budget" and demands that the closest
-    non-solution stays a factor of 100 above the solution tolerance.
+    reported as "no solution found at budget" and demands that the unit-norm
+    pass refined at least one seed and that the closest non-solution stays a
+    factor of 100 above the solution tolerance; otherwise it is inconclusive.
     """
     entry = entry if isinstance(entry, CatalogEntry) else entry_by_name(entry)
     n_seeds, max_iter = budget
@@ -763,8 +785,10 @@ def classify_algebra(entry, budget: tuple[int, int] = (200, 45), seed: int = 0,
         inconclusive = False
     else:
         computed = "NoNonEinsteinEMFound"
-        inconclusive = bool(np.isfinite(outcome.best_nonsolution_residual)
-                            and outcome.best_nonsolution_residual <= EVIDENCE_FACTOR * tol)
+        # No refined seed is no evidence; a near miss is evidence against.
+        inconclusive = bool(outcome.seeds_used == 0
+                            or (np.isfinite(outcome.best_nonsolution_residual)
+                                and outcome.best_nonsolution_residual <= EVIDENCE_FACTOR * tol))
     if entry.verdict == "HasNonEinsteinEM":
         agree = computed == "HasNonEinsteinEM"
     else:

@@ -10,6 +10,8 @@ and curvature is assembled from a hand-rolled Koszul solve.
 from __future__ import annotations
 
 import itertools
+import re
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -228,3 +230,63 @@ def bisect(fun, lo, hi, tol=1e-14, max_iter=200):
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+# -- catalog expressions, interpreted ----------------------------------------
+
+
+def eval_expr_interpreted(src, env):
+    """Evaluate a catalog expression directly from its tokens, left to right.
+
+    Same grammar as the package (+, -, *, ^ with integer exponents, literals
+    read as Fractions), but values are computed while parsing instead of
+    through compiled closures.
+    """
+    tokens = re.findall(r"\d+\.\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*^]", src) + [""]
+    pos = 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def expr():
+        negate = tokens[pos] in ("+", "-") and take() == "-"
+        val = term()
+        if negate:
+            val = -val
+        while tokens[pos] in ("+", "-"):
+            op = take()
+            rhs = term()
+            val = val + rhs if op == "+" else val - rhs
+        return val
+
+    def term():
+        val = power()
+        while tokens[pos] == "*":
+            take()
+            val = val * power()
+        return val
+
+    def power():
+        base = atom()
+        if tokens[pos] == "^":
+            take()
+            return base ** int(take())
+        return base
+
+    def atom():
+        tok = take()
+        if tok[0].isdigit():
+            return Fraction(tok)
+        if tok == "(":
+            val = expr()
+            assert take() == ")"
+            return val
+        if tok == "-":
+            return -atom()
+        return env[tok]
+
+    val = expr()
+    assert tokens[pos] == "", src
+    return val

@@ -1,11 +1,16 @@
 """Exit codes, table shapes, and JSON contracts of the command-line surface."""
 
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liemaxwell import cli
+from liemaxwell import cli, solver
 from liemaxwell import lie_algebra as la
 
 
@@ -110,6 +115,71 @@ def test_verify_nonfinite_input(tmp_path, capsys, field, raw):
     path.write_text(json.dumps(doc).replace('"RAW"', raw))
     code, out, err = run(["verify", str(path)], capsys)
     assert code == 2 and "finite" in err and not out
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("metric_params", [{"a1": 1e200, "a2": 0, "a3": 1e200},
+                                           {"a1": 1e160, "a2": 0, "a3": 1.0}])
+def test_verify_overflowing_input(tmp_path, capsys, metric_params):
+    # Finite and admissible, but the residuals overflow to inf/NaN.
+    doc = {"entry": "A4,4", "algebra_params": {}, "metric_params": metric_params,
+           "f_coeffs": [0.5] * 6, "orientation": 1}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["verify", str(path), "--json"], capsys)
+    assert code == 2 and "not finite" in err and not out
+
+
+_SCALES = st.sampled_from([1.0, 1.0, 1.0, 1e-300, 1e-20, 1e20, 1e100, 1e160, 1e200, 1e300])
+
+
+@st.composite
+def candidate_documents(draw):
+    """Candidate documents near and far from admissible, at extreme scales."""
+    entry = draw(st.sampled_from(la.catalog()))
+    positive = set(entry.positive_metric_params)
+    any_float = st.floats(allow_nan=False, allow_infinity=False)
+    scale = draw(_SCALES)
+    metric = {}
+    for n in entry.metric_param_names:
+        # A diagonally dominant metric at one common scale, with the odd
+        # parameter replaced by an arbitrary finite float.
+        near = st.floats(0.5, 3.0) if n in positive else st.floats(-0.1, 0.1)
+        metric[n] = draw(st.one_of(near.map(lambda v: scale * v), near.map(lambda v: scale * v),
+                                   near.map(lambda v: scale * v), any_float))
+    algebra = {p.name: draw(st.just(p.sample) | any_float) for p in entry.params}
+    f_scale = draw(_SCALES)
+    f_coeffs = [f_scale * draw(st.floats(-1.0, 1.0)) for _ in range(6)]
+    return {"entry": entry.name, "algebra_params": algebra, "metric_params": metric,
+            "f_coeffs": f_coeffs, "orientation": draw(st.sampled_from([1, -1]))}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=candidate_documents())
+def test_verify_reports_finite_residuals_or_refuses(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "candidate.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", str(path), "--json"])
+    if code == 2:
+        assert not out.getvalue() and err.getvalue().startswith("error:")
+        return
+    assert code in (0, 1)
+    blob = json.loads(out.getvalue())
+    assert all(math.isfinite(blob[k]) for k in ("r_em", "r_dF", "r_dstarF", "scalar_curvature"))
+
+
+def test_classify_on_zero_evidence_is_inconclusive(capsys, monkeypatch):
+    def no_start(entry, rng, max_tries=600):
+        raise ValueError(f"{entry.name}: empty feasible box")
+
+    monkeypatch.setattr(solver, "sample_metric_params", no_start)
+    code, out, _ = run(["classify", "--entries", "A4,4", "--seeds", "4", "--json"], capsys)
+    assert code == 3
+    row, = json.loads(out)["rows"]
+    assert row["inconclusive"] and not row["agree"]
 
 
 def test_verify_require_flag(sol_2a2, capsys):

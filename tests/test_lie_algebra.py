@@ -8,6 +8,7 @@ import pytest
 
 import oracles as orc
 from liemaxwell import lie_algebra as la
+from liemaxwell._expr import eval_expr
 
 E = np.eye(4)
 
@@ -268,3 +269,25 @@ def test_entry_lookup_aliases():
     assert la.entry_by_name("a4,4").name == "A4,4"
     with pytest.raises(KeyError):
         la.entry_by_name("nope")
+
+
+def _catalog_expressions():
+    """(expression, parameter names) for every bracket coefficient and constraint."""
+    for entry in la.catalog():
+        for _, _, coeffs in entry.brackets:
+            for _, expr in coeffs:
+                yield expr, entry.param_names
+        for poly in entry.metric_constraints:
+            yield poly, entry.metric_param_names
+
+
+def test_compiled_expressions_match_interpreter():
+    rng = np.random.default_rng(12)
+    for expr, names in _catalog_expressions():
+        for _ in range(5):
+            floats = {k: float(rng.uniform(-3, 3)) for k in names}
+            fracs = {k: Fraction(int(rng.integers(-40, 40)), int(rng.integers(1, 12)))
+                     for k in names}
+            for env in (floats, fracs):
+                got, want = eval_expr(expr, env), orc.eval_expr_interpreted(expr, env)
+                assert type(got) is type(want) and repr(got) == repr(want), (expr, env)

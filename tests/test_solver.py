@@ -6,7 +6,7 @@ import pytest
 import oracles as orc
 from liemaxwell import lie_algebra as la
 from liemaxwell import maxwell, solver
-from liemaxwell.forms import two_form
+from liemaxwell.forms import norm_sq, two_form
 
 
 def cand_2a2(a5=2.0, a12=1.0, a34=np.sqrt(3)):
@@ -51,16 +51,29 @@ def test_residual_vector_rejects_constraint_violation():
 
 
 def test_context_agrees_with_residual_vector():
+    # The fast kernel (Ricci from the structure constants) against the
+    # reference chain (Koszul, Riemann, Ricci, Hodge star), on the generic
+    # branch and on every admissible named variant (odd variant indices),
+    # where the closedness kernel can change dimension.
     rng = np.random.default_rng(40)
     for entry in la.catalog():
-        ap = solver.sample_algebra_params(entry, rng)
-        ctx = solver.ResidualContext(entry, ap, mode="free_F")
-        mp = solver.sample_metric_params(entry, rng)
-        x = ctx.pack(mp, rng.uniform(-1, 1, ctx.kernel.shape[1]))
-        got = ctx.residual(x)
-        want = solver.residual_vector(ctx.candidate(x))
-        scale = max(1.0, np.abs(want).max())
-        assert np.abs(got - want).max() < 1e-12 * scale, entry.name
+        n_variants = sum(v.admissible for v in entry.variants)
+        for variant_index in [0, *range(1, 2 * n_variants, 2)]:
+            ap = solver.sample_algebra_params(entry, rng, variant_index=variant_index)
+            for orientation in (1, -1):
+                for mode in ("free_F", "unit_F"):
+                    ctx = solver.ResidualContext(entry, ap, orientation, mode=mode)
+                    mp = solver.sample_metric_params(entry, rng)
+                    x = ctx.pack(mp, rng.uniform(-1, 1, ctx.kernel.shape[1]))
+                    got = ctx.residual(x)
+                    cand = ctx.candidate(x)
+                    want = solver.residual_vector(cand)
+                    if mode == "unit_F":
+                        g = la.metric_from_params(entry, mp)
+                        want = np.append(want, norm_sq(g, cand.f_coeffs) - 1.0)
+                    scale = max(1.0, np.abs(want).max())
+                    assert np.abs(got - want).max() < 1e-12 * scale, \
+                        (entry.name, variant_index, orientation, mode)
 
 
 def _batch(entry, mode, rng, size=4):
@@ -291,3 +304,34 @@ def test_variant_cycling_hits_named_branches():
         seen.add(tuple(sorted(ap.items())))
         assert ap["a"] <= ap["b"]
     assert (("a", -0.5), ("b", 0.5)) in seen  # the a = -b branch
+
+
+def test_admissible_short_circuit_matches_failure_list():
+    rng = np.random.default_rng(43)
+    for entry in la.catalog():
+        names = entry.metric_param_names
+        positive = set(entry.positive_metric_params)
+        seen = set()
+        for k in range(60):
+            # Alternate a wide and a narrow box for the off-diagonal
+            # parameters, so every entry sees both verdicts.
+            spread = 3.0 if k % 2 else 0.3
+            mp = {n: float(rng.uniform(-0.5, 3) if n in positive else rng.uniform(-spread, spread))
+                  for n in names}
+            g = la.metric_from_params(entry, mp)
+            ok = solver._admissible(entry, g)
+            assert ok == (not solver._constraint_failures(entry, g)), (entry.name, mp)
+            seen.add(ok)
+        assert seen == ({True, False} if names else {True}), entry.name
+
+
+def test_zero_evidence_is_inconclusive(monkeypatch):
+    def no_start(entry, rng, max_tries=600):
+        raise ValueError(f"{entry.name}: empty feasible box")
+
+    monkeypatch.setattr(solver, "sample_metric_params", no_start)
+    out = solver.multistart_search("A4,4", n_seeds=4, seed=0)
+    assert out.seeds_used == 0 and not out.solutions
+    res = solver.classify_algebra("A4,4", budget=(4, 45))
+    assert res.computed == "NoNonEinsteinEMFound"
+    assert res.inconclusive and not res.agree
