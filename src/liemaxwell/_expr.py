@@ -5,6 +5,13 @@ parentheses, decimal/integer literals and parameter identifiers.  Evaluation
 is exact when the environment supplies Fraction values, since literals are
 parsed with Fraction and only ring operations are performed.  Each source
 string is parsed once into a closure and reused.
+
+The environment may also hold float arrays of one shape; the result is then
+the array of what each element would give as a Python float, bit for bit:
+a literal meeting an array enters as ``float(literal)`` (Fraction's own rule
+with a float) and ``^`` goes through ``np.float_power``, which calls the same
+C ``pow`` as Python floats do (``arr ** 2`` would square, which rounds
+differently from ``pow`` in about 0.1 % of cases).
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ import functools
 import operator
 import re
 from fractions import Fraction
+
+import numpy as np
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
 
@@ -48,12 +57,54 @@ def _ident(name: str, src: str):
     return load
 
 
+# Literal-only subexpressions are folded into one exact Fraction at compile
+# time, as evaluation would compute them anyway, so that a literal meeting an
+# array (``_mixed``) is always a single value.
+
+
+def _literal(value):
+    fn = lambda env: value  # noqa: E731
+    fn.literal = value
+    return fn
+
+
 def _unary(op, f):
+    if hasattr(f, "literal"):
+        return _literal(op(f.literal))
     return lambda env: op(f(env))
 
 
 def _binary(op, f, g):
+    if hasattr(f, "literal") and hasattr(g, "literal"):
+        return _literal(op(f.literal, g.literal))
+    if hasattr(f, "literal") or hasattr(g, "literal"):
+        return _mixed(op, f, g)
     return lambda env: op(f(env), g(env))
+
+
+def _mixed(op, f, g):
+    """A literal-only operand against one that reads the environment: the
+    literal becomes a float when the other side is an array."""
+    lit, other = (f, g) if hasattr(f, "literal") else (g, f)
+    exact, as_float = lit.literal, float(lit.literal)
+
+    def fn(env):
+        val = other(env)
+        c = as_float if isinstance(val, np.ndarray) else exact
+        return op(c, val) if lit is f else op(val, c)
+    return fn
+
+
+def _power(base, exponent: int):
+    if hasattr(base, "literal"):
+        return _literal(base.literal ** exponent)
+
+    def fn(env):
+        val = base(env)
+        if isinstance(val, np.ndarray):
+            return np.float_power(val, exponent)
+        return val ** exponent
+    return fn
 
 
 class _Parser:
@@ -119,15 +170,13 @@ class _Parser:
             kind, text = self.take()
             if kind != "num" or "." in text:
                 raise ExpressionError(f"exponent must be a nonnegative integer in {self.src!r}")
-            exponent = int(text)
-            return lambda env: base(env) ** exponent
+            return _power(base, int(text))
         return base
 
     def atom(self):
         kind, text = self.take()
         if kind == "num":
-            value = Fraction(text)
-            return lambda env: value
+            return _literal(Fraction(text))
         if kind == "ident":
             return _ident(text, self.src)
         if kind == "op" and text == "(":

@@ -14,17 +14,28 @@ never forms the curvature tensor.  Every reported verdict is re-verified by
 the geometry modules, which derive curvature independently (Koszul
 connection, Riemann tensor, Ricci contraction).
 
-Determinism contract: the per-seed RNG is ``default_rng(seed ^ index)`` and
-results are merged in index order, so serial and parallel runs produce the
-same outcome for identical (entry, seed, n_seeds).
+Multistart searches run seeds in lockstep: the seeds of a search are split
+into fixed blocks of 32 consecutive indices, and the seeds of a block with
+the same search dimension are refined by one Levenberg-Marquardt program
+whose state carries a leading seed axis (``ResidualContext.stack``).  Each
+seed keeps its own damping and counters, and its arithmetic does not depend
+on the seeds beside it, so a seed gives the same result alone and in a
+block.  A process pool, when asked for, takes whole blocks.
+
+Determinism contract: the per-seed RNG is ``default_rng(seed ^ index)``,
+blocks are fixed by index and results are merged in index order, so an
+outcome depends on entry, seed, n_seeds, mode, orientation, tol and
+max_iter, and never on n_jobs: serial and parallel reports are
+byte-identical.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,9 +154,28 @@ def _constraint_failures(entry: CatalogEntry, g: np.ndarray) -> list[str]:
     return list(_failures(entry, g))
 
 
-def _admissible(entry: CatalogEntry, g: np.ndarray) -> bool:
-    """``not _constraint_failures(entry, g)``, stopping at the first failure."""
-    return next(_failures(entry, g), None) is None
+def _constraints_hold(entry: CatalogEntry, values: dict, n: int) -> np.ndarray:
+    """Whether every constraint polynomial exceeds EPS_PD, for n points whose
+    parameter values are arrays of length n (or scalars, for one point)."""
+    ok = np.ones(n, dtype=bool)
+    for poly in entry.metric_constraints:
+        ok &= eval_expr(poly, values) > EPS_PD
+    return ok
+
+
+def _admissible(entry: CatalogEntry, g: np.ndarray):
+    """``not _constraint_failures(entry, g)`` for a metric (4, 4), or for each
+    metric of a stack (T, 4, 4) at once (a bool array): the constraint
+    polynomials over arrays, then the leading minors of the metrics that pass
+    them.  Decisions are those of the one-metric checks, bit for bit."""
+    stack = g.reshape(-1, 4, 4)
+    values = {cell: stack[:, i, j] for i, row in enumerate(entry.metric_shape)
+              for j, cell in enumerate(row) if isinstance(cell, str)}
+    ok = _constraints_hold(entry, values, len(stack))
+    for k in range(1, 5):
+        live = np.flatnonzero(ok)
+        ok[live] = np.linalg.det(stack[live, :k, :k]) > 0
+    return ok if g.ndim == 3 else bool(ok[0])
 
 
 def _stacked_residual(L: LieAlgebra, g: np.ndarray, f6: np.ndarray,
@@ -172,6 +202,21 @@ def residual_vector(c: Candidate) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _metric_placement(entry: CatalogEntry) -> tuple[np.ndarray, np.ndarray]:
+    """(place, g0) with metric = params @ place + g0, flattened (..., 16): the
+    literal cells of the entry's shape plus its metric parameters, placed
+    exactly (one nonzero term per cell)."""
+    names = list(entry.metric_param_names)
+    place, g0 = np.zeros((len(names), 16)), np.zeros(16)
+    for i, row in enumerate(entry.metric_shape):
+        for j, cell in enumerate(row):
+            if isinstance(cell, str):
+                place[names.index(cell), 4 * i + j] = 1.0
+            else:
+                g0[4 * i + j] = cell
+    return place, g0
+
+
 _TRIU_ROWS = np.array([i for i, _ in _UPPER])
 _TRIU_COLS = np.array([j for _, j in _UPPER])
 
@@ -192,7 +237,15 @@ class ResidualContext:
     independently (Koszul connection, Riemann tensor, Ricci contraction,
     Hodge star) through the geometry modules; the two agree to round-off and
     are property-tested against each other.
+
+    The constants that depend on the algebra parameters carry a leading seed
+    axis: length 1 here, and one entry per seed in a context made by
+    ``stack``, which lets one call evaluate many seeds of a search at once.
     """
+
+    #: Per-seed constants, stacked on axis 0.
+    _SEED_AXIS = ("_c16", "_c_half_m", "_killing_half", "_trace_half", "_kernel_t", "_d_t",
+                  "_star_d")
 
     def __init__(self, entry: CatalogEntry, algebra_params: dict, orientation: int = 1,
                  mode: str = "unit_F", frozen: tuple[str, ...] = ()):
@@ -204,10 +257,9 @@ class ResidualContext:
         self.mode = mode
         self.L = instantiate(entry, algebra_params)
         c = np.asarray(self.L.c, dtype=float)
-        self._c = c
         self.metric_names = list(entry.metric_param_names)
         system = closedness_constraints(self.L)
-        self._d_t = np.asarray(system.matrix, dtype=float).T
+        d_t = np.asarray(system.matrix, dtype=float).T
         self.kernel = np.array([np.asarray(v, dtype=float) for v in system.kernel]).T \
             if system.kernel else np.zeros((6, 0))
         self.f_names = [f"f{lbl}" for lbl in system.free_pairs]
@@ -217,30 +269,40 @@ class ResidualContext:
         if unknown:
             raise ValueError(f"unknown frozen parameters {sorted(unknown)}; have {self.names}")
         self.free_idx = [k for k, n in enumerate(self.names) if n not in frozen_set]
-        # Metric = literal part + metric parameters placed by one matmul.
-        self._g0 = np.zeros(16)
-        self._place = np.zeros((len(self.metric_names), 16))
-        for i in range(4):
-            for j in range(4):
-                cell = entry.metric_shape[i][j]
-                if isinstance(cell, str):
-                    self._place[self.metric_names.index(cell), 4 * i + j] = 1.0
-                else:
-                    self._g0[4 * i + j] = cell
+        self._place, self._g0 = _metric_placement(entry)
         # Six 2-form coefficients -> antisymmetric 4x4 matrix, flattened.
         self._f_place = np.zeros((6, 16))
         for p, (i, j) in enumerate(PAIRS):
             self._f_place[p, 4 * i + j] = 1.0
             self._f_place[p, 4 * j + i] = -1.0
-        # Hodge star then d: F^{kl} (raised, flattened) -> d*F / (sign sqrt det g).
+        # Per seed: kernel coordinates -> F, dF map, and Hodge star then d:
+        # F^{kl} (raised, flattened) -> d*F / (sign sqrt det g).
         eps_pairs = np.array([LEVI4[i, j] for i, j in PAIRS], dtype=float).reshape(6, 16)
-        self._star_d = 0.5 * orientation * eps_pairs.T @ self._d_t
-        # Ricci ingredients that do not depend on the metric, each with its
-        # factor -1/2: the structure constants, the Killing form
+        self._kernel_t = self.kernel.T[None]
+        self._d_t = d_t[None]
+        self._star_d = (0.5 * orientation * eps_pairs.T @ d_t)[None]
+        # Ricci ingredients that do not depend on the metric: the structure
+        # constants as rows [(i, j), k], and with factor -1/2 the structure
+        # constants as [m, (l, b)] = c_bm^l, the Killing form
         # B_ab = c_ai^k c_bk^i and the trace form t_a = c_ak^k.
-        self._c_half = -0.5 * c
-        self._killing_half = -0.5 * np.einsum("aik,bki->ab", c, c)
-        self._trace_half = -0.5 * np.einsum("akk->a", c)
+        self._c16 = c.reshape(1, 16, 4)
+        self._c_half_m = (-0.5 * c).transpose(1, 2, 0).reshape(1, 4, 16)
+        self._killing_half = -0.5 * np.einsum("aik,bki->ab", c, c)[None]
+        self._trace_half = -0.5 * np.einsum("akk->a", c)[None]
+
+    @classmethod
+    def stack(cls, contexts: list["ResidualContext"]) -> "ResidualContext":
+        """One context for the seeds of ``contexts`` (one entry, mode,
+        orientation and frozen set, equal kernel sizes), their per-seed
+        constants concatenated in order.  It evaluates and checks points;
+        per-seed facts (algebra, kernel, candidates) stay with the parts."""
+        if len(contexts) == 1:
+            return contexts[0]
+        out = copy.copy(contexts[0])
+        for name in cls._SEED_AXIS:
+            setattr(out, name, np.concatenate([getattr(c, name) for c in contexts]))
+        out.L = out.kernel = out.algebra_params = None
+        return out
 
     @property
     def n_rows(self) -> int:
@@ -259,32 +321,51 @@ class ResidualContext:
         return g.reshape(x.shape[:-1] + (4, 4))
 
     def f_of(self, x: np.ndarray) -> np.ndarray:
-        return x[..., len(self.metric_names):] @ self.kernel.T
+        """2-form coefficients (..., 6) of x (..., n); a 3-D x is (seed, point, n)."""
+        return x[..., len(self.metric_names):] @ (self._kernel_t if x.ndim == 3 else
+                                                   self._kernel_t[0])
 
-    def feasible(self, x: np.ndarray) -> bool:
-        env = {n: x[k] for k, n in enumerate(self.metric_names)}
-        for poly in self.entry.metric_constraints:
-            if not eval_expr(poly, env) > EPS_PD:
-                return False
+    def feasible(self, x: np.ndarray):
+        """Whether x (..., n) is admissible: the constraint polynomials, then a
+        Cholesky factorization of the metric.  A bool for a 1-D x, else a bool
+        array over the leading axes; one stacked factorization unless LAPACK
+        refuses one of the metrics."""
+        rows = x.reshape(-1, x.shape[-1])
+        # One row is evaluated on scalars, at a fraction of the cost of
+        # 1-element arrays; the decisions are the same bit for bit.
+        cols = rows[0] if len(rows) == 1 else rows.T
+        ok = _constraints_hold(self.entry, dict(zip(self.metric_names, cols)), len(rows))
+        g = self.metric_of(rows)
         try:
-            np.linalg.cholesky(self.metric_of(x))
+            np.linalg.cholesky(g[ok])
         except np.linalg.LinAlgError:
-            return False
-        return True
+            for i in ok.nonzero()[0]:
+                try:
+                    np.linalg.cholesky(g[i])
+                except np.linalg.LinAlgError:
+                    ok[i] = False
+        return ok.reshape(x.shape[:-1]) if x.ndim > 1 else bool(ok[0])
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        """Residual rows (B, n_rows) of a batch x (B, n); a 1-D x gives one row vector.
+    def residual(self, x: np.ndarray, seeds: np.ndarray | None = None) -> np.ndarray:
+        """Residual rows of x: (S, m, n) -> (S, m, n_rows), m points per seed.
+
+        Point x[s, i] is evaluated with the constants of seed ``seeds[s]``
+        (of seed s when ``seeds`` is None); those constants broadcast over
+        the point axis.  A 2-D x (m, n) -> (m, n_rows) or 1-D x (n,) ->
+        (n_rows,) is the one-seed case.
 
         Every step is complex-analytic (no abs, no casts to float, scratch in
         the dtype of x), so a complex x carries derivatives in its imaginary
         part; ``residual_jacobian`` relies on this.
         """
-        single = x.ndim == 1
-        if single:
-            x = x[None]
-        n = len(x)
-        g = self.metric_of(x)
-        f6 = self.f_of(x)
+        xs = x if x.ndim == 3 else x.reshape(1, -1, x.shape[-1])
+        consts = [getattr(self, name) for name in self._SEED_AXIS]
+        if seeds is not None:
+            consts = [a[seeds] for a in consts]
+        c16, c_half_m, killing_half, trace_half, kernel_t, d_t, star_d = consts
+        s, m = xs.shape[:2]
+        g = self.metric_of(xs)
+        f6 = xs[..., len(self.metric_names):] @ kernel_t
         g_inv = np.linalg.inv(g)
         det = np.linalg.det(g)
         if not (det.real > 0).all():
@@ -293,30 +374,31 @@ class ResidualContext:
         #   Ric_ab = -1/2 g^ij g([e_a,e_i],[e_b,e_j])
         #            + 1/4 g^im g^jn g([e_i,e_j],e_a) g([e_m,e_n],e_b)
         #            - 1/2 B_ab - 1/2 (g([H,e_a],e_b) + g([H,e_b],e_a)).
-        # cg[z, i, j, l] = g([e_i,e_j], e_l) carries all three metric terms.
-        cg = self._c @ g[:, None]
-        rows = cg.reshape(n, 4, 16)
-        ric = rows @ (g_inv[:, None] @ self._c_half).reshape(n, 4, 16).transpose(0, 2, 1)
-        raised = g_inv @ (g_inv[:, None] @ cg).reshape(n, 4, 16)
-        ric += 0.25 * (cg.reshape(n, 16, 4).transpose(0, 2, 1) @ raised.reshape(n, 16, 4))
-        mean = ((g_inv @ self._trace_half)[:, None] @ rows).reshape(n, 4, 4)
+        # cg[., ., (i, j), l] = g([e_i,e_j], e_l) carries all three metric terms;
+        # the second one raises both bracket indices with g^-1 (x) g^-1.
+        cg = c16[:, None] @ g
+        rows = cg.reshape(s, m, 4, 16)
+        ric = rows @ (g_inv @ c_half_m[:, None]).reshape(s, m, 16, 4)
+        kron = (g_inv[..., :, None, :, None] * g_inv[..., None, :, None, :]).reshape(s, m, 16, 16)
+        ric += 0.25 * (cg.swapaxes(2, 3) @ (kron @ cg))
+        mean = ((g_inv @ trace_half[:, None, :, None]).swapaxes(2, 3) @ rows).reshape(s, m, 4, 4)
         ric += mean
-        ric += mean.transpose(0, 2, 1)
-        ric += self._killing_half
+        ric += mean.swapaxes(2, 3)
+        ric += killing_half[:, None]
         # Stress term; the trace of Ric + F g^-1 F is s + tr_g(F g^-1 F).
-        fm = (f6 @ self._f_place).reshape(n, 4, 4)
+        fm = (f6 @ self._f_place).reshape(s, m, 4, 4)
         fg = fm @ g_inv
         em = ric + fg @ fm
-        em -= 0.25 * (g_inv.reshape(n, 1, 16) @ em.reshape(n, 16, 1)) * g
-        out = np.empty((n, self.n_rows), dtype=g.dtype)
-        out[:, :10] = em[:, _TRIU_ROWS, _TRIU_COLS]
-        out[:, 10:14] = f6 @ self._d_t
+        em -= 0.25 * (g_inv.reshape(s, m, 1, 16) @ em.reshape(s, m, 16, 1)) * g
+        out = np.empty((s, m, self.n_rows), dtype=g.dtype)
+        out[..., :10] = em[..., _TRIU_ROWS, _TRIU_COLS]
+        out[..., 10:14] = f6 @ d_t
         # Co-closedness rows: F with both indices raised, starred and differentiated.
-        fu = (g_inv @ fg).reshape(n, 16)
-        out[:, 14:18] = np.sqrt(det)[:, None] * (fu @ self._star_d)
+        fu = (g_inv @ fg).reshape(s, m, 16)
+        out[..., 14:18] = np.sqrt(det)[..., None] * (fu @ star_d)
         if self.mode == "unit_F":
-            out[:, 18:] = 0.5 * (fm.reshape(n, 1, 16) @ fu[:, :, None])[:, 0] - 1.0
-        return out[0] if single else out
+            out[..., 18:] = 0.5 * (fm.reshape(s, m, 1, 16) @ fu[..., None])[..., 0] - 1.0
+        return out if x.ndim == 3 else out.reshape(x.shape[:-1] + (self.n_rows,))
 
     def candidate(self, x: np.ndarray) -> Candidate:
         return Candidate(
@@ -342,22 +424,29 @@ COMPLEX_STEP = 1e-30
 
 
 def residual_jacobian(fun, x: np.ndarray, free_idx: list[int] | None = None) -> np.ndarray:
-    """Complex-step Jacobian J[:, col] = Im fun(x + i h e_k) / h, k = free_idx[col].
+    """Complex-step Jacobian J[..., :, col] = Im fun(x + i h e_k) / h, k = free_idx[col].
 
-    ``fun`` must be complex-analytic and take a batch (B, n) to (B, rows);
-    all probes go in one call.  The real part never moves, so no probe can
-    leave the feasible region (Squire & Trapp, SIAM Rev. 40(1), 1998).
+    x is one point (n,), giving J (rows, len(free_idx)), or one point per
+    seed (S, n), giving J (S, rows, len(free_idx)).  ``fun`` must be
+    complex-analytic and take probes (..., m, n) to (..., m, rows); all probes
+    go in one call.  The real part never moves, so no probe can leave the
+    feasible region (Squire & Trapp, SIAM Rev. 40(1), 1998).
     """
     x = np.asarray(x, dtype=float)
-    cols = np.arange(len(x)) if free_idx is None else np.asarray(free_idx, dtype=int)
-    probes = np.tile(x.astype(complex), (len(cols), 1))
-    probes[np.arange(len(cols)), cols] += 1j * COMPLEX_STEP
-    return fun(probes).imag.T / COMPLEX_STEP
+    cols = np.arange(x.shape[-1]) if free_idx is None else np.asarray(free_idx, dtype=int)
+    probes = np.repeat(x[..., None, :].astype(complex), len(cols), axis=-2)
+    probes[..., np.arange(len(cols)), cols] += 1j * COMPLEX_STEP
+    return np.swapaxes(fun(probes).imag, -1, -2) / COMPLEX_STEP
 
 
 # ---------------------------------------------------------------------------
 # Levenberg-Marquardt refinement
 # ---------------------------------------------------------------------------
+
+
+#: Why a refinement stopped, in the order the search ledger lists them.
+STOP_REASONS = ("converged", "slow progress", "stalled", "constraint-trapped",
+                "iteration cap", "infeasible start")
 
 
 @dataclass
@@ -370,57 +459,123 @@ class RefineResult:
     n_evals: int = 0
 
 
-def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, bool, int, str, int]:
-    x = np.asarray(x0, dtype=float).copy()
-    if not ctx.feasible(x):
-        return x, False, 0, "infeasible start", 0
-    r = ctx.residual(x)
-    n_evals = 1
-    lam = 1e-3
-    free = ctx.free_idx
-    for it in range(max_iter):
-        if np.abs(r).max() <= tol:
-            return x, True, it, "converged", n_evals
-        if it >= 25 and np.abs(r).max() > 5e-2:
-            return x, False, it, "slow progress", n_evals
-        jac = residual_jacobian(ctx.residual, x, free_idx=free)
-        n_evals += len(free)  # one batched call of len(free) rows
-        a = jac.T @ jac
-        grad = jac.T @ r
-        diag = np.maximum(np.diag(a), 1e-12)
-        accepted = False
-        constraint_rejects = 0
-        for _ in range(30):
+def _solve_stack(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions of m[s] d = rhs[s] (rhs (S, k, 1)) and which systems were
+    solvable: one stacked solve unless LAPACK refuses one of them."""
+    try:
+        return np.linalg.solve(m, rhs)[..., 0], np.ones(len(m), dtype=bool)
+    except np.linalg.LinAlgError:
+        delta = np.zeros(rhs.shape[:-1])
+        solved = np.ones(len(m), dtype=bool)
+        for s in range(len(m)):
             try:
-                delta = np.linalg.solve(a + lam * np.diag(diag), -grad)
+                delta[s] = np.linalg.solve(m[s:s + 1], rhs[s:s + 1])[0, :, 0]
             except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            x_new = x.copy()
-            x_new[free] += delta
-            if not ctx.feasible(x_new):
-                constraint_rejects += 1
-                lam *= 4
-                if lam > 1e14:
-                    break
-                continue
-            r_new = ctx.residual(x_new)
-            n_evals += 1
-            if r_new @ r_new < r @ r:
-                x, r = x_new, r_new
-                lam = max(lam / 3, 1e-12)
-                accepted = True
+                solved[s] = False
+        return delta, solved
+
+
+def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
+    """Levenberg-Marquardt from one start per seed of ``ctx`` (x0 is (S, n)), in lockstep.
+
+    Every seed keeps its own damping lam, iteration, trial and
+    constraint-reject counters and follows the rules of a lone run: lam x10
+    when the damped system is singular, x4 on an infeasible or worse trial,
+    /3 (floored at 1e-12) on an accepted step; at most 30 trials per
+    iteration, giving up once lam > 1e14 after a failed trial; a
+    "slow progress" stop from iteration 25 while the max residual exceeds
+    5e-2.  A tick makes one trial for every running seed, with at most one
+    Jacobian call (for the seeds starting an iteration), one stacked solve,
+    one feasibility check and one residual call.  A seed's arithmetic does
+    not depend on which other seeds share its ticks.
+
+    Returns per seed: end points (S, n), iterations, stop reasons and
+    residual evaluations (a Jacobian counts as one per free parameter).
+    """
+    n_seeds = len(x0)
+    free = np.asarray(ctx.free_idx, dtype=int)
+    k = len(free)
+    out_x = np.array(x0, dtype=float)
+    out_iters = np.zeros(n_seeds, dtype=int)
+    out_evals = np.zeros(n_seeds, dtype=int)
+    reasons = ["infeasible start"] * n_seeds
+    # State of the running seeds, compacted whenever some of them stop.
+    pos = np.flatnonzero(ctx.feasible(out_x))
+    x = out_x[pos]
+    n = len(pos)
+    r = ctx.residual(x[:, None], seeds=None if n == n_seeds else pos)[:, 0]
+    rr = (r[:, None] @ r[..., None])[:, 0, 0]
+    n_evals = np.ones(n, dtype=int)
+    lam = np.full(n, 1e-3)
+    iters = np.zeros(n, dtype=int)
+    trials = np.zeros(n, dtype=int)
+    rejects = np.zeros(n, dtype=int)
+    normal = np.zeros((n, k, k))
+    grad = np.zeros((n, k, 1))
+    damping = np.zeros((n, k, k))
+    eye = np.eye(k)
+    starting = np.ones(n, dtype=bool)  # at the top of an iteration
+    stop = np.zeros(n, dtype=bool)
+    while n:
+        if starting.any():
+            peak = np.abs(r).max(axis=1)
+            ends = starting & ((peak <= tol) | (iters >= max_iter)
+                               | ((iters >= 25) & (peak > 5e-2)))
+            for s in ends.nonzero()[0]:
+                reasons[pos[s]] = ("converged" if peak[s] <= tol else
+                                   "iteration cap" if iters[s] >= max_iter else "slow progress")
+            stop |= ends
+        if stop.any():
+            done = pos[stop]
+            out_x[done], out_iters[done], out_evals[done] = x[stop], iters[stop], n_evals[stop]
+            keep = ~stop
+            pos, x, r, rr, n_evals, lam, iters, trials, rejects = (
+                a[keep] for a in (pos, x, r, rr, n_evals, lam, iters, trials, rejects))
+            normal, grad, damping, starting = (a[keep] for a in (normal, grad, damping, starting))
+            n = len(pos)
+            if not n:
                 break
-            lam *= 4
-            if lam > 1e14:
-                break
-        if not accepted:
-            if np.abs(r).max() <= tol:
-                return x, True, it + 1, "converged", n_evals
-            reason = "constraint-trapped" if constraint_rejects >= 25 else "stalled"
-            return x, False, it + 1, reason, n_evals
-    converged = bool(np.abs(r).max() <= tol)
-    return x, converged, max_iter, "converged" if converged else "iteration cap", n_evals
+        every = n == n_seeds  # all seeds run, in order: no gathers of per-seed constants
+        if starting.any():
+            whole = starting.all()
+            go = slice(None) if whole else starting
+            fun = functools.partial(ctx.residual, seeds=None if every and whole else pos[go])
+            jac = residual_jacobian(fun, x[go], free_idx=free)
+            jac_t = jac.swapaxes(1, 2)
+            normal[go] = jac_t @ jac
+            grad[go] = jac_t @ r[go, :, None]
+            damping[go] = eye * np.maximum(np.diagonal(normal[go], 0, 1, 2), 1e-12)[:, None]
+            n_evals[go] += k  # one batched call of k rows per seed
+            trials[go] = 0
+            rejects[go] = 0
+        # One trial per running seed.
+        delta, solved = _solve_stack(normal + lam[:, None, None] * damping, -grad)
+        x_new = x.copy()
+        x_new[:, free] += delta
+        feasible = solved & ctx.feasible(x_new)
+        if feasible.all():
+            r_new = ctx.residual(x_new[:, None], seeds=None if every else pos)[:, 0]
+            rr_new = (r_new[:, None] @ r_new[..., None])[:, 0, 0]
+        else:
+            r_new = np.zeros_like(r)
+            r_new[feasible] = ctx.residual(x_new[feasible, None], seeds=pos[feasible])[:, 0]
+            rr_new = np.full(n, np.inf)
+            rr_new[feasible] = (r_new[feasible, None] @ r_new[feasible, :, None])[:, 0, 0]
+        n_evals += feasible
+        accepted = rr_new < rr
+        x[accepted], r[accepted], rr[accepted] = (x_new[accepted], r_new[accepted],
+                                                  rr_new[accepted])
+        lam = np.where(accepted, np.maximum(lam / 3, 1e-12), lam * np.where(solved, 4.0, 10.0))
+        iters += accepted
+        trials += ~accepted
+        rejects += solved > feasible
+        # An iteration that found no acceptable step ends its seed's run.
+        stop = (trials >= 30) | ((solved > accepted) & (lam > 1e14))
+        for s in stop.nonzero()[0]:
+            reasons[pos[s]] = "constraint-trapped" if rejects[s] >= 25 else "stalled"
+        iters += stop
+        starting = accepted
+    return out_x, out_iters, reasons, out_evals
 
 
 def refine(c: Candidate, tol: float = 1e-11, max_iter: int = 60,
@@ -440,10 +595,11 @@ def refine(c: Candidate, tol: float = 1e-11, max_iter: int = 60,
         raise CandidateError(
             f"candidate F is not closed (distance {defect:.2e} from the dF=0 subspace)")
     x0 = ctx.pack(c.metric_params, y)
-    x, converged, iters, reason, n_evals = _levmar(ctx, x0, tol, max_iter)
-    return RefineResult(candidate=ctx.candidate(x), converged=converged,
-                        iterations=iters, max_residual=float(np.abs(ctx.residual(x)).max()),
-                        reason=reason, n_evals=n_evals)
+    x, iters, reasons, n_evals = _levmar(ctx, x0[None], tol, max_iter)
+    return RefineResult(candidate=ctx.candidate(x[0]), converged=reasons[0] == "converged",
+                        iterations=int(iters[0]),
+                        max_residual=float(np.abs(ctx.residual(x[0])).max()),
+                        reason=reasons[0], n_evals=int(n_evals[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +613,9 @@ class SearchOutcome:
     mode: str
     seed: int
     seeds_used: int  # seeds that reached refinement, not seeds attempted
+    seeds_sampled: int = 0  # seeds whose start could be drawn
+    seeds_refined: int = 0  # seeds whose refinement ran from a feasible start
+    stop_reasons: dict = field(default_factory=dict)  # STOP_REASONS -> seeds
     solutions: list[tuple[Candidate, EMReport]] = field(default_factory=list)
     best_nonsolution_residual: float = float("inf")
     wall_time: float = 0.0
@@ -467,6 +626,9 @@ class SearchOutcome:
             "mode": self.mode,
             "seed": self.seed,
             "seeds_used": self.seeds_used,
+            "seeds_sampled": self.seeds_sampled,
+            "seeds_refined": self.seeds_refined,
+            "stop_reasons": dict(self.stop_reasons),
             "n_solutions": len(self.solutions),
             "best_nonsolution_residual": (None if not np.isfinite(self.best_nonsolution_residual)
                                           else self.best_nonsolution_residual),
@@ -490,23 +652,33 @@ def sample_metric_params(entry: CatalogEntry, rng: np.random.Generator,
     Constraint regions can occupy a small fraction of the box, so after 150
     rejected draws the box shrinks geometrically (off-diagonal parameters
     toward 0, positive ones toward 1) where every catalog shape is feasible.
+
+    Each run of draws with one box size (200, then 50 at a time) is drawn by
+    one ``rng.uniform`` call and checked at once; the generator is then
+    rewound to just after the first admissible draw.  The result and every
+    later draw from ``rng`` are those of drawing and checking one metric at a
+    time.
     """
     names = entry.metric_param_names
     if not names:
         return {}
-    positive = set(entry.positive_metric_params)
-    for attempt in range(max_tries):
-        shrink = 0.7 ** max(0, (attempt - 150) // 50)
-        params = {}
-        for n in names:
-            if n in positive:
-                hi = 1.0 + 2.0 * shrink
-                params[n] = float(rng.uniform(10 * EPS_PD, hi))
-            else:
-                params[n] = float(rng.uniform(-3.0 * shrink, 3.0 * shrink))
-        g = metric_from_params(entry, params)
-        if _admissible(entry, g):
-            return params
+    positive = np.array([n in entry.positive_metric_params for n in names])
+    place, g0 = _metric_placement(entry)
+    attempt = 0
+    while attempt < max_tries:
+        level = max(0, (attempt - 150) // 50)
+        stop = min(max_tries, 200 + 50 * level)
+        shrink = 0.7 ** level
+        lo = np.where(positive, 10 * EPS_PD, -3.0 * shrink)
+        hi = np.where(positive, 1.0 + 2.0 * shrink, 3.0 * shrink)
+        state = rng.bit_generator.state
+        draws = rng.uniform(lo, hi, size=(stop - attempt, len(names)))
+        hits = np.flatnonzero(_admissible(entry, (draws @ place + g0).reshape(-1, 4, 4)))
+        if hits.size:
+            rng.bit_generator.state = state
+            rng.uniform(lo, hi, size=(hits[0] + 1, len(names)))
+            return dict(zip(names, draws[hits[0]].tolist()))
+        attempt = stop
     raise ValueError(f"{entry.name}: empty feasible box (no admissible metric in {max_tries} draws)")
 
 
@@ -563,19 +735,28 @@ def canonical_sign(c: Candidate) -> Candidate:
     return c
 
 
-def _run_seed(args) -> dict:
-    entry_name, seed, index, mode, orientation, tol, max_iter = args
-    entry = entry_by_name(entry_name)
+#: Seeds sampled and refined together.  A constant, so a seed's block, and
+#: with it every number of the search, never depends on n_jobs.
+_BLOCK = 32
+
+
+def _start(entry: CatalogEntry, seed: int, index: int, mode: str, orientation: int,
+           contexts: dict):
+    """(context, start x0) of seed ``index``, or (why it has none, None).
+    ``contexts`` caches contexts by algebra parameters."""
     rng = np.random.default_rng(seed ^ index)
     try:
         algebra_params = sample_algebra_params(entry, rng, variant_index=index)
         metric_params = sample_metric_params(entry, rng)
-    except ValueError as exc:
-        return {"index": index, "status": "sampling-failed", "detail": str(exc)}
-    ctx = ResidualContext(entry, algebra_params, orientation, mode=mode)
+    except ValueError:
+        return "sampling-failed", None
+    key = tuple(algebra_params.items())
+    if key not in contexts:
+        contexts[key] = ResidualContext(entry, algebra_params, orientation, mode=mode)
+    ctx = contexts[key]
     k = ctx.kernel.shape[1]
     if k == 0:
-        return {"index": index, "status": "no-closed-forms"}
+        return "no-closed-forms", None
     y0 = rng.uniform(-2.0, 2.0, size=k)
     x0 = ctx.pack(metric_params, y0)
     if mode == "unit_F":
@@ -586,38 +767,73 @@ def _run_seed(args) -> dict:
             nrm = float(norm_sq(ctx.metric_of(x0), ctx.f_of(x0)))
         if nrm > 0:
             x0[len(ctx.metric_names):] /= np.sqrt(nrm)
-    x, converged, iters, reason, _ = _levmar(ctx, x0, tol=min(tol * 1e-2, 1e-11),
-                                             max_iter=max_iter)
-    cand = canonical_sign(ctx.candidate(x))
-    # Independent re-verification through the geometry modules only.
-    _, L, g = _instantiated(cand)
-    report = em_residual(L, g, cand.f_coeffs, cand.orientation, tol=tol)
-    return {"index": index, "status": "refined", "converged": converged,
-            "reason": reason, "iterations": iters,
-            "candidate": cand, "report": report}
+    return ctx, x0
+
+
+def _run_block(args) -> list[dict]:
+    """Seeds lo..hi-1 of a search: sample each start, refine the starts of
+    equal search dimension in one lockstep ``_levmar``, and re-verify every
+    end point independently.  One record per seed, in index order."""
+    entry_name, seed, lo, hi, mode, orientation, tol, max_iter = args
+    entry = entry_by_name(entry_name)
+    records: dict[int, dict] = {}
+    groups: dict[int, list] = {}
+    contexts: dict = {}
+    for index in range(lo, hi):
+        ctx, x0 = _start(entry, seed, index, mode, orientation, contexts)
+        if x0 is None:
+            records[index] = {"index": index, "status": ctx}
+        else:
+            groups.setdefault(len(x0), []).append((index, ctx, x0))
+    for members in groups.values():
+        indices, ctxs, starts = zip(*members)
+        x, iters, reasons, _ = _levmar(ResidualContext.stack(ctxs), np.array(starts),
+                                       tol=min(tol * 1e-2, 1e-11), max_iter=max_iter)
+        for s, index in enumerate(indices):
+            cand = canonical_sign(ctxs[s].candidate(x[s]))
+            # Independent re-verification through the geometry modules only.
+            _, L, g = _instantiated(cand)
+            report = em_residual(L, g, cand.f_coeffs, cand.orientation, tol=tol)
+            records[index] = {"index": index, "status": "refined", "reason": reasons[s],
+                              "iterations": int(iters[s]), "candidate": cand,
+                              "report": report}
+    return [records[i] for i in range(lo, hi)]
 
 
 def multistart_search(entry, n_seeds: int, seed: int = 0, mode: str = "unit_F",
                       orientation: int = 1, tol: float = TOL_SOLUTION,
                       max_iter: int = 45, n_jobs: int = 1) -> SearchOutcome:
-    """Refine from n_seeds deterministic random starts and collect solutions."""
+    """Refine from n_seeds deterministic random starts and collect solutions.
+
+    Seeds run in fixed blocks of consecutive indices (``_BLOCK``); with
+    n_jobs > 1 a process pool takes whole blocks, so the outcome is the same
+    for every n_jobs.
+    """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
     entry = entry if isinstance(entry, CatalogEntry) else entry_by_name(entry)
     t0 = time.perf_counter()
-    tasks = [(entry.name, seed, i, mode, orientation, tol, max_iter)
-             for i in range(n_seeds)]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_run_seed, tasks, chunksize=max(1, n_seeds // (4 * n_jobs))))
+    blocks = [(entry.name, seed, lo, min(lo + _BLOCK, n_seeds), mode, orientation, tol, max_iter)
+              for lo in range(0, n_seeds, _BLOCK)]
+    workers = min(n_jobs, len(blocks))
+    if workers > 1:
+        # Imported here: multiprocessing adds about 20 ms and 2 MB to every
+        # process that imports the package, and serial runs never use it.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_run_block, blocks))
     else:
-        results = [_run_seed(t) for t in tasks]
-    results.sort(key=lambda r: r["index"])
+        done = [_run_block(b) for b in blocks]
+    results = [res for block in done for res in block]
     refined = [res for res in results if res["status"] == "refined"]
-    outcome = SearchOutcome(entry_name=entry.name, mode=mode, seed=seed,
-                            seeds_used=len(refined))
+    reasons = [res["reason"] for res in refined]
+    outcome = SearchOutcome(
+        entry_name=entry.name, mode=mode, seed=seed, seeds_used=len(refined),
+        seeds_sampled=sum(res["status"] != "sampling-failed" for res in results),
+        seeds_refined=len(refined) - reasons.count("infeasible start"),
+        stop_reasons={r: reasons.count(r) for r in STOP_REASONS})
     kept_vectors: list[np.ndarray] = []
     best_miss = float("inf")
     for res in refined:

@@ -291,3 +291,9 @@ def test_compiled_expressions_match_interpreter():
             for env in (floats, fracs):
                 got, want = eval_expr(expr, env), orc.eval_expr_interpreted(expr, env)
                 assert type(got) is type(want) and repr(got) == repr(want), (expr, env)
+        # Float arrays: each element as the same values as Python floats give.
+        arrays = {k: rng.uniform(-3, 3, 64) for k in names}
+        got = np.broadcast_to(eval_expr(expr, arrays), 64)
+        for i in range(64):
+            want = orc.eval_expr_interpreted(expr, {k: float(v[i]) for k, v in arrays.items()})
+            assert repr(float(got[i])) == repr(float(want)), (expr, i)

@@ -1,5 +1,7 @@
 """Residual stacking, LM refinement, multistart search, and classification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,97 @@ def test_admissible_short_circuit_matches_failure_list():
         assert seen == ({True, False} if names else {True}), entry.name
 
 
+def _sample_one_draw_at_a_time(entry, rng, max_tries=600):
+    """The sampler's reference: draw one metric, build it with
+    ``metric_from_params``, check it with the failure list, repeat."""
+    names = entry.metric_param_names
+    if not names:
+        return {}
+    positive = set(entry.positive_metric_params)
+    for attempt in range(max_tries):
+        shrink = 0.7 ** max(0, (attempt - 150) // 50)
+        params = {n: float(rng.uniform(10 * solver.EPS_PD if n in positive else -3.0 * shrink,
+                                       1.0 + 2.0 * shrink if n in positive else 3.0 * shrink))
+                  for n in names}
+        if not solver._constraint_failures(entry, la.metric_from_params(entry, params)):
+            return params
+    raise ValueError(f"{entry.name}: empty feasible box")
+
+
+def _draws_consumed(seed, state, width):
+    rng = np.random.default_rng(seed)
+    for count in range(601):
+        if rng.bit_generator.state == state:
+            return count
+        rng.uniform(size=width)
+    raise AssertionError("more than 600 draws")
+
+
+def test_block_sampler_matches_one_draw_at_a_time():
+    # A tight extra constraint (|a2| < 0.001) drives the sampler through the
+    # shrinking boxes and, for some seeds, to an empty box.
+    a44 = la.entry_by_name("A4,4")
+    tight = dataclasses.replace(a44, metric_constraints=(*a44.metric_constraints,
+                                                         "0.000001 - a2^2"))
+    seen = set()
+    for entry in [*la.catalog(), tight]:
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            try:
+                want = _sample_one_draw_at_a_time(entry, ref)
+            except ValueError:
+                want = None
+            try:
+                got = solver.sample_metric_params(entry, rng)
+            except ValueError:
+                got = None
+            assert got == want, (entry.name, seed)
+            assert rng.bit_generator.state == ref.bit_generator.state, (entry.name, seed)
+            if entry is tight:
+                count = _draws_consumed(seed, ref.bit_generator.state, 3)
+                seen.add("empty" if want is None else "first box" if count <= 200 else "shrunk")
+    assert seen == {"empty", "first box", "shrunk"}
+
+
+@pytest.mark.parametrize("name,n_seeds", [("2A2", 16), ("A4,4", 16), ("A4,6^{a,0}", 16),
+                                          ("A4,5^{a,b}", 16), ("A4,11^a", 32)])
+def test_lockstep_block_matches_seeds_run_alone(name, n_seeds):
+    # Seeds refined in one block, and each seed in a block of its own.  A
+    # seed's arithmetic does not depend on its neighbours, so end points agree
+    # whether or not the seed converged.  A4,11^a fills a whole block with
+    # seeds that stop at different ticks and hit infeasible trials.
+    block = solver._run_block((name, 7, 0, n_seeds, "unit_F", 1, maxwell.TOL_SOLUTION, 45))
+    alone = [solver._run_block((name, 7, i, i + 1, "unit_F", 1, maxwell.TOL_SOLUTION, 45))[0]
+             for i in range(n_seeds)]
+    for b, a in zip(block, alone):
+        assert b["status"] == a["status"] == "refined", (name, b["index"])
+        assert (b["reason"], b["iterations"]) == (a["reason"], a["iterations"]), (name, b["index"])
+        cb, ca = b["candidate"], a["candidate"]
+        assert cb.algebra_params == ca.algebra_params
+        assert np.abs(cb.f_coeffs - ca.f_coeffs).max() <= 1e-8, (name, b["index"])
+        assert max(abs(cb.metric_params[k] - ca.metric_params[k])
+                   for k in cb.metric_params) <= 1e-8, (name, b["index"])
+    if name == "A4,5^{a,b}":
+        # Generic draws and named variants: several algebras and kernel sizes
+        # share the block.
+        entry = la.entry_by_name(name)
+        algebras = {tuple(sorted(b["candidate"].algebra_params.items())) for b in block}
+        sizes = {solver.ResidualContext(entry, dict(ap)).kernel.shape[1] for ap in algebras}
+        assert len(algebras) > 2 and len(sizes) > 1
+
+
+def test_seed_ledger_is_complete_and_parallel_safe():
+    a = solver.multistart_search("2A2", n_seeds=40, seed=3, n_jobs=1)
+    b = solver.multistart_search("2A2", n_seeds=40, seed=3, n_jobs=2)
+    assert a.to_json() == b.to_json()
+    ledger = a.to_dict()
+    assert list(ledger["stop_reasons"]) == list(solver.STOP_REASONS)
+    assert sum(ledger["stop_reasons"].values()) == ledger["seeds_used"]
+    assert ledger["seeds_refined"] == ledger["seeds_used"] - ledger["stop_reasons"]["infeasible start"]
+    assert ledger["seeds_used"] <= ledger["seeds_sampled"] <= 40
+    assert ledger["stop_reasons"]["converged"] >= 1
+
+
 def test_zero_evidence_is_inconclusive(monkeypatch):
     def no_start(entry, rng, max_tries=600):
         raise ValueError(f"{entry.name}: empty feasible box")
@@ -332,6 +425,7 @@ def test_zero_evidence_is_inconclusive(monkeypatch):
     monkeypatch.setattr(solver, "sample_metric_params", no_start)
     out = solver.multistart_search("A4,4", n_seeds=4, seed=0)
     assert out.seeds_used == 0 and not out.solutions
+    assert out.seeds_sampled == out.seeds_refined == sum(out.stop_reasons.values()) == 0
     res = solver.classify_algebra("A4,4", budget=(4, 45))
     assert res.computed == "NoNonEinsteinEMFound"
     assert res.inconclusive and not res.agree
