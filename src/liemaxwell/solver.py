@@ -22,6 +22,14 @@ seed keeps its own damping and counters, and its arithmetic does not depend
 on the seeds beside it, so a seed gives the same result alone and in a
 block.  A process pool, when asked for, takes whole blocks.
 
+Each tick of that program tries a damping ladder per seed: the next three
+dampings a lone run would try (lam, 4 lam, 16 lam), solved, checked and
+evaluated together, then consumed in order under the lone-run rules.  The
+rungs are extra rows on the seed axis (``ResidualContext.repeat``), not
+extra points of one seed, because only the seed axis evaluates every row
+as a lone point is evaluated.  Iteration counts, stop reasons and residual
+evaluation counts are those of a lone run.
+
 Determinism contract: the per-seed RNG is ``default_rng(seed ^ index)``,
 blocks are fixed by index and results are merged in index order, so an
 outcome depends on entry, seed, n_seeds, mode, orientation, tol and
@@ -82,8 +90,10 @@ class Candidate:
         self.f_coeffs = np.asarray(self.f_coeffs, dtype=float)
         if self.f_coeffs.shape != (6,):
             raise CandidateError("f_coeffs must have six components")
-        if self.orientation not in (1, -1):
-            raise CandidateError("orientation must be +1 or -1")
+        # Integers only: 1.5, "1" and true must not pass as an orientation.
+        o = self.orientation
+        if isinstance(o, bool) or not isinstance(o, (int, np.integer)) or o not in (1, -1):
+            raise CandidateError("orientation must be the integer 1 or -1")
         params = [*self.algebra_params.values(), *self.metric_params.values()]
         if not (np.isfinite(self.f_coeffs).all() and all(map(math.isfinite, params))):
             raise CandidateError("f_coeffs, algebra_params and metric_params must be finite")
@@ -105,7 +115,7 @@ class Candidate:
                 algebra_params=dict(raw.get("algebra_params", {})),
                 metric_params=dict(raw.get("metric_params", {})),
                 f_coeffs=np.asarray(raw["f_coeffs"], dtype=float),
-                orientation=int(raw.get("orientation", 1)),
+                orientation=raw.get("orientation", 1),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CandidateError(f"bad candidate document: {exc}") from exc
@@ -304,6 +314,14 @@ class ResidualContext:
         out.L = out.kernel = out.algebra_params = None
         return out
 
+    def repeat(self, times: int) -> "ResidualContext":
+        """A context whose seeds s * times .. s * times + times - 1 are all
+        seed s of this one.  It evaluates and checks points."""
+        out = copy.copy(self)
+        for name in self._SEED_AXIS:
+            setattr(out, name, np.repeat(getattr(self, name), times, axis=0))
+        return out
+
     @property
     def n_rows(self) -> int:
         return 19 if self.mode == "unit_F" else 18
@@ -475,106 +493,163 @@ def _solve_stack(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return delta, solved
 
 
+#: Trials per running seed and tick: the dampings lam, 4 lam, 16 lam, which
+#: a lone run tries after successive rejections.  Powers of two, so each
+#: rung's damping equals the lone run's bit for bit.
+_RUNGS = 3
+_RUNG_SCALE = 4.0 ** np.arange(_RUNGS)
+
+
+def _iteration_stop(peak: float, iters: int, tol: float, max_iter: int) -> str | None:
+    """Why a run stops at the top of an iteration, if it does."""
+    if peak <= tol:
+        return "converged"
+    if iters >= max_iter:
+        return "iteration cap"
+    if iters >= 25 and peak > 5e-2:
+        return "slow progress"
+    return None
+
+
 def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     """Levenberg-Marquardt from one start per seed of ``ctx`` (x0 is (S, n)), in lockstep.
 
-    Every seed keeps its own damping lam, iteration, trial and
-    constraint-reject counters and follows the rules of a lone run: lam x10
-    when the damped system is singular, x4 on an infeasible or worse trial,
-    /3 (floored at 1e-12) on an accepted step; at most 30 trials per
-    iteration, giving up once lam > 1e14 after a failed trial; a
-    "slow progress" stop from iteration 25 while the max residual exceeds
-    5e-2.  A tick makes one trial for every running seed, with at most one
-    Jacobian call (for the seeds starting an iteration), one stacked solve,
-    one feasibility check and one residual call.  A seed's arithmetic does
-    not depend on which other seeds share its ticks.
+    Every seed follows the rules of a lone run: damping lam x10 when the
+    damped system is singular, x4 on an infeasible or worse trial, /3
+    (floored at 1e-12) on an accepted step; at most 30 trials per iteration,
+    giving up once lam > 1e14 after a failed trial; a "slow progress" stop
+    from iteration 25 while the max residual exceeds 5e-2.
+
+    A tick gives every running seed a ladder of ``_RUNGS`` trials at lam,
+    4 lam and 16 lam, the dampings a lone run tries after successive
+    rejections, with one stacked solve, one feasibility check and one
+    residual call for all rungs (and one Jacobian call for the seeds
+    starting an iteration).  Each seed then takes its rungs in order as a
+    lone run would: the first feasible rung that improves is accepted, a
+    singular rung gives lam x10 and ends the ladder, and the trial cap and
+    the lam break stop the seed; the rungs after that are dropped.  A seed
+    thus walks the path of a lone run, up to three trials per tick.
+
+    The rungs sit on the seed axis: the per-seed constants are repeated once
+    per call (``ResidualContext.repeat``) and a tick evaluates points
+    (S * _RUNGS, 1, n), so each rung is computed as a lone point is.  On the
+    point axis, (S, _RUNGS, n), BLAS treats a seed's rungs as one matrix and
+    rounds them differently from single points.  Per-seed scalars (lam, the
+    counters, the starting and stop flags) are Python lists walked once per
+    tick; only points, residuals and normal equations are arrays.
 
     Returns per seed: end points (S, n), iterations, stop reasons and
-    residual evaluations (a Jacobian counts as one per free parameter).
+    residual evaluations.  These count the start, one per free parameter
+    for each Jacobian, and each feasible trial of the lone-run rules; rungs
+    evaluated but dropped do not count.
     """
     n_seeds = len(x0)
     free = np.asarray(ctx.free_idx, dtype=int)
     k = len(free)
+    ladder = ctx.repeat(_RUNGS)
     out_x = np.array(x0, dtype=float)
-    out_iters = np.zeros(n_seeds, dtype=int)
-    out_evals = np.zeros(n_seeds, dtype=int)
+    out_iters = [0] * n_seeds
+    out_evals = [0] * n_seeds
     reasons = ["infeasible start"] * n_seeds
     # State of the running seeds, compacted whenever some of them stop.
     pos = np.flatnonzero(ctx.feasible(out_x))
     x = out_x[pos]
     n = len(pos)
     r = ctx.residual(x[:, None], seeds=None if n == n_seeds else pos)[:, 0]
-    rr = (r[:, None] @ r[..., None])[:, 0, 0]
-    n_evals = np.ones(n, dtype=int)
-    lam = np.full(n, 1e-3)
-    iters = np.zeros(n, dtype=int)
-    trials = np.zeros(n, dtype=int)
-    rejects = np.zeros(n, dtype=int)
+    rr = (r[:, None] @ r[..., None])[:, 0, 0].tolist()
+    ended = [_iteration_stop(p, 0, tol, max_iter) for p in np.abs(r).max(axis=1).tolist()]
+    lam = [1e-3] * n
+    iters = [0] * n
+    trials = [0] * n
+    rejects = [0] * n
+    evals = [1] * n
+    starting = [True] * n  # at the top of an iteration
     normal = np.zeros((n, k, k))
-    grad = np.zeros((n, k, 1))
+    neg_grad = np.zeros((n, k, 1))
     damping = np.zeros((n, k, k))
     eye = np.eye(k)
-    starting = np.ones(n, dtype=bool)  # at the top of an iteration
-    stop = np.zeros(n, dtype=bool)
+    rows = (pos[:, None] * _RUNGS + np.arange(_RUNGS)).ravel()  # their rungs in ``ladder``
     while n:
-        if starting.any():
-            peak = np.abs(r).max(axis=1)
-            ends = starting & ((peak <= tol) | (iters >= max_iter)
-                               | ((iters >= 25) & (peak > 5e-2)))
-            for s in ends.nonzero()[0]:
-                reasons[pos[s]] = ("converged" if peak[s] <= tol else
-                                   "iteration cap" if iters[s] >= max_iter else "slow progress")
-            stop |= ends
-        if stop.any():
-            done = pos[stop]
-            out_x[done], out_iters[done], out_evals[done] = x[stop], iters[stop], n_evals[stop]
-            keep = ~stop
-            pos, x, r, rr, n_evals, lam, iters, trials, rejects = (
-                a[keep] for a in (pos, x, r, rr, n_evals, lam, iters, trials, rejects))
-            normal, grad, damping, starting = (a[keep] for a in (normal, grad, damping, starting))
-            n = len(pos)
+        if any(ended):
+            for i, why in enumerate(ended):
+                if why:
+                    s = pos[i]
+                    reasons[s], out_x[s], out_iters[s], out_evals[s] = why, x[i], iters[i], evals[i]
+            keep = [i for i, why in enumerate(ended) if not why]
+            pos, x, r, normal, neg_grad, damping = (
+                a[keep] for a in (pos, x, r, normal, neg_grad, damping))
+            lam, iters, trials, rejects, evals, rr, starting = (
+                [a[i] for i in keep] for a in (lam, iters, trials, rejects, evals, rr, starting))
+            n = len(keep)
+            ended = [None] * n
+            rows = (pos[:, None] * _RUNGS + np.arange(_RUNGS)).ravel()
             if not n:
                 break
         every = n == n_seeds  # all seeds run, in order: no gathers of per-seed constants
-        if starting.any():
-            whole = starting.all()
-            go = slice(None) if whole else starting
-            fun = functools.partial(ctx.residual, seeds=None if every and whole else pos[go])
-            jac = residual_jacobian(fun, x[go], free_idx=free)
+        go = [i for i in range(n) if starting[i]]
+        if go:
+            sel = slice(None) if len(go) == n else go
+            fun = functools.partial(ctx.residual, seeds=None if every and len(go) == n
+                                    else pos[go])
+            jac = residual_jacobian(fun, x[sel], free_idx=free)
             jac_t = jac.swapaxes(1, 2)
-            normal[go] = jac_t @ jac
-            grad[go] = jac_t @ r[go, :, None]
-            damping[go] = eye * np.maximum(np.diagonal(normal[go], 0, 1, 2), 1e-12)[:, None]
-            n_evals[go] += k  # one batched call of k rows per seed
-            trials[go] = 0
-            rejects[go] = 0
-        # One trial per running seed.
-        delta, solved = _solve_stack(normal + lam[:, None, None] * damping, -grad)
-        x_new = x.copy()
+            normal[sel] = jac_t @ jac
+            neg_grad[sel] = -(jac_t @ r[sel, :, None])
+            damping[sel] = eye * np.maximum(np.diagonal(normal[sel], 0, 1, 2), 1e-12)[:, None]
+            for i in go:
+                evals[i] += k  # one batched call of k rows per seed
+                trials[i] = rejects[i] = 0
+        # The ladder: rung j of running seed i is row i * _RUNGS + j.
+        scale = np.multiply.outer(lam, _RUNG_SCALE)[..., None, None]
+        delta, solved = _solve_stack(
+            (normal[:, None] + scale * damping[:, None]).reshape(-1, k, k),
+            np.repeat(neg_grad, _RUNGS, axis=0))
+        x_new = np.repeat(x, _RUNGS, axis=0)
         x_new[:, free] += delta
-        feasible = solved & ctx.feasible(x_new)
-        if feasible.all():
-            r_new = ctx.residual(x_new[:, None], seeds=None if every else pos)[:, 0]
-            rr_new = (r_new[:, None] @ r_new[..., None])[:, 0, 0]
+        ok = np.flatnonzero(solved & ctx.feasible(x_new))
+        if len(ok) == len(x_new):
+            r_ok = ladder.residual(x_new[:, None], seeds=None if every else rows)[:, 0]
         else:
-            r_new = np.zeros_like(r)
-            r_new[feasible] = ctx.residual(x_new[feasible, None], seeds=pos[feasible])[:, 0]
-            rr_new = np.full(n, np.inf)
-            rr_new[feasible] = (r_new[feasible, None] @ r_new[feasible, :, None])[:, 0, 0]
-        n_evals += feasible
-        accepted = rr_new < rr
-        x[accepted], r[accepted], rr[accepted] = (x_new[accepted], r_new[accepted],
-                                                  rr_new[accepted])
-        lam = np.where(accepted, np.maximum(lam / 3, 1e-12), lam * np.where(solved, 4.0, 10.0))
-        iters += accepted
-        trials += ~accepted
-        rejects += solved > feasible
-        # An iteration that found no acceptable step ends its seed's run.
-        stop = (trials >= 30) | ((solved > accepted) & (lam > 1e14))
-        for s in stop.nonzero()[0]:
-            reasons[pos[s]] = "constraint-trapped" if rejects[s] >= 25 else "stalled"
-        iters += stop
-        starting = accepted
+            r_ok = ladder.residual(x_new[ok, None], seeds=rows[ok])[:, 0]
+        rr_ok = (r_ok[:, None] @ r_ok[..., None])[:, 0, 0].tolist()
+        peak_ok = np.abs(r_ok).max(axis=1).tolist()
+        slot = dict(zip(ok.tolist(), range(len(ok))))
+        solved = solved.tolist()
+        take, take_t, take_j = [], [], []
+        for i in range(n):
+            lam_i, starting[i], stuck = lam[i], False, False
+            for t in range(i * _RUNGS, (i + 1) * _RUNGS):
+                if not solved[t]:
+                    lam_i *= 10.0
+                    trials[i] += 1
+                    stuck = trials[i] >= 30
+                    break
+                j = slot.get(t)
+                if j is None:
+                    rejects[i] += 1
+                else:
+                    evals[i] += 1
+                    if rr_ok[j] < rr[i]:
+                        take.append(i)
+                        take_t.append(t)
+                        take_j.append(j)
+                        rr[i], lam_i, starting[i] = rr_ok[j], max(lam_i / 3, 1e-12), True
+                        iters[i] += 1
+                        ended[i] = _iteration_stop(peak_ok[j], iters[i], tol, max_iter)
+                        break
+                lam_i *= 4.0
+                trials[i] += 1
+                if trials[i] >= 30 or lam_i > 1e14:
+                    stuck = True
+                    break
+            lam[i] = lam_i
+            if stuck:
+                # An iteration that found no acceptable step ends its seed's run.
+                ended[i] = "constraint-trapped" if rejects[i] >= 25 else "stalled"
+                iters[i] += 1
+        if take:
+            x[take] = x_new[take_t]
+            r[take] = r_ok[take_j]
     return out_x, out_iters, reasons, out_evals
 
 

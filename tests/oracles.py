@@ -4,11 +4,14 @@ Everything here is written from the definitions with plain loops and full
 antisymmetric tensors, deliberately not sharing code paths with the package:
 exterior derivatives go through the graded Leibniz rule on monomials, the
 Hodge star is obtained by solving the linear system of its defining identity,
-and curvature is assembled from a hand-rolled Koszul solve.
+and curvature is assembled from a hand-rolled Koszul solve.  The one
+exception is the Levenberg-Marquardt reference, which re-implements the
+solver's control flow but evaluates through the package's residual kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from fractions import Fraction
@@ -178,27 +181,93 @@ def stress_direct(g, a6):
     return comp - tr / 4 * g
 
 
+@functools.cache
+def _wedge_pairing():
+    """mat[row, col]: e_row ^ e_col as a multiple of e1234, over the basis
+    2-forms.  It does not depend on the metric, so it is built once."""
+    basis = np.eye(6)
+    mat = np.zeros((6, 6))
+    for row in range(6):
+        for col in range(6):
+            mat[row, col] = wedge(two_form_tensor(basis[row]), 2,
+                                  two_form_tensor(basis[col]), 2)[0, 1, 2, 3]
+    mat.flags.writeable = False
+    return mat
+
+
 def hodge_star_solve(g, a6, orientation=1):
     """Star from its defining identity: solve B ^ X = <B, F> vol over the basis."""
     gi = np.linalg.inv(g)
     vol = orientation * np.sqrt(np.linalg.det(g))
 
-    def pairing(b6, x6):
-        return wedge(two_form_tensor(b6), 2, two_form_tensor(x6), 2)[0, 1, 2, 3]
-
     def inner(b6, f6):
         bm, fm = two_form_tensor(b6), two_form_tensor(f6)
         return 0.5 * np.einsum("ij,ik,jl,kl->", bm, gi, gi, fm)
 
-    mat = np.zeros((6, 6))
-    rhs = np.zeros(6)
-    for row in range(6):
-        basis = np.zeros(6); basis[row] = 1.0
-        for col in range(6):
-            unit = np.zeros(6); unit[col] = 1.0
-            mat[row, col] = pairing(basis, unit)
-        rhs[row] = inner(basis, a6) * vol
-    return np.linalg.solve(mat, rhs)
+    rhs = np.array([inner(basis, a6) * vol for basis in np.eye(6)])
+    return np.linalg.solve(_wedge_pairing(), rhs)
+
+
+def levmar_alone(ctx, x0, tol, max_iter, singular=lambda iteration, trial: False):
+    """Levenberg-Marquardt from one start, one trial at a time: the rules of
+    ``solver._levmar`` written out for a lone run.  It takes the residual,
+    the feasibility check and the complex-step Jacobian from the package;
+    only the control flow is its own.
+
+    The damped system of trial ``trial`` of iteration ``iteration`` (both
+    counted from 0) is treated as singular when ``singular(iteration,
+    trial)`` is true.  Returns (x, iterations, stop reason, residual
+    evaluations, trials).
+    """
+    from liemaxwell.solver import residual_jacobian as jacobian
+
+    free = list(ctx.free_idx)
+    x = np.array(x0, dtype=float)
+    if not ctx.feasible(x):
+        return x, 0, "infeasible start", 0, 0
+    r = ctx.residual(x)
+    n_evals, n_trials, lam, iters = 1, 0, 1e-3, 0
+    while True:
+        peak = np.abs(r).max()
+        if peak <= tol:
+            return x, iters, "converged", n_evals, n_trials
+        if iters >= max_iter:
+            return x, iters, "iteration cap", n_evals, n_trials
+        if iters >= 25 and peak > 5e-2:
+            return x, iters, "slow progress", n_evals, n_trials
+        jac = jacobian(ctx.residual, x, free)
+        n_evals += len(free)
+        normal = jac.T @ jac
+        grad = jac.T @ r
+        damping = np.diag(np.maximum(np.diag(normal), 1e-12))
+        rejects = 0
+        accepted = False
+        for trial in range(30):
+            n_trials += 1
+            try:
+                if singular(iters, trial):
+                    raise np.linalg.LinAlgError("refused")
+                delta = np.linalg.solve(normal + lam * damping, -grad)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            x_new = x.copy()
+            x_new[free] += delta
+            if ctx.feasible(x_new):
+                r_new = ctx.residual(x_new)
+                n_evals += 1
+                if r_new @ r_new < r @ r:
+                    x, r, lam, iters = x_new, r_new, max(lam / 3, 1e-12), iters + 1
+                    accepted = True
+                    break
+            else:
+                rejects += 1
+            lam *= 4.0
+            if lam > 1e14:
+                break
+        if not accepted:
+            reason = "constraint-trapped" if rejects >= 25 else "stalled"
+            return x, iters + 1, reason, n_evals, n_trials
 
 
 def nijenhuis_direct(c, jmat):

@@ -105,6 +105,16 @@ def test_verify_malformed_input(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("orientation", [1.5, -1.9, 1.0, "1", "-1", True])
+def test_verify_refuses_non_integer_orientation(sol_2a2, capsys, orientation):
+    # A family point, so only the orientation can make it an input error.
+    raw = json.loads(sol_2a2.read_text())
+    raw["orientation"] = orientation
+    sol_2a2.write_text(json.dumps(raw))
+    code, out, err = run(["verify", str(sol_2a2)], capsys)
+    assert code == 2 and "orientation" in err and not out
+
+
 @pytest.mark.parametrize("field,raw", [("f_coeffs", "[0.5, 0.5, Infinity, 0.5, 0.5, 0.5]"),
                                        ("algebra_params", '{"a": 1e400}')])
 def test_verify_nonfinite_input(tmp_path, capsys, field, raw):

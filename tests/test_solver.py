@@ -429,3 +429,96 @@ def test_zero_evidence_is_inconclusive(monkeypatch):
     res = solver.classify_algebra("A4,4", budget=(4, 45))
     assert res.computed == "NoNonEinsteinEMFound"
     assert res.inconclusive and not res.agree
+
+
+_LM_TOL = min(maxwell.TOL_SOLUTION * 1e-2, 1e-11)  # the tolerance _run_block refines to
+
+
+def _blocks(entry, seed, n_seeds, mode):
+    """(contexts, starts) of each group of equal search dimension, as
+    ``_run_block`` forms them."""
+    contexts, groups = {}, {}
+    for index in range(n_seeds):
+        ctx, x0 = solver._start(entry, seed, index, mode, 1, contexts)
+        if x0 is not None:
+            groups.setdefault(len(x0), []).append((ctx, x0))
+    return [tuple(zip(*members)) for members in groups.values()]
+
+
+def _assert_same_run(got, want, label):
+    x, iters, reason, n_evals = got
+    wx, witers, wreason, wevals, _ = want
+    assert (reason, iters, n_evals) == (wreason, witers, wevals), label
+    assert np.abs(x - wx).max() <= 1e-12 * max(1.0, np.abs(wx).max()), label
+
+
+def test_ladder_matches_lone_runs():
+    # Stacked blocks against the one-trial-at-a-time reference, seed by seed.
+    # A3,9+A1 reaches slow progress, the iteration cap and stalled runs,
+    # A4,11^a fills a block of 32 with converged and slow-progress seeds,
+    # and a tightened A4,6^{a,0} (|a2| < 0.001) rejects many trials.
+    a46 = la.entry_by_name("A4,6^{a,0}")
+    tight = dataclasses.replace(a46, metric_constraints=(*a46.metric_constraints,
+                                                         "0.000001 - a2^2"))
+    seen = set()
+    for entry, n_seeds, mode in [(la.entry_by_name("A3,9+A1"), 16, "unit_F"),
+                                 (la.entry_by_name("A4,11^a"), 32, "unit_F"),
+                                 (tight, 16, "free_F")]:
+        for ctxs, starts in _blocks(entry, 5, n_seeds, mode):
+            x, iters, reasons, n_evals = solver._levmar(
+                solver.ResidualContext.stack(ctxs), np.array(starts), _LM_TOL, 45)
+            for s, (ctx, x0) in enumerate(zip(ctxs, starts)):
+                want = orc.levmar_alone(ctx, x0, _LM_TOL, 45)
+                _assert_same_run((x[s], iters[s], reasons[s], n_evals[s]), want, (entry.name, s))
+                seen.add(reasons[s])
+    assert {"converged", "slow progress", "iteration cap"} <= seen
+    assert seen & {"stalled", "constraint-trapped"}
+
+
+def test_ladder_takes_fewer_ticks_than_trials(monkeypatch):
+    # Each tick is one stacked solve.  One trial per tick would need as many
+    # ticks as the slower seed makes trials.
+    ticks = []
+    solve = solver._solve_stack
+    monkeypatch.setattr(solver, "_solve_stack", lambda m, rhs: ticks.append(1) or solve(m, rhs))
+    [(ctxs, starts)] = _blocks(la.entry_by_name("A4,4"), 5, 2, "unit_F")
+    solver._levmar(solver.ResidualContext.stack(ctxs), np.array(starts), _LM_TOL, 45)
+    trials = [orc.levmar_alone(ctx, x0, _LM_TOL, 45)[4] for ctx, x0 in zip(ctxs, starts)]
+    assert len(ticks) < max(trials)
+
+
+@pytest.mark.parametrize("trial", [0, 1])
+def test_singular_rung_ends_the_ladder(monkeypatch, trial):
+    # Trial 0 of iteration 2 is rejected on this start, so refusing trial 0
+    # or 1 there both change the run.  A singular rung gives lam x10, and
+    # the rungs after it must be dropped.
+    [(ctxs, starts)] = _blocks(la.entry_by_name("A4,4"), 5, 1, "unit_F")
+    ctx, x0 = ctxs[0], starts[0]
+    refused = (2, trial)
+    jacobian, solve = solver.residual_jacobian, solver._solve_stack
+    seen = {"jacobians": 0, "ticks": 0}
+
+    def counted_jacobian(*args, **kwargs):
+        seen["jacobians"] += 1
+        seen["ticks"] = 0
+        return jacobian(*args, **kwargs)
+
+    def refusing_solve(m, rhs):
+        delta, solved = solve(m, rhs)
+        tick, rung = divmod(refused[1], solver._RUNGS)
+        if seen["jacobians"] == refused[0] + 1 and seen["ticks"] == tick:
+            solved[rung] = False
+        seen["ticks"] += 1
+        return delta, solved
+
+    monkeypatch.setattr(solver, "residual_jacobian", counted_jacobian)
+    monkeypatch.setattr(solver, "_solve_stack", refusing_solve)
+    x, iters, reasons, n_evals = solver._levmar(ctx, x0[None], _LM_TOL, 45)
+    monkeypatch.undo()
+    used = []
+    want = orc.levmar_alone(ctx, x0, _LM_TOL, 45,
+                            singular=lambda *at: at == refused and not used.append(at))
+    assert used == [refused]
+    _assert_same_run((x[0], iters[0], reasons[0], n_evals[0]), want, trial)
+    plain = orc.levmar_alone(ctx, x0, _LM_TOL, 45)
+    assert want[4] != plain[4] or np.abs(want[0] - plain[0]).max() > 0
