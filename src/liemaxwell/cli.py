@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -56,7 +57,8 @@ def _emit(payload: dict, config: RunConfig, args, text: str) -> None:
         payload = dict(payload)
         payload["config"] = config.to_dict()
         payload.setdefault("catalog_sha256", catalog_checksum())
-        blob = json.dumps(payload, indent=2, sort_keys=True)
+        # NaN and Infinity are not JSON: such a report is refused (exit 2).
+        blob = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
         if args.out:
             Path(args.out).write_text(blob + "\n")
         if args.json:
@@ -67,12 +69,20 @@ def _emit(payload: dict, config: RunConfig, args, text: str) -> None:
         print(text)
 
 
-def _json_arg(raw: str | None) -> dict:
+def _params_arg(raw: str | None) -> dict:
+    """Parameter values from a JSON object of finite numbers."""
     if not raw:
         return {}
     value = json.loads(raw)
     if not isinstance(value, dict):
         raise ValueError("expected a JSON object")
+    for name, v in value.items():
+        try:
+            finite = not isinstance(v, bool) and math.isfinite(v)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise ValueError(f"parameter {name} must be a finite number, got {v!r}")
     return value
 
 
@@ -135,8 +145,8 @@ def cmd_show(args) -> int:
 def cmd_curvature(args) -> int:
     try:
         entry = entry_by_name(args.entry)
-        algebra_params = _json_arg(args.algebra_params)
-        metric_params = _json_arg(args.metric_params)
+        algebra_params = _params_arg(args.algebra_params)
+        metric_params = _params_arg(args.metric_params)
         L = instantiate(entry, algebra_params)
         g = metric_from_params(entry, metric_params)
     except (KeyError, ValueError, CatalogError) as exc:
@@ -148,6 +158,10 @@ def cmd_curvature(args) -> int:
         return EXIT_INPUT
     config = RunConfig(command="curvature", entries=[entry.name])
     _, _, ric, s, ric0 = curvature_summary(L, g)
+    if not (np.isfinite(ric).all() and np.isfinite(ric0).all() and np.isfinite(s)):
+        print("error: curvature is not finite: the metric's values overflow floating point",
+              file=sys.stderr)
+        return EXIT_INPUT
     einstein = bool(np.abs(ric0).max() <= (args.tol or 1e-9))
     payload = {
         "entry": entry.name,
@@ -242,7 +256,11 @@ def cmd_search(args) -> int:
 def cmd_classify(args) -> int:
     entries = catalog()
     if args.entries:
-        wanted = [entry_by_name(n).name for n in args.entries]
+        try:
+            wanted = [entry_by_name(n).name for n in args.entries]
+        except KeyError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         entries = [e for e in entries if e.name in wanted]
     config = RunConfig(command="classify", entries=[e.name for e in entries],
                        seed=args.seed, seeds=args.seeds)

@@ -29,12 +29,15 @@ class Family:
     algebra_params: Callable[[dict], dict]
     metric_params: Callable[[dict], dict]
     f_coeffs: Callable[[dict], np.ndarray]
-    kahler_form: Callable[[dict, int], np.ndarray]
     expected_kappa: Callable[[dict, int], float]
     expected_rho0: Callable[[dict, int], np.ndarray]
     expected_type: Callable[[int], str]
     omega_from_metric: Callable[[dict, int], np.ndarray]
     orientations: tuple[int, ...] = (1,)
+
+    def kahler_form(self, point: dict, orientation: int) -> np.ndarray:
+        """The compatible 2-form at a grid point: ``omega_from_metric`` of its metric."""
+        return self.omega_from_metric(self.metric_params(point), orientation)
 
 
 def _grid_2a2() -> tuple[dict, ...]:
@@ -56,8 +59,6 @@ _FAM_2A2 = Family(
     metric_params=lambda p: {"a1": 0.0, "a2": 0.0, "a3": 0.0, "a4": 0.0,
                              "a5": (1 + p["a34"] ** 2) / (1 + p["a12"] ** 2)},
     f_coeffs=lambda p: two_form(e12=p["a12"], e34=p["a34"]),
-    kahler_form=lambda p, o: two_form(
-        e12=1.0, e34=o * math.sqrt((1 + p["a34"] ** 2) / (1 + p["a12"] ** 2))),
     expected_kappa=lambda p, o: p["a34"] / math.sqrt(
         (1 + p["a34"] ** 2) / (1 + p["a12"] ** 2)) + p["a12"],
     expected_rho0=lambda p, o: _rho0_2a2(p),
@@ -79,7 +80,6 @@ _FAM_A22A1 = Family(
     algebra_params=lambda p: {},
     metric_params=lambda p: {"a1": 0.0, "a2": 0.0},
     f_coeffs=lambda p: two_form(e12=p["a12"], e34=p["a34"]),
-    kahler_form=lambda p, o: two_form(e12=1.0, e34=float(o)),
     expected_kappa=lambda p, o: p["a12"] + p["a34"],
     expected_rho0=lambda p, o: two_form(e12=-0.5, e34=0.5 * o),
     omega_from_metric=lambda mp, o: two_form(e12=1.0, e34=float(o)),
@@ -94,7 +94,6 @@ _FAM_A46 = Family(
     algebra_params=lambda p: {"a": p["a"]},
     metric_params=lambda p: {"a1": 0.0, "a2": 0.0, "a3": 1.0},
     f_coeffs=lambda p: two_form(e14=p["a14"], e23=p["a23"]),
-    kahler_form=lambda p, o: two_form(e14=1.0, e23=float(o)),
     expected_kappa=lambda p, o: p["a14"] + p["a23"],
     expected_rho0=lambda p, o: two_form(e14=-p["a"] ** 2 / 2, e23=o * p["a"] ** 2 / 2),
     omega_from_metric=lambda mp, o: two_form(e14=1.0, e23=float(o)),
@@ -109,7 +108,6 @@ _FAM_A49 = Family(
     algebra_params=lambda p: {},
     metric_params=lambda p: {"a1": 1.0, "a2": 0.0, "a3": 0.0, "a4": 0.0},
     f_coeffs=lambda p: two_form(e13=p["a13"], e24=p["a24"]),
-    kahler_form=lambda p, o: two_form(e13=1.0, e24=-float(o)),
     expected_kappa=lambda p, o: (1.5 / (p["a13"] + p["a24"]) if o == 1
                                  else p["a13"] + p["a24"]),
     expected_rho0=lambda p, o: two_form(e13=0.75, e24=0.75 * o),

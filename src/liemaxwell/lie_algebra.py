@@ -17,6 +17,7 @@ Fraction inputs the results are exact.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.resources
 import json
@@ -253,11 +254,27 @@ class CatalogEntry:
     def param_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
 
-    @property
+    @functools.cached_property
     def metric_param_names(self) -> tuple[str, ...]:
         names = sorted({cell for row in self.metric_shape for cell in row
                         if isinstance(cell, str)})
         return tuple(names)
+
+    @functools.cached_property
+    def metric_placement(self) -> tuple[np.ndarray, np.ndarray]:
+        """(place, g0) with metric = params @ place + g0, flattened (..., 16),
+        for parameter vectors in ``metric_param_names`` order: the literal
+        cells of the shape plus the parameters, placed exactly (one nonzero
+        term per cell)."""
+        names = self.metric_param_names
+        place, g0 = np.zeros((len(names), 16)), np.zeros(16)
+        for i, row in enumerate(self.metric_shape):
+            for j, cell in enumerate(row):
+                if isinstance(cell, str):
+                    place[names.index(cell), 4 * i + j] = 1.0
+                else:
+                    g0[4 * i + j] = cell
+        return place, g0
 
     def sample_params(self) -> dict:
         return {p.name: p.sample for p in self.params}

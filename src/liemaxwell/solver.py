@@ -49,8 +49,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._expr import eval_expr
-from ._smallmat import determinant
 from .families import Family, family_by_id
 from .forms import LEVI4, hodge_star, norm_sq
 from .kahler import classify_hermitian_type, ricci_form
@@ -59,7 +57,7 @@ from .lie_algebra import (PAIRS, CatalogEntry, LieAlgebra, catalog_checksum,
                           metric_from_params)
 from .maxwell import (NON_EINSTEIN_EM, TOL_SOLUTION, EMReport, em_residual, stress_energy,
                       verify_kahler_decomposition)
-from .metric_geometry import EPS_PD, curvature_summary
+from .metric_geometry import EPS_PD, admissible, curvature_summary, validate_metric
 
 #: Solutions closer than this (max-norm over the canonicalized parameter
 #: vector) are considered the same point.
@@ -95,7 +93,11 @@ class Candidate:
         if isinstance(o, bool) or not isinstance(o, (int, np.integer)) or o not in (1, -1):
             raise CandidateError("orientation must be the integer 1 or -1")
         params = [*self.algebra_params.values(), *self.metric_params.values()]
-        if not (np.isfinite(self.f_coeffs).all() and all(map(math.isfinite, params))):
+        try:
+            finite = np.isfinite(self.f_coeffs).all() and all(map(math.isfinite, params))
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise CandidateError("f_coeffs, algebra_params and metric_params must be finite")
 
     def to_dict(self) -> dict:
@@ -136,58 +138,6 @@ def _instantiated(c: Candidate) -> tuple[CatalogEntry, LieAlgebra, np.ndarray]:
     return entry, L, g
 
 
-def _check_invariants(entry: CatalogEntry, g: np.ndarray) -> None:
-    failures = _constraint_failures(entry, g)
-    if failures:
-        raise CandidateError(f"{entry.name}: metric constraints violated: {failures}")
-
-
-def _failures(entry: CatalogEntry, g: np.ndarray):
-    """Failed admissibility checks of a metric, yielded lazily in a fixed order:
-    the entry's constraint polynomials (with margin EPS_PD), then the leading
-    principal minors."""
-    values = {}
-    for i in range(4):
-        for j in range(4):
-            cell = entry.metric_shape[i][j]
-            if isinstance(cell, str):
-                values[cell] = float(g[i, j])
-    for poly in entry.metric_constraints:
-        if not eval_expr(poly, values) > EPS_PD:
-            yield poly
-    for k in range(1, 5):
-        if not determinant(g[:k, :k]) > 0:
-            yield f"minor{k}"
-
-
-def _constraint_failures(entry: CatalogEntry, g: np.ndarray) -> list[str]:
-    return list(_failures(entry, g))
-
-
-def _constraints_hold(entry: CatalogEntry, values: dict, n: int) -> np.ndarray:
-    """Whether every constraint polynomial exceeds EPS_PD, for n points whose
-    parameter values are arrays of length n (or scalars, for one point)."""
-    ok = np.ones(n, dtype=bool)
-    for poly in entry.metric_constraints:
-        ok &= eval_expr(poly, values) > EPS_PD
-    return ok
-
-
-def _admissible(entry: CatalogEntry, g: np.ndarray):
-    """``not _constraint_failures(entry, g)`` for a metric (4, 4), or for each
-    metric of a stack (T, 4, 4) at once (a bool array): the constraint
-    polynomials over arrays, then the leading minors of the metrics that pass
-    them.  Decisions are those of the one-metric checks, bit for bit."""
-    stack = g.reshape(-1, 4, 4)
-    values = {cell: stack[:, i, j] for i, row in enumerate(entry.metric_shape)
-              for j, cell in enumerate(row) if isinstance(cell, str)}
-    ok = _constraints_hold(entry, values, len(stack))
-    for k in range(1, 5):
-        live = np.flatnonzero(ok)
-        ok[live] = np.linalg.det(stack[live, :k, :k]) > 0
-    return ok if g.ndim == 3 else bool(ok[0])
-
-
 def _stacked_residual(L: LieAlgebra, g: np.ndarray, f6: np.ndarray,
                       orientation: int) -> np.ndarray:
     _, _, _, _, ric0 = curvature_summary(L, g)
@@ -203,28 +153,15 @@ def _stacked_residual(L: LieAlgebra, g: np.ndarray, f6: np.ndarray,
 def residual_vector(c: Candidate) -> np.ndarray:
     """18 components: EM equation upper triangle (10), dF (4), d*F (4)."""
     entry, L, g = _instantiated(c)
-    _check_invariants(entry, g)
+    check = validate_metric(entry, g)
+    if not check.ok:
+        raise CandidateError(f"{entry.name}: inadmissible metric: " + "; ".join(check.failures))
     return _stacked_residual(L, g, c.f_coeffs, c.orientation)
 
 
 # ---------------------------------------------------------------------------
 # Parameterization of the per-entry search space
 # ---------------------------------------------------------------------------
-
-
-def _metric_placement(entry: CatalogEntry) -> tuple[np.ndarray, np.ndarray]:
-    """(place, g0) with metric = params @ place + g0, flattened (..., 16): the
-    literal cells of the entry's shape plus its metric parameters, placed
-    exactly (one nonzero term per cell)."""
-    names = list(entry.metric_param_names)
-    place, g0 = np.zeros((len(names), 16)), np.zeros(16)
-    for i, row in enumerate(entry.metric_shape):
-        for j, cell in enumerate(row):
-            if isinstance(cell, str):
-                place[names.index(cell), 4 * i + j] = 1.0
-            else:
-                g0[4 * i + j] = cell
-    return place, g0
 
 
 _TRIU_ROWS = np.array([i for i, _ in _UPPER])
@@ -279,7 +216,7 @@ class ResidualContext:
         if unknown:
             raise ValueError(f"unknown frozen parameters {sorted(unknown)}; have {self.names}")
         self.free_idx = [k for k, n in enumerate(self.names) if n not in frozen_set]
-        self._place, self._g0 = _metric_placement(entry)
+        self._place, self._g0 = entry.metric_placement
         # Six 2-form coefficients -> antisymmetric 4x4 matrix, flattened.
         self._f_place = np.zeros((6, 16))
         for p, (i, j) in enumerate(PAIRS):
@@ -344,25 +281,10 @@ class ResidualContext:
                                                    self._kernel_t[0])
 
     def feasible(self, x: np.ndarray):
-        """Whether x (..., n) is admissible: the constraint polynomials, then a
-        Cholesky factorization of the metric.  A bool for a 1-D x, else a bool
-        array over the leading axes; one stacked factorization unless LAPACK
-        refuses one of the metrics."""
-        rows = x.reshape(-1, x.shape[-1])
-        # One row is evaluated on scalars, at a fraction of the cost of
-        # 1-element arrays; the decisions are the same bit for bit.
-        cols = rows[0] if len(rows) == 1 else rows.T
-        ok = _constraints_hold(self.entry, dict(zip(self.metric_names, cols)), len(rows))
-        g = self.metric_of(rows)
-        try:
-            np.linalg.cholesky(g[ok])
-        except np.linalg.LinAlgError:
-            for i in ok.nonzero()[0]:
-                try:
-                    np.linalg.cholesky(g[i])
-                except np.linalg.LinAlgError:
-                    ok[i] = False
-        return ok.reshape(x.shape[:-1]) if x.ndim > 1 else bool(ok[0])
+        """Whether x (..., n) is admissible (``metric_geometry.admissible`` on
+        its metric parameters): a bool for a 1-D x, else a bool array over
+        the leading axes."""
+        return admissible(self.entry, x[..., :len(self.metric_names)])
 
     def residual(self, x: np.ndarray, seeds: np.ndarray | None = None) -> np.ndarray:
         """Residual rows of x: (S, m, n) -> (S, m, n_rows), m points per seed.
@@ -722,7 +644,7 @@ class SearchOutcome:
 def sample_metric_params(entry: CatalogEntry, rng: np.random.Generator,
                          max_tries: int = 600) -> dict:
     """Uniform draw from the feasible box: [-3, 3] per parameter, positives in
-    (0, 3]; rejection on the entry's constraint polynomials.
+    (0, 3]; rejection of the draws that are not ``admissible``.
 
     Constraint regions can occupy a small fraction of the box, so after 150
     rejected draws the box shrinks geometrically (off-diagonal parameters
@@ -738,7 +660,6 @@ def sample_metric_params(entry: CatalogEntry, rng: np.random.Generator,
     if not names:
         return {}
     positive = np.array([n in entry.positive_metric_params for n in names])
-    place, g0 = _metric_placement(entry)
     attempt = 0
     while attempt < max_tries:
         level = max(0, (attempt - 150) // 50)
@@ -748,7 +669,7 @@ def sample_metric_params(entry: CatalogEntry, rng: np.random.Generator,
         hi = np.where(positive, 1.0 + 2.0 * shrink, 3.0 * shrink)
         state = rng.bit_generator.state
         draws = rng.uniform(lo, hi, size=(stop - attempt, len(names)))
-        hits = np.flatnonzero(_admissible(entry, (draws @ place + g0).reshape(-1, 4, 4)))
+        hits = np.flatnonzero(admissible(entry, draws))
         if hits.size:
             rng.bit_generator.state = state
             rng.uniform(lo, hi, size=(hits[0] + 1, len(names)))

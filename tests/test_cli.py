@@ -1,6 +1,7 @@
 """Exit codes, table shapes, and JSON contracts of the command-line surface."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -72,6 +73,20 @@ def test_curvature_report(capsys):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("entry,metric,algebra", [
+    ("A4,4", '{"a1": 1e400, "a2": 0, "a3": 1}', None),
+    ("A4,4", '{"a1": 1e200, "a2": 0, "a3": 1e200}', None),
+    ("A4,4", '{"a1": null, "a2": 0, "a3": 1}', None),
+    ("A4,6^{a,0}", '{"a1": 0.1, "a2": 0, "a3": 1}', '{"a": null}'),
+    ("A4,6^{a,0}", '{"a1": 0.1, "a2": 0, "a3": 1}', '{"a": "0.5"}'),
+])
+def test_curvature_refuses_nonfinite_or_nonnumeric(capsys, entry, metric, algebra):
+    argv = ["curvature", entry, "--metric-params", metric, "--json"]
+    code, out, err = run(argv + (["--algebra-params", algebra] if algebra else []), capsys)
+    assert code == 2 and err.startswith("error:") and "finite" in err and not out
+
+
 def test_verify_solution(sol_2a2, capsys):
     code, out, _ = run(["verify", str(sol_2a2), "--json"], capsys)
     assert code == 0
@@ -116,7 +131,9 @@ def test_verify_refuses_non_integer_orientation(sol_2a2, capsys, orientation):
 
 
 @pytest.mark.parametrize("field,raw", [("f_coeffs", "[0.5, 0.5, Infinity, 0.5, 0.5, 0.5]"),
-                                       ("algebra_params", '{"a": 1e400}')])
+                                       ("algebra_params", '{"a": 1e400}'),
+                                       pytest.param("algebra_params", '{"a": 1' + '0' * 400 + '}',
+                                                    id="algebra_params-huge-integer")])
 def test_verify_nonfinite_input(tmp_path, capsys, field, raw):
     doc = {"entry": "A4,6^{a,0}", "algebra_params": {"a": 0.5}, "orientation": 1,
            "metric_params": {"a1": 0.1, "a2": 0.0, "a3": 1.0}, "f_coeffs": [0.5] * 6}
@@ -179,6 +196,59 @@ def test_verify_reports_finite_residuals_or_refuses(tmp_path_factory, doc):
     assert code in (0, 1)
     blob = json.loads(out.getvalue())
     assert all(math.isfinite(blob[k]) for k in ("r_em", "r_dF", "r_dstarF", "scalar_curvature"))
+
+
+@st.composite
+def curvature_arguments(draw):
+    """Entry, metric and algebra parameters near and far from admissible, at
+    extreme scales, with the odd non-finite, null or string value."""
+    entry = draw(st.sampled_from(la.catalog()))
+    positive = set(entry.positive_metric_params)
+    odd = st.one_of(st.floats(), st.none(), st.just("0.5"))
+    scale = draw(_SCALES)
+    metric = {}
+    for n in entry.metric_param_names:
+        near = (st.floats(0.5, 3.0) if n in positive else st.floats(-0.1, 0.1)).map(
+            lambda v: scale * v)
+        metric[n] = draw(st.one_of(near, near, near, odd))
+    algebra = {p.name: draw(st.just(p.sample) | odd) for p in entry.params}
+    return entry.name, metric, algebra
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(args=curvature_arguments())
+def test_curvature_reports_finite_values_or_refuses(args):
+    name, metric, algebra = args
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["curvature", name, "--metric-params", json.dumps(metric),
+                         "--algebra-params", json.dumps(algebra), "--json"])
+    if code == 2:
+        assert not out.getvalue() and err.getvalue().startswith("error:")
+        return
+    assert code == 0
+    blob = json.loads(out.getvalue())
+    values = [blob["scalar_curvature"], *np.ravel(blob["ricci"]), *np.ravel(blob["traceless_ricci"])]
+    assert all(map(math.isfinite, values))
+
+
+def test_nonfinite_report_is_refused(capsys, monkeypatch, tmp_path):
+    # No JSON report carries NaN or Infinity: main refuses it with exit 2.
+    verify_family = solver.verify_solution_family
+
+    def nan_residual(*args, **kwargs):
+        return dataclasses.replace(verify_family(*args, **kwargs), max_residual=float("nan"))
+
+    monkeypatch.setattr(solver, "verify_solution_family", nan_residual)
+    out_path = tmp_path / "report.json"
+    code, out, err = run(["family", "2A2", "--json", "--out", str(out_path)], capsys)
+    assert code == 2 and err.startswith("error:") and not out and not out_path.exists()
+
+
+def test_classify_unknown_entry_is_input_error(capsys):
+    code, out, err = run(["classify", "--entries", "nonexistent", "--seeds", "2"], capsys)
+    assert code == 2 and err.startswith("error:") and not out
 
 
 def test_classify_on_zero_evidence_is_inconclusive(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Metric validation, Koszul connection, and curvature against brute-force oracles."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import oracles as orc
 from conftest import admissible_draws
 from liemaxwell import lie_algebra as la
 from liemaxwell import metric_geometry as mg
+from liemaxwell import solver
 
 E = np.eye(4)
 
@@ -37,6 +39,42 @@ def test_validate_metric_shape_mismatch():
     g[0, 0] = 3.0  # catalog requires the literal 1 here
     with pytest.raises(mg.ShapeMismatchError):
         mg.validate_metric(entry, g)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_admissible_refuses_nonfinite_rows():
+    # Cholesky factors a metric with an infinite diagonal, so finiteness is
+    # a step of its own: every row with inf, -inf or nan anywhere is refused.
+    rng = np.random.default_rng(5)
+    for entry in la.catalog():
+        names = entry.metric_param_names
+        base = np.array([float(v) for v in solver.sample_metric_params(entry, rng).values()])
+        rows = [base]
+        for k in range(len(names)):
+            for bad in (np.inf, -np.inf, np.nan):
+                rows.append(base.copy())
+                rows[-1][k] = bad
+        got = mg.admissible(entry, np.array(rows).reshape(len(rows), len(names)))
+        assert got.tolist() == [True] + [False] * (len(rows) - 1), entry.name
+        for row in rows[1:]:
+            assert mg.admissible(entry, row) is False, (entry.name, row)
+            check = mg.validate_metric(entry, la.metric_from_params(entry, dict(zip(names, row))))
+            assert not check.ok and check.failures, (entry.name, row)
+    abelian = la.entry_by_name("abelian")
+    assert mg.admissible(abelian, np.zeros(0)) is True
+    assert mg.admissible(abelian, np.zeros((2, 3, 0))).tolist() == [[True] * 3] * 2
+
+
+def test_admissible_refuses_indefinite_metrics_in_a_stack():
+    # Without its constraint polynomials A4,4 admits any finite (a1, a2, a3);
+    # positive definiteness alone then decides, metric by metric, even when
+    # LAPACK refuses the stack as a whole.
+    bare = dataclasses.replace(la.entry_by_name("A4,4"), metric_constraints=())
+    x = np.array([[1.0, 0.0, 1.0], [1.0, 2.0, 1.0], [1.0, 0.5, 1.0], [-1.0, 0.0, 1.0]])
+    assert mg.admissible(bare, x).tolist() == [True, False, True, False]
+    assert [mg.admissible(bare, row) for row in x] == [True, False, True, False]
+    check = mg.validate_metric(bare, la.metric_from_params(bare, dict(zip(bare.metric_param_names, x[1]))))
+    assert check.failures == ("metric not positive definite",)
 
 
 def test_levi_civita_fixtures():

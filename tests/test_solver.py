@@ -8,6 +8,7 @@ import pytest
 import oracles as orc
 from liemaxwell import lie_algebra as la
 from liemaxwell import maxwell, solver
+from liemaxwell import metric_geometry as mg
 from liemaxwell.forms import norm_sq, two_form
 
 
@@ -309,27 +310,34 @@ def test_variant_cycling_hits_named_branches():
 
 
 def test_admissible_short_circuit_matches_failure_list():
+    # One predicate decides: a stack's decisions are those of each vector
+    # alone, and those of validate_metric, whose failure list is empty
+    # exactly when it admits.
     rng = np.random.default_rng(43)
     for entry in la.catalog():
         names = entry.metric_param_names
         positive = set(entry.positive_metric_params)
-        seen = set()
+        draws = []
         for k in range(60):
             # Alternate a wide and a narrow box for the off-diagonal
             # parameters, so every entry sees both verdicts.
             spread = 3.0 if k % 2 else 0.3
-            mp = {n: float(rng.uniform(-0.5, 3) if n in positive else rng.uniform(-spread, spread))
-                  for n in names}
-            g = la.metric_from_params(entry, mp)
-            ok = solver._admissible(entry, g)
-            assert ok == (not solver._constraint_failures(entry, g)), (entry.name, mp)
-            seen.add(ok)
-        assert seen == ({True, False} if names else {True}), entry.name
+            draws.append([float(rng.uniform(-0.5, 3) if n in positive
+                                else rng.uniform(-spread, spread)) for n in names])
+        stack = np.array(draws).reshape(60, len(names))
+        got = mg.admissible(entry, stack)
+        assert got.shape == (60,) and got.dtype == bool
+        assert (mg.admissible(entry, stack.reshape(3, 20, -1)) == got.reshape(3, 20)).all()
+        for vec, ok in zip(stack, got.tolist()):
+            assert mg.admissible(entry, vec) is ok, (entry.name, vec)
+            check = mg.validate_metric(entry, la.metric_from_params(entry, dict(zip(names, vec))))
+            assert check.ok is ok and bool(check.failures) is not ok, (entry.name, vec)
+        assert set(got.tolist()) == ({True, False} if names else {True}), entry.name
 
 
 def _sample_one_draw_at_a_time(entry, rng, max_tries=600):
-    """The sampler's reference: draw one metric, build it with
-    ``metric_from_params``, check it with the failure list, repeat."""
+    """The sampler's reference: draw one parameter vector, check it alone
+    with ``admissible``, repeat."""
     names = entry.metric_param_names
     if not names:
         return {}
@@ -339,7 +347,7 @@ def _sample_one_draw_at_a_time(entry, rng, max_tries=600):
         params = {n: float(rng.uniform(10 * solver.EPS_PD if n in positive else -3.0 * shrink,
                                        1.0 + 2.0 * shrink if n in positive else 3.0 * shrink))
                   for n in names}
-        if not solver._constraint_failures(entry, la.metric_from_params(entry, params)):
+        if mg.admissible(entry, np.array(list(params.values()))):
             return params
     raise ValueError(f"{entry.name}: empty feasible box")
 
