@@ -8,6 +8,7 @@ object mode and a relative tolerance in float mode.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -135,25 +136,7 @@ def sqrt_fraction(value: Fraction) -> Fraction | None:
     if value < 0:
         raise ValueError("negative value has no real square root")
     num, den = value.numerator, value.denominator
-    rn = _isqrt_exact(num)
-    rd = _isqrt_exact(den)
-    if rn is None or rd is None:
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn != num or rd * rd != den:
         return None
     return Fraction(rn, rd)
-
-
-def _isqrt_exact(n: int) -> int | None:
-    r = int(np.floor(np.sqrt(float(n)))) if n < (1 << 52) else _int_isqrt(n)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
-
-
-def _int_isqrt(n: int) -> int:
-    x = n
-    y = (x + 1) // 2
-    while y < x:
-        x = y
-        y = (x + n // x) // 2
-    return x

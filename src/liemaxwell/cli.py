@@ -4,6 +4,13 @@ Text tables are for humans; JSON (--json) is the contract surface.  Exit
 codes: 0 success/agreement, 1 verification failure, 2 input error,
 3 inconclusive.  Every JSON report embeds the invocation config and the
 catalog checksum so runs are reproducible from the report alone.
+
+Input errors are raised as ``ValueError`` and reach one handler in ``main``,
+which prints a single ``error:`` line and returns 2.  ``main`` checks the
+options (``--tol`` positive and finite, ``--seed``/``--seeds`` nonnegative)
+before any command runs.  Only ``curvature``, ``verify``, ``family`` and
+``search`` take ``--tol``; its default is set in the parser and recorded in the
+report's ``config``.
 """
 
 from __future__ import annotations
@@ -19,11 +26,10 @@ import numpy as np
 
 from .families import family_by_id
 from .kahler import hermitian_diagnostics
-from .lie_algebra import (CatalogError, catalog, catalog_checksum, entry_by_name, instantiate,
-                          metric_from_params)
-from .maxwell import EINSTEIN_NULL_STRESS, NON_EINSTEIN_EM, em_residual
+from .lie_algebra import catalog, catalog_checksum, entry_by_name, instantiate, metric_from_params
+from .maxwell import EINSTEIN_NULL_STRESS, NON_EINSTEIN_EM, TOL_SOLUTION, em_residual
 from .metric_geometry import curvature_summary, validate_metric
-from .solver import Candidate, CandidateError, classify_algebra, multistart_search
+from .solver import Candidate, classify_algebra, multistart_search
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -40,13 +46,6 @@ class RunConfig:
     seeds: int = 0
     orientation: int = 1
     mode: str = "unit_F"
-    output_format: str = "text"
-
-    def __post_init__(self):
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.seed < 0 or self.seeds < 0:
-            raise ValueError("seed and seeds must be nonnegative")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -63,8 +62,6 @@ def _emit(payload: dict, config: RunConfig, args, text: str) -> None:
             Path(args.out).write_text(blob + "\n")
         if args.json:
             print(blob)
-        elif not args.out:
-            print(text)
     else:
         print(text)
 
@@ -92,7 +89,7 @@ def _params_arg(raw: str | None) -> dict:
 
 
 def cmd_list(args) -> int:
-    config = RunConfig(command="list", output_format="json" if args.json else "text")
+    config = RunConfig(command="list")
     entries = catalog()
     if args.verdict:
         entries = [e for e in entries if e.verdict == args.verdict]
@@ -110,11 +107,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_show(args) -> int:
-    try:
-        entry = entry_by_name(args.entry)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    entry = entry_by_name(args.entry)
     config = RunConfig(command="show", entries=[entry.name])
     payload = {
         "name": entry.name,
@@ -143,26 +136,17 @@ def cmd_show(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    try:
-        entry = entry_by_name(args.entry)
-        algebra_params = _params_arg(args.algebra_params)
-        metric_params = _params_arg(args.metric_params)
-        L = instantiate(entry, algebra_params)
-        g = metric_from_params(entry, metric_params)
-    except (KeyError, ValueError, CatalogError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    entry = entry_by_name(args.entry)
+    L = instantiate(entry, _params_arg(args.algebra_params))
+    g = metric_from_params(entry, _params_arg(args.metric_params))
     check = validate_metric(entry, g)
     if not check.ok:
-        print("error: inadmissible metric: " + "; ".join(check.failures), file=sys.stderr)
-        return EXIT_INPUT
-    config = RunConfig(command="curvature", entries=[entry.name])
+        raise ValueError("inadmissible metric: " + "; ".join(check.failures))
+    config = RunConfig(command="curvature", entries=[entry.name], tol=args.tol)
     _, _, ric, s, ric0 = curvature_summary(L, g)
     if not (np.isfinite(ric).all() and np.isfinite(ric0).all() and np.isfinite(s)):
-        print("error: curvature is not finite: the metric's values overflow floating point",
-              file=sys.stderr)
-        return EXIT_INPUT
-    einstein = bool(np.abs(ric0).max() <= (args.tol or 1e-9))
+        raise ValueError("curvature is not finite: the metric's values overflow floating point")
+    einstein = bool(np.abs(ric0).max() <= args.tol)
     payload = {
         "entry": entry.name,
         "metric": [[float(x) for x in row] for row in g],
@@ -178,26 +162,20 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cand = Candidate.from_json(args.candidate)
-        entry = entry_by_name(cand.entry_name)
-        L = instantiate(entry, cand.algebra_params)
-        g = metric_from_params(entry, cand.metric_params)
-        check = validate_metric(entry, g)
-        if not check.ok:
-            raise CandidateError("inadmissible metric: " + "; ".join(check.failures))
-    except (CandidateError, CatalogError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    tol = args.tol or 1e-9
-    config = RunConfig(command="verify", entries=[entry.name], tol=tol,
+    cand = Candidate.from_json(args.candidate)
+    entry = entry_by_name(cand.entry_name)
+    L = instantiate(entry, cand.algebra_params)
+    g = metric_from_params(entry, cand.metric_params)
+    check = validate_metric(entry, g)
+    if not check.ok:
+        raise ValueError("inadmissible metric: " + "; ".join(check.failures))
+    config = RunConfig(command="verify", entries=[entry.name], tol=args.tol,
                        orientation=cand.orientation)
-    report = em_residual(L, g, cand.f_coeffs, cand.orientation, tol=tol)
+    report = em_residual(L, g, cand.f_coeffs, cand.orientation, tol=args.tol)
     computed = (report.r_em, report.r_dF, report.r_dstarF, report.scalar_curvature)
     if not all(np.isfinite(computed)):
-        print("error: residuals are not finite: the candidate's values overflow "
-              "floating point", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("residuals are not finite: the candidate's values overflow "
+                         "floating point")
     if entry.family:
         fam = family_by_id(entry.family["id"])
         omega = fam.omega_from_metric(cand.metric_params, cand.orientation)
@@ -214,12 +192,7 @@ def cmd_verify(args) -> int:
 
 def cmd_family(args) -> int:
     from .solver import verify_solution_family
-    try:
-        report = verify_solution_family(args.family, orientation=args.orientation,
-                                     tol=args.tol or 1e-10)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    report = verify_solution_family(args.family, orientation=args.orientation, tol=args.tol)
     config = RunConfig(command="family", entries=[report.family_id],
                        orientation=args.orientation, tol=args.tol)
     text = (f"family {report.family_id} (orientation {report.orientation:+d}): "
@@ -231,17 +204,13 @@ def cmd_family(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        entry = entry_by_name(args.entry)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    entry = entry_by_name(args.entry)
     config = RunConfig(command="search", entries=[entry.name], seed=args.seed,
                        seeds=args.seeds, orientation=args.orientation, mode=args.mode,
                        tol=args.tol)
     outcome = multistart_search(entry, n_seeds=args.seeds, seed=args.seed, mode=args.mode,
                                 orientation=args.orientation, n_jobs=args.jobs,
-                                tol=args.tol or 1e-9)
+                                tol=args.tol)
     classes: dict[str, int] = {}
     for _, rep in outcome.solutions:
         classes[rep.classification] = classes.get(rep.classification, 0) + 1
@@ -256,11 +225,7 @@ def cmd_search(args) -> int:
 def cmd_classify(args) -> int:
     entries = catalog()
     if args.entries:
-        try:
-            wanted = [entry_by_name(n).name for n in args.entries]
-        except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        wanted = [entry_by_name(n).name for n in args.entries]
         entries = [e for e in entries if e.name in wanted]
     config = RunConfig(command="classify", entries=[e.name for e in entries],
                        seed=args.seed, seeds=args.seeds)
@@ -295,10 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Einstein-Maxwell solutions on 4-dimensional Lie algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_default=None):
+    def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
         p.add_argument("--out", metavar="PATH", help="write the JSON report to a file")
-        p.add_argument("--tol", type=float, default=tol_default, help="tolerance override")
 
     p = sub.add_parser("list", help="catalog entries and verdicts")
     p.add_argument("--verdict", choices=["HasNonEinsteinEM", "EinsteinOnly", "NoSolution", "Flat"])
@@ -314,6 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("entry")
     p.add_argument("--metric-params", required=True, metavar="JSON")
     p.add_argument("--algebra-params", metavar="JSON")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="largest |Ric0| entry still Einstein (default %(default)g)")
     common(p)
     p.set_defaults(fn=cmd_curvature)
 
@@ -321,12 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("candidate", help="candidate JSON path")
     p.add_argument("--require", default="any",
                    choices=["any", NON_EINSTEIN_EM, EINSTEIN_NULL_STRESS])
+    p.add_argument("--tol", type=float, default=TOL_SOLUTION,
+                   help="largest residual of a solution (default %(default)g)")
     common(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("family", help="verify one of the four solution families")
     p.add_argument("family", help="2A2, A2+2A1, A46a0 or A49half")
     p.add_argument("--orientation", type=int, choices=[1, -1], default=1)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="largest residual and error at a grid point (default %(default)g)")
     common(p)
     p.set_defaults(fn=cmd_family)
 
@@ -338,6 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orientation", type=int, choices=[1, -1], default=1)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timing", action="store_true", help="include wall time in the report")
+    p.add_argument("--tol", type=float, default=TOL_SOLUTION,
+                   help="largest residual of a solution (default %(default)g)")
     common(p)
     p.set_defaults(fn=cmd_search)
 
@@ -357,8 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (ValueError, CatalogError) as exc:
+        if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
+            raise ValueError(f"--tol must be positive and finite, got {args.tol}")
+        if min(getattr(args, "seed", 0), getattr(args, "seeds", 0)) < 0:
+            raise ValueError("--seed and --seeds must be nonnegative")
+        # Every command refuses non-finite results itself; numpy's overflow
+        # warnings on the way there would only add lines ahead of the error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

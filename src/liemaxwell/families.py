@@ -19,6 +19,7 @@ import numpy as np
 
 from .forms import two_form
 from .kahler import ALMOST_KAHLER, KAHLER
+from .lie_algebra import CatalogError, canonical_key
 
 
 @dataclass(frozen=True)
@@ -118,17 +119,11 @@ _FAM_A49 = Family(
 
 FAMILIES: dict[str, Family] = {f.id: f for f in (_FAM_2A2, _FAM_A22A1, _FAM_A46, _FAM_A49)}
 
-_FAMILY_ALIASES = {
-    "2a2": "2A2",
-    "a22a1": "A2+2A1",
-    "a46a0": "A46a0",
-    "a49half": "A49half",
-    "a4912": "A49half",
-}
-
 
 def family_by_id(family_id: str) -> Family:
-    key = "".join(ch for ch in family_id.lower() if ch.isalnum())
-    if key not in _FAMILY_ALIASES:
-        raise KeyError(f"unknown family {family_id!r}; known: {sorted(FAMILIES)}")
-    return FAMILIES[_FAMILY_ALIASES[key]]
+    """The family whose id or entry name has the canonical key of ``family_id``."""
+    key = canonical_key(family_id)
+    for fam in FAMILIES.values():
+        if key in (canonical_key(fam.id), canonical_key(fam.entry_name)):
+            return fam
+    raise CatalogError(f"unknown family {family_id!r}; known: {sorted(FAMILIES)}")

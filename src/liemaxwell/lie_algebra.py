@@ -44,7 +44,8 @@ VERDICTS = ("HasNonEinsteinEM", "EinsteinOnly", "NoSolution", "Flat")
 
 
 class CatalogError(ValueError):
-    """Raised when the shipped catalog document fails validation."""
+    """Raised when the shipped catalog document fails validation, or for a
+    name that is not in it."""
 
 
 @dataclass(frozen=True)
@@ -285,13 +286,9 @@ def canonical_key(name: str) -> str:
     return "".join(ch for ch in name.lower() if ch.isalnum())
 
 
+#: Names that are not the canonical key of the entry they stand for.
 _ALIASES = {
-    "a46a0": "A4,6^{a,0}",
-    "a46ab": "A4,6^{a,b}",
     "a49half": "A4,9^{-1/2}",
-    "a4912": "A4,9^{-1/2}",
-    "a49b": "A4,9^b",
-    "a22a1": "A2+2A1",
     "4a1": "abelian",
 }
 
@@ -471,8 +468,8 @@ def catalog() -> list[CatalogEntry]:
 
 def entry_by_name(name: str) -> CatalogEntry:
     key = canonical_key(name)
-    key = canonical_key(_ALIASES.get(key, key)) if key in _ALIASES else key
+    key = canonical_key(_ALIASES.get(key, key))
     for entry in catalog():
         if canonical_key(entry.name) == key:
             return entry
-    raise KeyError(f"no catalog entry named {name!r}")
+    raise CatalogError(f"no catalog entry named {name!r}")

@@ -707,16 +707,10 @@ def sample_algebra_params(entry: CatalogEntry, rng: np.random.Generator,
 
 
 def _canonical_vector(c: Candidate) -> np.ndarray:
-    f = c.f_coeffs.copy()
-    for v in f:
-        if abs(v) > 1e-9:
-            if v < 0:
-                f = -f
-            break
-    parts = [np.array([c.algebra_params[k] for k in sorted(c.algebra_params)]),
-             np.array([c.metric_params[k] for k in sorted(c.metric_params)]),
-             f]
-    return np.concatenate(parts)
+    """Parameters and F of a candidate already passed through ``canonical_sign``."""
+    return np.concatenate([[c.algebra_params[k] for k in sorted(c.algebra_params)],
+                           [c.metric_params[k] for k in sorted(c.metric_params)],
+                           c.f_coeffs])
 
 
 def canonical_sign(c: Candidate) -> Candidate:

@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 from liemaxwell import cli, solver
 from liemaxwell import lie_algebra as la
 
+# No numpy warning may escape a command: refusals are one clean stderr line.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture()
 def sol_2a2(tmp_path):
@@ -73,7 +76,6 @@ def test_curvature_report(capsys):
     assert code == 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("entry,metric,algebra", [
     ("A4,4", '{"a1": 1e400, "a2": 0, "a3": 1}', None),
     ("A4,4", '{"a1": 1e200, "a2": 0, "a3": 1e200}', None),
@@ -144,7 +146,6 @@ def test_verify_nonfinite_input(tmp_path, capsys, field, raw):
     assert code == 2 and "finite" in err and not out
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("metric_params", [{"a1": 1e200, "a2": 0, "a3": 1e200},
                                            {"a1": 1e160, "a2": 0, "a3": 1.0}])
 def test_verify_overflowing_input(tmp_path, capsys, metric_params):
@@ -181,7 +182,6 @@ def candidate_documents(draw):
             "f_coeffs": f_coeffs, "orientation": draw(st.sampled_from([1, -1]))}
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(doc=candidate_documents())
 def test_verify_reports_finite_residuals_or_refuses(tmp_path_factory, doc):
@@ -215,7 +215,6 @@ def curvature_arguments(draw):
     return entry.name, metric, algebra
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(args=curvature_arguments())
 def test_curvature_reports_finite_values_or_refuses(args):
@@ -312,3 +311,85 @@ def test_classify_subset(capsys):
     # the historical alias keeps working
     code, out, _ = run(["theorem1", "--entries", "abelian", "--seeds", "5", "--json"], capsys)
     assert code == 0 and json.loads(out)["agree"] == 1
+
+
+_SOLUTION_2A2 = {"entry": "2A2", "algebra_params": {},
+                 "metric_params": {"a1": 0, "a2": 0, "a3": 0, "a4": 0, "a5": 2.0},
+                 "f_coeffs": [1.0, 0, 0, 0, 0, float(np.sqrt(3))], "orientation": 1}
+# Finite and admissible, but its curvature and residuals overflow.
+_OVERFLOW_A44 = {"entry": "A4,4", "algebra_params": {},
+                 "metric_params": {"a1": 1e200, "a2": 0, "a3": 1e200},
+                 "f_coeffs": [0.5] * 6, "orientation": 1}
+
+
+def refusal(capsys, tmp_path, argv, doc=None):
+    """Run argv, with DOC standing for a candidate file holding doc, and
+    return stderr, checked to be one error line with exit 2 and no stdout."""
+    if doc is not None:
+        path = tmp_path / "candidate.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if a == "DOC" else a for a in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and not out
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    return err
+
+
+#: For each command taking --tol: a valid invocation, and the function that
+#: does its work.
+_TOL_COMMANDS = {
+    "curvature": (["curvature", "2A2", "--metric-params",
+                   json.dumps(_SOLUTION_2A2["metric_params"])], (cli, "curvature_summary")),
+    "verify": (["verify", "DOC"], (cli, "em_residual")),
+    "family": (["family", "2A2"], (solver, "verify_solution_family")),
+    "search": (["search", "2A2", "--seeds", "2"], (cli, "multistart_search")),
+}
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", sorted(_TOL_COMMANDS))
+def test_bad_tolerance_is_refused_before_any_work(capsys, monkeypatch, tmp_path, command, tol):
+    argv, (module, work) = _TOL_COMMANDS[command]
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(module, work, must_not_run)
+    err = refusal(capsys, tmp_path, argv + ["--tol", tol], _SOLUTION_2A2)
+    assert err.startswith("error: --tol must be positive and finite")
+
+
+_UNKNOWN_ENTRY = "error: no catalog entry named 'zz'\n"
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    (["show", "zz"], None, _UNKNOWN_ENTRY),
+    (["curvature", "zz", "--metric-params", "{}"], None, _UNKNOWN_ENTRY),
+    (["search", "zz", "--seeds", "2"], None, _UNKNOWN_ENTRY),
+    (["classify", "--entries", "2A2", "zz", "--seeds", "2"], None, _UNKNOWN_ENTRY),
+    (["verify", "DOC"], {**_SOLUTION_2A2, "entry": "zz"}, _UNKNOWN_ENTRY),
+    (["family", "zz"], None, "error: unknown family 'zz'; known: "),
+    (["verify", "DOC", "--json"], _OVERFLOW_A44, "error: residuals are not finite"),
+    (["curvature", "A4,4", "--metric-params", json.dumps(_OVERFLOW_A44["metric_params"]),
+      "--json"], None, "error: curvature is not finite"),
+    (["search", "2A2", "--seeds", "-1"], None, "error: --seed and --seeds must be nonnegative"),
+    (["classify", "--seed", "-1"], None, "error: --seed and --seeds must be nonnegative"),
+], ids=["show", "curvature", "search", "classify", "verify", "family", "verify-overflow",
+        "curvature-overflow", "search-negative-seeds", "classify-negative-seed"])
+def test_refusal_is_one_error_line(capsys, tmp_path, argv, doc, message):
+    assert refusal(capsys, tmp_path, argv, doc).startswith(message)
+
+
+@pytest.mark.parametrize("argv", [["list"], ["show", "2A2"], ["classify", "--entries", "2A2"]])
+def test_tolerance_is_not_an_option_where_unused(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--tol", "1e-9"])
+    assert exc.value.code == 2
+
+
+def test_report_config_records_the_tolerance_used(capsys):
+    code, out, _ = run(["family", "2A2", "--json"], capsys)
+    assert code == 0 and json.loads(out)["config"]["tol"] == 1e-10
+    code, out, _ = run(["search", "2A2", "--seeds", "2", "--tol", "1e-8", "--json"], capsys)
+    config = json.loads(out)["config"]
+    assert code == 0 and config["tol"] == 1e-8 and "output_format" not in config

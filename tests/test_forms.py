@@ -9,6 +9,7 @@ import oracles as orc
 from conftest import admissible_draws
 from liemaxwell import forms
 from liemaxwell import lie_algebra as la
+from liemaxwell._smallmat import sqrt_fraction
 from liemaxwell.forms import two_form
 
 
@@ -161,6 +162,24 @@ def test_exact_star_radical_tracking():
     g4 = np.diag([Fraction(1), Fraction(1), Fraction(4), Fraction(1)]).astype(object)
     coeffs4, root4 = forms.hodge_star_exact(g4, two_form(e12=1))
     assert root4 == 1 and coeffs4[5] == Fraction(2)
+
+
+@pytest.mark.parametrize("root", [2 ** 26 + 1, 3 ** 40, 10 ** 30 + 7, 2 ** 120 - 1])
+def test_sqrt_fraction_beyond_float_precision(root):
+    square = root * root  # above 2**52, where a float square root rounds
+    assert sqrt_fraction(Fraction(square)) == root
+    assert sqrt_fraction(Fraction(square - 1)) is None
+    assert sqrt_fraction(Fraction(square + 1)) is None
+    assert sqrt_fraction(Fraction(square, 49)) == Fraction(root, 7)
+
+
+def test_sqrt_fraction_small_values():
+    assert sqrt_fraction(Fraction(0)) == 0
+    assert sqrt_fraction(Fraction(8, 18)) == Fraction(2, 3)
+    assert sqrt_fraction(Fraction(2, 9)) is None
+    assert sqrt_fraction(Fraction(4, 3)) is None
+    with pytest.raises(ValueError, match="negative"):
+        sqrt_fraction(Fraction(-4, 9))
 
 
 def test_star_rejects_degenerate_metric():

@@ -9,6 +9,7 @@ import pytest
 import oracles as orc
 from liemaxwell import lie_algebra as la
 from liemaxwell._expr import eval_expr
+from liemaxwell.families import FAMILIES, family_by_id
 
 E = np.eye(4)
 
@@ -267,8 +268,33 @@ def test_entry_lookup_aliases():
     assert la.entry_by_name("A46a0").name == "A4,6^{a,0}"
     assert la.entry_by_name("A49half").name == "A4,9^{-1/2}"
     assert la.entry_by_name("a4,4").name == "A4,4"
-    with pytest.raises(KeyError):
+    with pytest.raises(la.CatalogError, match="no catalog entry"):
         la.entry_by_name("nope")
+
+
+#: Both alias tables as they stood when each key was looked up verbatim.
+_OLD_ENTRY_ALIASES = {"a46a0": "A4,6^{a,0}", "a46ab": "A4,6^{a,b}", "a49half": "A4,9^{-1/2}",
+                      "a4912": "A4,9^{-1/2}", "a49b": "A4,9^b", "a22a1": "A2+2A1",
+                      "4a1": "abelian"}
+_OLD_FAMILY_ALIASES = {"2a2": "2A2", "a22a1": "A2+2A1", "a46a0": "A46a0", "a49half": "A49half",
+                       "a4912": "A49half"}
+
+
+def test_lookup_names_resolve_as_before():
+    for key, name in _OLD_ENTRY_ALIASES.items():
+        assert la.entry_by_name(key).name == name
+    keys = [la.canonical_key(e.name) for e in la.catalog()] + list(la._ALIASES)
+    assert len(set(keys)) == len(keys)
+    # family_by_id accepts exactly the old keys, among every catalog and family name.
+    names = [e.name for e in la.catalog()] + list(la._ALIASES) + list(FAMILIES)
+    for name in names:
+        key = la.canonical_key(name)
+        if key in _OLD_FAMILY_ALIASES:
+            assert family_by_id(name).id == _OLD_FAMILY_ALIASES[key]
+        else:
+            with pytest.raises(la.CatalogError, match="unknown family"):
+                family_by_id(name)
+    assert {la.canonical_key(n) for n in names} >= set(_OLD_FAMILY_ALIASES)
 
 
 def _catalog_expressions():
