@@ -24,12 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .families import family_by_id
+from .families import FAMILIES, family_by_id
 from .kahler import hermitian_diagnostics
-from .lie_algebra import catalog, catalog_checksum, entry_by_name, instantiate, metric_from_params
+from .lie_algebra import (VERDICTS, catalog, catalog_checksum, entry_by_name, instantiate,
+                          metric_from_params)
 from .maxwell import EINSTEIN_NULL_STRESS, NON_EINSTEIN_EM, TOL_SOLUTION, em_residual
 from .metric_geometry import curvature_summary, validate_metric
-from .solver import Candidate, classify_algebra, multistart_search
+from .solver import Candidate, classify_algebra, multistart_search, number_object
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -47,14 +48,11 @@ class RunConfig:
     orientation: int = 1
     mode: str = "unit_F"
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _emit(payload: dict, config: RunConfig, args, text: str) -> None:
     if args.json or args.out:
         payload = dict(payload)
-        payload["config"] = config.to_dict()
+        payload["config"] = asdict(config)
         payload.setdefault("catalog_sha256", catalog_checksum())
         # NaN and Infinity are not JSON: such a report is refused (exit 2).
         blob = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
@@ -68,19 +66,7 @@ def _emit(payload: dict, config: RunConfig, args, text: str) -> None:
 
 def _params_arg(raw: str | None) -> dict:
     """Parameter values from a JSON object of finite numbers."""
-    if not raw:
-        return {}
-    value = json.loads(raw)
-    if not isinstance(value, dict):
-        raise ValueError("expected a JSON object")
-    for name, v in value.items():
-        try:
-            finite = not isinstance(v, bool) and math.isfinite(v)
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
-            raise ValueError(f"parameter {name} must be a finite number, got {v!r}")
-    return value
+    return number_object(json.loads(raw), "parameters") if raw else {}
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +215,8 @@ def cmd_classify(args) -> int:
         entries = [e for e in entries if e.name in wanted]
     config = RunConfig(command="classify", entries=[e.name for e in entries],
                        seed=args.seed, seeds=args.seeds)
-    rows = []
-    for entry in entries:
-        res = classify_algebra(entry, budget=(args.seeds, 45), seed=args.seed,
-                               n_jobs=args.jobs)
-        rows.append(res)
+    rows = [classify_algebra(entry, n_seeds=args.seeds, seed=args.seed, n_jobs=args.jobs)
+            for entry in entries]
     width = max(len(r.entry_name) for r in rows)
     lines = [f"{'entry':<{width}}  {'computed':<22} {'expected':<18} agree"]
     for r in rows:
@@ -265,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH", help="write the JSON report to a file")
 
     p = sub.add_parser("list", help="catalog entries and verdicts")
-    p.add_argument("--verdict", choices=["HasNonEinsteinEM", "EinsteinOnly", "NoSolution", "Flat"])
+    p.add_argument("--verdict", choices=VERDICTS)
     common(p)
     p.set_defaults(fn=cmd_list)
 
@@ -293,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("family", help="verify one of the four solution families")
-    p.add_argument("family", help="2A2, A2+2A1, A46a0 or A49half")
+    p.add_argument("family", help="family id: " + ", ".join(FAMILIES))
     p.add_argument("--orientation", type=int, choices=[1, -1], default=1)
     p.add_argument("--tol", type=float, default=1e-10,
                    help="largest residual and error at a grid point (default %(default)g)")

@@ -19,13 +19,12 @@ import numpy as np
 
 from .forms import two_form
 from .kahler import ALMOST_KAHLER, KAHLER
-from .lie_algebra import CatalogError, canonical_key
+from .lie_algebra import CatalogError, catalog, entry_by_name
 
 
 @dataclass(frozen=True)
 class Family:
     id: str
-    entry_name: str
     default_grid: tuple[dict, ...]
     algebra_params: Callable[[dict], dict]
     metric_params: Callable[[dict], dict]
@@ -35,6 +34,11 @@ class Family:
     expected_type: Callable[[int], str]
     omega_from_metric: Callable[[dict, int], np.ndarray]
     orientations: tuple[int, ...] = (1,)
+
+    @property
+    def entry_name(self) -> str:
+        """Name of the catalog entry whose ``family.id`` is this family's id."""
+        return next(e.name for e in catalog() if e.family and e.family["id"] == self.id)
 
     def kahler_form(self, point: dict, orientation: int) -> np.ndarray:
         """The compatible 2-form at a grid point: ``omega_from_metric`` of its metric."""
@@ -54,7 +58,6 @@ def _grid_2a2() -> tuple[dict, ...]:
 
 _FAM_2A2 = Family(
     id="2A2",
-    entry_name="2A2",
     default_grid=_grid_2a2(),
     algebra_params=lambda p: {},
     metric_params=lambda p: {"a1": 0.0, "a2": 0.0, "a3": 0.0, "a4": 0.0,
@@ -75,7 +78,6 @@ def _rho0_2a2(p: dict) -> np.ndarray:
 
 _FAM_A22A1 = Family(
     id="A2+2A1",
-    entry_name="A2+2A1",
     default_grid=tuple({"a12": a12, "a34": math.sqrt(1 + a12 ** 2)}
                        for a12 in (0.0, 0.5, 1.0, 2.0)),
     algebra_params=lambda p: {},
@@ -89,7 +91,6 @@ _FAM_A22A1 = Family(
 
 _FAM_A46 = Family(
     id="A46a0",
-    entry_name="A4,6^{a,0}",
     default_grid=tuple({"a": a, "a14": a14, "a23": math.sqrt(a ** 2 + a14 ** 2)}
                        for a in (0.5, 1.0, 2.0) for a14 in (0.0, 1.0)),
     algebra_params=lambda p: {"a": p["a"]},
@@ -103,7 +104,6 @@ _FAM_A46 = Family(
 
 _FAM_A49 = Family(
     id="A49half",
-    entry_name="A4,9^{-1/2}",
     default_grid=tuple({"a24": a24, "a13": math.sqrt(1.5 + a24 ** 2)}
                        for a24 in (0.0, 0.5, 1.0, 2.0)),
     algebra_params=lambda p: {},
@@ -121,9 +121,12 @@ FAMILIES: dict[str, Family] = {f.id: f for f in (_FAM_2A2, _FAM_A22A1, _FAM_A46,
 
 
 def family_by_id(family_id: str) -> Family:
-    """The family whose id or entry name has the canonical key of ``family_id``."""
-    key = canonical_key(family_id)
-    for fam in FAMILIES.values():
-        if key in (canonical_key(fam.id), canonical_key(fam.entry_name)):
-            return fam
-    raise CatalogError(f"unknown family {family_id!r}; known: {sorted(FAMILIES)}")
+    """The family of the catalog entry that ``family_id`` names: each family's
+    id is a name or alias of its entry, so ids and entry names both work."""
+    try:
+        family = entry_by_name(family_id).family
+    except CatalogError:
+        family = None
+    if family is None:
+        raise CatalogError(f"unknown family {family_id!r}; known: {sorted(FAMILIES)}")
+    return FAMILIES[family["id"]]

@@ -250,6 +250,8 @@ class CatalogEntry:
     family: dict | None = None
     variants: tuple[Variant, ...] = ()
     notes: str = ""
+    aliases: tuple[str, ...] = ()          # lookup names besides ``name``
+    ordered_params: tuple[str, ...] = ()   # sampled values are sorted into this order
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -286,13 +288,6 @@ def canonical_key(name: str) -> str:
     return "".join(ch for ch in name.lower() if ch.isalnum())
 
 
-#: Names that are not the canonical key of the entry they stand for.
-_ALIASES = {
-    "a49half": "A4,9^{-1/2}",
-    "4a1": "abelian",
-}
-
-
 def instantiate(entry: CatalogEntry, params: dict | None = None, *,
                 exact: bool = False, check_range: bool = True) -> LieAlgebra:
     """Concrete LieAlgebra from an entry at given algebra parameter values."""
@@ -327,17 +322,10 @@ def metric_from_params(entry: CatalogEntry, metric_params: dict, *,
     if needed != given:
         raise CatalogError(
             f"{entry.name}: metric parameters {sorted(needed)} required, got {sorted(given)}")
-    dtype = object if exact else float
-    g = np.zeros((DIM, DIM), dtype=dtype)
-    for i in range(DIM):
-        for j in range(DIM):
-            cell = entry.metric_shape[i][j]
-            if isinstance(cell, str):
-                val = metric_params[cell]
-            else:
-                val = cell
-            g[i, j] = Fraction(val) if exact else float(val)
-    return g
+    number = Fraction if exact else float
+    return np.array([[number(metric_params[cell] if isinstance(cell, str) else cell)
+                      for cell in row] for row in entry.metric_shape],
+                    dtype=object if exact else float)
 
 
 def _parse_entry(raw: dict) -> CatalogEntry:
@@ -374,6 +362,8 @@ def _parse_entry(raw: dict) -> CatalogEntry:
         family=raw.get("family"),
         variants=variants,
         notes=raw.get("notes", ""),
+        aliases=tuple(raw.get("aliases", [])),
+        ordered_params=tuple(raw.get("ordered_params", [])),
     )
     _validate_entry(entry)
     return entry
@@ -407,6 +397,9 @@ def _validate_entry(entry: CatalogEntry) -> None:
                 f"{entry.name}: constraint {poly!r} references unknown parameter")
     if not set(entry.positive_metric_params) <= mnames:
         raise CatalogError(f"{entry.name}: positive_metric_params not in shape")
+    ordered = entry.ordered_params
+    if len(set(ordered)) != len(ordered) or not set(ordered) <= declared:
+        raise CatalogError(f"{entry.name}: ordered_params must be distinct declared parameters")
     # Jacobi gate at the recorded sample point, exact when the sample is rational.
     sample = entry.sample_params()
     exact = all(float(v) == float(Fraction(str(v)).limit_denominator(10**6)) for v in sample.values())
@@ -446,30 +439,43 @@ def load_catalog(source: str | Path | None = None) -> list[CatalogEntry]:
     if recorded != actual:
         raise CatalogError(f"catalog checksum mismatch: recorded {recorded}, actual {actual}")
     entries = [_parse_entry(raw) for raw in document["entries"]]
-    names = [e.name for e in entries]
-    if len(set(names)) != len(names):
-        raise CatalogError("duplicate entry names in catalog")
+    _lookup_index(entries)
     if source is None:
         global _PACKAGED_SHA256
         _PACKAGED_SHA256 = actual
     return entries
 
 
+def _lookup_index(entries: list[CatalogEntry]) -> dict[str, CatalogEntry]:
+    """Every entry under the canonical key of its name and of each alias;
+    two names with one key are a catalog error."""
+    index: dict[str, CatalogEntry] = {}
+    for entry in entries:
+        for name in (entry.name, *entry.aliases):
+            key = canonical_key(name)
+            if key in index:
+                raise CatalogError(f"name {name!r} of {entry.name} collides with {index[key].name}")
+            index[key] = entry
+    return index
+
+
 _CATALOG_CACHE: list[CatalogEntry] | None = None
+_INDEX: dict[str, CatalogEntry] = {}
 _PACKAGED_SHA256: str | None = None
 
 
 def catalog() -> list[CatalogEntry]:
-    global _CATALOG_CACHE
+    global _CATALOG_CACHE, _INDEX
     if _CATALOG_CACHE is None:
         _CATALOG_CACHE = load_catalog()
+        _INDEX = _lookup_index(_CATALOG_CACHE)
     return _CATALOG_CACHE
 
 
 def entry_by_name(name: str) -> CatalogEntry:
-    key = canonical_key(name)
-    key = canonical_key(_ALIASES.get(key, key))
-    for entry in catalog():
-        if canonical_key(entry.name) == key:
-            return entry
-    raise CatalogError(f"no catalog entry named {name!r}")
+    """The entry with a name or alias of the same canonical key as ``name``."""
+    catalog()
+    try:
+        return _INDEX[canonical_key(name)]
+    except KeyError:
+        raise CatalogError(f"no catalog entry named {name!r}") from None

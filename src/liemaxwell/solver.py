@@ -31,10 +31,10 @@ as a lone point is evaluated.  Iteration counts, stop reasons and residual
 evaluation counts are those of a lone run.
 
 Determinism contract: the per-seed RNG is ``default_rng(seed ^ index)``,
-blocks are fixed by index and results are merged in index order, so an
-outcome depends on entry, seed, n_seeds, mode, orientation, tol and
-max_iter, and never on n_jobs: serial and parallel reports are
-byte-identical.
+blocks are fixed by index, every seed runs at most ``SEARCH_MAX_ITER``
+iterations and results are merged in index order, so an outcome depends on
+entry, seed, n_seeds, mode, orientation and tol, and never on n_jobs: serial
+and parallel reports are byte-identical.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -67,11 +67,37 @@ DEDUP_DISTANCE = 1e-4
 #: multiple of the solution tolerance; anything in between is inconclusive.
 EVIDENCE_FACTOR = 100.0
 
-_UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
+#: Levenberg-Marquardt iterations per seed of a multistart search, and
+#: metric draws before ``sample_metric_params`` gives up on an entry.
+SEARCH_MAX_ITER = 45
+SAMPLE_TRIES = 600
+
+#: Upper triangle (i <= j) of a 4x4 matrix, row by row.
+_TRIU_ROWS, _TRIU_COLS = np.triu_indices(4)
 
 
 class CandidateError(ValueError):
     """Candidate violates its entry's invariants (not a residual)."""
+
+
+def finite_number(value) -> bool:
+    """Whether a parsed JSON value is a number: an int or float that is
+    finite and not a bool (so true, "1" and 1e400 are not)."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def number_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object of finite numbers; else a ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    for name, v in value.items():
+        if not finite_number(v):
+            raise ValueError(f"{what}: {name} must be a finite number, got {v!r}")
+    return value
 
 
 @dataclass
@@ -111,15 +137,24 @@ class Candidate:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Candidate":
+        """A candidate from a parsed JSON document whose values have their
+        JSON types: ``entry`` a string, the parameter sets objects of finite
+        numbers and ``f_coeffs`` a list of them.  True, "1" or a list of
+        pairs is refused, never converted."""
         try:
+            if not isinstance(raw, dict) or not isinstance(raw.get("entry"), str):
+                raise ValueError("expected a JSON object whose entry is a string")
+            f_coeffs = raw["f_coeffs"]
+            if not (isinstance(f_coeffs, list) and all(map(finite_number, f_coeffs))):
+                raise ValueError(f"f_coeffs must be a list of finite numbers, got {f_coeffs!r}")
             return cls(
                 entry_name=raw["entry"],
-                algebra_params=dict(raw.get("algebra_params", {})),
-                metric_params=dict(raw.get("metric_params", {})),
-                f_coeffs=np.asarray(raw["f_coeffs"], dtype=float),
+                algebra_params=number_object(raw.get("algebra_params", {}), "algebra_params"),
+                metric_params=number_object(raw.get("metric_params", {}), "metric_params"),
+                f_coeffs=np.asarray(f_coeffs, dtype=float),
                 orientation=raw.get("orientation", 1),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:
             raise CandidateError(f"bad candidate document: {exc}") from exc
 
     @classmethod
@@ -143,8 +178,7 @@ def _stacked_residual(L: LieAlgebra, g: np.ndarray, f6: np.ndarray,
     _, _, _, _, ric0 = curvature_summary(L, g)
     em = ric0 + stress_energy(g, f6)
     out = np.empty(18)
-    for idx, (i, j) in enumerate(_UPPER):
-        out[idx] = em[i, j]
+    out[:10] = em[_TRIU_ROWS, _TRIU_COLS]
     out[10:14] = d_two_form(L, f6)
     out[14:18] = d_two_form(L, hodge_star(g, f6, orientation))
     return out
@@ -162,10 +196,6 @@ def residual_vector(c: Candidate) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Parameterization of the per-entry search space
 # ---------------------------------------------------------------------------
-
-
-_TRIU_ROWS = np.array([i for i, _ in _UPPER])
-_TRIU_COLS = np.array([j for _, j in _UPPER])
 
 
 class ResidualContext:
@@ -264,11 +294,7 @@ class ResidualContext:
         return 19 if self.mode == "unit_F" else 18
 
     def pack(self, metric_params: dict, y: np.ndarray) -> np.ndarray:
-        x = np.empty(len(self.names))
-        for k, n in enumerate(self.metric_names):
-            x[k] = metric_params[n]
-        x[len(self.metric_names):] = y
-        return x
+        return np.concatenate([[metric_params[n] for n in self.metric_names], y])
 
     def metric_of(self, x: np.ndarray) -> np.ndarray:
         """Metric (..., 4, 4) of x (..., n), in the dtype of x."""
@@ -641,8 +667,7 @@ class SearchOutcome:
         return json.dumps(self.to_dict(include_timing), **kwargs)
 
 
-def sample_metric_params(entry: CatalogEntry, rng: np.random.Generator,
-                         max_tries: int = 600) -> dict:
+def sample_metric_params(entry: CatalogEntry, rng: np.random.Generator) -> dict:
     """Uniform draw from the feasible box: [-3, 3] per parameter, positives in
     (0, 3]; rejection of the draws that are not ``admissible``.
 
@@ -661,9 +686,9 @@ def sample_metric_params(entry: CatalogEntry, rng: np.random.Generator,
         return {}
     positive = np.array([n in entry.positive_metric_params for n in names])
     attempt = 0
-    while attempt < max_tries:
+    while attempt < SAMPLE_TRIES:
         level = max(0, (attempt - 150) // 50)
-        stop = min(max_tries, 200 + 50 * level)
+        stop = min(SAMPLE_TRIES, 200 + 50 * level)
         shrink = 0.7 ** level
         lo = np.where(positive, 10 * EPS_PD, -3.0 * shrink)
         hi = np.where(positive, 1.0 + 2.0 * shrink, 3.0 * shrink)
@@ -675,7 +700,8 @@ def sample_metric_params(entry: CatalogEntry, rng: np.random.Generator,
             rng.uniform(lo, hi, size=(hits[0] + 1, len(names)))
             return dict(zip(names, draws[hits[0]].tolist()))
         attempt = stop
-    raise ValueError(f"{entry.name}: empty feasible box (no admissible metric in {max_tries} draws)")
+    raise ValueError(f"{entry.name}: empty feasible box "
+                     f"(no admissible metric in {SAMPLE_TRIES} draws)")
 
 
 def sample_algebra_params(entry: CatalogEntry, rng: np.random.Generator,
@@ -684,6 +710,8 @@ def sample_algebra_params(entry: CatalogEntry, rng: np.random.Generator,
 
     Even variant indices sample the generic branch; odd ones walk through the
     entry's admissible named variants so every analysis branch gets seeds.
+    Generic values of the entry's ``ordered_params`` are sorted into that
+    order (A4,5^{a,b} is classified with a <= b).
     """
     variants = [v for v in entry.variants if v.admissible]
     if variants and variant_index % 2 == 1:
@@ -700,9 +728,8 @@ def sample_algebra_params(entry: CatalogEntry, rng: np.random.Generator,
                 break
         else:
             raise ValueError(f"{entry.name}: cannot sample parameter {spec.name}")
-    if entry.name.startswith("A4,5") and params:
-        a, b = sorted((params["a"], params["b"]))  # classification orders a <= b
-        params = {"a": a, "b": b}
+    ordered = entry.ordered_params
+    params.update(zip(ordered, sorted(params[n] for n in ordered)))
     return params
 
 
@@ -764,7 +791,7 @@ def _run_block(args) -> list[dict]:
     """Seeds lo..hi-1 of a search: sample each start, refine the starts of
     equal search dimension in one lockstep ``_levmar``, and re-verify every
     end point independently.  One record per seed, in index order."""
-    entry_name, seed, lo, hi, mode, orientation, tol, max_iter = args
+    entry_name, seed, lo, hi, mode, orientation, tol = args
     entry = entry_by_name(entry_name)
     records: dict[int, dict] = {}
     groups: dict[int, list] = {}
@@ -778,7 +805,7 @@ def _run_block(args) -> list[dict]:
     for members in groups.values():
         indices, ctxs, starts = zip(*members)
         x, iters, reasons, _ = _levmar(ResidualContext.stack(ctxs), np.array(starts),
-                                       tol=min(tol * 1e-2, 1e-11), max_iter=max_iter)
+                                       tol=min(tol * 1e-2, 1e-11), max_iter=SEARCH_MAX_ITER)
         for s, index in enumerate(indices):
             cand = canonical_sign(ctxs[s].candidate(x[s]))
             # Independent re-verification through the geometry modules only.
@@ -792,7 +819,7 @@ def _run_block(args) -> list[dict]:
 
 def multistart_search(entry, n_seeds: int, seed: int = 0, mode: str = "unit_F",
                       orientation: int = 1, tol: float = TOL_SOLUTION,
-                      max_iter: int = 45, n_jobs: int = 1) -> SearchOutcome:
+                      n_jobs: int = 1) -> SearchOutcome:
     """Refine from n_seeds deterministic random starts and collect solutions.
 
     Seeds run in fixed blocks of consecutive indices (``_BLOCK``); with
@@ -805,7 +832,7 @@ def multistart_search(entry, n_seeds: int, seed: int = 0, mode: str = "unit_F",
         raise ValueError("n_jobs must be >= 1")
     entry = entry if isinstance(entry, CatalogEntry) else entry_by_name(entry)
     t0 = time.perf_counter()
-    blocks = [(entry.name, seed, lo, min(lo + _BLOCK, n_seeds), mode, orientation, tol, max_iter)
+    blocks = [(entry.name, seed, lo, min(lo + _BLOCK, n_seeds), mode, orientation, tol)
               for lo in range(0, n_seeds, _BLOCK)]
     workers = min(n_jobs, len(blocks))
     if workers > 1:
@@ -861,19 +888,9 @@ class FamilyReport:
     all_pass: bool
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family_id,
-            "orientation": self.orientation,
-            "n_points": self.n_points,
-            "max_residual": self.max_residual,
-            "max_kappa_error": self.max_kappa_error,
-            "max_rho0_error": self.max_rho0_error,
-            "max_decomposition_defect": self.max_decomposition_defect,
-            "classifications": self.classifications,
-            "hermitian_types": self.hermitian_types,
-            "all_pass": self.all_pass,
-            "catalog_sha256": catalog_checksum(),
-        }
+        out = asdict(self)
+        out["family"] = out.pop("family_id")
+        return {**out, "catalog_sha256": catalog_checksum()}
 
 
 def family_candidate(fam: Family, point: dict, orientation: int = 1) -> Candidate:
@@ -891,12 +908,8 @@ def verify_solution_family(family_id: str, grid: tuple[dict, ...] | None = None,
     """Run the full verification battery on a family grid."""
     fam = family_by_id(family_id)
     points = tuple(grid) if grid is not None else fam.default_grid
-    max_res = 0.0
-    max_kerr = 0.0
-    max_rho_err = 0.0
-    max_defect = 0.0
-    classifications = []
-    types = []
+    max_res = max_kerr = max_rho_err = max_defect = 0.0
+    classifications, types = [], []
     ok = True
     for point in points:
         cand = family_candidate(fam, point, orientation)
@@ -940,22 +953,15 @@ class ClassifyOutcome:
     max_null_stress: float
 
     def to_dict(self) -> dict:
-        return {
-            "entry": self.entry_name,
-            "computed": self.computed,
-            "expected": self.expected,
-            "agree": self.agree,
-            "inconclusive": self.inconclusive,
-            "n_solutions": self.n_solutions,
-            "n_non_einstein": self.n_non_einstein,
-            "best_nonsolution_residual": (None if not np.isfinite(self.best_nonsolution_residual)
-                                          else self.best_nonsolution_residual),
-            "max_null_stress": self.max_null_stress,
-        }
+        out = asdict(self)
+        out["entry"] = out.pop("entry_name")
+        if not np.isfinite(self.best_nonsolution_residual):
+            out["best_nonsolution_residual"] = None
+        return out
 
 
-def classify_algebra(entry, budget: tuple[int, int] = (200, 45), seed: int = 0,
-                     n_jobs: int = 1, tol: float = TOL_SOLUTION) -> ClassifyOutcome:
+def classify_algebra(entry, n_seeds: int = 200, seed: int = 0, n_jobs: int = 1,
+                     tol: float = TOL_SOLUTION) -> ClassifyOutcome:
     """Compare the search verdict with the catalog verdict.
 
     Runs the unit-norm sweep first (it also supplies the non-existence
@@ -969,15 +975,14 @@ def classify_algebra(entry, budget: tuple[int, int] = (200, 45), seed: int = 0,
     factor of 100 above the solution tolerance; otherwise it is inconclusive.
     """
     entry = entry if isinstance(entry, CatalogEntry) else entry_by_name(entry)
-    n_seeds, max_iter = budget
     outcome = multistart_search(entry, n_seeds=n_seeds, seed=seed, mode="unit_F",
-                                max_iter=max_iter, n_jobs=n_jobs, tol=tol)
+                                n_jobs=n_jobs, tol=tol)
     non_einstein = [s for s in outcome.solutions
                     if s[1].classification == NON_EINSTEIN_EM]
     solutions = list(outcome.solutions)
     if not non_einstein:
         free_pass = multistart_search(entry, n_seeds=n_seeds, seed=seed, mode="free_F",
-                                      max_iter=max_iter, n_jobs=n_jobs, tol=tol)
+                                      n_jobs=n_jobs, tol=tol)
         non_einstein = [s for s in free_pass.solutions
                         if s[1].classification == NON_EINSTEIN_EM]
         solutions += free_pass.solutions

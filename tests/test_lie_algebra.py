@@ -226,6 +226,10 @@ def test_entry_validation_rejects_unknown_references():
     bad["verdict"] = "Maybe"
     with pytest.raises(la.CatalogError, match="verdict"):
         la._parse_entry(bad)
+    for ordered in (["zz"], ["a", "a"]):
+        bad = {**base, "params": [{"name": "a", "sample": 1.0}], "ordered_params": ordered}
+        with pytest.raises(la.CatalogError, match="ordered_params"):
+            la._parse_entry(bad)
     bad = dict(base)
     bad["brackets"] = [{"i": 1, "j": 2, "coeffs": [[2, "1"]]},
                        {"i": 2, "j": 3, "coeffs": [[3, "1"]]},
@@ -283,10 +287,10 @@ _OLD_FAMILY_ALIASES = {"2a2": "2A2", "a22a1": "A2+2A1", "a46a0": "A46a0", "a49ha
 def test_lookup_names_resolve_as_before():
     for key, name in _OLD_ENTRY_ALIASES.items():
         assert la.entry_by_name(key).name == name
-    keys = [la.canonical_key(e.name) for e in la.catalog()] + list(la._ALIASES)
-    assert len(set(keys)) == len(keys)
+    aliases = [alias for e in la.catalog() for alias in e.aliases]
+    assert sorted(map(la.canonical_key, aliases)) == ["4a1", "a49half"]
     # family_by_id accepts exactly the old keys, among every catalog and family name.
-    names = [e.name for e in la.catalog()] + list(la._ALIASES) + list(FAMILIES)
+    names = [e.name for e in la.catalog()] + aliases + list(FAMILIES)
     for name in names:
         key = la.canonical_key(name)
         if key in _OLD_FAMILY_ALIASES:
@@ -295,6 +299,33 @@ def test_lookup_names_resolve_as_before():
             with pytest.raises(la.CatalogError, match="unknown family"):
                 family_by_id(name)
     assert {la.canonical_key(n) for n in names} >= set(_OLD_FAMILY_ALIASES)
+
+
+@pytest.mark.parametrize("field,value", [("name", "A4,4"), ("name", "a4-4"),
+                                         ("aliases", ["A44"]), ("aliases", ["A49half"]),
+                                         ("aliases", ["A4,12"])])
+def test_colliding_lookup_names_are_refused_at_load(tmp_path, field, value):
+    # A name or alias whose canonical key another name already has.
+    doc = json.loads(la._catalog_text())
+    next(e for e in doc["entries"] if e["name"] == "A4,12")[field] = value
+    doc["sha256"] = la.catalog_checksum(doc)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(la.CatalogError, match="collides"):
+        la.load_catalog(path)
+
+
+def test_family_data_matches_the_catalog():
+    ids = [e.family["id"] for e in la.catalog() if e.family]
+    assert sorted(ids) == sorted(FAMILIES) and len(set(ids)) == len(ids)
+    for entry in la.catalog():
+        if entry.family is None:
+            continue
+        fam = FAMILIES[entry.family["id"]]
+        assert fam.entry_name == entry.name and family_by_id(fam.id) is fam
+        for point in fam.default_grid:
+            env = {**point, **fam.metric_params(point), **fam.algebra_params(point)}
+            assert abs(eval_expr(entry.family["relation"], env)) <= 1e-12, (fam.id, point)
 
 
 def _catalog_expressions():

@@ -257,12 +257,12 @@ def test_independent_reverification_of_solutions():
 
 
 def test_classify_agreements():
-    res = solver.classify_algebra("2A2", budget=(30, 45), seed=0)
+    res = solver.classify_algebra("2A2", n_seeds=30, seed=0)
     assert res.agree and res.computed == "HasNonEinsteinEM"
-    res = solver.classify_algebra("A4,12", budget=(30, 45), seed=0)
+    res = solver.classify_algebra("A4,12", n_seeds=30, seed=0)
     assert res.agree and not res.inconclusive
     assert res.max_null_stress <= 1e-8
-    res = solver.classify_algebra("A3,9+A1", budget=(30, 45), seed=0)
+    res = solver.classify_algebra("A3,9+A1", n_seeds=30, seed=0)
     assert res.agree
 
 
@@ -270,7 +270,7 @@ def test_classify_all_positive_entries():
     # the four positive entries all classify as HasNonEinsteinEM at a small
     # budget (the negatives run at full budget in the acceptance sweep)
     for name in ("2A2", "A2+2A1", "A46a0", "A49half"):
-        res = solver.classify_algebra(name, budget=(40, 45), seed=5)
+        res = solver.classify_algebra(name, n_seeds=40, seed=5)
         assert res.agree and res.computed == "HasNonEinsteinEM", name
 
 
@@ -335,14 +335,14 @@ def test_admissible_short_circuit_matches_failure_list():
         assert set(got.tolist()) == ({True, False} if names else {True}), entry.name
 
 
-def _sample_one_draw_at_a_time(entry, rng, max_tries=600):
+def _sample_one_draw_at_a_time(entry, rng):
     """The sampler's reference: draw one parameter vector, check it alone
     with ``admissible``, repeat."""
     names = entry.metric_param_names
     if not names:
         return {}
     positive = set(entry.positive_metric_params)
-    for attempt in range(max_tries):
+    for attempt in range(solver.SAMPLE_TRIES):
         shrink = 0.7 ** max(0, (attempt - 150) // 50)
         params = {n: float(rng.uniform(10 * solver.EPS_PD if n in positive else -3.0 * shrink,
                                        1.0 + 2.0 * shrink if n in positive else 3.0 * shrink))
@@ -394,8 +394,8 @@ def test_lockstep_block_matches_seeds_run_alone(name, n_seeds):
     # seed's arithmetic does not depend on its neighbours, so end points agree
     # whether or not the seed converged.  A4,11^a fills a whole block with
     # seeds that stop at different ticks and hit infeasible trials.
-    block = solver._run_block((name, 7, 0, n_seeds, "unit_F", 1, maxwell.TOL_SOLUTION, 45))
-    alone = [solver._run_block((name, 7, i, i + 1, "unit_F", 1, maxwell.TOL_SOLUTION, 45))[0]
+    block = solver._run_block((name, 7, 0, n_seeds, "unit_F", 1, maxwell.TOL_SOLUTION))
+    alone = [solver._run_block((name, 7, i, i + 1, "unit_F", 1, maxwell.TOL_SOLUTION))[0]
              for i in range(n_seeds)]
     for b, a in zip(block, alone):
         assert b["status"] == a["status"] == "refined", (name, b["index"])
@@ -427,14 +427,14 @@ def test_seed_ledger_is_complete_and_parallel_safe():
 
 
 def test_zero_evidence_is_inconclusive(monkeypatch):
-    def no_start(entry, rng, max_tries=600):
+    def no_start(entry, rng):
         raise ValueError(f"{entry.name}: empty feasible box")
 
     monkeypatch.setattr(solver, "sample_metric_params", no_start)
     out = solver.multistart_search("A4,4", n_seeds=4, seed=0)
     assert out.seeds_used == 0 and not out.solutions
     assert out.seeds_sampled == out.seeds_refined == sum(out.stop_reasons.values()) == 0
-    res = solver.classify_algebra("A4,4", budget=(4, 45))
+    res = solver.classify_algebra("A4,4", n_seeds=4)
     assert res.computed == "NoNonEinsteinEMFound"
     assert res.inconclusive and not res.agree
 
