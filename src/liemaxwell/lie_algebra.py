@@ -299,6 +299,9 @@ def instantiate(entry: CatalogEntry, params: dict | None = None, *,
     missing = declared - set(params)
     if missing:
         raise CatalogError(f"{entry.name}: missing algebra parameters {sorted(missing)}")
+    flags = sorted(k for k, v in params.items() if isinstance(v, (bool, np.bool_)))
+    if flags:
+        raise CatalogError(f"{entry.name}: algebra parameters {flags} must be numbers, not booleans")
     if check_range:
         for spec in entry.params:
             if not spec.admits(float(params[spec.name])):

@@ -3,10 +3,10 @@
 The closedness condition dF = 0 is handled by restriction, not penalty: the
 kernel of the closedness system reparameterizes F before optimization, so the
 search runs over metric parameters plus kernel coordinates.  Refinement is
-damped Gauss-Newton (Levenberg-Marquardt) with complex-step Jacobians, taken
-in one batched call of the complex-analytic residual kernel; steps that
-violate the catalog's positivity constraints are rejected by backtracking,
-never projected back.
+damped Gauss-Newton (Levenberg-Marquardt) with forward-mode Jacobians: the
+residual kernel runs once at the point in real arithmetic and carries the
+free columns as tangents.  Steps that violate the catalog's positivity
+constraints are rejected by backtracking, never projected back.
 
 The kernel (``ResidualContext.residual``) takes Ricci straight from the
 structure constants, g and g^-1 (Besse, Einstein Manifolds, Cor. 7.38) and
@@ -40,7 +40,6 @@ and parallel reports are byte-identical.
 from __future__ import annotations
 
 import copy
-import functools
 import json
 import math
 import time
@@ -74,6 +73,12 @@ SAMPLE_TRIES = 600
 
 #: Upper triangle (i <= j) of a 4x4 matrix, row by row.
 _TRIU_ROWS, _TRIU_COLS = np.triu_indices(4)
+
+#: Columns of the folded linear map ``x @ _lin + _lin0`` of a
+#: ``ResidualContext``: the metric g, F as a 4x4 matrix, the bracket rows
+#: g([e_i,e_j],e_l) and dF.
+_G, _F, _CG, _DF = slice(0, 16), slice(16, 32), slice(32, 96), slice(96, 100)
+_WIDTH = 100
 
 
 class CandidateError(ValueError):
@@ -119,6 +124,8 @@ class Candidate:
         if isinstance(o, bool) or not isinstance(o, (int, np.integer)) or o not in (1, -1):
             raise CandidateError("orientation must be the integer 1 or -1")
         params = [*self.algebra_params.values(), *self.metric_params.values()]
+        if any(isinstance(v, (bool, np.bool_)) for v in params):
+            raise CandidateError("algebra_params and metric_params must be numbers, not booleans")
         try:
             finite = np.isfinite(self.f_coeffs).all() and all(map(math.isfinite, params))
         except OverflowError:  # an integer beyond the float range
@@ -208,21 +215,30 @@ class ResidualContext:
 
     The evaluation here is the fast path: a batched, complex-analytic kernel
     that takes Ricci straight from the structure constants, g and g^-1
-    (Besse, Einstein Manifolds, Cor. 7.38), with every x-independent map
-    precomputed as a matrix.  ``residual_jacobian`` differentiates it by the
-    complex step.  The module-level ``residual_vector`` derives the same rows
-    independently (Koszul connection, Riemann tensor, Ricci contraction,
-    Hodge star) through the geometry modules; the two agree to round-off and
-    are property-tested against each other.
+    (Besse, Einstein Manifolds, Cor. 7.38).  Everything linear in x is one
+    folded map: ``x @ _lin + _lin0`` gives g, F, the bracket rows
+    g([e_i,e_j],e_l) and dF at once.  ``residual_jacobian`` differentiates
+    the kernel in forward mode; the tests hold it to the complex step, which
+    the kernel stays complex-analytic for.  The module-level
+    ``residual_vector`` derives the same rows independently (Koszul
+    connection, Riemann tensor, Ricci contraction, Hodge star) through the
+    geometry modules; the two agree to round-off and are property-tested
+    against each other.
 
     The constants that depend on the algebra parameters carry a leading seed
     axis: length 1 here, and one entry per seed in a context made by
     ``stack``, which lets one call evaluate many seeds of a search at once.
+    ``take`` and ``repeat`` gather seeds of a context once, so that later
+    calls need no gather.
     """
 
-    #: Per-seed constants, stacked on axis 0.
-    _SEED_AXIS = ("_c16", "_c_half_m", "_killing_half", "_trace_half", "_kernel_t", "_d_t",
-                  "_star_d")
+    #: Per-seed constants the kernel reads, stacked on axis 0: the fold of
+    #: every map linear in x (``_lin``, ``_lin0``), the structure constants
+    #: and trace form that g^-1 raises (``_ct``), the Killing form and the
+    #: Hodge-star-then-d map.
+    _KERNEL = ("_lin", "_lin0", "_ct", "_killing_half", "_star_d")
+    #: Every per-seed constant: the kernel's and the F map ``f_of`` reads.
+    _SEED_AXIS = _KERNEL + ("_kernel_t",)
 
     def __init__(self, entry: CatalogEntry, algebra_params: dict, orientation: int = 1,
                  mode: str = "unit_F", frozen: tuple[str, ...] = ()):
@@ -248,24 +264,35 @@ class ResidualContext:
         self.free_idx = [k for k, n in enumerate(self.names) if n not in frozen_set]
         self._place, self._g0 = entry.metric_placement
         # Six 2-form coefficients -> antisymmetric 4x4 matrix, flattened.
-        self._f_place = np.zeros((6, 16))
+        f_place = np.zeros((6, 16))
         for p, (i, j) in enumerate(PAIRS):
-            self._f_place[p, 4 * i + j] = 1.0
-            self._f_place[p, 4 * j + i] = -1.0
-        # Per seed: kernel coordinates -> F, dF map, and Hodge star then d:
-        # F^{kl} (raised, flattened) -> d*F / (sign sqrt det g).
+            f_place[p, 4 * i + j] = 1.0
+            f_place[p, 4 * j + i] = -1.0
+        kernel_t = self.kernel.T
+        # Everything linear in x, folded per seed: x @ _lin + _lin0 is
+        # [g | F | g([e_i,e_j],e_l) with rows (i, j) | dF], see _G .. _DF.
+        c16 = c.reshape(16, 4)
+        n_metric = len(self.metric_names)
+        lin = np.zeros((len(self.names), _WIDTH))
+        lin[:n_metric, _G] = self._place
+        lin[:n_metric, _CG] = (c16 @ self._place.reshape(-1, 4, 4)).reshape(n_metric, 64)
+        lin[n_metric:, _F] = kernel_t @ f_place
+        lin[n_metric:, _DF] = kernel_t @ d_t
+        lin0 = np.zeros(_WIDTH)
+        lin0[_G] = self._g0
+        lin0[_CG] = (c16 @ self._g0.reshape(4, 4)).ravel()
+        self._lin, self._lin0 = lin[None], lin0[None, None]
+        self._kernel_t = kernel_t[None]
+        # Hodge star then d: F^{kl} (raised, flattened) -> d*F / (sign sqrt det g).
         eps_pairs = np.array([LEVI4[i, j] for i, j in PAIRS], dtype=float).reshape(6, 16)
-        self._kernel_t = self.kernel.T[None]
-        self._d_t = d_t[None]
         self._star_d = (0.5 * orientation * eps_pairs.T @ d_t)[None]
-        # Ricci ingredients that do not depend on the metric: the structure
-        # constants as rows [(i, j), k], and with factor -1/2 the structure
-        # constants as [m, (l, b)] = c_bm^l, the Killing form
-        # B_ab = c_ai^k c_bk^i and the trace form t_a = c_ak^k.
-        self._c16 = c.reshape(1, 16, 4)
-        self._c_half_m = (-0.5 * c).transpose(1, 2, 0).reshape(1, 4, 16)
+        # Ricci ingredients that do not depend on the metric, with factor
+        # -1/2: the structure constants as [m, (l, b)] = c_bm^l beside the
+        # trace form t_m = c_mk^k, one 4 x 17 block that g^-1 raises at once,
+        # and the Killing form B_ab = c_ai^k c_bk^i.
+        self._ct = -0.5 * np.concatenate([c.transpose(1, 2, 0).reshape(4, 16),
+                                          np.einsum("akk->a", c)[:, None]], axis=1)[None]
         self._killing_half = -0.5 * np.einsum("aik,bki->ab", c, c)[None]
-        self._trace_half = -0.5 * np.einsum("akk->a", c)[None]
 
     @classmethod
     def stack(cls, contexts: list["ResidualContext"]) -> "ResidualContext":
@@ -281,13 +308,18 @@ class ResidualContext:
         out.L = out.kernel = out.algebra_params = None
         return out
 
+    def take(self, seeds: np.ndarray) -> "ResidualContext":
+        """A context whose seed s is seed ``seeds[s]`` of this one, its
+        constants gathered once.  It evaluates and checks points."""
+        out = copy.copy(self)
+        for name in self._SEED_AXIS:
+            setattr(out, name, getattr(self, name)[seeds])
+        return out
+
     def repeat(self, times: int) -> "ResidualContext":
         """A context whose seeds s * times .. s * times + times - 1 are all
         seed s of this one.  It evaluates and checks points."""
-        out = copy.copy(self)
-        for name in self._SEED_AXIS:
-            setattr(out, name, np.repeat(getattr(self, name), times, axis=0))
-        return out
+        return self.take(np.repeat(np.arange(len(self._lin)), times))
 
     @property
     def n_rows(self) -> int:
@@ -322,16 +354,25 @@ class ResidualContext:
 
         Every step is complex-analytic (no abs, no casts to float, scratch in
         the dtype of x), so a complex x carries derivatives in its imaginary
-        part; ``residual_jacobian`` relies on this.
+        part; the complex-step oracle of the tests relies on this.
         """
         xs = x if x.ndim == 3 else x.reshape(1, -1, x.shape[-1])
-        consts = [getattr(self, name) for name in self._SEED_AXIS]
-        if seeds is not None:
-            consts = [a[seeds] for a in consts]
-        c16, c_half_m, killing_half, trace_half, kernel_t, d_t, star_d = consts
+        out = self._kernel(xs, self._consts(seeds))[0]
+        return out if x.ndim == 3 else out.reshape(x.shape[:-1] + (self.n_rows,))
+
+    def _consts(self, seeds: np.ndarray | None) -> list[np.ndarray]:
+        consts = [getattr(self, name) for name in self._KERNEL]
+        return consts if seeds is None else [a[seeds] for a in consts]
+
+    def _kernel(self, xs: np.ndarray, consts: list[np.ndarray]):
+        """Rows (S, m, n_rows) of points xs (S, m, n), and the intermediate
+        values ``residual_jacobian`` differentiates through."""
+        lin, lin0, ct, killing_half, star_d = consts
         s, m = xs.shape[:2]
-        g = self.metric_of(xs)
-        f6 = xs[..., len(self.metric_names):] @ kernel_t
+        u = xs @ lin + lin0
+        g = u[..., _G].reshape(s, m, 4, 4)
+        fm = u[..., _F].reshape(s, m, 4, 4)
+        cg = u[..., _CG].reshape(s, m, 16, 4)
         g_inv = np.linalg.inv(g)
         det = np.linalg.det(g)
         if not (det.real > 0).all():
@@ -341,30 +382,35 @@ class ResidualContext:
         #            + 1/4 g^im g^jn g([e_i,e_j],e_a) g([e_m,e_n],e_b)
         #            - 1/2 B_ab - 1/2 (g([H,e_a],e_b) + g([H,e_b],e_a)).
         # cg[., ., (i, j), l] = g([e_i,e_j], e_l) carries all three metric terms;
-        # the second one raises both bracket indices with g^-1 (x) g^-1.
-        cg = c16[:, None] @ g
+        # the second one raises both bracket indices with g^-1 (x) g^-1, one
+        # index at a time: half[m, j, l] = g^jn cg[(m, n), l].
         rows = cg.reshape(s, m, 4, 16)
-        ric = rows @ (g_inv @ c_half_m[:, None]).reshape(s, m, 16, 4)
-        kron = (g_inv[..., :, None, :, None] * g_inv[..., None, :, None, :]).reshape(s, m, 16, 16)
-        ric += 0.25 * (cg.swapaxes(2, 3) @ (kron @ cg))
-        mean = ((g_inv @ trace_half[:, None, :, None]).swapaxes(2, 3) @ rows).reshape(s, m, 4, 4)
+        raised = g_inv @ ct[:, None]
+        c_up = raised[..., :16].reshape(s, m, 16, 4)
+        h = raised[..., 16:]
+        ric = rows @ c_up
+        half = (g_inv[..., None, :, :] @ cg.reshape(s, m, 4, 4, 4)).reshape(s, m, 4, 16)
+        qcg = (g_inv @ half).reshape(s, m, 16, 4)
+        ric += 0.25 * (cg.swapaxes(2, 3) @ qcg)
+        mean = (h.swapaxes(2, 3) @ rows).reshape(s, m, 4, 4)
         ric += mean
         ric += mean.swapaxes(2, 3)
         ric += killing_half[:, None]
         # Stress term; the trace of Ric + F g^-1 F is s + tr_g(F g^-1 F).
-        fm = (f6 @ self._f_place).reshape(s, m, 4, 4)
         fg = fm @ g_inv
         em = ric + fg @ fm
-        em -= 0.25 * (g_inv.reshape(s, m, 1, 16) @ em.reshape(s, m, 16, 1)) * g
-        out = np.empty((s, m, self.n_rows), dtype=g.dtype)
-        out[..., :10] = em[..., _TRIU_ROWS, _TRIU_COLS]
-        out[..., 10:14] = f6 @ d_t
+        trace = g_inv.reshape(s, m, 1, 16) @ em.reshape(s, m, 16, 1)
+        out = np.empty((s, m, self.n_rows), dtype=u.dtype)
+        out[..., :10] = (em - 0.25 * trace * g)[..., _TRIU_ROWS, _TRIU_COLS]
+        out[..., 10:14] = u[..., _DF]
         # Co-closedness rows: F with both indices raised, starred and differentiated.
-        fu = (g_inv @ fg).reshape(s, m, 16)
-        out[..., 14:18] = np.sqrt(det)[..., None] * (fu @ star_d)
+        fu = g_inv @ fg
+        root = np.sqrt(det)[..., None]
+        star = fu.reshape(s, m, 16) @ star_d
+        out[..., 14:18] = root * star
         if self.mode == "unit_F":
-            out[..., 18:] = 0.5 * (fm.reshape(s, m, 1, 16) @ fu[..., None])[..., 0] - 1.0
-        return out if x.ndim == 3 else out.reshape(x.shape[:-1] + (self.n_rows,))
+            out[..., 18:] = 0.5 * (fm.reshape(s, m, 1, 16) @ fu.reshape(s, m, 16, 1))[..., 0] - 1.0
+        return out, (g, g_inv, fm, cg, rows, c_up, h, half, qcg, fg, em, trace, fu, root, star)
 
     def candidate(self, x: np.ndarray) -> Candidate:
         return Candidate(
@@ -384,25 +430,62 @@ class ResidualContext:
         return y, defect
 
 
-#: Complex step: far below round-off of any real part, so the real part of a
-#: probe equals x exactly and the derivative carries no truncation error.
-COMPLEX_STEP = 1e-30
+def residual_jacobian(ctx: ResidualContext, x: np.ndarray,
+                      seeds: np.ndarray | None = None) -> np.ndarray:
+    """Jacobian of ``ctx.residual`` in the free parameters ``ctx.free_idx``.
 
-
-def residual_jacobian(fun, x: np.ndarray, free_idx: list[int] | None = None) -> np.ndarray:
-    """Complex-step Jacobian J[..., :, col] = Im fun(x + i h e_k) / h, k = free_idx[col].
-
-    x is one point (n,), giving J (rows, len(free_idx)), or one point per
-    seed (S, n), giving J (S, rows, len(free_idx)).  ``fun`` must be
-    complex-analytic and take probes (..., m, n) to (..., m, rows); all probes
-    go in one call.  The real part never moves, so no probe can leave the
-    feasible region (Squire & Trapp, SIAM Rev. 40(1), 1998).
+    x is one point (n,), giving J (rows, k), or one point per seed (S, n),
+    giving J (S, rows, k), each evaluated with the constants of seed
+    ``seeds[s]`` (of seed s when ``seeds`` is None).  Forward mode (Griewank
+    & Walther, Evaluating Derivatives, SIAM 2008): the kernel runs once at x
+    in real arithmetic, and the k free columns ride along as tangents.
+    Those of g, F, the bracket rows and dF are rows of the folded linear
+    map; the rest follow from d(g^-1) = -g^-1 dg g^-1, d sqrt(det g) =
+    1/2 sqrt(det g) <g^-1, dg> and the product rule.  Exact to round-off,
+    and no point other than x is evaluated.
     """
     x = np.asarray(x, dtype=float)
-    cols = np.arange(x.shape[-1]) if free_idx is None else np.asarray(free_idx, dtype=int)
-    probes = np.repeat(x[..., None, :].astype(complex), len(cols), axis=-2)
-    probes[..., np.arange(len(cols)), cols] += 1j * COMPLEX_STEP
-    return np.swapaxes(fun(probes).imag, -1, -2) / COMPLEX_STEP
+    consts = ctx._consts(seeds)
+    _, (g, g_inv, fm, cg, rows, c_up, h, half, qcg, fg, em, trace, fu, root, star) = ctx._kernel(
+        x.reshape(-1, 1, x.shape[-1]), consts)
+    lin, _, ct, _, star_d = consts
+    free = ctx.free_idx
+    du = lin if len(free) == lin.shape[1] else lin[:, free]
+    s, k = du.shape[:2]
+    dg = du[..., _G].reshape(s, k, 4, 4)
+    dfm = du[..., _F].reshape(s, k, 4, 4)
+    dcg = du[..., _CG].reshape(s, k, 16, 4)
+    drows = dcg.reshape(s, k, 4, 16)
+    dg_inv = -(g_inv @ dg @ g_inv)
+    draised = dg_inv @ ct[:, None]
+    dric = drows @ c_up + rows @ draised[..., :16].reshape(s, k, 16, 4)
+    # Quartic term 1/4 cg^T Q cg with Q = g^-1 (x) g^-1: its tangent is
+    # 1/4 (M + M^T) + 1/2 N with M = dcg^T Q cg and N = cg^T (dQ' cg), where
+    # dQ' = d(g^-1) (x) g^-1; the g^-1 (x) d(g^-1) half of dQ gives N again,
+    # because cg is antisymmetric in its bracket pair.  N is symmetric, so
+    # with the mean-curvature tangent it joins M in one term t + t^T.
+    dmean = (draised[..., 16:].swapaxes(2, 3) @ rows
+             + h.swapaxes(2, 3) @ drows).reshape(s, k, 4, 4)
+    mixed = cg.swapaxes(2, 3) @ (dg_inv @ half).reshape(s, k, 16, 4)
+    twin = 0.25 * (dcg.swapaxes(2, 3) @ qcg + mixed) + dmean
+    dric += twin
+    dric += twin.swapaxes(2, 3)
+    dfg = dfm @ g_inv + fm @ dg_inv
+    dem = dric + dfg @ fm + fg @ dfm
+    dtrace = (dg_inv.reshape(s, k, 1, 16) @ em.reshape(s, 1, 16, 1)
+              + g_inv.reshape(s, 1, 1, 16) @ dem.reshape(s, k, 16, 1))
+    dem -= 0.25 * (dtrace * g + trace * dg)
+    jt = np.empty((s, k, ctx.n_rows))
+    jt[..., :10] = dem[..., _TRIU_ROWS, _TRIU_COLS]
+    jt[..., 10:14] = du[..., _DF]
+    dfu = dg_inv @ fg + g_inv @ dfg
+    droot = 0.5 * root * (g_inv.reshape(s, 1, 1, 16) @ dg.reshape(s, k, 16, 1))[..., 0]
+    jt[..., 14:18] = droot * star + root * (dfu.reshape(s, k, 16) @ star_d)
+    if ctx.mode == "unit_F":
+        jt[..., 18:] = 0.5 * (dfm.reshape(s, k, 1, 16) @ fu.reshape(s, 1, 16, 1)
+                              + fm.reshape(s, 1, 1, 16) @ dfu.reshape(s, k, 16, 1))[..., 0]
+    jac = jt.swapaxes(1, 2)
+    return jac if x.ndim == 2 else jac[0]
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +561,9 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     the lam break stop the seed; the rungs after that are dropped.  A seed
     thus walks the path of a lone run, up to three trials per tick.
 
-    The rungs sit on the seed axis: the per-seed constants are repeated once
-    per call (``ResidualContext.repeat``) and a tick evaluates points
+    The rungs sit on the seed axis: the per-seed constants of the running
+    seeds and of their rungs are gathered once each time seeds stop
+    (``ResidualContext.take``, ``repeat``), and a tick evaluates points
     (S * _RUNGS, 1, n), so each rung is computed as a lone point is.  On the
     point axis, (S, _RUNGS, n), BLAS treats a seed's rungs as one matrix and
     rounds them differently from single points.  Per-seed scalars (lam, the
@@ -494,7 +578,6 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     n_seeds = len(x0)
     free = np.asarray(ctx.free_idx, dtype=int)
     k = len(free)
-    ladder = ctx.repeat(_RUNGS)
     out_x = np.array(x0, dtype=float)
     out_iters = [0] * n_seeds
     out_evals = [0] * n_seeds
@@ -503,7 +586,9 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     pos = np.flatnonzero(ctx.feasible(out_x))
     x = out_x[pos]
     n = len(pos)
-    r = ctx.residual(x[:, None], seeds=None if n == n_seeds else pos)[:, 0]
+    live = ctx if n == n_seeds else ctx.take(pos)  # the running seeds' constants
+    rungs = live.repeat(_RUNGS)  # and their rungs': rung j of seed i is i * _RUNGS + j
+    r = live.residual(x[:, None])[:, 0]
     rr = (r[:, None] @ r[..., None])[:, 0, 0].tolist()
     ended = [_iteration_stop(p, 0, tol, max_iter) for p in np.abs(r).max(axis=1).tolist()]
     lam = [1e-3] * n
@@ -516,7 +601,6 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     neg_grad = np.zeros((n, k, 1))
     damping = np.zeros((n, k, k))
     eye = np.eye(k)
-    rows = (pos[:, None] * _RUNGS + np.arange(_RUNGS)).ravel()  # their rungs in ``ladder``
     while n:
         if any(ended):
             for i, why in enumerate(ended):
@@ -530,16 +614,14 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
                 [a[i] for i in keep] for a in (lam, iters, trials, rejects, evals, rr, starting))
             n = len(keep)
             ended = [None] * n
-            rows = (pos[:, None] * _RUNGS + np.arange(_RUNGS)).ravel()
             if not n:
                 break
-        every = n == n_seeds  # all seeds run, in order: no gathers of per-seed constants
+            live = live.take(keep)
+            rungs = live.repeat(_RUNGS)
         go = [i for i in range(n) if starting[i]]
         if go:
             sel = slice(None) if len(go) == n else go
-            fun = functools.partial(ctx.residual, seeds=None if every and len(go) == n
-                                    else pos[go])
-            jac = residual_jacobian(fun, x[sel], free_idx=free)
+            jac = residual_jacobian(live, x[sel], seeds=None if len(go) == n else go)
             jac_t = jac.swapaxes(1, 2)
             normal[sel] = jac_t @ jac
             neg_grad[sel] = -(jac_t @ r[sel, :, None])
@@ -556,9 +638,9 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
         x_new[:, free] += delta
         ok = np.flatnonzero(solved & ctx.feasible(x_new))
         if len(ok) == len(x_new):
-            r_ok = ladder.residual(x_new[:, None], seeds=None if every else rows)[:, 0]
+            r_ok = rungs.residual(x_new[:, None])[:, 0]
         else:
-            r_ok = ladder.residual(x_new[ok, None], seeds=rows[ok])[:, 0]
+            r_ok = rungs.residual(x_new[ok, None], seeds=ok)[:, 0]
         rr_ok = (r_ok[:, None] @ r_ok[..., None])[:, 0, 0].tolist()
         peak_ok = np.abs(r_ok).max(axis=1).tolist()
         slot = dict(zip(ok.tolist(), range(len(ok))))

@@ -4,9 +4,10 @@ Everything here is written from the definitions with plain loops and full
 antisymmetric tensors, deliberately not sharing code paths with the package:
 exterior derivatives go through the graded Leibniz rule on monomials, the
 Hodge star is obtained by solving the linear system of its defining identity,
-and curvature is assembled from a hand-rolled Koszul solve.  The one
-exception is the Levenberg-Marquardt reference, which re-implements the
-solver's control flow but evaluates through the package's residual kernel.
+and curvature is assembled from a hand-rolled Koszul solve.  Two oracles
+evaluate through the package's residual kernel: the complex-step Jacobian,
+which differentiates the kernel by its own rule, and the Levenberg-Marquardt
+reference, which re-implements the solver's control flow.
 """
 
 from __future__ import annotations
@@ -208,11 +209,32 @@ def hodge_star_solve(g, a6, orientation=1):
     return np.linalg.solve(_wedge_pairing(), rhs)
 
 
+#: Complex step: far below round-off of any real part, so the real part of a
+#: probe equals x exactly and the derivative carries no truncation error.
+COMPLEX_STEP = 1e-30
+
+
+def complex_step_jacobian(ctx, x, seeds=None):
+    """J[..., :, col] = Im r(x + i h e_k) / h, k = ctx.free_idx[col], with
+    r = ``ctx.residual`` (Squire & Trapp, SIAM Rev. 40(1), 1998).
+
+    x is one point (n,), giving J (rows, k), or one point per seed (S, n),
+    giving J (S, rows, k); all probes go in one call of the kernel, which is
+    complex-analytic.  It shares only the kernel with the package's
+    forward-mode Jacobian, none of the tangent rules.
+    """
+    x = np.asarray(x, dtype=float)
+    cols = np.asarray(ctx.free_idx, dtype=int)
+    probes = np.repeat(x[..., None, :].astype(complex), len(cols), axis=-2)
+    probes[..., np.arange(len(cols)), cols] += 1j * COMPLEX_STEP
+    return np.swapaxes(ctx.residual(probes, seeds=seeds).imag, -1, -2) / COMPLEX_STEP
+
+
 def levmar_alone(ctx, x0, tol, max_iter, singular=lambda iteration, trial: False):
     """Levenberg-Marquardt from one start, one trial at a time: the rules of
     ``solver._levmar`` written out for a lone run.  It takes the residual,
-    the feasibility check and the complex-step Jacobian from the package;
-    only the control flow is its own.
+    the feasibility check and the Jacobian from the package; only the
+    control flow is its own.
 
     The damped system of trial ``trial`` of iteration ``iteration`` (both
     counted from 0) is treated as singular when ``singular(iteration,
@@ -235,7 +257,7 @@ def levmar_alone(ctx, x0, tol, max_iter, singular=lambda iteration, trial: False
             return x, iters, "iteration cap", n_evals, n_trials
         if iters >= 25 and peak > 5e-2:
             return x, iters, "slow progress", n_evals, n_trials
-        jac = jacobian(ctx.residual, x, free)
+        jac = jacobian(ctx, x)
         n_evals += len(free)
         normal = jac.T @ jac
         grad = jac.T @ r

@@ -229,7 +229,7 @@ def test_criterion_9_gradient_check():
             continue
         mp = solver.sample_metric_params(entry, rng)
         x = ctx.pack(mp, rng.uniform(-1.5, 1.5, ctx.kernel.shape[1]))
-        jac = solver.residual_jacobian(ctx.residual, x)
+        jac = solver.residual_jacobian(ctx, x)
         r0 = ctx.residual(x)
         fwd = np.zeros_like(jac)
         for col in range(len(x)):

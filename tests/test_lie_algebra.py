@@ -268,6 +268,14 @@ def test_instantiate_range_checks():
         la.instantiate(entry, {"b": 0.3, "zz": 1.0})
 
 
+def test_instantiate_refuses_booleans():
+    entry = la.entry_by_name("A4,6^{a,0}")
+    for flag in (True, np.True_):
+        with pytest.raises(la.CatalogError, match="boolean"):
+            la.instantiate(entry, {"a": flag})
+    assert la.instantiate(entry, {"a": 1}).params == {"a": 1}
+
+
 def test_entry_lookup_aliases():
     assert la.entry_by_name("A46a0").name == "A4,6^{a,0}"
     assert la.entry_by_name("A49half").name == "A4,9^{-1/2}"

@@ -9,6 +9,7 @@ import oracles as orc
 from liemaxwell import lie_algebra as la
 from liemaxwell import maxwell, solver
 from liemaxwell import metric_geometry as mg
+from liemaxwell.families import FAMILIES
 from liemaxwell.forms import norm_sq, two_form
 
 
@@ -106,8 +107,9 @@ def test_residual_of_real_complex_input_is_real():
     assert np.abs(got.real - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
 
-def test_jacobian_probes_keep_the_real_part():
-    # a1 = 1e-8 sits where a central step of 1e-6 leaves the positive cone.
+def test_jacobian_at_the_cone_boundary_matches_the_oracle():
+    # a1 = 1e-8 sits where a central step of 1e-6 leaves the positive cone;
+    # the forward-mode Jacobian evaluates x alone.
     entry = la.entry_by_name("A4,4")
     ctx = solver.ResidualContext(entry, {}, mode="unit_F")
     x = ctx.pack({"a1": 1e-8, "a2": 0.0, "a3": 1.0}, np.array([0.3, -0.2, 0.5]))
@@ -115,22 +117,77 @@ def test_jacobian_probes_keep_the_real_part():
     below[0] -= 1e-6
     with pytest.raises(ValueError, match="determinant"):
         ctx.residual(below)
-    seen = []
-
-    def fun(z):
-        assert np.array_equal(z.real, np.broadcast_to(x, z.shape))
-        seen.append(len(z))
-        return ctx.residual(z)
-
-    jac = solver.residual_jacobian(fun, x, free_idx=ctx.free_idx)
-    assert seen == [len(x)]
+    jac = solver.residual_jacobian(ctx, x)
+    want = orc.complex_step_jacobian(ctx, x)
     assert jac.shape == (ctx.n_rows, len(x)) and np.isfinite(jac).all()
+    assert np.abs(jac - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_jacobian_of_empty_free_set():
-    ctx = solver.ResidualContext(la.entry_by_name("2A2"), {}, mode="unit_F")
+    entry = la.entry_by_name("2A2")
+    names = solver.ResidualContext(entry, {}).names
+    ctx = solver.ResidualContext(entry, {}, mode="unit_F", frozen=tuple(names))
     x = ctx.pack({"a1": 0, "a2": 0, "a3": 0, "a4": 0, "a5": 2.0}, np.ones(ctx.kernel.shape[1]))
-    assert solver.residual_jacobian(ctx.residual, x, free_idx=[]).shape == (ctx.n_rows, 0)
+    assert solver.residual_jacobian(ctx, x).shape == (ctx.n_rows, 0)
+    assert solver.residual_jacobian(ctx, x[None]).shape == (1, ctx.n_rows, 0)
+
+
+def _assert_matches_oracle(ctx, xs, seeds=None, label=None):
+    got = solver.residual_jacobian(ctx, xs, seeds=seeds)
+    want = orc.complex_step_jacobian(ctx, xs, seeds=seeds)
+    assert got.shape == want.shape, label
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0), label
+
+
+def test_jacobian_matches_complex_step_oracle():
+    # Forward mode against the complex step on every entry and mode: a
+    # stacked block of 8 generic seeds whole and through gathers, each
+    # admissible named variant alone, a frozen metric and F coordinate, and
+    # the empty free set.
+    rng = np.random.default_rng(43)
+    for entry in la.catalog():
+        n_variants = sum(v.admissible for v in entry.variants)
+        for mode in ("unit_F", "free_F"):
+            ctxs, xs = [], []
+            for index in [*range(0, 16, 2), *range(1, 2 * n_variants, 2)]:
+                ap = solver.sample_algebra_params(entry, rng, variant_index=index)
+                ctxs.append(solver.ResidualContext(entry, ap, mode=mode))
+                xs.append(ctxs[-1].pack(solver.sample_metric_params(entry, rng),
+                                        rng.uniform(-1.5, 1.5, ctxs[-1].kernel.shape[1])))
+            block, x = solver.ResidualContext.stack(ctxs[:8]), np.array(xs[:8])
+            _assert_matches_oracle(block, x, label=(entry.name, mode))
+            seeds = rng.permutation(8)[:5]
+            _assert_matches_oracle(block, x[seeds], seeds=seeds, label=(entry.name, mode))
+            for ctx, x in zip(ctxs[8:], xs[8:]):
+                _assert_matches_oracle(ctx, x, label=(entry.name, mode, ctx.algebra_params))
+            ctx, x = ctxs[0], xs[0]
+            frozen = ctx.metric_names[:1] + ctx.f_names[:1]
+            part = solver.ResidualContext(entry, ctx.algebra_params, mode=mode, frozen=frozen)
+            assert len(part.free_idx) == len(x) - len(frozen)
+            _assert_matches_oracle(part, x[None], label=(entry.name, mode, frozen))
+            none = solver.ResidualContext(entry, ctx.algebra_params, mode=mode,
+                                          frozen=tuple(ctx.names))
+            _assert_matches_oracle(none, x, label=(entry.name, mode, "all frozen"))
+
+
+def test_take_gives_the_residuals_of_gathered_seeds():
+    rng = np.random.default_rng(44)
+    entry = la.entry_by_name("A4,11^a")
+    ctxs, xs = zip(*(_batch(entry, "unit_F", rng, size=1) for _ in range(6)))
+    block = solver.ResidualContext.stack(ctxs)
+    xs = np.array([x[0] for x in xs])
+    for idx in (np.array([4, 1, 1, 0]), np.arange(6), np.array([5])):
+        want = block.residual(xs[idx, None], seeds=idx)
+        assert np.array_equal(block.take(idx).residual(xs[idx, None]), want)
+    kernel = ("_lin", "_lin0", "_ct")
+    assert set(kernel) <= set(solver.ResidualContext._SEED_AXIS)
+    twice = block.repeat(2)
+    picked = block.take(np.array([3, 0]))
+    for name in kernel:
+        parts = [getattr(c, name) for c in ctxs]
+        assert np.array_equal(getattr(block, name), np.concatenate(parts)), name
+        assert np.array_equal(getattr(twice, name), np.repeat(getattr(block, name), 2, axis=0))
+        assert np.array_equal(getattr(picked, name), np.concatenate([parts[3], parts[0]]))
 
 
 def test_refine_to_family_point():
@@ -180,7 +237,7 @@ def test_jacobian_matches_forward_differences():
     ctx = solver.ResidualContext(entry, {}, mode="unit_F")
     mp = solver.sample_metric_params(entry, rng)
     x = ctx.pack(mp, rng.uniform(-1, 1, ctx.kernel.shape[1]))
-    jac = solver.residual_jacobian(ctx.residual, x)
+    jac = solver.residual_jacobian(ctx, x)
     r0 = ctx.residual(x)
     for k in range(len(x)):
         h = 1e-7 * max(1.0, abs(x[k]))
@@ -281,6 +338,34 @@ def test_verify_solution_family_reports():
         assert set(rep.classifications) == {maxwell.NON_EINSTEIN_EM}
     rev = solver.verify_solution_family("A49half", orientation=-1)
     assert rev.all_pass and set(rev.hermitian_types) == {"Kahler"}
+
+
+def test_candidate_refuses_boolean_parameters():
+    metric = {"a1": 0.0, "a2": 0.0, "a3": 1.0}
+    f6 = [0, 0, 0, 1, 0, 0]
+    with pytest.raises(solver.CandidateError, match="boolean"):
+        solver.Candidate("A4,6^{a,0}", {"a": True}, metric, f6)
+    with pytest.raises(solver.CandidateError, match="boolean"):
+        solver.Candidate("A4,6^{a,0}", {"a": 1.0}, {**metric, "a3": np.True_}, f6)
+    assert solver.Candidate("A4,6^{a,0}", {"a": 1}, metric, f6).algebra_params == {"a": 1}
+
+
+def test_family_points_samples_and_starts_still_build():
+    # The package's own numbers pass the boolean refusal: every family grid
+    # point in both orientations, every catalog sample and search starts on
+    # the generic branch and on named variants.
+    for fam in FAMILIES.values():
+        for point in fam.default_grid:
+            for orientation in (1, -1):
+                cand = solver.family_candidate(fam, point, orientation)
+                la.instantiate(la.entry_by_name(cand.entry_name), cand.algebra_params)
+    for entry in la.catalog():
+        la.instantiate(entry, entry.sample_params())
+        contexts = {}
+        for index in range(4):
+            ctx, x0 = solver._start(entry, 3, index, "unit_F", 1, contexts)
+            if x0 is not None:
+                solver.residual_vector(ctx.candidate(x0))
 
 
 def test_candidate_serialization_roundtrip(tmp_path):
