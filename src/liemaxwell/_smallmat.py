@@ -97,9 +97,12 @@ def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def inverse(mat: np.ndarray) -> np.ndarray:
+    """Inverse of a matrix, or of each matrix of a stack (..., n, n)."""
     a = np.asarray(mat)
     if not is_exact(a):
         return np.linalg.inv(a)
+    if a.ndim > 2:
+        return _each(inverse, a, a.shape)
     n = a.shape[0]
     cols = []
     for j in range(n):
@@ -110,9 +113,14 @@ def inverse(mat: np.ndarray) -> np.ndarray:
 
 
 def determinant(mat: np.ndarray):
+    """Determinant of a matrix (a float or Fraction), or an array of the
+    determinants of a stack (..., n, n)."""
     a = np.asarray(mat)
     if not is_exact(a):
-        return float(np.linalg.det(a))
+        det = np.linalg.det(a)
+        return float(det) if a.ndim == 2 else det
+    if a.ndim > 2:
+        return _each(determinant, a, a.shape[:-2])
     a = np.array(a, copy=True)
     n = a.shape[0]
     det = Fraction(1)
@@ -129,6 +137,14 @@ def determinant(mat: np.ndarray):
             if f != 0:
                 a[r] = a[r] - f * a[col]
     return det
+
+
+def _each(fn, a: np.ndarray, shape: tuple) -> np.ndarray:
+    """``fn`` of each exact matrix of a stack, in an object array of ``shape``."""
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(a.shape[:-2]):
+        out[idx] = fn(a[idx])
+    return out
 
 
 def sqrt_fraction(value: Fraction) -> Fraction | None:

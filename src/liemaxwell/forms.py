@@ -5,6 +5,10 @@ A 2-form is a vector of six coefficients in the fixed order
 ``F ^ *G = <F, G>_g vol_g`` with ``vol_g = sign * sqrt(det g) * e^1234`` and
 ``<F, G> = (1/2) F_ij G^ij``; it is realized by raising both indices with
 ``g^{-1}`` and contracting with the Levi-Civita symbol.
+
+``inner_product``, ``norm_sq``, ``volume_coefficient`` and ``hodge_star``
+take leading axes: metrics (..., 4, 4) with forms (..., 6), one result per
+leading index.  Exact input goes through the same code.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ def _levi_civita_symbol() -> np.ndarray:
 
 LEVI4 = _levi_civita_symbol()
 
+#: The star as a matrix: coefficient p of eps_{klmn} F^{mn}, (k, l) the p-th
+#: pair, is row (m, n) of F^{mn} flattened times column p.
+_STAR_PAIRS = np.array([LEVI4[i, j] for i, j in PAIRS], dtype=float).reshape(6, 16).T.copy()
+
 CoclosednessCheck = namedtuple("CoclosednessCheck", ["ok", "residual"])
 
 
@@ -56,30 +64,42 @@ def inner_product(g: np.ndarray, a: np.ndarray, b: np.ndarray):
     g, a, b = arrs
     fu = _raised(g, a)
     gm = two_form_matrix(b, dtype=g.dtype)
-    return np.einsum("ij,ij->", gm, fu) / 2
+    return np.einsum("...ij,...ij->...", gm, fu) / 2
 
 
 def norm_sq(g: np.ndarray, a: np.ndarray):
     return inner_product(g, a, a)
 
 
-def volume_coefficient(g: np.ndarray, orientation: int = 1) -> float:
-    """Coefficient of e^1234 in vol_g; errors on non-positive det."""
+def _positive_det(g: np.ndarray):
+    """det g (one value, or an array over a stack); a ValueError naming the
+    first non-positive one."""
+    det = _smallmat.determinant(g)
+    ok = det > 0
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        bad = np.asarray(det)[~np.asarray(ok)]
+        raise ValueError(f"metric determinant must be positive, got {float(bad.flat[0])}")
+    return det
+
+
+def volume_coefficient(g: np.ndarray, orientation: int = 1):
+    """Coefficient of e^1234 in vol_g (a float, or an array over a stack of
+    metrics); errors on a non-positive det."""
     _check_orientation(orientation)
-    det = _smallmat.determinant(np.asarray(g))
-    if not det > 0:
-        raise ValueError(f"metric determinant must be positive, got {float(det)}")
+    det = _positive_det(np.asarray(g))
+    if np.ndim(det):
+        return orientation * np.sqrt(det.astype(float))
     return orientation * float(np.sqrt(float(det)))
 
 
 def hodge_star(g: np.ndarray, a: np.ndarray, orientation: int = 1) -> np.ndarray:
-    """Star of a 2-form: (*F)_kl = (sign sqrt(det g)/2) eps_{klmn} F^{mn}."""
+    """Star of 2-forms: (*F)_kl = (sign sqrt(det g)/2) eps_{klmn} F^{mn}."""
     g = np.asarray(g, dtype=float)
     a = np.asarray(a, dtype=float)
     vol = volume_coefficient(g, orientation)
     fu = _raised(g, a)
-    mat = np.einsum("klmn,mn->kl", LEVI4, fu) / 2
-    return vol * two_form_coeffs(mat)
+    coeffs = fu.reshape(fu.shape[:-2] + (DIM * DIM,)) @ _STAR_PAIRS / 2
+    return np.asarray(vol)[..., None] * coeffs
 
 
 def hodge_star_exact(g: np.ndarray, a: np.ndarray,
@@ -92,9 +112,7 @@ def hodge_star_exact(g: np.ndarray, a: np.ndarray,
     """
     _check_orientation(orientation)
     g, a = _match_dtypes(np.asarray(g), np.asarray(a))
-    det = _smallmat.determinant(g)
-    if not det > 0:
-        raise ValueError(f"metric determinant must be positive, got {float(det)}")
+    det = _positive_det(g)
     fu = _raised(g, a)
     mat = np.einsum("klmn,mn->kl", _as_exact_eps(), fu) / 2
     coeffs = two_form_coeffs(mat) * Fraction(orientation)

@@ -12,7 +12,10 @@ Conventions used throughout the package:
   ``e^123, e^124, e^134, e^234``.
 
 Every operation accepts float64 arrays or object arrays of Fractions; with
-Fraction inputs the results are exact.
+Fraction inputs the results are exact.  ``two_form_matrix``,
+``two_form_coeffs`` and ``d_two_form`` take leading axes: forms (..., 6), and
+for ``d_two_form`` one algebra or a sequence of algebras, whose structure
+constants (``structure_constants``) stack on a leading axis.
 """
 
 from __future__ import annotations
@@ -37,6 +40,21 @@ PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2
 
 #: Index triples (i < j < k, 0-based) for the four 3-form monomials e^{ijk}.
 TRIPLES: tuple[tuple[int, int, int], ...] = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+
+_PAIR_I, _PAIR_J = (np.array(ix) for ix in zip(*PAIRS))
+
+
+def _d_two_form_terms():
+    """Index arrays (4 triples x 12 terms) of dF: term 3m + r of triple
+    (i, j, k) is sign * C[c0, c1, c2] * F[f0, f1], m the bracket index."""
+    rows = []
+    for i, j, k in TRIPLES:
+        rows.append([t for m in range(DIM) for t in ((-1, i, j, m, m, k), (1, i, k, m, m, j),
+                                                       (-1, j, k, m, m, i))])
+    return tuple(np.array(col) for col in np.array(rows).transpose(2, 0, 1))
+
+
+_D_SIGN, _D_C0, _D_C1, _D_C2, _D_F0, _D_F1 = _d_two_form_terms()
 
 PAIR_LABELS: tuple[str, ...] = tuple(f"{i + 1}{j + 1}" for i, j in PAIRS)
 
@@ -148,32 +166,45 @@ def d_one_form(L: LieAlgebra, alpha: np.ndarray) -> np.ndarray:
     return out
 
 
+def structure_constants(L) -> np.ndarray:
+    """C (4, 4, 4) of one algebra, (S, 4, 4, 4) of a sequence of S algebras;
+    an array of structure constants (..., 4, 4, 4) is returned as it is."""
+    if isinstance(L, np.ndarray):
+        return L
+    return L.c if isinstance(L, LieAlgebra) else np.stack([alg.c for alg in L])
+
+
 def two_form_matrix(a: np.ndarray, dtype=None) -> np.ndarray:
-    """Antisymmetric 4x4 matrix of a 2-form from its six coefficients."""
+    """Antisymmetric 4x4 matrices (..., 4, 4) of 2-forms from their
+    coefficients (..., 6)."""
     a = np.asarray(a)
-    F = np.zeros((DIM, DIM), dtype=dtype if dtype is not None else a.dtype)
-    for p, (i, j) in enumerate(PAIRS):
-        F[i, j] = a[p]
-        F[j, i] = -a[p]
+    F = np.zeros(a.shape[:-1] + (DIM, DIM), dtype=dtype if dtype is not None else a.dtype)
+    F[..., _PAIR_I, _PAIR_J] = a
+    F[..., _PAIR_J, _PAIR_I] = -a
     return F
 
 
 def two_form_coeffs(F: np.ndarray) -> np.ndarray:
-    """Six coefficients of an antisymmetric matrix, in the fixed pair order."""
-    F = np.asarray(F)
-    return np.array([F[i, j] for i, j in PAIRS], dtype=F.dtype)
+    """Six coefficients (..., 6) of antisymmetric matrices (..., 4, 4), in the
+    fixed pair order."""
+    return np.asarray(F)[..., _PAIR_I, _PAIR_J]
 
 
-def d_two_form(L: LieAlgebra, a: np.ndarray) -> np.ndarray:
-    """d of a 2-form given by six coefficients; returns the four 3-form coefficients."""
+def d_two_form(L, a: np.ndarray) -> np.ndarray:
+    """d of 2-forms (..., 6); returns the 3-form coefficients (..., 4).
+
+    ``L`` is one algebra, a sequence of algebras or their stacked structure
+    constants (``structure_constants``), matching the leading axes of ``a``.
+    The coefficient of e^{ijk} is the sum over m of -C[i,j,m] F[m,k] +
+    C[i,k,m] F[m,j] - C[j,k,m] F[m,i], accumulated from 0 in that order of
+    terms by one cumulative sum, so floats round as in a loop over m and a
+    stacked call gives each form the bits of a lone call.
+    """
+    c = structure_constants(L)
     F = two_form_matrix(np.asarray(a))
-    out = np.zeros(4, dtype=np.result_type(L.c.dtype, F.dtype))
-    for t, (i, j, k) in enumerate(TRIPLES):
-        acc = 0
-        for m in range(DIM):
-            acc = acc - L.c[i, j, m] * F[m, k] + L.c[i, k, m] * F[m, j] - L.c[j, k, m] * F[m, i]
-        out[t] = acc
-    return out
+    terms = c[..., _D_C0, _D_C1, _D_C2] * F[..., _D_F0, _D_F1]
+    terms = np.concatenate([np.zeros_like(terms[..., :1]), _D_SIGN * terms], axis=-1)
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
 @dataclass(frozen=True)
@@ -189,12 +220,7 @@ class ClosednessSystem:
 
 def closedness_constraints(L: LieAlgebra) -> ClosednessSystem:
     """Coefficient matrix of dF = 0 and a canonical basis of its kernel."""
-    dtype = L.c.dtype
-    mat = np.zeros((4, 6), dtype=dtype)
-    for p in range(6):
-        unit = np.zeros(6, dtype=dtype)
-        unit[p] = Fraction(1) if L.exact else 1.0
-        mat[:, p] = d_two_form(L, unit)
+    mat = d_two_form(L, np.eye(6, dtype=L.c.dtype)).T.copy()  # column p: d(e^p)
     basis = nullspace(mat)
     free = []
     for v in basis:

@@ -9,6 +9,17 @@ of the electromagnetic stress term.  Under a conformal rescaling g -> t g the
 two terms of the stress scale identically (both as 1/t), which is why the
 trace-free part survives the rescaling; the tensor itself carries that
 conformal weight.
+
+``stress_energy`` and ``em_residual`` take leading axes.  One call of
+``em_residual`` with a sequence of S algebras, metrics (S, 4, 4) and forms
+(S, 6) re-verifies S candidates through one pass of the reference chain
+(``curvature_summary``, ``stress_energy``, ``hodge_star``, ``d_two_form``,
+``norm_sq``), which is how the solver re-verifies each lockstep group's end
+points; one algebra with one metric and one form is the S = 1 case.  The
+chain is loop-free matmul, einsum and index code that serves exact input
+through the same functions.  Reported residuals match a one-at-a-time
+evaluation to round-off and may differ from it in the last bits; the
+solver's end points do not depend on them.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ import numpy as np
 
 from . import _smallmat
 from .forms import hodge_star, inner_product, norm_sq, sd_asd_split
-from .lie_algebra import LieAlgebra, d_two_form, two_form_matrix
+from .lie_algebra import d_two_form, structure_constants, two_form_matrix
 from .metric_geometry import _match_dtypes, curvature_summary
 
 #: Residual tolerance below which a candidate counts as a solution; verified
@@ -35,14 +46,15 @@ NOT_A_SOLUTION = "NotASolution"
 
 
 def stress_energy(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Trace-free stress tensor [F o F]0; symmetric, g-trace-free, and zero
-    exactly when F is self-dual or anti-self-dual."""
+    """Trace-free stress tensor [F o F]0 (..., 4, 4) of metrics (..., 4, 4)
+    and 2-forms (..., 6); symmetric, g-trace-free, and zero exactly when F is
+    self-dual or anti-self-dual."""
     g, = _match_dtypes(np.asarray(g))
     fm = two_form_matrix(np.asarray(a), dtype=g.dtype)
     g_inv = _smallmat.inverse(g)
     comp = fm @ g_inv @ fm
-    trace = np.einsum("ij,ij->", g_inv, comp)
-    return comp - (trace / 4) * g
+    trace = np.einsum("...ij,...ij->...", g_inv, comp)
+    return comp - np.asarray(trace / 4)[..., None, None] * g
 
 
 @dataclass
@@ -85,30 +97,42 @@ class EMReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def em_residual(L: LieAlgebra, g: np.ndarray, a: np.ndarray, orientation: int = 1,
-                tol: float = TOL_SOLUTION) -> EMReport:
-    """Evaluate the full system on one candidate and classify it."""
+def em_residual(L, g: np.ndarray, a: np.ndarray, orientation: int = 1,
+                tol: float = TOL_SOLUTION):
+    """Evaluate the full system on candidates and classify them.
+
+    One algebra with g (4, 4) and a (6,) gives one EMReport; a sequence of S
+    algebras (or their structure constants (S, 4, 4, 4)) with g (S, 4, 4)
+    and a (S, 6) gives a list of S reports from one pass of the reference
+    chain.
+    """
+    c = structure_constants(L)
     g = np.asarray(g, dtype=float)
     a = np.asarray(a, dtype=float)
-    _, _, _, s, ric0 = curvature_summary(L, g)
+    _, _, _, s, ric0 = curvature_summary(c, g)
     em = ric0 + stress_energy(g, a)
-    r_em = float(np.abs(em).max())
-    r_df = float(np.abs(d_two_form(L, a)).max())
-    r_dstar = float(np.abs(d_two_form(L, hodge_star(g, a, orientation))).max())
-    einstein = bool(np.abs(ric0).max() <= TOL_EINSTEIN)
-    trivial = bool(np.sqrt(max(float(norm_sq(g, a)), 0.0)) <= TOL_TRIVIAL_F)
-    if max(r_em, r_df, r_dstar) <= tol:
-        classification = EINSTEIN_NULL_STRESS if (einstein or trivial) else NON_EINSTEIN_EM
-    else:
-        classification = NOT_A_SOLUTION
-    return EMReport(
-        r_em=r_em, r_dF=r_df, r_dstarF=r_dstar,
-        einstein=einstein, trivial_F=trivial,
-        scalar_curvature=float(s),
-        classification=classification, tol=tol,
-        inputs={"orientation": orientation, "f_coeffs": [float(x) for x in a],
-                "metric": [[float(x) for x in row] for row in g]},
-    )
+    r_em = np.abs(em).max(axis=(-2, -1))
+    r_df = np.abs(d_two_form(c, a)).max(axis=-1)
+    r_dstar = np.abs(d_two_form(c, hodge_star(g, a, orientation))).max(axis=-1)
+    einstein = np.abs(ric0).max(axis=(-2, -1)) <= TOL_EINSTEIN
+    trivial = np.sqrt(np.maximum(norm_sq(g, a), 0.0)) <= TOL_TRIVIAL_F
+    reports = []
+    for k in [()] if g.ndim == 2 else range(len(g)):
+        worst = max(r_em[k], r_df[k], r_dstar[k])
+        if worst <= tol:
+            classification = (EINSTEIN_NULL_STRESS if (einstein[k] or trivial[k])
+                              else NON_EINSTEIN_EM)
+        else:
+            classification = NOT_A_SOLUTION
+        reports.append(EMReport(
+            r_em=float(r_em[k]), r_dF=float(r_df[k]), r_dstarF=float(r_dstar[k]),
+            einstein=bool(einstein[k]), trivial_F=bool(trivial[k]),
+            scalar_curvature=float(s[k]),
+            classification=classification, tol=tol,
+            inputs={"orientation": orientation, "f_coeffs": a[k].tolist(),
+                    "metric": g[k].tolist()},
+        ))
+    return reports[0] if g.ndim == 2 else reports
 
 
 def verify_kahler_decomposition(g: np.ndarray, a: np.ndarray, omega: np.ndarray,

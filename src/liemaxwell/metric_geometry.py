@@ -15,7 +15,15 @@ sectional curvature ``K(x, y) = R(x, y, x, y) / (|x|^2 |y|^2 - <x,y>^2)``.
 All functions accept float64 or Fraction (object dtype) inputs; the exact
 path goes through rational Gaussian elimination instead of an orthonormal
 frame, so the whole chain down to the trace-free Ricci tensor is exact for
-rational data.
+rational data.  The chain (``levi_civita``, ``riemann``,
+``curvature_summary``) is loop-free einsum code that takes leading axes: a
+sequence of S algebras (or their structure constants, (S, 4, 4, 4)) with
+metrics (S, 4, 4) is one call, which is how the solver re-verifies each
+lockstep group's end points.  Exact input goes through the same functions.
+Each einsum contracts every metric on its own, so a stacked call agrees
+with lone calls to round-off: results may differ in the last bits, and the
+solver's Levenberg-Marquardt end points, which never read this chain, not
+at all.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import numpy as np
 
 from . import _smallmat
 from ._expr import eval_expr
-from .lie_algebra import DIM, CatalogEntry, LieAlgebra
+from .lie_algebra import DIM, CatalogEntry, LieAlgebra, structure_constants
 
 #: Margin required on every catalog constraint polynomial; the strict
 #: inequalities leave boundary behavior undefined and the solver must not
@@ -142,39 +150,57 @@ def validate_metric(entry: CatalogEntry, g: np.ndarray) -> MetricCheck:
 # ---------------------------------------------------------------------------
 
 
-def levi_civita(L: LieAlgebra, g: np.ndarray) -> np.ndarray:
-    """Connection coefficients Gamma[i, j, k] with nabla_{e_i} e_j = Gamma[i,j,k] e_k.
+def _last3(a: np.ndarray, *perm: int) -> np.ndarray:
+    """``np.transpose`` of the last three axes only."""
+    lead = a.ndim - 3
+    return a.transpose(*range(lead), *(lead + p for p in perm))
+
+
+def _connection(c: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    cg = np.einsum("...ijm,...mk->...ijk", c, g)
+    rhs = (cg + _last3(cg, 1, 2, 0) - _last3(cg, 2, 0, 1)) / 2
+    return np.einsum("...kl,...ijl->...ijk", g_inv, rhs)
+
+
+def _curvature(c: np.ndarray, g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    nabla2 = np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
+    nabla_br = np.einsum("...ijm,...mkl->...ijkl", c, gamma)
+    rc = -(nabla2 - nabla2.swapaxes(-4, -3) - nabla_br)
+    return np.einsum("...ijkm,...ml->...ijkl", rc, g)
+
+
+def levi_civita(L, g: np.ndarray) -> np.ndarray:
+    """Connection coefficients Gamma[..., i, j, k] with nabla_{e_i} e_j = Gamma[i,j,k] e_k.
 
     Koszul formula for left-invariant fields:
     2 g(nabla_x y, z) = g([x,y], z) + g([z,x], y) - g([y,z], x).
     """
-    c, g = _match_dtypes(L.c, np.asarray(g))
-    g_inv = _smallmat.inverse(g)
-    cg = np.einsum("ijm,mk->ijk", c, g)
-    rhs = (cg + np.transpose(cg, (1, 2, 0)) - np.transpose(cg, (2, 0, 1))) / 2
-    return np.einsum("kl,ijl->ijk", g_inv, rhs)
+    c, g = _match_dtypes(structure_constants(L), np.asarray(g))
+    return _connection(c, g, _smallmat.inverse(g))
 
 
-def riemann(L: LieAlgebra, g: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
-    """Covariant curvature R[i, j, k, l] = g(Rc(e_i, e_j) e_k, e_l)."""
-    c, g = _match_dtypes(L.c, np.asarray(g))
+def riemann(L, g: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
+    """Covariant curvature R[..., i, j, k, l] = g(Rc(e_i, e_j) e_k, e_l)."""
+    c, g = _match_dtypes(structure_constants(L), np.asarray(g))
     if gamma is None:
-        gamma = levi_civita(L, g)
-    nabla2 = np.einsum("jkm,iml->ijkl", gamma, gamma)
-    nabla_br = np.einsum("ijm,mkl->ijkl", c, gamma)
-    rc = -(nabla2 - np.transpose(nabla2, (1, 0, 2, 3)) - nabla_br)
-    return np.einsum("ijkm,ml->ijkl", rc, g)
+        gamma = _connection(c, g, _smallmat.inverse(g))
+    return _curvature(c, g, gamma)
 
 
-def curvature_summary(L: LieAlgebra, g: np.ndarray):
-    """(gamma, R, Ric, s, Ric0) in one pass; Ricci by g-inverse contraction."""
-    c, g = _match_dtypes(L.c, np.asarray(g))
-    gamma = levi_civita(L, g)
-    r4 = riemann(L, g, gamma)
+def curvature_summary(L, g: np.ndarray):
+    """(gamma, R, Ric, s, Ric0) in one pass; Ricci by g-inverse contraction.
+
+    ``L`` is one algebra with g (4, 4), or a sequence of S algebras (or
+    their structure constants) with g (S, 4, 4); every output then carries
+    the leading axis.
+    """
+    c, g = _match_dtypes(structure_constants(L), np.asarray(g))
     g_inv = _smallmat.inverse(g)
-    ric = np.einsum("jl,ijkl->ik", g_inv, r4)
-    s = np.einsum("ik,ik->", g_inv, ric)
-    ric0 = ric - (s / 4) * g
+    gamma = _connection(c, g, g_inv)
+    r4 = _curvature(c, g, gamma)
+    ric = np.einsum("...jl,...ijkl->...ik", g_inv, r4)
+    s = np.einsum("...ik,...ik->...", g_inv, ric)
+    ric0 = ric - np.asarray(s / 4)[..., None, None] * g
     return gamma, r4, ric, s, ric0
 
 

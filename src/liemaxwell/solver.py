@@ -30,6 +30,16 @@ extra points of one seed, because only the seed axis evaluates every row
 as a lone point is evaluated.  Iteration counts, stop reasons and residual
 evaluation counts are those of a lone run.
 
+Starts and re-verification run once per block or group as well.  Each seed
+draws from its own generator, but one ``sample_metric_params`` call checks
+the candidate metrics of all seeds of a block with one ``admissible`` call,
+and one stacked ``em_residual`` call re-verifies the end points of a group,
+each algebra and metric instantiated from its own candidate.  Starts, and
+so end points, are those of one seed at a time; the reference chain takes
+leading axes and serves exact input through the same functions, and its
+reports agree with one call per seed to round-off (they may differ in the
+last bits, never in the end points they describe).
+
 Determinism contract: the per-seed RNG is ``default_rng(seed ^ index)``,
 blocks are fixed by index, every seed runs at most ``SEARCH_MAX_ITER``
 iterations and results are merged in index order, so an outcome depends on
@@ -749,7 +759,7 @@ class SearchOutcome:
         return json.dumps(self.to_dict(include_timing), **kwargs)
 
 
-def sample_metric_params(entry: CatalogEntry, rng: np.random.Generator) -> dict:
+def sample_metric_params(entry: CatalogEntry, rng):
     """Uniform draw from the feasible box: [-3, 3] per parameter, positives in
     (0, 3]; rejection of the draws that are not ``admissible``.
 
@@ -757,33 +767,49 @@ def sample_metric_params(entry: CatalogEntry, rng: np.random.Generator) -> dict:
     rejected draws the box shrinks geometrically (off-diagonal parameters
     toward 0, positive ones toward 1) where every catalog shape is feasible.
 
-    Each run of draws with one box size (200, then 50 at a time) is drawn by
-    one ``rng.uniform`` call and checked at once; the generator is then
-    rewound to just after the first admissible draw.  The result and every
-    later draw from ``rng`` are those of drawing and checking one metric at a
-    time.
+    ``rng`` is one generator, giving one parameter dict (a ValueError when
+    no draw is admissible), or a sequence of generators, giving one dict per
+    generator (None where no draw is admissible).  Each run of draws with
+    one box size (200, then 50 at a time) is drawn by one ``uniform`` call
+    per generator, and the draws of all generators still searching are
+    checked by one ``admissible`` call; each generator that found one is
+    then rewound to just after its first admissible draw.  The result and
+    every later draw from each generator are those of drawing and checking
+    one metric at a time.
     """
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     names = entry.metric_param_names
-    if not names:
-        return {}
+    found: list[dict | None] = [{} if not names else None for _ in rngs]
     positive = np.array([n in entry.positive_metric_params for n in names])
+    pending = list(range(len(rngs))) if names else []
     attempt = 0
-    while attempt < SAMPLE_TRIES:
+    while pending and attempt < SAMPLE_TRIES:
         level = max(0, (attempt - 150) // 50)
         stop = min(SAMPLE_TRIES, 200 + 50 * level)
         shrink = 0.7 ** level
         lo = np.where(positive, 10 * EPS_PD, -3.0 * shrink)
         hi = np.where(positive, 1.0 + 2.0 * shrink, 3.0 * shrink)
-        state = rng.bit_generator.state
-        draws = rng.uniform(lo, hi, size=(stop - attempt, len(names)))
-        hits = np.flatnonzero(admissible(entry, draws))
-        if hits.size:
-            rng.bit_generator.state = state
-            rng.uniform(lo, hi, size=(hits[0] + 1, len(names)))
-            return dict(zip(names, draws[hits[0]].tolist()))
+        states = [rngs[p].bit_generator.state for p in pending]
+        draws = np.array([rngs[p].uniform(lo, hi, size=(stop - attempt, len(names)))
+                          for p in pending])
+        ok = admissible(entry, draws)
+        first = ok.argmax(axis=1).tolist()
+        searching = []
+        for q, p in enumerate(pending):
+            if ok[q, first[q]]:
+                rngs[p].bit_generator.state = states[q]
+                rngs[p].uniform(lo, hi, size=(first[q] + 1, len(names)))
+                found[p] = dict(zip(names, draws[q, first[q]].tolist()))
+            else:
+                searching.append(p)
+        pending = searching
         attempt = stop
-    raise ValueError(f"{entry.name}: empty feasible box "
-                     f"(no admissible metric in {SAMPLE_TRIES} draws)")
+    if isinstance(rng, np.random.Generator):
+        if found[0] is None:
+            raise ValueError(f"{entry.name}: empty feasible box "
+                             f"(no admissible metric in {SAMPLE_TRIES} draws)")
+        return found[0]
+    return found
 
 
 def sample_algebra_params(entry: CatalogEntry, rng: np.random.Generator,
@@ -839,47 +865,59 @@ def canonical_sign(c: Candidate) -> Candidate:
 _BLOCK = 32
 
 
-def _start(entry: CatalogEntry, seed: int, index: int, mode: str, orientation: int,
-           contexts: dict):
-    """(context, start x0) of seed ``index``, or (why it has none, None).
-    ``contexts`` caches contexts by algebra parameters."""
-    rng = np.random.default_rng(seed ^ index)
-    try:
-        algebra_params = sample_algebra_params(entry, rng, variant_index=index)
-        metric_params = sample_metric_params(entry, rng)
-    except ValueError:
-        return "sampling-failed", None
-    key = tuple(algebra_params.items())
-    if key not in contexts:
-        contexts[key] = ResidualContext(entry, algebra_params, orientation, mode=mode)
-    ctx = contexts[key]
-    k = ctx.kernel.shape[1]
-    if k == 0:
-        return "no-closed-forms", None
-    y0 = rng.uniform(-2.0, 2.0, size=k)
-    x0 = ctx.pack(metric_params, y0)
-    if mode == "unit_F":
-        nrm = float(norm_sq(ctx.metric_of(x0), ctx.f_of(x0)))
-        if nrm < 1e-6:
-            y0 = rng.uniform(0.5, 2.0, size=k)
-            x0 = ctx.pack(metric_params, y0)
+def _starts(entry: CatalogEntry, seed: int, indices: range, mode: str,
+            orientation: int) -> dict:
+    """(context, start x0) of each seed in ``indices``, or (why it has none,
+    None).  Each seed draws from its own ``default_rng(seed ^ index)``:
+    algebra parameters, then metric parameters (one sampler call for all
+    seeds), then kernel coordinates.  Seeds with equal algebra parameters
+    share one context."""
+    rngs = {index: np.random.default_rng(seed ^ index) for index in indices}
+    out: dict = {}
+    algebras, contexts = {}, {}
+    for index in indices:
+        try:
+            algebras[index] = sample_algebra_params(entry, rngs[index], variant_index=index)
+        except ValueError:
+            out[index] = "sampling-failed", None
+    metrics = sample_metric_params(entry, [rngs[index] for index in algebras])
+    for (index, algebra_params), metric_params in zip(algebras.items(), metrics):
+        if metric_params is None:
+            out[index] = "sampling-failed", None
+            continue
+        rng = rngs[index]
+        key = tuple(algebra_params.items())
+        if key not in contexts:
+            contexts[key] = ResidualContext(entry, algebra_params, orientation, mode=mode)
+        ctx = contexts[key]
+        k = ctx.kernel.shape[1]
+        if k == 0:
+            out[index] = "no-closed-forms", None
+            continue
+        y0 = rng.uniform(-2.0, 2.0, size=k)
+        x0 = ctx.pack(metric_params, y0)
+        if mode == "unit_F":
             nrm = float(norm_sq(ctx.metric_of(x0), ctx.f_of(x0)))
-        if nrm > 0:
-            x0[len(ctx.metric_names):] /= np.sqrt(nrm)
-    return ctx, x0
+            if nrm < 1e-6:
+                y0 = rng.uniform(0.5, 2.0, size=k)
+                x0 = ctx.pack(metric_params, y0)
+                nrm = float(norm_sq(ctx.metric_of(x0), ctx.f_of(x0)))
+            if nrm > 0:
+                x0[len(ctx.metric_names):] /= np.sqrt(nrm)
+        out[index] = ctx, x0
+    return {index: out[index] for index in indices}
 
 
 def _run_block(args) -> list[dict]:
-    """Seeds lo..hi-1 of a search: sample each start, refine the starts of
-    equal search dimension in one lockstep ``_levmar``, and re-verify every
-    end point independently.  One record per seed, in index order."""
+    """Seeds lo..hi-1 of a search: sample the starts, refine the starts of
+    equal search dimension in one lockstep ``_levmar``, and re-verify the
+    end points of each such group independently, in one stacked
+    ``em_residual`` call.  One record per seed, in index order."""
     entry_name, seed, lo, hi, mode, orientation, tol = args
     entry = entry_by_name(entry_name)
     records: dict[int, dict] = {}
     groups: dict[int, list] = {}
-    contexts: dict = {}
-    for index in range(lo, hi):
-        ctx, x0 = _start(entry, seed, index, mode, orientation, contexts)
+    for index, (ctx, x0) in _starts(entry, seed, range(lo, hi), mode, orientation).items():
         if x0 is None:
             records[index] = {"index": index, "status": ctx}
         else:
@@ -888,14 +926,16 @@ def _run_block(args) -> list[dict]:
         indices, ctxs, starts = zip(*members)
         x, iters, reasons, _ = _levmar(ResidualContext.stack(ctxs), np.array(starts),
                                        tol=min(tol * 1e-2, 1e-11), max_iter=SEARCH_MAX_ITER)
+        cands = [canonical_sign(ctx.candidate(end)) for ctx, end in zip(ctxs, x)]
+        # Independent re-verification through the geometry modules only: each
+        # algebra and metric instantiated from its own candidate.
+        _, algebras, metrics = zip(*map(_instantiated, cands))
+        reports = em_residual(algebras, np.array(metrics), np.array([c.f_coeffs for c in cands]),
+                              orientation, tol=tol)
         for s, index in enumerate(indices):
-            cand = canonical_sign(ctxs[s].candidate(x[s]))
-            # Independent re-verification through the geometry modules only.
-            _, L, g = _instantiated(cand)
-            report = em_residual(L, g, cand.f_coeffs, cand.orientation, tol=tol)
             records[index] = {"index": index, "status": "refined", "reason": reasons[s],
-                              "iterations": int(iters[s]), "candidate": cand,
-                              "report": report}
+                              "iterations": int(iters[s]), "candidate": cands[s],
+                              "report": reports[s]}
     return [records[i] for i in range(lo, hi)]
 
 
@@ -1033,12 +1073,16 @@ class ClassifyOutcome:
     n_non_einstein: int
     best_nonsolution_residual: float
     max_null_stress: float
+    #: Closest miss of the free_F pass; inf when the pass did not run or
+    #: refined no seed.  Reported only: the evidence rule reads the unit_F miss.
+    best_free_nonsolution_residual: float = float("inf")
 
     def to_dict(self) -> dict:
         out = asdict(self)
         out["entry"] = out.pop("entry_name")
-        if not np.isfinite(self.best_nonsolution_residual):
-            out["best_nonsolution_residual"] = None
+        for name in ("best_nonsolution_residual", "best_free_nonsolution_residual"):
+            if not np.isfinite(out[name]):
+                out[name] = None
         return out
 
 
@@ -1055,6 +1099,9 @@ def classify_algebra(entry, n_seeds: int = 200, seed: int = 0, n_jobs: int = 1,
     reported as "no solution found at budget" and demands that the unit-norm
     pass refined at least one seed and that the closest non-solution stays a
     factor of 100 above the solution tolerance; otherwise it is inconclusive.
+    The free-norm pass's closest miss is reported beside it and gates
+    nothing: without the |F|^2_g = 1 row, a run can shrink the absolute
+    residual by driving the metric towards degeneracy.
     """
     entry = entry if isinstance(entry, CatalogEntry) else entry_by_name(entry)
     outcome = multistart_search(entry, n_seeds=n_seeds, seed=seed, mode="unit_F",
@@ -1062,12 +1109,14 @@ def classify_algebra(entry, n_seeds: int = 200, seed: int = 0, n_jobs: int = 1,
     non_einstein = [s for s in outcome.solutions
                     if s[1].classification == NON_EINSTEIN_EM]
     solutions = list(outcome.solutions)
+    free_miss = float("inf")
     if not non_einstein:
         free_pass = multistart_search(entry, n_seeds=n_seeds, seed=seed, mode="free_F",
                                       n_jobs=n_jobs, tol=tol)
         non_einstein = [s for s in free_pass.solutions
                         if s[1].classification == NON_EINSTEIN_EM]
         solutions += free_pass.solutions
+        free_miss = free_pass.best_nonsolution_residual
     max_stress = 0.0
     for cand, report in solutions:
         if report.classification != NON_EINSTEIN_EM:
@@ -1092,4 +1141,5 @@ def classify_algebra(entry, n_seeds: int = 200, seed: int = 0, n_jobs: int = 1,
         n_solutions=len(solutions), n_non_einstein=len(non_einstein),
         best_nonsolution_residual=outcome.best_nonsolution_residual,
         max_null_stress=max_stress,
+        best_free_nonsolution_residual=free_miss,
     )

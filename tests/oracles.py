@@ -4,7 +4,10 @@ Everything here is written from the definitions with plain loops and full
 antisymmetric tensors, deliberately not sharing code paths with the package:
 exterior derivatives go through the graded Leibniz rule on monomials, the
 Hodge star is obtained by solving the linear system of its defining identity,
-and curvature is assembled from a hand-rolled Koszul solve.  Two oracles
+and curvature is assembled from a hand-rolled Koszul solve.  The one-form-at-
+a-time versions of ``two_form_matrix``, ``d_two_form`` and the exact
+curvature chain, which the package's stacked code replaced, are kept as the
+exact oracle for Fraction input.  Two oracles
 evaluate through the package's residual kernel: the complex-step Jacobian,
 which differentiates the kernel by its own rule, and the Levenberg-Marquardt
 reference, which re-implements the solver's control flow.
@@ -98,6 +101,68 @@ def d_two_form_leibniz(c, a6):
         dej = two_form_tensor(d_one_form_direct(c, ej))
         total += a6[p] * (wedge(dei, 2, np.asarray(ej), 1) - wedge(ei, 1, dej, 2))
     return three_form_coeffs(total)
+
+
+# -- the one-at-a-time reference chain, exact for Fraction input ---------------
+
+
+def two_form_matrix_loops(a6, dtype=None):
+    """Antisymmetric 4x4 matrix of one 2-form, entry by entry."""
+    a6 = np.asarray(a6)
+    f = np.zeros((DIM, DIM), dtype=dtype if dtype is not None else a6.dtype)
+    for p, (i, j) in enumerate(PAIRS):
+        f[i, j] = a6[p]
+        f[j, i] = -a6[p]
+    return f
+
+
+def d_two_form_loops(c, a6):
+    """dF(e_i, e_j, e_k) = -F([e_i,e_j], e_k) + F([e_i,e_k], e_j) - F([e_j,e_k], e_i),
+    accumulated over the bracket index."""
+    f = two_form_matrix_loops(a6)
+    out = np.zeros(4, dtype=np.result_type(c.dtype, f.dtype))
+    for t, (i, j, k) in enumerate(TRIPLES):
+        acc = 0
+        for m in range(DIM):
+            acc = acc - c[i, j, m] * f[m, k] + c[i, k, m] * f[m, j] - c[j, k, m] * f[m, i]
+        out[t] = acc
+    return out
+
+
+def _inverse_exact(g):
+    """Gauss-Jordan inverse of a nonsingular matrix of Fractions."""
+    n = len(g)
+    rows = [[Fraction(x) for x in g[r]] + [Fraction(int(r == c)) for c in range(n)]
+            for r in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col][col]
+        rows[col] = [x / head for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    out = np.empty((n, n), dtype=object)
+    for r in range(n):
+        out[r] = rows[r][n:]
+    return out
+
+
+def curvature_summary_exact(c, g):
+    """(gamma, R, Ric, s, Ric0) of one algebra and metric of Fractions:
+    Koszul formula, Riemann tensor and Ricci contraction, index by index."""
+    g_inv = _inverse_exact(g)
+    cg = np.einsum("ijm,mk->ijk", c, g)
+    rhs = (cg + np.transpose(cg, (1, 2, 0)) - np.transpose(cg, (2, 0, 1))) / 2
+    gamma = np.einsum("kl,ijl->ijk", g_inv, rhs)
+    nabla2 = np.einsum("jkm,iml->ijkl", gamma, gamma)
+    nabla_br = np.einsum("ijm,mkl->ijkl", c, gamma)
+    rc = -(nabla2 - np.transpose(nabla2, (1, 0, 2, 3)) - nabla_br)
+    r4 = np.einsum("ijkm,ml->ijkl", rc, g)
+    ric = np.einsum("jl,ijkl->ik", g_inv, r4)
+    s = np.einsum("ik,ik->", g_inv, ric)
+    return gamma, r4, ric, s, ric - (s / 4) * g
 
 
 def jacobi_brute(c):

@@ -260,8 +260,8 @@ def test_classify_unknown_entry_is_input_error(capsys):
 
 
 def test_classify_on_zero_evidence_is_inconclusive(capsys, monkeypatch):
-    def no_start(entry, rng):
-        raise ValueError(f"{entry.name}: empty feasible box")
+    def no_start(entry, rngs):  # the several-generator sampler: no admissible draw
+        return [None] * len(rngs)
 
     monkeypatch.setattr(solver, "sample_metric_params", no_start)
     code, out, _ = run(["classify", "--entries", "A4,4", "--seeds", "4", "--json"], capsys)

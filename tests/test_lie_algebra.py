@@ -100,6 +100,36 @@ def test_d_two_form_matches_leibniz_oracle():
         assert np.abs(got - want).max() < 1e-12
 
 
+def _fractions(rng, shape):
+    """Small random rationals in an object array."""
+    num, den = rng.integers(-9, 10, size=shape), rng.integers(1, 7, size=shape)
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        out[idx] = Fraction(int(num[idx]), int(den[idx]))
+    return out
+
+
+def test_stacked_two_form_code_matches_the_loops_exactly(cat):
+    # Fraction input, one form at a time and as stacks (one algebra for
+    # several forms, one algebra per form): exactly the values of the loops
+    # the loop-free code replaced.
+    rng = np.random.default_rng(21)
+    algebras = [la.instantiate(e, e.sample_params(), exact=True, check_range=False) for e in cat]
+    forms = _fractions(rng, (len(algebras), 6))
+    per_algebra = la.d_two_form(algebras, forms)
+    for k, L in enumerate(algebras):
+        want = orc.d_two_form_loops(L.c, forms[k])
+        assert list(la.d_two_form(L, forms[k])) == list(want) == list(per_algebra[k]), L.name
+        shared = la.d_two_form(L, forms[k:k + 3])
+        for a6, got in zip(forms[k:k + 3], shared):
+            assert list(got) == list(orc.d_two_form_loops(L.c, a6)), L.name
+    matrices = la.two_form_matrix(forms)
+    for a6, got in zip(forms, matrices):
+        want = orc.two_form_matrix_loops(a6)
+        assert (la.two_form_matrix(a6) == want).all() and (got == want).all()
+    assert (la.two_form_coeffs(matrices) == forms).all()
+
+
 def test_d_squared_zero_all_entries():
     for entry in la.catalog():
         L = la.instantiate(entry, entry.sample_params(), check_range=False)

@@ -5,8 +5,9 @@ import pytest
 
 import oracles as orc
 from conftest import admissible_draws
-from liemaxwell import forms, maxwell
+from liemaxwell import forms, maxwell, solver
 from liemaxwell import lie_algebra as la
+from liemaxwell.families import FAMILIES
 from liemaxwell.forms import two_form
 
 
@@ -110,6 +111,50 @@ def test_em_report_classification_invariant():
     assert blob["classification"] == "NonEinsteinEM"
     assert set(blob) >= {"r_em", "r_dF", "r_dstarF", "einstein", "trivial_F",
                          "scalar_curvature", "classification"}
+
+
+def test_stacked_em_residual_matches_single_calls():
+    # Sampled admissible points of every catalog entry with random F, and
+    # the family grid points (solutions): one stacked call against one call
+    # per candidate, in both orientations.
+    rng = np.random.default_rng(40)
+    algebras, metrics, fs = [], [], []
+    for _, L, g in admissible_draws(3 * len(la.catalog()), seed=41):
+        algebras.append(L)
+        metrics.append(g)
+        fs.append(rng.normal(size=6))
+    for fam in FAMILIES.values():
+        for point in fam.default_grid:
+            cand = solver.family_candidate(fam, point)
+            _, L, g = solver._instantiated(cand)
+            algebras.append(L)
+            metrics.append(g)
+            fs.append(cand.f_coeffs)
+    seen = set()
+    for orientation in (1, -1):
+        stacked = maxwell.em_residual(algebras, np.array(metrics), np.array(fs), orientation)
+        assert len(stacked) == len(algebras)
+        for L, g, f6, got in zip(algebras, metrics, fs, stacked):
+            want = maxwell.em_residual(L, g, f6, orientation)
+            assert got.classification == want.classification, L.name
+            for name in ("r_em", "r_dF", "r_dstarF", "scalar_curvature"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (L.name, name)
+            assert got.to_dict()["inputs"] == want.to_dict()["inputs"]
+            seen.add(got.classification)
+    assert {maxwell.NON_EINSTEIN_EM, maxwell.NOT_A_SOLUTION} <= seen
+
+
+def test_stack_with_a_nonpositive_determinant_is_refused_like_one_call():
+    L = la.instantiate(la.entry_by_name("2A2"), {})
+    good, bad = np.diag([1.0, 1.0, 2.0, 1.0]), np.diag([1.0, 1.0, 2.0, -1.0])
+    f6 = two_form(e12=1, e34=1)
+    with pytest.raises(ValueError) as single:
+        maxwell.em_residual(L, bad, f6)
+    with pytest.raises(ValueError) as stacked:
+        maxwell.em_residual([L, L, L], np.array([good, bad, good]), np.array([f6] * 3))
+    assert "determinant must be positive" in str(single.value)
+    assert str(stacked.value) == str(single.value)
 
 
 def test_kappa_decomposition_fixtures():

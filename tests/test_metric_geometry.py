@@ -181,6 +181,27 @@ def test_exact_mode_through_traceless_ricci():
     assert mg.scalar_curvature(L, g) == Fraction(-3)
 
 
+def test_stacked_curvature_on_fractions_matches_the_exact_oracle(cat):
+    # Every catalog entry at a rational admissible metric: one call per
+    # metric and one stacked call give exactly the oracle's values.
+    rng = np.random.default_rng(22)
+    algebras, metrics = [], []
+    for entry in cat:
+        while True:
+            float_params = solver.sample_metric_params(entry, rng)
+            params = {n: Fraction(v).limit_denominator(8) for n, v in float_params.items()}
+            if mg.admissible(entry, np.array([float(params[n]) for n in entry.metric_param_names])):
+                break
+        algebras.append(la.instantiate(entry, entry.sample_params(), exact=True,
+                                       check_range=False))
+        metrics.append(la.metric_from_params(entry, params, exact=True))
+    stacked = mg.curvature_summary(algebras, np.array(metrics))
+    for k, (L, g) in enumerate(zip(algebras, metrics)):
+        want = orc.curvature_summary_exact(L.c, g)
+        for got_one, got_stacked, value in zip(mg.curvature_summary(L, g), stacked, want):
+            assert np.all(got_one == value) and np.all(got_stacked[k] == value), L.name
+
+
 def test_is_einstein():
     L = la.instantiate(la.entry_by_name("2A2"), {})
     assert mg.is_einstein(L, metric_2a2(1.0), tol=1e-12)
