@@ -11,7 +11,8 @@ from .lie_algebra import (CatalogEntry, LieAlgebra, bracket, catalog, catalog_ch
 from .maxwell import EMReport, em_residual, stress_energy, verify_kahler_decomposition
 from .metric_geometry import (is_einstein, levi_civita, ricci, riemann, scalar_curvature,
                               traceless_ricci, validate_metric)
-from .solver import (Candidate, SearchOutcome, classify_algebra, multistart_search, refine,
-                     residual_vector, verify_solution_family)
+from .solver import (Candidate, SearchOutcome, SearchRequest, classify_algebra, classify_table,
+                     multistart_many, multistart_search, refine, residual_vector,
+                     verify_solution_family)
 
 __version__ = "0.1.0"

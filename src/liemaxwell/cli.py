@@ -30,7 +30,7 @@ from .lie_algebra import (VERDICTS, catalog, catalog_checksum, entry_by_name, in
                           metric_from_params)
 from .maxwell import EINSTEIN_NULL_STRESS, NON_EINSTEIN_EM, TOL_SOLUTION, em_residual
 from .metric_geometry import curvature_summary, validate_metric
-from .solver import Candidate, classify_algebra, multistart_search, number_object
+from .solver import Candidate, classify_table, multistart_search, number_object
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -215,8 +215,7 @@ def cmd_classify(args) -> int:
         entries = [e for e in entries if e.name in wanted]
     config = RunConfig(command="classify", entries=[e.name for e in entries],
                        seed=args.seed, seeds=args.seeds)
-    rows = [classify_algebra(entry, n_seeds=args.seeds, seed=args.seed, n_jobs=args.jobs)
-            for entry in entries]
+    rows = classify_table(entries, n_seeds=args.seeds, seed=args.seed, n_jobs=args.jobs)
     width = max(len(r.entry_name) for r in rows)
     lines = [f"{'entry':<{width}}  {'computed':<22} {'expected':<18} agree"]
     for r in rows:

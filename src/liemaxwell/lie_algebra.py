@@ -58,6 +58,14 @@ _D_SIGN, _D_C0, _D_C1, _D_C2, _D_F0, _D_F1 = _d_two_form_terms()
 
 PAIR_LABELS: tuple[str, ...] = tuple(f"{i + 1}{j + 1}" for i, j in PAIRS)
 
+#: What the catalog states about an entry's left-invariant solutions (g, F):
+#: HasNonEinsteinEM, some solution's metric is not Einstein (the entry names
+#: its family); EinsteinOnly, solutions with F != 0 exist and all have
+#: Einstein metrics, so null stress (F self-dual or anti-self-dual);
+#: NoSolution, no metric with a nonzero closed, co-closed F solves the
+#: system; Flat, every metric is flat and the solutions are the self-dual
+#: and anti-self-dual F.  ``classify`` checks only whether a NonEinsteinEM
+#: solution is present.
 VERDICTS = ("HasNonEinsteinEM", "EinsteinOnly", "NoSolution", "Flat")
 
 

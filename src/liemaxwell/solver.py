@@ -14,13 +14,15 @@ never forms the curvature tensor.  Every reported verdict is re-verified by
 the geometry modules, which derive curvature independently (Koszul
 connection, Riemann tensor, Ricci contraction).
 
-Multistart searches run seeds in lockstep: the seeds of a search are split
-into fixed blocks of 32 consecutive indices, and the seeds of a block with
-the same search dimension are refined by one Levenberg-Marquardt program
-whose state carries a leading seed axis (``ResidualContext.stack``).  Each
-seed keeps its own damping and counters, and its arithmetic does not depend
-on the seeds beside it, so a seed gives the same result alone and in a
-block.  A process pool, when asked for, takes whole blocks.
+Multistart searches run seeds in lockstep: the seeds of the requests of a
+``multistart_many`` call, in request order and then index order, are cut
+into programs of at most 32 seeds, and each program is refined by one
+Levenberg-Marquardt program whose state carries a leading seed axis
+(``ResidualContext.stack``), every seed's x padded with zeros to the widest
+search dimension.  Each seed keeps its own damping and counters, and its
+arithmetic does not depend on the seeds beside it, so a seed gives the same
+result alone, in its block and in a padded program.  A process pool, when
+asked for, takes whole programs.
 
 Each tick of that program tries a damping ladder per seed: the next three
 dampings a lone run would try (lam, 4 lam, 16 lam), solved, checked and
@@ -30,10 +32,11 @@ extra points of one seed, because only the seed axis evaluates every row
 as a lone point is evaluated.  Iteration counts, stop reasons and residual
 evaluation counts are those of a lone run.
 
-Starts and re-verification run once per block or group as well.  Each seed
-draws from its own generator, but one ``sample_metric_params`` call checks
-the candidate metrics of all seeds of a block with one ``admissible`` call,
-and one stacked ``em_residual`` call re-verifies the end points of a group,
+Starts and re-verification run once per request's share of a program and
+once per program.  Each seed draws from its own generator, but one
+``sample_metric_params`` call checks the candidate metrics of those seeds
+with one ``admissible`` call, and one stacked ``em_residual`` call
+re-verifies the end points of a program,
 each algebra and metric instantiated from its own candidate.  Starts, and
 so end points, are those of one seed at a time; the reference chain takes
 leading axes and serves exact input through the same functions, and its
@@ -41,7 +44,7 @@ reports agree with one call per seed to round-off (they may differ in the
 last bits, never in the end points they describe).
 
 Determinism contract: the per-seed RNG is ``default_rng(seed ^ index)``,
-blocks are fixed by index, every seed runs at most ``SEARCH_MAX_ITER``
+programs are fixed by request and index, every seed runs at most ``SEARCH_MAX_ITER``
 iterations and results are merged in index order, so an outcome depends on
 entry, seed, n_seeds, mode, orientation and tol, and never on n_jobs: serial
 and parallel reports are byte-identical.
@@ -247,8 +250,9 @@ class ResidualContext:
     #: and trace form that g^-1 raises (``_ct``), the Killing form and the
     #: Hodge-star-then-d map.
     _KERNEL = ("_lin", "_lin0", "_ct", "_killing_half", "_star_d")
-    #: Every per-seed constant: the kernel's and the F map ``f_of`` reads.
-    _SEED_AXIS = _KERNEL + ("_kernel_t",)
+    #: Every per-seed constant: the kernel's, the seed's entry (an index into
+    #: ``_entries``) and its number of free parameters.
+    _SEED_AXIS = _KERNEL + ("_part", "_n_free")
 
     def __init__(self, entry: CatalogEntry, algebra_params: dict, orientation: int = 1,
                  mode: str = "unit_F", frozen: tuple[str, ...] = ()):
@@ -272,6 +276,8 @@ class ResidualContext:
         if unknown:
             raise ValueError(f"unknown frozen parameters {sorted(unknown)}; have {self.names}")
         self.free_idx = [k for k, n in enumerate(self.names) if n not in frozen_set]
+        self._entries, self._part = (entry,), np.zeros(1, dtype=int)
+        self._n_free = np.array([len(self.free_idx)])
         self._place, self._g0 = entry.metric_placement
         # Six 2-form coefficients -> antisymmetric 4x4 matrix, flattened.
         f_place = np.zeros((6, 16))
@@ -292,7 +298,7 @@ class ResidualContext:
         lin0[_G] = self._g0
         lin0[_CG] = (c16 @ self._g0.reshape(4, 4)).ravel()
         self._lin, self._lin0 = lin[None], lin0[None, None]
-        self._kernel_t = kernel_t[None]
+        self._kernel_t = kernel_t
         # Hodge star then d: F^{kl} (raised, flattened) -> d*F / (sign sqrt det g).
         eps_pairs = np.array([LEVI4[i, j] for i, j in PAIRS], dtype=float).reshape(6, 16)
         self._star_d = (0.5 * orientation * eps_pairs.T @ d_t)[None]
@@ -306,16 +312,30 @@ class ResidualContext:
 
     @classmethod
     def stack(cls, contexts: list["ResidualContext"]) -> "ResidualContext":
-        """One context for the seeds of ``contexts`` (one entry, mode,
-        orientation and frozen set, equal kernel sizes), their per-seed
-        constants concatenated in order.  It evaluates and checks points;
-        per-seed facts (algebra, kernel, candidates) stay with the parts."""
+        """One context for the seeds of ``contexts`` (made by the constructor,
+        in one mode), their per-seed constants concatenated in order.  Entry,
+        orientation and width (number of parameters) may differ: a narrower
+        seed's x is padded with zeros to the widest width, and its ``_lin``
+        with zero rows, so its residual is unchanged and its padded Jacobian
+        columns are 0.  Equal widths may share a frozen set; mixed widths
+        need every parameter free.  It evaluates and checks points; per-seed
+        facts (algebra, kernel, candidates) stay with the parts."""
         if len(contexts) == 1:
             return contexts[0]
+        widths = [len(c.names) for c in contexts]
+        width = max(widths)
         out = copy.copy(contexts[0])
-        for name in cls._SEED_AXIS:
+        for name in cls._SEED_AXIS[1:]:  # all but _lin, padded below
             setattr(out, name, np.concatenate([getattr(c, name) for c in contexts]))
-        out.L = out.kernel = out.algebra_params = None
+        out._lin = np.zeros((len(contexts), width, _WIDTH))
+        for s, c in enumerate(contexts):
+            out._lin[s, :widths[s]] = c._lin[0]
+        entries = {id(c.entry): c.entry for c in contexts}
+        out._entries = tuple(entries.values())
+        out._part = np.array([list(entries).index(id(c.entry)) for c in contexts])
+        if min(widths) < width:
+            out.free_idx = list(range(width))
+        out.L = out.kernel = out.algebra_params = out.names = out.metric_names = None
         return out
 
     def take(self, seeds: np.ndarray) -> "ResidualContext":
@@ -344,15 +364,22 @@ class ResidualContext:
         return g.reshape(x.shape[:-1] + (4, 4))
 
     def f_of(self, x: np.ndarray) -> np.ndarray:
-        """2-form coefficients (..., 6) of x (..., n); a 3-D x is (seed, point, n)."""
-        return x[..., len(self.metric_names):] @ (self._kernel_t if x.ndim == 3 else
-                                                   self._kernel_t[0])
+        """2-form coefficients (..., 6) of x (..., n)."""
+        return x[..., len(self.metric_names):] @ self._kernel_t
 
     def feasible(self, x: np.ndarray):
         """Whether x (..., n) is admissible (``metric_geometry.admissible`` on
         its metric parameters): a bool for a 1-D x, else a bool array over
-        the leading axes."""
-        return admissible(self.entry, x[..., :len(self.metric_names)])
+        the leading axes.  Row s of a stacked context's x (S, ..., n) is
+        checked against seed s's entry, one ``admissible`` call per entry."""
+        if len(self._entries) == 1:
+            return admissible(self.entry, x[..., :len(self.entry.metric_param_names)])
+        ok = np.zeros(x.shape[:-1], dtype=bool)
+        for part, entry in enumerate(self._entries):
+            at = self._part == part
+            if at.any():
+                ok[at] = admissible(entry, x[at, ..., :len(entry.metric_param_names)])
+        return ok
 
     def residual(self, x: np.ndarray, seeds: np.ndarray | None = None) -> np.ndarray:
         """Residual rows of x: (S, m, n) -> (S, m, n_rows), m points per seed.
@@ -534,6 +561,15 @@ def _solve_stack(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return delta, solved
 
 
+def _by_width(widths: list[int]) -> list[tuple]:
+    """(width, positions, rows of their rungs) for each width in ``widths``;
+    all positions and rows are one slice when they share a width."""
+    if len(set(widths)) == 1:
+        return [(widths[0], slice(None), slice(None))]
+    at = [np.flatnonzero(np.equal(widths, w)) for w in dict.fromkeys(widths)]
+    return [(widths[a[0]], a, (a[:, None] * _RUNGS + np.arange(_RUNGS)).ravel()) for a in at]
+
+
 #: Trials per running seed and tick: the dampings lam, 4 lam, 16 lam, which
 #: a lone run tries after successive rejections.  Powers of two, so each
 #: rung's damping equals the lone run's bit for bit.
@@ -580,10 +616,15 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     counters, the starting and stop flags) are Python lists walked once per
     tick; only points, residuals and normal equations are arrays.
 
+    Seeds of a padded stack own the first ``_n_free`` free columns.  Their
+    residuals, Jacobians and J^T J are those of their own width, but J^T r
+    and the LU solve round differently at another width, so both run once
+    per width present, on that width's unpadded block.
+
     Returns per seed: end points (S, n), iterations, stop reasons and
-    residual evaluations.  These count the start, one per free parameter
-    for each Jacobian, and each feasible trial of the lone-run rules; rungs
-    evaluated but dropped do not count.
+    residual evaluations.  These count the start, one per free parameter of
+    the seed for each Jacobian, and each feasible trial of the lone-run
+    rules; rungs evaluated but dropped do not count.
     """
     n_seeds = len(x0)
     free = np.asarray(ctx.free_idx, dtype=int)
@@ -598,6 +639,8 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     n = len(pos)
     live = ctx if n == n_seeds else ctx.take(pos)  # the running seeds' constants
     rungs = live.repeat(_RUNGS)  # and their rungs': rung j of seed i is i * _RUNGS + j
+    n_free = live._n_free.tolist()
+    widths = _by_width(n_free)
     r = live.residual(x[:, None])[:, 0]
     rr = (r[:, None] @ r[..., None])[:, 0, 0].tolist()
     ended = [_iteration_stop(p, 0, tol, max_iter) for p in np.abs(r).max(axis=1).tolist()]
@@ -628,25 +671,33 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
                 break
             live = live.take(keep)
             rungs = live.repeat(_RUNGS)
+            n_free = live._n_free.tolist()
+            widths = _by_width(n_free)
         go = [i for i in range(n) if starting[i]]
         if go:
             sel = slice(None) if len(go) == n else go
             jac = residual_jacobian(live, x[sel], seeds=None if len(go) == n else go)
             jac_t = jac.swapaxes(1, 2)
             normal[sel] = jac_t @ jac
-            neg_grad[sel] = -(jac_t @ r[sel, :, None])
+            rhs = r[sel, :, None]
+            for w, at, _ in widths if len(widths) == 1 else _by_width([n_free[i] for i in go]):
+                rows = sel if isinstance(at, slice) else np.asarray(go)[at]
+                neg_grad[rows, :w] = -(jac_t[at, :w] @ rhs[at])
             damping[sel] = eye * np.maximum(np.diagonal(normal[sel], 0, 1, 2), 1e-12)[:, None]
             for i in go:
-                evals[i] += k  # one batched call of k rows per seed
+                evals[i] += n_free[i]  # one batched call of n_free rows per seed
                 trials[i] = rejects[i] = 0
         # The ladder: rung j of running seed i is row i * _RUNGS + j.
         scale = np.multiply.outer(lam, _RUNG_SCALE)[..., None, None]
-        delta, solved = _solve_stack(
-            (normal[:, None] + scale * damping[:, None]).reshape(-1, k, k),
-            np.repeat(neg_grad, _RUNGS, axis=0))
+        delta = np.zeros((n * _RUNGS, k))
+        solved = np.empty(n * _RUNGS, dtype=bool)
+        for w, at, at_rungs in widths:
+            delta[at_rungs, :w], solved[at_rungs] = _solve_stack(
+                (normal[at, None, :w, :w] + scale[at] * damping[at, None, :w, :w]).reshape(-1, w, w),
+                np.repeat(neg_grad[at, :w], _RUNGS, axis=0))
         x_new = np.repeat(x, _RUNGS, axis=0)
         x_new[:, free] += delta
-        ok = np.flatnonzero(solved & ctx.feasible(x_new))
+        ok = np.flatnonzero(solved & rungs.feasible(x_new))
         if len(ok) == len(x_new):
             r_ok = rungs.residual(x_new[:, None])[:, 0]
         else:
@@ -860,8 +911,9 @@ def canonical_sign(c: Candidate) -> Candidate:
     return c
 
 
-#: Seeds sampled and refined together.  A constant, so a seed's block, and
-#: with it every number of the search, never depends on n_jobs.
+#: Seeds per program, sampled and refined together.  A constant, so a
+#: seed's program, and with it every number of the search, never depends on
+#: n_jobs.
 _BLOCK = 32
 
 
@@ -908,68 +960,109 @@ def _starts(entry: CatalogEntry, seed: int, indices: range, mode: str,
     return {index: out[index] for index in indices}
 
 
-def _run_block(args) -> list[dict]:
-    """Seeds lo..hi-1 of a search: sample the starts, refine the starts of
-    equal search dimension in one lockstep ``_levmar``, and re-verify the
-    end points of each such group independently, in one stacked
-    ``em_residual`` call.  One record per seed, in index order."""
-    entry_name, seed, lo, hi, mode, orientation, tol = args
-    entry = entry_by_name(entry_name)
-    records: dict[int, dict] = {}
-    groups: dict[int, list] = {}
-    for index, (ctx, x0) in _starts(entry, seed, range(lo, hi), mode, orientation).items():
-        if x0 is None:
-            records[index] = {"index": index, "status": ctx}
-        else:
-            groups.setdefault(len(x0), []).append((index, ctx, x0))
-    for members in groups.values():
-        indices, ctxs, starts = zip(*members)
-        x, iters, reasons, _ = _levmar(ResidualContext.stack(ctxs), np.array(starts),
-                                       tol=min(tol * 1e-2, 1e-11), max_iter=SEARCH_MAX_ITER)
-        cands = [canonical_sign(ctx.candidate(end)) for ctx, end in zip(ctxs, x)]
-        # Independent re-verification through the geometry modules only: each
-        # algebra and metric instantiated from its own candidate.
-        _, algebras, metrics = zip(*map(_instantiated, cands))
-        reports = em_residual(algebras, np.array(metrics), np.array([c.f_coeffs for c in cands]),
-                              orientation, tol=tol)
-        for s, index in enumerate(indices):
-            records[index] = {"index": index, "status": "refined", "reason": reasons[s],
-                              "iterations": int(iters[s]), "candidate": cands[s],
-                              "report": reports[s]}
-    return [records[i] for i in range(lo, hi)]
+def _run_block(*segments) -> list[dict]:
+    """The seeds of one program: ``segments`` are seed ranges (entry_name,
+    seed, lo, hi, mode, orientation, tol), one per request, of one mode,
+    orientation and tol.  Sample each range's starts, refine them in one
+    lockstep ``_levmar``, each x padded to the widest width, and re-verify
+    the end points independently, in one stacked ``em_residual`` call.  One
+    record per seed, in segment order, then index order."""
+    *_, mode, orientation, tol = segments[0]
+    records, members = [], []
+    for entry_name, seed, lo, hi, *_ in segments:
+        starts = _starts(entry_by_name(entry_name), seed, range(lo, hi), mode, orientation)
+        for index, (ctx, x0) in starts.items():
+            records.append({"index": index, "status": ctx if x0 is None else "refined"})
+            if x0 is not None:
+                members.append((records[-1], ctx, x0))
+    if not members:
+        return records
+    refined, ctxs, starts = zip(*members)
+    x0 = np.zeros((len(starts), max(map(len, starts))))
+    for s, start in enumerate(starts):
+        x0[s, :len(start)] = start
+    x, iters, reasons, _ = _levmar(ResidualContext.stack(ctxs), x0,
+                                   tol=min(tol * 1e-2, 1e-11), max_iter=SEARCH_MAX_ITER)
+    cands = [canonical_sign(ctx.candidate(end[:len(ctx.names)])) for ctx, end in zip(ctxs, x)]
+    # Independent re-verification through the geometry modules only: each
+    # algebra and metric instantiated from its own candidate.
+    _, algebras, metrics = zip(*map(_instantiated, cands))
+    reports = em_residual(algebras, np.array(metrics), np.array([c.f_coeffs for c in cands]),
+                          orientation, tol=tol)
+    for s, record in enumerate(refined):
+        record.update(reason=reasons[s], iterations=int(iters[s]), candidate=cands[s],
+                      report=reports[s])
+    return records
 
 
-def multistart_search(entry, n_seeds: int, seed: int = 0, mode: str = "unit_F",
-                      orientation: int = 1, tol: float = TOL_SOLUTION,
-                      n_jobs: int = 1) -> SearchOutcome:
-    """Refine from n_seeds deterministic random starts and collect solutions.
+@dataclass(frozen=True)
+class SearchRequest:
+    """One multistart search: the arguments of ``multistart_search`` but n_jobs."""
 
-    Seeds run in fixed blocks of consecutive indices (``_BLOCK``); with
-    n_jobs > 1 a process pool takes whole blocks, so the outcome is the same
-    for every n_jobs.
+    entry: CatalogEntry | str
+    n_seeds: int
+    seed: int = 0
+    mode: str = "unit_F"
+    orientation: int = 1
+    tol: float = TOL_SOLUTION
+
+
+def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[SearchOutcome]:
+    """``multistart_search`` for each request, in one set of programs.
+
+    The seeds of all requests, in request order and then index order, are
+    cut into programs of at most ``_BLOCK`` seeds, and where mode,
+    orientation or tol changes; with n_jobs > 1 a process pool takes whole
+    programs.  The packing never depends on n_jobs, and a seed's result is
+    the one it has alone, so each outcome is that of the request's own
+    ``multistart_search`` (``wall_time`` is the time of the whole call).
     """
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
-    entry = entry if isinstance(entry, CatalogEntry) else entry_by_name(entry)
+    if any(r.n_seeds < 1 for r in requests):
+        raise ValueError("n_seeds must be >= 1")
     t0 = time.perf_counter()
-    blocks = [(entry.name, seed, lo, min(lo + _BLOCK, n_seeds), mode, orientation, tol)
-              for lo in range(0, n_seeds, _BLOCK)]
-    workers = min(n_jobs, len(blocks))
+    entries = [r.entry if isinstance(r.entry, CatalogEntry) else entry_by_name(r.entry)
+               for r in requests]
+    programs: list[list[tuple]] = []
+    room = 0
+    for r, entry in zip(requests, entries):
+        lo = 0
+        while lo < r.n_seeds:
+            if not room or programs[-1][-1][4:] != (r.mode, r.orientation, r.tol):
+                programs.append([])
+                room = _BLOCK
+            hi = min(r.n_seeds, lo + room)
+            programs[-1].append((entry.name, r.seed, lo, hi, r.mode, r.orientation, r.tol))
+            room -= hi - lo
+            lo = hi
+    workers = min(n_jobs, len(programs))
     if workers > 1:
         # Imported here: multiprocessing adds about 20 ms and 2 MB to every
         # process that imports the package, and serial runs never use it.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_block, blocks))
+            done = [job.result() for job in [pool.submit(_run_block, *p) for p in programs]]
     else:
-        done = [_run_block(b) for b in blocks]
-    results = [res for block in done for res in block]
+        done = [_run_block(*p) for p in programs]
+    results = [res for program in done for res in program]
+    outcomes, at = [], 0
+    for r, entry in zip(requests, entries):
+        outcomes.append(_outcome(entry, r, results[at:at + r.n_seeds]))
+        at += r.n_seeds
+    wall_time = time.perf_counter() - t0
+    for outcome in outcomes:
+        outcome.wall_time = wall_time
+    return outcomes
+
+
+def _outcome(entry: CatalogEntry, request: SearchRequest, results: list[dict]) -> SearchOutcome:
+    """A request's ledger, distinct solutions and closest miss from its
+    seeds' records; an infeasible start ran no iteration and is no miss."""
     refined = [res for res in results if res["status"] == "refined"]
     reasons = [res["reason"] for res in refined]
     outcome = SearchOutcome(
-        entry_name=entry.name, mode=mode, seed=seed, seeds_used=len(refined),
+        entry_name=entry.name, mode=request.mode, seed=request.seed, seeds_used=len(refined),
         seeds_sampled=sum(res["status"] != "sampling-failed" for res in results),
         seeds_refined=len(refined) - reasons.count("infeasible start"),
         stop_reasons={r: reasons.count(r) for r in STOP_REASONS})
@@ -984,11 +1077,22 @@ def multistart_search(entry, n_seeds: int, seed: int = 0, mode: str = "unit_F",
                 continue
             kept_vectors.append(vec)
             outcome.solutions.append((cand, report))
-        else:
+        elif res["reason"] != "infeasible start":
             best_miss = min(best_miss, max(report.r_em, report.r_dF, report.r_dstarF))
     outcome.best_nonsolution_residual = best_miss
-    outcome.wall_time = time.perf_counter() - t0
     return outcome
+
+
+def multistart_search(entry, n_seeds: int, seed: int = 0, mode: str = "unit_F",
+                      orientation: int = 1, tol: float = TOL_SOLUTION,
+                      n_jobs: int = 1) -> SearchOutcome:
+    """Refine from n_seeds deterministic random starts and collect solutions:
+    the one-request case of ``multistart_many``.  Seeds run in fixed blocks
+    of consecutive indices (``_BLOCK``); with n_jobs > 1 a process pool
+    takes whole blocks, so the outcome is the same for every n_jobs.
+    """
+    return multistart_many([SearchRequest(entry, n_seeds, seed, mode, orientation, tol)],
+                           n_jobs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1086,35 +1190,48 @@ class ClassifyOutcome:
         return out
 
 
-def classify_algebra(entry, n_seeds: int = 200, seed: int = 0, n_jobs: int = 1,
-                     tol: float = TOL_SOLUTION) -> ClassifyOutcome:
-    """Compare the search verdict with the catalog verdict.
+def classify_table(entries, n_seeds: int = 200, seed: int = 0, n_jobs: int = 1,
+                   tol: float = TOL_SOLUTION) -> list[ClassifyOutcome]:
+    """Compare the search verdict with the catalog verdict, one row per entry.
 
-    Runs the unit-norm sweep first (it also supplies the non-existence
-    evidence), then a free-norm pass if nothing was found: the EM equation
-    pins the scale of F, and some solution families live entirely at
-    |F|_g > 1 where the unit-norm slice is empty.
+    Runs the unit-norm pass of every row first, as one ``multistart_many``
+    (it also supplies the non-existence evidence), then, as a second one, a
+    free-norm pass for each row that found no NonEinsteinEM solution: the EM
+    equation pins the scale of F, and some solution families live entirely
+    at |F|_g > 1 where the unit-norm slice is empty.
 
-    A negative verdict is numerical evidence only, never a proof: it is
-    reported as "no solution found at budget" and demands that the unit-norm
-    pass refined at least one seed and that the closest non-solution stays a
-    factor of 100 above the solution tolerance; otherwise it is inconclusive.
-    The free-norm pass's closest miss is reported beside it and gates
-    nothing: without the |F|^2_g = 1 row, a run can shrink the absolute
-    residual by driving the metric towards degeneracy.
+    Only the presence of a NonEinsteinEM solution is checked.  A negative
+    verdict is numerical evidence only, never a proof: it is reported as "no
+    solution found at budget" and demands that the unit-norm pass refined at
+    least one seed (ran an iteration from a feasible start) and that the
+    closest non-solution stays a factor of 100 above the solution
+    tolerance; otherwise it is inconclusive.  The free-norm pass's closest
+    miss is reported beside it and gates nothing: without the |F|^2_g = 1
+    row, a run can shrink the absolute residual by driving the metric
+    towards degeneracy.
     """
-    entry = entry if isinstance(entry, CatalogEntry) else entry_by_name(entry)
-    outcome = multistart_search(entry, n_seeds=n_seeds, seed=seed, mode="unit_F",
-                                n_jobs=n_jobs, tol=tol)
-    non_einstein = [s for s in outcome.solutions
-                    if s[1].classification == NON_EINSTEIN_EM]
+    entries = [e if isinstance(e, CatalogEntry) else entry_by_name(e) for e in entries]
+    units = multistart_many([SearchRequest(e, n_seeds, seed, "unit_F", tol=tol) for e in entries],
+                            n_jobs)
+    need = [i for i, unit in enumerate(units) if not _non_einstein(unit.solutions)]
+    frees = multistart_many([SearchRequest(entries[i], n_seeds, seed, "free_F", tol=tol)
+                             for i in need], n_jobs)
+    free_of = dict(zip(need, frees))
+    return [_classify_row(entry, unit, free_of.get(i), tol)
+            for i, (entry, unit) in enumerate(zip(entries, units))]
+
+
+def _non_einstein(solutions: list) -> list:
+    return [s for s in solutions if s[1].classification == NON_EINSTEIN_EM]
+
+
+def _classify_row(entry: CatalogEntry, outcome: SearchOutcome, free_pass: SearchOutcome | None,
+                  tol: float) -> ClassifyOutcome:
+    non_einstein = _non_einstein(outcome.solutions)
     solutions = list(outcome.solutions)
     free_miss = float("inf")
-    if not non_einstein:
-        free_pass = multistart_search(entry, n_seeds=n_seeds, seed=seed, mode="free_F",
-                                      n_jobs=n_jobs, tol=tol)
-        non_einstein = [s for s in free_pass.solutions
-                        if s[1].classification == NON_EINSTEIN_EM]
+    if free_pass is not None:
+        non_einstein = _non_einstein(free_pass.solutions)
         solutions += free_pass.solutions
         free_miss = free_pass.best_nonsolution_residual
     max_stress = 0.0
@@ -1128,7 +1245,7 @@ def classify_algebra(entry, n_seeds: int = 200, seed: int = 0, n_jobs: int = 1,
     else:
         computed = "NoNonEinsteinEMFound"
         # No refined seed is no evidence; a near miss is evidence against.
-        inconclusive = bool(outcome.seeds_used == 0
+        inconclusive = bool(outcome.seeds_refined == 0
                             or (np.isfinite(outcome.best_nonsolution_residual)
                                 and outcome.best_nonsolution_residual <= EVIDENCE_FACTOR * tol))
     if entry.verdict == "HasNonEinsteinEM":
@@ -1143,3 +1260,9 @@ def classify_algebra(entry, n_seeds: int = 200, seed: int = 0, n_jobs: int = 1,
         max_null_stress=max_stress,
         best_free_nonsolution_residual=free_miss,
     )
+
+
+def classify_algebra(entry, n_seeds: int = 200, seed: int = 0, n_jobs: int = 1,
+                     tol: float = TOL_SOLUTION) -> ClassifyOutcome:
+    """One row of ``classify_table``."""
+    return classify_table([entry], n_seeds, seed, n_jobs, tol)[0]

@@ -322,6 +322,15 @@ def test_classify_subset(capsys):
     assert code == 0 and json.loads(out)["agree"] == 1
 
 
+def test_classify_table_is_the_same_with_a_pool(capsys):
+    # 3 rows x 12 seeds fill two programs, so --jobs 2 runs both at once.
+    argv = ["classify", "--entries", "2A2", "A4,4", "A4,5^{a,b}", "--seeds", "12", "--seed", "3",
+            "--json"]
+    serial = run(argv, capsys)
+    assert run(argv + ["--jobs", "2"], capsys) == serial
+    assert len(json.loads(serial[1])["rows"]) == 3
+
+
 _SOLUTION_2A2 = {"entry": "2A2", "algebra_params": {},
                  "metric_params": {"a1": 0, "a2": 0, "a3": 0, "a4": 0, "a5": 2.0},
                  "f_coeffs": [1.0, 0, 0, 0, 0, float(np.sqrt(3))], "orientation": 1}

@@ -535,6 +535,55 @@ def test_zero_evidence_is_inconclusive(monkeypatch):
     assert res.to_dict()["best_free_nonsolution_residual"] is None  # no seed refined
 
 
+def test_seeds_that_ran_no_iteration_are_no_evidence(monkeypatch):
+    # Every start refused by the feasibility check: the seeds reach
+    # refinement, so they count as used, but run no iteration.  Their
+    # unrefined starts are no closest miss and the row is inconclusive.
+    monkeypatch.setattr(solver.ResidualContext, "feasible",
+                        lambda self, x: np.zeros(x.shape[:-1], dtype=bool))
+    out = solver.multistart_search("A4,4", n_seeds=4, seed=0)
+    assert out.seeds_used == out.stop_reasons["infeasible start"] == 4
+    assert out.seeds_refined == 0 and out.best_nonsolution_residual == float("inf")
+    res = solver.classify_algebra("A4,4", n_seeds=4)
+    assert res.inconclusive and not res.agree
+    assert res.to_dict()["best_nonsolution_residual"] is None
+
+
+def test_programs_span_requests_and_widths(monkeypatch):
+    # Search widths 6 and 7 (A4,5^{a,b}, by variant), 8 (2A2) and 6 (A4,4,
+    # free_F).  Seeds are packed in request order into programs of at most
+    # 32 seeds, so programs span requests and mix widths, and every
+    # request's outcome is that of its own search.
+    requests = [solver.SearchRequest("A4,5^{a,b}", 14, 5), solver.SearchRequest("2A2", 24, 9),
+                solver.SearchRequest("A4,4", 6, 9, mode="free_F")]
+    programs = []
+    levmar = solver._levmar
+
+    def recording(ctx, x0, tol, max_iter):
+        programs.append(set(ctx._n_free.tolist()))
+        return levmar(ctx, x0, tol, max_iter)
+
+    monkeypatch.setattr(solver, "_levmar", recording)
+    many = solver.multistart_many(requests)
+    monkeypatch.undo()
+    assert set().union(*programs) == {6, 7, 8}
+    assert any(len(widths) > 1 for widths in programs)
+    for request, outcome in zip(requests, many):
+        alone = solver.multistart_search(request.entry, request.n_seeds, request.seed,
+                                         mode=request.mode)
+        assert outcome.to_json() == alone.to_json(), request
+
+
+def test_classify_table_rows_are_one_row_calls():
+    # 2A2 stops after its unit_F pass; the other rows run a free_F pass too.
+    names = ["2A2", "A4,4", "A4,5^{a,b}", "A3,1+A1"]
+    table = solver.classify_table(names, n_seeds=6, seed=11)
+    assert [r.to_dict() for r in table] == [
+        solver.classify_algebra(name, n_seeds=6, seed=11).to_dict() for name in names]
+    assert table[0].best_free_nonsolution_residual == float("inf")
+    assert all(r.best_free_nonsolution_residual < float("inf") for r in table[1:])
+
+
 def test_classify_reports_the_free_pass_closest_miss():
     # The A3,1+A1 free_F pass at seed 1024*103 with 2 seeds ends 3.9e-9 from
     # a solution, inside the evidence band.  The row reports that miss; the
