@@ -74,7 +74,8 @@ class EMReport:
 
     @property
     def is_solution(self) -> bool:
-        return max(self.r_em, self.r_dF, self.r_dstarF) <= self.tol
+        """Every residual is within tol; a NaN residual never is."""
+        return all(r <= self.tol for r in (self.r_em, self.r_dF, self.r_dstarF))
 
     def to_dict(self) -> dict:
         out = {
@@ -116,10 +117,11 @@ def em_residual(L, g: np.ndarray, a: np.ndarray, orientation: int = 1,
     r_dstar = np.abs(d_two_form(c, hodge_star(g, a, orientation))).max(axis=-1)
     einstein = np.abs(ric0).max(axis=(-2, -1)) <= TOL_EINSTEIN
     trivial = np.sqrt(np.maximum(norm_sq(g, a), 0.0)) <= TOL_TRIVIAL_F
+    # Each residual on its own: a NaN fails its comparison, where max may drop it.
+    solved = (r_em <= tol) & (r_df <= tol) & (r_dstar <= tol)
     reports = []
     for k in [()] if g.ndim == 2 else range(len(g)):
-        worst = max(r_em[k], r_df[k], r_dstar[k])
-        if worst <= tol:
+        if solved[k]:
             classification = (EINSTEIN_NULL_STRESS if (einstein[k] or trivial[k])
                               else NON_EINSTEIN_EM)
         else:

@@ -4,8 +4,8 @@ The closedness condition dF = 0 is handled by restriction, not penalty: the
 kernel of the closedness system reparameterizes F before optimization, so the
 search runs over metric parameters plus kernel coordinates.  Refinement is
 damped Gauss-Newton (Levenberg-Marquardt) with forward-mode Jacobians: the
-residual kernel runs once at the point in real arithmetic and carries the
-free columns as tangents.  Steps that violate the catalog's positivity
+free columns ride as tangents through the intermediates of the real kernel
+pass that evaluated the point.  Steps that violate the catalog's positivity
 constraints are rejected by backtracking, never projected back.
 
 The kernel (``ResidualContext.residual``) takes Ricci straight from the
@@ -230,8 +230,8 @@ class ResidualContext:
     that takes Ricci straight from the structure constants, g and g^-1
     (Besse, Einstein Manifolds, Cor. 7.38).  Everything linear in x is one
     folded map: ``x @ _lin + _lin0`` gives g, F, the bracket rows
-    g([e_i,e_j],e_l) and dF at once.  ``residual_jacobian`` differentiates
-    the kernel in forward mode; the tests hold it to the complex step, which
+    g([e_i,e_j],e_l) and dF at once.  ``_tangent_step`` differentiates a
+    kernel pass in forward mode; the tests hold it to the complex step, which
     the kernel stays complex-analytic for.  The module-level
     ``residual_vector`` derives the same rows independently (Koszul
     connection, Riemann tensor, Ricci contraction, Hodge star) through the
@@ -403,7 +403,8 @@ class ResidualContext:
 
     def _kernel(self, xs: np.ndarray, consts: list[np.ndarray]):
         """Rows (S, m, n_rows) of points xs (S, m, n), and the intermediate
-        values ``residual_jacobian`` differentiates through."""
+        values ``_tangent_step`` differentiates through, no two sharing
+        memory: it derives the views of u and ``raised`` again."""
         lin, lin0, ct, killing_half, star_d = consts
         s, m = xs.shape[:2]
         u = xs @ lin + lin0
@@ -447,7 +448,7 @@ class ResidualContext:
         out[..., 14:18] = root * star
         if self.mode == "unit_F":
             out[..., 18:] = 0.5 * (fm.reshape(s, m, 1, 16) @ fu.reshape(s, m, 16, 1))[..., 0] - 1.0
-        return out, (g, g_inv, fm, cg, rows, c_up, h, half, qcg, fg, em, trace, fu, root, star)
+        return out, (u, g_inv, raised, half, qcg, fg, em, trace, fu, root, star)
 
     def candidate(self, x: np.ndarray) -> Candidate:
         return Candidate(
@@ -473,22 +474,39 @@ def residual_jacobian(ctx: ResidualContext, x: np.ndarray,
 
     x is one point (n,), giving J (rows, k), or one point per seed (S, n),
     giving J (S, rows, k), each evaluated with the constants of seed
-    ``seeds[s]`` (of seed s when ``seeds`` is None).  Forward mode (Griewank
-    & Walther, Evaluating Derivatives, SIAM 2008): the kernel runs once at x
-    in real arithmetic, and the k free columns ride along as tangents.
-    Those of g, F, the bracket rows and dF are rows of the folded linear
-    map; the rest follow from d(g^-1) = -g^-1 dg g^-1, d sqrt(det g) =
-    1/2 sqrt(det g) <g^-1, dg> and the product rule.  Exact to round-off,
-    and no point other than x is evaluated.
+    ``seeds[s]`` (of seed s when ``seeds`` is None): one kernel pass at x,
+    then ``_tangent_step``.
     """
     x = np.asarray(x, dtype=float)
-    consts = ctx._consts(seeds)
-    _, (g, g_inv, fm, cg, rows, c_up, h, half, qcg, fg, em, trace, fu, root, star) = ctx._kernel(
-        x.reshape(-1, 1, x.shape[-1]), consts)
-    lin, _, ct, _, star_d = consts
+    _, inter = ctx._kernel(x.reshape(-1, 1, x.shape[-1]), ctx._consts(seeds))
+    jac = _tangent_step(ctx, inter, seeds)
+    return jac if x.ndim == 2 else jac[0]
+
+
+def _tangent_step(ctx: ResidualContext, inter: tuple,
+                  seeds: np.ndarray | None = None) -> np.ndarray:
+    """Jacobians (S, rows, k) in ``ctx.free_idx`` from the intermediates
+    ``inter`` of a kernel pass over points (S, 1, n), point s with the
+    constants of seed ``seeds[s]`` (of seed s when ``seeds`` is None).
+
+    Forward mode (Griewank & Walther, Evaluating Derivatives, SIAM 2008):
+    the k free columns ride along as tangents.  Those of g, F, the bracket
+    rows and dF are rows of the folded linear map; the rest follow from
+    d(g^-1) = -g^-1 dg g^-1, d sqrt(det g) = 1/2 sqrt(det g) <g^-1, dg> and
+    the product rule.  Exact to round-off; no point is evaluated.
+    """
+    u, g_inv, raised, half, qcg, fg, em, trace, fu, root, star = inter
+    s = len(u)
+    g = u[..., _G].reshape(s, 1, 4, 4)
+    fm = u[..., _F].reshape(s, 1, 4, 4)
+    cg = u[..., _CG].reshape(s, 1, 16, 4)
+    rows = cg.reshape(s, 1, 4, 16)
+    c_up = raised[..., :16].reshape(s, 1, 16, 4)
+    h = raised[..., 16:]
+    lin, _, ct, _, star_d = ctx._consts(seeds)
     free = ctx.free_idx
     du = lin if len(free) == lin.shape[1] else lin[:, free]
-    s, k = du.shape[:2]
+    k = du.shape[1]
     dg = du[..., _G].reshape(s, k, 4, 4)
     dfm = du[..., _F].reshape(s, k, 4, 4)
     dcg = du[..., _CG].reshape(s, k, 16, 4)
@@ -521,8 +539,7 @@ def residual_jacobian(ctx: ResidualContext, x: np.ndarray,
     if ctx.mode == "unit_F":
         jt[..., 18:] = 0.5 * (dfm.reshape(s, k, 1, 16) @ fu.reshape(s, 1, 16, 1)
                               + fm.reshape(s, 1, 1, 16) @ dfu.reshape(s, k, 16, 1))[..., 0]
-    jac = jt.swapaxes(1, 2)
-    return jac if x.ndim == 2 else jac[0]
+    return jt.swapaxes(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -600,12 +617,16 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     A tick gives every running seed a ladder of ``_RUNGS`` trials at lam,
     4 lam and 16 lam, the dampings a lone run tries after successive
     rejections, with one stacked solve, one feasibility check and one
-    residual call for all rungs (and one Jacobian call for the seeds
-    starting an iteration).  Each seed then takes its rungs in order as a
+    kernel pass for all rungs.  Each seed then takes its rungs in order as a
     lone run would: the first feasible rung that improves is accepted, a
     singular rung gives lam x10 and ends the ladder, and the trial cap and
     the lam break stop the seed; the rungs after that are dropped.  A seed
     thus walks the path of a lone run, up to three trials per tick.
+
+    A seed that accepted a rung starts an iteration: ``_tangent_step`` on
+    that rung's row of the pass (of the start's pass at the first tick),
+    gathered right after it, gives its Jacobian.  A run makes one kernel
+    pass for the start and one per tick.
 
     The rungs sit on the seed axis: the per-seed constants of the running
     seeds and of their rungs are gathered once each time seeds stop
@@ -641,7 +662,8 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     rungs = live.repeat(_RUNGS)  # and their rungs': rung j of seed i is i * _RUNGS + j
     n_free = live._n_free.tolist()
     widths = _by_width(n_free)
-    r = live.residual(x[:, None])[:, 0]
+    r, at_x = live._kernel(x[:, None], live._consts(None))
+    r = r[:, 0]
     rr = (r[:, None] @ r[..., None])[:, 0, 0].tolist()
     ended = [_iteration_stop(p, 0, tol, max_iter) for p in np.abs(r).max(axis=1).tolist()]
     lam = [1e-3] * n
@@ -661,6 +683,9 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
                     s = pos[i]
                     reasons[s], out_x[s], out_iters[s], out_evals[s] = why, x[i], iters[i], evals[i]
             keep = [i for i, why in enumerate(ended) if not why]
+            # at_x has one row per starting seed, in seed order.
+            at_kept = [q for q, i in enumerate(np.flatnonzero(starting)) if not ended[i]]
+            at_x = tuple(a.take(at_kept, axis=0) for a in at_x)
             pos, x, r, normal, neg_grad, damping = (
                 a[keep] for a in (pos, x, r, normal, neg_grad, damping))
             lam, iters, trials, rejects, evals, rr, starting = (
@@ -676,7 +701,7 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
         go = [i for i in range(n) if starting[i]]
         if go:
             sel = slice(None) if len(go) == n else go
-            jac = residual_jacobian(live, x[sel], seeds=None if len(go) == n else go)
+            jac = _tangent_step(live, at_x, seeds=None if len(go) == n else go)
             jac_t = jac.swapaxes(1, 2)
             normal[sel] = jac_t @ jac
             rhs = r[sel, :, None]
@@ -699,9 +724,10 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
         x_new[:, free] += delta
         ok = np.flatnonzero(solved & rungs.feasible(x_new))
         if len(ok) == len(x_new):
-            r_ok = rungs.residual(x_new[:, None])[:, 0]
+            r_ok, trial = rungs._kernel(x_new[:, None], rungs._consts(None))
         else:
-            r_ok = rungs.residual(x_new[ok, None], seeds=ok)[:, 0]
+            r_ok, trial = rungs._kernel(x_new[ok, None], rungs._consts(ok))
+        r_ok = r_ok[:, 0]
         rr_ok = (r_ok[:, None] @ r_ok[..., None])[:, 0, 0].tolist()
         peak_ok = np.abs(r_ok).max(axis=1).tolist()
         slot = dict(zip(ok.tolist(), range(len(ok))))
@@ -738,9 +764,13 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
                 # An iteration that found no acceptable step ends its seed's run.
                 ended[i] = "constraint-trapped" if rejects[i] >= 25 else "stalled"
                 iters[i] += 1
+        take_j = np.array(take_j, dtype=np.intp)
         if take:
             x[take] = x_new[take_t]
             r[take] = r_ok[take_j]
+        # The accepted rungs' rows: the points of the next Jacobians.
+        at_x = tuple(a.take(take_j, axis=0) for a in trial)
+        del trial
     return out_x, out_iters, reasons, out_evals
 
 

@@ -12,6 +12,7 @@ Writes, as JSON lines, the 468-run drift set (every catalog entry x
 The comparison counts the reports that are byte-identical, those whose
 ledgers (seed counts and stop reasons) are identical, those whose verdicts
 are identical, and gives the largest relative change of a closest miss.
+It exits 1 when any ledger or verdict differs, else 0.
 pytest does not collect this file.
 """
 
@@ -67,7 +68,8 @@ def _verdict(part: dict):
     return sorted(s["report"]["classification"] for s in part["solutions"])
 
 
-def compare(path_a: str, path_b: str) -> None:
+def compare(path_a: str, path_b: str) -> bool:
+    """Print the counts; whether every ledger and every verdict is identical."""
     a, b = _load(path_a), _load(path_b)
     if a.keys() != b.keys():
         sys.exit(f"the files hold different runs: {len(a)} and {len(b)} keys")
@@ -94,12 +96,13 @@ def compare(path_a: str, path_b: str) -> None:
     print(f"identical verdicts: {same_verdict}")
     print(f"largest relative change of a closest miss: {worst:.3g}"
           + (f" at {where}" if where else ""))
+    return same_ledger == same_verdict == len(a)
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 3 and sys.argv[1] == "write":
         write(sys.argv[2])
     elif len(sys.argv) == 4 and sys.argv[1] == "compare":
-        compare(sys.argv[2], sys.argv[3])
+        sys.exit(0 if compare(sys.argv[2], sys.argv[3]) else 1)
     else:
         sys.exit(__doc__)

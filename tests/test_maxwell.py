@@ -113,6 +113,23 @@ def test_em_report_classification_invariant():
                          "scalar_curvature", "classification"}
 
 
+def test_a_nan_residual_is_never_a_solution(monkeypatch):
+    # Python's max drops a NaN that does not come first, so each residual
+    # must pass on its own: at a 2A2 solution with d*F turned to NaN, and
+    # with NaN in each place of a report.
+    L = la.instantiate(la.entry_by_name("2A2"), {})
+    monkeypatch.setattr(maxwell, "hodge_star", lambda g, a, orientation=1: np.full(6, np.nan))
+    rep = maxwell.em_residual(L, np.diag([1.0, 1.0, 2.0, 1.0]), two_form(e12=1, e34=np.sqrt(3)))
+    assert np.isnan(rep.r_dstarF) and max(rep.r_em, rep.r_dF) <= 1e-12
+    assert rep.classification == maxwell.NOT_A_SOLUTION and not rep.is_solution
+    for at in range(3):
+        residuals = [0.0, 0.0, 0.0]
+        residuals[at] = float("nan")
+        rep = maxwell.EMReport(*residuals, einstein=False, trivial_F=False,
+                               scalar_curvature=0.0, classification=maxwell.NOT_A_SOLUTION)
+        assert not rep.is_solution, at
+
+
 def test_stacked_em_residual_matches_single_calls():
     # Sampled admissible points of every catalog entry with random F, and
     # the family grid points (solutions): one stacked call against one call

@@ -1,6 +1,8 @@
 """Residual stacking, LM refinement, multistart search, and classification."""
 
 import dataclasses
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -613,6 +615,13 @@ def _blocks(entry, seed, n_seeds, mode):
     return [tuple(zip(*members)) for members in groups.values()]
 
 
+def _tight_a46():
+    """A4,6^{a,0} with |a2| < 0.001, whose ladders reject many rungs as infeasible."""
+    a46 = la.entry_by_name("A4,6^{a,0}")
+    return dataclasses.replace(a46, metric_constraints=(*a46.metric_constraints,
+                                                        "0.000001 - a2^2"))
+
+
 def _assert_same_run(got, want, label):
     x, iters, reason, n_evals = got
     wx, witers, wreason, wevals, _ = want
@@ -625,13 +634,10 @@ def test_ladder_matches_lone_runs():
     # A3,9+A1 reaches slow progress, the iteration cap and stalled runs,
     # A4,11^a fills a block of 32 with converged and slow-progress seeds,
     # and a tightened A4,6^{a,0} (|a2| < 0.001) rejects many trials.
-    a46 = la.entry_by_name("A4,6^{a,0}")
-    tight = dataclasses.replace(a46, metric_constraints=(*a46.metric_constraints,
-                                                         "0.000001 - a2^2"))
     seen = set()
     for entry, n_seeds, mode in [(la.entry_by_name("A3,9+A1"), 16, "unit_F"),
                                  (la.entry_by_name("A4,11^a"), 32, "unit_F"),
-                                 (tight, 16, "free_F")]:
+                                 (_tight_a46(), 16, "free_F")]:
         for ctxs, starts in _blocks(entry, 5, n_seeds, mode):
             x, iters, reasons, n_evals = solver._levmar(
                 solver.ResidualContext.stack(ctxs), np.array(starts), _LM_TOL, 45)
@@ -663,7 +669,7 @@ def test_singular_rung_ends_the_ladder(monkeypatch, trial):
     [(ctxs, starts)] = _blocks(la.entry_by_name("A4,4"), 5, 1, "unit_F")
     ctx, x0 = ctxs[0], starts[0]
     refused = (2, trial)
-    jacobian, solve = solver.residual_jacobian, solver._solve_stack
+    jacobian, solve = solver._tangent_step, solver._solve_stack
     seen = {"jacobians": 0, "ticks": 0}
 
     def counted_jacobian(*args, **kwargs):
@@ -679,7 +685,7 @@ def test_singular_rung_ends_the_ladder(monkeypatch, trial):
         seen["ticks"] += 1
         return delta, solved
 
-    monkeypatch.setattr(solver, "residual_jacobian", counted_jacobian)
+    monkeypatch.setattr(solver, "_tangent_step", counted_jacobian)
     monkeypatch.setattr(solver, "_solve_stack", refusing_solve)
     x, iters, reasons, n_evals = solver._levmar(ctx, x0[None], _LM_TOL, 45)
     monkeypatch.undo()
@@ -690,3 +696,79 @@ def test_singular_rung_ends_the_ladder(monkeypatch, trial):
     _assert_same_run((x[0], iters[0], reasons[0], n_evals[0]), want, trial)
     plain = orc.levmar_alone(ctx, x0, _LM_TOL, 45)
     assert want[4] != plain[4] or np.abs(want[0] - plain[0]).max() > 0
+
+
+_POSITIVE = ["2A2", "A2+2A1", "A4,6^{a,0}", "A4,9^{-1/2}"]
+
+
+def test_one_kernel_pass_per_tick(monkeypatch):
+    # The start, then one pass per tick over the rungs, whose accepted rows
+    # also give the next Jacobians.  A tick is a run of stacked solves, one
+    # per width present: on a 2-seed block and on the padded mixed-width
+    # unit_F program of the four positive classify rows.
+    runs = []
+    levmar, kernel, solve = solver._levmar, solver.ResidualContext._kernel, solver._solve_stack
+
+    def run(ctx, *args, **kwargs):
+        runs.append((set(ctx._n_free.tolist()), []))
+        return levmar(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_levmar", run)
+    monkeypatch.setattr(solver.ResidualContext, "_kernel",
+                        lambda self, *args: runs[-1][1].append("k") or kernel(self, *args))
+    monkeypatch.setattr(solver, "_solve_stack",
+                        lambda *args: runs[-1][1].append("s") or solve(*args))
+    [(ctxs, starts)] = _blocks(la.entry_by_name("A4,4"), 5, 2, "unit_F")
+    solver._levmar(solver.ResidualContext.stack(ctxs), np.array(starts), _LM_TOL, 45)
+    solver.multistart_many([solver.SearchRequest(name, 2, 5) for name in _POSITIVE])
+    monkeypatch.undo()
+    assert len(runs) == 2 and len(runs[1][0]) > 1
+    for _, log in runs:
+        text = "".join(log)
+        ticks = len(re.findall("s+", text))
+        assert re.fullmatch("k(s+k)*", text) and text.count("k") == ticks + 1 and ticks > 1, text
+
+
+def test_reused_jacobians_match_fresh_ones(monkeypatch):
+    # Every Jacobian _levmar forms from a kernel pass it already made, held
+    # to residual_jacobian at the LM's own points and seeds: at the first
+    # tick, after seeds stop, after a pass over the feasible rungs only, in
+    # a padded mixed-width program and in free_F mode.
+    seen, state = set(), {}
+    levmar, kernel, step = solver._levmar, solver.ResidualContext._kernel, solver._tangent_step
+
+    def run(ctx, *args, **kwargs):
+        state.update(first=True, live=len(ctx._lin), partial=False)
+        if len(set(ctx._n_free.tolist())) > 1:
+            seen.add("mixed widths")
+        return levmar(ctx, *args, **kwargs)
+
+    def traced_kernel(self, xs, consts):
+        state["partial"] = len(xs) < len(self._lin)
+        return kernel(self, xs, consts)
+
+    def checked_step(ctx, inter, seeds=None):
+        jac = step(ctx, inter, seeds)
+        caller = sys._getframe(1)
+        if caller.f_code is not levmar.__code__:  # residual_jacobian, the reference below
+            return jac
+        go = caller.f_locals["go"]  # _levmar's starting seeds, at its running points x
+        want = solver.residual_jacobian(ctx, caller.f_locals["x"][go], seeds=go)
+        assert np.abs(jac - want).max() <= 1e-12 * np.abs(want).max()
+        flags = {"first tick": state["first"], "after seeds stop": len(ctx._lin) < state["live"],
+                 "feasible rungs only": state["partial"], "free_F": ctx.mode == "free_F"}
+        seen.update(name for name, hit in flags.items() if hit)
+        state.update(first=False, live=len(ctx._lin))
+        return jac
+
+    monkeypatch.setattr(solver, "_levmar", run)
+    monkeypatch.setattr(solver.ResidualContext, "_kernel", traced_kernel)
+    monkeypatch.setattr(solver, "_tangent_step", checked_step)
+    for entry, n_seeds, mode in [(la.entry_by_name("A4,4"), 2, "unit_F"),
+                                 (la.entry_by_name("A4,11^a"), 32, "unit_F"),
+                                 (_tight_a46(), 16, "free_F")]:
+        for ctxs, starts in _blocks(entry, 5, n_seeds, mode):
+            solver._levmar(solver.ResidualContext.stack(ctxs), np.array(starts), _LM_TOL, 45)
+    solver.multistart_many([solver.SearchRequest(name, 2, 5) for name in _POSITIVE])
+    assert seen == {"first tick", "after seeds stop", "feasible rungs only", "free_F",
+                    "mixed widths"}
