@@ -115,7 +115,8 @@ def admissible(entry: CatalogEntry, params: np.ndarray):
     for poly in entry.metric_constraints:
         ok &= eval_expr(poly, values) > EPS_PD
     place, g0 = entry.metric_placement
-    g = (rows[ok] @ place + g0).reshape(-1, DIM, DIM)
+    passed = rows if np.count_nonzero(ok) == len(ok) else rows[ok]
+    g = (passed @ place + g0).reshape(-1, DIM, DIM)
     if not _factors(g):
         ok[ok] = [_factors(one) for one in g]
     return ok.reshape(params.shape[:-1]) if params.ndim > 1 else bool(ok[0])

@@ -84,8 +84,10 @@ EVIDENCE_FACTOR = 100.0
 SEARCH_MAX_ITER = 45
 SAMPLE_TRIES = 600
 
-#: Upper triangle (i <= j) of a 4x4 matrix, row by row.
+#: Upper triangle (i <= j) of a 4x4 matrix, row by row, and its positions
+#: in the flattened matrix.
 _TRIU_ROWS, _TRIU_COLS = np.triu_indices(4)
+_TRIU_FLAT = 4 * _TRIU_ROWS + _TRIU_COLS
 
 #: Columns of the folded linear map ``x @ _lin + _lin0`` of a
 #: ``ResidualContext``: the metric g, F as a 4x4 matrix, the bracket rows
@@ -349,7 +351,7 @@ class ResidualContext:
     def repeat(self, times: int) -> "ResidualContext":
         """A context whose seeds s * times .. s * times + times - 1 are all
         seed s of this one.  It evaluates and checks points."""
-        return self.take(np.repeat(np.arange(len(self._lin)), times))
+        return self.take(np.arange(len(self._lin)).repeat(times))
 
     @property
     def n_rows(self) -> int:
@@ -413,7 +415,7 @@ class ResidualContext:
         cg = u[..., _CG].reshape(s, m, 16, 4)
         g_inv = np.linalg.inv(g)
         det = np.linalg.det(g)
-        if not (det.real > 0).all():
+        if not det.real.min(initial=1.0) > 0:  # NaN fails too
             raise ValueError("metric determinant must be positive")
         # Ricci of a left-invariant metric (Besse 7.38), with H = g^-1 t:
         #   Ric_ab = -1/2 g^ij g([e_a,e_i],[e_b,e_j])
@@ -439,7 +441,7 @@ class ResidualContext:
         em = ric + fg @ fm
         trace = g_inv.reshape(s, m, 1, 16) @ em.reshape(s, m, 16, 1)
         out = np.empty((s, m, self.n_rows), dtype=u.dtype)
-        out[..., :10] = (em - 0.25 * trace * g)[..., _TRIU_ROWS, _TRIU_COLS]
+        out[..., :10] = (em - 0.25 * trace * g).reshape(s, m, 16).take(_TRIU_FLAT, axis=-1)
         out[..., 10:14] = u[..., _DF]
         # Co-closedness rows: F with both indices raised, starred and differentiated.
         fu = g_inv @ fg
@@ -503,7 +505,8 @@ def _tangent_step(ctx: ResidualContext, inter: tuple,
     rows = cg.reshape(s, 1, 4, 16)
     c_up = raised[..., :16].reshape(s, 1, 16, 4)
     h = raised[..., 16:]
-    lin, _, ct, _, star_d = ctx._consts(seeds)
+    lin, ct, star_d = ((ctx._lin, ctx._ct, ctx._star_d) if seeds is None
+                       else (ctx._lin[seeds], ctx._ct[seeds], ctx._star_d[seeds]))
     free = ctx.free_idx
     du = lin if len(free) == lin.shape[1] else lin[:, free]
     k = du.shape[1]
@@ -531,7 +534,7 @@ def _tangent_step(ctx: ResidualContext, inter: tuple,
               + g_inv.reshape(s, 1, 1, 16) @ dem.reshape(s, k, 16, 1))
     dem -= 0.25 * (dtrace * g + trace * dg)
     jt = np.empty((s, k, ctx.n_rows))
-    jt[..., :10] = dem[..., _TRIU_ROWS, _TRIU_COLS]
+    jt[..., :10] = dem.reshape(s, k, 16).take(_TRIU_FLAT, axis=-1)
     jt[..., 10:14] = du[..., _DF]
     dfu = dg_inv @ fg + g_inv @ dfg
     droot = 0.5 * root * (g_inv.reshape(s, 1, 1, 16) @ dg.reshape(s, k, 16, 1))[..., 0]
@@ -583,7 +586,8 @@ def _by_width(widths: list[int]) -> list[tuple]:
     all positions and rows are one slice when they share a width."""
     if len(set(widths)) == 1:
         return [(widths[0], slice(None), slice(None))]
-    at = [np.flatnonzero(np.equal(widths, w)) for w in dict.fromkeys(widths)]
+    each = np.array(widths)
+    at = [(each == w).nonzero()[0] for w in dict.fromkeys(widths)]
     return [(widths[a[0]], a, (a[:, None] * _RUNGS + np.arange(_RUNGS)).ravel()) for a in at]
 
 
@@ -651,17 +655,19 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     free = np.asarray(ctx.free_idx, dtype=int)
     k = len(free)
     out_x = np.array(x0, dtype=float)
+    frozen = k < out_x.shape[1]  # a step moves the free columns only
     out_iters = [0] * n_seeds
     out_evals = [0] * n_seeds
     reasons = ["infeasible start"] * n_seeds
     # State of the running seeds, compacted whenever some of them stop.
-    pos = np.flatnonzero(ctx.feasible(out_x))
+    pos = ctx.feasible(out_x).nonzero()[0]
     x = out_x[pos]
     n = len(pos)
     live = ctx if n == n_seeds else ctx.take(pos)  # the running seeds' constants
     rungs = live.repeat(_RUNGS)  # and their rungs': rung j of seed i is i * _RUNGS + j
     n_free = live._n_free.tolist()
     widths = _by_width(n_free)
+    whole = n_free.count(k) == n  # every running seed is k wide: nothing to slice
     r, at_x = live._kernel(x[:, None], live._consts(None))
     r = r[:, 0]
     rr = (r[:, None] @ r[..., None])[:, 0, 0].tolist()
@@ -698,39 +704,53 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
             rungs = live.repeat(_RUNGS)
             n_free = live._n_free.tolist()
             widths = _by_width(n_free)
+            whole = n_free.count(k) == n
         go = [i for i in range(n) if starting[i]]
         if go:
             sel = slice(None) if len(go) == n else go
             jac = _tangent_step(live, at_x, seeds=None if len(go) == n else go)
             jac_t = jac.swapaxes(1, 2)
-            normal[sel] = jac_t @ jac
+            jtj = jac_t @ jac
+            normal[sel] = jtj
             rhs = r[sel, :, None]
-            for w, at, _ in widths if len(widths) == 1 else _by_width([n_free[i] for i in go]):
-                rows = sel if isinstance(at, slice) else np.asarray(go)[at]
-                neg_grad[rows, :w] = -(jac_t[at, :w] @ rhs[at])
-            damping[sel] = eye * np.maximum(np.diagonal(normal[sel], 0, 1, 2), 1e-12)[:, None]
+            if whole:
+                neg_grad[sel] = -(jac_t @ rhs)
+            else:
+                for w, at, _ in _by_width([n_free[i] for i in go]):
+                    rows = sel if isinstance(at, slice) else np.asarray(go)[at]
+                    neg_grad[rows, :w] = -(jac_t[at, :w] @ rhs[at])
+            damping[sel] = eye * np.maximum(jtj.diagonal(0, 1, 2), 1e-12)[:, None]
             for i in go:
                 evals[i] += n_free[i]  # one batched call of n_free rows per seed
                 trials[i] = rejects[i] = 0
         # The ladder: rung j of running seed i is row i * _RUNGS + j.
-        scale = np.multiply.outer(lam, _RUNG_SCALE)[..., None, None]
-        delta = np.zeros((n * _RUNGS, k))
-        solved = np.empty(n * _RUNGS, dtype=bool)
-        for w, at, at_rungs in widths:
-            delta[at_rungs, :w], solved[at_rungs] = _solve_stack(
-                (normal[at, None, :w, :w] + scale[at] * damping[at, None, :w, :w]).reshape(-1, w, w),
-                np.repeat(neg_grad[at, :w], _RUNGS, axis=0))
-        x_new = np.repeat(x, _RUNGS, axis=0)
-        x_new[:, free] += delta
-        ok = np.flatnonzero(solved & rungs.feasible(x_new))
-        if len(ok) == len(x_new):
+        scale = (np.array(lam)[:, None] * _RUNG_SCALE)[..., None, None]
+        if whole:
+            delta, solved = _solve_stack(
+                (normal[:, None] + scale * damping[:, None]).reshape(-1, k, k),
+                neg_grad.repeat(_RUNGS, axis=0))
+        else:
+            delta = np.zeros((n * _RUNGS, k))
+            solved = np.empty(n * _RUNGS, dtype=bool)
+            for w, at, at_rungs in widths:
+                delta[at_rungs, :w], solved[at_rungs] = _solve_stack(
+                    (normal[at, None, :w, :w] + scale[at] * damping[at, None, :w, :w])
+                    .reshape(-1, w, w), neg_grad[at, :w].repeat(_RUNGS, axis=0))
+        x_new = x.repeat(_RUNGS, axis=0)
+        if frozen:
+            x_new[:, free] += delta
+        else:
+            x_new += delta
+        ok = (solved & rungs.feasible(x_new)).nonzero()[0]
+        every = len(ok) == len(x_new)  # row t of the pass is rung t
+        if every:
             r_ok, trial = rungs._kernel(x_new[:, None], rungs._consts(None))
         else:
             r_ok, trial = rungs._kernel(x_new[ok, None], rungs._consts(ok))
+            slot = dict(zip(ok.tolist(), range(len(ok))))
         r_ok = r_ok[:, 0]
         rr_ok = (r_ok[:, None] @ r_ok[..., None])[:, 0, 0].tolist()
         peak_ok = np.abs(r_ok).max(axis=1).tolist()
-        slot = dict(zip(ok.tolist(), range(len(ok))))
         solved = solved.tolist()
         take, take_t, take_j = [], [], []
         for i in range(n):
@@ -741,7 +761,7 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
                     trials[i] += 1
                     stuck = trials[i] >= 30
                     break
-                j = slot.get(t)
+                j = t if every else slot.get(t)
                 if j is None:
                     rejects[i] += 1
                 else:
@@ -766,8 +786,9 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
                 iters[i] += 1
         take_j = np.array(take_j, dtype=np.intp)
         if take:
-            x[take] = x_new[take_t]
-            r[take] = r_ok[take_j]
+            take = np.array(take, dtype=np.intp)
+            x[take] = x_new.take(take_j if every else np.array(take_t, dtype=np.intp), axis=0)
+            r[take] = r_ok.take(take_j, axis=0)
         # The accepted rungs' rows: the points of the next Jacobians.
         at_x = tuple(a.take(take_j, axis=0) for a in trial)
         del trial
@@ -1088,7 +1109,9 @@ def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[Sear
 
 def _outcome(entry: CatalogEntry, request: SearchRequest, results: list[dict]) -> SearchOutcome:
     """A request's ledger, distinct solutions and closest miss from its
-    seeds' records; an infeasible start ran no iteration and is no miss."""
+    seeds' records; an infeasible start ran no iteration and is no miss.
+    A seed's miss is its largest residual, and a NaN residual makes the
+    miss, and with it the closest miss, NaN wherever it sits."""
     refined = [res for res in results if res["status"] == "refined"]
     reasons = [res["reason"] for res in refined]
     outcome = SearchOutcome(
@@ -1097,7 +1120,7 @@ def _outcome(entry: CatalogEntry, request: SearchRequest, results: list[dict]) -
         seeds_refined=len(refined) - reasons.count("infeasible start"),
         stop_reasons={r: reasons.count(r) for r in STOP_REASONS})
     kept_vectors: list[np.ndarray] = []
-    best_miss = float("inf")
+    misses = []
     for res in refined:
         cand, report = res["candidate"], res["report"]
         if report.is_solution:
@@ -1108,8 +1131,9 @@ def _outcome(entry: CatalogEntry, request: SearchRequest, results: list[dict]) -
             kept_vectors.append(vec)
             outcome.solutions.append((cand, report))
         elif res["reason"] != "infeasible start":
-            best_miss = min(best_miss, max(report.r_em, report.r_dF, report.r_dstarF))
-    outcome.best_nonsolution_residual = best_miss
+            misses.append((report.r_em, report.r_dF, report.r_dstarF))
+    if misses:  # numpy's max and min, unlike Python's, keep a NaN
+        outcome.best_nonsolution_residual = float(np.max(misses, axis=1).min())
     return outcome
 
 
@@ -1274,10 +1298,10 @@ def _classify_row(entry: CatalogEntry, outcome: SearchOutcome, free_pass: Search
         inconclusive = False
     else:
         computed = "NoNonEinsteinEMFound"
-        # No refined seed is no evidence; a near miss is evidence against.
+        # No refined seed is no evidence; a near miss, or a NaN one, is
+        # evidence against.  No miss (inf) leaves the verdict standing.
         inconclusive = bool(outcome.seeds_refined == 0
-                            or (np.isfinite(outcome.best_nonsolution_residual)
-                                and outcome.best_nonsolution_residual <= EVIDENCE_FACTOR * tol))
+                            or not outcome.best_nonsolution_residual > EVIDENCE_FACTOR * tol)
     if entry.verdict == "HasNonEinsteinEM":
         agree = computed == "HasNonEinsteinEM"
     else:

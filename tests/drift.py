@@ -12,7 +12,9 @@ Writes, as JSON lines, the 468-run drift set (every catalog entry x
 The comparison counts the reports that are byte-identical, those whose
 ledgers (seed counts and stop reasons) are identical, those whose verdicts
 are identical, and gives the largest relative change of a closest miss.
-It exits 1 when any ledger or verdict differs, else 0.
+It names up to five reports that are not byte-identical, each with the
+first field in which they differ.  It exits 1 when any ledger or verdict
+differs, else 0.
 pytest does not collect this file.
 """
 
@@ -29,6 +31,7 @@ MODES = ["unit_F", "free_F"]
 CLASSIFY_SEEDS = 8
 LEDGER = ("seeds_used", "seeds_sampled", "seeds_refined", "stop_reasons")
 MISSES = ("best_nonsolution_residual", "best_free_nonsolution_residual")
+SHOWN = 5  # reports named when they are not byte-identical
 
 
 def write(path: str) -> None:
@@ -68,6 +71,27 @@ def _verdict(part: dict):
     return sorted(s["report"]["classification"] for s in part["solutions"])
 
 
+def first_difference(a, b, path: str = "") -> str | None:
+    """Where two parsed JSON values first differ, in sorted key order, as a
+    path like ``rows[3].best_nonsolution_residual``; None if they are equal."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for name in sorted(a.keys() | b.keys()):
+            inner = f"{path}.{name}" if path else name
+            if name not in a or name not in b:
+                return inner
+            where = first_difference(a[name], b[name], inner)
+            if where:
+                return where
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            where = first_difference(x, y, f"{path}[{i}]")
+            if where:
+                return where
+        return None if len(a) == len(b) else f"{path} (length {len(a)} vs {len(b)})"
+    return None if json.dumps(a) == json.dumps(b) else path or "(whole report)"
+
+
 def compare(path_a: str, path_b: str) -> bool:
     """Print the counts; whether every ledger and every verdict is identical."""
     a, b = _load(path_a), _load(path_b)
@@ -75,9 +99,13 @@ def compare(path_a: str, path_b: str) -> bool:
         sys.exit(f"the files hold different runs: {len(a)} and {len(b)} keys")
     same_bytes = same_ledger = same_verdict = 0
     worst, where = 0.0, None
+    differing = []
     for key in a:
         ra, rb = a[key], b[key]
-        same_bytes += json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+        if json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True):
+            same_bytes += 1
+        elif len(differing) < SHOWN:
+            differing.append((key, first_difference(ra, rb)))
         pa, pb = _parts(ra), _parts(rb)
         same_ledger += all(all(x.get(f) == y.get(f) for f in LEDGER) for x, y in zip(pa, pb))
         same_verdict += all(_verdict(x) == _verdict(y) for x, y in zip(pa, pb))
@@ -92,6 +120,8 @@ def compare(path_a: str, path_b: str) -> bool:
                     worst, where = change, (key, x.get("entry"), name)
     print(f"reports: {len(a)}")
     print(f"byte-identical: {same_bytes}")
+    for key, field in differing:
+        print(f"  differs: {key} at {field}")
     print(f"identical ledgers: {same_ledger}")
     print(f"identical verdicts: {same_verdict}")
     print(f"largest relative change of a closest miss: {worst:.3g}"

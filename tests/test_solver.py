@@ -1,6 +1,8 @@
 """Residual stacking, LM refinement, multistart search, and classification."""
 
 import dataclasses
+import itertools
+import math
 import re
 import sys
 
@@ -170,6 +172,21 @@ def test_jacobian_matches_complex_step_oracle():
             none = solver.ResidualContext(entry, ctx.algebra_params, mode=mode,
                                           frozen=tuple(ctx.names))
             _assert_matches_oracle(none, x, label=(entry.name, mode, "all frozen"))
+
+
+def test_kernel_refuses_a_nonpositive_determinant():
+    # The guard on det g in ResidualContext._kernel: an empty batch passes,
+    # a negative or NaN determinant raises, also beside admissible points.
+    ctx = solver.ResidualContext(la.entry_by_name("A4,4"), {}, mode="unit_F")
+    assert ctx.residual(np.zeros((0, len(ctx.names)))).shape == (0, ctx.n_rows)
+    f = np.zeros(len(ctx.f_names))
+    good = ctx.pack({"a1": 1.0, "a2": 0.0, "a3": 1.0}, f)
+    for a1 in (-1.0, np.nan):
+        bad = ctx.pack({"a1": a1, "a2": 0.0, "a3": 1.0}, f)
+        for x in (bad, np.array([good, bad])):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(ValueError, match="^metric determinant must be positive$"):
+                ctx.residual(x)
 
 
 def test_take_gives_the_residuals_of_gathered_seeds():
@@ -586,6 +603,38 @@ def test_classify_table_rows_are_one_row_calls():
     assert all(r.best_free_nonsolution_residual < float("inf") for r in table[1:])
 
 
+def _miss_record(**residuals):
+    """A refined seed's record whose end point is no solution."""
+    values = {"r_em": 0.2, "r_dF": 0.3, "r_dstarF": 0.1, **residuals}
+    report = maxwell.EMReport(**values, einstein=False, trivial_F=False, scalar_curvature=0.0,
+                              classification=maxwell.NOT_A_SOLUTION)
+    return {"index": 0, "status": "refined", "reason": "stalled", "candidate": None,
+            "report": report}
+
+
+@pytest.mark.parametrize("place", ["r_em", "r_dF", "r_dstarF"])
+def test_a_nan_residual_makes_the_closest_miss_nan(place):
+    # Python's max(0.2, nan, 0.1) is 0.2 and min(inf, nan) is inf, so a NaN
+    # was kept or dropped by its position.  In every place and seed order it
+    # gives a NaN closest miss, reported as null, and an inconclusive row.
+    entry = la.entry_by_name("A4,4")
+    request = solver.SearchRequest(entry, 3)
+    tol = maxwell.TOL_SOLUTION
+    finite = [_miss_record(), _miss_record(r_em=0.05, r_dF=0.01, r_dstarF=0.02)]
+    for records in itertools.permutations([*finite, _miss_record(**{place: math.nan})]):
+        out = solver._outcome(entry, request, list(records))
+        assert math.isnan(out.best_nonsolution_residual), records
+        assert out.to_dict()["best_nonsolution_residual"] is None
+        row = solver._classify_row(entry, out, None, tol)
+        assert row.inconclusive and not row.agree
+        assert row.to_dict()["best_nonsolution_residual"] is None
+    for records in itertools.permutations(finite):
+        out = solver._outcome(entry, request, list(records))
+        assert out.best_nonsolution_residual == 0.05
+        row = solver._classify_row(entry, out, None, tol)
+        assert not row.inconclusive and row.agree
+
+
 def test_classify_reports_the_free_pass_closest_miss():
     # The A3,1+A1 free_F pass at seed 1024*103 with 2 seeds ends 3.9e-9 from
     # a solution, inside the evidence band.  The row reports that miss; the
@@ -647,6 +696,30 @@ def test_ladder_matches_lone_runs():
                 seen.add(reasons[s])
     assert {"converged", "slow progress", "iteration cap"} <= seen
     assert seen & {"stalled", "constraint-trapped"}
+
+
+def test_narrow_seeds_keep_their_bits_after_the_wide_seed_stops():
+    # A 2A2 family point (width 8, free_F) converges at its start, so after
+    # the first compaction the width-8 program holds only the four A2+2A1
+    # starts (width 6).  Its one width is then not the program's: solved at
+    # width 8, their steps would round differently from a lone run's.
+    wide = solver.ResidualContext(la.entry_by_name("2A2"), {}, mode="free_F")
+    family = cand_2a2()
+    narrow = list(solver._starts(la.entry_by_name("A2+2A1"), 5, range(4), "free_F", 1).values())
+    x0 = np.zeros((5, 8))
+    x0[0] = wide.pack(family.metric_params, wide.project_f(family.f_coeffs)[0])
+    for s, (_, start) in enumerate(narrow, 1):
+        x0[s, :6] = start
+    stack = solver.ResidualContext.stack([wide, *(ctx for ctx, _ in narrow)])
+    x, iters, reasons, n_evals = solver._levmar(stack, x0, _LM_TOL, 45)
+    assert (iters[0], reasons[0]) == (0, "converged")
+    for s, (ctx, start) in enumerate(narrow, 1):
+        alone_x, alone_iters, alone_reasons, alone_evals = solver._levmar(
+            ctx, start[None], _LM_TOL, 45)
+        assert iters[s] > 0
+        assert (iters[s], reasons[s], n_evals[s]) == (alone_iters[0], alone_reasons[0],
+                                                      alone_evals[0]), s
+        assert np.array_equal(x[s], np.append(alone_x[0], [0.0, 0.0])), s
 
 
 def test_ladder_takes_fewer_ticks_than_trials(monkeypatch):
