@@ -3,10 +3,10 @@
 The closedness condition dF = 0 is handled by restriction, not penalty: the
 kernel of the closedness system reparameterizes F before optimization, so the
 search runs over metric parameters plus kernel coordinates.  Refinement is
-damped Gauss-Newton (Levenberg-Marquardt) with forward-mode Jacobians: the
-free columns ride as tangents through the intermediates of the real kernel
-pass that evaluated the point.  Steps that violate the catalog's positivity
-constraints are rejected by backtracking, never projected back.
+damped Gauss-Newton (Levenberg-Marquardt) with forward-mode Jacobians: every
+parameter's column rides as a tangent through the intermediates of the real
+kernel pass that evaluated the point.  Steps that violate the catalog's
+positivity constraints are rejected by backtracking, never projected back.
 
 The kernel (``ResidualContext.residual``) takes Ricci straight from the
 structure constants, g and g^-1 (Besse, Einstein Manifolds, Cor. 7.38) and
@@ -100,6 +100,12 @@ class CandidateError(ValueError):
     """Candidate violates its entry's invariants (not a residual)."""
 
 
+def _is_orientation(value) -> bool:
+    """Whether ``value`` is the integer 1 or -1 (1.0, True and "1" are not)."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value in (1, -1))
+
+
 def finite_number(value) -> bool:
     """Whether a parsed JSON value is a number: an int or float that is
     finite and not a bool (so true, "1" and 1e400 are not)."""
@@ -134,9 +140,7 @@ class Candidate:
         self.f_coeffs = np.asarray(self.f_coeffs, dtype=float)
         if self.f_coeffs.shape != (6,):
             raise CandidateError("f_coeffs must have six components")
-        # Integers only: 1.5, "1" and true must not pass as an orientation.
-        o = self.orientation
-        if isinstance(o, bool) or not isinstance(o, (int, np.integer)) or o not in (1, -1):
+        if not _is_orientation(self.orientation):
             raise CandidateError("orientation must be the integer 1 or -1")
         params = [*self.algebra_params.values(), *self.metric_params.values()]
         if any(isinstance(v, (bool, np.bool_)) for v in params):
@@ -206,12 +210,18 @@ def _stacked_residual(L: LieAlgebra, g: np.ndarray, f6: np.ndarray,
     return out
 
 
-def residual_vector(c: Candidate) -> np.ndarray:
-    """18 components: EM equation upper triangle (10), dF (4), d*F (4)."""
+def _admitted(c: Candidate) -> tuple[CatalogEntry, LieAlgebra, np.ndarray]:
+    """``_instantiated``; a CandidateError names the constraints an inadmissible metric fails."""
     entry, L, g = _instantiated(c)
     check = validate_metric(entry, g)
     if not check.ok:
         raise CandidateError(f"{entry.name}: inadmissible metric: " + "; ".join(check.failures))
+    return entry, L, g
+
+
+def residual_vector(c: Candidate) -> np.ndarray:
+    """18 components: EM equation upper triangle (10), dF (4), d*F (4)."""
+    _, L, g = _admitted(c)
     return _stacked_residual(L, g, c.f_coeffs, c.orientation)
 
 
@@ -221,7 +231,7 @@ def residual_vector(c: Candidate) -> np.ndarray:
 
 
 class ResidualContext:
-    """Residual as a function of the free parameter vector for one entry.
+    """Residual as a function of the parameter vector for one entry.
 
     Parameters are the entry's metric parameters followed by kernel
     coordinates of F (named f<pair> after the free coefficient each kernel
@@ -243,21 +253,18 @@ class ResidualContext:
     The constants that depend on the algebra parameters carry a leading seed
     axis: length 1 here, and one entry per seed in a context made by
     ``stack``, which lets one call evaluate many seeds of a search at once.
-    ``take`` and ``repeat`` gather seeds of a context once, so that later
-    calls need no gather.
+    ``take`` and ``repeat`` are the one way to pick seeds: they gather the
+    seeds of a context once, so that later calls need no gather.
     """
 
-    #: Per-seed constants the kernel reads, stacked on axis 0: the fold of
-    #: every map linear in x (``_lin``, ``_lin0``), the structure constants
-    #: and trace form that g^-1 raises (``_ct``), the Killing form and the
-    #: Hodge-star-then-d map.
-    _KERNEL = ("_lin", "_lin0", "_ct", "_killing_half", "_star_d")
-    #: Every per-seed constant: the kernel's, the seed's entry (an index into
-    #: ``_entries``) and its number of free parameters.
-    _SEED_AXIS = _KERNEL + ("_part", "_n_free")
+    #: Per-seed constants on axis 0: the kernel's (``_lin`` and ``_lin0``, the
+    #: fold of every map linear in x; ``_ct``, the structure constants and
+    #: trace form that g^-1 raises; the Killing form; the Hodge-star-then-d
+    #: map), the seed's entry (an index into ``_entries``) and its width.
+    _SEED_AXIS = ("_lin", "_lin0", "_ct", "_killing_half", "_star_d", "_part", "_n_free")
 
     def __init__(self, entry: CatalogEntry, algebra_params: dict, orientation: int = 1,
-                 mode: str = "unit_F", frozen: tuple[str, ...] = ()):
+                 mode: str = "unit_F"):
         if mode not in ("unit_F", "free_F"):
             raise ValueError(f"unknown mode {mode!r}")
         self.entry = entry
@@ -273,14 +280,9 @@ class ResidualContext:
             if system.kernel else np.zeros((6, 0))
         self.f_names = [f"f{lbl}" for lbl in system.free_pairs]
         self.names = self.metric_names + self.f_names
-        frozen_set = set(frozen)
-        unknown = frozen_set - set(self.names)
-        if unknown:
-            raise ValueError(f"unknown frozen parameters {sorted(unknown)}; have {self.names}")
-        self.free_idx = [k for k, n in enumerate(self.names) if n not in frozen_set]
         self._entries, self._part = (entry,), np.zeros(1, dtype=int)
-        self._n_free = np.array([len(self.free_idx)])
-        self._place, self._g0 = entry.metric_placement
+        self._n_free = np.array([len(self.names)])
+        place, g0 = entry.metric_placement
         # Six 2-form coefficients -> antisymmetric 4x4 matrix, flattened.
         f_place = np.zeros((6, 16))
         for p, (i, j) in enumerate(PAIRS):
@@ -292,13 +294,13 @@ class ResidualContext:
         c16 = c.reshape(16, 4)
         n_metric = len(self.metric_names)
         lin = np.zeros((len(self.names), _WIDTH))
-        lin[:n_metric, _G] = self._place
-        lin[:n_metric, _CG] = (c16 @ self._place.reshape(-1, 4, 4)).reshape(n_metric, 64)
+        lin[:n_metric, _G] = place
+        lin[:n_metric, _CG] = (c16 @ place.reshape(-1, 4, 4)).reshape(n_metric, 64)
         lin[n_metric:, _F] = kernel_t @ f_place
         lin[n_metric:, _DF] = kernel_t @ d_t
         lin0 = np.zeros(_WIDTH)
-        lin0[_G] = self._g0
-        lin0[_CG] = (c16 @ self._g0.reshape(4, 4)).ravel()
+        lin0[_G] = g0
+        lin0[_CG] = (c16 @ g0.reshape(4, 4)).ravel()
         self._lin, self._lin0 = lin[None], lin0[None, None]
         self._kernel_t = kernel_t
         # Hodge star then d: F^{kl} (raised, flattened) -> d*F / (sign sqrt det g).
@@ -319,9 +321,8 @@ class ResidualContext:
         orientation and width (number of parameters) may differ: a narrower
         seed's x is padded with zeros to the widest width, and its ``_lin``
         with zero rows, so its residual is unchanged and its padded Jacobian
-        columns are 0.  Equal widths may share a frozen set; mixed widths
-        need every parameter free.  It evaluates and checks points; per-seed
-        facts (algebra, kernel, candidates) stay with the parts."""
+        columns are 0.  It evaluates and checks points; per-seed facts
+        (algebra, kernel, candidates) stay with the parts."""
         if len(contexts) == 1:
             return contexts[0]
         widths = [len(c.names) for c in contexts]
@@ -335,8 +336,6 @@ class ResidualContext:
         entries = {id(c.entry): c.entry for c in contexts}
         out._entries = tuple(entries.values())
         out._part = np.array([list(entries).index(id(c.entry)) for c in contexts])
-        if min(widths) < width:
-            out.free_idx = list(range(width))
         out.L = out.kernel = out.algebra_params = out.names = out.metric_names = None
         return out
 
@@ -360,11 +359,6 @@ class ResidualContext:
     def pack(self, metric_params: dict, y: np.ndarray) -> np.ndarray:
         return np.concatenate([[metric_params[n] for n in self.metric_names], y])
 
-    def metric_of(self, x: np.ndarray) -> np.ndarray:
-        """Metric (..., 4, 4) of x (..., n), in the dtype of x."""
-        g = x[..., :len(self.metric_names)] @ self._place + self._g0
-        return g.reshape(x.shape[:-1] + (4, 4))
-
     def f_of(self, x: np.ndarray) -> np.ndarray:
         """2-form coefficients (..., 6) of x (..., n)."""
         return x[..., len(self.metric_names):] @ self._kernel_t
@@ -383,33 +377,28 @@ class ResidualContext:
                 ok[at] = admissible(entry, x[at, ..., :len(entry.metric_param_names)])
         return ok
 
-    def residual(self, x: np.ndarray, seeds: np.ndarray | None = None) -> np.ndarray:
+    def residual(self, x: np.ndarray) -> np.ndarray:
         """Residual rows of x: (S, m, n) -> (S, m, n_rows), m points per seed.
 
-        Point x[s, i] is evaluated with the constants of seed ``seeds[s]``
-        (of seed s when ``seeds`` is None); those constants broadcast over
-        the point axis.  A 2-D x (m, n) -> (m, n_rows) or 1-D x (n,) ->
-        (n_rows,) is the one-seed case.
+        Point x[s, i] is evaluated with the constants of seed s, which
+        broadcast over the point axis.  A 2-D x (m, n) -> (m, n_rows) or 1-D
+        x (n,) -> (n_rows,) is the one-seed case.
 
         Every step is complex-analytic (no abs, no casts to float, scratch in
         the dtype of x), so a complex x carries derivatives in its imaginary
         part; the complex-step oracle of the tests relies on this.
         """
         xs = x if x.ndim == 3 else x.reshape(1, -1, x.shape[-1])
-        out = self._kernel(xs, self._consts(seeds))[0]
+        out = self._kernel(xs)[0]
         return out if x.ndim == 3 else out.reshape(x.shape[:-1] + (self.n_rows,))
 
-    def _consts(self, seeds: np.ndarray | None) -> list[np.ndarray]:
-        consts = [getattr(self, name) for name in self._KERNEL]
-        return consts if seeds is None else [a[seeds] for a in consts]
-
-    def _kernel(self, xs: np.ndarray, consts: list[np.ndarray]):
-        """Rows (S, m, n_rows) of points xs (S, m, n), and the intermediate
-        values ``_tangent_step`` differentiates through, no two sharing
-        memory: it derives the views of u and ``raised`` again."""
-        lin, lin0, ct, killing_half, star_d = consts
+    def _kernel(self, xs: np.ndarray):
+        """Rows (S, m, n_rows) of points xs (S, m, n), point xs[s, i] with the
+        constants of seed s, and the intermediate values ``_tangent_step``
+        differentiates through, no two sharing memory: it derives the views
+        of u and ``raised`` again."""
         s, m = xs.shape[:2]
-        u = xs @ lin + lin0
+        u = xs @ self._lin + self._lin0
         g = u[..., _G].reshape(s, m, 4, 4)
         fm = u[..., _F].reshape(s, m, 4, 4)
         cg = u[..., _CG].reshape(s, m, 16, 4)
@@ -425,7 +414,7 @@ class ResidualContext:
         # the second one raises both bracket indices with g^-1 (x) g^-1, one
         # index at a time: half[m, j, l] = g^jn cg[(m, n), l].
         rows = cg.reshape(s, m, 4, 16)
-        raised = g_inv @ ct[:, None]
+        raised = g_inv @ self._ct[:, None]
         c_up = raised[..., :16].reshape(s, m, 16, 4)
         h = raised[..., 16:]
         ric = rows @ c_up
@@ -435,7 +424,7 @@ class ResidualContext:
         mean = (h.swapaxes(2, 3) @ rows).reshape(s, m, 4, 4)
         ric += mean
         ric += mean.swapaxes(2, 3)
-        ric += killing_half[:, None]
+        ric += self._killing_half[:, None]
         # Stress term; the trace of Ric + F g^-1 F is s + tr_g(F g^-1 F).
         fg = fm @ g_inv
         em = ric + fg @ fm
@@ -446,7 +435,7 @@ class ResidualContext:
         # Co-closedness rows: F with both indices raised, starred and differentiated.
         fu = g_inv @ fg
         root = np.sqrt(det)[..., None]
-        star = fu.reshape(s, m, 16) @ star_d
+        star = fu.reshape(s, m, 16) @ self._star_d
         out[..., 14:18] = root * star
         if self.mode == "unit_F":
             out[..., 18:] = 0.5 * (fm.reshape(s, m, 1, 16) @ fu.reshape(s, m, 16, 1))[..., 0] - 1.0
@@ -470,29 +459,26 @@ class ResidualContext:
         return y, defect
 
 
-def residual_jacobian(ctx: ResidualContext, x: np.ndarray,
-                      seeds: np.ndarray | None = None) -> np.ndarray:
-    """Jacobian of ``ctx.residual`` in the free parameters ``ctx.free_idx``.
+def residual_jacobian(ctx: ResidualContext, x: np.ndarray) -> np.ndarray:
+    """Jacobian of ``ctx.residual`` in every parameter.
 
-    x is one point (n,), giving J (rows, k), or one point per seed (S, n),
-    giving J (S, rows, k), each evaluated with the constants of seed
-    ``seeds[s]`` (of seed s when ``seeds`` is None): one kernel pass at x,
-    then ``_tangent_step``.
+    x is one point (n,), giving J (rows, n), or one point per seed (S, n),
+    giving J (S, rows, n), point s with the constants of seed s: one kernel
+    pass at x, then ``_tangent_step``.
     """
     x = np.asarray(x, dtype=float)
-    _, inter = ctx._kernel(x.reshape(-1, 1, x.shape[-1]), ctx._consts(seeds))
-    jac = _tangent_step(ctx, inter, seeds)
+    _, inter = ctx._kernel(x.reshape(-1, 1, x.shape[-1]))
+    jac = _tangent_step(ctx, inter)
     return jac if x.ndim == 2 else jac[0]
 
 
-def _tangent_step(ctx: ResidualContext, inter: tuple,
-                  seeds: np.ndarray | None = None) -> np.ndarray:
-    """Jacobians (S, rows, k) in ``ctx.free_idx`` from the intermediates
-    ``inter`` of a kernel pass over points (S, 1, n), point s with the
-    constants of seed ``seeds[s]`` (of seed s when ``seeds`` is None).
+def _tangent_step(ctx: ResidualContext, inter: tuple) -> np.ndarray:
+    """Jacobians (S, rows, k) in all k parameters from the intermediates
+    ``inter`` of a kernel pass over points (S, 1, k), point s with the
+    constants of seed s.
 
     Forward mode (Griewank & Walther, Evaluating Derivatives, SIAM 2008):
-    the k free columns ride along as tangents.  Those of g, F, the bracket
+    the k columns ride along as tangents.  Those of g, F, the bracket
     rows and dF are rows of the folded linear map; the rest follow from
     d(g^-1) = -g^-1 dg g^-1, d sqrt(det g) = 1/2 sqrt(det g) <g^-1, dg> and
     the product rule.  Exact to round-off; no point is evaluated.
@@ -505,17 +491,14 @@ def _tangent_step(ctx: ResidualContext, inter: tuple,
     rows = cg.reshape(s, 1, 4, 16)
     c_up = raised[..., :16].reshape(s, 1, 16, 4)
     h = raised[..., 16:]
-    lin, ct, star_d = ((ctx._lin, ctx._ct, ctx._star_d) if seeds is None
-                       else (ctx._lin[seeds], ctx._ct[seeds], ctx._star_d[seeds]))
-    free = ctx.free_idx
-    du = lin if len(free) == lin.shape[1] else lin[:, free]
+    du = ctx._lin
     k = du.shape[1]
     dg = du[..., _G].reshape(s, k, 4, 4)
     dfm = du[..., _F].reshape(s, k, 4, 4)
     dcg = du[..., _CG].reshape(s, k, 16, 4)
     drows = dcg.reshape(s, k, 4, 16)
     dg_inv = -(g_inv @ dg @ g_inv)
-    draised = dg_inv @ ct[:, None]
+    draised = dg_inv @ ctx._ct[:, None]
     dric = drows @ c_up + rows @ draised[..., :16].reshape(s, k, 16, 4)
     # Quartic term 1/4 cg^T Q cg with Q = g^-1 (x) g^-1: its tangent is
     # 1/4 (M + M^T) + 1/2 N with M = dcg^T Q cg and N = cg^T (dQ' cg), where
@@ -538,7 +521,7 @@ def _tangent_step(ctx: ResidualContext, inter: tuple,
     jt[..., 10:14] = du[..., _DF]
     dfu = dg_inv @ fg + g_inv @ dfg
     droot = 0.5 * root * (g_inv.reshape(s, 1, 1, 16) @ dg.reshape(s, k, 16, 1))[..., 0]
-    jt[..., 14:18] = droot * star + root * (dfu.reshape(s, k, 16) @ star_d)
+    jt[..., 14:18] = droot * star + root * (dfu.reshape(s, k, 16) @ ctx._star_d)
     if ctx.mode == "unit_F":
         jt[..., 18:] = 0.5 * (dfm.reshape(s, k, 1, 16) @ fu.reshape(s, 1, 16, 1)
                               + fm.reshape(s, 1, 1, 16) @ dfu.reshape(s, k, 16, 1))[..., 0]
@@ -635,27 +618,26 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     The rungs sit on the seed axis: the per-seed constants of the running
     seeds and of their rungs are gathered once each time seeds stop
     (``ResidualContext.take``, ``repeat``), and a tick evaluates points
-    (S * _RUNGS, 1, n), so each rung is computed as a lone point is.  On the
+    (S * _RUNGS, 1, n), so each rung is computed as a lone point is.  A pass
+    over only the feasible rungs, and a Jacobian of only some seeds, gathers
+    their constants with ``take`` too.  On the
     point axis, (S, _RUNGS, n), BLAS treats a seed's rungs as one matrix and
     rounds them differently from single points.  Per-seed scalars (lam, the
     counters, the starting and stop flags) are Python lists walked once per
     tick; only points, residuals and normal equations are arrays.
 
-    Seeds of a padded stack own the first ``_n_free`` free columns.  Their
+    Seeds of a padded stack own their first ``_n_free`` columns.  Their
     residuals, Jacobians and J^T J are those of their own width, but J^T r
     and the LU solve round differently at another width, so both run once
     per width present, on that width's unpadded block.
 
     Returns per seed: end points (S, n), iterations, stop reasons and
-    residual evaluations.  These count the start, one per free parameter of
-    the seed for each Jacobian, and each feasible trial of the lone-run
+    residual evaluations.  These count the start, one per parameter of the
+    seed for each Jacobian, and each feasible trial of the lone-run
     rules; rungs evaluated but dropped do not count.
     """
-    n_seeds = len(x0)
-    free = np.asarray(ctx.free_idx, dtype=int)
-    k = len(free)
+    n_seeds, k = x0.shape
     out_x = np.array(x0, dtype=float)
-    frozen = k < out_x.shape[1]  # a step moves the free columns only
     out_iters = [0] * n_seeds
     out_evals = [0] * n_seeds
     reasons = ["infeasible start"] * n_seeds
@@ -664,11 +646,8 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     x = out_x[pos]
     n = len(pos)
     live = ctx if n == n_seeds else ctx.take(pos)  # the running seeds' constants
-    rungs = live.repeat(_RUNGS)  # and their rungs': rung j of seed i is i * _RUNGS + j
-    n_free = live._n_free.tolist()
-    widths = _by_width(n_free)
-    whole = n_free.count(k) == n  # every running seed is k wide: nothing to slice
-    r, at_x = live._kernel(x[:, None], live._consts(None))
+    rungs = None  # the running seeds' rungs, built again whenever those seeds change
+    r, at_x = live._kernel(x[:, None])
     r = r[:, 0]
     rr = (r[:, None] @ r[..., None])[:, 0, 0].tolist()
     ended = [_iteration_stop(p, 0, tol, max_iter) for p in np.abs(r).max(axis=1).tolist()]
@@ -700,15 +679,16 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
             ended = [None] * n
             if not n:
                 break
-            live = live.take(keep)
-            rungs = live.repeat(_RUNGS)
+            live, rungs = live.take(keep), None
+        if rungs is None:
+            rungs = live.repeat(_RUNGS)  # rung j of seed i is row i * _RUNGS + j
             n_free = live._n_free.tolist()
             widths = _by_width(n_free)
-            whole = n_free.count(k) == n
+            whole = n_free.count(k) == n  # every running seed is k wide: nothing to slice
         go = [i for i in range(n) if starting[i]]
         if go:
             sel = slice(None) if len(go) == n else go
-            jac = _tangent_step(live, at_x, seeds=None if len(go) == n else go)
+            jac = _tangent_step(live if len(go) == n else live.take(go), at_x)
             jac_t = jac.swapaxes(1, 2)
             jtj = jac_t @ jac
             normal[sel] = jtj
@@ -737,16 +717,13 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
                     (normal[at, None, :w, :w] + scale[at] * damping[at, None, :w, :w])
                     .reshape(-1, w, w), neg_grad[at, :w].repeat(_RUNGS, axis=0))
         x_new = x.repeat(_RUNGS, axis=0)
-        if frozen:
-            x_new[:, free] += delta
-        else:
-            x_new += delta
+        x_new += delta
         ok = (solved & rungs.feasible(x_new)).nonzero()[0]
         every = len(ok) == len(x_new)  # row t of the pass is rung t
         if every:
-            r_ok, trial = rungs._kernel(x_new[:, None], rungs._consts(None))
+            r_ok, trial = rungs._kernel(x_new[:, None])
         else:
-            r_ok, trial = rungs._kernel(x_new[ok, None], rungs._consts(ok))
+            r_ok, trial = rungs.take(ok)._kernel(x_new[ok, None])
             slot = dict(zip(ok.tolist(), range(len(ok))))
         r_ok = r_ok[:, 0]
         rr_ok = (r_ok[:, None] @ r_ok[..., None])[:, 0, 0].tolist()
@@ -796,17 +773,18 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
 
 
 def refine(c: Candidate, tol: float = 1e-11, max_iter: int = 60,
-           frozen: tuple[str, ...] = (), unit_norm: bool = False) -> RefineResult:
+           unit_norm: bool = False) -> RefineResult:
     """Polish a candidate on the dF = 0 subspace; backtracks at constraints.
 
-    The candidate's F must lie in the closed subspace (all fixture and search
-    candidates do); its kernel coordinates become the optimization variables
-    together with the metric parameters.  With unit_norm the row
-    |F|^2_g - 1 is appended, forcing F away from the trivial solution.
+    The candidate's metric must be admissible (else a CandidateError, as from
+    ``residual_vector``) and its F closed (all fixture and search candidates
+    are); its kernel coordinates become the optimization variables together
+    with the metric parameters.  With unit_norm the row |F|^2_g - 1 is
+    appended, forcing F away from the trivial solution.
     """
-    entry = entry_by_name(c.entry_name)
+    entry, _, _ = _admitted(c)
     ctx = ResidualContext(entry, c.algebra_params, c.orientation,
-                          mode="unit_F" if unit_norm else "free_F", frozen=frozen)
+                          mode="unit_F" if unit_norm else "free_F")
     y, defect = ctx.project_f(c.f_coeffs)
     if defect > 1e-8:
         raise CandidateError(
@@ -1000,11 +978,12 @@ def _starts(entry: CatalogEntry, seed: int, indices: range, mode: str,
         y0 = rng.uniform(-2.0, 2.0, size=k)
         x0 = ctx.pack(metric_params, y0)
         if mode == "unit_F":
-            nrm = float(norm_sq(ctx.metric_of(x0), ctx.f_of(x0)))
+            g = metric_from_params(entry, metric_params)
+            nrm = float(norm_sq(g, ctx.f_of(x0)))
             if nrm < 1e-6:
                 y0 = rng.uniform(0.5, 2.0, size=k)
                 x0 = ctx.pack(metric_params, y0)
-                nrm = float(norm_sq(ctx.metric_of(x0), ctx.f_of(x0)))
+                nrm = float(norm_sq(g, ctx.f_of(x0)))
             if nrm > 0:
                 x0[len(ctx.metric_names):] /= np.sqrt(nrm)
         out[index] = ctx, x0
@@ -1072,6 +1051,10 @@ def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[Sear
         raise ValueError("n_jobs must be >= 1")
     if any(r.n_seeds < 1 for r in requests):
         raise ValueError("n_seeds must be >= 1")
+    if not all(0 < r.tol < math.inf for r in requests):  # NaN fails too
+        raise ValueError("tol must be positive and finite")
+    if not all(_is_orientation(r.orientation) for r in requests):
+        raise ValueError("orientation must be the integer 1 or -1")
     t0 = time.perf_counter()
     entries = [r.entry if isinstance(r.entry, CatalogEntry) else entry_by_name(r.entry)
                for r in requests]

@@ -2,16 +2,21 @@
 
 Writes, as JSON lines, the 468-run drift set (every catalog entry x
 {unit_F, free_F} x seeds 1024*101..1024*103 x {2, 8, 32} seeds, one
-``multistart_search`` report each) and the ``classify --json`` table at
-``--seeds 8`` for the same three seeds; then compares two such files::
+``multistart_search`` report each), the ``classify --json`` table at
+``--seeds 8`` for the same three seeds, and one ``refine`` record per family
+grid point and orientation (refined from the point with F scaled by
+``REFINE_SCALE``: candidate, iterations, stop reason, residual evaluations
+and largest residual); then compares two such files::
 
     PYTHONPATH=src python3 tests/drift.py write before.jsonl
     PYTHONPATH=src python3 tests/drift.py write after.jsonl
     python3 tests/drift.py compare before.jsonl after.jsonl
 
 The comparison counts the reports that are byte-identical, those whose
-ledgers (seed counts and stop reasons) are identical, those whose verdicts
-are identical, and gives the largest relative change of a closest miss.
+ledgers (seed counts and stop reasons; a refinement's iterations, stop
+reason and evaluations) are identical, those whose verdicts (solution
+classes, a classify row's verdict, a refinement's stop reason) are
+identical, and gives the largest relative change of a closest miss.
 It names up to five reports that are not byte-identical, each with the
 first field in which they differ.  It exits 1 when any ledger or verdict
 differs, else 0.
@@ -29,13 +34,16 @@ SEEDS = [1024 * k for k in (101, 102, 103)]
 SIZES = [2, 8, 32]
 MODES = ["unit_F", "free_F"]
 CLASSIFY_SEEDS = 8
-LEDGER = ("seeds_used", "seeds_sampled", "seeds_refined", "stop_reasons")
+REFINE_SCALE = 1.05
+LEDGER = ("seeds_used", "seeds_sampled", "seeds_refined", "stop_reasons",
+          "iterations", "reason", "n_evals")
 MISSES = ("best_nonsolution_residual", "best_free_nonsolution_residual")
 SHOWN = 5  # reports named when they are not byte-identical
 
 
 def write(path: str) -> None:
     from liemaxwell import cli, lie_algebra, solver
+    from liemaxwell.families import FAMILIES
 
     with open(path, "w") as fh:
         for entry in lie_algebra.catalog():
@@ -53,6 +61,17 @@ def write(path: str) -> None:
                           "--json"])
             key = ["classify", seed, CLASSIFY_SEEDS]
             fh.write(json.dumps({"key": key, "report": json.loads(text.getvalue())}) + "\n")
+        for fam in FAMILIES.values():
+            for point_index, point in enumerate(fam.default_grid):
+                for orientation in fam.orientations:
+                    start = solver.family_candidate(fam, point, orientation)
+                    start.f_coeffs = start.f_coeffs * REFINE_SCALE
+                    res = solver.refine(start)
+                    report = {"candidate": res.candidate.to_dict(), "iterations": res.iterations,
+                              "reason": res.reason, "n_evals": res.n_evals,
+                              "max_residual": res.max_residual}
+                    key = ["refine", fam.id, point_index, orientation]
+                    fh.write(json.dumps({"key": key, "report": report}) + "\n")
 
 
 def _load(path: str) -> dict:
@@ -68,6 +87,8 @@ def _parts(report: dict) -> list[dict]:
 def _verdict(part: dict):
     if "computed" in part:
         return part["computed"], part["agree"], part["inconclusive"], part["n_non_einstein"]
+    if "reason" in part:  # a refinement
+        return part["reason"]
     return sorted(s["report"]["classification"] for s in part["solutions"])
 
 

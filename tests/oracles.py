@@ -279,20 +279,20 @@ def hodge_star_solve(g, a6, orientation=1):
 COMPLEX_STEP = 1e-30
 
 
-def complex_step_jacobian(ctx, x, seeds=None):
-    """J[..., :, col] = Im r(x + i h e_k) / h, k = ctx.free_idx[col], with
+def complex_step_jacobian(ctx, x):
+    """J[..., :, k] = Im r(x + i h e_k) / h for every parameter k, with
     r = ``ctx.residual`` (Squire & Trapp, SIAM Rev. 40(1), 1998).
 
-    x is one point (n,), giving J (rows, k), or one point per seed (S, n),
-    giving J (S, rows, k); all probes go in one call of the kernel, which is
+    x is one point (n,), giving J (rows, n), or one point per seed (S, n),
+    giving J (S, rows, n); all probes go in one call of the kernel, which is
     complex-analytic.  It shares only the kernel with the package's
     forward-mode Jacobian, none of the tangent rules.
     """
     x = np.asarray(x, dtype=float)
-    cols = np.asarray(ctx.free_idx, dtype=int)
-    probes = np.repeat(x[..., None, :].astype(complex), len(cols), axis=-2)
-    probes[..., np.arange(len(cols)), cols] += 1j * COMPLEX_STEP
-    return np.swapaxes(ctx.residual(probes, seeds=seeds).imag, -1, -2) / COMPLEX_STEP
+    n = x.shape[-1]
+    probes = np.repeat(x[..., None, :].astype(complex), n, axis=-2)
+    probes[..., np.arange(n), np.arange(n)] += 1j * COMPLEX_STEP
+    return np.swapaxes(ctx.residual(probes).imag, -1, -2) / COMPLEX_STEP
 
 
 def levmar_alone(ctx, x0, tol, max_iter, singular=lambda iteration, trial: False):
@@ -308,7 +308,6 @@ def levmar_alone(ctx, x0, tol, max_iter, singular=lambda iteration, trial: False
     """
     from liemaxwell.solver import residual_jacobian as jacobian
 
-    free = list(ctx.free_idx)
     x = np.array(x0, dtype=float)
     if not ctx.feasible(x):
         return x, 0, "infeasible start", 0, 0
@@ -323,7 +322,7 @@ def levmar_alone(ctx, x0, tol, max_iter, singular=lambda iteration, trial: False
         if iters >= 25 and peak > 5e-2:
             return x, iters, "slow progress", n_evals, n_trials
         jac = jacobian(ctx, x)
-        n_evals += len(free)
+        n_evals += len(x)
         normal = jac.T @ jac
         grad = jac.T @ r
         damping = np.diag(np.maximum(np.diag(normal), 1e-12))
@@ -338,8 +337,7 @@ def levmar_alone(ctx, x0, tol, max_iter, singular=lambda iteration, trial: False
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            x_new = x.copy()
-            x_new[free] += delta
+            x_new = x + delta
             if ctx.feasible(x_new):
                 r_new = ctx.residual(x_new)
                 n_evals += 1
@@ -372,20 +370,6 @@ def nijenhuis_direct(c, jmat):
         n = brk(jx, jy) - jmat @ brk(jx, basis[j]) - jmat @ brk(basis[i], jy) - brk(basis[i], basis[j])
         worst = max(worst, np.abs(n).max())
     return worst
-
-
-def bisect(fun, lo, hi, tol=1e-14, max_iter=200):
-    flo = fun(lo)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = fun(mid)
-        if abs(hi - lo) < tol:
-            return mid
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
 
 
 # -- catalog expressions, interpreted ----------------------------------------

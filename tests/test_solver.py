@@ -127,27 +127,17 @@ def test_jacobian_at_the_cone_boundary_matches_the_oracle():
     assert np.abs(jac - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_jacobian_of_empty_free_set():
-    entry = la.entry_by_name("2A2")
-    names = solver.ResidualContext(entry, {}).names
-    ctx = solver.ResidualContext(entry, {}, mode="unit_F", frozen=tuple(names))
-    x = ctx.pack({"a1": 0, "a2": 0, "a3": 0, "a4": 0, "a5": 2.0}, np.ones(ctx.kernel.shape[1]))
-    assert solver.residual_jacobian(ctx, x).shape == (ctx.n_rows, 0)
-    assert solver.residual_jacobian(ctx, x[None]).shape == (1, ctx.n_rows, 0)
-
-
-def _assert_matches_oracle(ctx, xs, seeds=None, label=None):
-    got = solver.residual_jacobian(ctx, xs, seeds=seeds)
-    want = orc.complex_step_jacobian(ctx, xs, seeds=seeds)
+def _assert_matches_oracle(ctx, xs, label=None):
+    got = solver.residual_jacobian(ctx, xs)
+    want = orc.complex_step_jacobian(ctx, xs)
     assert got.shape == want.shape, label
     assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0), label
 
 
 def test_jacobian_matches_complex_step_oracle():
     # Forward mode against the complex step on every entry and mode: a
-    # stacked block of 8 generic seeds whole and through gathers, each
-    # admissible named variant alone, a frozen metric and F coordinate, and
-    # the empty free set.
+    # stacked block of 8 generic seeds whole and 5 of them gathered by
+    # take, and each admissible named variant alone.
     rng = np.random.default_rng(43)
     for entry in la.catalog():
         n_variants = sum(v.admissible for v in entry.variants)
@@ -161,17 +151,9 @@ def test_jacobian_matches_complex_step_oracle():
             block, x = solver.ResidualContext.stack(ctxs[:8]), np.array(xs[:8])
             _assert_matches_oracle(block, x, label=(entry.name, mode))
             seeds = rng.permutation(8)[:5]
-            _assert_matches_oracle(block, x[seeds], seeds=seeds, label=(entry.name, mode))
+            _assert_matches_oracle(block.take(seeds), x[seeds], label=(entry.name, mode))
             for ctx, x in zip(ctxs[8:], xs[8:]):
                 _assert_matches_oracle(ctx, x, label=(entry.name, mode, ctx.algebra_params))
-            ctx, x = ctxs[0], xs[0]
-            frozen = ctx.metric_names[:1] + ctx.f_names[:1]
-            part = solver.ResidualContext(entry, ctx.algebra_params, mode=mode, frozen=frozen)
-            assert len(part.free_idx) == len(x) - len(frozen)
-            _assert_matches_oracle(part, x[None], label=(entry.name, mode, frozen))
-            none = solver.ResidualContext(entry, ctx.algebra_params, mode=mode,
-                                          frozen=tuple(ctx.names))
-            _assert_matches_oracle(none, x, label=(entry.name, mode, "all frozen"))
 
 
 def test_kernel_refuses_a_nonpositive_determinant():
@@ -196,7 +178,7 @@ def test_take_gives_the_residuals_of_gathered_seeds():
     block = solver.ResidualContext.stack(ctxs)
     xs = np.array([x[0] for x in xs])
     for idx in (np.array([4, 1, 1, 0]), np.arange(6), np.array([5])):
-        want = block.residual(xs[idx, None], seeds=idx)
+        want = solver.ResidualContext.stack([ctxs[i] for i in idx]).residual(xs[idx, None])
         assert np.array_equal(block.take(idx).residual(xs[idx, None]), want)
     kernel = ("_lin", "_lin0", "_ct")
     assert set(kernel) <= set(solver.ResidualContext._SEED_AXIS)
@@ -210,14 +192,35 @@ def test_take_gives_the_residuals_of_gathered_seeds():
 
 
 def test_refine_to_family_point():
-    # With everything frozen except f34 the unique root is a34 = sqrt(3),
-    # cross-checked by bisecting (1 + a34^2)/(1 + a12^2) - a5.
-    start = cand_2a2(a34=1.8)
-    res = solver.refine(start, frozen=("a1", "a2", "a3", "a4", "a5", "f12", "f13"))
+    # Off the 2A2 family (a34 = 1.8 where a5 = 2 needs sqrt(3)), every
+    # parameter free: the end point is a NonEinsteinEM solution on the
+    # family's relation a5 = (1 + a34^2)/(1 + a12^2).
+    res = solver.refine(cand_2a2(a34=1.8))
     assert res.converged
-    root = orc.bisect(lambda t: (1 + t * t) / 2 - 2, 0.1, 5.0)
-    assert res.candidate.f_coeffs[5] == pytest.approx(root, abs=1e-9)
-    assert res.candidate.f_coeffs[5] == pytest.approx(np.sqrt(3), abs=1e-9)
+    _, L, g = solver._instantiated(res.candidate)
+    f = res.candidate.f_coeffs
+    assert maxwell.em_residual(L, g, f).classification == maxwell.NON_EINSTEIN_EM
+    a5, a12, a34 = res.candidate.metric_params["a5"], f[0], f[5]
+    assert a5 == pytest.approx((1 + a34 ** 2) / (1 + a12 ** 2), abs=1e-9)
+
+
+def test_search_refuses_bad_tol_and_orientation(monkeypatch):
+    # Refused before any seed is sampled or refined, on every entry point.
+    def no_program(*segments):
+        raise AssertionError("a program ran")
+
+    monkeypatch.setattr(solver, "_run_block", no_program)
+    for tol in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solver.multistart_search("2A2", 4, seed=5, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solver.classify_algebra("A4,4", n_seeds=2, seed=5, tol=tol)
+    for orientation in (0, 2, -2, 1.0, True):
+        with pytest.raises(ValueError, match="orientation must be the integer 1 or -1"):
+            solver.multistart_search("2A2", 4, seed=5, orientation=orientation)
+    with pytest.raises(ValueError, match="tol"):
+        solver.multistart_many([solver.SearchRequest("2A2", 2),
+                                solver.SearchRequest("A4,4", 2, tol=math.nan)], n_jobs=2)
 
 
 def test_refine_fixed_point():
@@ -245,9 +248,20 @@ def test_refine_rejects_nonclosed_f():
         solver.refine(c)
 
 
-def test_refine_unknown_frozen_name():
-    with pytest.raises(ValueError, match="frozen"):
-        solver.refine(cand_2a2(), frozen=("zz",))
+def test_refine_refuses_an_inadmissible_start():
+    # As residual_vector does: a CandidateError naming the failed
+    # constraint, whether det g <= 0 (2A2 with a5 = -1) or det g > 0 with a
+    # constraint failing (A4,4 with a1 = 1e-9, inside the EPS_PD margin).
+    a44 = solver.ResidualContext(la.entry_by_name("A4,4"), {})
+    bad = [cand_2a2(a5=-1.0),
+           solver.Candidate("A4,4", {}, {"a1": 1e-9, "a2": 0.0, "a3": 1.0},
+                            a44.kernel @ np.array([1.0, 0.5, -0.3]))]
+    for c in bad:
+        with pytest.raises(solver.CandidateError, match="> 0 violated") as refused:
+            solver.residual_vector(c)
+        with pytest.raises(solver.CandidateError) as caught:
+            solver.refine(c)
+        assert str(caught.value) == str(refused.value)
 
 
 def test_jacobian_matches_forward_differences():
@@ -816,22 +830,27 @@ def test_reused_jacobians_match_fresh_ones(monkeypatch):
             seen.add("mixed widths")
         return levmar(ctx, *args, **kwargs)
 
-    def traced_kernel(self, xs, consts):
-        state["partial"] = len(xs) < len(self._lin)
-        return kernel(self, xs, consts)
+    def traced_kernel(self, xs):
+        caller = sys._getframe(1)
+        if caller.f_code is levmar.__code__:  # not residual_jacobian, the reference below
+            # A pass over fewer points than the tick's rungs x_new (the start
+            # pass has none yet) evaluated the feasible rungs only.
+            state["partial"] = len(xs) < len(caller.f_locals.get("x_new", xs))
+        return kernel(self, xs)
 
-    def checked_step(ctx, inter, seeds=None):
-        jac = step(ctx, inter, seeds)
+    def checked_step(ctx, inter):
+        jac = step(ctx, inter)
         caller = sys._getframe(1)
         if caller.f_code is not levmar.__code__:  # residual_jacobian, the reference below
             return jac
         go = caller.f_locals["go"]  # _levmar's starting seeds, at its running points x
-        want = solver.residual_jacobian(ctx, caller.f_locals["x"][go], seeds=go)
+        want = solver.residual_jacobian(ctx, caller.f_locals["x"][go])
         assert np.abs(jac - want).max() <= 1e-12 * np.abs(want).max()
-        flags = {"first tick": state["first"], "after seeds stop": len(ctx._lin) < state["live"],
+        live = len(caller.f_locals["live"]._lin)
+        flags = {"first tick": state["first"], "after seeds stop": live < state["live"],
                  "feasible rungs only": state["partial"], "free_F": ctx.mode == "free_F"}
         seen.update(name for name, hit in flags.items() if hit)
-        state.update(first=False, live=len(ctx._lin))
+        state.update(first=False, live=live)
         return jac
 
     monkeypatch.setattr(solver, "_levmar", run)
