@@ -3,7 +3,7 @@
 from .families import FAMILIES, family_by_id
 from .forms import hodge_star, inner_product, is_coclosed, norm_sq, sd_asd_split, two_form
 from .kahler import (classify_hermitian_type, endomorphism_from_form, is_compatible,
-                     is_kahler, nijenhuis, ricci_form)
+                     nijenhuis, ricci_form)
 from .lie_algebra import (CatalogEntry, LieAlgebra, bracket, catalog, catalog_checksum,
                           closedness_constraints, d_one_form, d_two_form, entry_by_name,
                           from_brackets, instantiate, is_unimodular, jacobi_defect,

@@ -26,11 +26,11 @@ import numpy as np
 
 from .families import FAMILIES, family_by_id
 from .kahler import hermitian_diagnostics
-from .lie_algebra import (VERDICTS, catalog, catalog_checksum, entry_by_name, instantiate,
-                          metric_from_params)
+from .lie_algebra import VERDICTS, catalog, catalog_checksum, entry_by_name
 from .maxwell import EINSTEIN_NULL_STRESS, NON_EINSTEIN_EM, TOL_SOLUTION, em_residual
-from .metric_geometry import curvature_summary, validate_metric
-from .solver import Candidate, classify_table, multistart_search, number_object
+from .metric_geometry import curvature_summary
+from .solver import (MODES, Candidate, _admitted, classify_table, multistart_search,
+                     number_object)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -123,11 +123,7 @@ def cmd_show(args) -> int:
 
 def cmd_curvature(args) -> int:
     entry = entry_by_name(args.entry)
-    L = instantiate(entry, _params_arg(args.algebra_params))
-    g = metric_from_params(entry, _params_arg(args.metric_params))
-    check = validate_metric(entry, g)
-    if not check.ok:
-        raise ValueError("inadmissible metric: " + "; ".join(check.failures))
+    L, g = _admitted(entry, _params_arg(args.algebra_params), _params_arg(args.metric_params))
     config = RunConfig(command="curvature", entries=[entry.name], tol=args.tol)
     _, _, ric, s, ric0 = curvature_summary(L, g)
     if not (np.isfinite(ric).all() and np.isfinite(ric0).all() and np.isfinite(s)):
@@ -150,11 +146,7 @@ def cmd_curvature(args) -> int:
 def cmd_verify(args) -> int:
     cand = Candidate.from_json(args.candidate)
     entry = entry_by_name(cand.entry_name)
-    L = instantiate(entry, cand.algebra_params)
-    g = metric_from_params(entry, cand.metric_params)
-    check = validate_metric(entry, g)
-    if not check.ok:
-        raise ValueError("inadmissible metric: " + "; ".join(check.failures))
+    L, g = _admitted(entry, cand.algebra_params, cand.metric_params)
     config = RunConfig(command="verify", entries=[entry.name], tol=args.tol,
                        orientation=cand.orientation)
     report = em_residual(L, g, cand.f_coeffs, cand.orientation, tol=args.tol)
@@ -286,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("entry")
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["unit_F", "free_F"], default="unit_F")
+    p.add_argument("--mode", choices=MODES, default="unit_F")
     p.add_argument("--orientation", type=int, choices=[1, -1], default=1)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timing", action="store_true", help="include wall time in the report")

@@ -8,7 +8,10 @@ A 2-form is a vector of six coefficients in the fixed order
 
 ``inner_product``, ``norm_sq``, ``volume_coefficient`` and ``hodge_star``
 take leading axes: metrics (..., 4, 4) with forms (..., 6), one result per
-leading index.  Exact input goes through the same code.
+leading index.  ``inner_product`` and ``norm_sq`` keep exact (Fraction)
+input exact; ``hodge_star`` casts to float, and ``hodge_star_exact`` is the
+exact star, carrying sqrt(det g) as a separate radical.  An orientation is
+the integer 1 or -1; 1.0, True and "1" are refused.
 """
 
 from __future__ import annotations
@@ -46,10 +49,15 @@ _STAR_PAIRS = np.array([LEVI4[i, j] for i, j in PAIRS], dtype=float).reshape(6, 
 CoclosednessCheck = namedtuple("CoclosednessCheck", ["ok", "residual"])
 
 
-def _check_orientation(orientation: int) -> int:
-    if orientation not in (1, -1):
-        raise ValueError(f"orientation must be +1 or -1, got {orientation}")
-    return orientation
+def _is_orientation(value) -> bool:
+    """Whether ``value`` is the integer 1 or -1 (1.0, True and "1" are not)."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value in (1, -1))
+
+
+def _check_orientation(orientation: int) -> None:
+    if not _is_orientation(orientation):
+        raise ValueError(f"orientation must be the integer 1 or -1, got {orientation!r}")
 
 
 def _raised(g: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -58,12 +58,6 @@ def nijenhuis(L: LieAlgebra, J: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.abs(n).max()), n
 
 
-def is_kahler(L: LieAlgebra, g: np.ndarray, omega: np.ndarray,
-              tol: float = TOL_COMPAT) -> tuple[bool, dict]:
-    kind, diag = _classify(L, g, omega, tol)
-    return kind == KAHLER, diag
-
-
 def classify_hermitian_type(L: LieAlgebra, g: np.ndarray, omega: np.ndarray,
                             tol: float = TOL_COMPAT) -> str:
     return _classify(L, g, omega, tol)[0]

@@ -24,7 +24,6 @@ solver's end points do not depend on them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,9 +92,6 @@ class EMReport:
         if self.inputs:
             out["inputs"] = self.inputs
         return out
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def em_residual(L, g: np.ndarray, a: np.ndarray, orientation: int = 1,

@@ -3,19 +3,22 @@
 One predicate, ``admissible``, decides whether metric parameters give an
 admissible metric: finite, inside every constraint polynomial of the entry
 with margin ``EPS_PD``, and positive definite by a Cholesky factorization.
-The sampler, the Levenberg-Marquardt feasibility test and ``validate_metric``
-(hence ``verify``, ``curvature`` and ``residual_vector``) all take their
-decision from it.
+The sampler and the Levenberg-Marquardt feasibility test call it on stacks
+of parameter vectors; ``validate_metric`` calls it on one parameter dict and
+names the constraints a refusal fails.  Admission reads parameters, never a
+matrix: every metric is built from its parameters by ``metric_from_params``,
+and ``solver._admitted`` is the one place that builds and admits one (behind
+``verify``, ``curvature``, ``family``, ``refine`` and ``residual_vector``).
 
 Sign convention for the curvature tensor (fixed once, here): with
 ``Rc(x, y)z = -(nabla_x nabla_y z - nabla_y nabla_x z - nabla_{[x,y]} z)``
 and ``R(x, y, z, w) = g(Rc(x, y)z, w)``, hyperbolic planes get negative
 sectional curvature ``K(x, y) = R(x, y, x, y) / (|x|^2 |y|^2 - <x,y>^2)``.
 
-All functions accept float64 or Fraction (object dtype) inputs; the exact
-path goes through rational Gaussian elimination instead of an orthonormal
-frame, so the whole chain down to the trace-free Ricci tensor is exact for
-rational data.  The chain (``levi_civita``, ``riemann``,
+The curvature functions accept float64 or Fraction (object dtype) inputs;
+the exact path goes through rational Gaussian elimination instead of an
+orthonormal frame, so the whole chain down to the trace-free Ricci tensor is
+exact for rational data.  The chain (``levi_civita``, ``riemann``,
 ``curvature_summary``) is loop-free einsum code that takes leading axes: a
 sequence of S algebras (or their structure constants, (S, 4, 4, 4)) with
 metrics (S, 4, 4) is one call, which is how the solver re-verifies each
@@ -46,10 +49,6 @@ EPS_PD = 1e-8
 MetricCheck = namedtuple("MetricCheck", ["ok", "failures"])
 
 
-class ShapeMismatchError(ValueError):
-    """Metric matrix does not fit the catalog entry's reduced shape."""
-
-
 def _as_exact(arr: np.ndarray) -> np.ndarray:
     out = np.empty(arr.shape, dtype=object)
     flat = out.reshape(-1)
@@ -62,27 +61,6 @@ def _match_dtypes(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     if any(a.dtype == object for a in arrays):
         return tuple(a if a.dtype == object else _as_exact(a) for a in arrays)
     return arrays
-
-
-def metric_params_of(entry: CatalogEntry, g: np.ndarray) -> dict:
-    """Read the parameter values a metric matrix assigns to the entry's shape."""
-    g = np.asarray(g)
-    values: dict = {}
-    for i in range(DIM):
-        for j in range(DIM):
-            cell = entry.metric_shape[i][j]
-            if isinstance(cell, str):
-                if cell in values:
-                    prev = values[cell]
-                    if abs(g[i, j] - prev) > (0 if g.dtype == object else 1e-12):
-                        raise ShapeMismatchError(
-                            f"{entry.name}: entries tied to {cell} disagree")
-                values[cell] = g[i, j]
-            else:
-                if abs(g[i, j] - cell) > (0 if g.dtype == object else 1e-12):
-                    raise ShapeMismatchError(
-                        f"{entry.name}: cell ({i + 1},{j + 1}) must equal {cell}, got {g[i, j]}")
-    return values
 
 
 def _factors(g: np.ndarray) -> bool:
@@ -122,22 +100,15 @@ def admissible(entry: CatalogEntry, params: np.ndarray):
     return ok.reshape(params.shape[:-1]) if params.ndim > 1 else bool(ok[0])
 
 
-def validate_metric(entry: CatalogEntry, g: np.ndarray) -> MetricCheck:
-    """Check that g is a symmetric 4x4 matrix of the entry's shape (else
-    ShapeMismatchError), then whether it is ``admissible``; a refusal names
-    the failed constraints."""
-    g = np.asarray(g)
-    if g.shape != (DIM, DIM):
-        raise ShapeMismatchError("metric must be a 4x4 matrix")
-    sym = np.abs(g - g.T).max()
-    if sym > (0 if g.dtype == object else 0.0):
-        raise ShapeMismatchError("metric must be exactly symmetric")
-    values = metric_params_of(entry, g)
-    params = np.array([float(values[n]) for n in entry.metric_param_names])
+def validate_metric(entry: CatalogEntry, metric_params: dict) -> MetricCheck:
+    """Whether the metric parameters (a dict over ``entry.metric_param_names``)
+    are ``admissible``; a refusal names the failed constraints."""
+    params = np.array([float(metric_params[n]) for n in entry.metric_param_names])
     if admissible(entry, params):
         return MetricCheck(ok=True, failures=())
     if not np.isfinite(params).all():
         return MetricCheck(ok=False, failures=("metric parameters must be finite",))
+    values = dict(zip(entry.metric_param_names, params))
     failures = []
     for poly in entry.metric_constraints:
         val = eval_expr(poly, values)

@@ -62,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from .families import Family, family_by_id
-from .forms import LEVI4, hodge_star, norm_sq
+from .forms import LEVI4, _is_orientation, hodge_star, norm_sq
 from .kahler import classify_hermitian_type, ricci_form
 from .lie_algebra import (PAIRS, CatalogEntry, LieAlgebra, catalog_checksum,
                           closedness_constraints, d_two_form, entry_by_name, instantiate,
@@ -84,6 +84,9 @@ EVIDENCE_FACTOR = 100.0
 SEARCH_MAX_ITER = 45
 SAMPLE_TRIES = 600
 
+#: Search modes: F on the unit sphere |F|^2_g = 1, or F free.
+MODES = ("unit_F", "free_F")
+
 #: Upper triangle (i <= j) of a 4x4 matrix, row by row, and its positions
 #: in the flattened matrix.
 _TRIU_ROWS, _TRIU_COLS = np.triu_indices(4)
@@ -98,12 +101,6 @@ _WIDTH = 100
 
 class CandidateError(ValueError):
     """Candidate violates its entry's invariants (not a residual)."""
-
-
-def _is_orientation(value) -> bool:
-    """Whether ``value`` is the integer 1 or -1 (1.0, True and "1" are not)."""
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value in (1, -1))
 
 
 def finite_number(value) -> bool:
@@ -210,18 +207,21 @@ def _stacked_residual(L: LieAlgebra, g: np.ndarray, f6: np.ndarray,
     return out
 
 
-def _admitted(c: Candidate) -> tuple[CatalogEntry, LieAlgebra, np.ndarray]:
-    """``_instantiated``; a CandidateError names the constraints an inadmissible metric fails."""
-    entry, L, g = _instantiated(c)
-    check = validate_metric(entry, g)
+def _admitted(entry: CatalogEntry, algebra_params: dict,
+              metric_params: dict) -> tuple[LieAlgebra, np.ndarray]:
+    """The algebra and metric g of the entry at these parameters; a
+    CandidateError names the constraints an inadmissible metric fails."""
+    L = instantiate(entry, algebra_params)
+    g = metric_from_params(entry, metric_params)
+    check = validate_metric(entry, metric_params)
     if not check.ok:
         raise CandidateError(f"{entry.name}: inadmissible metric: " + "; ".join(check.failures))
-    return entry, L, g
+    return L, g
 
 
 def residual_vector(c: Candidate) -> np.ndarray:
     """18 components: EM equation upper triangle (10), dF (4), d*F (4)."""
-    _, L, g = _admitted(c)
+    L, g = _admitted(entry_by_name(c.entry_name), c.algebra_params, c.metric_params)
     return _stacked_residual(L, g, c.f_coeffs, c.orientation)
 
 
@@ -265,7 +265,7 @@ class ResidualContext:
 
     def __init__(self, entry: CatalogEntry, algebra_params: dict, orientation: int = 1,
                  mode: str = "unit_F"):
-        if mode not in ("unit_F", "free_F"):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.entry = entry
         self.algebra_params = dict(algebra_params)
@@ -782,7 +782,8 @@ def refine(c: Candidate, tol: float = 1e-11, max_iter: int = 60,
     with the metric parameters.  With unit_norm the row |F|^2_g - 1 is
     appended, forcing F away from the trivial solution.
     """
-    entry, _, _ = _admitted(c)
+    entry = entry_by_name(c.entry_name)
+    _admitted(entry, c.algebra_params, c.metric_params)
     ctx = ResidualContext(entry, c.algebra_params, c.orientation,
                           mode="unit_F" if unit_norm else "free_F")
     y, defect = ctx.project_f(c.f_coeffs)
@@ -1055,6 +1056,9 @@ def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[Sear
         raise ValueError("tol must be positive and finite")
     if not all(_is_orientation(r.orientation) for r in requests):
         raise ValueError("orientation must be the integer 1 or -1")
+    for r in requests:
+        if r.mode not in MODES:
+            raise ValueError(f"unknown mode {r.mode!r}")
     t0 = time.perf_counter()
     entries = [r.entry if isinstance(r.entry, CatalogEntry) else entry_by_name(r.entry)
                for r in requests]
@@ -1166,20 +1170,20 @@ def family_candidate(fam: Family, point: dict, orientation: int = 1) -> Candidat
     )
 
 
-def verify_solution_family(family_id: str, grid: tuple[dict, ...] | None = None,
-                           orientation: int = 1, tol: float = 1e-10) -> FamilyReport:
-    """Run the full verification battery on a family grid."""
+def verify_solution_family(family_id: str, orientation: int = 1,
+                           tol: float = 1e-10) -> FamilyReport:
+    """Run the full verification battery on the family's default grid; each
+    point is admitted once and passes the reference chain once."""
     fam = family_by_id(family_id)
-    points = tuple(grid) if grid is not None else fam.default_grid
+    entry = entry_by_name(fam.entry_name)
     max_res = max_kerr = max_rho_err = max_defect = 0.0
     classifications, types = [], []
     ok = True
-    for point in points:
+    for point in fam.default_grid:
         cand = family_candidate(fam, point, orientation)
-        entry, L, g = _instantiated(cand)
-        res = np.abs(residual_vector(cand)).max()
-        max_res = max(max_res, float(res))
+        L, g = _admitted(entry, cand.algebra_params, cand.metric_params)
         report = em_residual(L, g, cand.f_coeffs, orientation)
+        max_res = max(max_res, report.r_em, report.r_dF, report.r_dstarF)
         classifications.append(report.classification)
         if report.classification != NON_EINSTEIN_EM:
             ok = False
@@ -1196,7 +1200,7 @@ def verify_solution_family(family_id: str, grid: tuple[dict, ...] | None = None,
         max_defect = max(max_defect, defect)
     ok = ok and max_res <= tol and max_kerr <= tol and max_rho_err <= tol and max_defect <= tol
     return FamilyReport(
-        family_id=fam.id, orientation=orientation, n_points=len(points),
+        family_id=fam.id, orientation=orientation, n_points=len(fam.default_grid),
         max_residual=max_res, max_kappa_error=max_kerr, max_rho0_error=max_rho_err,
         max_decomposition_defect=max_defect, classifications=classifications,
         hermitian_types=types, all_pass=ok,
@@ -1274,7 +1278,7 @@ def _classify_row(entry: CatalogEntry, outcome: SearchOutcome, free_pass: Search
     max_stress = 0.0
     for cand, report in solutions:
         if report.classification != NON_EINSTEIN_EM:
-            _, _, g = _instantiated(cand)
+            g = metric_from_params(entry, cand.metric_params)
             max_stress = max(max_stress, float(np.abs(stress_energy(g, cand.f_coeffs)).max()))
     if non_einstein:
         computed = "HasNonEinsteinEM"

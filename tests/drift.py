@@ -3,10 +3,14 @@
 Writes, as JSON lines, the 468-run drift set (every catalog entry x
 {unit_F, free_F} x seeds 1024*101..1024*103 x {2, 8, 32} seeds, one
 ``multistart_search`` report each), the ``classify --json`` table at
-``--seeds 8`` for the same three seeds, and one ``refine`` record per family
+``--seeds 8`` for the same three seeds, one ``refine`` record per family
 grid point and orientation (refined from the point with F scaled by
 ``REFINE_SCALE``: candidate, iterations, stop reason, residual evaluations
-and largest residual); then compares two such files::
+and largest residual), and CLI records, each the parsed stdout (None when
+empty) and the exit code of one ``main`` call: ``family <id> --json`` and
+``verify --json`` at every family grid point, both in orientations +1 and
+-1, and ``verify`` of one inadmissible document; then compares two such
+files::
 
     PYTHONPATH=src python3 tests/drift.py write before.jsonl
     PYTHONPATH=src python3 tests/drift.py write after.jsonl
@@ -14,9 +18,11 @@ and largest residual); then compares two such files::
 
 The comparison counts the reports that are byte-identical, those whose
 ledgers (seed counts and stop reasons; a refinement's iterations, stop
-reason and evaluations) are identical, those whose verdicts (solution
-classes, a classify row's verdict, a refinement's stop reason) are
-identical, and gives the largest relative change of a closest miss.
+reason and evaluations; a CLI record's exit code) are identical, those
+whose verdicts (solution classes, a classify row's verdict, a refinement's
+stop reason, a family's ``all_pass`` and classifications, a verify
+classification) are identical, and gives the largest relative change of a
+closest miss.
 It names up to five reports that are not byte-identical, each with the
 first field in which they differ.  It exits 1 when any ledger or verdict
 differs, else 0.
@@ -29,6 +35,8 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 SEEDS = [1024 * k for k in (101, 102, 103)]
 SIZES = [2, 8, 32]
@@ -36,9 +44,25 @@ MODES = ["unit_F", "free_F"]
 CLASSIFY_SEEDS = 8
 REFINE_SCALE = 1.05
 LEDGER = ("seeds_used", "seeds_sampled", "seeds_refined", "stop_reasons",
-          "iterations", "reason", "n_evals")
+          "iterations", "reason", "n_evals", "exit")
 MISSES = ("best_nonsolution_residual", "best_free_nonsolution_residual")
 SHOWN = 5  # reports named when they are not byte-identical
+ORIENTATIONS = [1, -1]
+#: 2A2 at a5 = 0, outside two of its constraint polynomials.
+INADMISSIBLE = {"entry": "2A2", "metric_params": {"a1": 0.0, "a2": 0.0, "a3": 0.0, "a4": 0.0,
+                                                   "a5": 0.0},
+                "f_coeffs": [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]}
+
+
+def _run_cli(argv: list[str]) -> dict:
+    """Parsed stdout (None when empty) and exit code of one ``cli.main`` call;
+    stderr is dropped."""
+    from liemaxwell import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return {"stdout": json.loads(out.getvalue()) if out.getvalue() else None, "exit": code}
 
 
 def write(path: str) -> None:
@@ -72,6 +96,24 @@ def write(path: str) -> None:
                               "max_residual": res.max_residual}
                     key = ["refine", fam.id, point_index, orientation]
                     fh.write(json.dumps({"key": key, "report": report}) + "\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = Path(tmp) / "candidate.json"
+            for fam in FAMILIES.values():
+                for orientation in ORIENTATIONS:
+                    report = _run_cli(["family", fam.id, "--orientation", str(orientation),
+                                       "--json"])
+                    fh.write(json.dumps({"key": ["family", fam.id, orientation],
+                                         "report": report}) + "\n")
+                    for point_index, point in enumerate(fam.default_grid):
+                        cand = solver.family_candidate(fam, point, orientation)
+                        doc.write_text(json.dumps(cand.to_dict()))
+                        key = ["verify", fam.id, point_index, orientation]
+                        fh.write(json.dumps({"key": key,
+                                             "report": _run_cli(["verify", str(doc), "--json"])})
+                                 + "\n")
+            doc.write_text(json.dumps(INADMISSIBLE))
+            fh.write(json.dumps({"key": ["verify", "inadmissible"],
+                                 "report": _run_cli(["verify", str(doc), "--json"])}) + "\n")
 
 
 def _load(path: str) -> dict:
@@ -85,6 +127,9 @@ def _parts(report: dict) -> list[dict]:
 
 
 def _verdict(part: dict):
+    if "exit" in part:  # a CLI record
+        doc = part["stdout"] or {}
+        return doc.get("all_pass"), doc.get("classifications"), doc.get("classification")
     if "computed" in part:
         return part["computed"], part["agree"], part["inconclusive"], part["n_non_einstein"]
     if "reason" in part:  # a refinement

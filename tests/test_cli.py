@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from liemaxwell import cli, solver
 from liemaxwell import lie_algebra as la
+from liemaxwell import metric_geometry as mg
 
 
 @pytest.fixture()
@@ -358,6 +359,24 @@ _A22A1_POINT = {"entry": "A2+2A1", "algebra_params": {}, "metric_params": {"a1":
 _A46_POINT = {"entry": "A4,6^{a,0}", "algebra_params": {"a": 1.0},
               "metric_params": {"a1": 0.0, "a2": 0.0, "a3": 1.0},
               "f_coeffs": [0, 0, 0, 1, 0, 0], "orientation": 1}
+
+
+def test_an_inadmissible_candidate_is_refused_alike_everywhere(capsys, tmp_path):
+    # One admission behind verify, curvature, refine and residual_vector:
+    # each names the same failed constraints, in the same words.
+    doc = {**_SOLUTION_2A2, "metric_params": {**_SOLUTION_2A2["metric_params"], "a5": 0.0}}
+    cand = solver.Candidate.from_dict(doc)
+    failures = mg.validate_metric(la.entry_by_name("2A2"), doc["metric_params"]).failures
+    assert len(failures) == 2 and all("violated" in f for f in failures)
+    want = "2A2: inadmissible metric: " + "; ".join(failures)
+    got = [refusal(capsys, tmp_path, ["verify", "DOC"], doc),
+           refusal(capsys, tmp_path, ["curvature", "2A2", "--metric-params",
+                                      json.dumps(doc["metric_params"])])]
+    assert got == [f"error: {want}\n"] * 2
+    for path in (solver.refine, solver.residual_vector):
+        with pytest.raises(solver.CandidateError) as exc:
+            path(cand)
+        assert str(exc.value) == want, path.__name__
 
 
 @pytest.mark.parametrize("doc", [

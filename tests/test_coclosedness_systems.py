@@ -62,8 +62,9 @@ def test_a47_null_stress_branch():
     a1, a3 = 2.0, 1.0
     a4 = a1 ** 2 / (4 * (a1 - a3 ** 2))
     L = la.instantiate(entry, {})
-    g = la.metric_from_params(entry, {"a1": a1, "a2": 0.0, "a3": a3, "a4": a4})
-    assert validate_metric(entry, g).ok
+    params = {"a1": a1, "a2": 0.0, "a3": a3, "a4": a4}
+    g = la.metric_from_params(entry, params)
+    assert validate_metric(entry, params).ok
     for t in (0.7, -1.3):
         f6 = two_form(e14=t, e23=t / 2, e34=a3 * t / a1)
         assert np.abs(la.d_two_form(L, f6)).max() == 0
@@ -86,10 +87,10 @@ def test_2a2_null_stress_branch():
         a1 = -a4 * (a13 * a2 + a34) / a12
         a3 = (a13 + a2 * a34 - a13 * a4 ** 2) / a12
         a5 = (a34 ** 2 + a13 ** 2 + 2 * a13 * a34 * a2 - a13 ** 2 * a4 ** 2) / a12 ** 2
-        g = la.metric_from_params(
-            entry, {"a1": a1, "a2": a2, "a3": a3, "a4": a4, "a5": a5})
-        if not validate_metric(entry, g).ok:
+        params = {"a1": a1, "a2": a2, "a3": a3, "a4": a4, "a5": a5}
+        if not validate_metric(entry, params).ok:
             continue
+        g = la.metric_from_params(entry, params)
         f6 = two_form(e12=a12, e13=a13, e34=a34)
         assert np.abs(la.d_two_form(L, f6)).max() == 0
         assert forms.is_coclosed(L, g, f6).ok

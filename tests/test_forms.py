@@ -7,7 +7,7 @@ import pytest
 
 import oracles as orc
 from conftest import admissible_draws
-from liemaxwell import forms
+from liemaxwell import forms, maxwell
 from liemaxwell import lie_algebra as la
 from liemaxwell._smallmat import sqrt_fraction
 from liemaxwell.forms import two_form
@@ -18,6 +18,26 @@ def test_star_euclidean_fixtures():
     assert np.allclose(forms.hodge_star(g, two_form(e12=1)), two_form(e34=1))
     assert np.allclose(forms.hodge_star(g, two_form(e13=1)), two_form(e24=-1))
     assert np.allclose(forms.hodge_star(g, two_form(e14=1)), two_form(e23=1))
+
+
+_G, _A = np.diag([1.0, 1.0, 2.0, 1.0]), two_form(e12=1.0, e34=1.0)
+_ORIENTED = {
+    "hodge_star": lambda o: forms.hodge_star(_G, _A, o),
+    "volume_coefficient": lambda o: forms.volume_coefficient(_G, o),
+    "hodge_star_exact": lambda o: forms.hodge_star_exact(_G.astype(int) * Fraction(1), _A, o),
+    "em_residual": lambda o: maxwell.em_residual(la.instantiate(la.entry_by_name("2A2"), {}),
+                                                 _G, _A, o),
+}
+
+
+@pytest.mark.parametrize("orientation", [True, 1.0, "1"])
+@pytest.mark.parametrize("name", sorted(_ORIENTED))
+def test_orientation_must_be_the_integer_one_or_minus_one(name, orientation):
+    # The candidate's rule: a bool, a float or a string is refused, not read
+    # as +1, so no report records "orientation": true.
+    with pytest.raises(ValueError, match="orientation must be the integer 1 or -1"):
+        _ORIENTED[name](orientation)
+    assert _ORIENTED[name](np.int64(-1)) is not None
 
 
 def test_star_scaled_metric():
@@ -134,9 +154,10 @@ def test_coclosedness_fixtures():
     a2, a12, a13, a34 = 0.5, 0.8, 0.3, 1.2
     a3 = (a2 * a34 + a13) / a12
     entry = la.entry_by_name("2A2")
-    g2 = la.metric_from_params(entry, {"a1": 0.0, "a2": a2, "a3": a3, "a4": 0.0, "a5": 2.0})
+    params = {"a1": 0.0, "a2": a2, "a3": a3, "a4": 0.0, "a5": 2.0}
+    g2 = la.metric_from_params(entry, params)
     from liemaxwell.metric_geometry import validate_metric
-    assert validate_metric(entry, g2).ok
+    assert validate_metric(entry, params).ok
     assert forms.is_coclosed(L, g2, two_form(e12=a12, e13=a13, e34=a34)).ok
     # off the branch the residual is visible
     assert not forms.is_coclosed(L, g2, two_form(e12=a12, e13=a13 + 0.4, e34=a34)).ok

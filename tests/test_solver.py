@@ -218,6 +218,8 @@ def test_search_refuses_bad_tol_and_orientation(monkeypatch):
     for orientation in (0, 2, -2, 1.0, True):
         with pytest.raises(ValueError, match="orientation must be the integer 1 or -1"):
             solver.multistart_search("2A2", 4, seed=5, orientation=orientation)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        solver.multistart_search("2A2", 2, mode="bogus")
     with pytest.raises(ValueError, match="tol"):
         solver.multistart_many([solver.SearchRequest("2A2", 2),
                                 solver.SearchRequest("A4,4", 2, tol=math.nan)], n_jobs=2)
@@ -446,7 +448,7 @@ def test_admissible_short_circuit_matches_failure_list():
         assert (mg.admissible(entry, stack.reshape(3, 20, -1)) == got.reshape(3, 20)).all()
         for vec, ok in zip(stack, got.tolist()):
             assert mg.admissible(entry, vec) is ok, (entry.name, vec)
-            check = mg.validate_metric(entry, la.metric_from_params(entry, dict(zip(names, vec))))
+            check = mg.validate_metric(entry, dict(zip(names, vec)))
             assert check.ok is ok and bool(check.failures) is not ok, (entry.name, vec)
         assert set(got.tolist()) == ({True, False} if names else {True}), entry.name
 
