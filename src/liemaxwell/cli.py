@@ -30,7 +30,7 @@ from .lie_algebra import VERDICTS, catalog, catalog_checksum, entry_by_name
 from .maxwell import EINSTEIN_NULL_STRESS, NON_EINSTEIN_EM, TOL_SOLUTION, em_residual
 from .metric_geometry import curvature_summary
 from .solver import (MODES, Candidate, _admitted, classify_table, multistart_search,
-                     number_object)
+                     number_object, verify_solution_family)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -169,7 +169,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_family(args) -> int:
-    from .solver import verify_solution_family
     report = verify_solution_family(args.family, orientation=args.orientation, tol=args.tol)
     config = RunConfig(command="family", entries=[report.family_id],
                        orientation=args.orientation, tol=args.tol)

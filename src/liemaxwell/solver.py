@@ -26,10 +26,11 @@ asked for, takes whole programs.
 
 Each tick of that program tries a damping ladder per seed: the next three
 dampings a lone run would try (lam, 4 lam, 16 lam), solved, checked and
-evaluated together, then consumed in order under the lone-run rules.  The
-rungs are extra rows on the seed axis (``ResidualContext.repeat``), not
-extra points of one seed, because only the seed axis evaluates every row
-as a lone point is evaluated.  Iteration counts, stop reasons and residual
+evaluated together, then consumed in order under the lone-run rules.  Every
+rung is evaluated, a refused one at its seed's current point, so a tick's
+pass has one layout whatever was refused.  The rungs are extra rows on the
+seed axis (``ResidualContext.repeat``), not extra points of one seed,
+because only the seed axis evaluates every row as a lone point is.  Iteration counts, stop reasons and residual
 evaluation counts are those of a lone run.
 
 Starts and re-verification run once per request's share of a program and
@@ -196,17 +197,6 @@ def _instantiated(c: Candidate) -> tuple[CatalogEntry, LieAlgebra, np.ndarray]:
     return entry, L, g
 
 
-def _stacked_residual(L: LieAlgebra, g: np.ndarray, f6: np.ndarray,
-                      orientation: int) -> np.ndarray:
-    _, _, _, _, ric0 = curvature_summary(L, g)
-    em = ric0 + stress_energy(g, f6)
-    out = np.empty(18)
-    out[:10] = em[_TRIU_ROWS, _TRIU_COLS]
-    out[10:14] = d_two_form(L, f6)
-    out[14:18] = d_two_form(L, hodge_star(g, f6, orientation))
-    return out
-
-
 def _admitted(entry: CatalogEntry, algebra_params: dict,
               metric_params: dict) -> tuple[LieAlgebra, np.ndarray]:
     """The algebra and metric g of the entry at these parameters; a
@@ -222,7 +212,13 @@ def _admitted(entry: CatalogEntry, algebra_params: dict,
 def residual_vector(c: Candidate) -> np.ndarray:
     """18 components: EM equation upper triangle (10), dF (4), d*F (4)."""
     L, g = _admitted(entry_by_name(c.entry_name), c.algebra_params, c.metric_params)
-    return _stacked_residual(L, g, c.f_coeffs, c.orientation)
+    _, _, _, _, ric0 = curvature_summary(L, g)
+    em = ric0 + stress_energy(g, c.f_coeffs)
+    out = np.empty(18)
+    out[:10] = em[_TRIU_ROWS, _TRIU_COLS]
+    out[10:14] = d_two_form(L, c.f_coeffs)
+    out[14:18] = d_two_form(L, hodge_star(g, c.f_coeffs, c.orientation))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +250,9 @@ class ResidualContext:
     axis: length 1 here, and one entry per seed in a context made by
     ``stack``, which lets one call evaluate many seeds of a search at once.
     ``take`` and ``repeat`` are the one way to pick seeds: they gather the
-    seeds of a context once, so that later calls need no gather.
+    seeds of a context once, so that later calls need no gather.  A tick's
+    rungs are never gathered: each is evaluated, a refused one at its
+    seed's point.
     """
 
     #: Per-seed constants on axis 0: the kernel's (``_lin`` and ``_lin0``, the
@@ -341,7 +339,9 @@ class ResidualContext:
 
     def take(self, seeds: np.ndarray) -> "ResidualContext":
         """A context whose seed s is seed ``seeds[s]`` of this one, its
-        constants gathered once.  It evaluates and checks points."""
+        constants gathered once.  It evaluates and checks points.  It picks
+        running seeds, never a tick's rungs: each rung is evaluated, a
+        refused one at its seed's point."""
         out = copy.copy(self)
         for name in self._SEED_AXIS:
             setattr(out, name, getattr(self, name)[seeds])
@@ -604,11 +604,14 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     A tick gives every running seed a ladder of ``_RUNGS`` trials at lam,
     4 lam and 16 lam, the dampings a lone run tries after successive
     rejections, with one stacked solve, one feasibility check and one
-    kernel pass for all rungs.  Each seed then takes its rungs in order as a
-    lone run would: the first feasible rung that improves is accepted, a
-    singular rung gives lam x10 and ends the ladder, and the trial cap and
-    the lam break stop the seed; the rungs after that are dropped.  A seed
-    thus walks the path of a lone run, up to three trials per tick.
+    kernel pass for all rungs.  That pass evaluates every rung: one that
+    the solve or ``feasible`` refused is evaluated at its seed's point x,
+    which is admissible and was evaluated before, so row t of the pass is
+    always rung t.  Each seed then takes its rungs in order as a lone run
+    would: the first feasible rung that improves is accepted, a singular
+    rung gives lam x10 and ends the ladder, and the trial cap and the lam
+    break stop the seed; the rungs after that are dropped.  A seed thus
+    walks the path of a lone run, up to three trials per tick.
 
     A seed that accepted a rung starts an iteration: ``_tangent_step`` on
     that rung's row of the pass (of the start's pass at the first tick),
@@ -618,23 +621,24 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     The rungs sit on the seed axis: the per-seed constants of the running
     seeds and of their rungs are gathered once each time seeds stop
     (``ResidualContext.take``, ``repeat``), and a tick evaluates points
-    (S * _RUNGS, 1, n), so each rung is computed as a lone point is.  A pass
-    over only the feasible rungs, and a Jacobian of only some seeds, gathers
-    their constants with ``take`` too.  On the
-    point axis, (S, _RUNGS, n), BLAS treats a seed's rungs as one matrix and
-    rounds them differently from single points.  Per-seed scalars (lam, the
-    counters, the starting and stop flags) are Python lists walked once per
-    tick; only points, residuals and normal equations are arrays.
+    (S * _RUNGS, 1, n), so each rung is computed as a lone point is.  A
+    Jacobian of only some seeds gathers their constants with ``take``.  On
+    the point axis, (S, _RUNGS, n), BLAS treats a seed's rungs as one
+    matrix and rounds them differently from single points.  Per-seed
+    scalars (lam, the counters, the starting and stop flags) are Python
+    lists walked once per tick; only points, residuals and normal
+    equations are arrays.
 
     Seeds of a padded stack own their first ``_n_free`` columns.  Their
     residuals, Jacobians and J^T J are those of their own width, but J^T r
     and the LU solve round differently at another width, so both run once
-    per width present, on that width's unpadded block.
+    per width present, on that width's unpadded block (``_by_width``; one
+    block when the running seeds share a width).
 
     Returns per seed: end points (S, n), iterations, stop reasons and
     residual evaluations.  These count the start, one per parameter of the
     seed for each Jacobian, and each feasible trial of the lone-run
-    rules; rungs evaluated but dropped do not count.
+    rules; rungs evaluated but dropped or refused do not count.
     """
     n_seeds, k = x0.shape
     out_x = np.array(x0, dtype=float)
@@ -684,7 +688,6 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
             rungs = live.repeat(_RUNGS)  # rung j of seed i is row i * _RUNGS + j
             n_free = live._n_free.tolist()
             widths = _by_width(n_free)
-            whole = n_free.count(k) == n  # every running seed is k wide: nothing to slice
         go = [i for i in range(n) if starting[i]]
         if go:
             sel = slice(None) if len(go) == n else go
@@ -693,43 +696,33 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
             jtj = jac_t @ jac
             normal[sel] = jtj
             rhs = r[sel, :, None]
-            if whole:
-                neg_grad[sel] = -(jac_t @ rhs)
-            else:
-                for w, at, _ in _by_width([n_free[i] for i in go]):
-                    rows = sel if isinstance(at, slice) else np.asarray(go)[at]
-                    neg_grad[rows, :w] = -(jac_t[at, :w] @ rhs[at])
+            for w, at, _ in _by_width([n_free[i] for i in go]):
+                rows = sel if isinstance(at, slice) else np.asarray(go)[at]
+                neg_grad[rows, :w] = -(jac_t[at, :w] @ rhs[at])
             damping[sel] = eye * np.maximum(jtj.diagonal(0, 1, 2), 1e-12)[:, None]
             for i in go:
                 evals[i] += n_free[i]  # one batched call of n_free rows per seed
                 trials[i] = rejects[i] = 0
         # The ladder: rung j of running seed i is row i * _RUNGS + j.
         scale = (np.array(lam)[:, None] * _RUNG_SCALE)[..., None, None]
-        if whole:
-            delta, solved = _solve_stack(
-                (normal[:, None] + scale * damping[:, None]).reshape(-1, k, k),
-                neg_grad.repeat(_RUNGS, axis=0))
-        else:
-            delta = np.zeros((n * _RUNGS, k))
-            solved = np.empty(n * _RUNGS, dtype=bool)
-            for w, at, at_rungs in widths:
-                delta[at_rungs, :w], solved[at_rungs] = _solve_stack(
-                    (normal[at, None, :w, :w] + scale[at] * damping[at, None, :w, :w])
-                    .reshape(-1, w, w), neg_grad[at, :w].repeat(_RUNGS, axis=0))
-        x_new = x.repeat(_RUNGS, axis=0)
-        x_new += delta
-        ok = (solved & rungs.feasible(x_new)).nonzero()[0]
-        every = len(ok) == len(x_new)  # row t of the pass is rung t
-        if every:
-            r_ok, trial = rungs._kernel(x_new[:, None])
-        else:
-            r_ok, trial = rungs.take(ok)._kernel(x_new[ok, None])
-            slot = dict(zip(ok.tolist(), range(len(ok))))
-        r_ok = r_ok[:, 0]
-        rr_ok = (r_ok[:, None] @ r_ok[..., None])[:, 0, 0].tolist()
-        peak_ok = np.abs(r_ok).max(axis=1).tolist()
-        solved = solved.tolist()
-        take, take_t, take_j = [], [], []
+        delta = np.zeros((n * _RUNGS, k))
+        solved = np.empty(n * _RUNGS, dtype=bool)
+        for w, at, at_rungs in widths:
+            delta[at_rungs, :w], solved[at_rungs] = _solve_stack(
+                (normal[at, None, :w, :w] + scale[at] * damping[at, None, :w, :w])
+                .reshape(-1, w, w), neg_grad[at, :w].repeat(_RUNGS, axis=0))
+        here = x.repeat(_RUNGS, axis=0)
+        x_new = here + delta
+        ok = solved & rungs.feasible(x_new)
+        # A refused rung is evaluated at its seed's point, which is admissible
+        # and was evaluated before, so row t of the pass is always rung t.
+        np.copyto(x_new, here, where=~ok[:, None])
+        r_new, trial = rungs._kernel(x_new[:, None])
+        r_new = r_new[:, 0]
+        rr_new = (r_new[:, None] @ r_new[..., None])[:, 0, 0].tolist()
+        peak_new = np.abs(r_new).max(axis=1).tolist()
+        solved, ok = solved.tolist(), ok.tolist()
+        take, take_t = [], []
         for i in range(n):
             lam_i, starting[i], stuck = lam[i], False, False
             for t in range(i * _RUNGS, (i + 1) * _RUNGS):
@@ -738,18 +731,16 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
                     trials[i] += 1
                     stuck = trials[i] >= 30
                     break
-                j = t if every else slot.get(t)
-                if j is None:
+                if not ok[t]:
                     rejects[i] += 1
                 else:
                     evals[i] += 1
-                    if rr_ok[j] < rr[i]:
+                    if rr_new[t] < rr[i]:
                         take.append(i)
                         take_t.append(t)
-                        take_j.append(j)
-                        rr[i], lam_i, starting[i] = rr_ok[j], max(lam_i / 3, 1e-12), True
+                        rr[i], lam_i, starting[i] = rr_new[t], max(lam_i / 3, 1e-12), True
                         iters[i] += 1
-                        ended[i] = _iteration_stop(peak_ok[j], iters[i], tol, max_iter)
+                        ended[i] = _iteration_stop(peak_new[t], iters[i], tol, max_iter)
                         break
                 lam_i *= 4.0
                 trials[i] += 1
@@ -761,13 +752,12 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
                 # An iteration that found no acceptable step ends its seed's run.
                 ended[i] = "constraint-trapped" if rejects[i] >= 25 else "stalled"
                 iters[i] += 1
-        take_j = np.array(take_j, dtype=np.intp)
+        take_t = np.array(take_t, dtype=np.intp)
         if take:
-            take = np.array(take, dtype=np.intp)
-            x[take] = x_new.take(take_j if every else np.array(take_t, dtype=np.intp), axis=0)
-            r[take] = r_ok.take(take_j, axis=0)
+            x[take] = x_new.take(take_t, axis=0)
+            r[take] = r_new.take(take_t, axis=0)
         # The accepted rungs' rows: the points of the next Jacobians.
-        at_x = tuple(a.take(take_j, axis=0) for a in trial)
+        at_x = tuple(a.take(take_t, axis=0) for a in trial)
         del trial
     return out_x, out_iters, reasons, out_evals
 
@@ -1173,8 +1163,14 @@ def family_candidate(fam: Family, point: dict, orientation: int = 1) -> Candidat
 def verify_solution_family(family_id: str, orientation: int = 1,
                            tol: float = 1e-10) -> FamilyReport:
     """Run the full verification battery on the family's default grid; each
-    point is admitted once and passes the reference chain once."""
+    point is admitted once and passes the reference chain once.  An
+    orientation the family does not state (``Family.orientations``) is a
+    ValueError: its Kahler expectations hold in the stated ones only."""
     fam = family_by_id(family_id)
+    if orientation not in fam.orientations:
+        stated = " and ".join(f"{o:+d}" for o in fam.orientations)
+        raise ValueError(f"family {fam.id} is stated for orientation {stated} only, "
+                         f"not {orientation:+d}")
     entry = entry_by_name(fam.entry_name)
     max_res = max_kerr = max_rho_err = max_defect = 0.0
     classifications, types = [], []

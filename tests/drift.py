@@ -3,7 +3,8 @@
 Writes, as JSON lines, the 468-run drift set (every catalog entry x
 {unit_F, free_F} x seeds 1024*101..1024*103 x {2, 8, 32} seeds, one
 ``multistart_search`` report each), the ``classify --json`` table at
-``--seeds 8`` for the same three seeds, one ``refine`` record per family
+``--seeds 8`` for the same three seeds, the whole table at ``--seeds 200
+--seed 0`` serial and with ``--jobs 2``, one ``refine`` record per family
 grid point and orientation (refined from the point with F scaled by
 ``REFINE_SCALE``: candidate, iterations, stop reason, residual evaluations
 and largest residual), and CLI records, each the parsed stdout (None when
@@ -25,7 +26,8 @@ classification) are identical, and gives the largest relative change of a
 closest miss.
 It names up to five reports that are not byte-identical, each with the
 first field in which they differ.  It exits 1 when any ledger or verdict
-differs, else 0.
+differs, or when either file's 200-seed table differs between its serial and
+its ``--jobs 2`` run, else 0.
 pytest does not collect this file.
 """
 
@@ -42,6 +44,8 @@ SEEDS = [1024 * k for k in (101, 102, 103)]
 SIZES = [2, 8, 32]
 MODES = ["unit_F", "free_F"]
 CLASSIFY_SEEDS = 8
+#: The whole verdict table, serial and with a pool: byte-identical by contract.
+TABLE_SEEDS, TABLE_JOBS = 200, (1, 2)
 REFINE_SCALE = 1.05
 LEDGER = ("seeds_used", "seeds_sampled", "seeds_refined", "stop_reasons",
           "iterations", "reason", "n_evals", "exit")
@@ -78,12 +82,14 @@ def write(path: str) -> None:
                                                        mode=mode)
                         key = ["search", entry.name, mode, seed, n_seeds]
                         fh.write(json.dumps({"key": key, "report": out.to_dict()}) + "\n")
-        for seed in SEEDS:
+        tables = [(seed, CLASSIFY_SEEDS, 1) for seed in SEEDS]
+        tables += [(0, TABLE_SEEDS, jobs) for jobs in TABLE_JOBS]
+        for seed, n_seeds, jobs in tables:
             text = io.StringIO()
             with contextlib.redirect_stdout(text):
-                cli.main(["classify", "--seeds", str(CLASSIFY_SEEDS), "--seed", str(seed),
-                          "--json"])
-            key = ["classify", seed, CLASSIFY_SEEDS]
+                cli.main(["classify", "--seeds", str(n_seeds), "--seed", str(seed),
+                          "--jobs", str(jobs), "--json"])
+            key = ["classify", seed, n_seeds, jobs]
             fh.write(json.dumps({"key": key, "report": json.loads(text.getvalue())}) + "\n")
         for fam in FAMILIES.values():
             for point_index, point in enumerate(fam.default_grid):
@@ -192,7 +198,15 @@ def compare(path_a: str, path_b: str) -> bool:
     print(f"identical verdicts: {same_verdict}")
     print(f"largest relative change of a closest miss: {worst:.3g}"
           + (f" at {where}" if where else ""))
-    return same_ledger == same_verdict == len(a)
+    pooled_same = True
+    for path, reports in ((path_a, a), (path_b, b)):
+        serial, pooled = (reports[json.dumps(["classify", 0, TABLE_SEEDS, jobs])]
+                          for jobs in TABLE_JOBS)
+        if serial != pooled:
+            pooled_same = False
+            print(f"{path}: the {TABLE_SEEDS}-seed table differs between --jobs "
+                  f"{TABLE_JOBS[0]} and --jobs {TABLE_JOBS[1]}")
+    return same_ledger == same_verdict == len(a) and pooled_same
 
 
 if __name__ == "__main__":

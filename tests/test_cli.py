@@ -249,7 +249,7 @@ def test_nonfinite_report_is_refused(capsys, monkeypatch, tmp_path):
     def nan_residual(*args, **kwargs):
         return dataclasses.replace(verify_family(*args, **kwargs), max_residual=float("nan"))
 
-    monkeypatch.setattr(solver, "verify_solution_family", nan_residual)
+    monkeypatch.setattr(cli, "verify_solution_family", nan_residual)
     out_path = tmp_path / "report.json"
     code, out, err = run(["family", "2A2", "--json", "--out", str(out_path)], capsys)
     assert code == 2 and err.startswith("error:") and not out and not out_path.exists()
@@ -279,8 +279,9 @@ def test_verify_require_flag(sol_2a2, capsys):
 
 
 def test_family_command(capsys):
-    code, out, _ = run(["family", "A49half", "--orientation", "1"], capsys)
-    assert code == 0 and "PASS" in out
+    for orientation in ("1", "-1"):  # A49half is stated for both orientations
+        code, out, _ = run(["family", "A49half", "--orientation", orientation], capsys)
+        assert code == 0 and "PASS" in out
     code, _, err = run(["family", "who"], capsys)
     assert code == 2
 
@@ -401,7 +402,7 @@ _TOL_COMMANDS = {
     "curvature": (["curvature", "2A2", "--metric-params",
                    json.dumps(_SOLUTION_2A2["metric_params"])], (cli, "curvature_summary")),
     "verify": (["verify", "DOC"], (cli, "em_residual")),
-    "family": (["family", "2A2"], (solver, "verify_solution_family")),
+    "family": (["family", "2A2"], (cli, "verify_solution_family")),
     "search": (["search", "2A2", "--seeds", "2"], (cli, "multistart_search")),
 }
 
@@ -429,13 +430,16 @@ _UNKNOWN_ENTRY = "error: no catalog entry named 'zz'\n"
     (["classify", "--entries", "2A2", "zz", "--seeds", "2"], None, _UNKNOWN_ENTRY),
     (["verify", "DOC"], {**_SOLUTION_2A2, "entry": "zz"}, _UNKNOWN_ENTRY),
     (["family", "zz"], None, "error: unknown family 'zz'; known: "),
+    (["family", "2A2", "--orientation", "-1"], None,
+     "error: family 2A2 is stated for orientation +1 only, not -1\n"),
     (["verify", "DOC", "--json"], _OVERFLOW_A44, "error: residuals are not finite"),
     (["curvature", "A4,4", "--metric-params", json.dumps(_OVERFLOW_A44["metric_params"]),
       "--json"], None, "error: curvature is not finite"),
     (["search", "2A2", "--seeds", "-1"], None, "error: --seed and --seeds must be nonnegative"),
     (["classify", "--seed", "-1"], None, "error: --seed and --seeds must be nonnegative"),
-], ids=["show", "curvature", "search", "classify", "verify", "family", "verify-overflow",
-        "curvature-overflow", "search-negative-seeds", "classify-negative-seed"])
+], ids=["show", "curvature", "search", "classify", "verify", "family", "family-orientation",
+        "verify-overflow", "curvature-overflow", "search-negative-seeds",
+        "classify-negative-seed"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, doc, message):
     assert refusal(capsys, tmp_path, argv, doc).startswith(message)
 

@@ -375,6 +375,14 @@ def test_verify_solution_family_reports():
     assert rev.all_pass and set(rev.hermitian_types) == {"Kahler"}
 
 
+@pytest.mark.parametrize("fid", ["2A2", "A2+2A1", "A46a0"])
+def test_family_refuses_an_orientation_it_does_not_state(fid):
+    # Stated for +1 only: at -1 their Kahler expectations would read as a FAIL.
+    assert FAMILIES[fid].orientations == (1,)
+    with pytest.raises(ValueError, match=r"is stated for orientation \+1 only, not -1"):
+        solver.verify_solution_family(fid, orientation=-1)
+
+
 def test_candidate_refuses_boolean_parameters():
     metric = {"a1": 0.0, "a2": 0.0, "a3": 1.0}
     f6 = [0, 0, 0, 1, 0, 0]
@@ -513,13 +521,27 @@ def test_block_sampler_matches_one_draw_at_a_time():
 
 @pytest.mark.parametrize("name,n_seeds", [("2A2", 16), ("A4,4", 16), ("A4,6^{a,0}", 16),
                                           ("A4,5^{a,b}", 16), ("A4,11^a", 32)])
-def test_lockstep_block_matches_seeds_run_alone(name, n_seeds):
+def test_lockstep_block_matches_seeds_run_alone(monkeypatch, name, n_seeds):
     # Seeds refined in one block, and each seed in a block of its own.  A
     # seed's arithmetic does not depend on its neighbours, so end points agree
-    # whether or not the seed converged, and so do the re-verification
-    # reports, made by one stacked call per group.  A4,11^a fills a whole
-    # block with seeds that stop at different ticks and hit infeasible trials.
+    # bit for bit whether or not the seed converged, and the re-verification
+    # reports, made by one stacked call per group, agree to round-off.
+    # A4,11^a fills a whole block with seeds that stop at different ticks.
+    # Every rung of a tick is evaluated, a refused one at its seed's point;
+    # a feasible spy checks that every block but A4,6^{a,0}'s refused rungs,
+    # so those passes are held to lone runs too.
+    refused = []
+    feasible = solver.ResidualContext.feasible
+
+    def spy(self, x):
+        ok = feasible(self, x)
+        refused.append(np.size(ok) - np.count_nonzero(ok))
+        return ok
+
+    monkeypatch.setattr(solver.ResidualContext, "feasible", spy)
     block = solver._run_block((name, 7, 0, n_seeds, "unit_F", 1, maxwell.TOL_SOLUTION))
+    monkeypatch.undo()
+    assert (sum(refused) > 0) == (name != "A4,6^{a,0}"), sum(refused)
     alone = [solver._run_block((name, 7, i, i + 1, "unit_F", 1, maxwell.TOL_SOLUTION))[0]
              for i in range(n_seeds)]
     for b, a in zip(block, alone):
@@ -527,9 +549,8 @@ def test_lockstep_block_matches_seeds_run_alone(name, n_seeds):
         assert (b["reason"], b["iterations"]) == (a["reason"], a["iterations"]), (name, b["index"])
         cb, ca = b["candidate"], a["candidate"]
         assert cb.algebra_params == ca.algebra_params
-        assert np.abs(cb.f_coeffs - ca.f_coeffs).max() <= 1e-8, (name, b["index"])
-        assert max(abs(cb.metric_params[k] - ca.metric_params[k])
-                   for k in cb.metric_params) <= 1e-8, (name, b["index"])
+        assert np.array_equal(cb.f_coeffs, ca.f_coeffs), (name, b["index"])
+        assert cb.metric_params == ca.metric_params, (name, b["index"])
         rb, ra = b["report"], a["report"]
         assert rb.classification == ra.classification, (name, b["index"])
         for field in ("r_em", "r_dF", "r_dstarF", "scalar_curvature"):
@@ -821,13 +842,14 @@ def test_one_kernel_pass_per_tick(monkeypatch):
 def test_reused_jacobians_match_fresh_ones(monkeypatch):
     # Every Jacobian _levmar forms from a kernel pass it already made, held
     # to residual_jacobian at the LM's own points and seeds: at the first
-    # tick, after seeds stop, after a pass over the feasible rungs only, in
-    # a padded mixed-width program and in free_F mode.
+    # tick, after seeds stop, after a pass in which the solve or feasible
+    # refused a rung (evaluated at its seed's point), in a padded
+    # mixed-width program and in free_F mode.
     seen, state = set(), {}
     levmar, kernel, step = solver._levmar, solver.ResidualContext._kernel, solver._tangent_step
 
     def run(ctx, *args, **kwargs):
-        state.update(first=True, live=len(ctx._lin), partial=False)
+        state.update(first=True, live=len(ctx._lin), refused=False)
         if len(set(ctx._n_free.tolist())) > 1:
             seen.add("mixed widths")
         return levmar(ctx, *args, **kwargs)
@@ -835,9 +857,12 @@ def test_reused_jacobians_match_fresh_ones(monkeypatch):
     def traced_kernel(self, xs):
         caller = sys._getframe(1)
         if caller.f_code is levmar.__code__:  # not residual_jacobian, the reference below
-            # A pass over fewer points than the tick's rungs x_new (the start
-            # pass has none yet) evaluated the feasible rungs only.
-            state["partial"] = len(xs) < len(caller.f_locals.get("x_new", xs))
+            # A tick's pass (the start pass has no rungs yet) holds every
+            # rung, refused or not.
+            ok = caller.f_locals.get("ok")
+            if ok is not None:
+                assert len(xs) == len(ok) == solver._RUNGS * caller.f_locals["n"]
+            state["refused"] = ok is not None and not ok.all()
         return kernel(self, xs)
 
     def checked_step(ctx, inter):
@@ -850,7 +875,7 @@ def test_reused_jacobians_match_fresh_ones(monkeypatch):
         assert np.abs(jac - want).max() <= 1e-12 * np.abs(want).max()
         live = len(caller.f_locals["live"]._lin)
         flags = {"first tick": state["first"], "after seeds stop": live < state["live"],
-                 "feasible rungs only": state["partial"], "free_F": ctx.mode == "free_F"}
+                 "a refused rung": state["refused"], "free_F": ctx.mode == "free_F"}
         seen.update(name for name, hit in flags.items() if hit)
         state.update(first=False, live=live)
         return jac
@@ -864,5 +889,5 @@ def test_reused_jacobians_match_fresh_ones(monkeypatch):
         for ctxs, starts in _blocks(entry, 5, n_seeds, mode):
             solver._levmar(solver.ResidualContext.stack(ctxs), np.array(starts), _LM_TOL, 45)
     solver.multistart_many([solver.SearchRequest(name, 2, 5) for name in _POSITIVE])
-    assert seen == {"first tick", "after seeds stop", "feasible rungs only", "free_F",
+    assert seen == {"first tick", "after seeds stop", "a refused rung", "free_F",
                     "mixed widths"}
