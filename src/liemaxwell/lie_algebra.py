@@ -88,8 +88,15 @@ class LieAlgebra:
         c = np.asarray(self.c)
         if c.shape != (DIM, DIM, DIM):
             raise ValueError(f"structure constants must be 4x4x4, got {c.shape}")
-        anti = c + np.transpose(c, (1, 0, 2))
-        if np.abs(anti).max() > (0 if is_exact(c) else 1e-14):
+        swapped = np.transpose(c, (1, 0, 2))
+        if is_exact(c):
+            # A nonzero c[i, j, k] + c[j, i, k] has a nonzero term: check
+            # only those, with no Fraction arithmetic on zeros.
+            nonzero = c.astype(bool)
+            defect = (c[nonzero] + swapped[nonzero]).astype(bool).any()
+        else:
+            defect = np.abs(c + swapped).max() > 1e-14
+        if defect:
             raise ValueError(f"structure constants of {self.name!r} are not antisymmetric")
         object.__setattr__(self, "c", c)
 

@@ -15,7 +15,7 @@ files::
 
     PYTHONPATH=src python3 tests/drift.py write before.jsonl
     PYTHONPATH=src python3 tests/drift.py write after.jsonl
-    python3 tests/drift.py compare before.jsonl after.jsonl
+    python3 tests/drift.py compare before.jsonl after.jsonl [KEY ...]
 
 The comparison counts the reports that are byte-identical, those whose
 ledgers (seed counts and stop reasons; a refinement's iterations, stop
@@ -24,10 +24,13 @@ whose verdicts (solution classes, a classify row's verdict, a refinement's
 stop reason, a family's ``all_pass`` and classifications, a verify
 classification) are identical, and gives the largest relative change of a
 closest miss.
-It names up to five reports that are not byte-identical, each with the
-first field in which they differ.  It exits 1 when any ledger or verdict
-differs, or when either file's 200-seed table differs between its serial and
-its ``--jobs 2`` run, else 0.
+It names every report that is not byte-identical, each with the first
+field in which they differ.  Either file's 200-seed table must equal between
+its serial and its ``--jobs 2`` run.  Without KEYs it exits 1 when that
+fails or when any ledger or verdict differs, else 0.  Each KEY names a report
+expected to differ, as a ``differs:`` line prints it (a JSON list such as
+``'["family", "2A2", -1]'``); then it exits 0 exactly when the reports that
+are not byte-identical are those named and the 200-seed tables agree.
 pytest does not collect this file.
 """
 
@@ -50,7 +53,6 @@ REFINE_SCALE = 1.05
 LEDGER = ("seeds_used", "seeds_sampled", "seeds_refined", "stop_reasons",
           "iterations", "reason", "n_evals", "exit")
 MISSES = ("best_nonsolution_residual", "best_free_nonsolution_residual")
-SHOWN = 5  # reports named when they are not byte-identical
 ORIENTATIONS = [1, -1]
 #: 2A2 at a5 = 0, outside two of its constraint polynomials.
 INADMISSIBLE = {"entry": "2A2", "metric_params": {"a1": 0.0, "a2": 0.0, "a3": 0.0, "a4": 0.0,
@@ -164,11 +166,21 @@ def first_difference(a, b, path: str = "") -> str | None:
     return None if json.dumps(a) == json.dumps(b) else path or "(whole report)"
 
 
-def compare(path_a: str, path_b: str) -> bool:
-    """Print the counts; whether every ledger and every verdict is identical."""
+def compare(path_a: str, path_b: str, expected: list[str] | None = None) -> bool:
+    """Print the counts.  Without ``expected`` keys: whether every ledger and
+    every verdict is identical; with them: whether exactly those reports
+    differ.  Either way the 200-seed tables must agree serial and pooled."""
     a, b = _load(path_a), _load(path_b)
     if a.keys() != b.keys():
         sys.exit(f"the files hold different runs: {len(a)} and {len(b)} keys")
+    if expected is not None:
+        try:
+            expected = [json.dumps(json.loads(key)) for key in expected]
+        except json.JSONDecodeError as exc:
+            sys.exit(f"a KEY is not JSON: {exc}")
+        unknown = [key for key in expected if key not in a]
+        if unknown:
+            sys.exit(f"no report has the key {unknown[0]}")
     same_bytes = same_ledger = same_verdict = 0
     worst, where = 0.0, None
     differing = []
@@ -176,7 +188,7 @@ def compare(path_a: str, path_b: str) -> bool:
         ra, rb = a[key], b[key]
         if json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True):
             same_bytes += 1
-        elif len(differing) < SHOWN:
+        else:
             differing.append((key, first_difference(ra, rb)))
         pa, pb = _parts(ra), _parts(rb)
         same_ledger += all(all(x.get(f) == y.get(f) for f in LEDGER) for x, y in zip(pa, pb))
@@ -206,13 +218,19 @@ def compare(path_a: str, path_b: str) -> bool:
             pooled_same = False
             print(f"{path}: the {TABLE_SEEDS}-seed table differs between --jobs "
                   f"{TABLE_JOBS[0]} and --jobs {TABLE_JOBS[1]}")
-    return same_ledger == same_verdict == len(a) and pooled_same
+    if expected is None:
+        return same_ledger == same_verdict == len(a) and pooled_same
+    unexpected = sorted({key for key, _ in differing} ^ set(expected))
+    for key in unexpected:
+        print(f"  {'differs' if key not in expected else 'identical'} unexpectedly: {key}")
+    return not unexpected and pooled_same
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 3 and sys.argv[1] == "write":
         write(sys.argv[2])
-    elif len(sys.argv) == 4 and sys.argv[1] == "compare":
-        sys.exit(0 if compare(sys.argv[2], sys.argv[3]) else 1)
+    elif len(sys.argv) >= 4 and sys.argv[1] == "compare":
+        keys = sys.argv[4:] or None
+        sys.exit(0 if compare(sys.argv[2], sys.argv[3], keys) else 1)
     else:
         sys.exit(__doc__)

@@ -57,6 +57,42 @@ def test_jacobi_exact_mode():
     assert isinstance(defect, Fraction) and defect == 0
 
 
+def _pair_entry(c):
+    """(i, j, k) of the first nonzero structure constant with i < j."""
+    return next((i, j, k) for i, j, k in zip(*np.nonzero(c != 0)) if i < j)
+
+
+def test_antisymmetry_gate_exact_refuses_any_defect():
+    c = la.instantiate(la.entry_by_name("A49half"), {}, exact=True).c
+    i, j, k = _pair_entry(c)
+    off = c.copy()
+    off[i, j, k] += Fraction(1, 10**6)  # one entry of a nonzero pair
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        la.LieAlgebra("off", off)
+    zero = c.copy()
+    zero[j, i, (k + 1) % 4] = Fraction(1, 10**6)  # one entry of a zero pair
+    assert c[i, j, (k + 1) % 4] == 0
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        la.LieAlgebra("zero", zero)
+    diagonal = c.copy()
+    diagonal[2, 2, 1] = Fraction(1, 3)
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        la.LieAlgebra("diagonal", diagonal)
+    assert la.LieAlgebra("same", c.copy()).exact
+
+
+def test_antisymmetry_gate_float_tolerance():
+    c = la.instantiate(la.entry_by_name("A49half"), {}).c
+    i, j, k = _pair_entry(c)
+    off = c.copy()
+    off[i, j, k] += 1e-13
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        la.LieAlgebra("off", off)
+    near = c.copy()
+    near[i, j, k] += 1e-15
+    assert not la.LieAlgebra("near", near).exact
+
+
 def test_unimodularity():
     assert la.is_unimodular(la.instantiate(la.entry_by_name("2A2"), {})) is False
     assert la.is_unimodular(la.instantiate(la.entry_by_name("abelian"), {})) is True

@@ -1,0 +1,65 @@
+"""The package namespace: names resolve on first use, submodules load on demand."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import liemaxwell
+
+#: Submodules that reading the catalog must not load.
+UNUSED_BY_CATALOG = ("solver", "families", "forms", "kahler", "maxwell", "metric_geometry", "cli")
+
+
+def test_catalog_alone_loads_no_other_submodule():
+    src = str(Path(liemaxwell.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import json, sys\n"
+            "import liemaxwell\n"
+            "from liemaxwell import lie_algebra\n"
+            "lie_algebra.catalog()\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert "liemaxwell.lie_algebra" in loaded
+    assert loaded.isdisjoint(f"liemaxwell.{name}" for name in UNUSED_BY_CATALOG)
+
+
+def test_every_exported_name_is_its_home_object():
+    assert len(liemaxwell.__all__) == len(set(liemaxwell.__all__)) == 49
+    for name in liemaxwell.__all__:
+        home = importlib.import_module(f"liemaxwell.{liemaxwell._HOMES[name]}")
+        value = getattr(liemaxwell, name)
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+        assert name not in vars(liemaxwell), name  # resolved, not cached
+
+
+def test_dir_and_unknown_names():
+    assert set(liemaxwell.__all__) <= set(dir(liemaxwell))
+    assert "__all__" in dir(liemaxwell)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(liemaxwell, "no_such_name")
+    assert not hasattr(liemaxwell, "no_such_name")
+    from liemaxwell import lie_algebra  # a submodule, not a re-exported name
+    assert lie_algebra is sys.modules["liemaxwell.lie_algebra"]
+
+
+def test_readme_quickstart_imports():
+    from liemaxwell import (classify_algebra, em_residual, entry_by_name, instantiate,
+                            metric_from_params, traceless_ricci, two_form)
+
+    entry = entry_by_name("2A2")
+    L = instantiate(entry, {})
+    g = metric_from_params(entry, {"a1": 0, "a2": 0, "a3": 0, "a4": 0, "a5": 2.0})
+    assert np.allclose(traceless_ricci(L, g), np.diag([-0.25, -0.25, 0.5, 0.25]), atol=1e-12)
+    report = em_residual(L, g, two_form(e12=1, e34=np.sqrt(3)))
+    assert report.classification == "NonEinsteinEM"
+    assert callable(classify_algebra)
