@@ -95,7 +95,9 @@ class LieAlgebra:
             nonzero = c.astype(bool)
             defect = (c[nonzero] + swapped[nonzero]).astype(bool).any()
         else:
-            defect = np.abs(c + swapped).max() > 1e-14
+            # Non-finite entries first: NaN fails every comparison, so a
+            # "> tolerance" test admits it, and an inf/-inf pair sums to NaN.
+            defect = not (np.isfinite(c).all() and np.abs(c + swapped).max() <= 1e-14)
         if defect:
             raise ValueError(f"structure constants of {self.name!r} are not antisymmetric")
         object.__setattr__(self, "c", c)

@@ -28,10 +28,11 @@ Each tick of that program tries a damping ladder per seed: the next three
 dampings a lone run would try (lam, 4 lam, 16 lam), solved, checked and
 evaluated together, then consumed in order under the lone-run rules.  Every
 rung is evaluated, a refused one at its seed's current point, so a tick's
-pass has one layout whatever was refused.  The rungs are extra rows on the
-seed axis (``ResidualContext.repeat``), not extra points of one seed,
-because only the seed axis evaluates every row as a lone point is.  Iteration counts, stop reasons and residual
-evaluation counts are those of a lone run.
+pass has one layout whatever was refused.  The rungs are points of their
+seed, (S, 3, n) against the constants of the S running seeds: the kernel
+multiplies each point alone by its seed's matrices, one row per point, so
+every rung is computed as a lone point is.  Iteration counts,
+stop reasons and residual evaluation counts are those of a lone run.
 
 Starts and re-verification run once per request's share of a program and
 once per program.  Each seed draws from its own generator, but one
@@ -249,16 +250,19 @@ class ResidualContext:
     The constants that depend on the algebra parameters carry a leading seed
     axis: length 1 here, and one entry per seed in a context made by
     ``stack``, which lets one call evaluate many seeds of a search at once.
-    ``take`` and ``repeat`` are the one way to pick seeds: they gather the
-    seeds of a context once, so that later calls need no gather.  A tick's
-    rungs are never gathered: each is evaluated, a refused one at its
-    seed's point.
+    ``take`` is the one way to pick seeds: it gathers the seeds of a context
+    once, so that later calls need no gather.  Several points of a seed
+    broadcast against its constants, never repeat them: the products with
+    per-seed matrices take one row per point, so each point has the bits of
+    a lone call.
     """
 
     #: Per-seed constants on axis 0: the kernel's (``_lin`` and ``_lin0``, the
     #: fold of every map linear in x; ``_ct``, the structure constants and
     #: trace form that g^-1 raises; the Killing form; the Hodge-star-then-d
     #: map), the seed's entry (an index into ``_entries``) and its width.
+    #: ``_lin0``, ``_ct`` and the Killing form carry a point axis of length 1
+    #: next, which broadcasts over the points of a seed.
     _SEED_AXIS = ("_lin", "_lin0", "_ct", "_killing_half", "_star_d", "_part", "_n_free")
 
     def __init__(self, entry: CatalogEntry, algebra_params: dict, orientation: int = 1,
@@ -299,7 +303,7 @@ class ResidualContext:
         lin0 = np.zeros(_WIDTH)
         lin0[_G] = g0
         lin0[_CG] = (c16 @ g0.reshape(4, 4)).ravel()
-        self._lin, self._lin0 = lin[None], lin0[None, None]
+        self._lin, self._lin0 = lin[None], lin0[None, None, None]
         self._kernel_t = kernel_t
         # Hodge star then d: F^{kl} (raised, flattened) -> d*F / (sign sqrt det g).
         eps_pairs = np.array([LEVI4[i, j] for i, j in PAIRS], dtype=float).reshape(6, 16)
@@ -309,8 +313,8 @@ class ResidualContext:
         # trace form t_m = c_mk^k, one 4 x 17 block that g^-1 raises at once,
         # and the Killing form B_ab = c_ai^k c_bk^i.
         self._ct = -0.5 * np.concatenate([c.transpose(1, 2, 0).reshape(4, 16),
-                                          np.einsum("akk->a", c)[:, None]], axis=1)[None]
-        self._killing_half = -0.5 * np.einsum("aik,bki->ab", c, c)[None]
+                                          np.einsum("akk->a", c)[:, None]], axis=1)[None, None]
+        self._killing_half = -0.5 * np.einsum("aik,bki->ab", c, c)[None, None]
 
     @classmethod
     def stack(cls, contexts: list["ResidualContext"]) -> "ResidualContext":
@@ -340,17 +344,11 @@ class ResidualContext:
     def take(self, seeds: np.ndarray) -> "ResidualContext":
         """A context whose seed s is seed ``seeds[s]`` of this one, its
         constants gathered once.  It evaluates and checks points.  It picks
-        running seeds, never a tick's rungs: each rung is evaluated, a
-        refused one at its seed's point."""
+        running seeds, never a tick's rungs: those are points of their seed."""
         out = copy.copy(self)
         for name in self._SEED_AXIS:
             setattr(out, name, getattr(self, name)[seeds])
         return out
-
-    def repeat(self, times: int) -> "ResidualContext":
-        """A context whose seeds s * times .. s * times + times - 1 are all
-        seed s of this one.  It evaluates and checks points."""
-        return self.take(np.arange(len(self._lin)).repeat(times))
 
     @property
     def n_rows(self) -> int:
@@ -381,8 +379,9 @@ class ResidualContext:
         """Residual rows of x: (S, m, n) -> (S, m, n_rows), m points per seed.
 
         Point x[s, i] is evaluated with the constants of seed s, which
-        broadcast over the point axis.  A 2-D x (m, n) -> (m, n_rows) or 1-D
-        x (n,) -> (n_rows,) is the one-seed case.
+        broadcast over the point axis, and has the bits of a lone call
+        ``residual(x[s, i])`` on seed s.  A 2-D x (m, n) -> (m, n_rows) or
+        1-D x (n,) -> (n_rows,) is the one-seed case.
 
         Every step is complex-analytic (no abs, no casts to float, scratch in
         the dtype of x), so a complex x carries derivatives in its imaginary
@@ -395,13 +394,20 @@ class ResidualContext:
     def _kernel(self, xs: np.ndarray):
         """Rows (S, m, n_rows) of points xs (S, m, n), point xs[s, i] with the
         constants of seed s, and the intermediate values ``_tangent_step``
-        differentiates through, no two sharing memory: it derives the views
-        of u and ``raised`` again."""
+        differentiates through, one row per point (S * m, 1, ...), point
+        xs[s, i] at row s * m + i, no two sharing memory: it derives the
+        views of u and ``raised`` again.
+
+        Only the steps that meet the seeds' constants view the rows per seed
+        (S, m, ...), and the two products with per-seed matrices (``_lin``,
+        ``_star_d``) take one row per point: BLAS would treat the m points of
+        a seed as one matrix and round them differently from a lone point."""
         s, m = xs.shape[:2]
-        u = xs @ self._lin + self._lin0
-        g = u[..., _G].reshape(s, m, 4, 4)
-        fm = u[..., _F].reshape(s, m, 4, 4)
-        cg = u[..., _CG].reshape(s, m, 16, 4)
+        p = s * m
+        u = (xs[..., None, :] @ self._lin[:, None] + self._lin0).reshape(p, 1, _WIDTH)
+        g = u[..., _G].reshape(p, 1, 4, 4)
+        fm = u[..., _F].reshape(p, 1, 4, 4)
+        cg = u[..., _CG].reshape(p, 1, 16, 4)
         g_inv = np.linalg.inv(g)
         det = np.linalg.det(g)
         if not det.real.min(initial=1.0) > 0:  # NaN fails too
@@ -413,33 +419,35 @@ class ResidualContext:
         # cg[., ., (i, j), l] = g([e_i,e_j], e_l) carries all three metric terms;
         # the second one raises both bracket indices with g^-1 (x) g^-1, one
         # index at a time: half[m, j, l] = g^jn cg[(m, n), l].
-        rows = cg.reshape(s, m, 4, 16)
-        raised = g_inv @ self._ct[:, None]
-        c_up = raised[..., :16].reshape(s, m, 16, 4)
+        rows = cg.reshape(p, 1, 4, 16)
+        raised = (g_inv.reshape(s, m, 4, 4) @ self._ct).reshape(p, 1, 4, 17)
+        c_up = raised[..., :16].reshape(p, 1, 16, 4)
         h = raised[..., 16:]
         ric = rows @ c_up
-        half = (g_inv[..., None, :, :] @ cg.reshape(s, m, 4, 4, 4)).reshape(s, m, 4, 16)
-        qcg = (g_inv @ half).reshape(s, m, 16, 4)
+        half = (g_inv[..., None, :, :] @ cg.reshape(p, 1, 4, 4, 4)).reshape(p, 1, 4, 16)
+        qcg = (g_inv @ half).reshape(p, 1, 16, 4)
         ric += 0.25 * (cg.swapaxes(2, 3) @ qcg)
-        mean = (h.swapaxes(2, 3) @ rows).reshape(s, m, 4, 4)
+        mean = (h.swapaxes(2, 3) @ rows).reshape(p, 1, 4, 4)
         ric += mean
         ric += mean.swapaxes(2, 3)
-        ric += self._killing_half[:, None]
+        per_seed = ric.reshape(s, m, 4, 4)
+        per_seed += self._killing_half
         # Stress term; the trace of Ric + F g^-1 F is s + tr_g(F g^-1 F).
         fg = fm @ g_inv
         em = ric + fg @ fm
-        trace = g_inv.reshape(s, m, 1, 16) @ em.reshape(s, m, 16, 1)
-        out = np.empty((s, m, self.n_rows), dtype=u.dtype)
-        out[..., :10] = (em - 0.25 * trace * g).reshape(s, m, 16).take(_TRIU_FLAT, axis=-1)
+        trace = g_inv.reshape(p, 1, 1, 16) @ em.reshape(p, 1, 16, 1)
+        out = np.empty((p, 1, self.n_rows), dtype=u.dtype)
+        out[..., :10] = (em - 0.25 * trace * g).reshape(p, 1, 16).take(_TRIU_FLAT, axis=-1)
         out[..., 10:14] = u[..., _DF]
         # Co-closedness rows: F with both indices raised, starred and differentiated.
         fu = g_inv @ fg
         root = np.sqrt(det)[..., None]
-        star = fu.reshape(s, m, 16) @ self._star_d
+        star = (fu.reshape(s, m, 1, 16) @ self._star_d[:, None]).reshape(p, 1, 4)
         out[..., 14:18] = root * star
         if self.mode == "unit_F":
-            out[..., 18:] = 0.5 * (fm.reshape(s, m, 1, 16) @ fu.reshape(s, m, 16, 1))[..., 0] - 1.0
-        return out, (u, g_inv, raised, half, qcg, fg, em, trace, fu, root, star)
+            out[..., 18:] = 0.5 * (fm.reshape(p, 1, 1, 16) @ fu.reshape(p, 1, 16, 1))[..., 0] - 1.0
+        return out.reshape(s, m, self.n_rows), (u, g_inv, raised, half, qcg, fg, em, trace, fu,
+                                                root, star)
 
     def candidate(self, x: np.ndarray) -> Candidate:
         return Candidate(
@@ -498,7 +506,7 @@ def _tangent_step(ctx: ResidualContext, inter: tuple) -> np.ndarray:
     dcg = du[..., _CG].reshape(s, k, 16, 4)
     drows = dcg.reshape(s, k, 4, 16)
     dg_inv = -(g_inv @ dg @ g_inv)
-    draised = dg_inv @ ctx._ct[:, None]
+    draised = dg_inv @ ctx._ct
     dric = drows @ c_up + rows @ draised[..., :16].reshape(s, k, 16, 4)
     # Quartic term 1/4 cg^T Q cg with Q = g^-1 (x) g^-1: its tangent is
     # 1/4 (M + M^T) + 1/2 N with M = dcg^T Q cg and N = cg^T (dQ' cg), where
@@ -549,29 +557,30 @@ class RefineResult:
 
 
 def _solve_stack(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions of m[s] d = rhs[s] (rhs (S, k, 1)) and which systems were
-    solvable: one stacked solve unless LAPACK refuses one of them."""
+    """Solutions d (..., k) of the systems m (..., k, k) with right-hand
+    sides rhs (..., k, 1), which broadcast against m, and which systems
+    were solvable: one stacked solve unless LAPACK refuses one of them."""
     try:
-        return np.linalg.solve(m, rhs)[..., 0], np.ones(len(m), dtype=bool)
+        return np.linalg.solve(m, rhs)[..., 0], np.ones(m.shape[:-2], dtype=bool)
     except np.linalg.LinAlgError:
-        delta = np.zeros(rhs.shape[:-1])
-        solved = np.ones(len(m), dtype=bool)
-        for s in range(len(m)):
+        rhs = np.broadcast_to(rhs, m.shape[:-1] + (1,))
+        delta = np.zeros(m.shape[:-1])
+        solved = np.ones(m.shape[:-2], dtype=bool)
+        for s in np.ndindex(solved.shape):
             try:
-                delta[s] = np.linalg.solve(m[s:s + 1], rhs[s:s + 1])[0, :, 0]
+                delta[s] = np.linalg.solve(m[s][None], rhs[s][None])[0, :, 0]
             except np.linalg.LinAlgError:
                 solved[s] = False
         return delta, solved
 
 
 def _by_width(widths: list[int]) -> list[tuple]:
-    """(width, positions, rows of their rungs) for each width in ``widths``;
-    all positions and rows are one slice when they share a width."""
+    """(width, positions) for each width in ``widths``; the positions are
+    one slice when all share a width."""
     if len(set(widths)) == 1:
-        return [(widths[0], slice(None), slice(None))]
+        return [(widths[0], slice(None))]
     each = np.array(widths)
-    at = [(each == w).nonzero()[0] for w in dict.fromkeys(widths)]
-    return [(widths[a[0]], a, (a[:, None] * _RUNGS + np.arange(_RUNGS)).ravel()) for a in at]
+    return [(w, (each == w).nonzero()[0]) for w in dict.fromkeys(widths)]
 
 
 #: Trials per running seed and tick: the dampings lam, 4 lam, 16 lam, which
@@ -606,28 +615,29 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     rejections, with one stacked solve, one feasibility check and one
     kernel pass for all rungs.  That pass evaluates every rung: one that
     the solve or ``feasible`` refused is evaluated at its seed's point x,
-    which is admissible and was evaluated before, so row t of the pass is
-    always rung t.  Each seed then takes its rungs in order as a lone run
-    would: the first feasible rung that improves is accepted, a singular
-    rung gives lam x10 and ends the ladder, and the trial cap and the lam
-    break stop the seed; the rungs after that are dropped.  A seed thus
-    walks the path of a lone run, up to three trials per tick.
+    which is admissible and was evaluated before, so point (i, j) of the
+    pass is always rung j of seed i.  Each seed then takes its rungs in
+    order as a lone run would: the first feasible rung that improves is
+    accepted, a singular rung gives lam x10 and ends the ladder, and the
+    trial cap and the lam break stop the seed; the rungs after that are
+    dropped.  A seed thus walks the path of a lone run, up to three trials
+    per tick.
 
     A seed that accepted a rung starts an iteration: ``_tangent_step`` on
     that rung's row of the pass (of the start's pass at the first tick),
     gathered right after it, gives its Jacobian.  A run makes one kernel
     pass for the start and one per tick.
 
-    The rungs sit on the seed axis: the per-seed constants of the running
-    seeds and of their rungs are gathered once each time seeds stop
-    (``ResidualContext.take``, ``repeat``), and a tick evaluates points
-    (S * _RUNGS, 1, n), so each rung is computed as a lone point is.  A
-    Jacobian of only some seeds gathers their constants with ``take``.  On
-    the point axis, (S, _RUNGS, n), BLAS treats a seed's rungs as one
-    matrix and rounds them differently from single points.  Per-seed
-    scalars (lam, the counters, the starting and stop flags) are Python
-    lists walked once per tick; only points, residuals and normal
-    equations are arrays.
+    The rungs are points of their seed: the per-seed constants of the
+    running seeds are gathered once each time seeds stop
+    (``ResidualContext.take``), the stacked ``ctx`` is released once they
+    are, and a tick evaluates points (S, _RUNGS, n) against them; the
+    kernel computes each point as a lone point is, and the ladder's solve
+    broadcasts each seed's gradient over its rungs.  No context holds more
+    seeds than are running.  A Jacobian of only some seeds gathers their
+    constants with ``take``.  Per-seed scalars (lam, the counters, the
+    starting and stop flags) are Python lists walked once per tick; only
+    points, residuals and normal equations are arrays.
 
     Seeds of a padded stack own their first ``_n_free`` columns.  Their
     residuals, Jacobians and J^T J are those of their own width, but J^T r
@@ -650,7 +660,9 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     x = out_x[pos]
     n = len(pos)
     live = ctx if n == n_seeds else ctx.take(pos)  # the running seeds' constants
-    rungs = None  # the running seeds' rungs, built again whenever those seeds change
+    del ctx
+    n_free = live._n_free.tolist()
+    widths = _by_width(n_free)
     r, at_x = live._kernel(x[:, None])
     r = r[:, 0]
     rr = (r[:, None] @ r[..., None])[:, 0, 0].tolist()
@@ -683,9 +695,7 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
             ended = [None] * n
             if not n:
                 break
-            live, rungs = live.take(keep), None
-        if rungs is None:
-            rungs = live.repeat(_RUNGS)  # rung j of seed i is row i * _RUNGS + j
+            live = live.take(keep)
             n_free = live._n_free.tolist()
             widths = _by_width(n_free)
         go = [i for i in range(n) if starting[i]]
@@ -696,51 +706,50 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
             jtj = jac_t @ jac
             normal[sel] = jtj
             rhs = r[sel, :, None]
-            for w, at, _ in _by_width([n_free[i] for i in go]):
+            for w, at in _by_width([n_free[i] for i in go]):
                 rows = sel if isinstance(at, slice) else np.asarray(go)[at]
                 neg_grad[rows, :w] = -(jac_t[at, :w] @ rhs[at])
             damping[sel] = eye * np.maximum(jtj.diagonal(0, 1, 2), 1e-12)[:, None]
             for i in go:
                 evals[i] += n_free[i]  # one batched call of n_free rows per seed
                 trials[i] = rejects[i] = 0
-        # The ladder: rung j of running seed i is row i * _RUNGS + j.
+        # The ladder: rung j of running seed i is point (i, j).
         scale = (np.array(lam)[:, None] * _RUNG_SCALE)[..., None, None]
-        delta = np.zeros((n * _RUNGS, k))
-        solved = np.empty(n * _RUNGS, dtype=bool)
-        for w, at, at_rungs in widths:
-            delta[at_rungs, :w], solved[at_rungs] = _solve_stack(
-                (normal[at, None, :w, :w] + scale[at] * damping[at, None, :w, :w])
-                .reshape(-1, w, w), neg_grad[at, :w].repeat(_RUNGS, axis=0))
-        here = x.repeat(_RUNGS, axis=0)
+        delta = np.zeros((n, _RUNGS, k))
+        solved = np.empty((n, _RUNGS), dtype=bool)
+        for w, at in widths:
+            delta[at, :, :w], solved[at] = _solve_stack(
+                normal[at, None, :w, :w] + scale[at] * damping[at, None, :w, :w],
+                neg_grad[at, None, :w])
+        here = x[:, None]
         x_new = here + delta
-        ok = solved & rungs.feasible(x_new)
+        ok = solved & live.feasible(x_new)
         # A refused rung is evaluated at its seed's point, which is admissible
-        # and was evaluated before, so row t of the pass is always rung t.
-        np.copyto(x_new, here, where=~ok[:, None])
-        r_new, trial = rungs._kernel(x_new[:, None])
-        r_new = r_new[:, 0]
-        rr_new = (r_new[:, None] @ r_new[..., None])[:, 0, 0].tolist()
-        peak_new = np.abs(r_new).max(axis=1).tolist()
+        # and was evaluated before, so point (i, j) is always rung j of seed i.
+        np.copyto(x_new, here, where=~ok[..., None])
+        r_new, trial = live._kernel(x_new)
+        rr_new = (r_new[..., None, :] @ r_new[..., None])[..., 0, 0].tolist()
+        peak_new = np.abs(r_new).max(axis=2).tolist()
         solved, ok = solved.tolist(), ok.tolist()
         take, take_t = [], []
         for i in range(n):
             lam_i, starting[i], stuck = lam[i], False, False
-            for t in range(i * _RUNGS, (i + 1) * _RUNGS):
-                if not solved[t]:
+            for j in range(_RUNGS):
+                if not solved[i][j]:
                     lam_i *= 10.0
                     trials[i] += 1
                     stuck = trials[i] >= 30
                     break
-                if not ok[t]:
+                if not ok[i][j]:
                     rejects[i] += 1
                 else:
                     evals[i] += 1
-                    if rr_new[t] < rr[i]:
+                    if rr_new[i][j] < rr[i]:
                         take.append(i)
-                        take_t.append(t)
-                        rr[i], lam_i, starting[i] = rr_new[t], max(lam_i / 3, 1e-12), True
+                        take_t.append(i * _RUNGS + j)
+                        rr[i], lam_i, starting[i] = rr_new[i][j], max(lam_i / 3, 1e-12), True
                         iters[i] += 1
-                        ended[i] = _iteration_stop(peak_new[t], iters[i], tol, max_iter)
+                        ended[i] = _iteration_stop(peak_new[i][j], iters[i], tol, max_iter)
                         break
                 lam_i *= 4.0
                 trials[i] += 1
@@ -752,11 +761,12 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
                 # An iteration that found no acceptable step ends its seed's run.
                 ended[i] = "constraint-trapped" if rejects[i] >= 25 else "stalled"
                 iters[i] += 1
+        # Rung j of seed i is row i * _RUNGS + j of the pass.  The accepted
+        # rungs' rows are the points of the next Jacobians.
         take_t = np.array(take_t, dtype=np.intp)
         if take:
-            x[take] = x_new.take(take_t, axis=0)
-            r[take] = r_new.take(take_t, axis=0)
-        # The accepted rungs' rows: the points of the next Jacobians.
+            x[take] = x_new.reshape(-1, k).take(take_t, axis=0)
+            r[take] = r_new.reshape(-1, r.shape[1]).take(take_t, axis=0)
         at_x = tuple(a.take(take_t, axis=0) for a in trial)
         del trial
     return out_x, out_iters, reasons, out_evals

@@ -93,6 +93,18 @@ def test_antisymmetry_gate_float_tolerance():
     assert not la.LieAlgebra("near", near).exact
 
 
+def test_antisymmetry_gate_refuses_non_finite_floats():
+    # NaN beside its partner, and an inf/-inf pair, whose sum is NaN: both
+    # refused, with no RuntimeWarning on the way.
+    nan = np.zeros((4, 4, 4))
+    nan[0, 1, 2], nan[1, 0, 2] = np.nan, 1.0
+    pair = np.zeros((4, 4, 4))
+    pair[0, 1, 2], pair[1, 0, 2] = np.inf, -np.inf
+    for name, c in (("nan", nan), ("inf", pair)):
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            la.LieAlgebra(name, c)
+
+
 def test_unimodularity():
     assert la.is_unimodular(la.instantiate(la.entry_by_name("2A2"), {})) is False
     assert la.is_unimodular(la.instantiate(la.entry_by_name("abelian"), {})) is True

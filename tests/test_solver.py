@@ -92,6 +92,7 @@ def _batch(entry, mode, rng, size=4):
 
 
 def test_batched_residual_matches_single_calls():
+    # Every point of a batch has the bits of a lone call.
     rng = np.random.default_rng(41)
     for entry in la.catalog():
         for mode in ("unit_F", "free_F"):
@@ -99,8 +100,7 @@ def test_batched_residual_matches_single_calls():
             got = ctx.residual(xs)
             want = np.stack([ctx.residual(x) for x in xs])
             assert got.shape == (len(xs), ctx.n_rows) and want.dtype == float
-            scale = max(1.0, np.abs(want).max())
-            assert np.abs(got - want).max() <= 1e-14 * scale, (entry.name, mode)
+            assert np.array_equal(got, want), (entry.name, mode)
 
 
 def test_residual_of_real_complex_input_is_real():
@@ -182,12 +182,10 @@ def test_take_gives_the_residuals_of_gathered_seeds():
         assert np.array_equal(block.take(idx).residual(xs[idx, None]), want)
     kernel = ("_lin", "_lin0", "_ct")
     assert set(kernel) <= set(solver.ResidualContext._SEED_AXIS)
-    twice = block.repeat(2)
     picked = block.take(np.array([3, 0]))
     for name in kernel:
         parts = [getattr(c, name) for c in ctxs]
         assert np.array_equal(getattr(block, name), np.concatenate(parts)), name
-        assert np.array_equal(getattr(twice, name), np.repeat(getattr(block, name), 2, axis=0))
         assert np.array_equal(getattr(picked, name), np.concatenate([parts[3], parts[0]]))
 
 
@@ -771,6 +769,19 @@ def test_ladder_takes_fewer_ticks_than_trials(monkeypatch):
     assert len(ticks) < max(trials)
 
 
+def test_solve_stack_refuses_only_the_singular_systems():
+    # A singular rung among rungs that share their seed's right-hand side:
+    # the others keep the bits of the stacked solve.
+    rng = np.random.default_rng(45)
+    m = rng.uniform(-1, 1, (2, solver._RUNGS, 4, 4)) + 4 * np.eye(4)
+    rhs = rng.uniform(-1, 1, (2, 1, 4, 1))
+    want, _ = solver._solve_stack(m, rhs)
+    m[1, 1] = 0.0
+    delta, solved = solver._solve_stack(m, rhs)
+    assert solved.tolist() == [[True, True, True], [True, False, True]]
+    assert np.array_equal(delta[solved], want[solved]) and not delta[1, 1].any()
+
+
 @pytest.mark.parametrize("trial", [0, 1])
 def test_singular_rung_ends_the_ladder(monkeypatch, trial):
     # Trial 0 of iteration 2 is rejected on this start, so refusing trial 0
@@ -791,7 +802,7 @@ def test_singular_rung_ends_the_ladder(monkeypatch, trial):
         delta, solved = solve(m, rhs)
         tick, rung = divmod(refused[1], solver._RUNGS)
         if seen["jacobians"] == refused[0] + 1 and seen["ticks"] == tick:
-            solved[rung] = False
+            solved[0, rung] = False  # the one seed's rung
         seen["ticks"] += 1
         return delta, solved
 
@@ -844,7 +855,8 @@ def test_reused_jacobians_match_fresh_ones(monkeypatch):
     # to residual_jacobian at the LM's own points and seeds: at the first
     # tick, after seeds stop, after a pass in which the solve or feasible
     # refused a rung (evaluated at its seed's point), in a padded
-    # mixed-width program and in free_F mode.
+    # mixed-width program and in free_F mode.  Each tick's pass covers
+    # (n, _RUNGS) points against a context of exactly the n running seeds.
     seen, state = set(), {}
     levmar, kernel, step = solver._levmar, solver.ResidualContext._kernel, solver._tangent_step
 
@@ -858,10 +870,11 @@ def test_reused_jacobians_match_fresh_ones(monkeypatch):
         caller = sys._getframe(1)
         if caller.f_code is levmar.__code__:  # not residual_jacobian, the reference below
             # A tick's pass (the start pass has no rungs yet) holds every
-            # rung, refused or not.
-            ok = caller.f_locals.get("ok")
+            # rung, refused or not, as points of its seed.
+            n, ok = caller.f_locals["n"], caller.f_locals.get("ok")
+            assert len(self._lin) == len(self._n_free) == n
             if ok is not None:
-                assert len(xs) == len(ok) == solver._RUNGS * caller.f_locals["n"]
+                assert xs.shape[:2] == ok.shape == (n, solver._RUNGS)
             state["refused"] = ok is not None and not ok.all()
         return kernel(self, xs)
 
