@@ -1,9 +1,11 @@
 """Dtype-generic linear algebra for the tiny systems this package solves.
 
-All matrices here are at most 6x6.  The routines run on float arrays and on
-object arrays of Fractions alike; exactness is preserved because only field
-operations are used.  Pivoting is by absolute value, with exact-zero tests in
-object mode and a relative tolerance in float mode.
+All matrices here are at most 6x6.  ``rref`` is the one elimination: it runs
+on float arrays and on object arrays of Fractions alike, and exactness is
+preserved because only field operations are used.  Pivoting is by absolute
+value, with exact-zero tests in object mode and a relative tolerance in float
+mode.  Float ``inverse`` and ``determinant`` are numpy's, the exact ones come
+from ``rref``.  ``as_fractions`` is the one converter to Fractions.
 """
 
 from __future__ import annotations
@@ -20,19 +22,33 @@ def is_exact(arr: np.ndarray) -> bool:
     return arr.dtype == object
 
 
-def _zero_threshold(a: np.ndarray) -> float:
-    if is_exact(a):
-        return 0.0
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    return RREF_TOL * max(1.0, scale)
+def as_fractions(values) -> np.ndarray:
+    """An object array of Fractions with the shape of ``values``; each number
+    passes through its Python scalar (``.tolist()``, ``.item()``), since a
+    Fraction of a numpy integer keeps it as numerator and wraps on overflow."""
+    a = np.asarray(values)
+    out = np.empty(a.shape, dtype=object)
+    flat = out.reshape(-1)
+    for idx, v in enumerate(a.reshape(-1).tolist()):
+        if isinstance(v, np.generic):
+            v = v.item()
+        flat[idx] = v if isinstance(v, Fraction) else Fraction(v)
+    return out
 
 
-def rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form; returns (R, pivot_columns)."""
+def rref(mat: np.ndarray) -> tuple[np.ndarray, list[int], list, int]:
+    """Reduced row-echelon form; returns (R, pivot_columns, heads, sign).
+
+    ``heads`` are the pivots as taken, before their rows are scaled to 1, and
+    ``sign`` is -1 to the number of row swaps: for a square matrix whose
+    columns are all pivot columns, det = sign * prod(heads).
+    """
     a = np.array(mat, copy=True)
     n_rows, n_cols = a.shape
-    thr = _zero_threshold(a)
+    thr = 0.0 if is_exact(a) else RREF_TOL * max(1.0, float(np.abs(a).max(initial=0.0)))
     pivots: list[int] = []
+    heads: list = []
+    sign = 1
     row = 0
     for col in range(n_cols):
         if row >= n_rows:
@@ -43,20 +59,22 @@ def rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
             continue
         if best != 0:
             a[[row, row + best]] = a[[row + best, row]]
+            sign = -sign
+        heads.append(a[row, col])
         a[row] = a[row] / a[row, col]
         for r in range(n_rows):
             if r != row and abs(a[r, col]) > 0:
                 a[r] = a[r] - a[r, col] * a[row]
         pivots.append(col)
         row += 1
-    return a, pivots
+    return a, pivots, heads, sign
 
 
 def nullspace(mat: np.ndarray) -> list[np.ndarray]:
     """Kernel basis with a 1 in each free column (canonical rref form)."""
     a = np.asarray(mat)
     n_cols = a.shape[1]
-    r, pivots = rref(a)
+    r, pivots, _, _ = rref(a)
     free = [c for c in range(n_cols) if c not in pivots]
     one = Fraction(1) if is_exact(a) else 1.0
     basis = []
@@ -69,74 +87,33 @@ def nullspace(mat: np.ndarray) -> list[np.ndarray]:
     return basis
 
 
-def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a square nonsingular system by Gaussian elimination."""
-    a = np.array(mat, copy=True)
-    b = np.array(rhs, copy=True)
-    n = a.shape[0]
-    thr = _zero_threshold(a)
-    for col in range(n):
-        best = col + max(range(n - col), key=lambda r: abs(a[col + r, col]))
-        if abs(a[best, col]) <= thr:
-            raise np.linalg.LinAlgError("singular matrix")
-        if best != col:
-            a[[col, best]] = a[[best, col]]
-            b[[col, best]] = b[[best, col]]
-        for r in range(col + 1, n):
-            f = a[r, col] / a[col, col]
-            if abs(f) > 0:
-                a[r] = a[r] - f * a[col]
-                b[r] = b[r] - f * b[col]
-    x = np.zeros(n, dtype=a.dtype)
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc = acc - a[r, c] * x[c]
-        x[r] = acc / a[r, r]
-    return x
-
-
 def inverse(mat: np.ndarray) -> np.ndarray:
-    """Inverse of a matrix, or of each matrix of a stack (..., n, n)."""
+    """Inverse of a matrix, or of each matrix of a stack (..., n, n); an exact
+    one is the right half of the rref of [A | I]."""
     a = np.asarray(mat)
     if not is_exact(a):
         return np.linalg.inv(a)
     if a.ndim > 2:
         return _each(inverse, a, a.shape)
     n = a.shape[0]
-    cols = []
-    for j in range(n):
-        e = np.zeros(n, dtype=object)
-        e[j] = Fraction(1)
-        cols.append(solve(a, e))
-    return np.stack(cols, axis=1)
+    r, pivots, _, _ = rref(np.hstack([a, as_fractions(np.eye(n, dtype=int))]))
+    if pivots != list(range(n)):
+        raise np.linalg.LinAlgError("singular matrix")
+    return r[:, n:]
 
 
 def determinant(mat: np.ndarray):
     """Determinant of a matrix (a float or Fraction), or an array of the
-    determinants of a stack (..., n, n)."""
+    determinants of a stack (..., n, n); an exact one is the signed product
+    of the pivots of its rref."""
     a = np.asarray(mat)
     if not is_exact(a):
         det = np.linalg.det(a)
         return float(det) if a.ndim == 2 else det
     if a.ndim > 2:
         return _each(determinant, a, a.shape[:-2])
-    a = np.array(a, copy=True)
-    n = a.shape[0]
-    det = Fraction(1)
-    for col in range(n):
-        best = col + max(range(n - col), key=lambda r: abs(a[col + r, col]))
-        if a[best, col] == 0:
-            return Fraction(0)
-        if best != col:
-            a[[col, best]] = a[[best, col]]
-            det = -det
-        det *= a[col, col]
-        for r in range(col + 1, n):
-            f = a[r, col] / a[col, col]
-            if f != 0:
-                a[r] = a[r] - f * a[col]
-    return det
+    _, pivots, heads, sign = rref(a)
+    return sign * math.prod(heads) if len(pivots) == len(a) else Fraction(0)
 
 
 def _each(fn, a: np.ndarray, shape: tuple) -> np.ndarray:

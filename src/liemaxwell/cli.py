@@ -5,8 +5,9 @@ codes: 0 success/agreement, 1 verification failure, 2 input error,
 3 inconclusive.  Every JSON report embeds the invocation config and the
 catalog checksum so runs are reproducible from the report alone.
 
-Input errors are raised as ``ValueError`` and reach one handler in ``main``,
-which prints a single ``error:`` line and returns 2.  ``main`` checks the
+Input errors are raised as ``ValueError`` (or ``OSError``, from a ``--out``
+path that cannot be written) and reach one handler in ``main``, which prints
+a single ``error:`` line and returns 2.  ``main`` checks the
 options (``--tol`` positive and finite, ``--seed``/``--seeds`` nonnegative)
 before any command runs.  Only ``curvature``, ``verify``, ``family`` and
 ``search`` take ``--tol``; its default is set in the parser and recorded in the
@@ -310,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         # warnings on the way there would only add lines ahead of the error.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

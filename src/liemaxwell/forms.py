@@ -10,8 +10,10 @@ A 2-form is a vector of six coefficients in the fixed order
 take leading axes: metrics (..., 4, 4) with forms (..., 6), one result per
 leading index.  ``inner_product`` and ``norm_sq`` keep exact (Fraction)
 input exact; ``hodge_star`` casts to float, and ``hodge_star_exact`` is the
-exact star, carrying sqrt(det g) as a separate radical.  An orientation is
-the integer 1 or -1; 1.0, True and "1" are refused.
+exact star, carrying sqrt(det g) as a separate radical; exact input meets
+the Levi-Civita symbol as ``_smallmat.as_fractions(LEVI4)``, the package's
+one Fraction converter.  An orientation is the integer 1 or -1; 1.0, True
+and "1" are refused.
 """
 
 from __future__ import annotations
@@ -122,26 +124,12 @@ def hodge_star_exact(g: np.ndarray, a: np.ndarray,
     g, a = _match_dtypes(np.asarray(g), np.asarray(a))
     det = _positive_det(g)
     fu = _raised(g, a)
-    mat = np.einsum("klmn,mn->kl", _as_exact_eps(), fu) / 2
+    mat = np.einsum("klmn,mn->kl", _smallmat.as_fractions(LEVI4), fu) / 2
     coeffs = two_form_coeffs(mat) * Fraction(orientation)
     root = _smallmat.sqrt_fraction(det)
     if root is not None:
         return coeffs * root, Fraction(1)
     return coeffs, det
-
-
-_EPS_EXACT: np.ndarray | None = None
-
-
-def _as_exact_eps() -> np.ndarray:
-    global _EPS_EXACT
-    if _EPS_EXACT is None:
-        out = np.empty(LEVI4.shape, dtype=object)
-        flat, src = out.reshape(-1), LEVI4.reshape(-1)
-        for idx in range(src.size):
-            flat[idx] = Fraction(int(src[idx]))
-        _EPS_EXACT = out
-    return _EPS_EXACT
 
 
 def sd_asd_split(g: np.ndarray, a: np.ndarray,
@@ -163,7 +151,7 @@ def wedge_two_two(a: np.ndarray, b: np.ndarray):
     """Coefficient of e^1234 in F ^ G (metric-free pairing of 2-forms)."""
     fm = two_form_matrix(np.asarray(a))
     gm = two_form_matrix(np.asarray(b), dtype=fm.dtype)
-    eps = _as_exact_eps() if fm.dtype == object else LEVI4
+    eps = _smallmat.as_fractions(LEVI4) if fm.dtype == object else LEVI4
     return np.einsum("ijkl,ij,kl->", eps, fm, gm) / 4
 
 

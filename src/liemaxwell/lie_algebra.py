@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ._expr import ExpressionError, eval_expr, expr_identifiers
-from ._smallmat import is_exact, nullspace
+from ._smallmat import as_fractions, is_exact, nullspace
 
 DIM = 4
 
@@ -118,7 +118,7 @@ def from_brackets(name: str, brackets: dict, params: dict | None = None,
         if not (1 <= i < j <= DIM):
             raise ValueError(f"bracket indices must satisfy 1 <= i < j <= 4, got ({i}, {j})")
         for k, coeff in targets.items():
-            value = Fraction(coeff) if exact else float(coeff)
+            value = as_fractions(coeff).item() if exact else float(coeff)
             c[i - 1, j - 1, k - 1] = value
             c[j - 1, i - 1, k - 1] = -value
     return LieAlgebra(name=name, c=c, params=dict(params or {}))
@@ -350,7 +350,10 @@ def instantiate(entry: CatalogEntry, params: dict | None = None, *,
             if not spec.admits(float(params[spec.name])):
                 raise CatalogError(
                     f"{entry.name}: parameter {spec.name}={params[spec.name]} outside admissible range")
-    env = {k: (Fraction(v) if exact else float(v)) for k, v in params.items()}
+    if exact:
+        env = dict(zip(params, as_fractions(np.array(list(params.values()), dtype=object))))
+    else:
+        env = {k: float(v) for k, v in params.items()}
     table: dict[tuple[int, int], dict[int, object]] = {}
     for i, j, coeffs in entry.brackets:
         row = table.setdefault((i, j), {})
@@ -368,10 +371,11 @@ def metric_from_params(entry: CatalogEntry, metric_params: dict, *,
     if needed != given:
         raise CatalogError(
             f"{entry.name}: metric parameters {sorted(needed)} required, got {sorted(given)}")
-    number = Fraction if exact else float
-    return np.array([[number(metric_params[cell] if isinstance(cell, str) else cell)
-                      for cell in row] for row in entry.metric_shape],
-                    dtype=object if exact else float)
+    cells = [[metric_params[cell] if isinstance(cell, str) else cell for cell in row]
+             for row in entry.metric_shape]
+    if exact:
+        return as_fractions(np.array(cells, dtype=object))
+    return np.array([[float(v) for v in row] for row in cells])
 
 
 def _parse_entry(raw: dict) -> CatalogEntry:

@@ -16,24 +16,26 @@ and ``R(x, y, z, w) = g(Rc(x, y)z, w)``, hyperbolic planes get negative
 sectional curvature ``K(x, y) = R(x, y, x, y) / (|x|^2 |y|^2 - <x,y>^2)``.
 
 The curvature functions accept float64 or Fraction (object dtype) inputs;
-the exact path goes through rational Gaussian elimination instead of an
-orthonormal frame, so the whole chain down to the trace-free Ricci tensor is
-exact for rational data.  The chain (``levi_civita``, ``riemann``,
-``curvature_summary``) is loop-free einsum code that takes leading axes: a
-sequence of S algebras (or their structure constants, (S, 4, 4, 4)) with
-metrics (S, 4, 4) is one call, which is how the solver re-verifies each
-lockstep group's end points.  Exact input goes through the same functions.
-Each einsum contracts every metric on its own, so a stacked call agrees
-with lone calls to round-off: results may differ in the last bits, and the
-solver's Levenberg-Marquardt end points, which never read this chain, not
-at all.
+when one input is an object array, every input goes through
+``_smallmat.as_fractions``, and an exact g is inverted by rational
+Gauss-Jordan elimination, so the whole chain down to the trace-free Ricci
+tensor is exact for rational data.
+Ricci is the g-inverse contraction of the Riemann tensor; the tests check it
+against an orthonormal-frame sum that ``tests/oracles.py`` derives on its
+own.  The chain (``levi_civita``, ``riemann``, ``curvature_summary``) is
+loop-free einsum code that takes leading axes: a sequence of S algebras (or
+their structure constants, (S, 4, 4, 4)) with metrics (S, 4, 4) is one
+call, which is how the solver re-verifies each lockstep group's end points.
+Exact input goes through the same functions.  Each einsum contracts every
+metric on its own, so a stacked call agrees with lone calls to round-off:
+results may differ in the last bits, and the solver's Levenberg-Marquardt
+end points, which never read this chain, not at all.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,17 +51,9 @@ EPS_PD = 1e-8
 MetricCheck = namedtuple("MetricCheck", ["ok", "failures"])
 
 
-def _as_exact(arr: np.ndarray) -> np.ndarray:
-    out = np.empty(arr.shape, dtype=object)
-    flat = out.reshape(-1)
-    for idx, v in enumerate(np.asarray(arr).reshape(-1)):
-        flat[idx] = v if isinstance(v, Fraction) else Fraction(v)
-    return out
-
-
 def _match_dtypes(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     if any(a.dtype == object for a in arrays):
-        return tuple(a if a.dtype == object else _as_exact(a) for a in arrays)
+        return tuple(_smallmat.as_fractions(a) for a in arrays)
     return arrays
 
 
@@ -122,15 +116,9 @@ def validate_metric(entry: CatalogEntry, metric_params: dict) -> MetricCheck:
 # ---------------------------------------------------------------------------
 
 
-def _last3(a: np.ndarray, *perm: int) -> np.ndarray:
-    """``np.transpose`` of the last three axes only."""
-    lead = a.ndim - 3
-    return a.transpose(*range(lead), *(lead + p for p in perm))
-
-
 def _connection(c: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     cg = np.einsum("...ijm,...mk->...ijk", c, g)
-    rhs = (cg + _last3(cg, 1, 2, 0) - _last3(cg, 2, 0, 1)) / 2
+    rhs = (cg + np.moveaxis(cg, -3, -1) - np.moveaxis(cg, -1, -3)) / 2
     return np.einsum("...kl,...ijl->...ijk", g_inv, rhs)
 
 
@@ -151,12 +139,10 @@ def levi_civita(L, g: np.ndarray) -> np.ndarray:
     return _connection(c, g, _smallmat.inverse(g))
 
 
-def riemann(L, g: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
+def riemann(L, g: np.ndarray) -> np.ndarray:
     """Covariant curvature R[..., i, j, k, l] = g(Rc(e_i, e_j) e_k, e_l)."""
     c, g = _match_dtypes(structure_constants(L), np.asarray(g))
-    if gamma is None:
-        gamma = _connection(c, g, _smallmat.inverse(g))
-    return _curvature(c, g, gamma)
+    return _curvature(c, g, _connection(c, g, _smallmat.inverse(g)))
 
 
 def curvature_summary(L, g: np.ndarray):
@@ -193,27 +179,3 @@ def traceless_ricci(L: LieAlgebra, g: np.ndarray) -> np.ndarray:
 def is_einstein(L: LieAlgebra, g: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.abs(traceless_ricci(L, g)).max() <= tol)
 
-
-# ---------------------------------------------------------------------------
-# Orthonormal-frame cross-check (float only)
-# ---------------------------------------------------------------------------
-
-
-def gram_schmidt_frame(g: np.ndarray) -> np.ndarray:
-    """Rows are a g-orthonormal frame built from (e_1..e_4) in index order."""
-    g = np.asarray(g, dtype=float)
-    frame = np.zeros((DIM, DIM))
-    for m in range(DIM):
-        v = np.zeros(DIM)
-        v[m] = 1.0
-        for prev in range(m):
-            v = v - (frame[prev] @ g @ v) * frame[prev]
-        frame[m] = v / np.sqrt(v @ g @ v)
-    return frame
-
-
-def ricci_via_frame(L: LieAlgebra, g: np.ndarray) -> np.ndarray:
-    """Ricci by explicit orthonormal-frame summation (cross-check path)."""
-    r4 = riemann(L, np.asarray(g, dtype=float))
-    frame = gram_schmidt_frame(g)
-    return np.einsum("mj,ml,ijkl->ik", frame, frame, r4)

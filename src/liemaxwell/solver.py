@@ -57,6 +57,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -136,15 +137,18 @@ class Candidate:
     orientation: int = 1
 
     def __post_init__(self):
-        self.f_coeffs = np.asarray(self.f_coeffs, dtype=float)
-        if self.f_coeffs.shape != (6,):
+        coeffs = np.asarray(self.f_coeffs, dtype=object)
+        if coeffs.shape != (6,):
             raise CandidateError("f_coeffs must have six components")
         if not _is_orientation(self.orientation):
             raise CandidateError("orientation must be the integer 1 or -1")
         params = [*self.algebra_params.values(), *self.metric_params.values()]
         if any(isinstance(v, (bool, np.bool_)) for v in params):
             raise CandidateError("algebra_params and metric_params must be numbers, not booleans")
+        if not all(isinstance(v, numbers.Real) for v in [*coeffs.tolist(), *params]):
+            raise CandidateError("f_coeffs, algebra_params and metric_params must be real numbers")
         try:
+            self.f_coeffs = np.asarray(self.f_coeffs, dtype=float)
             finite = np.isfinite(self.f_coeffs).all() and all(map(math.isfinite, params))
         except OverflowError:  # an integer beyond the float range
             finite = False

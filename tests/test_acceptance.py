@@ -232,7 +232,7 @@ def test_criterion_8_property_suites():
         dg = np.einsum("ijm,mk->ijk", gamma, g)
         assert np.abs(dg + np.transpose(dg, (0, 2, 1))).max() <= 1e-12 * gscale
         # Riemann symmetries and first Bianchi
-        r4 = mg.riemann(L, g, gamma)
+        r4 = mg.riemann(L, g)
         rscale = max(1.0, np.abs(r4).max())
         assert np.abs(r4 + np.transpose(r4, (1, 0, 2, 3))).max() <= 1e-12 * rscale
         assert np.abs(r4 + np.transpose(r4, (0, 1, 3, 2))).max() <= 1e-12 * rscale

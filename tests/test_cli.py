@@ -255,6 +255,16 @@ def test_nonfinite_report_is_refused(capsys, monkeypatch, tmp_path):
     assert code == 2 and err.startswith("error:") and not out and not out_path.exists()
 
 
+def test_unwritable_out_path_is_input_error(capsys, tmp_path):
+    # A --out path that cannot be written is refused like any other option:
+    # one error line, no report on stdout, exit 2 (not 1, "verification failure").
+    for argv in (["list", "--out", str(tmp_path / "missing" / "x.json")],
+                 ["show", "2A2", "--out", str(tmp_path)]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and not out, argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
 def test_classify_unknown_entry_is_input_error(capsys):
     code, out, err = run(["classify", "--entries", "nonexistent", "--seeds", "2"], capsys)
     assert code == 2 and err.startswith("error:") and not out

@@ -1,6 +1,8 @@
 """Metric validation, Koszul connection, and curvature against brute-force oracles."""
 
 import dataclasses
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,7 @@ import oracles as orc
 from conftest import admissible_draws
 from liemaxwell import lie_algebra as la
 from liemaxwell import metric_geometry as mg
-from liemaxwell import solver
+from liemaxwell import _smallmat, solver
 
 E = np.eye(4)
 
@@ -155,9 +157,11 @@ def test_traceless_ricci_is_trace_free():
 
 
 def test_frame_independence():
+    # Ricci by g-inverse contraction against the oracle's orthonormal-frame
+    # sum, which derives its connection, curvature and frame on its own.
     for entry, L, g in admissible_draws(60, seed=14):
         a = mg.ricci(L, g)
-        b = mg.ricci_via_frame(L, g)
+        b = orc.ricci_orthonormal(np.asarray(L.c, dtype=float), g)
         assert np.abs(a - b).max() <= 1e-10, entry.name
 
 
@@ -173,6 +177,63 @@ def test_exact_mode_through_traceless_ricci():
         for j in range(i + 1, 4):
             assert ric0[i, j] == 0
     assert mg.scalar_curvature(L, g) == Fraction(-3)
+
+
+def test_exact_mode_keeps_numpy_integers_exact():
+    # An int64 metric or parameter is the same exact number as a Python int:
+    # the products of the chain would wrap in int64 arithmetic.
+    entry = la.entry_by_name("A4,4")
+    L = la.instantiate(entry, {}, exact=True)
+    rows = [[10**6, 1, 0, 0], [1, 10**6, 1, 0], [0, 1, 10**6 + 7, 3], [0, 0, 3, 3 * 10**6]]
+    want = mg.traceless_ricci(L, np.array([[Fraction(v) for v in row] for row in rows]))
+    assert (mg.traceless_ricci(L, np.array(rows, dtype=np.int64)) == want).all()
+    # An object array of Python ints is exact input too, not float division.
+    assert (mg.traceless_ricci(L, np.array(rows, dtype=object)) == want).all()
+
+    entry = la.entry_by_name("A4,2^p")
+    g = la.metric_from_params(entry, {"a1": Fraction(1, 2), "a2": Fraction(1, 3), "a3": 2},
+                              exact=True)
+    assert mg.validate_metric(entry, {"a1": 0.5, "a2": 1 / 3, "a3": 2.0}).ok
+    want = mg.traceless_ricci(la.instantiate(entry, {"p": 10**9}, exact=True), g)
+    got = mg.traceless_ricci(la.instantiate(entry, {"p": np.int64(10**9)}, exact=True), g)
+    assert (got == want).all()
+    g64 = la.metric_from_params(entry, dict.fromkeys(entry.metric_param_names, np.int64(3)),
+                                exact=True)
+    assert all(type(v.numerator) is int for v in g64.flat)
+
+
+def test_exact_inverse_and_determinant_against_oracles():
+    # Fraction matrices of size 2-6: the inverse against the oracle's
+    # Gauss-Jordan, the determinant against the Leibniz sum; a singular
+    # matrix is refused by inverse and has determinant 0; a stack agrees
+    # with lone calls.
+    rng = np.random.default_rng(20)
+
+    def leibniz(a):
+        n = len(a)
+        return sum(orc.perm_sign(p) * math.prod(a[i, p[i]] for i in range(n))
+                   for p in itertools.permutations(range(n)))
+
+    for n in range(2, 7):
+        mats = []
+        for _ in range(6):
+            a = np.array([[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+                           for _ in range(n)] for _ in range(n)])
+            if rng.random() < 0.3:
+                a[-1] = a[0] * Fraction(-2, 3)   # singular by construction
+            mats.append(a)
+            det = _smallmat.determinant(a)
+            assert isinstance(det, Fraction) and det == leibniz(a)
+            if det == 0:
+                with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                    _smallmat.inverse(a)
+            else:
+                assert (_smallmat.inverse(a) == orc._inverse_exact(a)).all()
+        stack = np.stack(mats)
+        assert list(_smallmat.determinant(stack)) == [_smallmat.determinant(a) for a in mats]
+        regular = np.stack([a for a in mats if _smallmat.determinant(a) != 0])
+        for a, inv in zip(regular, _smallmat.inverse(regular)):
+            assert (inv == _smallmat.inverse(a)).all()
 
 
 def test_stacked_curvature_on_fractions_matches_the_exact_oracle(cat):

@@ -389,6 +389,14 @@ def test_candidate_refuses_boolean_parameters():
     with pytest.raises(solver.CandidateError, match="boolean"):
         solver.Candidate("A4,6^{a,0}", {"a": 1.0}, {**metric, "a3": np.True_}, f6)
     assert solver.Candidate("A4,6^{a,0}", {"a": 1}, metric, f6).algebra_params == {"a": 1}
+    # Values that are not real numbers at all are refused the same way, never
+    # with a TypeError or a bare ValueError from the conversion.
+    for value in ("1", None, [1.0], 1j):
+        with pytest.raises(solver.CandidateError, match="real numbers"):
+            solver.Candidate("A4,1", {}, {"a1": value}, [0.0] * 6)
+    for coeffs in ([1j] * 6, ["x"] * 6, [[1.0, 2.0], 3.0, 0.0, 0.0, 0.0, 0.0]):
+        with pytest.raises(solver.CandidateError, match="real numbers"):
+            solver.Candidate("A4,6^{a,0}", {"a": 1.0}, metric, coeffs)
 
 
 def test_family_points_samples_and_starts_still_build():
