@@ -76,10 +76,10 @@ def nullspace(mat: np.ndarray) -> list[np.ndarray]:
     n_cols = a.shape[1]
     r, pivots, _, _ = rref(a)
     free = [c for c in range(n_cols) if c not in pivots]
-    one = Fraction(1) if is_exact(a) else 1.0
+    zero, one = (Fraction(0), Fraction(1)) if is_exact(a) else (0.0, 1.0)
     basis = []
     for c in free:
-        v = np.zeros(n_cols, dtype=a.dtype)
+        v = np.full(n_cols, zero, dtype=a.dtype)
         v[c] = one
         for row_idx, p in enumerate(pivots):
             v[p] = -r[row_idx, c]

@@ -184,11 +184,9 @@ def cmd_family(args) -> int:
 def cmd_search(args) -> int:
     entry = entry_by_name(args.entry)
     config = RunConfig(command="search", entries=[entry.name], seed=args.seed,
-                       seeds=args.seeds, orientation=args.orientation, mode=args.mode,
-                       tol=args.tol)
+                       seeds=args.seeds, mode=args.mode, tol=args.tol)
     outcome = multistart_search(entry, n_seeds=args.seeds, seed=args.seed, mode=args.mode,
-                                orientation=args.orientation, n_jobs=args.jobs,
-                                tol=args.tol)
+                                n_jobs=args.jobs, tol=args.tol)
     classes: dict[str, int] = {}
     for _, rep in outcome.solutions:
         classes[rep.classification] = classes.get(rep.classification, 0) + 1
@@ -274,12 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_family)
 
+    seed_help = ("base seed; start i draws from default_rng(seed ^ i), so seeds 0-7 at 200 "
+                 "seeds share all generators: space seeds by a power of two >= --seeds, e.g. 1024")
     p = sub.add_parser("search", help="multistart search on one entry")
     p.add_argument("entry")
     p.add_argument("--seeds", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=seed_help)
     p.add_argument("--mode", choices=MODES, default="unit_F")
-    p.add_argument("--orientation", type=int, choices=[1, -1], default=1)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timing", action="store_true", help="include wall time in the report")
     p.add_argument("--tol", type=float, default=TOL_SOLUTION,
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", aliases=["theorem1"],
                        help="computed vs expected verdicts across the catalog")
     p.add_argument("--seeds", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=seed_help)
     p.add_argument("--entries", nargs="+", metavar="ENTRY",
                    help="restrict to these entries (names or aliases like A44)")
     p.add_argument("--jobs", type=int, default=1)

@@ -88,16 +88,19 @@ class LieAlgebra:
         c = np.asarray(self.c)
         if c.shape != (DIM, DIM, DIM):
             raise ValueError(f"structure constants must be 4x4x4, got {c.shape}")
-        swapped = np.transpose(c, (1, 0, 2))
         if is_exact(c):
+            # Rationals only, as Fractions: an int / int would divide in floats.
+            if not all(isinstance(v, (int, Fraction, np.integer)) for v in c.flat):
+                raise ValueError(f"exact structure constants of {self.name!r} must be rational")
+            c = as_fractions(c)
             # A nonzero c[i, j, k] + c[j, i, k] has a nonzero term: check
             # only those, with no Fraction arithmetic on zeros.
             nonzero = c.astype(bool)
-            defect = (c[nonzero] + swapped[nonzero]).astype(bool).any()
+            defect = (c[nonzero] + c.transpose(1, 0, 2)[nonzero]).astype(bool).any()
         else:
             # Non-finite entries first: NaN fails every comparison, so a
             # "> tolerance" test admits it, and an inf/-inf pair sums to NaN.
-            defect = not (np.isfinite(c).all() and np.abs(c + swapped).max() <= 1e-14)
+            defect = not (np.isfinite(c).all() and np.abs(c + c.transpose(1, 0, 2)).max() <= 1e-14)
         if defect:
             raise ValueError(f"structure constants of {self.name!r} are not antisymmetric")
         object.__setattr__(self, "c", c)
@@ -347,7 +350,12 @@ def instantiate(entry: CatalogEntry, params: dict | None = None, *,
         raise CatalogError(f"{entry.name}: algebra parameters {flags} must be numbers, not booleans")
     if check_range:
         for spec in entry.params:
-            if not spec.admits(float(params[spec.name])):
+            try:
+                value = float(params[spec.name])
+            except OverflowError:  # an integer beyond the float range
+                raise CatalogError(
+                    f"{entry.name}: parameter {spec.name} is beyond the float range") from None
+            if not spec.admits(value):
                 raise CatalogError(
                     f"{entry.name}: parameter {spec.name}={params[spec.name]} outside admissible range")
     if exact:

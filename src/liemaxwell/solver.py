@@ -48,8 +48,8 @@ last bits, never in the end points they describe).
 Determinism contract: the per-seed RNG is ``default_rng(seed ^ index)``,
 programs are fixed by request and index, every seed runs at most ``SEARCH_MAX_ITER``
 iterations and results are merged in index order, so an outcome depends on
-entry, seed, n_seeds, mode, orientation and tol, and never on n_jobs: serial
-and parallel reports are byte-identical.
+entry, seed, n_seeds, mode and tol, and never on n_jobs: serial and
+parallel reports are byte-identical.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -269,13 +269,11 @@ class ResidualContext:
     #: next, which broadcasts over the points of a seed.
     _SEED_AXIS = ("_lin", "_lin0", "_ct", "_killing_half", "_star_d", "_part", "_n_free")
 
-    def __init__(self, entry: CatalogEntry, algebra_params: dict, orientation: int = 1,
-                 mode: str = "unit_F"):
+    def __init__(self, entry: CatalogEntry, algebra_params: dict, mode: str = "unit_F"):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.entry = entry
         self.algebra_params = dict(algebra_params)
-        self.orientation = orientation
         self.mode = mode
         self.L = instantiate(entry, algebra_params)
         c = np.asarray(self.L.c, dtype=float)
@@ -309,9 +307,10 @@ class ResidualContext:
         lin0[_CG] = (c16 @ g0.reshape(4, 4)).ravel()
         self._lin, self._lin0 = lin[None], lin0[None, None, None]
         self._kernel_t = kernel_t
-        # Hodge star then d: F^{kl} (raised, flattened) -> d*F / (sign sqrt det g).
+        # Hodge star then d: F^{kl} (raised, flattened) -> d*F / sqrt det g, with
+        # volume form +sqrt(det g) e^1234 (d*F = 0 does not depend on its sign).
         eps_pairs = np.array([LEVI4[i, j] for i, j in PAIRS], dtype=float).reshape(6, 16)
-        self._star_d = (0.5 * orientation * eps_pairs.T @ d_t)[None]
+        self._star_d = (0.5 * eps_pairs.T @ d_t)[None]
         # Ricci ingredients that do not depend on the metric, with factor
         # -1/2: the structure constants as [m, (l, b)] = c_bm^l beside the
         # trace form t_m = c_mk^k, one 4 x 17 block that g^-1 raises at once,
@@ -323,12 +322,12 @@ class ResidualContext:
     @classmethod
     def stack(cls, contexts: list["ResidualContext"]) -> "ResidualContext":
         """One context for the seeds of ``contexts`` (made by the constructor,
-        in one mode), their per-seed constants concatenated in order.  Entry,
-        orientation and width (number of parameters) may differ: a narrower
-        seed's x is padded with zeros to the widest width, and its ``_lin``
-        with zero rows, so its residual is unchanged and its padded Jacobian
-        columns are 0.  It evaluates and checks points; per-seed facts
-        (algebra, kernel, candidates) stay with the parts."""
+        in one mode), their per-seed constants concatenated in order.  Entry
+        and width (number of parameters) may differ: a narrower seed's x is
+        padded with zeros to the widest width, and its ``_lin`` with zero rows,
+        so its residual is unchanged and its padded Jacobian columns are 0.
+        It evaluates and checks points; per-seed facts (algebra, kernel,
+        candidates) stay with the parts."""
         if len(contexts) == 1:
             return contexts[0]
         widths = [len(c.names) for c in contexts]
@@ -459,7 +458,6 @@ class ResidualContext:
             algebra_params=dict(self.algebra_params),
             metric_params={n: float(x[k]) for k, n in enumerate(self.metric_names)},
             f_coeffs=self.f_of(x),
-            orientation=self.orientation,
         )
 
     def project_f(self, f6: np.ndarray) -> tuple[np.ndarray, float]:
@@ -784,20 +782,20 @@ def refine(c: Candidate, tol: float = 1e-11, max_iter: int = 60,
     ``residual_vector``) and its F closed (all fixture and search candidates
     are); its kernel coordinates become the optimization variables together
     with the metric parameters.  With unit_norm the row |F|^2_g - 1 is
-    appended, forcing F away from the trivial solution.
+    appended, forcing F away from the trivial solution.  The refinement does
+    not depend on the orientation, and its candidate keeps the label of ``c``.
     """
     entry = entry_by_name(c.entry_name)
     _admitted(entry, c.algebra_params, c.metric_params)
-    ctx = ResidualContext(entry, c.algebra_params, c.orientation,
-                          mode="unit_F" if unit_norm else "free_F")
+    ctx = ResidualContext(entry, c.algebra_params, mode="unit_F" if unit_norm else "free_F")
     y, defect = ctx.project_f(c.f_coeffs)
     if defect > 1e-8:
         raise CandidateError(
             f"candidate F is not closed (distance {defect:.2e} from the dF=0 subspace)")
     x0 = ctx.pack(c.metric_params, y)
     x, iters, reasons, n_evals = _levmar(ctx, x0[None], tol, max_iter)
-    return RefineResult(candidate=ctx.candidate(x[0]), converged=reasons[0] == "converged",
-                        iterations=int(iters[0]),
+    return RefineResult(candidate=replace(ctx.candidate(x[0]), orientation=c.orientation),
+                        converged=reasons[0] == "converged", iterations=int(iters[0]),
                         max_residual=float(np.abs(ctx.residual(x[0])).max()),
                         reason=reasons[0], n_evals=int(n_evals[0]))
 
@@ -951,8 +949,7 @@ def canonical_sign(c: Candidate) -> Candidate:
 _BLOCK = 32
 
 
-def _starts(entry: CatalogEntry, seed: int, indices: range, mode: str,
-            orientation: int) -> dict:
+def _starts(entry: CatalogEntry, seed: int, indices: range, mode: str) -> dict:
     """(context, start x0) of each seed in ``indices``, or (why it has none,
     None).  Each seed draws from its own ``default_rng(seed ^ index)``:
     algebra parameters, then metric parameters (one sampler call for all
@@ -974,7 +971,7 @@ def _starts(entry: CatalogEntry, seed: int, indices: range, mode: str,
         rng = rngs[index]
         key = tuple(algebra_params.items())
         if key not in contexts:
-            contexts[key] = ResidualContext(entry, algebra_params, orientation, mode=mode)
+            contexts[key] = ResidualContext(entry, algebra_params, mode=mode)
         ctx = contexts[key]
         k = ctx.kernel.shape[1]
         if k == 0:
@@ -997,15 +994,15 @@ def _starts(entry: CatalogEntry, seed: int, indices: range, mode: str,
 
 def _run_block(*segments) -> list[dict]:
     """The seeds of one program: ``segments`` are seed ranges (entry_name,
-    seed, lo, hi, mode, orientation, tol), one per request, of one mode,
-    orientation and tol.  Sample each range's starts, refine them in one
-    lockstep ``_levmar``, each x padded to the widest width, and re-verify
-    the end points independently, in one stacked ``em_residual`` call.  One
-    record per seed, in segment order, then index order."""
-    *_, mode, orientation, tol = segments[0]
+    seed, lo, hi, mode, tol), one per request, of one mode and tol.  Sample
+    each range's starts, refine them in one lockstep ``_levmar``, each x
+    padded to the widest width, and re-verify the end points independently,
+    in one stacked ``em_residual`` call.  One record per seed, in segment
+    order, then index order."""
+    *_, mode, tol = segments[0]
     records, members = [], []
     for entry_name, seed, lo, hi, *_ in segments:
-        starts = _starts(entry_by_name(entry_name), seed, range(lo, hi), mode, orientation)
+        starts = _starts(entry_by_name(entry_name), seed, range(lo, hi), mode)
         for index, (ctx, x0) in starts.items():
             records.append({"index": index, "status": ctx if x0 is None else "refined"})
             if x0 is not None:
@@ -1023,7 +1020,7 @@ def _run_block(*segments) -> list[dict]:
     # algebra and metric instantiated from its own candidate.
     _, algebras, metrics = zip(*map(_instantiated, cands))
     reports = em_residual(algebras, np.array(metrics), np.array([c.f_coeffs for c in cands]),
-                          orientation, tol=tol)
+                          tol=tol)
     for s, record in enumerate(refined):
         record.update(reason=reasons[s], iterations=int(iters[s]), candidate=cands[s],
                       report=reports[s])
@@ -1038,7 +1035,6 @@ class SearchRequest:
     n_seeds: int
     seed: int = 0
     mode: str = "unit_F"
-    orientation: int = 1
     tol: float = TOL_SOLUTION
 
 
@@ -1046,11 +1042,11 @@ def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[Sear
     """``multistart_search`` for each request, in one set of programs.
 
     The seeds of all requests, in request order and then index order, are
-    cut into programs of at most ``_BLOCK`` seeds, and where mode,
-    orientation or tol changes; with n_jobs > 1 a process pool takes whole
-    programs.  The packing never depends on n_jobs, and a seed's result is
-    the one it has alone, so each outcome is that of the request's own
-    ``multistart_search`` (``wall_time`` is the time of the whole call).
+    cut into programs of at most ``_BLOCK`` seeds, and where mode or tol
+    changes; with n_jobs > 1 a process pool takes whole programs.  The
+    packing never depends on n_jobs, and a seed's result is the one it has
+    alone, so each outcome is that of the request's own ``multistart_search``
+    (``wall_time`` is the time of the whole call).
     """
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
@@ -1058,8 +1054,6 @@ def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[Sear
         raise ValueError("n_seeds must be >= 1")
     if not all(0 < r.tol < math.inf for r in requests):  # NaN fails too
         raise ValueError("tol must be positive and finite")
-    if not all(_is_orientation(r.orientation) for r in requests):
-        raise ValueError("orientation must be the integer 1 or -1")
     for r in requests:
         if r.mode not in MODES:
             raise ValueError(f"unknown mode {r.mode!r}")
@@ -1071,11 +1065,11 @@ def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[Sear
     for r, entry in zip(requests, entries):
         lo = 0
         while lo < r.n_seeds:
-            if not room or programs[-1][-1][4:] != (r.mode, r.orientation, r.tol):
+            if not room or programs[-1][-1][4:] != (r.mode, r.tol):
                 programs.append([])
                 room = _BLOCK
             hi = min(r.n_seeds, lo + room)
-            programs[-1].append((entry.name, r.seed, lo, hi, r.mode, r.orientation, r.tol))
+            programs[-1].append((entry.name, r.seed, lo, hi, r.mode, r.tol))
             room -= hi - lo
             lo = hi
     workers = min(n_jobs, len(programs))
@@ -1129,15 +1123,13 @@ def _outcome(entry: CatalogEntry, request: SearchRequest, results: list[dict]) -
 
 
 def multistart_search(entry, n_seeds: int, seed: int = 0, mode: str = "unit_F",
-                      orientation: int = 1, tol: float = TOL_SOLUTION,
-                      n_jobs: int = 1) -> SearchOutcome:
+                      tol: float = TOL_SOLUTION, n_jobs: int = 1) -> SearchOutcome:
     """Refine from n_seeds deterministic random starts and collect solutions:
     the one-request case of ``multistart_many``.  Seeds run in fixed blocks
     of consecutive indices (``_BLOCK``); with n_jobs > 1 a process pool
     takes whole blocks, so the outcome is the same for every n_jobs.
     """
-    return multistart_many([SearchRequest(entry, n_seeds, seed, mode, orientation, tol)],
-                           n_jobs)[0]
+    return multistart_many([SearchRequest(entry, n_seeds, seed, mode, tol)], n_jobs)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -454,10 +454,15 @@ def test_refusal_is_one_error_line(capsys, tmp_path, argv, doc, message):
     assert refusal(capsys, tmp_path, argv, doc).startswith(message)
 
 
-@pytest.mark.parametrize("argv", [["list"], ["show", "2A2"], ["classify", "--entries", "2A2"]])
+@pytest.mark.parametrize("argv", [
+    ["list", "--tol", "1e-9"],
+    ["show", "2A2", "--tol", "1e-9"],
+    ["classify", "--entries", "2A2", "--tol", "1e-9"],
+    ["search", "2A2", "--orientation", "-1"],  # the search takes no orientation
+])
 def test_tolerance_is_not_an_option_where_unused(argv):
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--tol", "1e-9"])
+        cli.main(argv)
     assert exc.value.code == 2
 
 

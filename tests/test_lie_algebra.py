@@ -79,6 +79,11 @@ def test_antisymmetry_gate_exact_refuses_any_defect():
     with pytest.raises(ValueError, match="not antisymmetric"):
         la.LieAlgebra("diagonal", diagonal)
     assert la.LieAlgebra("same", c.copy()).exact
+    for pair in ((1.5, -1.5), (np.inf, -np.inf), ("1/2", "-1/2")):  # rationals only
+        bad = c.copy()
+        bad[i, j, k], bad[j, i, k] = pair
+        with pytest.raises(ValueError, match="must be rational"):
+            la.LieAlgebra("bad", bad)
 
 
 def test_antisymmetry_gate_float_tolerance():
@@ -234,6 +239,16 @@ def test_closedness_exact_mode():
     assert system.dim == 3
     vec = next(v for v, lbl in zip(system.kernel, system.free_pairs) if lbl == "23")
     assert vec[2] == Fraction(5, 4)
+    # Python ints are exact constants too: read as Fractions, so the kernel
+    # never divides int by int in floats.
+    L = la.instantiate(la.entry_by_name("A4,9^b"), {"b": Fraction(1, 2)}, exact=True)
+    ints = np.empty((4, 4, 4), dtype=object)
+    ints.reshape(-1)[:] = [int(2 * v) for v in L.c.reshape(-1)]
+    got = la.closedness_constraints(la.LieAlgebra("ints", ints)).kernel
+    want = la.closedness_constraints(la.LieAlgebra("fractions", 2 * L.c)).kernel
+    assert all(isinstance(x, Fraction) for v in got for x in v)
+    assert len(got) == len(want) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +359,9 @@ def test_instantiate_range_checks():
         la.instantiate(entry, {})
     with pytest.raises(la.CatalogError, match="unknown"):
         la.instantiate(entry, {"b": 0.3, "zz": 1.0})
+    for exact in (True, False):  # an integer beyond the float range
+        with pytest.raises(la.CatalogError, match="parameter p is beyond the float range"):
+            la.instantiate(la.entry_by_name("A4,2^p"), {"p": 10**400}, exact=exact)
 
 
 def test_instantiate_refuses_booleans():

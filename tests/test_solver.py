@@ -68,20 +68,19 @@ def test_context_agrees_with_residual_vector():
         n_variants = sum(v.admissible for v in entry.variants)
         for variant_index in [0, *range(1, 2 * n_variants, 2)]:
             ap = solver.sample_algebra_params(entry, rng, variant_index=variant_index)
-            for orientation in (1, -1):
-                for mode in ("free_F", "unit_F"):
-                    ctx = solver.ResidualContext(entry, ap, orientation, mode=mode)
-                    mp = solver.sample_metric_params(entry, rng)
-                    x = ctx.pack(mp, rng.uniform(-1, 1, ctx.kernel.shape[1]))
-                    got = ctx.residual(x)
-                    cand = ctx.candidate(x)
-                    want = solver.residual_vector(cand)
-                    if mode == "unit_F":
-                        g = la.metric_from_params(entry, mp)
-                        want = np.append(want, norm_sq(g, cand.f_coeffs) - 1.0)
-                    scale = max(1.0, np.abs(want).max())
-                    assert np.abs(got - want).max() < 1e-12 * scale, \
-                        (entry.name, variant_index, orientation, mode)
+            for mode in ("free_F", "unit_F"):
+                ctx = solver.ResidualContext(entry, ap, mode=mode)
+                mp = solver.sample_metric_params(entry, rng)
+                x = ctx.pack(mp, rng.uniform(-1, 1, ctx.kernel.shape[1]))
+                got = ctx.residual(x)
+                cand = ctx.candidate(x)
+                assert cand.orientation == 1
+                want = solver.residual_vector(cand)
+                if mode == "unit_F":
+                    g = la.metric_from_params(entry, mp)
+                    want = np.append(want, norm_sq(g, cand.f_coeffs) - 1.0)
+                scale = max(1.0, np.abs(want).max())
+                assert np.abs(got - want).max() < 1e-12 * scale, (entry.name, variant_index, mode)
 
 
 def _batch(entry, mode, rng, size=4):
@@ -202,7 +201,7 @@ def test_refine_to_family_point():
     assert a5 == pytest.approx((1 + a34 ** 2) / (1 + a12 ** 2), abs=1e-9)
 
 
-def test_search_refuses_bad_tol_and_orientation(monkeypatch):
+def test_search_refuses_bad_tol_and_mode(monkeypatch):
     # Refused before any seed is sampled or refined, on every entry point.
     def no_program(*segments):
         raise AssertionError("a program ran")
@@ -213,9 +212,6 @@ def test_search_refuses_bad_tol_and_orientation(monkeypatch):
             solver.multistart_search("2A2", 4, seed=5, tol=tol)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             solver.classify_algebra("A4,4", n_seeds=2, seed=5, tol=tol)
-    for orientation in (0, 2, -2, 1.0, True):
-        with pytest.raises(ValueError, match="orientation must be the integer 1 or -1"):
-            solver.multistart_search("2A2", 4, seed=5, orientation=orientation)
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         solver.multistart_search("2A2", 2, mode="bogus")
     with pytest.raises(ValueError, match="tol"):
@@ -227,6 +223,23 @@ def test_refine_fixed_point():
     res = solver.refine(cand_2a2())
     assert res.converged and res.iterations == 0
     assert np.abs(res.candidate.f_coeffs - cand_2a2().f_coeffs).max() == 0
+
+
+def test_refine_keeps_the_orientation_label():
+    # The refinement does not depend on the orientation (d*F = 0 is the same
+    # condition in both), and its candidate keeps the start's label.
+    fam = FAMILIES["A49half"]
+    done = {}
+    for orientation in (1, -1):
+        start = solver.family_candidate(fam, fam.default_grid[0], orientation)
+        start.f_coeffs = start.f_coeffs * 1.05
+        done[orientation] = solver.refine(start)
+    plus, minus = done[1], done[-1]
+    assert plus.iterations > 0 and minus.candidate.orientation == -1
+    assert minus.candidate.to_dict() == {**plus.candidate.to_dict(), "orientation": -1}
+    assert np.array_equal(minus.candidate.f_coeffs, plus.candidate.f_coeffs)
+    assert ((minus.converged, minus.iterations, minus.reason, minus.n_evals, minus.max_residual)
+            == (plus.converged, plus.iterations, plus.reason, plus.n_evals, plus.max_residual))
 
 
 def test_refine_a44_unit_norm_fails():
@@ -410,7 +423,7 @@ def test_family_points_samples_and_starts_still_build():
                 la.instantiate(la.entry_by_name(cand.entry_name), cand.algebra_params)
     for entry in la.catalog():
         la.instantiate(entry, entry.sample_params())
-        for ctx, x0 in solver._starts(entry, 3, range(4), "unit_F", 1).values():
+        for ctx, x0 in solver._starts(entry, 3, range(4), "unit_F").values():
             if x0 is not None:
                 solver.residual_vector(ctx.candidate(x0))
 
@@ -545,10 +558,10 @@ def test_lockstep_block_matches_seeds_run_alone(monkeypatch, name, n_seeds):
         return ok
 
     monkeypatch.setattr(solver.ResidualContext, "feasible", spy)
-    block = solver._run_block((name, 7, 0, n_seeds, "unit_F", 1, maxwell.TOL_SOLUTION))
+    block = solver._run_block((name, 7, 0, n_seeds, "unit_F", maxwell.TOL_SOLUTION))
     monkeypatch.undo()
     assert (sum(refused) > 0) == (name != "A4,6^{a,0}"), sum(refused)
-    alone = [solver._run_block((name, 7, i, i + 1, "unit_F", 1, maxwell.TOL_SOLUTION))[0]
+    alone = [solver._run_block((name, 7, i, i + 1, "unit_F", maxwell.TOL_SOLUTION))[0]
              for i in range(n_seeds)]
     for b, a in zip(block, alone):
         assert b["status"] == a["status"] == "refined", (name, b["index"])
@@ -701,7 +714,7 @@ def _blocks(entry, seed, n_seeds, mode):
     """(contexts, starts) of each group of equal search dimension, as
     ``_run_block`` forms them."""
     groups = {}
-    for ctx, x0 in solver._starts(entry, seed, range(n_seeds), mode, 1).values():
+    for ctx, x0 in solver._starts(entry, seed, range(n_seeds), mode).values():
         if x0 is not None:
             groups.setdefault(len(x0), []).append((ctx, x0))
     return [tuple(zip(*members)) for members in groups.values()]
@@ -748,7 +761,7 @@ def test_narrow_seeds_keep_their_bits_after_the_wide_seed_stops():
     # width 8, their steps would round differently from a lone run's.
     wide = solver.ResidualContext(la.entry_by_name("2A2"), {}, mode="free_F")
     family = cand_2a2()
-    narrow = list(solver._starts(la.entry_by_name("A2+2A1"), 5, range(4), "free_F", 1).values())
+    narrow = list(solver._starts(la.entry_by_name("A2+2A1"), 5, range(4), "free_F").values())
     x0 = np.zeros((5, 8))
     x0[0] = wide.pack(family.metric_params, wide.project_f(family.f_coeffs)[0])
     for s, (_, start) in enumerate(narrow, 1):
