@@ -1,7 +1,9 @@
 """Tiny polynomial expression evaluator for catalog entries.
 
 Grammar (deliberately minimal): +, -, *, ^ (nonnegative integer exponent),
-parentheses, decimal/integer literals and parameter identifiers.  Evaluation
+parentheses, decimal/integer literals and parameter identifiers.  A sign
+binds tighter than * and looser than ^, wherever it stands: ``-x^n`` is
+-(x^n), as in ``1*-x^n``, and ``(-x)^n`` raises -x.  Evaluation
 is exact when the environment supplies Fraction values, since literals are
 parsed with Fraction and only ring operations are performed.  Each source
 string is parsed once into a closure and reused.
@@ -135,14 +137,7 @@ class _Parser:
         return fn
 
     def expr(self):
-        kind, text = self.peek()
-        negate = False
-        if kind == "op" and text in "+-":
-            self.take()
-            negate = text == "-"
         fn = self.term()
-        if negate:
-            fn = _unary(operator.neg, fn)
         while True:
             kind, text = self.peek()
             if kind == "op" and text in "+-":
@@ -153,14 +148,22 @@ class _Parser:
                 return fn
 
     def term(self):
-        fn = self.power()
+        fn = self.signed()
         while True:
             kind, text = self.peek()
             if kind == "op" and text == "*":
                 self.take()
-                fn = _binary(operator.mul, fn, self.power())
+                fn = _binary(operator.mul, fn, self.signed())
             else:
                 return fn
+
+    def signed(self):
+        kind, text = self.peek()
+        if kind == "op" and text in "+-":
+            self.take()
+            fn = self.signed()
+            return _unary(operator.neg, fn) if text == "-" else fn
+        return self.power()
 
     def power(self):
         base = self.atom()
@@ -185,8 +188,6 @@ class _Parser:
             if not (kind == "op" and text == ")"):
                 raise ExpressionError(f"unbalanced parentheses in {self.src!r}")
             return fn
-        if kind == "op" and text == "-":
-            return _unary(operator.neg, self.atom())
         raise ExpressionError(f"unexpected token {text!r} in {self.src!r}")
 
 

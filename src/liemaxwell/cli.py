@@ -7,18 +7,18 @@ catalog checksum so runs are reproducible from the report alone.
 
 Input errors are raised as ``ValueError`` (or ``OSError``, from a ``--out``
 path that cannot be written) and reach one handler in ``main``, which prints
-a single ``error:`` line and returns 2.  ``main`` checks the
-options (``--tol`` positive and finite, ``--seed``/``--seeds`` nonnegative)
-before any command runs.  Only ``curvature``, ``verify``, ``family`` and
-``search`` take ``--tol``; its default is set in the parser and recorded in the
-report's ``config``.
+a single ``error:`` line and returns 2.  ``main`` checks that ``--seed``
+and ``--seeds`` are nonnegative before any command runs.  Tolerances are
+constants of the method, not options: ``curvature`` decides Einstein at
+``TOL_EINSTEIN``, ``verify`` and ``search`` accept a solution at
+``TOL_SOLUTION``, and ``family`` passes a grid at ``TOL_FAMILY``; the
+report's ``config.tol`` records the one used.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -28,10 +28,11 @@ import numpy as np
 from .families import FAMILIES, family_by_id
 from .kahler import hermitian_diagnostics
 from .lie_algebra import VERDICTS, catalog, catalog_checksum, entry_by_name
-from .maxwell import EINSTEIN_NULL_STRESS, NON_EINSTEIN_EM, TOL_SOLUTION, em_residual
+from .maxwell import (EINSTEIN_NULL_STRESS, NON_EINSTEIN_EM, TOL_EINSTEIN, TOL_SOLUTION,
+                      em_residual)
 from .metric_geometry import curvature_summary
-from .solver import (MODES, Candidate, _admitted, classify_table, multistart_search,
-                     number_object, verify_solution_family)
+from .solver import (MODES, TOL_FAMILY, Candidate, _admitted, classify_table,
+                     multistart_search, number_object, verify_solution_family)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -125,11 +126,11 @@ def cmd_show(args) -> int:
 def cmd_curvature(args) -> int:
     entry = entry_by_name(args.entry)
     L, g = _admitted(entry, _params_arg(args.algebra_params), _params_arg(args.metric_params))
-    config = RunConfig(command="curvature", entries=[entry.name], tol=args.tol)
+    config = RunConfig(command="curvature", entries=[entry.name], tol=TOL_EINSTEIN)
     _, _, ric, s, ric0 = curvature_summary(L, g)
     if not (np.isfinite(ric).all() and np.isfinite(ric0).all() and np.isfinite(s)):
         raise ValueError("curvature is not finite: the metric's values overflow floating point")
-    einstein = bool(np.abs(ric0).max() <= args.tol)
+    einstein = bool(np.abs(ric0).max() <= TOL_EINSTEIN)
     payload = {
         "entry": entry.name,
         "metric": [[float(x) for x in row] for row in g],
@@ -148,9 +149,9 @@ def cmd_verify(args) -> int:
     cand = Candidate.from_json(args.candidate)
     entry = entry_by_name(cand.entry_name)
     L, g = _admitted(entry, cand.algebra_params, cand.metric_params)
-    config = RunConfig(command="verify", entries=[entry.name], tol=args.tol,
+    config = RunConfig(command="verify", entries=[entry.name], tol=TOL_SOLUTION,
                        orientation=cand.orientation)
-    report = em_residual(L, g, cand.f_coeffs, cand.orientation, tol=args.tol)
+    report = em_residual(L, g, cand.f_coeffs, cand.orientation)
     computed = (report.r_em, report.r_dF, report.r_dstarF, report.scalar_curvature)
     if not all(np.isfinite(computed)):
         raise ValueError("residuals are not finite: the candidate's values overflow "
@@ -170,9 +171,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_family(args) -> int:
-    report = verify_solution_family(args.family, orientation=args.orientation, tol=args.tol)
+    report = verify_solution_family(args.family, orientation=args.orientation)
     config = RunConfig(command="family", entries=[report.family_id],
-                       orientation=args.orientation, tol=args.tol)
+                       orientation=args.orientation, tol=TOL_FAMILY)
     text = (f"family {report.family_id} (orientation {report.orientation:+d}): "
             f"{'PASS' if report.all_pass else 'FAIL'} over {report.n_points} points; "
             f"max residual {report.max_residual:.3e}, kappa err {report.max_kappa_error:.3e}, "
@@ -184,9 +185,9 @@ def cmd_family(args) -> int:
 def cmd_search(args) -> int:
     entry = entry_by_name(args.entry)
     config = RunConfig(command="search", entries=[entry.name], seed=args.seed,
-                       seeds=args.seeds, mode=args.mode, tol=args.tol)
+                       seeds=args.seeds, mode=args.mode, tol=TOL_SOLUTION)
     outcome = multistart_search(entry, n_seeds=args.seeds, seed=args.seed, mode=args.mode,
-                                n_jobs=args.jobs, tol=args.tol)
+                                n_jobs=args.jobs)
     classes: dict[str, int] = {}
     for _, rep in outcome.solutions:
         classes[rep.classification] = classes.get(rep.classification, 0) + 1
@@ -250,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("entry")
     p.add_argument("--metric-params", required=True, metavar="JSON")
     p.add_argument("--algebra-params", metavar="JSON")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="largest |Ric0| entry still Einstein (default %(default)g)")
     common(p)
     p.set_defaults(fn=cmd_curvature)
 
@@ -259,16 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("candidate", help="candidate JSON path")
     p.add_argument("--require", default="any",
                    choices=["any", NON_EINSTEIN_EM, EINSTEIN_NULL_STRESS])
-    p.add_argument("--tol", type=float, default=TOL_SOLUTION,
-                   help="largest residual of a solution (default %(default)g)")
     common(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("family", help="verify one of the four solution families")
     p.add_argument("family", help="family id: " + ", ".join(FAMILIES))
     p.add_argument("--orientation", type=int, choices=[1, -1], default=1)
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="largest residual and error at a grid point (default %(default)g)")
     common(p)
     p.set_defaults(fn=cmd_family)
 
@@ -281,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="unit_F")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timing", action="store_true", help="include wall time in the report")
-    p.add_argument("--tol", type=float, default=TOL_SOLUTION,
-                   help="largest residual of a solution (default %(default)g)")
     common(p)
     p.set_defaults(fn=cmd_search)
 
@@ -302,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
-            raise ValueError(f"--tol must be positive and finite, got {args.tol}")
         if min(getattr(args, "seed", 0), getattr(args, "seeds", 0)) < 0:
             raise ValueError("--seed and --seeds must be nonnegative")
         # Every command refuses non-finite results itself; numpy's overflow

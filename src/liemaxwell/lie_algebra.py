@@ -348,20 +348,23 @@ def instantiate(entry: CatalogEntry, params: dict | None = None, *,
     flags = sorted(k for k, v in params.items() if isinstance(v, (bool, np.bool_)))
     if flags:
         raise CatalogError(f"{entry.name}: algebra parameters {flags} must be numbers, not booleans")
+
+    def as_float(name):
+        try:
+            return float(params[name])
+        except OverflowError:  # an integer beyond the float range
+            raise CatalogError(
+                f"{entry.name}: parameter {name} is beyond the float range") from None
+
     if check_range:
         for spec in entry.params:
-            try:
-                value = float(params[spec.name])
-            except OverflowError:  # an integer beyond the float range
-                raise CatalogError(
-                    f"{entry.name}: parameter {spec.name} is beyond the float range") from None
-            if not spec.admits(value):
+            if not spec.admits(as_float(spec.name)):
                 raise CatalogError(
                     f"{entry.name}: parameter {spec.name}={params[spec.name]} outside admissible range")
     if exact:
         env = dict(zip(params, as_fractions(np.array(list(params.values()), dtype=object))))
     else:
-        env = {k: float(v) for k, v in params.items()}
+        env = {k: as_float(k) for k in params}
     table: dict[tuple[int, int], dict[int, object]] = {}
     for i, j, coeffs in entry.brackets:
         row = table.setdefault((i, j), {})

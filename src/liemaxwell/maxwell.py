@@ -67,14 +67,13 @@ class EMReport:
     trivial_F: bool
     scalar_curvature: float
     classification: str
-    tol: float = TOL_SOLUTION
     hermitian: dict | None = None
     inputs: dict = field(default_factory=dict)
 
     @property
     def is_solution(self) -> bool:
-        """Every residual is within tol; a NaN residual never is."""
-        return all(r <= self.tol for r in (self.r_em, self.r_dF, self.r_dstarF))
+        """Every residual is within TOL_SOLUTION; a NaN residual never is."""
+        return all(r <= TOL_SOLUTION for r in (self.r_em, self.r_dF, self.r_dstarF))
 
     def to_dict(self) -> dict:
         out = {
@@ -85,7 +84,7 @@ class EMReport:
             "trivial_F": self.trivial_F,
             "scalar_curvature": self.scalar_curvature,
             "classification": self.classification,
-            "tol": self.tol,
+            "tol": TOL_SOLUTION,
         }
         if self.hermitian is not None:
             out["hermitian"] = self.hermitian
@@ -94,8 +93,7 @@ class EMReport:
         return out
 
 
-def em_residual(L, g: np.ndarray, a: np.ndarray, orientation: int = 1,
-                tol: float = TOL_SOLUTION):
+def em_residual(L, g: np.ndarray, a: np.ndarray, orientation: int = 1):
     """Evaluate the full system on candidates and classify them.
 
     One algebra with g (4, 4) and a (6,) gives one EMReport; a sequence of S
@@ -114,7 +112,7 @@ def em_residual(L, g: np.ndarray, a: np.ndarray, orientation: int = 1,
     einstein = np.abs(ric0).max(axis=(-2, -1)) <= TOL_EINSTEIN
     trivial = np.sqrt(np.maximum(norm_sq(g, a), 0.0)) <= TOL_TRIVIAL_F
     # Each residual on its own: a NaN fails its comparison, where max may drop it.
-    solved = (r_em <= tol) & (r_df <= tol) & (r_dstar <= tol)
+    solved = (r_em <= TOL_SOLUTION) & (r_df <= TOL_SOLUTION) & (r_dstar <= TOL_SOLUTION)
     reports = []
     for k in [()] if g.ndim == 2 else range(len(g)):
         if solved[k]:
@@ -126,7 +124,7 @@ def em_residual(L, g: np.ndarray, a: np.ndarray, orientation: int = 1,
             r_em=float(r_em[k]), r_dF=float(r_df[k]), r_dstarF=float(r_dstar[k]),
             einstein=bool(einstein[k]), trivial_F=bool(trivial[k]),
             scalar_curvature=float(s[k]),
-            classification=classification, tol=tol,
+            classification=classification,
             inputs={"orientation": orientation, "f_coeffs": a[k].tolist(),
                     "metric": g[k].tolist()},
         ))

@@ -48,8 +48,8 @@ last bits, never in the end points they describe).
 Determinism contract: the per-seed RNG is ``default_rng(seed ^ index)``,
 programs are fixed by request and index, every seed runs at most ``SEARCH_MAX_ITER``
 iterations and results are merged in index order, so an outcome depends on
-entry, seed, n_seeds, mode and tol, and never on n_jobs: serial and
-parallel reports are byte-identical.
+entry, seed, n_seeds and mode, and never on n_jobs: serial and parallel
+reports are byte-identical.
 """
 
 from __future__ import annotations
@@ -86,6 +86,14 @@ EVIDENCE_FACTOR = 100.0
 #: metric draws before ``sample_metric_params`` gives up on an entry.
 SEARCH_MAX_ITER = 45
 SAMPLE_TRIES = 600
+
+#: Largest residual at which a search's Levenberg-Marquardt run stops, a
+#: hundredth of TOL_SOLUTION.
+SEARCH_TOL = 1e-11
+
+#: Largest residual, Kahler scale error, rho0 error and decomposition
+#: defect at a family grid point that passes ``verify_solution_family``.
+TOL_FAMILY = 1e-10
 
 #: Search modes: F on the unit sphere |F|^2_g = 1, or F free.
 MODES = ("unit_F", "free_F")
@@ -994,12 +1002,12 @@ def _starts(entry: CatalogEntry, seed: int, indices: range, mode: str) -> dict:
 
 def _run_block(*segments) -> list[dict]:
     """The seeds of one program: ``segments`` are seed ranges (entry_name,
-    seed, lo, hi, mode, tol), one per request, of one mode and tol.  Sample
+    seed, lo, hi, mode), one per request, of one mode.  Sample
     each range's starts, refine them in one lockstep ``_levmar``, each x
     padded to the widest width, and re-verify the end points independently,
     in one stacked ``em_residual`` call.  One record per seed, in segment
     order, then index order."""
-    *_, mode, tol = segments[0]
+    mode = segments[0][-1]
     records, members = [], []
     for entry_name, seed, lo, hi, *_ in segments:
         starts = _starts(entry_by_name(entry_name), seed, range(lo, hi), mode)
@@ -1014,13 +1022,12 @@ def _run_block(*segments) -> list[dict]:
     for s, start in enumerate(starts):
         x0[s, :len(start)] = start
     x, iters, reasons, _ = _levmar(ResidualContext.stack(ctxs), x0,
-                                   tol=min(tol * 1e-2, 1e-11), max_iter=SEARCH_MAX_ITER)
+                                   tol=SEARCH_TOL, max_iter=SEARCH_MAX_ITER)
     cands = [canonical_sign(ctx.candidate(end[:len(ctx.names)])) for ctx, end in zip(ctxs, x)]
     # Independent re-verification through the geometry modules only: each
     # algebra and metric instantiated from its own candidate.
     _, algebras, metrics = zip(*map(_instantiated, cands))
-    reports = em_residual(algebras, np.array(metrics), np.array([c.f_coeffs for c in cands]),
-                          tol=tol)
+    reports = em_residual(algebras, np.array(metrics), np.array([c.f_coeffs for c in cands]))
     for s, record in enumerate(refined):
         record.update(reason=reasons[s], iterations=int(iters[s]), candidate=cands[s],
                       report=reports[s])
@@ -1035,14 +1042,13 @@ class SearchRequest:
     n_seeds: int
     seed: int = 0
     mode: str = "unit_F"
-    tol: float = TOL_SOLUTION
 
 
 def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[SearchOutcome]:
     """``multistart_search`` for each request, in one set of programs.
 
     The seeds of all requests, in request order and then index order, are
-    cut into programs of at most ``_BLOCK`` seeds, and where mode or tol
+    cut into programs of at most ``_BLOCK`` seeds, and where the mode
     changes; with n_jobs > 1 a process pool takes whole programs.  The
     packing never depends on n_jobs, and a seed's result is the one it has
     alone, so each outcome is that of the request's own ``multistart_search``
@@ -1052,8 +1058,6 @@ def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[Sear
         raise ValueError("n_jobs must be >= 1")
     if any(r.n_seeds < 1 for r in requests):
         raise ValueError("n_seeds must be >= 1")
-    if not all(0 < r.tol < math.inf for r in requests):  # NaN fails too
-        raise ValueError("tol must be positive and finite")
     for r in requests:
         if r.mode not in MODES:
             raise ValueError(f"unknown mode {r.mode!r}")
@@ -1065,11 +1069,11 @@ def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[Sear
     for r, entry in zip(requests, entries):
         lo = 0
         while lo < r.n_seeds:
-            if not room or programs[-1][-1][4:] != (r.mode, r.tol):
+            if not room or programs[-1][-1][-1] != r.mode:
                 programs.append([])
                 room = _BLOCK
             hi = min(r.n_seeds, lo + room)
-            programs[-1].append((entry.name, r.seed, lo, hi, r.mode, r.tol))
+            programs[-1].append((entry.name, r.seed, lo, hi, r.mode))
             room -= hi - lo
             lo = hi
     workers = min(n_jobs, len(programs))
@@ -1123,13 +1127,13 @@ def _outcome(entry: CatalogEntry, request: SearchRequest, results: list[dict]) -
 
 
 def multistart_search(entry, n_seeds: int, seed: int = 0, mode: str = "unit_F",
-                      tol: float = TOL_SOLUTION, n_jobs: int = 1) -> SearchOutcome:
+                      n_jobs: int = 1) -> SearchOutcome:
     """Refine from n_seeds deterministic random starts and collect solutions:
     the one-request case of ``multistart_many``.  Seeds run in fixed blocks
     of consecutive indices (``_BLOCK``); with n_jobs > 1 a process pool
     takes whole blocks, so the outcome is the same for every n_jobs.
     """
-    return multistart_many([SearchRequest(entry, n_seeds, seed, mode, tol)], n_jobs)[0]
+    return multistart_many([SearchRequest(entry, n_seeds, seed, mode)], n_jobs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1166,8 +1170,7 @@ def family_candidate(fam: Family, point: dict, orientation: int = 1) -> Candidat
     )
 
 
-def verify_solution_family(family_id: str, orientation: int = 1,
-                           tol: float = 1e-10) -> FamilyReport:
+def verify_solution_family(family_id: str, orientation: int = 1) -> FamilyReport:
     """Run the full verification battery on the family's default grid; each
     point is admitted once and passes the reference chain once.  An
     orientation the family does not state (``Family.orientations``) is a
@@ -1200,7 +1203,8 @@ def verify_solution_family(family_id: str, orientation: int = 1,
         kappa, defect = verify_kahler_decomposition(g, cand.f_coeffs, omega, rho0, orientation)
         max_kerr = max(max_kerr, abs(kappa - fam.expected_kappa(point, orientation)))
         max_defect = max(max_defect, defect)
-    ok = ok and max_res <= tol and max_kerr <= tol and max_rho_err <= tol and max_defect <= tol
+    ok = (ok and max_res <= TOL_FAMILY and max_kerr <= TOL_FAMILY and max_rho_err <= TOL_FAMILY
+          and max_defect <= TOL_FAMILY)
     return FamilyReport(
         family_id=fam.id, orientation=orientation, n_points=len(fam.default_grid),
         max_residual=max_res, max_kappa_error=max_kerr, max_rho0_error=max_rho_err,
@@ -1233,8 +1237,8 @@ class ClassifyOutcome:
         return out
 
 
-def classify_table(entries, n_seeds: int = 200, seed: int = 0, n_jobs: int = 1,
-                   tol: float = TOL_SOLUTION) -> list[ClassifyOutcome]:
+def classify_table(entries, n_seeds: int = 200, seed: int = 0,
+                   n_jobs: int = 1) -> list[ClassifyOutcome]:
     """Compare the search verdict with the catalog verdict, one row per entry.
 
     Runs the unit-norm pass of every row first, as one ``multistart_many``
@@ -1254,13 +1258,12 @@ def classify_table(entries, n_seeds: int = 200, seed: int = 0, n_jobs: int = 1,
     towards degeneracy.
     """
     entries = [e if isinstance(e, CatalogEntry) else entry_by_name(e) for e in entries]
-    units = multistart_many([SearchRequest(e, n_seeds, seed, "unit_F", tol=tol) for e in entries],
-                            n_jobs)
+    units = multistart_many([SearchRequest(e, n_seeds, seed, "unit_F") for e in entries], n_jobs)
     need = [i for i, unit in enumerate(units) if not _non_einstein(unit.solutions)]
-    frees = multistart_many([SearchRequest(entries[i], n_seeds, seed, "free_F", tol=tol)
-                             for i in need], n_jobs)
+    frees = multistart_many([SearchRequest(entries[i], n_seeds, seed, "free_F") for i in need],
+                            n_jobs)
     free_of = dict(zip(need, frees))
-    return [_classify_row(entry, unit, free_of.get(i), tol)
+    return [_classify_row(entry, unit, free_of.get(i))
             for i, (entry, unit) in enumerate(zip(entries, units))]
 
 
@@ -1268,8 +1271,8 @@ def _non_einstein(solutions: list) -> list:
     return [s for s in solutions if s[1].classification == NON_EINSTEIN_EM]
 
 
-def _classify_row(entry: CatalogEntry, outcome: SearchOutcome, free_pass: SearchOutcome | None,
-                  tol: float) -> ClassifyOutcome:
+def _classify_row(entry: CatalogEntry, outcome: SearchOutcome,
+                  free_pass: SearchOutcome | None) -> ClassifyOutcome:
     non_einstein = _non_einstein(outcome.solutions)
     solutions = list(outcome.solutions)
     free_miss = float("inf")
@@ -1289,8 +1292,9 @@ def _classify_row(entry: CatalogEntry, outcome: SearchOutcome, free_pass: Search
         computed = "NoNonEinsteinEMFound"
         # No refined seed is no evidence; a near miss, or a NaN one, is
         # evidence against.  No miss (inf) leaves the verdict standing.
+        band = EVIDENCE_FACTOR * TOL_SOLUTION
         inconclusive = bool(outcome.seeds_refined == 0
-                            or not outcome.best_nonsolution_residual > EVIDENCE_FACTOR * tol)
+                            or not outcome.best_nonsolution_residual > band)
     if entry.verdict == "HasNonEinsteinEM":
         agree = computed == "HasNonEinsteinEM"
     else:
@@ -1305,7 +1309,7 @@ def _classify_row(entry: CatalogEntry, outcome: SearchOutcome, free_pass: Search
     )
 
 
-def classify_algebra(entry, n_seeds: int = 200, seed: int = 0, n_jobs: int = 1,
-                     tol: float = TOL_SOLUTION) -> ClassifyOutcome:
+def classify_algebra(entry, n_seeds: int = 200, seed: int = 0,
+                     n_jobs: int = 1) -> ClassifyOutcome:
     """One row of ``classify_table``."""
-    return classify_table([entry], n_seeds, seed, n_jobs, tol)[0]
+    return classify_table([entry], n_seeds, seed, n_jobs)[0]

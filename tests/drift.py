@@ -10,8 +10,8 @@ grid point and orientation (refined from the point with F scaled by
 and largest residual), and CLI records, each the parsed stdout (None when
 empty) and the exit code of one ``main`` call: ``family <id> --json`` and
 ``verify --json`` at every family grid point, both in orientations +1 and
--1, and ``verify`` of one inadmissible document; then compares two such
-files::
+-1, ``curvature <entry> --json`` at every family grid point, and ``verify``
+of one inadmissible document; then compares two such files::
 
     PYTHONPATH=src python3 tests/drift.py write before.jsonl
     PYTHONPATH=src python3 tests/drift.py write after.jsonl
@@ -22,8 +22,8 @@ ledgers (seed counts and stop reasons; a refinement's iterations, stop
 reason and evaluations; a CLI record's exit code) are identical, those
 whose verdicts (solution classes, a classify row's verdict, a refinement's
 stop reason, a family's ``all_pass`` and classifications, a verify
-classification) are identical, and gives the largest relative change of a
-closest miss.
+classification, a curvature report's ``einstein``) are identical, and gives
+the largest relative change of a closest miss.
 It names every report that is not byte-identical, each with the first
 field in which they differ.  Either file's 200-seed table must equal between
 its serial and its ``--jobs 2`` run.  Without KEYs it exits 1 when that
@@ -119,6 +119,14 @@ def write(path: str) -> None:
                         fh.write(json.dumps({"key": key,
                                              "report": _run_cli(["verify", str(doc), "--json"])})
                                  + "\n")
+                for point_index, point in enumerate(fam.default_grid):
+                    cand = solver.family_candidate(fam, point)
+                    argv = ["curvature", fam.entry_name, "--metric-params",
+                            json.dumps(cand.metric_params), "--json"]
+                    if cand.algebra_params:
+                        argv += ["--algebra-params", json.dumps(cand.algebra_params)]
+                    fh.write(json.dumps({"key": ["curvature", fam.id, point_index],
+                                         "report": _run_cli(argv)}) + "\n")
             doc.write_text(json.dumps(INADMISSIBLE))
             fh.write(json.dumps({"key": ["verify", "inadmissible"],
                                  "report": _run_cli(["verify", str(doc), "--json"])}) + "\n")
@@ -137,7 +145,8 @@ def _parts(report: dict) -> list[dict]:
 def _verdict(part: dict):
     if "exit" in part:  # a CLI record
         doc = part["stdout"] or {}
-        return doc.get("all_pass"), doc.get("classifications"), doc.get("classification")
+        return (doc.get("all_pass"), doc.get("classifications"), doc.get("classification"),
+                doc.get("einstein"))
     if "computed" in part:
         return part["computed"], part["agree"], part["inconclusive"], part["n_non_einstein"]
     if "reason" in part:  # a refinement

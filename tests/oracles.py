@@ -391,10 +391,7 @@ def eval_expr_interpreted(src, env):
         return tokens[pos - 1]
 
     def expr():
-        negate = tokens[pos] in ("+", "-") and take() == "-"
         val = term()
-        if negate:
-            val = -val
         while tokens[pos] in ("+", "-"):
             op = take()
             rhs = term()
@@ -402,11 +399,16 @@ def eval_expr_interpreted(src, env):
         return val
 
     def term():
-        val = power()
+        val = signed()
         while tokens[pos] == "*":
             take()
-            val = val * power()
+            val = val * signed()
         return val
+
+    def signed():
+        if tokens[pos] in ("+", "-"):
+            return -signed() if take() == "-" else signed()
+        return power()
 
     def power():
         base = atom()
@@ -423,8 +425,6 @@ def eval_expr_interpreted(src, env):
             val = expr()
             assert take() == ")"
             return val
-        if tok == "-":
-            return -atom()
         return env[tok]
 
     val = expr()

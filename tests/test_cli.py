@@ -296,11 +296,6 @@ def test_family_command(capsys):
     assert code == 2
 
 
-def test_nonpositive_tolerance_is_input_error(capsys):
-    code, _, err = run(["search", "2A2", "--seeds", "2", "--tol", "-1"], capsys)
-    assert code == 2 and "positive" in err
-
-
 @pytest.mark.parametrize("argv", [["search", "2A2", "--seeds", "2", "--jobs", "0"],
                                   ["classify", "--entries", "2A2", "--seeds", "2", "--jobs", "0"]])
 def test_zero_jobs_is_input_error(capsys, argv):
@@ -406,8 +401,8 @@ def test_verify_refuses_values_of_the_wrong_json_type(capsys, tmp_path, doc):
     refusal(capsys, tmp_path, ["verify", "DOC"], doc)
 
 
-#: For each command taking --tol: a valid invocation, and the function that
-#: does its work.
+#: For each command that took --tol: a valid invocation, and the function
+#: that does its work.
 _TOL_COMMANDS = {
     "curvature": (["curvature", "2A2", "--metric-params",
                    json.dumps(_SOLUTION_2A2["metric_params"])], (cli, "curvature_summary")),
@@ -420,14 +415,21 @@ _TOL_COMMANDS = {
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("command", sorted(_TOL_COMMANDS))
 def test_bad_tolerance_is_refused_before_any_work(capsys, monkeypatch, tmp_path, command, tol):
+    # The tolerances are constants of the method: the values --tol once
+    # refused, like any other, now meet an unknown option.
     argv, (module, work) = _TOL_COMMANDS[command]
 
     def must_not_run(*args, **kwargs):
         raise AssertionError(f"{work} ran")
 
     monkeypatch.setattr(module, work, must_not_run)
-    err = refusal(capsys, tmp_path, argv + ["--tol", tol], _SOLUTION_2A2)
-    assert err.startswith("error: --tol must be positive and finite")
+    path = tmp_path / "candidate.json"
+    path.write_text(json.dumps(_SOLUTION_2A2))
+    argv = [str(path) if a == "DOC" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--tol", tol])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 _UNKNOWN_ENTRY = "error: no catalog entry named 'zz'\n"
@@ -459,6 +461,12 @@ def test_refusal_is_one_error_line(capsys, tmp_path, argv, doc, message):
     ["show", "2A2", "--tol", "1e-9"],
     ["classify", "--entries", "2A2", "--tol", "1e-9"],
     ["search", "2A2", "--orientation", "-1"],  # the search takes no orientation
+    # No command takes a tolerance: each is a constant of the method.
+    ["curvature", "2A2", "--metric-params", json.dumps(_SOLUTION_2A2["metric_params"]),
+     "--tol", "1e-9"],
+    ["verify", "candidate.json", "--tol", "1e-9"],
+    ["family", "2A2", "--tol", "1e-9"],
+    ["search", "2A2", "--seeds", "2", "--tol", "1e-9"],
 ])
 def test_tolerance_is_not_an_option_where_unused(argv):
     with pytest.raises(SystemExit) as exc:
@@ -466,9 +474,16 @@ def test_tolerance_is_not_an_option_where_unused(argv):
     assert exc.value.code == 2
 
 
-def test_report_config_records_the_tolerance_used(capsys):
+def test_report_config_records_the_tolerance_used(capsys, tmp_path):
     code, out, _ = run(["family", "2A2", "--json"], capsys)
     assert code == 0 and json.loads(out)["config"]["tol"] == 1e-10
-    code, out, _ = run(["search", "2A2", "--seeds", "2", "--tol", "1e-8", "--json"], capsys)
+    code, out, _ = run(["search", "2A2", "--seeds", "2", "--json"], capsys)
     config = json.loads(out)["config"]
-    assert code == 0 and config["tol"] == 1e-8 and "output_format" not in config
+    assert code == 0 and config["tol"] == 1e-9 and "output_format" not in config
+    doc = tmp_path / "candidate.json"
+    doc.write_text(json.dumps(_SOLUTION_2A2))
+    code, out, _ = run(["verify", str(doc), "--json"], capsys)
+    assert code == 0 and json.loads(out)["config"]["tol"] == 1e-9
+    code, out, _ = run(["curvature", "2A2", "--metric-params",
+                        json.dumps(_SOLUTION_2A2["metric_params"]), "--json"], capsys)
+    assert code == 0 and json.loads(out)["config"]["tol"] == 1e-9

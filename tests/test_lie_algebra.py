@@ -359,9 +359,9 @@ def test_instantiate_range_checks():
         la.instantiate(entry, {})
     with pytest.raises(la.CatalogError, match="unknown"):
         la.instantiate(entry, {"b": 0.3, "zz": 1.0})
-    for exact in (True, False):  # an integer beyond the float range
+    for kwargs in ({"exact": True}, {"exact": False}, {"check_range": False}):
         with pytest.raises(la.CatalogError, match="parameter p is beyond the float range"):
-            la.instantiate(la.entry_by_name("A4,2^p"), {"p": 10**400}, exact=exact)
+            la.instantiate(la.entry_by_name("A4,2^p"), {"p": 10**400}, **kwargs)
 
 
 def test_instantiate_refuses_booleans():
@@ -458,3 +458,12 @@ def test_compiled_expressions_match_interpreter():
         for i in range(64):
             want = orc.eval_expr_interpreted(expr, {k: float(v[i]) for k, v in arrays.items()})
             assert repr(float(got[i])) == repr(float(want)), (expr, i)
+
+
+@pytest.mark.parametrize("src,value", [("-a^2", -4), ("0 - a^2", -4), ("0 + -a^2", -4),
+                                       ("1*-a^2", -4), ("(-a)^2", 4)])
+def test_unary_minus_binds_looser_than_power_everywhere(src, value):
+    # A minus after an operator used to negate the base before ^ was applied.
+    for env in ({"a": 2}, {"a": 2.0}, {"a": np.full(3, 2.0)}):
+        assert np.all(eval_expr(src, env) == value), env
+    assert orc.eval_expr_interpreted(src, {"a": 2}) == value

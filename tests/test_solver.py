@@ -201,22 +201,17 @@ def test_refine_to_family_point():
     assert a5 == pytest.approx((1 + a34 ** 2) / (1 + a12 ** 2), abs=1e-9)
 
 
-def test_search_refuses_bad_tol_and_mode(monkeypatch):
-    # Refused before any seed is sampled or refined, on every entry point.
+def test_search_refuses_bad_mode(monkeypatch):
+    # Refused before any seed is sampled or refined, also when a later request holds it.
     def no_program(*segments):
         raise AssertionError("a program ran")
 
     monkeypatch.setattr(solver, "_run_block", no_program)
-    for tol in (math.nan, math.inf, 0.0, -1.0):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            solver.multistart_search("2A2", 4, seed=5, tol=tol)
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            solver.classify_algebra("A4,4", n_seeds=2, seed=5, tol=tol)
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         solver.multistart_search("2A2", 2, mode="bogus")
-    with pytest.raises(ValueError, match="tol"):
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         solver.multistart_many([solver.SearchRequest("2A2", 2),
-                                solver.SearchRequest("A4,4", 2, tol=math.nan)], n_jobs=2)
+                                solver.SearchRequest("A4,4", 2, mode="bogus")], n_jobs=2)
 
 
 def test_refine_fixed_point():
@@ -356,7 +351,7 @@ def test_independent_reverification_of_solutions():
     assert out.solutions
     for cand, rep in out.solutions:
         vec = solver.residual_vector(cand)
-        assert np.abs(vec).max() <= rep.tol
+        assert np.abs(vec).max() <= maxwell.TOL_SOLUTION
 
 
 def test_classify_agreements():
@@ -558,10 +553,10 @@ def test_lockstep_block_matches_seeds_run_alone(monkeypatch, name, n_seeds):
         return ok
 
     monkeypatch.setattr(solver.ResidualContext, "feasible", spy)
-    block = solver._run_block((name, 7, 0, n_seeds, "unit_F", maxwell.TOL_SOLUTION))
+    block = solver._run_block((name, 7, 0, n_seeds, "unit_F"))
     monkeypatch.undo()
     assert (sum(refused) > 0) == (name != "A4,6^{a,0}"), sum(refused)
-    alone = [solver._run_block((name, 7, i, i + 1, "unit_F", maxwell.TOL_SOLUTION))[0]
+    alone = [solver._run_block((name, 7, i, i + 1, "unit_F"))[0]
              for i in range(n_seeds)]
     for b, a in zip(block, alone):
         assert b["status"] == a["status"] == "refined", (name, b["index"])
@@ -675,19 +670,18 @@ def test_a_nan_residual_makes_the_closest_miss_nan(place):
     # gives a NaN closest miss, reported as null, and an inconclusive row.
     entry = la.entry_by_name("A4,4")
     request = solver.SearchRequest(entry, 3)
-    tol = maxwell.TOL_SOLUTION
     finite = [_miss_record(), _miss_record(r_em=0.05, r_dF=0.01, r_dstarF=0.02)]
     for records in itertools.permutations([*finite, _miss_record(**{place: math.nan})]):
         out = solver._outcome(entry, request, list(records))
         assert math.isnan(out.best_nonsolution_residual), records
         assert out.to_dict()["best_nonsolution_residual"] is None
-        row = solver._classify_row(entry, out, None, tol)
+        row = solver._classify_row(entry, out, None)
         assert row.inconclusive and not row.agree
         assert row.to_dict()["best_nonsolution_residual"] is None
     for records in itertools.permutations(finite):
         out = solver._outcome(entry, request, list(records))
         assert out.best_nonsolution_residual == 0.05
-        row = solver._classify_row(entry, out, None, tol)
+        row = solver._classify_row(entry, out, None)
         assert not row.inconclusive and row.agree
 
 
