@@ -14,14 +14,13 @@ __version__ = "0.1.0"
 #: Submodule -> the names it re-exports here.
 _EXPORTS = {
     "families": "FAMILIES family_by_id",
-    "forms": "hodge_star inner_product is_coclosed norm_sq sd_asd_split two_form",
+    "forms": "hodge_star inner_product norm_sq sd_asd_split two_form",
     "kahler": "classify_hermitian_type endomorphism_from_form is_compatible nijenhuis ricci_form",
     "lie_algebra": "CatalogEntry LieAlgebra bracket catalog catalog_checksum "
                    "closedness_constraints d_one_form d_two_form entry_by_name from_brackets "
-                   "instantiate is_unimodular jacobi_defect load_catalog metric_from_params",
+                   "instantiate jacobi_defect load_catalog metric_from_params",
     "maxwell": "EMReport em_residual stress_energy verify_kahler_decomposition",
-    "metric_geometry": "is_einstein levi_civita ricci riemann scalar_curvature traceless_ricci "
-                       "validate_metric",
+    "metric_geometry": "validate_metric",
     "solver": "Candidate SearchOutcome SearchRequest classify_algebra classify_table "
               "multistart_many multistart_search refine residual_vector verify_solution_family",
 }

@@ -70,8 +70,9 @@ def rref(mat: np.ndarray) -> tuple[np.ndarray, list[int], list, int]:
     return a, pivots, heads, sign
 
 
-def nullspace(mat: np.ndarray) -> list[np.ndarray]:
-    """Kernel basis with a 1 in each free column (canonical rref form)."""
+def nullspace(mat: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
+    """Kernel basis in canonical rref form, and the free columns: basis
+    vector i has a 1 in free column i and a 0 in every other free column."""
     a = np.asarray(mat)
     n_cols = a.shape[1]
     r, pivots, _, _ = rref(a)
@@ -84,7 +85,7 @@ def nullspace(mat: np.ndarray) -> list[np.ndarray]:
         for row_idx, p in enumerate(pivots):
             v[p] = -r[row_idx, c]
         basis.append(v)
-    return basis
+    return basis, free
 
 
 def inverse(mat: np.ndarray) -> np.ndarray:

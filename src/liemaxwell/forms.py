@@ -1,4 +1,4 @@
-"""Two-form algebra: Hodge star, self-dual splitting, co-closedness.
+"""Two-form algebra: Hodge star, self-dual splitting, wedge pairing.
 
 A 2-form is a vector of six coefficients in the fixed order
 ``e^12, e^13, e^14, e^23, e^24, e^34``.  The star is defined by
@@ -13,19 +13,19 @@ input exact; ``hodge_star`` casts to float, and ``hodge_star_exact`` is the
 exact star, carrying sqrt(det g) as a separate radical; exact input meets
 the Levi-Civita symbol as ``_smallmat.as_fractions(LEVI4)``, the package's
 one Fraction converter.  An orientation is the integer 1 or -1; 1.0, True
-and "1" are refused.
+and "1" are refused.  Whether F is co-closed, d(*F) = 0, is decided in one
+place: ``maxwell.em_residual``, by its ``r_dstarF`` at ``TOL_SOLUTION``.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 
 from . import _smallmat
-from .lie_algebra import DIM, PAIRS, LieAlgebra, d_two_form, two_form_coeffs, two_form_matrix
+from .lie_algebra import DIM, PAIRS, two_form_coeffs, two_form_matrix
 from .metric_geometry import _match_dtypes
 
 
@@ -47,8 +47,6 @@ LEVI4 = _levi_civita_symbol()
 #: The star as a matrix: coefficient p of eps_{klmn} F^{mn}, (k, l) the p-th
 #: pair, is row (m, n) of F^{mn} flattened times column p.
 _STAR_PAIRS = np.array([LEVI4[i, j] for i, j in PAIRS], dtype=float).reshape(6, 16).T.copy()
-
-CoclosednessCheck = namedtuple("CoclosednessCheck", ["ok", "residual"])
 
 
 def _is_orientation(value) -> bool:
@@ -138,13 +136,6 @@ def sd_asd_split(g: np.ndarray, a: np.ndarray,
     star = hodge_star(g, a, orientation)
     a = np.asarray(a, dtype=float)
     return (a + star) / 2, (a - star) / 2
-
-
-def is_coclosed(L: LieAlgebra, g: np.ndarray, a: np.ndarray, orientation: int = 1,
-                tol: float = 1e-10) -> CoclosednessCheck:
-    """d(*F) = 0 check; returns the residual 3-form alongside the verdict."""
-    residual = d_two_form(L, hodge_star(g, a, orientation))
-    return CoclosednessCheck(ok=bool(np.abs(residual).max() <= tol), residual=residual)
 
 
 def wedge_two_two(a: np.ndarray, b: np.ndarray):

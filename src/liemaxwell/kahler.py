@@ -30,13 +30,13 @@ def endomorphism_from_form(g: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return -np.linalg.inv(g) @ w
 
 
-def is_compatible(g: np.ndarray, omega: np.ndarray, tol: float = TOL_COMPAT) -> bool:
-    """True iff J^2 = -I and g(Jx, Jy) = g(x, y)."""
+def is_compatible(g: np.ndarray, omega: np.ndarray) -> bool:
+    """True iff J^2 = -I and g(Jx, Jy) = g(x, y), each within TOL_COMPAT."""
     g = np.asarray(g, dtype=float)
     J = endomorphism_from_form(g, omega)
     acs = np.abs(J @ J + np.eye(DIM)).max()
     iso = np.abs(J.T @ g @ J - g).max()
-    return bool(acs <= tol and iso <= tol)
+    return bool(acs <= TOL_COMPAT and iso <= TOL_COMPAT)
 
 
 def nijenhuis(L: LieAlgebra, J: np.ndarray) -> tuple[float, np.ndarray]:
@@ -58,27 +58,26 @@ def nijenhuis(L: LieAlgebra, J: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.abs(n).max()), n
 
 
-def classify_hermitian_type(L: LieAlgebra, g: np.ndarray, omega: np.ndarray,
-                            tol: float = TOL_COMPAT) -> str:
-    return _classify(L, g, omega, tol)[0]
+def classify_hermitian_type(L: LieAlgebra, g: np.ndarray, omega: np.ndarray) -> str:
+    return _classify(L, g, omega)[0]
 
 
-def _classify(L: LieAlgebra, g: np.ndarray, omega: np.ndarray, tol: float) -> tuple[str, dict]:
+def _classify(L: LieAlgebra, g: np.ndarray, omega: np.ndarray) -> tuple[str, dict]:
     g = np.asarray(g, dtype=float)
     omega = np.asarray(omega, dtype=float)
     diag: dict = {}
-    compatible = is_compatible(g, omega, tol)
+    compatible = is_compatible(g, omega)
     diag["compatible"] = compatible
     d_omega = float(np.abs(d_two_form(L, omega)).max())
     diag["d_omega"] = d_omega
     if not compatible:
         return NOT_COMPATIBLE, diag
-    if d_omega > tol:
+    if d_omega > TOL_COMPAT:
         return NOT_CLOSED, diag
     J = endomorphism_from_form(g, omega)
     n_max, _ = nijenhuis(L, J)
     diag["nijenhuis"] = n_max
-    return (KAHLER if n_max <= tol else ALMOST_KAHLER), diag
+    return (KAHLER if n_max <= TOL_COMPAT else ALMOST_KAHLER), diag
 
 
 def ricci_form(L: LieAlgebra, g: np.ndarray, omega: np.ndarray):
@@ -105,7 +104,7 @@ def ricci_form(L: LieAlgebra, g: np.ndarray, omega: np.ndarray):
 
 def hermitian_diagnostics(L: LieAlgebra, g: np.ndarray, omega: np.ndarray) -> dict:
     """JSON-ready block for embedding into an EMReport."""
-    kind, diag = _classify(L, g, omega, TOL_COMPAT)
+    kind, diag = _classify(L, g, omega)
     out = {"type": kind, **{k: (float(v) if isinstance(v, float) else v)
                             for k, v in diag.items()}}
     out["omega"] = [float(x) for x in np.asarray(omega, dtype=float)]

@@ -24,6 +24,7 @@ import functools
 import hashlib
 import importlib.resources
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -164,14 +165,6 @@ def jacobi_defect(L: LieAlgebra):
     return worst
 
 
-def is_unimodular(L: LieAlgebra, tol: float = 1e-12) -> bool:
-    """True iff trace(ad_{e_i}) = sum_k c^k_{ik} vanishes for every i."""
-    traces = np.einsum("ikk->i", L.c)
-    if L.exact:
-        return all(t == 0 for t in traces)
-    return bool(np.abs(traces).max() <= tol)
-
-
 # ---------------------------------------------------------------------------
 # Chevalley-Eilenberg differential on invariant forms
 # ---------------------------------------------------------------------------
@@ -234,22 +227,17 @@ class ClosednessSystem:
     matrix: np.ndarray            # 4x6, rows = 3-form components, cols = pair coefficients
     kernel: tuple[np.ndarray, ...]
     dim: int
-    free_pairs: tuple[str, ...]   # pair label of the unit coefficient of each kernel vector
-    pivot_pairs: tuple[str, ...]
+    free_pairs: tuple[str, ...]   # pair label of the free column of each kernel vector
+    pivot_pairs: tuple[str, ...]  # pair labels of the rref pivot columns
 
 
 def closedness_constraints(L: LieAlgebra) -> ClosednessSystem:
     """Coefficient matrix of dF = 0 and a canonical basis of its kernel."""
     mat = d_two_form(L, np.eye(6, dtype=L.c.dtype)).T.copy()  # column p: d(e^p)
-    basis = nullspace(mat)
-    free = []
-    for v in basis:
-        lead = next(p for p in range(6) if abs(v[p]) > 0 and
-                    (v[p] == 1 if L.exact else abs(v[p] - 1.0) < 1e-9))
-        free.append(PAIR_LABELS[lead])
-    pivot = tuple(lbl for lbl in PAIR_LABELS if lbl not in free)
+    basis, free = nullspace(mat)
     return ClosednessSystem(matrix=mat, kernel=tuple(basis), dim=len(basis),
-                            free_pairs=tuple(free), pivot_pairs=pivot)
+                            free_pairs=tuple(PAIR_LABELS[p] for p in free),
+                            pivot_pairs=tuple(PAIR_LABELS[p] for p in range(6) if p not in free))
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +256,8 @@ class ParamSpec:
     sample: float
 
     def admits(self, value: float, margin: float = 1e-9) -> bool:
+        if not math.isfinite(value):
+            return False
         if self.lo is not None and (value < self.lo or (self.open_lo and value <= self.lo)):
             return False
         if self.hi is not None and (value > self.hi or (self.open_hi and value >= self.hi)):

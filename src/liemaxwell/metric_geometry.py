@@ -15,21 +15,21 @@ Sign convention for the curvature tensor (fixed once, here): with
 and ``R(x, y, z, w) = g(Rc(x, y)z, w)``, hyperbolic planes get negative
 sectional curvature ``K(x, y) = R(x, y, x, y) / (|x|^2 |y|^2 - <x,y>^2)``.
 
-The curvature functions accept float64 or Fraction (object dtype) inputs;
-when one input is an object array, every input goes through
-``_smallmat.as_fractions``, and an exact g is inverted by rational
-Gauss-Jordan elimination, so the whole chain down to the trace-free Ricci
-tensor is exact for rational data.
+``curvature_summary`` is the one entry point to the curvature chain.  It
+accepts float64 or Fraction (object dtype) inputs; when one input is an
+object array, every input goes through ``_smallmat.as_fractions``, and an
+exact g is inverted by rational Gauss-Jordan elimination, so the whole chain
+down to the trace-free Ricci tensor is exact for rational data.
 Ricci is the g-inverse contraction of the Riemann tensor; the tests check it
 against an orthonormal-frame sum that ``tests/oracles.py`` derives on its
-own.  The chain (``levi_civita``, ``riemann``, ``curvature_summary``) is
-loop-free einsum code that takes leading axes: a sequence of S algebras (or
-their structure constants, (S, 4, 4, 4)) with metrics (S, 4, 4) is one
-call, which is how the solver re-verifies each lockstep group's end points.
-Exact input goes through the same functions.  Each einsum contracts every
-metric on its own, so a stacked call agrees with lone calls to round-off:
-results may differ in the last bits, and the solver's Levenberg-Marquardt
-end points, which never read this chain, not at all.
+own.  The chain is loop-free einsum code that takes leading axes: a
+sequence of S algebras (or their structure constants, (S, 4, 4, 4)) with
+metrics (S, 4, 4) is one call, which is how the solver re-verifies each
+lockstep group's end points.  Exact input goes through the same code.
+Each einsum contracts every metric on its own, so a stacked call agrees
+with lone calls to round-off: results may differ in the last bits, and the
+solver's Levenberg-Marquardt end points, which never read this chain, not
+at all.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _smallmat
 from ._expr import eval_expr
-from .lie_algebra import DIM, CatalogEntry, LieAlgebra, structure_constants
+from .lie_algebra import DIM, CatalogEntry, structure_constants
 
 #: Margin required on every catalog constraint polynomial; the strict
 #: inequalities leave boundary behavior undefined and the solver must not
@@ -116,37 +116,18 @@ def validate_metric(entry: CatalogEntry, metric_params: dict) -> MetricCheck:
 # ---------------------------------------------------------------------------
 
 
-def _connection(c: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-    cg = np.einsum("...ijm,...mk->...ijk", c, g)
-    rhs = (cg + np.moveaxis(cg, -3, -1) - np.moveaxis(cg, -1, -3)) / 2
-    return np.einsum("...kl,...ijl->...ijk", g_inv, rhs)
+CurvatureSummary = namedtuple("CurvatureSummary", ["gamma", "riemann", "ricci", "scalar", "ric0"])
 
 
-def _curvature(c: np.ndarray, g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    nabla2 = np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
-    nabla_br = np.einsum("...ijm,...mkl->...ijkl", c, gamma)
-    rc = -(nabla2 - nabla2.swapaxes(-4, -3) - nabla_br)
-    return np.einsum("...ijkm,...ml->...ijkl", rc, g)
+def curvature_summary(L, g: np.ndarray) -> CurvatureSummary:
+    """The whole curvature chain of a left-invariant metric in one pass.
 
-
-def levi_civita(L, g: np.ndarray) -> np.ndarray:
-    """Connection coefficients Gamma[..., i, j, k] with nabla_{e_i} e_j = Gamma[i,j,k] e_k.
-
-    Koszul formula for left-invariant fields:
-    2 g(nabla_x y, z) = g([x,y], z) + g([z,x], y) - g([y,z], x).
-    """
-    c, g = _match_dtypes(structure_constants(L), np.asarray(g))
-    return _connection(c, g, _smallmat.inverse(g))
-
-
-def riemann(L, g: np.ndarray) -> np.ndarray:
-    """Covariant curvature R[..., i, j, k, l] = g(Rc(e_i, e_j) e_k, e_l)."""
-    c, g = _match_dtypes(structure_constants(L), np.asarray(g))
-    return _curvature(c, g, _connection(c, g, _smallmat.inverse(g)))
-
-
-def curvature_summary(L, g: np.ndarray):
-    """(gamma, R, Ric, s, Ric0) in one pass; Ricci by g-inverse contraction.
+    ``gamma[..., i, j, k]`` are the connection coefficients,
+    nabla_{e_i} e_j = gamma[i, j, k] e_k, from the Koszul formula for
+    left-invariant fields, 2 g(nabla_x y, z) = g([x,y], z) + g([z,x], y) -
+    g([y,z], x); ``riemann[..., i, j, k, l]`` = g(Rc(e_i, e_j) e_k, e_l);
+    ``ricci`` is its g-inverse contraction, ``scalar`` its trace and
+    ``ric0`` = Ric - (s/4) g, g-trace-free by construction.
 
     ``L`` is one algebra with g (4, 4), or a sequence of S algebras (or
     their structure constants) with g (S, 4, 4); every output then carries
@@ -154,28 +135,14 @@ def curvature_summary(L, g: np.ndarray):
     """
     c, g = _match_dtypes(structure_constants(L), np.asarray(g))
     g_inv = _smallmat.inverse(g)
-    gamma = _connection(c, g, g_inv)
-    r4 = _curvature(c, g, gamma)
+    cg = np.einsum("...ijm,...mk->...ijk", c, g)
+    rhs = (cg + np.moveaxis(cg, -3, -1) - np.moveaxis(cg, -1, -3)) / 2
+    gamma = np.einsum("...kl,...ijl->...ijk", g_inv, rhs)
+    nabla2 = np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
+    nabla_br = np.einsum("...ijm,...mkl->...ijkl", c, gamma)
+    rc = -(nabla2 - nabla2.swapaxes(-4, -3) - nabla_br)
+    r4 = np.einsum("...ijkm,...ml->...ijkl", rc, g)
     ric = np.einsum("...jl,...ijkl->...ik", g_inv, r4)
     s = np.einsum("...ik,...ik->...", g_inv, ric)
     ric0 = ric - np.asarray(s / 4)[..., None, None] * g
-    return gamma, r4, ric, s, ric0
-
-
-def ricci(L: LieAlgebra, g: np.ndarray) -> np.ndarray:
-    """Ric(x, y) = sum_m R(x, f_m, y, f_m) over any g-orthonormal frame."""
-    return curvature_summary(L, g)[2]
-
-
-def scalar_curvature(L: LieAlgebra, g: np.ndarray):
-    return curvature_summary(L, g)[3]
-
-
-def traceless_ricci(L: LieAlgebra, g: np.ndarray) -> np.ndarray:
-    """Ric0 = Ric - (s/4) g; g-trace-free by construction."""
-    return curvature_summary(L, g)[4]
-
-
-def is_einstein(L: LieAlgebra, g: np.ndarray, tol: float = 1e-9) -> bool:
-    return bool(np.abs(traceless_ricci(L, g)).max() <= tol)
-
+    return CurvatureSummary(gamma, r4, ric, s, ric0)

@@ -87,9 +87,12 @@ EVIDENCE_FACTOR = 100.0
 SEARCH_MAX_ITER = 45
 SAMPLE_TRIES = 600
 
-#: Largest residual at which a search's Levenberg-Marquardt run stops, a
-#: hundredth of TOL_SOLUTION.
+#: Largest residual at which a search's or ``refine``'s Levenberg-Marquardt
+#: run stops, a hundredth of TOL_SOLUTION.
 SEARCH_TOL = 1e-11
+
+#: Levenberg-Marquardt iterations of one ``refine`` call.
+REFINE_MAX_ITER = 60
 
 #: Largest residual, Kahler scale error, rho0 error and decomposition
 #: defect at a family grid point that passes ``verify_solution_family``.
@@ -782,26 +785,28 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     return out_x, out_iters, reasons, out_evals
 
 
-def refine(c: Candidate, tol: float = 1e-11, max_iter: int = 60,
-           unit_norm: bool = False) -> RefineResult:
+def refine(c: Candidate, mode: str = "free_F") -> RefineResult:
     """Polish a candidate on the dF = 0 subspace; backtracks at constraints.
 
     The candidate's metric must be admissible (else a CandidateError, as from
     ``residual_vector``) and its F closed (all fixture and search candidates
     are); its kernel coordinates become the optimization variables together
-    with the metric parameters.  With unit_norm the row |F|^2_g - 1 is
-    appended, forcing F away from the trivial solution.  The refinement does
-    not depend on the orientation, and its candidate keeps the label of ``c``.
+    with the metric parameters.  ``mode`` is one of ``MODES``, as for
+    ``ResidualContext``: "unit_F" appends the row |F|^2_g - 1, forcing F away
+    from the trivial solution.  Levenberg-Marquardt runs until every
+    residual is within SEARCH_TOL, for at most REFINE_MAX_ITER iterations.
+    The refinement does not depend on the orientation, and its candidate
+    keeps the label of ``c``.
     """
     entry = entry_by_name(c.entry_name)
     _admitted(entry, c.algebra_params, c.metric_params)
-    ctx = ResidualContext(entry, c.algebra_params, mode="unit_F" if unit_norm else "free_F")
+    ctx = ResidualContext(entry, c.algebra_params, mode=mode)
     y, defect = ctx.project_f(c.f_coeffs)
     if defect > 1e-8:
         raise CandidateError(
             f"candidate F is not closed (distance {defect:.2e} from the dF=0 subspace)")
     x0 = ctx.pack(c.metric_params, y)
-    x, iters, reasons, n_evals = _levmar(ctx, x0[None], tol, max_iter)
+    x, iters, reasons, n_evals = _levmar(ctx, x0[None], SEARCH_TOL, REFINE_MAX_ITER)
     return RefineResult(candidate=replace(ctx.candidate(x[0]), orientation=c.orientation),
                         converged=reasons[0] == "converged", iterations=int(iters[0]),
                         max_residual=float(np.abs(ctx.residual(x[0])).max()),

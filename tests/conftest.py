@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from liemaxwell import forms
 from liemaxwell import lie_algebra as la
 from liemaxwell import solver
 
@@ -39,3 +40,8 @@ def admissible_draws(n, seed=0, entries=None):
         L, g = draw_admissible(entry, rng)
         out.append((entry, L, g))
     return out
+
+
+def dstar(L, g, f6):
+    """d(*F), the residual 3-form of co-closedness."""
+    return la.d_two_form(L, forms.hodge_star(g, f6))

@@ -7,7 +7,7 @@ import oracles as orc
 from liemaxwell import kahler
 from liemaxwell import lie_algebra as la
 from liemaxwell.forms import norm_sq, sd_asd_split, two_form
-from liemaxwell.metric_geometry import scalar_curvature
+from liemaxwell.metric_geometry import curvature_summary
 
 E = np.eye(4)
 
@@ -133,7 +133,7 @@ def test_rho_equals_rho0_plus_scalar_part():
     g = np.diag([1.0, 1.0, a5, 1.0])
     omega = two_form(e12=1, e34=np.sqrt(a5))
     rho0, rho, _ = kahler.ricci_form(L, g, omega)
-    s = scalar_curvature(L, g)
+    s = curvature_summary(L, g).scalar
     assert np.abs(rho - (rho0 + (s / 4) * omega)).max() < 1e-13
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from liemaxwell import _smallmat
 from liemaxwell import lie_algebra as la
 from liemaxwell._expr import eval_expr
 from liemaxwell.families import FAMILIES, family_by_id
@@ -110,12 +111,6 @@ def test_antisymmetry_gate_refuses_non_finite_floats():
             la.LieAlgebra(name, c)
 
 
-def test_unimodularity():
-    assert la.is_unimodular(la.instantiate(la.entry_by_name("2A2"), {})) is False
-    assert la.is_unimodular(la.instantiate(la.entry_by_name("abelian"), {})) is True
-    assert la.is_unimodular(la.instantiate(la.entry_by_name("A3,9+A1"), {})) is True
-
-
 def test_d_one_form_2a2():
     L = la.instantiate(la.entry_by_name("2A2"), {})
     d_e2 = la.d_one_form(L, E[1])
@@ -214,6 +209,22 @@ def test_closedness_2a2_kernel():
     assert system.free_pairs == ("12", "13", "34")
     for v in system.kernel:
         assert np.abs(la.d_two_form(L, np.asarray(v, dtype=float))).max() < 1e-15
+
+
+def test_closedness_labels_are_the_free_columns():
+    # Kernel vector i has a 1 in its free column and a 0 in every other
+    # free column; the labels split the six pairs into the free columns and
+    # the rref pivots (on A4,12 the kernel vector e13 + e24 is labelled 24).
+    for entry in la.catalog():
+        for exact in (False, True):
+            L = la.instantiate(entry, entry.sample_params(), exact=exact, check_range=False)
+            system = la.closedness_constraints(L)
+            free = [la.PAIR_LABELS.index(lbl) for lbl in system.free_pairs]
+            for v, col in zip(system.kernel, free):
+                assert [v[c] for c in free] == [int(c == col) for c in free], entry.name
+            assert sorted(system.free_pairs + system.pivot_pairs) == sorted(la.PAIR_LABELS)
+            pivots = _smallmat.rref(system.matrix)[1]
+            assert system.pivot_pairs == tuple(la.PAIR_LABELS[p] for p in pivots), entry.name
 
 
 def test_closedness_a49b_relation():
@@ -362,6 +373,11 @@ def test_instantiate_range_checks():
     for kwargs in ({"exact": True}, {"exact": False}, {"check_range": False}):
         with pytest.raises(la.CatalogError, match="parameter p is beyond the float range"):
             la.instantiate(la.entry_by_name("A4,2^p"), {"p": 10**400}, **kwargs)
+    # Non-finite values are outside every range, bounded or not.
+    with pytest.raises(la.CatalogError, match="parameter a=nan outside admissible range"):
+        la.instantiate(la.entry_by_name("A4,11^a"), {"a": float("nan")})
+    with pytest.raises(la.CatalogError, match="parameter p=inf outside admissible range"):
+        la.instantiate(la.entry_by_name("A4,2^p"), {"p": float("inf")})
 
 
 def test_instantiate_refuses_booleans():

@@ -1,8 +1,10 @@
 """The package namespace: names resolve on first use, submodules load on demand."""
 
 import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +35,7 @@ def test_catalog_alone_loads_no_other_submodule():
 
 
 def test_every_exported_name_is_its_home_object():
-    assert len(liemaxwell.__all__) == len(set(liemaxwell.__all__)) == 49
+    assert len(liemaxwell.__all__) == len(set(liemaxwell.__all__)) == 41
     for name in liemaxwell.__all__:
         home = importlib.import_module(f"liemaxwell.{liemaxwell._HOMES[name]}")
         value = getattr(liemaxwell, name)
@@ -52,14 +54,35 @@ def test_dir_and_unknown_names():
     assert lie_algebra is sys.modules["liemaxwell.lie_algebra"]
 
 
-def test_readme_quickstart_imports():
-    from liemaxwell import (classify_algebra, em_residual, entry_by_name, instantiate,
-                            metric_from_params, traceless_ricci, two_form)
+def test_no_exported_callable_takes_a_tolerance():
+    # Tolerances and iteration caps are constants of the method, not options.
+    callables = []
+    for name in liemaxwell.__all__:
+        value = getattr(liemaxwell, name)
+        callables.append((name, value))
+        if isinstance(value, type):
+            members = ((attr, getattr(value, attr)) for attr in vars(value))
+            callables += [(f"{name}.{attr}", member) for attr, member in members
+                          if callable(member) and not isinstance(member, type)]
+    checked = 0
+    for name, fn in callables:
+        try:
+            params = inspect.signature(fn).parameters
+        except (TypeError, ValueError):  # no signature to read
+            continue
+        checked += 1
+        assert not {"tol", "max_iter"} & set(params), name
+    assert checked > len(liemaxwell.__all__)
 
-    entry = entry_by_name("2A2")
-    L = instantiate(entry, {})
-    g = metric_from_params(entry, {"a1": 0, "a2": 0, "a3": 0, "a4": 0, "a5": 2.0})
-    assert np.allclose(traceless_ricci(L, g), np.diag([-0.25, -0.25, 0.5, 0.25]), atol=1e-12)
-    report = em_residual(L, g, two_form(e12=1, e34=np.sqrt(3)))
-    assert report.classification == "NonEinsteinEM"
-    assert callable(classify_algebra)
+
+def test_readme_quickstart_imports(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    ns: dict = {}
+    exec(block, ns)
+    assert np.allclose(ns["curvature_summary"](ns["L"], ns["g"]).ric0,
+                       np.diag([-0.25, -0.25, 0.5, 0.25]), atol=1e-12)
+    assert ns["report"].classification == "NonEinsteinEM"
+    assert callable(ns["classify_algebra"])
+    assert ns["row"].agree
+    assert "NonEinsteinEM" in capsys.readouterr().out

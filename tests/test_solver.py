@@ -244,9 +244,11 @@ def test_refine_a44_unit_norm_fails():
     ctx = solver.ResidualContext(entry, {}, mode="unit_F")
     f6 = ctx.kernel @ np.array([1.0, 0.5, -0.3])
     c = solver.Candidate("A4,4", {}, mp, f6)
-    res = solver.refine(c, unit_norm=True, max_iter=40)
+    res = solver.refine(c, mode="unit_F")
     assert not res.converged
     assert res.reason in ("stalled", "constraint-trapped", "iteration cap", "slow progress")
+    with pytest.raises(ValueError, match="unknown mode 'unit_norm'"):
+        solver.refine(c, mode="unit_norm")
 
 
 def test_refine_rejects_nonclosed_f():
