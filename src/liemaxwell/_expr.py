@@ -8,6 +8,14 @@ is exact when the environment supplies Fraction values, since literals are
 parsed with Fraction and only ring operations are performed.  Each source
 string is parsed once into a closure and reused.
 
+Python's own parser (``ast.parse``) reads the token stream, with ``^`` as
+``**`` and each literal or identifier as a placeholder name, so Python never
+reads a literal or sees an identifier as a keyword.  Its precedence and
+associativity are the grammar's: a sign binds tighter than ``*`` and looser
+than ``**``, and ``+ - *`` group to the left.  The tree is then checked
+against the grammar (an exponent is one integer literal; calls, chained
+exponents and empty parentheses are refused) and turned into closures.
+
 The environment may also hold float arrays of one shape; the result is then
 the array of what each element would give as a Python float, bit for bit:
 a literal meeting an array enters as ``float(literal)`` (Fraction's own rule
@@ -18,6 +26,7 @@ differently from ``pow`` in about 0.1 % of cases).
 
 from __future__ import annotations
 
+import ast
 import functools
 import operator
 import re
@@ -47,7 +56,6 @@ def _tokenize(src: str) -> list[tuple[str, str]]:
         else:
             tokens.append(("op", op))
         pos = m.end()
-    tokens.append(("end", ""))
     return tokens
 
 
@@ -109,92 +117,58 @@ def _power(base, exponent: int):
     return fn
 
 
-class _Parser:
-    """Recursive descent from tokens to a closure ``env -> value``.
+def _python_source(src: str, tokens: list[tuple[str, str]]) -> str:
+    """The token stream as a Python expression: literal or identifier token k
+    is the name ``_k`` and ``^`` is ``**``, whose exponent must be an integer
+    literal token."""
+    parts = []
+    for k, (kind, text) in enumerate(tokens):
+        if kind != "op":
+            parts.append(f"_{k}")
+        elif text == "^":
+            next_kind, next_text = tokens[k + 1] if k + 1 < len(tokens) else ("end", "")
+            if next_kind != "num" or "." in next_text:
+                raise ExpressionError(f"exponent must be a nonnegative integer in {src!r}")
+            parts.append("**")
+        else:
+            parts.append(text)
+    return " ".join(parts)
 
-    The closure performs the operations the grammar prescribes, in the order
-    a direct left-to-right evaluation would, so compiled results are
-    bit-identical to interpreting the string.
-    """
 
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.k = 0
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 
-    def peek(self) -> tuple[str, str]:
-        return self.tokens[self.k]
 
-    def take(self) -> tuple[str, str]:
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def parse(self):
-        fn = self.expr()
-        if self.peek()[0] != "end":
-            raise ExpressionError(f"trailing input in {self.src!r}")
-        return fn
-
-    def expr(self):
-        fn = self.term()
-        while True:
-            kind, text = self.peek()
-            if kind == "op" and text in "+-":
-                self.take()
-                rhs = self.term()
-                fn = _binary(operator.add if text == "+" else operator.sub, fn, rhs)
-            else:
-                return fn
-
-    def term(self):
-        fn = self.signed()
-        while True:
-            kind, text = self.peek()
-            if kind == "op" and text == "*":
-                self.take()
-                fn = _binary(operator.mul, fn, self.signed())
-            else:
-                return fn
-
-    def signed(self):
-        kind, text = self.peek()
-        if kind == "op" and text in "+-":
-            self.take()
-            fn = self.signed()
-            return _unary(operator.neg, fn) if text == "-" else fn
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, text = self.peek()
-        if kind == "op" and text == "^":
-            self.take()
-            kind, text = self.take()
-            if kind != "num" or "." in text:
-                raise ExpressionError(f"exponent must be a nonnegative integer in {self.src!r}")
-            return _power(base, int(text))
-        return base
-
-    def atom(self):
-        kind, text = self.take()
-        if kind == "num":
-            return _literal(Fraction(text))
-        if kind == "ident":
-            return _ident(text, self.src)
-        if kind == "op" and text == "(":
-            fn = self.expr()
-            kind, text = self.take()
-            if not (kind == "op" and text == ")"):
-                raise ExpressionError(f"unbalanced parentheses in {self.src!r}")
-            return fn
-        raise ExpressionError(f"unexpected token {text!r} in {self.src!r}")
+def _build(node, tokens: list[tuple[str, str]], src: str):
+    """The closure for one node of the parsed token stream.  Operands are
+    built in source order, so compiled results are bit-identical to
+    interpreting the string.  The tokens give Python only names, parentheses,
+    signs and ``+ - * **``; a call or an empty ``()`` is refused here."""
+    if isinstance(node, ast.Name):
+        kind, text = tokens[int(node.id[1:])]
+        return _literal(Fraction(text)) if kind == "num" else _ident(text, src)
+    if isinstance(node, ast.UnaryOp):
+        fn = _build(node.operand, tokens, src)
+        return _unary(operator.neg, fn) if isinstance(node.op, ast.USub) else fn
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        # The exponent is the literal after ``^``, unless it is chained or called.
+        if not isinstance(node.right, ast.Name):
+            raise ExpressionError(f"exponent must be a nonnegative integer in {src!r}")
+        return _power(_build(node.left, tokens, src), int(tokens[int(node.right.id[1:])][1]))
+    if isinstance(node, ast.BinOp):
+        return _binary(_BINARY[type(node.op)], _build(node.left, tokens, src),
+                       _build(node.right, tokens, src))
+    raise ExpressionError(f"unexpected {type(node).__name__.lower()} in {src!r}")
 
 
 @functools.lru_cache(maxsize=1024)
 def _compile(src: str):
     """Closure ``env -> value`` for an expression string, parsed once per string."""
-    return _Parser(src).parse()
+    tokens = _tokenize(src)
+    try:
+        tree = ast.parse(_python_source(src, tokens), mode="eval")
+    except SyntaxError:
+        raise ExpressionError(f"syntax error in {src!r}") from None
+    return _build(tree.body, tokens, src)
 
 
 def eval_expr(src: str, env: dict):

@@ -13,6 +13,10 @@ constants of the method, not options: ``curvature`` decides Einstein at
 ``TOL_EINSTEIN``, ``verify`` and ``search`` accept a solution at
 ``TOL_SOLUTION``, and ``family`` passes a grid at ``TOL_FAMILY``; the
 report's ``config.tol`` records the one used.
+
+The commands that verify or search import ``solver`` when they run, so
+``list`` and ``show`` read the catalog without loading it; ``search`` takes
+its ``--mode`` unchecked and ``solver`` refuses one outside ``MODES``.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ from .lie_algebra import VERDICTS, catalog, catalog_checksum, entry_by_name
 from .maxwell import (EINSTEIN_NULL_STRESS, NON_EINSTEIN_EM, TOL_EINSTEIN, TOL_SOLUTION,
                       em_residual)
 from .metric_geometry import curvature_summary
-from .solver import (MODES, TOL_FAMILY, Candidate, _admitted, classify_table,
-                     multistart_search, number_object, verify_solution_family)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -68,6 +70,7 @@ def _emit(payload: dict, config: RunConfig, args, text: str) -> None:
 
 def _params_arg(raw: str | None) -> dict:
     """Parameter values from a JSON object of finite numbers."""
+    from .solver import number_object
     return number_object(json.loads(raw), "parameters") if raw else {}
 
 
@@ -124,6 +127,7 @@ def cmd_show(args) -> int:
 
 
 def cmd_curvature(args) -> int:
+    from .solver import _admitted
     entry = entry_by_name(args.entry)
     L, g = _admitted(entry, _params_arg(args.algebra_params), _params_arg(args.metric_params))
     config = RunConfig(command="curvature", entries=[entry.name], tol=TOL_EINSTEIN)
@@ -146,12 +150,14 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .solver import Candidate, _admitted
     cand = Candidate.from_json(args.candidate)
     entry = entry_by_name(cand.entry_name)
     L, g = _admitted(entry, cand.algebra_params, cand.metric_params)
     config = RunConfig(command="verify", entries=[entry.name], tol=TOL_SOLUTION,
                        orientation=cand.orientation)
-    report = em_residual(L, g, cand.f_coeffs, cand.orientation)
+    report = em_residual(L, g, cand.f_coeffs)
+    report.inputs["orientation"] = cand.orientation
     computed = (report.r_em, report.r_dF, report.r_dstarF, report.scalar_curvature)
     if not all(np.isfinite(computed)):
         raise ValueError("residuals are not finite: the candidate's values overflow "
@@ -171,6 +177,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_family(args) -> int:
+    from .solver import TOL_FAMILY, verify_solution_family
     report = verify_solution_family(args.family, orientation=args.orientation)
     config = RunConfig(command="family", entries=[report.family_id],
                        orientation=args.orientation, tol=TOL_FAMILY)
@@ -183,6 +190,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .solver import multistart_search
     entry = entry_by_name(args.entry)
     config = RunConfig(command="search", entries=[entry.name], seed=args.seed,
                        seeds=args.seeds, mode=args.mode, tol=TOL_SOLUTION)
@@ -200,6 +208,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .solver import classify_table
     entries = catalog()
     if args.entries:
         wanted = [entry_by_name(n).name for n in args.entries]
@@ -273,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("entry")
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--seed", type=int, default=0, help=seed_help)
-    p.add_argument("--mode", choices=MODES, default="unit_F")
+    p.add_argument("--mode", default="unit_F", help="a mode of solver.MODES")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timing", action="store_true", help="include wall time in the report")
     common(p)

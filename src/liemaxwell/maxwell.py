@@ -93,13 +93,14 @@ class EMReport:
         return out
 
 
-def em_residual(L, g: np.ndarray, a: np.ndarray, orientation: int = 1):
+def em_residual(L, g: np.ndarray, a: np.ndarray):
     """Evaluate the full system on candidates and classify them.
 
     One algebra with g (4, 4) and a (6,) gives one EMReport; a sequence of S
     algebras (or their structure constants (S, 4, 4, 4)) with g (S, 4, 4)
     and a (S, 6) gives a list of S reports from one pass of the reference
-    chain.
+    chain.  No orientation is needed: reversing it negates *F, and d is
+    linear, so every residual and the classification keep their bits.
     """
     c = structure_constants(L)
     g = np.asarray(g, dtype=float)
@@ -108,7 +109,7 @@ def em_residual(L, g: np.ndarray, a: np.ndarray, orientation: int = 1):
     em = ric0 + stress_energy(g, a)
     r_em = np.abs(em).max(axis=(-2, -1))
     r_df = np.abs(d_two_form(c, a)).max(axis=-1)
-    r_dstar = np.abs(d_two_form(c, hodge_star(g, a, orientation))).max(axis=-1)
+    r_dstar = np.abs(d_two_form(c, hodge_star(g, a))).max(axis=-1)
     einstein = np.abs(ric0).max(axis=(-2, -1)) <= TOL_EINSTEIN
     trivial = np.sqrt(np.maximum(norm_sq(g, a), 0.0)) <= TOL_TRIVIAL_F
     # Each residual on its own: a NaN fails its comparison, where max may drop it.
@@ -125,8 +126,7 @@ def em_residual(L, g: np.ndarray, a: np.ndarray, orientation: int = 1):
             einstein=bool(einstein[k]), trivial_F=bool(trivial[k]),
             scalar_curvature=float(s[k]),
             classification=classification,
-            inputs={"orientation": orientation, "f_coeffs": a[k].tolist(),
-                    "metric": g[k].tolist()},
+            inputs={"f_coeffs": a[k].tolist(), "metric": g[k].tolist()},
         ))
     return reports[0] if g.ndim == 2 else reports
 

@@ -65,11 +65,11 @@ from pathlib import Path
 import numpy as np
 
 from .families import Family, family_by_id
-from .forms import LEVI4, _is_orientation, hodge_star, norm_sq
+from .forms import _STAR_PAIRS, _is_orientation, hodge_star, norm_sq
 from .kahler import classify_hermitian_type, ricci_form
-from .lie_algebra import (PAIRS, CatalogEntry, LieAlgebra, catalog_checksum,
-                          closedness_constraints, d_two_form, entry_by_name, instantiate,
-                          metric_from_params)
+from .lie_algebra import (CatalogEntry, LieAlgebra, catalog_checksum, closedness_constraints,
+                          d_two_form, entry_by_name, instantiate, metric_from_params,
+                          two_form_matrix)
 from .maxwell import (NON_EINSTEIN_EM, TOL_SOLUTION, EMReport, em_residual, stress_energy,
                       verify_kahler_decomposition)
 from .metric_geometry import EPS_PD, admissible, curvature_summary, validate_metric
@@ -299,10 +299,7 @@ class ResidualContext:
         self._n_free = np.array([len(self.names)])
         place, g0 = entry.metric_placement
         # Six 2-form coefficients -> antisymmetric 4x4 matrix, flattened.
-        f_place = np.zeros((6, 16))
-        for p, (i, j) in enumerate(PAIRS):
-            f_place[p, 4 * i + j] = 1.0
-            f_place[p, 4 * j + i] = -1.0
+        f_place = two_form_matrix(np.eye(6)).reshape(6, 16)
         kernel_t = self.kernel.T
         # Everything linear in x, folded per seed: x @ _lin + _lin0 is
         # [g | F | g([e_i,e_j],e_l) with rows (i, j) | dF], see _G .. _DF.
@@ -320,8 +317,7 @@ class ResidualContext:
         self._kernel_t = kernel_t
         # Hodge star then d: F^{kl} (raised, flattened) -> d*F / sqrt det g, with
         # volume form +sqrt(det g) e^1234 (d*F = 0 does not depend on its sign).
-        eps_pairs = np.array([LEVI4[i, j] for i, j in PAIRS], dtype=float).reshape(6, 16)
-        self._star_d = (0.5 * eps_pairs.T @ d_t)[None]
+        self._star_d = (0.5 * _STAR_PAIRS @ d_t)[None]
         # Ricci ingredients that do not depend on the metric, with factor
         # -1/2: the structure constants as [m, (l, b)] = c_bm^l beside the
         # trace form t_m = c_mk^k, one 4 x 17 block that g^-1 raises at once,
@@ -1034,6 +1030,7 @@ def _run_block(*segments) -> list[dict]:
     _, algebras, metrics = zip(*map(_instantiated, cands))
     reports = em_residual(algebras, np.array(metrics), np.array([c.f_coeffs for c in cands]))
     for s, record in enumerate(refined):
+        reports[s].inputs["orientation"] = cands[s].orientation
         record.update(reason=reasons[s], iterations=int(iters[s]), candidate=cands[s],
                       report=reports[s])
     return records
@@ -1192,7 +1189,7 @@ def verify_solution_family(family_id: str, orientation: int = 1) -> FamilyReport
     for point in fam.default_grid:
         cand = family_candidate(fam, point, orientation)
         L, g = _admitted(entry, cand.algebra_params, cand.metric_params)
-        report = em_residual(L, g, cand.f_coeffs, orientation)
+        report = em_residual(L, g, cand.f_coeffs)
         max_res = max(max_res, report.r_em, report.r_dF, report.r_dstarF)
         classifications.append(report.classification)
         if report.classification != NON_EINSTEIN_EM:

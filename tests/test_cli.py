@@ -5,6 +5,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,20 @@ def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_list_and_show_do_not_import_the_solver():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import contextlib, io, json, sys\n"
+            "from liemaxwell import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['list']), cli.main(['show', 'A4,4'])]\n"
+            "print(json.dumps([codes, 'liemaxwell.solver' in sys.modules]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert json.loads(proc.stdout) == [[0, 0], False]
 
 
 def test_list_table(capsys):
@@ -249,7 +267,7 @@ def test_nonfinite_report_is_refused(capsys, monkeypatch, tmp_path):
     def nan_residual(*args, **kwargs):
         return dataclasses.replace(verify_family(*args, **kwargs), max_residual=float("nan"))
 
-    monkeypatch.setattr(cli, "verify_solution_family", nan_residual)
+    monkeypatch.setattr(solver, "verify_solution_family", nan_residual)
     out_path = tmp_path / "report.json"
     code, out, err = run(["family", "2A2", "--json", "--out", str(out_path)], capsys)
     assert code == 2 and err.startswith("error:") and not out and not out_path.exists()
@@ -407,8 +425,8 @@ _TOL_COMMANDS = {
     "curvature": (["curvature", "2A2", "--metric-params",
                    json.dumps(_SOLUTION_2A2["metric_params"])], (cli, "curvature_summary")),
     "verify": (["verify", "DOC"], (cli, "em_residual")),
-    "family": (["family", "2A2"], (cli, "verify_solution_family")),
-    "search": (["search", "2A2", "--seeds", "2"], (cli, "multistart_search")),
+    "family": (["family", "2A2"], (solver, "verify_solution_family")),
+    "search": (["search", "2A2", "--seeds", "2"], (solver, "multistart_search")),
 }
 
 
@@ -449,9 +467,11 @@ _UNKNOWN_ENTRY = "error: no catalog entry named 'zz'\n"
       "--json"], None, "error: curvature is not finite"),
     (["search", "2A2", "--seeds", "-1"], None, "error: --seed and --seeds must be nonnegative"),
     (["classify", "--seed", "-1"], None, "error: --seed and --seeds must be nonnegative"),
+    # solver.MODES is the one list of modes: the search refuses the others.
+    (["search", "A4,4", "--mode", "bogus"], None, "error: unknown mode 'bogus'\n"),
 ], ids=["show", "curvature", "search", "classify", "verify", "family", "family-orientation",
         "verify-overflow", "curvature-overflow", "search-negative-seeds",
-        "classify-negative-seed"])
+        "classify-negative-seed", "search-unknown-mode"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, doc, message):
     assert refusal(capsys, tmp_path, argv, doc).startswith(message)
 

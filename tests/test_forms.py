@@ -7,7 +7,7 @@ import pytest
 
 import oracles as orc
 from conftest import admissible_draws, dstar
-from liemaxwell import forms, maxwell
+from liemaxwell import forms
 from liemaxwell import lie_algebra as la
 from liemaxwell._smallmat import sqrt_fraction
 from liemaxwell.forms import two_form
@@ -25,8 +25,6 @@ _ORIENTED = {
     "hodge_star": lambda o: forms.hodge_star(_G, _A, o),
     "volume_coefficient": lambda o: forms.volume_coefficient(_G, o),
     "hodge_star_exact": lambda o: forms.hodge_star_exact(_G.astype(int) * Fraction(1), _A, o),
-    "em_residual": lambda o: maxwell.em_residual(la.instantiate(la.entry_by_name("2A2"), {}),
-                                                 _G, _A, o),
 }
 
 

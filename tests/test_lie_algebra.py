@@ -9,7 +9,7 @@ import pytest
 import oracles as orc
 from liemaxwell import _smallmat
 from liemaxwell import lie_algebra as la
-from liemaxwell._expr import eval_expr
+from liemaxwell._expr import ExpressionError, eval_expr
 from liemaxwell.families import FAMILIES, family_by_id
 
 E = np.eye(4)
@@ -302,6 +302,28 @@ def test_catalog_rejects_bad_json(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(la.CatalogError, match="parse"):
         la.load_catalog(bad)
+
+
+@pytest.mark.parametrize("src", [
+    # a bad character, unbalanced parentheses
+    "a/b", "a,b", "(a+b",
+    # an exponent is one nonnegative integer literal
+    "a^-1", "a^0.5", "a^(2)", "a^b", "a^2^3",
+    # trailing input, empty parentheses, a leading *, a trailing blank
+    "a b", "2a", "()", "*a", "a ",
+])
+def test_expression_grammar_refusals(src):
+    with pytest.raises(ExpressionError):
+        eval_expr(src, {"a": 2, "b": 3})
+
+
+# The sign corners -a^2, (-a)^2 and 1*-a^2 are cases of
+# test_unary_minus_binds_looser_than_power_everywhere.
+@pytest.mark.parametrize("src,value", [("007", 7), ("  a", 2), ("a^0", 1)])
+def test_expression_grammar_corners(src, value):
+    for env in ({"a": Fraction(2)}, {"a": 2.0}, {"a": np.full(3, 2.0)}):
+        assert np.all(eval_expr(src, env) == value), env
+    assert orc.eval_expr_interpreted(src, {"a": 2}) == value
 
 
 def test_entry_validation_rejects_unknown_references():

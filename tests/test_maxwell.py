@@ -133,7 +133,7 @@ def test_a_nan_residual_is_never_a_solution(monkeypatch):
 def test_stacked_em_residual_matches_single_calls():
     # Sampled admissible points of every catalog entry with random F, and
     # the family grid points (solutions): one stacked call against one call
-    # per candidate, in both orientations.
+    # per candidate.
     rng = np.random.default_rng(40)
     algebras, metrics, fs = [], [], []
     for _, L, g in admissible_draws(3 * len(la.catalog()), seed=41):
@@ -148,18 +148,27 @@ def test_stacked_em_residual_matches_single_calls():
             metrics.append(g)
             fs.append(cand.f_coeffs)
     seen = set()
-    for orientation in (1, -1):
-        stacked = maxwell.em_residual(algebras, np.array(metrics), np.array(fs), orientation)
-        assert len(stacked) == len(algebras)
-        for L, g, f6, got in zip(algebras, metrics, fs, stacked):
-            want = maxwell.em_residual(L, g, f6, orientation)
-            assert got.classification == want.classification, L.name
-            for name in ("r_em", "r_dF", "r_dstarF", "scalar_curvature"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (L.name, name)
-            assert got.to_dict()["inputs"] == want.to_dict()["inputs"]
-            seen.add(got.classification)
+    stacked = maxwell.em_residual(algebras, np.array(metrics), np.array(fs))
+    assert len(stacked) == len(algebras)
+    for L, g, f6, got in zip(algebras, metrics, fs, stacked):
+        want = maxwell.em_residual(L, g, f6)
+        assert got.classification == want.classification, L.name
+        for name in ("r_em", "r_dF", "r_dstarF", "scalar_curvature"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (L.name, name)
+        assert got.to_dict()["inputs"] == want.to_dict()["inputs"]
+        seen.add(got.classification)
     assert {maxwell.NON_EINSTEIN_EM, maxwell.NOT_A_SOLUTION} <= seen
+
+
+def test_co_closedness_does_not_depend_on_the_orientation():
+    # Why em_residual takes no orientation: reversing it negates *F, and d is
+    # linear, so d*F is negated bit for bit and |d*F| keeps its bits.
+    rng = np.random.default_rng(42)
+    for _, L, g in admissible_draws(3 * len(la.catalog()), seed=43):
+        f6 = rng.normal(size=6)
+        plus = la.d_two_form(L, forms.hodge_star(g, f6, 1))
+        assert np.array_equal(la.d_two_form(L, forms.hodge_star(g, f6, -1)), -plus), L.name
 
 
 def test_stack_with_a_nonpositive_determinant_is_refused_like_one_call():
