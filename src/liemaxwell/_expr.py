@@ -18,10 +18,13 @@ exponents and empty parentheses are refused) and turned into closures.
 
 The environment may also hold float arrays of one shape; the result is then
 the array of what each element would give as a Python float, bit for bit:
-a literal meeting an array enters as ``float(literal)`` (Fraction's own rule
-with a float) and ``^`` goes through ``np.float_power``, which calls the same
-C ``pow`` as Python floats do (``arr ** 2`` would square, which rounds
-differently from ``pow`` in about 0.1 % of cases).
+a literal meeting a float or an array enters as ``float(literal)``
+(Fraction's own rule with a float), converted when it is met, so a literal
+beyond the float range stays exact in exact evaluation and is an
+ExpressionError naming the expression in float evaluation; ``^`` goes
+through ``np.float_power``, which calls the same C ``pow`` as Python floats
+do (``arr ** 2`` would square, which rounds differently from ``pow`` in
+about 0.1 % of cases).
 """
 
 from __future__ import annotations
@@ -84,23 +87,34 @@ def _unary(op, f):
     return lambda env: op(f(env))
 
 
-def _binary(op, f, g):
+def _binary(op, f, g, src: str):
     if hasattr(f, "literal") and hasattr(g, "literal"):
         return _literal(op(f.literal, g.literal))
     if hasattr(f, "literal") or hasattr(g, "literal"):
-        return _mixed(op, f, g)
+        return _mixed(op, f, g, src)
     return lambda env: op(f(env), g(env))
 
 
-def _mixed(op, f, g):
+def _mixed(op, f, g, src: str):
     """A literal-only operand against one that reads the environment: the
-    literal becomes a float when the other side is an array."""
+    literal stays exact against exact values and becomes a float against a
+    float or an array, as Fraction itself converts it against a float.  A
+    literal beyond the float range meets a float only as an ExpressionError."""
     lit, other = (f, g) if hasattr(f, "literal") else (g, f)
-    exact, as_float = lit.literal, float(lit.literal)
+    exact = lit.literal
+    try:
+        as_float = float(exact)
+    except OverflowError:
+        as_float = None
 
     def fn(env):
         val = other(env)
-        c = as_float if isinstance(val, np.ndarray) else exact
+        if isinstance(val, (float, np.ndarray)):
+            if as_float is None:
+                raise ExpressionError(f"literal beyond the float range in {src!r}")
+            c = as_float
+        else:
+            c = exact
         return op(c, val) if lit is f else op(val, c)
     return fn
 
@@ -156,7 +170,7 @@ def _build(node, tokens: list[tuple[str, str]], src: str):
         return _power(_build(node.left, tokens, src), int(tokens[int(node.right.id[1:])][1]))
     if isinstance(node, ast.BinOp):
         return _binary(_BINARY[type(node.op)], _build(node.left, tokens, src),
-                       _build(node.right, tokens, src))
+                       _build(node.right, tokens, src), src)
     raise ExpressionError(f"unexpected {type(node).__name__.lower()} in {src!r}")
 
 

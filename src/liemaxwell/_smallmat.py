@@ -43,7 +43,16 @@ def rref(mat: np.ndarray) -> tuple[np.ndarray, list[int], list, int]:
     ``sign`` is -1 to the number of row swaps: for a square matrix whose
     columns are all pivot columns, det = sign * prod(heads).
     """
-    a = np.array(mat, copy=True)
+    a = np.asarray(mat)
+    rows, pivots, heads, sign = _rref_rows(a)
+    return np.array(rows, dtype=a.dtype).reshape(a.shape), pivots, heads, sign
+
+
+def _rref_rows(a: np.ndarray) -> tuple[list[list], list[int], list, int]:
+    """``rref`` of a on the rows of ``a.tolist()``: Python floats or
+    Fractions, whose field operations round as numpy's elementwise ones do,
+    at a fraction of their cost on rows of at most a dozen entries."""
+    rows = a.tolist()
     n_rows, n_cols = a.shape
     thr = 0.0 if is_exact(a) else RREF_TOL * max(1.0, float(np.abs(a).max(initial=0.0)))
     pivots: list[int] = []
@@ -53,21 +62,22 @@ def rref(mat: np.ndarray) -> tuple[np.ndarray, list[int], list, int]:
     for col in range(n_cols):
         if row >= n_rows:
             break
-        sub = a[row:, col]
-        best = max(range(len(sub)), key=lambda r: abs(sub[r]))
-        if abs(sub[best]) <= thr:
+        best = max(range(row, n_rows), key=lambda r: abs(rows[r][col]))
+        if abs(rows[best][col]) <= thr:
             continue
-        if best != 0:
-            a[[row, row + best]] = a[[row + best, row]]
+        if best != row:
+            rows[row], rows[best] = rows[best], rows[row]
             sign = -sign
-        heads.append(a[row, col])
-        a[row] = a[row] / a[row, col]
+        head = rows[row][col]
+        heads.append(head)
+        pivot = rows[row] = [v / head for v in rows[row]]
         for r in range(n_rows):
-            if r != row and abs(a[r, col]) > 0:
-                a[r] = a[r] - a[r, col] * a[row]
+            factor = rows[r][col]
+            if r != row and abs(factor) > 0:
+                rows[r] = [v - factor * w for v, w in zip(rows[r], pivot)]
         pivots.append(col)
         row += 1
-    return a, pivots, heads, sign
+    return rows, pivots, heads, sign
 
 
 def nullspace(mat: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
@@ -75,17 +85,17 @@ def nullspace(mat: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
     vector i has a 1 in free column i and a 0 in every other free column."""
     a = np.asarray(mat)
     n_cols = a.shape[1]
-    r, pivots, _, _ = rref(a)
+    r, pivots, _, _ = _rref_rows(a)
     free = [c for c in range(n_cols) if c not in pivots]
     zero, one = (Fraction(0), Fraction(1)) if is_exact(a) else (0.0, 1.0)
     basis = []
     for c in free:
-        v = np.full(n_cols, zero, dtype=a.dtype)
+        v = [zero] * n_cols
         v[c] = one
         for row_idx, p in enumerate(pivots):
-            v[p] = -r[row_idx, c]
+            v[p] = -r[row_idx][c]
         basis.append(v)
-    return basis, free
+    return list(np.array(basis, dtype=a.dtype).reshape(len(free), n_cols)), free
 
 
 def inverse(mat: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ import functools
 import hashlib
 import importlib.resources
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -231,9 +230,18 @@ class ClosednessSystem:
     pivot_pairs: tuple[str, ...]  # pair labels of the rref pivot columns
 
 
+def closedness_matrix(L) -> np.ndarray:
+    """Coefficient matrix (4, 6) of dF = 0, column p being d(e^p), of one
+    algebra, or (S, 4, 6) of S algebras (``structure_constants``): d of all
+    six unit 2-forms in one ``d_two_form`` call."""
+    c = structure_constants(L)
+    mat = d_two_form(c[..., None, :, :, :], np.eye(6, dtype=c.dtype))
+    return np.ascontiguousarray(np.swapaxes(mat, -1, -2))
+
+
 def closedness_constraints(L: LieAlgebra) -> ClosednessSystem:
     """Coefficient matrix of dF = 0 and a canonical basis of its kernel."""
-    mat = d_two_form(L, np.eye(6, dtype=L.c.dtype)).T.copy()  # column p: d(e^p)
+    mat = closedness_matrix(L)
     basis, free = nullspace(mat)
     return ClosednessSystem(matrix=mat, kernel=tuple(basis), dim=len(basis),
                             free_pairs=tuple(PAIR_LABELS[p] for p in free),
@@ -255,14 +263,16 @@ class ParamSpec:
     exclude: tuple[float, ...]
     sample: float
 
-    def admits(self, value: float, margin: float = 1e-9) -> bool:
-        if not math.isfinite(value):
-            return False
-        if self.lo is not None and (value < self.lo or (self.open_lo and value <= self.lo)):
-            return False
-        if self.hi is not None and (value > self.hi or (self.open_hi and value >= self.hi)):
-            return False
-        return all(abs(value - ex) > margin for ex in self.exclude)
+    def admits(self, value, margin: float = 1e-9):
+        """Whether a value is admissible, or which values of an array are."""
+        ok = np.isfinite(value)
+        if self.lo is not None:
+            ok = ok & ((value > self.lo) if self.open_lo else (value >= self.lo))
+        if self.hi is not None:
+            ok = ok & ((value < self.hi) if self.open_hi else (value <= self.hi))
+        for ex in self.exclude:
+            ok = ok & (np.abs(value - ex) > margin)
+        return ok
 
 
 @dataclass(frozen=True)
@@ -315,6 +325,18 @@ class CatalogEntry:
                     g0[4 * i + j] = cell
         return place, g0
 
+    @functools.cached_property
+    def metric_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(literal, at, which) of the shape flattened (16,): the literal
+        cells (0 where a parameter sits), the positions of the parameter
+        cells and the index of the parameter at each of them (in
+        ``metric_param_names`` order)."""
+        names = self.metric_param_names
+        cells = [cell for row in self.metric_shape for cell in row]
+        at = [q for q, v in enumerate(cells) if isinstance(v, str)]
+        return (np.array([0.0 if isinstance(v, str) else v for v in cells]), np.array(at, dtype=int),
+                np.array([names.index(cells[q]) for q in at], dtype=int))
+
     def sample_params(self) -> dict:
         return {p.name: p.sample for p in self.params}
 
@@ -324,10 +346,12 @@ def canonical_key(name: str) -> str:
     return "".join(ch for ch in name.lower() if ch.isalnum())
 
 
-def instantiate(entry: CatalogEntry, params: dict | None = None, *,
-                exact: bool = False, check_range: bool = True) -> LieAlgebra:
-    """Concrete LieAlgebra from an entry at given algebra parameter values."""
-    params = dict(params or {})
+def _checked(entry: CatalogEntry, params: dict) -> None:
+    """CatalogError unless ``params`` names exactly the entry's algebra
+    parameters, with numbers that are not booleans."""
+    if params.keys() == set(entry.param_names) and not any(
+            isinstance(v, (bool, np.bool_)) for v in params.values()):
+        return
     declared = set(entry.param_names)
     unknown = set(params) - declared
     if unknown:
@@ -336,47 +360,93 @@ def instantiate(entry: CatalogEntry, params: dict | None = None, *,
     if missing:
         raise CatalogError(f"{entry.name}: missing algebra parameters {sorted(missing)}")
     flags = sorted(k for k, v in params.items() if isinstance(v, (bool, np.bool_)))
-    if flags:
-        raise CatalogError(f"{entry.name}: algebra parameters {flags} must be numbers, not booleans")
+    raise CatalogError(f"{entry.name}: algebra parameters {flags} must be numbers, not booleans")
 
-    def as_float(name):
-        try:
-            return float(params[name])
-        except OverflowError:  # an integer beyond the float range
-            raise CatalogError(
-                f"{entry.name}: parameter {name} is beyond the float range") from None
 
+def _as_float(entry: CatalogEntry, name: str, value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise CatalogError(f"{entry.name}: parameter {name} is beyond the float range") from None
+
+
+def _bracket_constants(entry: CatalogEntry, env: dict, lead: tuple = (), dtype=float) -> np.ndarray:
+    """Structure constants (*lead, 4, 4, 4) of the entry's bracket table,
+    each coefficient evaluated once on ``env``: Python numbers, or arrays of
+    shape ``lead`` (``eval_expr`` gives each element the bits of a Python
+    float).  The table is 1-based with i < j; [e_j, e_i] = -[e_i, e_j]."""
+    c = np.zeros(lead + (DIM, DIM, DIM), dtype=dtype)
+    if dtype is object:
+        c[...] = Fraction(0)
+    for i, j, coeffs in entry.brackets:
+        for k, expr in coeffs:
+            val = eval_expr(expr, env)
+            c[..., i - 1, j - 1, k - 1] = val
+            c[..., j - 1, i - 1, k - 1] = -val
+    return c
+
+
+def instantiate(entry: CatalogEntry, params: dict | None = None, *,
+                exact: bool = False, check_range: bool = True) -> LieAlgebra:
+    """Concrete LieAlgebra from an entry at given algebra parameter values."""
+    params = dict(params or {})
+    _checked(entry, params)
     if check_range:
         for spec in entry.params:
-            if not spec.admits(as_float(spec.name)):
+            if not spec.admits(_as_float(entry, spec.name, params[spec.name])):
                 raise CatalogError(
                     f"{entry.name}: parameter {spec.name}={params[spec.name]} outside admissible range")
     if exact:
         env = dict(zip(params, as_fractions(np.array(list(params.values()), dtype=object))))
+        c = _bracket_constants(entry, env, dtype=object)
     else:
-        env = {k: as_float(k) for k in params}
-    table: dict[tuple[int, int], dict[int, object]] = {}
-    for i, j, coeffs in entry.brackets:
-        row = table.setdefault((i, j), {})
-        for k, expr in coeffs:
-            val = eval_expr(expr, env)
-            row[k] = val if exact else float(val)
-    return from_brackets(entry.name, table, params=params, exact=exact)
+        c = _bracket_constants(entry, {k: _as_float(entry, k, v) for k, v in params.items()})
+    return LieAlgebra(name=entry.name, c=c, params=params)
 
 
-def metric_from_params(entry: CatalogEntry, metric_params: dict, *,
-                       exact: bool = False) -> np.ndarray:
-    """Fill the entry's reduced metric shape with concrete parameter values."""
+def instantiate_many(entry: CatalogEntry, params: list[dict]) -> np.ndarray:
+    """Structure constants (S, 4, 4, 4) of the entry at S sets of algebra
+    parameters, each checked as ``instantiate`` checks it, and finite.
+    Every bracket coefficient is evaluated once, on the parameter arrays,
+    and set s has the bits of ``instantiate(entry, params[s]).c``."""
+    for p in params:
+        _checked(entry, p)
+    env = {}
+    for spec in entry.params:
+        env[spec.name] = values = np.array([_as_float(entry, spec.name, p[spec.name])
+                                            for p in params])
+        bad = np.flatnonzero(~spec.admits(values))
+        if len(bad):
+            raise CatalogError(f"{entry.name}: parameter {spec.name}="
+                               f"{params[bad[0]][spec.name]} outside admissible range")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, as instantiate does
+        c = _bracket_constants(entry, env, (len(params),))
+    if not np.isfinite(c).all():
+        raise CatalogError(f"{entry.name}: structure constants beyond the float range")
+    return c
+
+
+def metric_from_params(entry: CatalogEntry, metric_params, *, exact: bool = False) -> np.ndarray:
+    """Fill the entry's reduced metric shape with concrete parameter values:
+    a dict over ``entry.metric_param_names`` gives one metric (4, 4), and
+    float parameter vectors (..., m) in that order give metrics (..., 4, 4).
+    Every cell is a copy of its parameter or literal, never a sum."""
+    if not isinstance(metric_params, dict):
+        literal, at, which = entry.metric_cells
+        params = np.asarray(metric_params, dtype=float)
+        cells = np.broadcast_to(literal, params.shape[:-1] + literal.shape).copy()
+        cells[..., at] = params[..., which]
+        return cells.reshape(params.shape[:-1] + (DIM, DIM))
     needed = set(entry.metric_param_names)
     given = set(metric_params)
     if needed != given:
         raise CatalogError(
             f"{entry.name}: metric parameters {sorted(needed)} required, got {sorted(given)}")
-    cells = [[metric_params[cell] if isinstance(cell, str) else cell for cell in row]
-             for row in entry.metric_shape]
     if exact:
+        cells = [[metric_params[cell] if isinstance(cell, str) else cell for cell in row]
+                 for row in entry.metric_shape]
         return as_fractions(np.array(cells, dtype=object))
-    return np.array([[float(v) for v in row] for row in cells])
+    return metric_from_params(entry, [float(metric_params[n]) for n in entry.metric_param_names])
 
 
 def _parse_entry(raw: dict) -> CatalogEntry:
@@ -424,7 +494,10 @@ def _validate_entry(entry: CatalogEntry) -> None:
     if entry.verdict not in VERDICTS:
         raise CatalogError(f"{entry.name}: unknown verdict {entry.verdict!r}")
     declared = set(entry.param_names)
-    for _, _, coeffs in entry.brackets:
+    for i, j, coeffs in entry.brackets:
+        if not 1 <= i < j <= DIM or not all(1 <= k <= DIM for k, _ in coeffs):
+            raise CatalogError(f"{entry.name}: bracket indices must satisfy 1 <= i < j <= 4 "
+                               f"and 1 <= k <= 4, got ({i}, {j})")
         for _, expr in coeffs:
             try:
                 refs = expr_identifiers(expr)

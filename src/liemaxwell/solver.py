@@ -34,16 +34,24 @@ multiplies each point alone by its seed's matrices, one row per point, so
 every rung is computed as a lone point is.  Iteration counts,
 stop reasons and residual evaluation counts are those of a lone run.
 
-Starts and re-verification run once per request's share of a program and
-once per program.  Each seed draws from its own generator, but one
-``sample_metric_params`` call checks the candidate metrics of those seeds
-with one ``admissible`` call, and one stacked ``em_residual`` call
-re-verifies the end points of a program,
-each algebra and metric instantiated from its own candidate.  Starts, and
-so end points, are those of one seed at a time; the reference chain takes
-leading axes and serves exact input through the same functions, and its
-reports agree with one call per seed to round-off (they may differ in the
-last bits, never in the end points they describe).
+Starts and re-verification make a fixed number of numpy calls per
+request's share of a program and per program, not per seed.  Each seed
+draws from its own generator, but one ``sample_metric_params`` call draws
+and checks the candidate metrics of all of them, one ``ResidualContext``
+build serves their distinct algebra parameters (brackets evaluated once
+on parameter arrays, one rref per seed, whose pivots fix its kernel
+basis) and one stacked ``norm_sq`` normalizes the unit_F starts.  One
+``em_residual`` call re-verifies the end points of a program, each algebra
+and metric instantiated from its own candidate, by one ``instantiate_many``
+call and one metric build per entry.  Starts, and so end points, are those
+of one seed at a time; the reference chain takes leading axes and serves
+exact input through the same functions, and its reports agree with one
+call per seed to round-off (they may differ in the last bits, never in
+the end points they describe).  On the benchmark's ``classify`` workload
+(2-vCPU Xeon VM, CPython 3.11, numpy 2.4) starts take about 10 % of a
+round, the sampler 4.4 % and the context builds 2.2 % of it, against
+13.5 % at one seed at a time; instantiating the re-verified algebras
+takes 0.6 %, against 2 %.
 
 Determinism contract: the per-seed RNG is ``default_rng(seed ^ index)``,
 programs are fixed by request and index, every seed runs at most ``SEARCH_MAX_ITER``
@@ -61,15 +69,17 @@ import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from ._smallmat import nullspace
 from .families import Family, family_by_id
 from .forms import _STAR_PAIRS, _is_orientation, hodge_star, norm_sq
 from .kahler import classify_hermitian_type, ricci_form
-from .lie_algebra import (CatalogEntry, LieAlgebra, catalog_checksum, closedness_constraints,
-                          d_two_form, entry_by_name, instantiate, metric_from_params,
-                          two_form_matrix)
+from .lie_algebra import (PAIR_LABELS, CatalogEntry, LieAlgebra, catalog_checksum,
+                          closedness_matrix, d_two_form, entry_by_name, instantiate,
+                          instantiate_many, metric_from_params, two_form_matrix)
 from .maxwell import (NON_EINSTEIN_EM, TOL_SOLUTION, EMReport, em_residual, stress_energy,
                       verify_kahler_decomposition)
 from .metric_geometry import EPS_PD, admissible, curvature_summary, validate_metric
@@ -112,6 +122,9 @@ _TRIU_FLAT = 4 * _TRIU_ROWS + _TRIU_COLS
 _G, _F, _CG, _DF = slice(0, 16), slice(16, 32), slice(32, 96), slice(96, 100)
 _WIDTH = 100
 
+#: Six 2-form coefficients -> antisymmetric 4x4 matrix, flattened.
+_F_PLACE = two_form_matrix(np.eye(6)).reshape(6, 16)
+
 
 class CandidateError(ValueError):
     """Candidate violates its entry's invariants (not a residual)."""
@@ -148,16 +161,24 @@ class Candidate:
     orientation: int = 1
 
     def __post_init__(self):
-        coeffs = np.asarray(self.f_coeffs, dtype=object)
-        if coeffs.shape != (6,):
+        params = [*self.algebra_params.values(), *self.metric_params.values()]
+        f = self.f_coeffs
+        # Six float64 coefficients and float parameters, as a search makes
+        # them, need only the orientation and finiteness checks.
+        typed = (isinstance(f, np.ndarray) and f.dtype == np.float64 and f.shape == (6,)
+                 and all(type(v) is float for v in params))
+        coeffs = None if typed else np.asarray(f, dtype=object)
+        if coeffs is not None and coeffs.shape != (6,):
             raise CandidateError("f_coeffs must have six components")
         if not _is_orientation(self.orientation):
             raise CandidateError("orientation must be the integer 1 or -1")
-        params = [*self.algebra_params.values(), *self.metric_params.values()]
-        if any(isinstance(v, (bool, np.bool_)) for v in params):
-            raise CandidateError("algebra_params and metric_params must be numbers, not booleans")
-        if not all(isinstance(v, numbers.Real) for v in [*coeffs.tolist(), *params]):
-            raise CandidateError("f_coeffs, algebra_params and metric_params must be real numbers")
+        if coeffs is not None:
+            if any(isinstance(v, (bool, np.bool_)) for v in params):
+                raise CandidateError(
+                    "algebra_params and metric_params must be numbers, not booleans")
+            if not all(isinstance(v, numbers.Real) for v in [*coeffs.tolist(), *params]):
+                raise CandidateError(
+                    "f_coeffs, algebra_params and metric_params must be real numbers")
         try:
             self.f_coeffs = np.asarray(self.f_coeffs, dtype=float)
             finite = np.isfinite(self.f_coeffs).all() and all(map(math.isfinite, params))
@@ -206,13 +227,6 @@ class Candidate:
         return cls.from_dict(raw)
 
 
-def _instantiated(c: Candidate) -> tuple[CatalogEntry, LieAlgebra, np.ndarray]:
-    entry = entry_by_name(c.entry_name)
-    L = instantiate(entry, c.algebra_params)
-    g = metric_from_params(entry, c.metric_params)
-    return entry, L, g
-
-
 def _admitted(entry: CatalogEntry, algebra_params: dict,
               metric_params: dict) -> tuple[LieAlgebra, np.ndarray]:
     """The algebra and metric g of the entry at these parameters; a
@@ -242,6 +256,16 @@ def residual_vector(c: Candidate) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class _SeedFacts(NamedTuple):
+    """What a context knows of one seed besides its constants: its algebra
+    parameters, the kernel basis of F as rows (k, 6) and the free pair of
+    each row."""
+
+    params: dict
+    kernel_t: np.ndarray
+    free_pairs: tuple[str, ...]
+
+
 class ResidualContext:
     """Residual as a function of the parameter vector for one entry.
 
@@ -263,13 +287,17 @@ class ResidualContext:
     against each other.
 
     The constants that depend on the algebra parameters carry a leading seed
-    axis: length 1 here, and one entry per seed in a context made by
-    ``stack``, which lets one call evaluate many seeds of a search at once.
-    ``take`` is the one way to pick seeds: it gathers the seeds of a context
-    once, so that later calls need no gather.  Several points of a seed
-    broadcast against its constants, never repeat them: the products with
-    per-seed matrices take one row per point, so each point has the bits of
-    a lone call.
+    axis, one entry per seed: the constructor builds the seeds of one entry
+    in one stacked pass (one seed is its S = 1 case), and ``stack`` joins
+    contexts, which lets one call evaluate many seeds of a search at once.
+    Beside its constants each seed keeps its facts (``_SeedFacts``: algebra
+    parameters, kernel basis, free pairs); ``algebra_params``, ``kernel``,
+    ``names`` and ``candidate`` are those of a one-seed context, and
+    ``f_of`` and ``candidates`` take one point per seed.  ``take`` is the
+    one way to pick seeds: it gathers the seeds of a context once, so that
+    later calls need no gather.  Several points of a seed broadcast against
+    its constants, never repeat them: the products with per-seed matrices
+    take one row per point, so each point has the bits of a lone call.
     """
 
     #: Per-seed constants on axis 0: the kernel's (``_lin`` and ``_lin0``, the
@@ -280,85 +308,121 @@ class ResidualContext:
     #: next, which broadcasts over the points of a seed.
     _SEED_AXIS = ("_lin", "_lin0", "_ct", "_killing_half", "_star_d", "_part", "_n_free")
 
-    def __init__(self, entry: CatalogEntry, algebra_params: dict, mode: str = "unit_F"):
+    def __init__(self, entry: CatalogEntry, algebra_params: dict | list[dict],
+                 mode: str = "unit_F"):
+        """The context of one seed (``algebra_params`` one dict) or of S
+        seeds of one entry (a list of S dicts), built by one stacked pass:
+        the brackets are evaluated once on parameter arrays
+        (``instantiate_many``), d of the six unit 2-forms once for all
+        seeds, and each seed keeps its own rref, whose pivots fix its kernel
+        basis.  Seed s has the bits of ``ResidualContext(entry, params[s])``."""
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        self.entry = entry
-        self.algebra_params = dict(algebra_params)
-        self.mode = mode
-        self.L = instantiate(entry, algebra_params)
-        c = np.asarray(self.L.c, dtype=float)
-        self.metric_names = list(entry.metric_param_names)
-        system = closedness_constraints(self.L)
-        d_t = np.asarray(system.matrix, dtype=float).T
-        self.kernel = np.array([np.asarray(v, dtype=float) for v in system.kernel]).T \
-            if system.kernel else np.zeros((6, 0))
-        self.f_names = [f"f{lbl}" for lbl in system.free_pairs]
-        self.names = self.metric_names + self.f_names
-        self._entries, self._part = (entry,), np.zeros(1, dtype=int)
-        self._n_free = np.array([len(self.names)])
+        seeds = ([dict(algebra_params)] if isinstance(algebra_params, dict)
+                 else [dict(p) for p in algebra_params])
+        self.entry, self.mode = entry, mode
+        c = instantiate_many(entry, seeds)
+        n_seeds, n_metric = len(seeds), len(entry.metric_param_names)
+        mats = closedness_matrix(c)
+        d_t = mats.swapaxes(1, 2)
+        self._facts = []  # per seed, beside the constants of _SEED_AXIS
+        for params, mat in zip(seeds, mats):
+            basis, free = nullspace(mat)
+            self._facts.append(_SeedFacts(params, np.array(basis) if basis else np.zeros((0, 6)),
+                                          tuple(PAIR_LABELS[p] for p in free)))
+        widths = [n_metric + len(f.kernel_t) for f in self._facts]
+        self._entries, self._part = (entry,), np.zeros(n_seeds, dtype=int)
+        self._n_free = np.array(widths)
         place, g0 = entry.metric_placement
-        # Six 2-form coefficients -> antisymmetric 4x4 matrix, flattened.
-        f_place = two_form_matrix(np.eye(6)).reshape(6, 16)
-        kernel_t = self.kernel.T
         # Everything linear in x, folded per seed: x @ _lin + _lin0 is
         # [g | F | g([e_i,e_j],e_l) with rows (i, j) | dF], see _G .. _DF.
-        c16 = c.reshape(16, 4)
-        n_metric = len(self.metric_names)
-        lin = np.zeros((len(self.names), _WIDTH))
-        lin[:n_metric, _G] = place
-        lin[:n_metric, _CG] = (c16 @ place.reshape(-1, 4, 4)).reshape(n_metric, 64)
-        lin[n_metric:, _F] = kernel_t @ f_place
-        lin[n_metric:, _DF] = kernel_t @ d_t
-        lin0 = np.zeros(_WIDTH)
-        lin0[_G] = g0
-        lin0[_CG] = (c16 @ g0.reshape(4, 4)).ravel()
-        self._lin, self._lin0 = lin[None], lin0[None, None, None]
-        self._kernel_t = kernel_t
+        # A narrower seed's rows past its width stay 0.
+        c16 = c.reshape(n_seeds, 16, 4)
+        lin = np.zeros((n_seeds, max(widths), _WIDTH))
+        lin[:, :n_metric, _G] = place
+        lin[:, :n_metric, _CG] = (c16[:, None] @ place.reshape(-1, 4, 4)).reshape(
+            n_seeds, n_metric, 64)
+        for s, facts in enumerate(self._facts):
+            lin[s, n_metric:widths[s], _F] = facts.kernel_t @ _F_PLACE
+            lin[s, n_metric:widths[s], _DF] = facts.kernel_t @ d_t[s]
+        lin0 = np.zeros((n_seeds, _WIDTH))
+        lin0[:, _G] = g0
+        lin0[:, _CG] = (c16 @ g0.reshape(4, 4)).reshape(n_seeds, 64)
+        self._lin, self._lin0 = lin, lin0[:, None, None]
         # Hodge star then d: F^{kl} (raised, flattened) -> d*F / sqrt det g, with
         # volume form +sqrt(det g) e^1234 (d*F = 0 does not depend on its sign).
-        self._star_d = (0.5 * _STAR_PAIRS @ d_t)[None]
+        self._star_d = 0.5 * _STAR_PAIRS @ d_t
         # Ricci ingredients that do not depend on the metric, with factor
         # -1/2: the structure constants as [m, (l, b)] = c_bm^l beside the
         # trace form t_m = c_mk^k, one 4 x 17 block that g^-1 raises at once,
         # and the Killing form B_ab = c_ai^k c_bk^i.
-        self._ct = -0.5 * np.concatenate([c.transpose(1, 2, 0).reshape(4, 16),
-                                          np.einsum("akk->a", c)[:, None]], axis=1)[None, None]
-        self._killing_half = -0.5 * np.einsum("aik,bki->ab", c, c)[None, None]
+        self._ct = -0.5 * np.concatenate([c.transpose(0, 2, 3, 1).reshape(n_seeds, 4, 16),
+                                          np.einsum("sakk->sa", c)[..., None]], axis=2)[:, None]
+        self._killing_half = -0.5 * np.einsum("saik,sbki->sab", c, c)[:, None]
 
     @classmethod
     def stack(cls, contexts: list["ResidualContext"]) -> "ResidualContext":
-        """One context for the seeds of ``contexts`` (made by the constructor,
-        in one mode), their per-seed constants concatenated in order.  Entry
-        and width (number of parameters) may differ: a narrower seed's x is
-        padded with zeros to the widest width, and its ``_lin`` with zero rows,
-        so its residual is unchanged and its padded Jacobian columns are 0.
-        It evaluates and checks points; per-seed facts (algebra, kernel,
-        candidates) stay with the parts."""
+        """One context for the seeds of ``contexts`` (in one mode), their
+        per-seed constants and facts concatenated in order.  Entry and width
+        (number of parameters) may differ: a narrower seed's x is padded
+        with zeros to the widest width, and its ``_lin`` with zero rows, so
+        its residual is unchanged and its padded Jacobian columns are 0."""
         if len(contexts) == 1:
             return contexts[0]
-        widths = [len(c.names) for c in contexts]
-        width = max(widths)
         out = copy.copy(contexts[0])
-        for name in cls._SEED_AXIS[1:]:  # all but _lin, padded below
+        for name in cls._SEED_AXIS[1:-2]:  # all but _lin (padded below) and the indices
             setattr(out, name, np.concatenate([getattr(c, name) for c in contexts]))
-        out._lin = np.zeros((len(contexts), width, _WIDTH))
-        for s, c in enumerate(contexts):
-            out._lin[s, :widths[s]] = c._lin[0]
-        entries = {id(c.entry): c.entry for c in contexts}
-        out._entries = tuple(entries.values())
-        out._part = np.array([list(entries).index(id(c.entry)) for c in contexts])
-        out.L = out.kernel = out.algebra_params = out.names = out.metric_names = None
+        out._facts = [facts for c in contexts for facts in c._facts]
+        out._n_free = np.concatenate([c._n_free for c in contexts])
+        out._lin = np.zeros((len(out._n_free), out._n_free.max(), _WIDTH))
+        entries, parts, row = {}, [], 0
+        width = out._lin.shape[1]
+        for c in contexts:
+            n, w = c._lin.shape[:2]
+            out._lin[row:row + n, :w] = c._lin[:, :width]  # rows past every width are 0
+            row += n
+            local = [entries.setdefault(id(e), (len(entries), e))[0] for e in c._entries]
+            parts.append(np.array(local)[c._part])
+        out._entries = tuple(e for _, e in entries.values())
+        out._part = np.concatenate(parts)
         return out
 
-    def take(self, seeds: np.ndarray) -> "ResidualContext":
+    def take(self, seeds) -> "ResidualContext":
         """A context whose seed s is seed ``seeds[s]`` of this one, its
-        constants gathered once.  It evaluates and checks points.  It picks
-        running seeds, never a tick's rungs: those are points of their seed."""
+        constants and facts gathered once.  It picks running seeds, never a
+        tick's rungs: those are points of their seed."""
         out = copy.copy(self)
         for name in self._SEED_AXIS:
             setattr(out, name, getattr(self, name)[seeds])
+        out._facts = [self._facts[s] for s in np.asarray(seeds).tolist()]
         return out
+
+    def _one(self) -> "_SeedFacts":
+        """The facts of a one-seed context."""
+        if len(self._facts) != 1:
+            raise ValueError(f"a context of {len(self._facts)} seeds has no one-seed facts")
+        return self._facts[0]
+
+    @property
+    def algebra_params(self) -> dict:
+        return self._one().params
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """Basis (6, k) of the closed 2-forms, one column per free pair."""
+        return self._one().kernel_t.T
+
+    @property
+    def metric_names(self) -> list[str]:
+        return list(self.entry.metric_param_names)
+
+    @property
+    def f_names(self) -> list[str]:
+        return [f"f{lbl}" for lbl in self._one().free_pairs]
+
+    @property
+    def names(self) -> list[str]:
+        return self.metric_names + self.f_names
 
     @property
     def n_rows(self) -> int:
@@ -368,8 +432,22 @@ class ResidualContext:
         return np.concatenate([[metric_params[n] for n in self.metric_names], y])
 
     def f_of(self, x: np.ndarray) -> np.ndarray:
-        """2-form coefficients (..., 6) of x (..., n)."""
-        return x[..., len(self.metric_names):] @ self._kernel_t
+        """2-form coefficients (S, 6) of one point per seed x (S, n), or (6,)
+        of a one-seed context's x (n,): one vector-matrix product per kernel
+        basis object, each point times its own seed's rows, as a lone
+        product is."""
+        xs = x.reshape(-1, x.shape[-1])
+        if len(xs) != len(self._facts):
+            raise ValueError(f"{len(xs)} points for {len(self._facts)} seeds")
+        groups: dict = {}
+        for s, facts in enumerate(self._facts):
+            groups.setdefault(id(facts.kernel_t), []).append(s)
+        out = np.empty((len(xs), 6))
+        for seeds in groups.values():
+            kernel_t = self._facts[seeds[0]].kernel_t
+            m = len(self._entries[self._part[seeds[0]]].metric_param_names)
+            out[seeds] = (xs[seeds, None, m:m + len(kernel_t)] @ kernel_t)[:, 0]
+        return out if x.ndim == 2 else out[0]
 
     def feasible(self, x: np.ndarray):
         """Whether x (..., n) is admissible (``metric_geometry.admissible`` on
@@ -459,13 +537,22 @@ class ResidualContext:
         return out.reshape(s, m, self.n_rows), (u, g_inv, raised, half, qcg, fg, em, trace, fu,
                                                 root, star)
 
+    def candidates(self, x: np.ndarray, canonical: bool = False) -> list[Candidate]:
+        """The candidate of each seed's point x (S, n); with ``canonical``,
+        each F flipped where ``_sign_flips`` says."""
+        f = self.f_of(x)
+        if canonical:
+            flips = _sign_flips(f)
+            f[flips] = -f[flips]
+        rows = x.tolist()
+        return [Candidate(entry.name, dict(facts.params), dict(zip(entry.metric_param_names, row)),
+                          fs)
+                for entry, facts, row, fs in zip(map(self._entries.__getitem__, self._part.tolist()),
+                                                 self._facts, rows, f)]
+
     def candidate(self, x: np.ndarray) -> Candidate:
-        return Candidate(
-            entry_name=self.entry.name,
-            algebra_params=dict(self.algebra_params),
-            metric_params={n: float(x[k]) for k, n in enumerate(self.metric_names)},
-            f_coeffs=self.f_of(x),
-        )
+        """The candidate of a one-seed context's point x (n,)."""
+        return self.candidates(x[None])[0]
 
     def project_f(self, f6: np.ndarray) -> tuple[np.ndarray, float]:
         """Least-squares kernel coordinates of F and the projection defect."""
@@ -851,23 +938,31 @@ class SearchOutcome:
         return json.dumps(self.to_dict(include_timing), **kwargs)
 
 
+#: Draws per generator that ``sample_metric_params`` checks before the rest
+#: of a run: most entries admit one of their first few dozen draws.
+_CHECK_FIRST = 32
+
+
 def sample_metric_params(entry: CatalogEntry, rng):
     """Uniform draw from the feasible box: [-3, 3] per parameter, positives in
     (0, 3]; rejection of the draws that are not ``admissible``.
 
-    Constraint regions can occupy a small fraction of the box, so after 150
-    rejected draws the box shrinks geometrically (off-diagonal parameters
-    toward 0, positive ones toward 1) where every catalog shape is feasible.
+    Constraint regions can occupy a small fraction of the box, so after 200
+    rejected draws the box shrinks geometrically, and again after every 50
+    more (off-diagonal parameters toward 0, positive ones toward 1), where
+    every catalog shape is feasible.
 
     ``rng`` is one generator, giving one parameter dict (a ValueError when
     no draw is admissible), or a sequence of generators, giving one dict per
     generator (None where no draw is admissible).  Each run of draws with
     one box size (200, then 50 at a time) is drawn by one ``uniform`` call
     per generator, and the draws of all generators still searching are
-    checked by one ``admissible`` call; each generator that found one is
-    then rewound to just after its first admissible draw.  The result and
-    every later draw from each generator are those of drawing and checking
-    one metric at a time.
+    checked by two ``admissible`` calls: one on each generator's first
+    ``_CHECK_FIRST`` draws, one on the rest of the draws of the generators
+    that found none there.  Each generator that found one is then rewound
+    (``advance`` by minus the draws past it, one step per value) to just
+    after its first admissible draw.  The result and every later draw from
+    each generator are those of drawing and checking one metric at a time.
     """
     rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     names = entry.metric_param_names
@@ -881,16 +976,20 @@ def sample_metric_params(entry: CatalogEntry, rng):
         shrink = 0.7 ** level
         lo = np.where(positive, 10 * EPS_PD, -3.0 * shrink)
         hi = np.where(positive, 1.0 + 2.0 * shrink, 3.0 * shrink)
-        states = [rngs[p].bit_generator.state for p in pending]
         draws = np.array([rngs[p].uniform(lo, hi, size=(stop - attempt, len(names)))
                           for p in pending])
-        ok = admissible(entry, draws)
+        # Checked in two parts: each generator's first _CHECK_FIRST draws,
+        # then the rest of the draws of the generators with none admissible.
+        ok = np.zeros(draws.shape[:2], dtype=bool)
+        ok[:, :_CHECK_FIRST] = admissible(entry, draws[:, :_CHECK_FIRST])
+        rest = np.flatnonzero(~ok.any(axis=1))
+        if len(rest) and draws.shape[1] > _CHECK_FIRST:
+            ok[rest, _CHECK_FIRST:] = admissible(entry, draws[rest, _CHECK_FIRST:])
         first = ok.argmax(axis=1).tolist()
         searching = []
         for q, p in enumerate(pending):
             if ok[q, first[q]]:
-                rngs[p].bit_generator.state = states[q]
-                rngs[p].uniform(lo, hi, size=(first[q] + 1, len(names)))
+                rngs[p].bit_generator.advance((first[q] + 1 - (stop - attempt)) * len(names))
                 found[p] = dict(zip(names, draws[q, first[q]].tolist()))
             else:
                 searching.append(p)
@@ -934,22 +1033,19 @@ def sample_algebra_params(entry: CatalogEntry, rng: np.random.Generator,
 
 
 def _canonical_vector(c: Candidate) -> np.ndarray:
-    """Parameters and F of a candidate already passed through ``canonical_sign``."""
+    """Parameters and F of a candidate whose F is canonically signed (``_sign_flips``)."""
     return np.concatenate([[c.algebra_params[k] for k in sorted(c.algebra_params)],
                            [c.metric_params[k] for k in sorted(c.metric_params)],
                            c.f_coeffs])
 
 
-def canonical_sign(c: Candidate) -> Candidate:
-    """Flip F so its first nonzero coefficient is positive ((g, -F) orbit)."""
-    f = c.f_coeffs
-    for v in f:
-        if abs(v) > 1e-9:
-            if v < 0:
-                return Candidate(c.entry_name, dict(c.algebra_params),
-                                 dict(c.metric_params), -f, c.orientation)
-            break
-    return c
+def _sign_flips(f: np.ndarray) -> np.ndarray:
+    """Whether the first coefficient above 1e-9 in size of each F (..., 6)
+    is negative (False where there is none): flipping those folds the
+    (g, -F) orbit onto one representative."""
+    big = np.abs(f) > 1e-9
+    first = np.take_along_axis(f, big.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    return big.any(axis=-1) & (first < 0)
 
 
 #: Seeds per program, sampled and refined together.  A constant, so a
@@ -958,79 +1054,114 @@ def canonical_sign(c: Candidate) -> Candidate:
 _BLOCK = 32
 
 
-def _starts(entry: CatalogEntry, seed: int, indices: range, mode: str) -> dict:
-    """(context, start x0) of each seed in ``indices``, or (why it has none,
-    None).  Each seed draws from its own ``default_rng(seed ^ index)``:
-    algebra parameters, then metric parameters (one sampler call for all
-    seeds), then kernel coordinates.  Seeds with equal algebra parameters
-    share one context."""
-    rngs = {index: np.random.default_rng(seed ^ index) for index in indices}
-    out: dict = {}
-    algebras, contexts = {}, {}
-    for index in indices:
+def _starts(entry: CatalogEntry, seed: int, indices: range, mode: str):
+    """The starts of the seeds in ``indices``: (status, ctx, x0), status
+    the list of their statuses, "refined" for each seed that starts, else
+    why it has none; ctx the context of the starting seeds (None when none
+    does) and x0 their starts (S, n), in index order.  Each seed draws
+    from its own ``default_rng(seed ^ index)``: algebra parameters, then
+    metric parameters (one sampler call for all seeds), then kernel
+    coordinates.  One context build serves the distinct algebra parameters,
+    and the unit_F normalization is one stacked ``norm_sq`` call (two when
+    a start is redrawn); every start has the bits of one seed at a time."""
+    rngs = [np.random.default_rng(seed ^ index) for index in indices]
+    status: list = ["sampling-failed"] * len(indices)
+    algebras = {}
+    for q, index in enumerate(indices):
         try:
-            algebras[index] = sample_algebra_params(entry, rngs[index], variant_index=index)
+            algebras[q] = sample_algebra_params(entry, rngs[q], variant_index=index)
         except ValueError:
-            out[index] = "sampling-failed", None
-    metrics = sample_metric_params(entry, [rngs[index] for index in algebras])
-    for (index, algebra_params), metric_params in zip(algebras.items(), metrics):
-        if metric_params is None:
-            out[index] = "sampling-failed", None
-            continue
-        rng = rngs[index]
-        key = tuple(algebra_params.items())
-        if key not in contexts:
-            contexts[key] = ResidualContext(entry, algebra_params, mode=mode)
-        ctx = contexts[key]
-        k = ctx.kernel.shape[1]
-        if k == 0:
-            out[index] = "no-closed-forms", None
-            continue
-        y0 = rng.uniform(-2.0, 2.0, size=k)
-        x0 = ctx.pack(metric_params, y0)
-        if mode == "unit_F":
-            g = metric_from_params(entry, metric_params)
-            nrm = float(norm_sq(g, ctx.f_of(x0)))
-            if nrm < 1e-6:
-                y0 = rng.uniform(0.5, 2.0, size=k)
-                x0 = ctx.pack(metric_params, y0)
-                nrm = float(norm_sq(g, ctx.f_of(x0)))
-            if nrm > 0:
-                x0[len(ctx.metric_names):] /= np.sqrt(nrm)
-        out[index] = ctx, x0
-    return {index: out[index] for index in indices}
+            pass
+    metrics = sample_metric_params(entry, [rngs[q] for q in algebras])
+    sampled = [(q, algebra_params, metric_params)
+               for (q, algebra_params), metric_params in zip(algebras.items(), metrics)
+               if metric_params is not None]
+    if not sampled:
+        return status, None, None
+    keys: dict = {}
+    seats = [keys.setdefault(tuple(a.items()), len(keys)) for _, a, _ in sampled]
+    distinct = ResidualContext(entry, [dict(key) for key in keys], mode=mode)
+    started = []
+    for (q, _, metric_params), seat in zip(sampled, seats):
+        if len(distinct._facts[seat].kernel_t):
+            started.append((q, seat, metric_params))
+            status[q] = "refined"
+        else:
+            status[q] = "no-closed-forms"
+    if not started:
+        return status, None, None
+    ctx = distinct.take([seat for _, seat, _ in started])
+    names = entry.metric_param_names
+    m, widths = len(names), ctx._n_free.tolist()
+    x0 = np.zeros((len(started), max(widths)))
+    x0[:, :m] = [[metric_params[n] for n in names] for _, _, metric_params in started]
+    for s, (q, _, _) in enumerate(started):
+        x0[s, m:widths[s]] = rngs[q].uniform(-2.0, 2.0, size=widths[s] - m)
+    if mode == "unit_F":
+        g = metric_from_params(entry, x0[:, :m])
+        nrm = norm_sq(g, ctx.f_of(x0))
+        low = np.flatnonzero(nrm < 1e-6)
+        if len(low):
+            for s in low.tolist():
+                x0[s, m:widths[s]] = rngs[started[s][0]].uniform(0.5, 2.0, size=widths[s] - m)
+            nrm[low] = norm_sq(g[low], ctx.take(low).f_of(x0[low]))
+        scaled = nrm > 0
+        x0[scaled, m:] /= np.sqrt(nrm[scaled])[:, None]
+    return status, ctx, x0
+
+
+def _reverified(cands: list[Candidate]) -> list[EMReport]:
+    """Independent re-verification of candidates through the geometry
+    modules only, in one stacked ``em_residual`` call: each algebra and
+    metric instantiated from its own candidate, one ``instantiate_many``
+    call and one metric build per entry."""
+    c = np.empty((len(cands), 4, 4, 4))
+    g = np.empty((len(cands), 4, 4))
+    by_entry: dict = {}
+    for s, cand in enumerate(cands):
+        by_entry.setdefault(cand.entry_name, []).append(s)
+    for name, rows in by_entry.items():
+        entry = entry_by_name(name)
+        c[rows] = instantiate_many(entry, [cands[s].algebra_params for s in rows])
+        g[rows] = metric_from_params(entry, [[cands[s].metric_params[n]
+                                              for n in entry.metric_param_names] for s in rows])
+    reports = em_residual(c, g, np.array([cand.f_coeffs for cand in cands]))
+    for cand, report in zip(cands, reports):
+        report.inputs["orientation"] = cand.orientation
+    return reports
 
 
 def _run_block(*segments) -> list[dict]:
     """The seeds of one program: ``segments`` are seed ranges (entry_name,
     seed, lo, hi, mode), one per request, of one mode.  Sample
     each range's starts, refine them in one lockstep ``_levmar``, each x
-    padded to the widest width, and re-verify the end points independently,
-    in one stacked ``em_residual`` call.  One record per seed, in segment
-    order, then index order."""
+    padded to the widest width, and re-verify the end points independently
+    (``_reverified``).  One record per seed, in segment order, then index
+    order."""
     mode = segments[0][-1]
-    records, members = [], []
+    records, refined, contexts, starts = [], [], [], []
     for entry_name, seed, lo, hi, *_ in segments:
-        starts = _starts(entry_by_name(entry_name), seed, range(lo, hi), mode)
-        for index, (ctx, x0) in starts.items():
-            records.append({"index": index, "status": ctx if x0 is None else "refined"})
-            if x0 is not None:
-                members.append((records[-1], ctx, x0))
-    if not members:
+        status, ctx, x0 = _starts(entry_by_name(entry_name), seed, range(lo, hi), mode)
+        for index, why in zip(range(lo, hi), status):
+            records.append({"index": index, "status": why})
+            if why == "refined":
+                refined.append(records[-1])
+        if ctx is not None:
+            contexts.append(ctx)
+            starts.append(x0)
+    if not refined:
         return records
-    refined, ctxs, starts = zip(*members)
-    x0 = np.zeros((len(starts), max(map(len, starts))))
-    for s, start in enumerate(starts):
-        x0[s, :len(start)] = start
-    x, iters, reasons, _ = _levmar(ResidualContext.stack(ctxs), x0,
-                                   tol=SEARCH_TOL, max_iter=SEARCH_MAX_ITER)
-    cands = [canonical_sign(ctx.candidate(end[:len(ctx.names)])) for ctx, end in zip(ctxs, x)]
-    # Independent re-verification through the geometry modules only: each
-    # algebra and metric instantiated from its own candidate.
-    _, algebras, metrics = zip(*map(_instantiated, cands))
-    reports = em_residual(algebras, np.array(metrics), np.array([c.f_coeffs for c in cands]))
+    x0 = np.zeros((len(refined), max(x.shape[1] for x in starts)))
+    row = 0
+    for x in starts:
+        x0[row:row + len(x), :x.shape[1]] = x
+        row += len(x)
+    ctx = ResidualContext.stack(contexts)
+    del contexts
+    x, iters, reasons, _ = _levmar(ctx, x0, tol=SEARCH_TOL, max_iter=SEARCH_MAX_ITER)
+    cands = ctx.candidates(x, canonical=True)
+    reports = _reverified(cands)
     for s, record in enumerate(refined):
-        reports[s].inputs["orientation"] = cands[s].orientation
         record.update(reason=reasons[s], iterations=int(iters[s]), candidate=cands[s],
                       report=reports[s])
     return records

@@ -30,6 +30,13 @@ def draw_admissible(entry, rng):
     return L, g
 
 
+def instantiated(cand):
+    """(entry, algebra, metric) of a candidate, built from its parameters."""
+    entry = la.entry_by_name(cand.entry_name)
+    return (entry, la.instantiate(entry, cand.algebra_params),
+            la.metric_from_params(entry, cand.metric_params))
+
+
 def admissible_draws(n, seed=0, entries=None):
     """Yield n (entry, L, g) draws cycling through catalog entries."""
     pool = entries if entries is not None else la.catalog()

@@ -10,7 +10,9 @@ curvature chain, which the package's stacked code replaced, are kept as the
 exact oracle for Fraction input.  Two oracles
 evaluate through the package's residual kernel: the complex-step Jacobian,
 which differentiates the kernel by its own rule, and the Levenberg-Marquardt
-reference, which re-implements the solver's control flow.
+reference, which re-implements the solver's control flow.  The start
+reference draws through the package's samplers and one-seed contexts, one
+seed at a time.
 """
 
 from __future__ import annotations
@@ -353,6 +355,39 @@ def levmar_alone(ctx, x0, tol, max_iter, singular=lambda iteration, trial: False
         if not accepted:
             reason = "constraint-trapped" if rejects >= 25 else "stalled"
             return x, iters + 1, reason, n_evals, n_trials
+
+
+def start_alone(entry, seed, index, mode):
+    """The start of one seed of a search, drawn and normalized on its own:
+    the one-seed-at-a-time reference for ``solver._starts``.  Returns
+    (one-seed context, x0), or (why there is none, None).  The generator is
+    ``default_rng(seed ^ index)``; algebra parameters, one metric from the
+    one-generator sampler, then kernel coordinates, redrawn in [0.5, 2]
+    when |F|^2_g < 1e-6 and scaled to |F|_g = 1 in unit_F mode."""
+    from liemaxwell import forms, solver
+    from liemaxwell.lie_algebra import metric_from_params
+
+    rng = np.random.default_rng(seed ^ index)
+    try:
+        algebra_params = solver.sample_algebra_params(entry, rng, variant_index=index)
+        metric_params = solver.sample_metric_params(entry, rng)
+    except ValueError:
+        return "sampling-failed", None
+    ctx = solver.ResidualContext(entry, algebra_params, mode=mode)
+    k = ctx.kernel.shape[1]
+    if k == 0:
+        return "no-closed-forms", None
+    m = len(ctx.metric_names)
+    x0 = ctx.pack(metric_params, rng.uniform(-2.0, 2.0, size=k))
+    if mode == "unit_F":
+        g = metric_from_params(entry, metric_params)
+        nrm = float(forms.norm_sq(g, x0[m:] @ ctx.kernel.T))
+        if nrm < 1e-6:
+            x0 = ctx.pack(metric_params, rng.uniform(0.5, 2.0, size=k))
+            nrm = float(forms.norm_sq(g, x0[m:] @ ctx.kernel.T))
+        if nrm > 0:
+            x0[m:] /= np.sqrt(nrm)
+    return ctx, x0
 
 
 def nijenhuis_direct(c, jmat):

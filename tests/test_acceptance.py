@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import admissible_draws
+from conftest import admissible_draws, instantiated
 from liemaxwell import forms, kahler, maxwell, solver
 from liemaxwell import lie_algebra as la
 from liemaxwell import metric_geometry as mg
@@ -45,7 +45,7 @@ def test_criterion_1_relation1_grid():
         assert len(vec) == 18
         worst = max(worst, float(np.abs(vec).max()))
         assert np.abs(vec).max() <= 1e-10
-        entry, L, g = solver._instantiated(cand)
+        entry, L, g = instantiated(cand)
         rep = maxwell.em_residual(L, g, cand.f_coeffs)
         assert rep.classification == maxwell.NON_EINSTEIN_EM
         n += 1
@@ -65,7 +65,7 @@ def test_criterion_2_relations_2_3_4():
             vec = solver.residual_vector(cand)
             worst = max(worst, float(np.abs(vec).max()))
             assert np.abs(vec).max() <= 1e-10, (fid, point)
-            entry, L, g = solver._instantiated(cand)
+            entry, L, g = instantiated(cand)
             rep = maxwell.em_residual(L, g, cand.f_coeffs)
             assert rep.classification == maxwell.NON_EINSTEIN_EM
             counts[fid] = counts.get(fid, 0) + 1
@@ -111,7 +111,7 @@ def test_criterion_5_hermitian_classification():
         fam = family_by_id(fid)
         for point in fam.default_grid:
             cand = solver.family_candidate(fam, point, orientation)
-            entry, L, g = solver._instantiated(cand)
+            entry, L, g = instantiated(cand)
             omega = fam.kahler_form(point, orientation)
             assert kahler.classify_hermitian_type(L, g, omega) == want, (fid, orientation)
             rho0, _, defect = kahler.ricci_form(L, g, omega)
@@ -131,7 +131,7 @@ def test_criterion_6_kappa_decomposition():
         for orientation in fam.orientations:
             for point in fam.default_grid:
                 cand = solver.family_candidate(fam, point, orientation)
-                entry, L, g = solver._instantiated(cand)
+                entry, L, g = instantiated(cand)
                 omega = fam.kahler_form(point, orientation)
                 rho0, _, _ = kahler.ricci_form(L, g, omega)
                 kappa, defect = maxwell.verify_kahler_decomposition(
@@ -182,7 +182,7 @@ def test_criterion_7_nonexistence_sweeps(verdict_table):
         # (numerically) null stress: without it the metric could not stay
         # Einstein while solving the coupled system
         for cand, rep in out.solutions:
-            _, _, g = solver._instantiated(cand)
+            _, _, g = instantiated(cand)
             stress = float(np.abs(maxwell.stress_energy(g, cand.f_coeffs)).max())
             assert stress <= 1e-8, entry.name
         miss = out.best_nonsolution_residual

@@ -1,6 +1,7 @@
 """Brackets, Jacobi, the invariant differential, and the catalog document."""
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -326,6 +327,20 @@ def test_expression_grammar_corners(src, value):
     assert orc.eval_expr_interpreted(src, {"a": 2}) == value
 
 
+@pytest.mark.parametrize("src,value", [("10^400*a", 3 * 10**400), ("a*10^400", 3 * 10**400),
+                                       ("a - 10^400", 3 - 10**400), ("10^400 + a", 10**400 + 3)])
+def test_a_literal_beyond_the_float_range_stays_exact(src, value):
+    # A folded literal is converted to float only where it meets a float:
+    # exact values give the exact result, floats and arrays a refusal that
+    # names the expression, never an OverflowError.
+    got = eval_expr(src, {"a": Fraction(3)})
+    assert type(got) is Fraction and got == value
+    assert eval_expr(src, {"a": 3}) == value
+    for env in ({"a": 3.0}, {"a": np.float64(3.0)}, {"a": np.full(2, 3.0)}):
+        with pytest.raises(ExpressionError, match=re.escape(repr(src))):
+            eval_expr(src, env)
+
+
 def test_entry_validation_rejects_unknown_references():
     base = {
         "name": "synthetic",
@@ -383,23 +398,35 @@ def test_jacobi_over_random_admissible_draws(cat):
 
 
 def test_instantiate_range_checks():
+    # The stacked instantiate_many refuses each parameter set as instantiate does.
+    for build in (la.instantiate,
+                  lambda entry, p: la.instantiate_many(entry, [entry.sample_params(), p])):
+        _refusals(build)
+
+
+def _refusals(build):
     entry = la.entry_by_name("A4,9^b")
     with pytest.raises(la.CatalogError, match="admissible"):
-        la.instantiate(entry, {"b": -0.5})   # excluded point
+        build(entry, {"b": -0.5})   # excluded point
     with pytest.raises(la.CatalogError, match="admissible"):
-        la.instantiate(entry, {"b": -1.0})   # open lower bound
+        build(entry, {"b": -1.0})   # open lower bound
     with pytest.raises(la.CatalogError, match="missing"):
-        la.instantiate(entry, {})
+        build(entry, {})
     with pytest.raises(la.CatalogError, match="unknown"):
-        la.instantiate(entry, {"b": 0.3, "zz": 1.0})
-    for kwargs in ({"exact": True}, {"exact": False}, {"check_range": False}):
+        build(entry, {"b": 0.3, "zz": 1.0})
+    with pytest.raises(la.CatalogError, match="parameter p is beyond the float range"):
+        build(la.entry_by_name("A4,2^p"), {"p": 10**400})
+    for kwargs in ({"exact": True}, {"check_range": False}):
         with pytest.raises(la.CatalogError, match="parameter p is beyond the float range"):
             la.instantiate(la.entry_by_name("A4,2^p"), {"p": 10**400}, **kwargs)
     # Non-finite values are outside every range, bounded or not.
     with pytest.raises(la.CatalogError, match="parameter a=nan outside admissible range"):
-        la.instantiate(la.entry_by_name("A4,11^a"), {"a": float("nan")})
+        build(la.entry_by_name("A4,11^a"), {"a": float("nan")})
     with pytest.raises(la.CatalogError, match="parameter p=inf outside admissible range"):
-        la.instantiate(la.entry_by_name("A4,2^p"), {"p": float("inf")})
+        build(la.entry_by_name("A4,2^p"), {"p": float("inf")})
+    # A finite parameter whose bracket 2a overflows.
+    with pytest.raises(ValueError):
+        build(la.entry_by_name("A4,11^a"), {"a": 1e308})
 
 
 def test_instantiate_refuses_booleans():

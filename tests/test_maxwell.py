@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from conftest import admissible_draws
+from conftest import admissible_draws, instantiated
 from liemaxwell import forms, maxwell, solver
 from liemaxwell import lie_algebra as la
 from liemaxwell.families import FAMILIES
@@ -143,7 +143,7 @@ def test_stacked_em_residual_matches_single_calls():
     for fam in FAMILIES.values():
         for point in fam.default_grid:
             cand = solver.family_candidate(fam, point)
-            _, L, g = solver._instantiated(cand)
+            _, L, g = instantiated(cand)
             algebras.append(L)
             metrics.append(g)
             fs.append(cand.f_coeffs)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from conftest import instantiated
 from liemaxwell import lie_algebra as la
 from liemaxwell import maxwell, solver
 from liemaxwell import metric_geometry as mg
@@ -194,7 +195,7 @@ def test_refine_to_family_point():
     # family's relation a5 = (1 + a34^2)/(1 + a12^2).
     res = solver.refine(cand_2a2(a34=1.8))
     assert res.converged
-    _, L, g = solver._instantiated(res.candidate)
+    _, L, g = instantiated(res.candidate)
     f = res.candidate.f_coeffs
     assert maxwell.em_residual(L, g, f).classification == maxwell.NON_EINSTEIN_EM
     a5, a12, a34 = res.candidate.metric_params["a5"], f[0], f[5]
@@ -344,8 +345,9 @@ def test_sign_flip_orbit():
     g = la.metric_from_params(entry, flipped.metric_params)
     rep2 = maxwell.em_residual(L, g, flipped.f_coeffs)
     assert rep2.classification == rep.classification
-    # canonicalization folds the orbit onto one representative
-    assert np.allclose(solver.canonical_sign(flipped).f_coeffs, cand.f_coeffs)
+    # canonicalization folds the orbit onto one representative: the search's
+    # candidate, which its flip maps back to
+    assert not solver._sign_flips(cand.f_coeffs) and solver._sign_flips(flipped.f_coeffs)
 
 
 def test_independent_reverification_of_solutions():
@@ -420,9 +422,9 @@ def test_family_points_samples_and_starts_still_build():
                 la.instantiate(la.entry_by_name(cand.entry_name), cand.algebra_params)
     for entry in la.catalog():
         la.instantiate(entry, entry.sample_params())
-        for ctx, x0 in solver._starts(entry, 3, range(4), "unit_F").values():
-            if x0 is not None:
-                solver.residual_vector(ctx.candidate(x0))
+        _, ctx, x0 = solver._starts(entry, 3, range(4), "unit_F")
+        for cand in ctx.candidates(x0) if ctx is not None else []:
+            solver.residual_vector(cand)
 
 
 def test_candidate_serialization_roundtrip(tmp_path):
@@ -533,6 +535,77 @@ def test_block_sampler_matches_one_draw_at_a_time():
                 count = _draws_consumed(seed, ref.bit_generator.state, 3)
                 seen.add("empty" if want is None else "first box" if count <= 200 else "shrunk")
     assert seen == {"empty", "first box", "shrunk"}
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_stacked_starts_have_the_bits_of_one_seed_at_a_time(mode):
+    # _starts draws the seeds of a range together: one sampler call, one
+    # stacked context build for the distinct algebra parameters and one
+    # stacked |F|^2_g.  Each seed's status, start, names, kernel basis,
+    # free pairs and per-seed constants have the bits of one seed at a time
+    # (orc.start_alone, whose context is a one-seed build); a start and
+    # the folded map are zero past the seed's own width.
+    seen = set()
+    for entry in la.catalog():
+        for n_seeds in (1, 2, 8, 32):
+            status, ctx, x0 = solver._starts(entry, 1024 * 9, range(n_seeds), mode)
+            alone = [orc.start_alone(entry, 1024 * 9, index, mode) for index in range(n_seeds)]
+            assert status == [a if b is None else "refined" for a, b in alone], entry.name
+            started = [(one, start) for one, start in alone if start is not None]
+            assert (ctx is None) == (x0 is None) == (not started)
+            if not started:
+                continue
+            assert len(x0) == len(ctx._facts) == len(started)
+            for s, (one, start) in enumerate(started):
+                w = len(start)
+                label = (entry.name, n_seeds, s)
+                assert _same_bits(x0[s, :w], start) and not x0[s, w:].any(), label
+                facts = ctx.take([s])
+                assert facts.names == one.names and facts.f_names == one.f_names, label
+                assert _same_bits(facts.kernel, one.kernel), label
+                assert ctx._facts[s].free_pairs == one._facts[0].free_pairs, label
+                assert ctx._facts[s].params == one.algebra_params, label
+                assert ctx._entries[ctx._part[s]] is entry and ctx._n_free[s] == w, label
+                for name in solver.ResidualContext._SEED_AXIS:
+                    got, want = getattr(ctx, name)[s], getattr(one, name)[0]
+                    if name == "_lin":
+                        assert not got[w:].any(), label
+                        got = got[:w]
+                    if name != "_part":
+                        assert _same_bits(got, want), (label, name)
+                seen.add(len(one.kernel.T))
+    assert len(seen) > 2
+
+
+def test_a_program_builds_its_contexts_and_algebras_per_program(monkeypatch):
+    # One _run_block builds one stacked context per entry range and
+    # instantiates its end points' algebras once, however many seeds it holds.
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("instantiate", "instantiate_many", "em_residual", "sample_metric_params"):
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    monkeypatch.setattr(solver.ResidualContext, "__init__",
+                        counted("ResidualContext", solver.ResidualContext.__init__))
+    by_size = {}
+    for n_seeds in (8, 32):
+        counts.clear()
+        records = solver._run_block(("A4,6^{a,0}", 1024 * 9, 0, n_seeds, "unit_F"))
+        assert sum(r["status"] == "refined" for r in records) == n_seeds
+        by_size[n_seeds] = dict(counts)
+    assert by_size[8] == by_size[32]
+    assert by_size[8]["ResidualContext"] == by_size[8]["em_residual"] == 1
+    assert by_size[8].get("instantiate", 0) == 0
 
 
 @pytest.mark.parametrize("name,n_seeds", [("2A2", 16), ("A4,4", 16), ("A4,6^{a,0}", 16),
@@ -706,13 +779,19 @@ def test_classify_reports_the_free_pass_closest_miss():
 _LM_TOL = min(maxwell.TOL_SOLUTION * 1e-2, 1e-11)  # the tolerance _run_block refines to
 
 
+def _lone_starts(entry, seed, indices, mode):
+    """(one-seed context, unpadded start) of each seed that ``_starts`` starts."""
+    _, ctx, x0 = solver._starts(entry, seed, indices, mode)
+    return [(solver.ResidualContext(entry, facts.params, mode), x0[s, :width])
+            for s, (facts, width) in enumerate(zip(ctx._facts, ctx._n_free.tolist()))]
+
+
 def _blocks(entry, seed, n_seeds, mode):
     """(contexts, starts) of each group of equal search dimension, as
     ``_run_block`` forms them."""
     groups = {}
-    for ctx, x0 in solver._starts(entry, seed, range(n_seeds), mode).values():
-        if x0 is not None:
-            groups.setdefault(len(x0), []).append((ctx, x0))
+    for ctx, x0 in _lone_starts(entry, seed, range(n_seeds), mode):
+        groups.setdefault(len(x0), []).append((ctx, x0))
     return [tuple(zip(*members)) for members in groups.values()]
 
 
@@ -757,7 +836,7 @@ def test_narrow_seeds_keep_their_bits_after_the_wide_seed_stops():
     # width 8, their steps would round differently from a lone run's.
     wide = solver.ResidualContext(la.entry_by_name("2A2"), {}, mode="free_F")
     family = cand_2a2()
-    narrow = list(solver._starts(la.entry_by_name("A2+2A1"), 5, range(4), "free_F").values())
+    narrow = _lone_starts(la.entry_by_name("A2+2A1"), 5, range(4), "free_F")
     x0 = np.zeros((5, 8))
     x0[0] = wide.pack(family.metric_params, wide.project_f(family.f_coeffs)[0])
     for s, (_, start) in enumerate(narrow, 1):
