@@ -1,8 +1,9 @@
 """The four explicit solution families and their verification data.
 
 Each family supplies: a default parameter grid, the candidate data at a grid
-point, the compatible 2-form for a given orientation, the expected scale in
-the (omega/2, rho0) decomposition, and the expected trace-free Ricci form.
+point, the compatible 2-form of a metric for a given orientation, the
+expected scale in the (omega/2, rho0) decomposition, and the expected
+trace-free Ricci form.
 
 The expected rho0 values are pinned twice over: by direct curvature
 evaluation and by the decomposition identity rho0 = kappa F^- that ties the
@@ -39,10 +40,6 @@ class Family:
     def entry_name(self) -> str:
         """Name of the catalog entry whose ``family.id`` is this family's id."""
         return next(e.name for e in catalog() if e.family and e.family["id"] == self.id)
-
-    def kahler_form(self, point: dict, orientation: int) -> np.ndarray:
-        """The compatible 2-form at a grid point: ``omega_from_metric`` of its metric."""
-        return self.omega_from_metric(self.metric_params(point), orientation)
 
 
 def _grid_2a2() -> tuple[dict, ...]:

@@ -58,28 +58,6 @@ def nijenhuis(L: LieAlgebra, J: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.abs(n).max()), n
 
 
-def classify_hermitian_type(L: LieAlgebra, g: np.ndarray, omega: np.ndarray) -> str:
-    return _classify(L, g, omega)[0]
-
-
-def _classify(L: LieAlgebra, g: np.ndarray, omega: np.ndarray) -> tuple[str, dict]:
-    g = np.asarray(g, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    diag: dict = {}
-    compatible = is_compatible(g, omega)
-    diag["compatible"] = compatible
-    d_omega = float(np.abs(d_two_form(L, omega)).max())
-    diag["d_omega"] = d_omega
-    if not compatible:
-        return NOT_COMPATIBLE, diag
-    if d_omega > TOL_COMPAT:
-        return NOT_CLOSED, diag
-    J = endomorphism_from_form(g, omega)
-    n_max, _ = nijenhuis(L, J)
-    diag["nijenhuis"] = n_max
-    return (KAHLER if n_max <= TOL_COMPAT else ALMOST_KAHLER), diag
-
-
 def ricci_form(L: LieAlgebra, g: np.ndarray, omega: np.ndarray):
     """Trace-free Ricci form rho0(x, y) = Ric0(Jx, y), J-invariance defect of Ric,
     and the full Ricci form rho = rho0 + (s/4) omega as a cross-check.
@@ -103,11 +81,22 @@ def ricci_form(L: LieAlgebra, g: np.ndarray, omega: np.ndarray):
 
 
 def hermitian_diagnostics(L: LieAlgebra, g: np.ndarray, omega: np.ndarray) -> dict:
-    """JSON-ready block for embedding into an EMReport."""
-    kind, diag = _classify(L, g, omega)
-    out = {"type": kind, **{k: (float(v) if isinstance(v, float) else v)
-                            for k, v in diag.items()}}
-    out["omega"] = [float(x) for x in np.asarray(omega, dtype=float)]
+    """The Hermitian type of (g, omega), JSON-ready for an EMReport, with
+    its evidence: compatibility, max |d omega|, the largest Nijenhuis
+    component of a closed compatible pair, and the Ricci forms of a Kahler
+    or almost-Kahler one."""
+    g = np.asarray(g, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    compatible = is_compatible(g, omega)
+    evidence = {"compatible": compatible, "d_omega": float(np.abs(d_two_form(L, omega)).max())}
+    if not compatible:
+        kind = NOT_COMPATIBLE
+    elif evidence["d_omega"] > TOL_COMPAT:
+        kind = NOT_CLOSED
+    else:
+        evidence["nijenhuis"], _ = nijenhuis(L, endomorphism_from_form(g, omega))
+        kind = KAHLER if evidence["nijenhuis"] <= TOL_COMPAT else ALMOST_KAHLER
+    out = {"type": kind, **evidence, "omega": [float(x) for x in omega]}
     if kind in (KAHLER, ALMOST_KAHLER):
         rho0, rho, defect = ricci_form(L, g, omega)
         out["rho0"] = [float(x) for x in rho0]

@@ -524,10 +524,11 @@ def _validate_entry(entry: CatalogEntry) -> None:
     ordered = entry.ordered_params
     if len(set(ordered)) != len(ordered) or not set(ordered) <= declared:
         raise CatalogError(f"{entry.name}: ordered_params must be distinct declared parameters")
-    # Jacobi gate at the recorded sample point, exact when the sample is rational.
+    # Jacobi gate at the recorded sample point, which must be in range; exact
+    # when the sample is rational.
     sample = entry.sample_params()
     exact = all(float(v) == float(Fraction(str(v)).limit_denominator(10**6)) for v in sample.values())
-    L = instantiate(entry, sample, exact=exact, check_range=False)
+    L = instantiate(entry, sample, exact=exact)
     defect = jacobi_defect(L)
     if (defect != 0) if exact else (float(defect) > 1e-13):
         raise CatalogError(f"{entry.name}: Jacobi identity fails at sample parameters")
@@ -553,6 +554,14 @@ def catalog_checksum(document: dict | None = None) -> str:
 
 def load_catalog(source: str | Path | None = None) -> list[CatalogEntry]:
     """Parse and validate the catalog document (the packaged one by default)."""
+    return _loaded(source)[0]
+
+
+def _loaded(source: str | Path | None) -> tuple[list[CatalogEntry], dict, str]:
+    """The entries of a catalog document, their lookup index and the
+    document's checksum.  The index holds every entry under the canonical
+    key of its name and of each alias; two names with one key are a
+    catalog error."""
     text = Path(source).read_text() if source is not None else _catalog_text()
     try:
         document = json.loads(text)
@@ -563,16 +572,6 @@ def load_catalog(source: str | Path | None = None) -> list[CatalogEntry]:
     if recorded != actual:
         raise CatalogError(f"catalog checksum mismatch: recorded {recorded}, actual {actual}")
     entries = [_parse_entry(raw) for raw in document["entries"]]
-    _lookup_index(entries)
-    if source is None:
-        global _PACKAGED_SHA256
-        _PACKAGED_SHA256 = actual
-    return entries
-
-
-def _lookup_index(entries: list[CatalogEntry]) -> dict[str, CatalogEntry]:
-    """Every entry under the canonical key of its name and of each alias;
-    two names with one key are a catalog error."""
     index: dict[str, CatalogEntry] = {}
     for entry in entries:
         for name in (entry.name, *entry.aliases):
@@ -580,7 +579,7 @@ def _lookup_index(entries: list[CatalogEntry]) -> dict[str, CatalogEntry]:
             if key in index:
                 raise CatalogError(f"name {name!r} of {entry.name} collides with {index[key].name}")
             index[key] = entry
-    return index
+    return entries, index, actual
 
 
 _CATALOG_CACHE: list[CatalogEntry] | None = None
@@ -589,10 +588,10 @@ _PACKAGED_SHA256: str | None = None
 
 
 def catalog() -> list[CatalogEntry]:
-    global _CATALOG_CACHE, _INDEX
+    """The packaged catalog, loaded, validated and indexed by name once."""
+    global _CATALOG_CACHE, _INDEX, _PACKAGED_SHA256
     if _CATALOG_CACHE is None:
-        _CATALOG_CACHE = load_catalog()
-        _INDEX = _lookup_index(_CATALOG_CACHE)
+        _CATALOG_CACHE, _INDEX, _PACKAGED_SHA256 = _loaded(None)
     return _CATALOG_CACHE
 
 

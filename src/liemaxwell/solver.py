@@ -49,9 +49,8 @@ exact input through the same functions, and its reports agree with one
 call per seed to round-off (they may differ in the last bits, never in
 the end points they describe).  On the benchmark's ``classify`` workload
 (2-vCPU Xeon VM, CPython 3.11, numpy 2.4) starts take about 10 % of a
-round, the sampler 4.4 % and the context builds 2.2 % of it, against
-13.5 % at one seed at a time; instantiating the re-verified algebras
-takes 0.6 %, against 2 %.
+round, the sampler 4.4 % and the context builds 2.2 % of it, and
+instantiating the re-verified algebras takes 0.6 %.
 
 Determinism contract: the per-seed RNG is ``default_rng(seed ^ index)``,
 programs are fixed by request and index, every seed runs at most ``SEARCH_MAX_ITER``
@@ -76,7 +75,7 @@ import numpy as np
 from ._smallmat import nullspace
 from .families import Family, family_by_id
 from .forms import _STAR_PAIRS, _is_orientation, hodge_star, norm_sq
-from .kahler import classify_hermitian_type, ricci_form
+from .kahler import hermitian_diagnostics
 from .lie_algebra import (PAIR_LABELS, CatalogEntry, LieAlgebra, catalog_checksum,
                           closedness_matrix, d_two_form, entry_by_name, instantiate,
                           instantiate_many, metric_from_params, two_form_matrix)
@@ -286,18 +285,18 @@ class ResidualContext:
     geometry modules; the two agree to round-off and are property-tested
     against each other.
 
-    The constants that depend on the algebra parameters carry a leading seed
-    axis, one entry per seed: the constructor builds the seeds of one entry
-    in one stacked pass (one seed is its S = 1 case), and ``stack`` joins
-    contexts, which lets one call evaluate many seeds of a search at once.
-    Beside its constants each seed keeps its facts (``_SeedFacts``: algebra
-    parameters, kernel basis, free pairs); ``algebra_params``, ``kernel``,
-    ``names`` and ``candidate`` are those of a one-seed context, and
-    ``f_of`` and ``candidates`` take one point per seed.  ``take`` is the
-    one way to pick seeds: it gathers the seeds of a context once, so that
-    later calls need no gather.  Several points of a seed broadcast against
-    its constants, never repeat them: the products with per-seed matrices
-    take one row per point, so each point has the bits of a lone call.
+    Every context is a stack of seeds: the constants that depend on the
+    algebra parameters carry a leading seed axis, one entry per seed.  The
+    constructor builds the seeds of one entry in one stacked pass (one seed
+    is its S = 1 case), and ``stack`` joins contexts, which lets one call
+    evaluate many seeds of a search at once.  Beside its constants each seed
+    keeps its facts (``_SeedFacts``: algebra parameters, kernel basis, free
+    pairs); ``f_of`` and ``candidates`` take one point per seed, and
+    ``residual`` m points per seed.  ``take`` is the one way to pick seeds:
+    it gathers the seeds of a context once, so that later calls need no
+    gather.  Several points of a seed broadcast against its constants, never
+    repeat them: the products with per-seed matrices take one row per
+    point, so each point has the bits of a lone call.
     """
 
     #: Per-seed constants on axis 0: the kernel's (``_lin`` and ``_lin0``, the
@@ -308,18 +307,19 @@ class ResidualContext:
     #: next, which broadcasts over the points of a seed.
     _SEED_AXIS = ("_lin", "_lin0", "_ct", "_killing_half", "_star_d", "_part", "_n_free")
 
-    def __init__(self, entry: CatalogEntry, algebra_params: dict | list[dict],
+    def __init__(self, entry: CatalogEntry, algebra_params: list[dict],
                  mode: str = "unit_F"):
-        """The context of one seed (``algebra_params`` one dict) or of S
-        seeds of one entry (a list of S dicts), built by one stacked pass:
-        the brackets are evaluated once on parameter arrays
-        (``instantiate_many``), d of the six unit 2-forms once for all
-        seeds, and each seed keeps its own rref, whose pivots fix its kernel
-        basis.  Seed s has the bits of ``ResidualContext(entry, params[s])``."""
+        """The context of S seeds of one entry, one algebra parameter dict
+        each, built by one stacked pass: the brackets are evaluated once on
+        parameter arrays (``instantiate_many``), d of the six unit 2-forms
+        once for all seeds, and each seed keeps its own rref, whose pivots
+        fix its kernel basis.  Seed s has the bits of
+        ``ResidualContext(entry, [algebra_params[s]])``."""
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        seeds = ([dict(algebra_params)] if isinstance(algebra_params, dict)
-                 else [dict(p) for p in algebra_params])
+        if isinstance(algebra_params, dict):
+            raise TypeError("algebra_params must be a list of dicts, one per seed")
+        seeds = [dict(p) for p in algebra_params]
         self.entry, self.mode = entry, mode
         c = instantiate_many(entry, seeds)
         n_seeds, n_metric = len(seeds), len(entry.metric_param_names)
@@ -397,46 +397,15 @@ class ResidualContext:
         out._facts = [self._facts[s] for s in np.asarray(seeds).tolist()]
         return out
 
-    def _one(self) -> "_SeedFacts":
-        """The facts of a one-seed context."""
-        if len(self._facts) != 1:
-            raise ValueError(f"a context of {len(self._facts)} seeds has no one-seed facts")
-        return self._facts[0]
-
-    @property
-    def algebra_params(self) -> dict:
-        return self._one().params
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """Basis (6, k) of the closed 2-forms, one column per free pair."""
-        return self._one().kernel_t.T
-
-    @property
-    def metric_names(self) -> list[str]:
-        return list(self.entry.metric_param_names)
-
-    @property
-    def f_names(self) -> list[str]:
-        return [f"f{lbl}" for lbl in self._one().free_pairs]
-
-    @property
-    def names(self) -> list[str]:
-        return self.metric_names + self.f_names
-
     @property
     def n_rows(self) -> int:
         return 19 if self.mode == "unit_F" else 18
 
-    def pack(self, metric_params: dict, y: np.ndarray) -> np.ndarray:
-        return np.concatenate([[metric_params[n] for n in self.metric_names], y])
-
     def f_of(self, x: np.ndarray) -> np.ndarray:
-        """2-form coefficients (S, 6) of one point per seed x (S, n), or (6,)
-        of a one-seed context's x (n,): one vector-matrix product per kernel
-        basis object, each point times its own seed's rows, as a lone
-        product is."""
-        xs = x.reshape(-1, x.shape[-1])
+        """2-form coefficients (S, 6) of one point per seed x (S, n): one
+        vector-matrix product per kernel basis object, each point times its
+        own seed's rows, as a lone product is."""
+        xs = _shaped(x, "(S, n)")
         if len(xs) != len(self._facts):
             raise ValueError(f"{len(xs)} points for {len(self._facts)} seeds")
         groups: dict = {}
@@ -447,7 +416,7 @@ class ResidualContext:
             kernel_t = self._facts[seeds[0]].kernel_t
             m = len(self._entries[self._part[seeds[0]]].metric_param_names)
             out[seeds] = (xs[seeds, None, m:m + len(kernel_t)] @ kernel_t)[:, 0]
-        return out if x.ndim == 2 else out[0]
+        return out
 
     def feasible(self, x: np.ndarray):
         """Whether x (..., n) is admissible (``metric_geometry.admissible`` on
@@ -467,17 +436,14 @@ class ResidualContext:
         """Residual rows of x: (S, m, n) -> (S, m, n_rows), m points per seed.
 
         Point x[s, i] is evaluated with the constants of seed s, which
-        broadcast over the point axis, and has the bits of a lone call
-        ``residual(x[s, i])`` on seed s.  A 2-D x (m, n) -> (m, n_rows) or
-        1-D x (n,) -> (n_rows,) is the one-seed case.
+        broadcast over the point axis, and has the bits of a lone point
+        ``residual(x[s, i][None, None])`` on seed s.
 
         Every step is complex-analytic (no abs, no casts to float, scratch in
         the dtype of x), so a complex x carries derivatives in its imaginary
         part; the complex-step oracle of the tests relies on this.
         """
-        xs = x if x.ndim == 3 else x.reshape(1, -1, x.shape[-1])
-        out = self._kernel(xs)[0]
-        return out if x.ndim == 3 else out.reshape(x.shape[:-1] + (self.n_rows,))
+        return self._kernel(_shaped(x, "(S, m, n)"))[0]
 
     def _kernel(self, xs: np.ndarray):
         """Rows (S, m, n_rows) of points xs (S, m, n), point xs[s, i] with the
@@ -550,30 +516,21 @@ class ResidualContext:
                 for entry, facts, row, fs in zip(map(self._entries.__getitem__, self._part.tolist()),
                                                  self._facts, rows, f)]
 
-    def candidate(self, x: np.ndarray) -> Candidate:
-        """The candidate of a one-seed context's point x (n,)."""
-        return self.candidates(x[None])[0]
-
-    def project_f(self, f6: np.ndarray) -> tuple[np.ndarray, float]:
-        """Least-squares kernel coordinates of F and the projection defect."""
-        if self.kernel.shape[1] == 0:
-            return np.zeros(0), float(np.abs(f6).max(initial=0.0))
-        y, *_ = np.linalg.lstsq(self.kernel, f6, rcond=None)
-        defect = float(np.abs(self.kernel @ y - f6).max())
-        return y, defect
-
 
 def residual_jacobian(ctx: ResidualContext, x: np.ndarray) -> np.ndarray:
-    """Jacobian of ``ctx.residual`` in every parameter.
-
-    x is one point (n,), giving J (rows, n), or one point per seed (S, n),
-    giving J (S, rows, n), point s with the constants of seed s: one kernel
-    pass at x, then ``_tangent_step``.
+    """Jacobians (S, rows, n) of ``ctx.residual`` in every parameter at one
+    point per seed x (S, n), point s with the constants of seed s: one
+    kernel pass at x, then ``_tangent_step``.
     """
-    x = np.asarray(x, dtype=float)
-    _, inter = ctx._kernel(x.reshape(-1, 1, x.shape[-1]))
-    jac = _tangent_step(ctx, inter)
-    return jac if x.ndim == 2 else jac[0]
+    x = _shaped(np.asarray(x, dtype=float), "(S, n)")
+    return _tangent_step(ctx, ctx._kernel(x[:, None])[1])
+
+
+def _shaped(x: np.ndarray, shape: str) -> np.ndarray:
+    """x if it has as many axes as ``shape`` names, else a ValueError naming it."""
+    if x.ndim != shape.count(",") + 1:
+        raise ValueError(f"x must have shape {shape}, got {x.shape}")
+    return x
 
 
 def _tangent_step(ctx: ResidualContext, inter: tuple) -> np.ndarray:
@@ -883,16 +840,21 @@ def refine(c: Candidate, mode: str = "free_F") -> RefineResult:
     """
     entry = entry_by_name(c.entry_name)
     _admitted(entry, c.algebra_params, c.metric_params)
-    ctx = ResidualContext(entry, c.algebra_params, mode=mode)
-    y, defect = ctx.project_f(c.f_coeffs)
+    ctx = ResidualContext(entry, [c.algebra_params], mode=mode)
+    # Kernel coordinates of F: least squares on the seed's basis (6, k).
+    kernel = ctx._facts[0].kernel_t.T
+    y, defect = np.zeros(0), float(np.abs(c.f_coeffs).max(initial=0.0))
+    if kernel.shape[1]:
+        y = np.linalg.lstsq(kernel, c.f_coeffs, rcond=None)[0]
+        defect = float(np.abs(kernel @ y - c.f_coeffs).max())
     if defect > 1e-8:
         raise CandidateError(
             f"candidate F is not closed (distance {defect:.2e} from the dF=0 subspace)")
-    x0 = ctx.pack(c.metric_params, y)
+    x0 = np.concatenate([[c.metric_params[n] for n in entry.metric_param_names], y])
     x, iters, reasons, n_evals = _levmar(ctx, x0[None], SEARCH_TOL, REFINE_MAX_ITER)
-    return RefineResult(candidate=replace(ctx.candidate(x[0]), orientation=c.orientation),
+    return RefineResult(candidate=replace(ctx.candidates(x)[0], orientation=c.orientation),
                         converged=reasons[0] == "converged", iterations=int(iters[0]),
-                        max_residual=float(np.abs(ctx.residual(x[0])).max()),
+                        max_residual=float(np.abs(ctx.residual(x[:, None])).max()),
                         reason=reasons[0], n_evals=int(n_evals[0]))
 
 
@@ -933,9 +895,6 @@ class SearchOutcome:
         if include_timing:
             out["wall_time"] = self.wall_time
         return out
-
-    def to_json(self, include_timing: bool = False, **kwargs) -> str:
-        return json.dumps(self.to_dict(include_timing), **kwargs)
 
 
 #: Draws per generator that ``sample_metric_params`` checks before the rest
@@ -1305,7 +1264,10 @@ def family_candidate(fam: Family, point: dict, orientation: int = 1) -> Candidat
 
 def verify_solution_family(family_id: str, orientation: int = 1) -> FamilyReport:
     """Run the full verification battery on the family's default grid; each
-    point is admitted once and passes the reference chain once.  An
+    point is admitted once and passes the reference chain once, and its
+    Hermitian type and rho0 are those of the ``hermitian`` block that
+    ``verify`` reports (one ``hermitian_diagnostics`` call).  A point whose
+    type is not Kahler or almost Kahler has no rho0 and fails.  An
     orientation the family does not state (``Family.orientations``) is a
     ValueError: its Kahler expectations hold in the stated ones only."""
     fam = family_by_id(family_id)
@@ -1325,12 +1287,14 @@ def verify_solution_family(family_id: str, orientation: int = 1) -> FamilyReport
         classifications.append(report.classification)
         if report.classification != NON_EINSTEIN_EM:
             ok = False
-        omega = fam.kahler_form(point, orientation)
-        kind = classify_hermitian_type(L, g, omega)
-        types.append(kind)
-        if kind != fam.expected_type(orientation):
+        omega = fam.omega_from_metric(cand.metric_params, orientation)
+        hermitian = hermitian_diagnostics(L, g, omega)
+        types.append(hermitian["type"])
+        if hermitian["type"] != fam.expected_type(orientation):
             ok = False
-        rho0, _, _ = ricci_form(L, g, omega)
+        if "rho0" not in hermitian:
+            continue
+        rho0 = np.array(hermitian["rho0"])
         rho_err = float(np.abs(rho0 - fam.expected_rho0(point, orientation)).max())
         max_rho_err = max(max_rho_err, rho_err)
         kappa, defect = verify_kahler_decomposition(g, cand.f_coeffs, omega, rho0, orientation)

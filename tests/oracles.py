@@ -285,23 +285,22 @@ def complex_step_jacobian(ctx, x):
     """J[..., :, k] = Im r(x + i h e_k) / h for every parameter k, with
     r = ``ctx.residual`` (Squire & Trapp, SIAM Rev. 40(1), 1998).
 
-    x is one point (n,), giving J (rows, n), or one point per seed (S, n),
-    giving J (S, rows, n); all probes go in one call of the kernel, which is
-    complex-analytic.  It shares only the kernel with the package's
+    x is one point per seed (S, n), giving J (S, rows, n); all probes go in
+    one call of the kernel, which is complex-analytic.  It shares only the kernel with the package's
     forward-mode Jacobian, none of the tangent rules.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    probes = np.repeat(x[..., None, :].astype(complex), n, axis=-2)
-    probes[..., np.arange(n), np.arange(n)] += 1j * COMPLEX_STEP
-    return np.swapaxes(ctx.residual(probes).imag, -1, -2) / COMPLEX_STEP
+    probes = np.repeat(x[:, None].astype(complex), n, axis=1)
+    probes[:, np.arange(n), np.arange(n)] += 1j * COMPLEX_STEP
+    return np.swapaxes(ctx.residual(probes).imag, 1, 2) / COMPLEX_STEP
 
 
 def levmar_alone(ctx, x0, tol, max_iter, singular=lambda iteration, trial: False):
     """Levenberg-Marquardt from one start, one trial at a time: the rules of
-    ``solver._levmar`` written out for a lone run.  It takes the residual,
-    the feasibility check and the Jacobian from the package; only the
-    control flow is its own.
+    ``solver._levmar`` written out for a lone run of a one-seed context.  It
+    takes the residual, the feasibility check and the Jacobian from the
+    package; only the control flow is its own.
 
     The damped system of trial ``trial`` of iteration ``iteration`` (both
     counted from 0) is treated as singular when ``singular(iteration,
@@ -313,7 +312,7 @@ def levmar_alone(ctx, x0, tol, max_iter, singular=lambda iteration, trial: False
     x = np.array(x0, dtype=float)
     if not ctx.feasible(x):
         return x, 0, "infeasible start", 0, 0
-    r = ctx.residual(x)
+    r = ctx.residual(x[None, None])[0, 0]
     n_evals, n_trials, lam, iters = 1, 0, 1e-3, 0
     while True:
         peak = np.abs(r).max()
@@ -323,7 +322,7 @@ def levmar_alone(ctx, x0, tol, max_iter, singular=lambda iteration, trial: False
             return x, iters, "iteration cap", n_evals, n_trials
         if iters >= 25 and peak > 5e-2:
             return x, iters, "slow progress", n_evals, n_trials
-        jac = jacobian(ctx, x)
+        jac = jacobian(ctx, x[None])[0]
         n_evals += len(x)
         normal = jac.T @ jac
         grad = jac.T @ r
@@ -341,7 +340,7 @@ def levmar_alone(ctx, x0, tol, max_iter, singular=lambda iteration, trial: False
                 continue
             x_new = x + delta
             if ctx.feasible(x_new):
-                r_new = ctx.residual(x_new)
+                r_new = ctx.residual(x_new[None, None])[0, 0]
                 n_evals += 1
                 if r_new @ r_new < r @ r:
                     x, r, lam, iters = x_new, r_new, max(lam / 3, 1e-12), iters + 1
@@ -364,6 +363,7 @@ def start_alone(entry, seed, index, mode):
     ``default_rng(seed ^ index)``; algebra parameters, one metric from the
     one-generator sampler, then kernel coordinates, redrawn in [0.5, 2]
     when |F|^2_g < 1e-6 and scaled to |F|_g = 1 in unit_F mode."""
+    from conftest import point
     from liemaxwell import forms, solver
     from liemaxwell.lie_algebra import metric_from_params
 
@@ -373,18 +373,19 @@ def start_alone(entry, seed, index, mode):
         metric_params = solver.sample_metric_params(entry, rng)
     except ValueError:
         return "sampling-failed", None
-    ctx = solver.ResidualContext(entry, algebra_params, mode=mode)
-    k = ctx.kernel.shape[1]
+    ctx = solver.ResidualContext(entry, [algebra_params], mode=mode)
+    kernel_t = ctx._facts[0].kernel_t
+    k = len(kernel_t)
     if k == 0:
         return "no-closed-forms", None
-    m = len(ctx.metric_names)
-    x0 = ctx.pack(metric_params, rng.uniform(-2.0, 2.0, size=k))
+    m = len(entry.metric_param_names)
+    x0 = point(ctx, metric_params, rng.uniform(-2.0, 2.0, size=k))
     if mode == "unit_F":
         g = metric_from_params(entry, metric_params)
-        nrm = float(forms.norm_sq(g, x0[m:] @ ctx.kernel.T))
+        nrm = float(forms.norm_sq(g, x0[m:] @ kernel_t))
         if nrm < 1e-6:
-            x0 = ctx.pack(metric_params, rng.uniform(0.5, 2.0, size=k))
-            nrm = float(forms.norm_sq(g, x0[m:] @ ctx.kernel.T))
+            x0 = point(ctx, metric_params, rng.uniform(0.5, 2.0, size=k))
+            nrm = float(forms.norm_sq(g, x0[m:] @ kernel_t))
         if nrm > 0:
             x0[m:] /= np.sqrt(nrm)
     return ctx, x0

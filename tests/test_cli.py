@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from liemaxwell import cli, solver
 from liemaxwell import lie_algebra as la
 from liemaxwell import metric_geometry as mg
+from liemaxwell.families import FAMILIES
 
 
 @pytest.fixture()
@@ -312,6 +313,34 @@ def test_family_command(capsys):
         assert code == 0 and "PASS" in out
     code, _, err = run(["family", "who"], capsys)
     assert code == 2
+
+
+def test_family_battery_reads_the_hermitian_block_of_verify(capsys, monkeypatch, tmp_path):
+    # Each grid point's Hermitian type and rho0 in the family battery are
+    # those of the hermitian block that verify reports for the point's
+    # candidate, bit for bit, in every stated orientation; the battery's
+    # rho0 error is read from them.
+    blocks = []
+    diagnostics = solver.hermitian_diagnostics
+    monkeypatch.setattr(solver, "hermitian_diagnostics",
+                        lambda *args: blocks.append(diagnostics(*args)) or blocks[-1])
+    doc = tmp_path / "candidate.json"
+    for fam in FAMILIES.values():
+        for orientation in fam.orientations:
+            blocks.clear()
+            report = solver.verify_solution_family(fam.id, orientation)
+            assert report.all_pass and len(blocks) == report.n_points == len(fam.default_grid)
+            worst = 0.0
+            for point, kind, block in zip(fam.default_grid, report.hermitian_types, blocks):
+                cand = solver.family_candidate(fam, point, orientation)
+                doc.write_text(json.dumps(cand.to_dict()))
+                code, out, _ = run(["verify", str(doc), "--json"], capsys)
+                hermitian = json.loads(out)["hermitian"]
+                assert code == 0 and kind == hermitian["type"] == fam.expected_type(orientation)
+                assert json.dumps(block["rho0"]) == json.dumps(hermitian["rho0"])
+                err = np.abs(np.array(hermitian["rho0"]) - fam.expected_rho0(point, orientation))
+                worst = max(worst, float(err.max()))
+            assert report.max_rho0_error == worst, (fam.id, orientation)
 
 
 @pytest.mark.parametrize("argv", [["search", "2A2", "--seeds", "2", "--jobs", "0"],

@@ -484,6 +484,39 @@ def test_colliding_lookup_names_are_refused_at_load(tmp_path, field, value):
         la.load_catalog(path)
 
 
+@pytest.mark.parametrize("value", [2.0, 0.0])
+def test_an_out_of_range_sample_is_refused_at_load(tmp_path, value):
+    # The Jacobi gate instantiates each entry at its sample with the range
+    # check: every packaged sample is in range, and a copy whose A4,5^{a,b}
+    # sample leaves [-1, 1] or hits the excluded 0 is refused, although the
+    # Jacobi identity holds there.
+    for entry in la.catalog():
+        sample = entry.sample_params()
+        assert all(spec.admits(float(sample[spec.name])) for spec in entry.params), entry.name
+    doc = json.loads(la._catalog_text())
+    raw = next(e for e in doc["entries"] if e["name"] == "A4,5^{a,b}")
+    next(p for p in raw["params"] if p["name"] == "a")["sample"] = value
+    doc["sha256"] = la.catalog_checksum(doc)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(la.CatalogError, match=f"parameter a={value} outside admissible range"):
+        la.load_catalog(path)
+
+
+def test_the_name_index_is_built_once(monkeypatch):
+    # catalog() keeps the index that the load checked for collisions: one
+    # canonical key per name and alias, and every lookup gives the entry
+    # catalog() holds.
+    names = sum(1 + len(e.aliases) for e in la.catalog())
+    keys = []
+    canonical = la.canonical_key
+    monkeypatch.setattr(la, "canonical_key", lambda name: keys.append(name) or canonical(name))
+    monkeypatch.setattr(la, "_CATALOG_CACHE", None)
+    entries = la.catalog()
+    assert len(keys) == names
+    assert all(la.entry_by_name(e.name) is e for e in entries)
+
+
 def test_family_data_matches_the_catalog():
     ids = [e.family["id"] for e in la.catalog() if e.family]
     assert sorted(ids) == sorted(FAMILIES) and len(set(ids)) == len(ids)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import re
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from conftest import instantiated
+from conftest import instantiated, point
 from liemaxwell import lie_algebra as la
 from liemaxwell import maxwell, solver
 from liemaxwell import metric_geometry as mg
@@ -70,11 +71,11 @@ def test_context_agrees_with_residual_vector():
         for variant_index in [0, *range(1, 2 * n_variants, 2)]:
             ap = solver.sample_algebra_params(entry, rng, variant_index=variant_index)
             for mode in ("free_F", "unit_F"):
-                ctx = solver.ResidualContext(entry, ap, mode=mode)
+                ctx = solver.ResidualContext(entry, [ap], mode=mode)
                 mp = solver.sample_metric_params(entry, rng)
-                x = ctx.pack(mp, rng.uniform(-1, 1, ctx.kernel.shape[1]))
-                got = ctx.residual(x)
-                cand = ctx.candidate(x)
+                x = point(ctx, mp, rng.uniform(-1, 1, len(ctx._facts[0].kernel_t)))
+                got = ctx.residual(x[None, None])[0, 0]
+                [cand] = ctx.candidates(x[None])
                 assert cand.orientation == 1
                 want = solver.residual_vector(cand)
                 if mode == "unit_F":
@@ -85,10 +86,11 @@ def test_context_agrees_with_residual_vector():
 
 
 def _batch(entry, mode, rng, size=4):
-    ctx = solver.ResidualContext(entry, solver.sample_algebra_params(entry, rng), mode=mode)
-    xs = np.array([ctx.pack(solver.sample_metric_params(entry, rng),
-                            rng.uniform(-1, 1, ctx.kernel.shape[1])) for _ in range(size)])
-    return ctx, xs
+    """A one-seed context and ``size`` of its points (1, size, n)."""
+    ctx = solver.ResidualContext(entry, [solver.sample_algebra_params(entry, rng)], mode=mode)
+    xs = np.array([point(ctx, solver.sample_metric_params(entry, rng),
+                         rng.uniform(-1, 1, len(ctx._facts[0].kernel_t))) for _ in range(size)])
+    return ctx, xs[None]
 
 
 def test_batched_residual_matches_single_calls():
@@ -98,8 +100,8 @@ def test_batched_residual_matches_single_calls():
         for mode in ("unit_F", "free_F"):
             ctx, xs = _batch(entry, mode, rng)
             got = ctx.residual(xs)
-            want = np.stack([ctx.residual(x) for x in xs])
-            assert got.shape == (len(xs), ctx.n_rows) and want.dtype == float
+            want = np.stack([ctx.residual(x[None, None])[0, 0] for x in xs[0]])[None]
+            assert got.shape == (1, xs.shape[1], ctx.n_rows) and want.dtype == float
             assert np.array_equal(got, want), (entry.name, mode)
 
 
@@ -115,15 +117,15 @@ def test_jacobian_at_the_cone_boundary_matches_the_oracle():
     # a1 = 1e-8 sits where a central step of 1e-6 leaves the positive cone;
     # the forward-mode Jacobian evaluates x alone.
     entry = la.entry_by_name("A4,4")
-    ctx = solver.ResidualContext(entry, {}, mode="unit_F")
-    x = ctx.pack({"a1": 1e-8, "a2": 0.0, "a3": 1.0}, np.array([0.3, -0.2, 0.5]))
+    ctx = solver.ResidualContext(entry, [{}], mode="unit_F")
+    x = point(ctx, {"a1": 1e-8, "a2": 0.0, "a3": 1.0}, np.array([0.3, -0.2, 0.5]))[None]
     below = x.copy()
-    below[0] -= 1e-6
+    below[0, 0] -= 1e-6
     with pytest.raises(ValueError, match="determinant"):
-        ctx.residual(below)
+        ctx.residual(below[:, None])
     jac = solver.residual_jacobian(ctx, x)
     want = orc.complex_step_jacobian(ctx, x)
-    assert jac.shape == (ctx.n_rows, len(x)) and np.isfinite(jac).all()
+    assert jac.shape == (1, ctx.n_rows, x.shape[1]) and np.isfinite(jac).all()
     assert np.abs(jac - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -145,30 +147,51 @@ def test_jacobian_matches_complex_step_oracle():
             ctxs, xs = [], []
             for index in [*range(0, 16, 2), *range(1, 2 * n_variants, 2)]:
                 ap = solver.sample_algebra_params(entry, rng, variant_index=index)
-                ctxs.append(solver.ResidualContext(entry, ap, mode=mode))
-                xs.append(ctxs[-1].pack(solver.sample_metric_params(entry, rng),
-                                        rng.uniform(-1.5, 1.5, ctxs[-1].kernel.shape[1])))
+                ctxs.append(solver.ResidualContext(entry, [ap], mode=mode))
+                xs.append(point(ctxs[-1], solver.sample_metric_params(entry, rng),
+                                rng.uniform(-1.5, 1.5, len(ctxs[-1]._facts[0].kernel_t))))
             block, x = solver.ResidualContext.stack(ctxs[:8]), np.array(xs[:8])
             _assert_matches_oracle(block, x, label=(entry.name, mode))
             seeds = rng.permutation(8)[:5]
             _assert_matches_oracle(block.take(seeds), x[seeds], label=(entry.name, mode))
             for ctx, x in zip(ctxs[8:], xs[8:]):
-                _assert_matches_oracle(ctx, x, label=(entry.name, mode, ctx.algebra_params))
+                _assert_matches_oracle(ctx, x[None], label=(entry.name, mode, ctx._facts[0].params))
 
 
 def test_kernel_refuses_a_nonpositive_determinant():
     # The guard on det g in ResidualContext._kernel: an empty batch passes,
     # a negative or NaN determinant raises, also beside admissible points.
-    ctx = solver.ResidualContext(la.entry_by_name("A4,4"), {}, mode="unit_F")
-    assert ctx.residual(np.zeros((0, len(ctx.names)))).shape == (0, ctx.n_rows)
-    f = np.zeros(len(ctx.f_names))
-    good = ctx.pack({"a1": 1.0, "a2": 0.0, "a3": 1.0}, f)
+    ctx = solver.ResidualContext(la.entry_by_name("A4,4"), [{}], mode="unit_F")
+    assert ctx.residual(np.zeros((1, 0, ctx._n_free[0]))).shape == (1, 0, ctx.n_rows)
+    f = np.zeros(len(ctx._facts[0].kernel_t))
+    good = point(ctx, {"a1": 1.0, "a2": 0.0, "a3": 1.0}, f)
     for a1 in (-1.0, np.nan):
-        bad = ctx.pack({"a1": a1, "a2": 0.0, "a3": 1.0}, f)
-        for x in (bad, np.array([good, bad])):
+        bad = point(ctx, {"a1": a1, "a2": 0.0, "a3": 1.0}, f)
+        for x in (bad[None, None], np.array([[good, bad]])):
             with np.errstate(invalid="ignore"), \
                     pytest.raises(ValueError, match="^metric determinant must be positive$"):
                 ctx.residual(x)
+
+
+def test_points_of_the_wrong_rank_are_refused():
+    # Every context is a stack of seeds: residual takes points (S, m, n),
+    # f_of and residual_jacobian one point per seed (S, n).  A lone point
+    # (n,), or any other rank, is refused with the expected shape, never
+    # reshaped; a dict of algebra parameters is one seed too few axes.
+    entry = la.entry_by_name("A4,4")
+    ctx = solver.ResidualContext(entry, [{}], mode="unit_F")
+    x = point(ctx, {"a1": 1.0, "a2": 0.0, "a3": 1.0}, np.array([0.3, -0.2, 0.5]))
+    calls = [(ctx.residual, "(S, m, n)"), (ctx.f_of, "(S, n)"),
+             (lambda xs: solver.residual_jacobian(ctx, xs), "(S, n)")]
+    for call, shape in calls:
+        rank = shape.count(",") + 1
+        assert np.isfinite(call(x.reshape((1,) * (rank - 1) + x.shape))).all()
+        for wrong in {1, 2, 3, 4} - {rank}:
+            xs = x.reshape((1,) * (wrong - 1) + x.shape)
+            with pytest.raises(ValueError, match=re.escape(f"x must have shape {shape}, got ")):
+                call(xs)
+    with pytest.raises(TypeError, match="a list of dicts, one per seed"):
+        solver.ResidualContext(entry, {}, mode="unit_F")
 
 
 def test_take_gives_the_residuals_of_gathered_seeds():
@@ -176,7 +199,7 @@ def test_take_gives_the_residuals_of_gathered_seeds():
     entry = la.entry_by_name("A4,11^a")
     ctxs, xs = zip(*(_batch(entry, "unit_F", rng, size=1) for _ in range(6)))
     block = solver.ResidualContext.stack(ctxs)
-    xs = np.array([x[0] for x in xs])
+    xs = np.array([x[0, 0] for x in xs])
     for idx in (np.array([4, 1, 1, 0]), np.arange(6), np.array([5])):
         want = solver.ResidualContext.stack([ctxs[i] for i in idx]).residual(xs[idx, None])
         assert np.array_equal(block.take(idx).residual(xs[idx, None]), want)
@@ -242,8 +265,8 @@ def test_refine_a44_unit_norm_fails():
     entry = la.entry_by_name("A4,4")
     rng = np.random.default_rng(5)
     mp = solver.sample_metric_params(entry, rng)
-    ctx = solver.ResidualContext(entry, {}, mode="unit_F")
-    f6 = ctx.kernel @ np.array([1.0, 0.5, -0.3])
+    ctx = solver.ResidualContext(entry, [{}], mode="unit_F")
+    f6 = ctx._facts[0].kernel_t.T @ np.array([1.0, 0.5, -0.3])
     c = solver.Candidate("A4,4", {}, mp, f6)
     res = solver.refine(c, mode="unit_F")
     assert not res.converged
@@ -263,10 +286,10 @@ def test_refine_refuses_an_inadmissible_start():
     # As residual_vector does: a CandidateError naming the failed
     # constraint, whether det g <= 0 (2A2 with a5 = -1) or det g > 0 with a
     # constraint failing (A4,4 with a1 = 1e-9, inside the EPS_PD margin).
-    a44 = solver.ResidualContext(la.entry_by_name("A4,4"), {})
+    a44 = solver.ResidualContext(la.entry_by_name("A4,4"), [{}])
     bad = [cand_2a2(a5=-1.0),
            solver.Candidate("A4,4", {}, {"a1": 1e-9, "a2": 0.0, "a3": 1.0},
-                            a44.kernel @ np.array([1.0, 0.5, -0.3]))]
+                            a44._facts[0].kernel_t.T @ np.array([1.0, 0.5, -0.3]))]
     for c in bad:
         with pytest.raises(solver.CandidateError, match="> 0 violated") as refused:
             solver.residual_vector(c)
@@ -278,16 +301,16 @@ def test_refine_refuses_an_inadmissible_start():
 def test_jacobian_matches_forward_differences():
     rng = np.random.default_rng(6)
     entry = la.entry_by_name("2A2")
-    ctx = solver.ResidualContext(entry, {}, mode="unit_F")
+    ctx = solver.ResidualContext(entry, [{}], mode="unit_F")
     mp = solver.sample_metric_params(entry, rng)
-    x = ctx.pack(mp, rng.uniform(-1, 1, ctx.kernel.shape[1]))
-    jac = solver.residual_jacobian(ctx, x)
-    r0 = ctx.residual(x)
+    x = point(ctx, mp, rng.uniform(-1, 1, len(ctx._facts[0].kernel_t)))
+    jac = solver.residual_jacobian(ctx, x[None])[0]
+    r0 = ctx.residual(x[None, None])[0, 0]
     for k in range(len(x)):
         h = 1e-7 * max(1.0, abs(x[k]))
         xp = x.copy()
         xp[k] += h
-        col = (ctx.residual(xp) - r0) / h
+        col = (ctx.residual(xp[None, None])[0, 0] - r0) / h
         denom = max(1.0, np.abs(jac[:, k]).max())
         assert np.abs(jac[:, k] - col).max() / denom < 1e-4
 
@@ -328,8 +351,7 @@ def test_search_determinism_and_parallel_merge():
     a = solver.multistart_search("2A2", n_seeds=16, seed=7, n_jobs=1)
     b = solver.multistart_search("2A2", n_seeds=16, seed=7, n_jobs=1)
     c = solver.multistart_search("2A2", n_seeds=16, seed=7, n_jobs=2)
-    assert a.to_json() == b.to_json()
-    assert a.to_json() == c.to_json()
+    assert json.dumps(a.to_dict()) == json.dumps(b.to_dict()) == json.dumps(c.to_dict())
     assert "wall_time" not in a.to_dict()
     assert "wall_time" in a.to_dict(include_timing=True)
     assert a.to_dict()["catalog_sha256"] == la.catalog_checksum()
@@ -565,11 +587,10 @@ def test_stacked_starts_have_the_bits_of_one_seed_at_a_time(mode):
                 w = len(start)
                 label = (entry.name, n_seeds, s)
                 assert _same_bits(x0[s, :w], start) and not x0[s, w:].any(), label
-                facts = ctx.take([s])
-                assert facts.names == one.names and facts.f_names == one.f_names, label
-                assert _same_bits(facts.kernel, one.kernel), label
-                assert ctx._facts[s].free_pairs == one._facts[0].free_pairs, label
-                assert ctx._facts[s].params == one.algebra_params, label
+                facts, [alone] = ctx.take([s])._facts, one._facts
+                assert _same_bits(facts[0].kernel_t, alone.kernel_t), label
+                assert facts[0].free_pairs == ctx._facts[s].free_pairs == alone.free_pairs, label
+                assert ctx._facts[s].params == alone.params, label
                 assert ctx._entries[ctx._part[s]] is entry and ctx._n_free[s] == w, label
                 for name in solver.ResidualContext._SEED_AXIS:
                     got, want = getattr(ctx, name)[s], getattr(one, name)[0]
@@ -578,7 +599,7 @@ def test_stacked_starts_have_the_bits_of_one_seed_at_a_time(mode):
                         got = got[:w]
                     if name != "_part":
                         assert _same_bits(got, want), (label, name)
-                seen.add(len(one.kernel.T))
+                seen.add(len(alone.kernel_t))
     assert len(seen) > 2
 
 
@@ -650,14 +671,15 @@ def test_lockstep_block_matches_seeds_run_alone(monkeypatch, name, n_seeds):
         # share the block.
         entry = la.entry_by_name(name)
         algebras = {tuple(sorted(b["candidate"].algebra_params.items())) for b in block}
-        sizes = {solver.ResidualContext(entry, dict(ap)).kernel.shape[1] for ap in algebras}
+        sizes = {len(solver.ResidualContext(entry, [dict(ap)])._facts[0].kernel_t)
+                 for ap in algebras}
         assert len(algebras) > 2 and len(sizes) > 1
 
 
 def test_seed_ledger_is_complete_and_parallel_safe():
     a = solver.multistart_search("2A2", n_seeds=40, seed=3, n_jobs=1)
     b = solver.multistart_search("2A2", n_seeds=40, seed=3, n_jobs=2)
-    assert a.to_json() == b.to_json()
+    assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
     ledger = a.to_dict()
     assert list(ledger["stop_reasons"]) == list(solver.STOP_REASONS)
     assert sum(ledger["stop_reasons"].values()) == ledger["seeds_used"]
@@ -716,7 +738,7 @@ def test_programs_span_requests_and_widths(monkeypatch):
     for request, outcome in zip(requests, many):
         alone = solver.multistart_search(request.entry, request.n_seeds, request.seed,
                                          mode=request.mode)
-        assert outcome.to_json() == alone.to_json(), request
+        assert json.dumps(outcome.to_dict()) == json.dumps(alone.to_dict()), request
 
 
 def test_classify_table_rows_are_one_row_calls():
@@ -782,7 +804,7 @@ _LM_TOL = min(maxwell.TOL_SOLUTION * 1e-2, 1e-11)  # the tolerance _run_block re
 def _lone_starts(entry, seed, indices, mode):
     """(one-seed context, unpadded start) of each seed that ``_starts`` starts."""
     _, ctx, x0 = solver._starts(entry, seed, indices, mode)
-    return [(solver.ResidualContext(entry, facts.params, mode), x0[s, :width])
+    return [(solver.ResidualContext(entry, [facts.params], mode), x0[s, :width])
             for s, (facts, width) in enumerate(zip(ctx._facts, ctx._n_free.tolist()))]
 
 
@@ -834,11 +856,12 @@ def test_narrow_seeds_keep_their_bits_after_the_wide_seed_stops():
     # the first compaction the width-8 program holds only the four A2+2A1
     # starts (width 6).  Its one width is then not the program's: solved at
     # width 8, their steps would round differently from a lone run's.
-    wide = solver.ResidualContext(la.entry_by_name("2A2"), {}, mode="free_F")
+    wide = solver.ResidualContext(la.entry_by_name("2A2"), [{}], mode="free_F")
     family = cand_2a2()
     narrow = _lone_starts(la.entry_by_name("A2+2A1"), 5, range(4), "free_F")
     x0 = np.zeros((5, 8))
-    x0[0] = wide.pack(family.metric_params, wide.project_f(family.f_coeffs)[0])
+    y = np.linalg.lstsq(wide._facts[0].kernel_t.T, family.f_coeffs, rcond=None)[0]
+    x0[0] = point(wide, family.metric_params, y)
     for s, (_, start) in enumerate(narrow, 1):
         x0[s, :6] = start
     stack = solver.ResidualContext.stack([wide, *(ctx for ctx, _ in narrow)])
