@@ -825,6 +825,12 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     return out_x, out_iters, reasons, out_evals
 
 
+def _point(entry: CatalogEntry, metric_params: dict, y) -> np.ndarray:
+    """One seed's search point (n,): its metric parameters in the entry's
+    order, then its kernel coordinates y."""
+    return np.concatenate([[metric_params[n] for n in entry.metric_param_names], y])
+
+
 def refine(c: Candidate, mode: str = "free_F") -> RefineResult:
     """Polish a candidate on the dF = 0 subspace; backtracks at constraints.
 
@@ -850,8 +856,8 @@ def refine(c: Candidate, mode: str = "free_F") -> RefineResult:
     if defect > 1e-8:
         raise CandidateError(
             f"candidate F is not closed (distance {defect:.2e} from the dF=0 subspace)")
-    x0 = np.concatenate([[c.metric_params[n] for n in entry.metric_param_names], y])
-    x, iters, reasons, n_evals = _levmar(ctx, x0[None], SEARCH_TOL, REFINE_MAX_ITER)
+    x, iters, reasons, n_evals = _levmar(ctx, _point(entry, c.metric_params, y)[None],
+                                         SEARCH_TOL, REFINE_MAX_ITER)
     return RefineResult(candidate=replace(ctx.candidates(x)[0], orientation=c.orientation),
                         converged=reasons[0] == "converged", iterations=int(iters[0]),
                         max_residual=float(np.abs(ctx.residual(x[:, None])).max()),
@@ -1050,12 +1056,11 @@ def _starts(entry: CatalogEntry, seed: int, indices: range, mode: str):
     if not started:
         return status, None, None
     ctx = distinct.take([seat for _, seat, _ in started])
-    names = entry.metric_param_names
-    m, widths = len(names), ctx._n_free.tolist()
+    m, widths = len(entry.metric_param_names), ctx._n_free.tolist()
     x0 = np.zeros((len(started), max(widths)))
-    x0[:, :m] = [[metric_params[n] for n in names] for _, _, metric_params in started]
-    for s, (q, _, _) in enumerate(started):
-        x0[s, m:widths[s]] = rngs[q].uniform(-2.0, 2.0, size=widths[s] - m)
+    for s, (q, _, metric_params) in enumerate(started):
+        x0[s, :widths[s]] = _point(entry, metric_params,
+                                   rngs[q].uniform(-2.0, 2.0, size=widths[s] - m))
     if mode == "unit_F":
         g = metric_from_params(entry, x0[:, :m])
         nrm = norm_sq(g, ctx.f_of(x0))

@@ -37,12 +37,6 @@ def instantiated(cand):
             la.metric_from_params(entry, cand.metric_params))
 
 
-def point(ctx, metric_params, y):
-    """Parameter vector (n,) of a search point of a context's entry: its
-    metric parameters in the entry's order, then kernel coordinates y."""
-    return np.concatenate([[metric_params[n] for n in ctx.entry.metric_param_names], y])
-
-
 def admissible_draws(n, seed=0, entries=None):
     """Yield n (entry, L, g) draws cycling through catalog entries."""
     pool = entries if entries is not None else la.catalog()

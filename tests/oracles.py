@@ -363,7 +363,6 @@ def start_alone(entry, seed, index, mode):
     ``default_rng(seed ^ index)``; algebra parameters, one metric from the
     one-generator sampler, then kernel coordinates, redrawn in [0.5, 2]
     when |F|^2_g < 1e-6 and scaled to |F|_g = 1 in unit_F mode."""
-    from conftest import point
     from liemaxwell import forms, solver
     from liemaxwell.lie_algebra import metric_from_params
 
@@ -379,12 +378,12 @@ def start_alone(entry, seed, index, mode):
     if k == 0:
         return "no-closed-forms", None
     m = len(entry.metric_param_names)
-    x0 = point(ctx, metric_params, rng.uniform(-2.0, 2.0, size=k))
+    x0 = solver._point(entry, metric_params, rng.uniform(-2.0, 2.0, size=k))
     if mode == "unit_F":
         g = metric_from_params(entry, metric_params)
         nrm = float(forms.norm_sq(g, x0[m:] @ kernel_t))
         if nrm < 1e-6:
-            x0 = point(ctx, metric_params, rng.uniform(0.5, 2.0, size=k))
+            x0 = solver._point(entry, metric_params, rng.uniform(0.5, 2.0, size=k))
             nrm = float(forms.norm_sq(g, x0[m:] @ kernel_t))
         if nrm > 0:
             x0[m:] /= np.sqrt(nrm)

@@ -511,6 +511,9 @@ def test_the_name_index_is_built_once(monkeypatch):
     keys = []
     canonical = la.canonical_key
     monkeypatch.setattr(la, "canonical_key", lambda name: keys.append(name) or canonical(name))
+    # teardown restores all three cached globals together
+    for name in ("_INDEX", "_PACKAGED_SHA256"):
+        monkeypatch.setattr(la, name, getattr(la, name))
     monkeypatch.setattr(la, "_CATALOG_CACHE", None)
     entries = la.catalog()
     assert len(keys) == names

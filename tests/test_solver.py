@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from conftest import instantiated, point
+from conftest import instantiated
 from liemaxwell import lie_algebra as la
 from liemaxwell import maxwell, solver
 from liemaxwell import metric_geometry as mg
@@ -73,7 +73,7 @@ def test_context_agrees_with_residual_vector():
             for mode in ("free_F", "unit_F"):
                 ctx = solver.ResidualContext(entry, [ap], mode=mode)
                 mp = solver.sample_metric_params(entry, rng)
-                x = point(ctx, mp, rng.uniform(-1, 1, len(ctx._facts[0].kernel_t)))
+                x = solver._point(ctx.entry, mp, rng.uniform(-1, 1, len(ctx._facts[0].kernel_t)))
                 got = ctx.residual(x[None, None])[0, 0]
                 [cand] = ctx.candidates(x[None])
                 assert cand.orientation == 1
@@ -88,7 +88,7 @@ def test_context_agrees_with_residual_vector():
 def _batch(entry, mode, rng, size=4):
     """A one-seed context and ``size`` of its points (1, size, n)."""
     ctx = solver.ResidualContext(entry, [solver.sample_algebra_params(entry, rng)], mode=mode)
-    xs = np.array([point(ctx, solver.sample_metric_params(entry, rng),
+    xs = np.array([solver._point(ctx.entry, solver.sample_metric_params(entry, rng),
                          rng.uniform(-1, 1, len(ctx._facts[0].kernel_t))) for _ in range(size)])
     return ctx, xs[None]
 
@@ -118,7 +118,7 @@ def test_jacobian_at_the_cone_boundary_matches_the_oracle():
     # the forward-mode Jacobian evaluates x alone.
     entry = la.entry_by_name("A4,4")
     ctx = solver.ResidualContext(entry, [{}], mode="unit_F")
-    x = point(ctx, {"a1": 1e-8, "a2": 0.0, "a3": 1.0}, np.array([0.3, -0.2, 0.5]))[None]
+    x = solver._point(entry, {"a1": 1e-8, "a2": 0.0, "a3": 1.0}, np.array([0.3, -0.2, 0.5]))[None]
     below = x.copy()
     below[0, 0] -= 1e-6
     with pytest.raises(ValueError, match="determinant"):
@@ -148,7 +148,7 @@ def test_jacobian_matches_complex_step_oracle():
             for index in [*range(0, 16, 2), *range(1, 2 * n_variants, 2)]:
                 ap = solver.sample_algebra_params(entry, rng, variant_index=index)
                 ctxs.append(solver.ResidualContext(entry, [ap], mode=mode))
-                xs.append(point(ctxs[-1], solver.sample_metric_params(entry, rng),
+                xs.append(solver._point(ctxs[-1].entry, solver.sample_metric_params(entry, rng),
                                 rng.uniform(-1.5, 1.5, len(ctxs[-1]._facts[0].kernel_t))))
             block, x = solver.ResidualContext.stack(ctxs[:8]), np.array(xs[:8])
             _assert_matches_oracle(block, x, label=(entry.name, mode))
@@ -164,9 +164,9 @@ def test_kernel_refuses_a_nonpositive_determinant():
     ctx = solver.ResidualContext(la.entry_by_name("A4,4"), [{}], mode="unit_F")
     assert ctx.residual(np.zeros((1, 0, ctx._n_free[0]))).shape == (1, 0, ctx.n_rows)
     f = np.zeros(len(ctx._facts[0].kernel_t))
-    good = point(ctx, {"a1": 1.0, "a2": 0.0, "a3": 1.0}, f)
+    good = solver._point(ctx.entry, {"a1": 1.0, "a2": 0.0, "a3": 1.0}, f)
     for a1 in (-1.0, np.nan):
-        bad = point(ctx, {"a1": a1, "a2": 0.0, "a3": 1.0}, f)
+        bad = solver._point(ctx.entry, {"a1": a1, "a2": 0.0, "a3": 1.0}, f)
         for x in (bad[None, None], np.array([[good, bad]])):
             with np.errstate(invalid="ignore"), \
                     pytest.raises(ValueError, match="^metric determinant must be positive$"):
@@ -180,7 +180,7 @@ def test_points_of_the_wrong_rank_are_refused():
     # reshaped; a dict of algebra parameters is one seed too few axes.
     entry = la.entry_by_name("A4,4")
     ctx = solver.ResidualContext(entry, [{}], mode="unit_F")
-    x = point(ctx, {"a1": 1.0, "a2": 0.0, "a3": 1.0}, np.array([0.3, -0.2, 0.5]))
+    x = solver._point(ctx.entry, {"a1": 1.0, "a2": 0.0, "a3": 1.0}, np.array([0.3, -0.2, 0.5]))
     calls = [(ctx.residual, "(S, m, n)"), (ctx.f_of, "(S, n)"),
              (lambda xs: solver.residual_jacobian(ctx, xs), "(S, n)")]
     for call, shape in calls:
@@ -303,7 +303,7 @@ def test_jacobian_matches_forward_differences():
     entry = la.entry_by_name("2A2")
     ctx = solver.ResidualContext(entry, [{}], mode="unit_F")
     mp = solver.sample_metric_params(entry, rng)
-    x = point(ctx, mp, rng.uniform(-1, 1, len(ctx._facts[0].kernel_t)))
+    x = solver._point(ctx.entry, mp, rng.uniform(-1, 1, len(ctx._facts[0].kernel_t)))
     jac = solver.residual_jacobian(ctx, x[None])[0]
     r0 = ctx.residual(x[None, None])[0, 0]
     for k in range(len(x)):
@@ -861,7 +861,7 @@ def test_narrow_seeds_keep_their_bits_after_the_wide_seed_stops():
     narrow = _lone_starts(la.entry_by_name("A2+2A1"), 5, range(4), "free_F")
     x0 = np.zeros((5, 8))
     y = np.linalg.lstsq(wide._facts[0].kernel_t.T, family.f_coeffs, rcond=None)[0]
-    x0[0] = point(wide, family.metric_params, y)
+    x0[0] = solver._point(wide.entry, family.metric_params, y)
     for s, (_, start) in enumerate(narrow, 1):
         x0[s, :6] = start
     stack = solver.ResidualContext.stack([wide, *(ctx for ctx, _ in narrow)])
