@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ._expr import ExpressionError, eval_expr, expr_identifiers
-from ._smallmat import as_fractions, is_exact, nullspace
+from ._smallmat import as_fractions, is_exact
 
 DIM = 4
 
@@ -219,33 +219,15 @@ def d_two_form(L, a: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=-1)[..., -1]
 
 
-@dataclass(frozen=True)
-class ClosednessSystem:
-    """The linear system dF = 0 over the six 2-form coefficients."""
-
-    matrix: np.ndarray            # 4x6, rows = 3-form components, cols = pair coefficients
-    kernel: tuple[np.ndarray, ...]
-    dim: int
-    free_pairs: tuple[str, ...]   # pair label of the free column of each kernel vector
-    pivot_pairs: tuple[str, ...]  # pair labels of the rref pivot columns
-
-
 def closedness_matrix(L) -> np.ndarray:
     """Coefficient matrix (4, 6) of dF = 0, column p being d(e^p), of one
     algebra, or (S, 4, 6) of S algebras (``structure_constants``): d of all
-    six unit 2-forms in one ``d_two_form`` call."""
+    six unit 2-forms in one ``d_two_form`` call.  ``_smallmat.nullspace``
+    of one matrix gives the closed 2-forms in canonical rref form, and its
+    free columns name their free pairs (``PAIR_LABELS``)."""
     c = structure_constants(L)
     mat = d_two_form(c[..., None, :, :, :], np.eye(6, dtype=c.dtype))
     return np.ascontiguousarray(np.swapaxes(mat, -1, -2))
-
-
-def closedness_constraints(L: LieAlgebra) -> ClosednessSystem:
-    """Coefficient matrix of dF = 0 and a canonical basis of its kernel."""
-    mat = closedness_matrix(L)
-    basis, free = nullspace(mat)
-    return ClosednessSystem(matrix=mat, kernel=tuple(basis), dim=len(basis),
-                            free_pairs=tuple(PAIR_LABELS[p] for p in free),
-                            pivot_pairs=tuple(PAIR_LABELS[p] for p in range(6) if p not in free))
 
 
 # ---------------------------------------------------------------------------
@@ -310,22 +292,6 @@ class CatalogEntry:
         return tuple(names)
 
     @functools.cached_property
-    def metric_placement(self) -> tuple[np.ndarray, np.ndarray]:
-        """(place, g0) with metric = params @ place + g0, flattened (..., 16),
-        for parameter vectors in ``metric_param_names`` order: the literal
-        cells of the shape plus the parameters, placed exactly (one nonzero
-        term per cell)."""
-        names = self.metric_param_names
-        place, g0 = np.zeros((len(names), 16)), np.zeros(16)
-        for i, row in enumerate(self.metric_shape):
-            for j, cell in enumerate(row):
-                if isinstance(cell, str):
-                    place[names.index(cell), 4 * i + j] = 1.0
-                else:
-                    g0[4 * i + j] = cell
-        return place, g0
-
-    @functools.cached_property
     def metric_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(literal, at, which) of the shape flattened (16,): the literal
         cells (0 where a parameter sits), the positions of the parameter
@@ -387,28 +353,26 @@ def _bracket_constants(entry: CatalogEntry, env: dict, lead: tuple = (), dtype=f
 
 
 def instantiate(entry: CatalogEntry, params: dict | None = None, *,
-                exact: bool = False, check_range: bool = True) -> LieAlgebra:
-    """Concrete LieAlgebra from an entry at given algebra parameter values."""
+                exact: bool = False) -> LieAlgebra:
+    """Concrete LieAlgebra from an entry at given algebra parameter values:
+    the one-set case of ``instantiate_many``, which checks the parameters
+    and the constants.  Exact constants, from the parameters read as
+    Fractions, are refused where their floats would be."""
     params = dict(params or {})
-    _checked(entry, params)
-    if check_range:
-        for spec in entry.params:
-            if not spec.admits(_as_float(entry, spec.name, params[spec.name])):
-                raise CatalogError(
-                    f"{entry.name}: parameter {spec.name}={params[spec.name]} outside admissible range")
+    c = instantiate_many(entry, [params])[0]
     if exact:
         env = dict(zip(params, as_fractions(np.array(list(params.values()), dtype=object))))
         c = _bracket_constants(entry, env, dtype=object)
-    else:
-        c = _bracket_constants(entry, {k: _as_float(entry, k, v) for k, v in params.items()})
     return LieAlgebra(name=entry.name, c=c, params=params)
 
 
 def instantiate_many(entry: CatalogEntry, params: list[dict]) -> np.ndarray:
     """Structure constants (S, 4, 4, 4) of the entry at S sets of algebra
-    parameters, each checked as ``instantiate`` checks it, and finite.
-    Every bracket coefficient is evaluated once, on the parameter arrays,
-    and set s has the bits of ``instantiate(entry, params[s]).c``."""
+    parameters.  Each set must name exactly the entry's parameters, with
+    numbers inside their admissible ranges, and give finite constants; a
+    CatalogError names the first that does not.  Every bracket coefficient
+    is evaluated once, on the parameter arrays, each element with the bits
+    of a Python float."""
     for p in params:
         _checked(entry, p)
     env = {}
@@ -419,7 +383,7 @@ def instantiate_many(entry: CatalogEntry, params: list[dict]) -> np.ndarray:
         if len(bad):
             raise CatalogError(f"{entry.name}: parameter {spec.name}="
                                f"{params[bad[0]][spec.name]} outside admissible range")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, as instantiate does
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
         c = _bracket_constants(entry, env, (len(params),))
     if not np.isfinite(c).all():
         raise CatalogError(f"{entry.name}: structure constants beyond the float range")
@@ -434,7 +398,8 @@ def metric_from_params(entry: CatalogEntry, metric_params, *, exact: bool = Fals
     if not isinstance(metric_params, dict):
         literal, at, which = entry.metric_cells
         params = np.asarray(metric_params, dtype=float)
-        cells = np.broadcast_to(literal, params.shape[:-1] + literal.shape).copy()
+        cells = np.empty(params.shape[:-1] + literal.shape)
+        cells[...] = literal
         cells[..., at] = params[..., which]
         return cells.reshape(params.shape[:-1] + (DIM, DIM))
     needed = set(entry.metric_param_names)
@@ -450,6 +415,22 @@ def metric_from_params(entry: CatalogEntry, metric_params, *, exact: bool = Fals
 
 
 def _parse_entry(raw: dict) -> CatalogEntry:
+    """The validated entry of one catalog record; a missing key or a value
+    of the wrong type is a CatalogError naming the entry."""
+    name = raw.get("name", "unnamed entry") if isinstance(raw, dict) else "unnamed entry"
+    try:
+        entry = _entry_of(raw)
+        _validate_entry(entry)
+    except CatalogError:
+        raise
+    except KeyError as exc:
+        raise CatalogError(f"{name}: entry has no {exc.args[0]!r}") from exc
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise CatalogError(f"{name}: malformed entry: {exc}") from exc
+    return entry
+
+
+def _entry_of(raw: dict) -> CatalogEntry:
     name = raw["name"]
     brackets = []
     for b in raw["brackets"]:
@@ -472,7 +453,7 @@ def _parse_entry(raw: dict) -> CatalogEntry:
     variants = tuple(Variant(name=v["name"], params=dict(v["params"]),
                              admissible=bool(v.get("admissible", True)))
                      for v in raw.get("variants", []))
-    entry = CatalogEntry(
+    return CatalogEntry(
         name=name,
         brackets=tuple(brackets),
         params=tuple(params),
@@ -486,8 +467,6 @@ def _parse_entry(raw: dict) -> CatalogEntry:
         aliases=tuple(raw.get("aliases", [])),
         ordered_params=tuple(raw.get("ordered_params", [])),
     )
-    _validate_entry(entry)
-    return entry
 
 
 def _validate_entry(entry: CatalogEntry) -> None:
@@ -567,6 +546,13 @@ def _loaded(source: str | Path | None) -> tuple[list[CatalogEntry], dict, str]:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"catalog does not parse: {exc}") from exc
+    if not isinstance(document, dict):
+        raise CatalogError("catalog document is not a JSON object")
+    for key in ("version", "entries"):
+        if key not in document:
+            raise CatalogError(f"catalog document has no {key!r}")
+    if not isinstance(document["entries"], list):
+        raise CatalogError("catalog entries are not a JSON list")
     recorded = document.get("sha256")
     actual = catalog_checksum(document)
     if recorded != actual:

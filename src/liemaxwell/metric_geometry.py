@@ -6,9 +6,10 @@ with margin ``EPS_PD``, and positive definite by a Cholesky factorization.
 The sampler and the Levenberg-Marquardt feasibility test call it on stacks
 of parameter vectors; ``validate_metric`` calls it on one parameter dict and
 names the constraints a refusal fails.  Admission reads parameters, never a
-matrix: every metric is built from its parameters by ``metric_from_params``,
-and ``solver._admitted`` is the one place that builds and admits one (behind
-``verify``, ``curvature``, ``family``, ``refine`` and ``residual_vector``).
+matrix: every metric, the ones ``admissible`` factors included, is built
+from its parameters by ``metric_from_params``, and ``solver._admitted`` is
+the one place that builds and admits one (behind ``verify``, ``curvature``,
+``family``, ``refine`` and ``residual_vector``).
 
 Sign convention for the curvature tensor (fixed once, here): with
 ``Rc(x, y)z = -(nabla_x nabla_y z - nabla_y nabla_x z - nabla_{[x,y]} z)``
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import _smallmat
 from ._expr import eval_expr
-from .lie_algebra import DIM, CatalogEntry, structure_constants
+from .lie_algebra import CatalogEntry, metric_from_params, structure_constants
 
 #: Margin required on every catalog constraint polynomial; the strict
 #: inequalities leave boundary behavior undefined and the solver must not
@@ -73,9 +74,10 @@ def admissible(entry: CatalogEntry, params: np.ndarray):
 
     A vector is refused if a value is not finite (Cholesky factors metrics
     holding inf or NaN without complaint), then if a constraint
-    polynomial does not exceed EPS_PD, then if the metric has no Cholesky
-    factorization.  The metrics that reach the last step are factored in one
-    stacked call, one at a time only when LAPACK refuses one of them.
+    polynomial does not exceed EPS_PD, then if the metric, built by
+    ``metric_from_params``, has no Cholesky factorization.  The metrics that
+    reach the last step are factored in one stacked call, one at a time only
+    when LAPACK refuses one of them.
     """
     params = np.asarray(params, dtype=float)
     rows = params.reshape(math.prod(params.shape[:-1]), params.shape[-1])
@@ -86,9 +88,7 @@ def admissible(entry: CatalogEntry, params: np.ndarray):
     values = dict(zip(entry.metric_param_names, cols))
     for poly in entry.metric_constraints:
         ok &= eval_expr(poly, values) > EPS_PD
-    place, g0 = entry.metric_placement
-    passed = rows if np.count_nonzero(ok) == len(ok) else rows[ok]
-    g = (passed @ place + g0).reshape(-1, DIM, DIM)
+    g = metric_from_params(entry, rows if np.count_nonzero(ok) == len(ok) else rows[ok])
     if not _factors(g):
         ok[ok] = [_factors(one) for one in g]
     return ok.reshape(params.shape[:-1]) if params.ndim > 1 else bool(ok[0])

@@ -333,10 +333,13 @@ class ResidualContext:
         widths = [n_metric + len(f.kernel_t) for f in self._facts]
         self._entries, self._part = (entry,), np.zeros(n_seeds, dtype=int)
         self._n_free = np.array(widths)
-        place, g0 = entry.metric_placement
         # Everything linear in x, folded per seed: x @ _lin + _lin0 is
         # [g | F | g([e_i,e_j],e_l) with rows (i, j) | dF], see _G .. _DF.
-        # A narrower seed's rows past its width stay 0.
+        # g is x @ place + g0, place one-hot (one parameter per cell) and g0
+        # the literal cells.  A narrower seed's rows past its width stay 0.
+        g0, at, which = entry.metric_cells
+        place = np.zeros((n_metric, 16))
+        place[which, at] = 1.0
         c16 = c.reshape(n_seeds, 16, 4)
         lin = np.zeros((n_seeds, max(widths), _WIDTH))
         lin[:, :n_metric, _G] = place
@@ -419,10 +422,9 @@ class ResidualContext:
         return out
 
     def feasible(self, x: np.ndarray):
-        """Whether x (..., n) is admissible (``metric_geometry.admissible`` on
-        its metric parameters): a bool for a 1-D x, else a bool array over
-        the leading axes.  Row s of a stacked context's x (S, ..., n) is
-        checked against seed s's entry, one ``admissible`` call per entry."""
+        """Whether points x (S, ..., n), row s of seed s, are admissible: a
+        bool array (S, ...), ``metric_geometry.admissible`` on the metric
+        parameters of each row, one call per entry of the seeds."""
         if len(self._entries) == 1:
             return admissible(self.entry, x[..., :len(self.entry.metric_param_names)])
         ok = np.zeros(x.shape[:-1], dtype=bool)
@@ -908,7 +910,7 @@ class SearchOutcome:
 _CHECK_FIRST = 32
 
 
-def sample_metric_params(entry: CatalogEntry, rng):
+def sample_metric_params(entry: CatalogEntry, rngs) -> list[dict | None]:
     """Uniform draw from the feasible box: [-3, 3] per parameter, positives in
     (0, 3]; rejection of the draws that are not ``admissible``.
 
@@ -917,9 +919,8 @@ def sample_metric_params(entry: CatalogEntry, rng):
     more (off-diagonal parameters toward 0, positive ones toward 1), where
     every catalog shape is feasible.
 
-    ``rng`` is one generator, giving one parameter dict (a ValueError when
-    no draw is admissible), or a sequence of generators, giving one dict per
-    generator (None where no draw is admissible).  Each run of draws with
+    ``rngs`` is a sequence of generators, and the result one parameter dict
+    per generator (None where no draw is admissible).  Each run of draws with
     one box size (200, then 50 at a time) is drawn by one ``uniform`` call
     per generator, and the draws of all generators still searching are
     checked by two ``admissible`` calls: one on each generator's first
@@ -929,7 +930,6 @@ def sample_metric_params(entry: CatalogEntry, rng):
     after its first admissible draw.  The result and every later draw from
     each generator are those of drawing and checking one metric at a time.
     """
-    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     names = entry.metric_param_names
     found: list[dict | None] = [{} if not names else None for _ in rngs]
     positive = np.array([n in entry.positive_metric_params for n in names])
@@ -960,11 +960,6 @@ def sample_metric_params(entry: CatalogEntry, rng):
                 searching.append(p)
         pending = searching
         attempt = stop
-    if isinstance(rng, np.random.Generator):
-        if found[0] is None:
-            raise ValueError(f"{entry.name}: empty feasible box "
-                             f"(no admissible metric in {SAMPLE_TRIES} draws)")
-        return found[0]
     return found
 
 

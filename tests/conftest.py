@@ -24,7 +24,7 @@ def by_name():
 def draw_admissible(entry, rng):
     """One admissible (algebra, metric) draw for property sweeps."""
     ap = solver.sample_algebra_params(entry, rng)
-    mp = solver.sample_metric_params(entry, rng)
+    mp = solver.sample_metric_params(entry, [rng])[0]
     L = la.instantiate(entry, ap)
     g = la.metric_from_params(entry, mp)
     return L, g

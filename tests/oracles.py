@@ -310,7 +310,7 @@ def levmar_alone(ctx, x0, tol, max_iter, singular=lambda iteration, trial: False
     from liemaxwell.solver import residual_jacobian as jacobian
 
     x = np.array(x0, dtype=float)
-    if not ctx.feasible(x):
+    if not ctx.feasible(x[None])[0]:
         return x, 0, "infeasible start", 0, 0
     r = ctx.residual(x[None, None])[0, 0]
     n_evals, n_trials, lam, iters = 1, 0, 1e-3, 0
@@ -339,7 +339,7 @@ def levmar_alone(ctx, x0, tol, max_iter, singular=lambda iteration, trial: False
                 lam *= 10.0
                 continue
             x_new = x + delta
-            if ctx.feasible(x_new):
+            if ctx.feasible(x_new[None])[0]:
                 r_new = ctx.residual(x_new[None, None])[0, 0]
                 n_evals += 1
                 if r_new @ r_new < r @ r:
@@ -361,16 +361,18 @@ def start_alone(entry, seed, index, mode):
     the one-seed-at-a-time reference for ``solver._starts``.  Returns
     (one-seed context, x0), or (why there is none, None).  The generator is
     ``default_rng(seed ^ index)``; algebra parameters, one metric from the
-    one-generator sampler, then kernel coordinates, redrawn in [0.5, 2]
-    when |F|^2_g < 1e-6 and scaled to |F|_g = 1 in unit_F mode."""
+    sampler given this generator alone, then kernel coordinates, redrawn in
+    [0.5, 2] when |F|^2_g < 1e-6 and scaled to |F|_g = 1 in unit_F mode."""
     from liemaxwell import forms, solver
     from liemaxwell.lie_algebra import metric_from_params
 
     rng = np.random.default_rng(seed ^ index)
     try:
         algebra_params = solver.sample_algebra_params(entry, rng, variant_index=index)
-        metric_params = solver.sample_metric_params(entry, rng)
     except ValueError:
+        return "sampling-failed", None
+    metric_params = solver.sample_metric_params(entry, [rng])[0]
+    if metric_params is None:
         return "sampling-failed", None
     ctx = solver.ResidualContext(entry, [algebra_params], mode=mode)
     kernel_t = ctx._facts[0].kernel_t

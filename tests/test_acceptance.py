@@ -93,7 +93,7 @@ def test_criterion_4_einstein_degenerations():
     # limit as an inadmissible named variant checked here explicitly.
     entry46 = la.entry_by_name("A46a0")
     variant = next(v for v in entry46.variants if not v.admissible)
-    L0 = la.instantiate(entry46, variant.params, check_range=False)
+    L0 = la.LieAlgebra(entry46.name, la._bracket_constants(entry46, variant.params))
     g0 = la.metric_from_params(entry46, {"a1": 0.0, "a2": 0.0, "a3": 1.0})
     assert np.abs(mg.curvature_summary(L0, g0).ric0).max() <= 1e-12
     note(4, "Einstein degenerations: 2A2 at a5=1 and the A4,6 bracket limit a=0")
@@ -265,7 +265,7 @@ def test_criterion_9_gradient_check():
         width = len(ctx._facts[0].kernel_t)
         if width == 0:
             continue
-        mp = solver.sample_metric_params(entry, rng)
+        mp = solver.sample_metric_params(entry, [rng])[0]
         x = solver._point(entry, mp, rng.uniform(-1.5, 1.5, width))
         jac = solver.residual_jacobian(ctx, x[None])[0]
         r0 = ctx.residual(x[None, None])[0, 0]

@@ -290,7 +290,7 @@ def test_classify_unknown_entry_is_input_error(capsys):
 
 
 def test_classify_on_zero_evidence_is_inconclusive(capsys, monkeypatch):
-    def no_start(entry, rngs):  # the several-generator sampler: no admissible draw
+    def no_start(entry, rngs):  # the sampler: no admissible draw
         return [None] * len(rngs)
 
     monkeypatch.setattr(solver, "sample_metric_params", no_start)
@@ -480,6 +480,11 @@ def test_bad_tolerance_is_refused_before_any_work(capsys, monkeypatch, tmp_path,
 
 
 _UNKNOWN_ENTRY = "error: no catalog entry named 'zz'\n"
+#: A finite algebra parameter whose bracket coefficient 2a overflows.
+_OVERFLOW_A411 = {"entry": "A4,11^a", "algebra_params": {"a": 1e308},
+                  "metric_params": {"a1": 1.0, "a2": 1.0, "a3": 0.0, "a4": 0.0},
+                  "f_coeffs": [0, 0, 0, 1, 0, 0], "orientation": 1}
+_BRACKET_OVERFLOW = "error: A4,11^a: structure constants beyond the float range\n"
 
 
 @pytest.mark.parametrize("argv,doc,message", [
@@ -494,12 +499,16 @@ _UNKNOWN_ENTRY = "error: no catalog entry named 'zz'\n"
     (["verify", "DOC", "--json"], _OVERFLOW_A44, "error: residuals are not finite"),
     (["curvature", "A4,4", "--metric-params", json.dumps(_OVERFLOW_A44["metric_params"]),
       "--json"], None, "error: curvature is not finite"),
+    (["verify", "DOC", "--json"], _OVERFLOW_A411, _BRACKET_OVERFLOW),
+    (["curvature", "A4,11^a", "--algebra-params", json.dumps(_OVERFLOW_A411["algebra_params"]),
+      "--metric-params", json.dumps(_OVERFLOW_A411["metric_params"])], None, _BRACKET_OVERFLOW),
     (["search", "2A2", "--seeds", "-1"], None, "error: --seed and --seeds must be nonnegative"),
     (["classify", "--seed", "-1"], None, "error: --seed and --seeds must be nonnegative"),
     # solver.MODES is the one list of modes: the search refuses the others.
     (["search", "A4,4", "--mode", "bogus"], None, "error: unknown mode 'bogus'\n"),
 ], ids=["show", "curvature", "search", "classify", "verify", "family", "family-orientation",
-        "verify-overflow", "curvature-overflow", "search-negative-seeds",
+        "verify-overflow", "curvature-overflow", "verify-bracket-overflow",
+        "curvature-bracket-overflow", "search-negative-seeds",
         "classify-negative-seed", "search-unknown-mode"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, doc, message):
     assert refusal(capsys, tmp_path, argv, doc).startswith(message)

@@ -11,14 +11,15 @@ import numpy as np
 from conftest import dstar
 from liemaxwell import maxwell
 from liemaxwell import lie_algebra as la
+from liemaxwell._smallmat import nullspace
 from liemaxwell.forms import two_form
 from liemaxwell.metric_geometry import validate_metric
 
 
 def dstar_on_closed(L, g):
     """Matrix of F -> d*F in kernel coordinates of the closedness system."""
-    closed = la.closedness_constraints(L)
-    kernel = np.array([np.asarray(v, float) for v in closed.kernel]).T
+    basis, _ = nullspace(la.closedness_matrix(L))
+    kernel = np.array([np.asarray(v, float) for v in basis]).T
     cols = [dstar(L, g, kernel[:, c]) for c in range(kernel.shape[1])]
     return kernel, np.array(cols).T
 

@@ -25,7 +25,7 @@ def test_bracket_2a2():
 def test_bracket_antisymmetry_random():
     rng = np.random.default_rng(0)
     for entry in la.catalog():
-        L = la.instantiate(entry, entry.sample_params(), check_range=False)
+        L = la.instantiate(entry, entry.sample_params())
         x = rng.normal(size=4)
         assert np.abs(la.bracket(L, x, x)).max() < 1e-14
         y = rng.normal(size=4)
@@ -142,7 +142,7 @@ def test_d_two_form_fixtures():
 def test_d_two_form_matches_leibniz_oracle():
     rng = np.random.default_rng(2)
     for entry in la.catalog():
-        L = la.instantiate(entry, entry.sample_params(), check_range=False)
+        L = la.instantiate(entry, entry.sample_params())
         a6 = rng.normal(size=6)
         got = la.d_two_form(L, a6)
         want = orc.d_two_form_leibniz(np.asarray(L.c, dtype=float), a6)
@@ -163,7 +163,7 @@ def test_stacked_two_form_code_matches_the_loops_exactly(cat):
     # several forms, one algebra per form): exactly the values of the loops
     # the loop-free code replaced.
     rng = np.random.default_rng(21)
-    algebras = [la.instantiate(e, e.sample_params(), exact=True, check_range=False) for e in cat]
+    algebras = [la.instantiate(e, e.sample_params(), exact=True) for e in cat]
     forms = _fractions(rng, (len(algebras), 6))
     per_algebra = la.d_two_form(algebras, forms)
     for k, L in enumerate(algebras):
@@ -181,7 +181,7 @@ def test_stacked_two_form_code_matches_the_loops_exactly(cat):
 
 def test_d_squared_zero_all_entries():
     for entry in la.catalog():
-        L = la.instantiate(entry, entry.sample_params(), check_range=False)
+        L = la.instantiate(entry, entry.sample_params())
         for i in range(4):
             dd = la.d_two_form(L, la.d_one_form(L, E[i]))
             assert np.abs(dd).max() < 1e-14, entry.name
@@ -197,18 +197,28 @@ CLOSED_DIMS = {
 }
 
 
+def _closed_forms(L):
+    """The closedness matrix of L, the kernel basis of dF = 0 and the free
+    and pivot pair labels, as every search reads them: ``closedness_matrix``,
+    then ``_smallmat.nullspace``."""
+    mat = la.closedness_matrix(L)
+    basis, free = _smallmat.nullspace(mat)
+    free_pairs = [la.PAIR_LABELS[p] for p in free]
+    return mat, basis, free_pairs, [lbl for lbl in la.PAIR_LABELS if lbl not in free_pairs]
+
+
 def test_closedness_kernel_dimensions():
     for entry in la.catalog():
-        L = la.instantiate(entry, entry.sample_params(), check_range=False)
-        system = la.closedness_constraints(L)
-        assert system.dim == CLOSED_DIMS[entry.name], entry.name
+        L = la.instantiate(entry, entry.sample_params())
+        _, basis, _, _ = _closed_forms(L)
+        assert len(basis) == CLOSED_DIMS[entry.name], entry.name
 
 
 def test_closedness_2a2_kernel():
     L = la.instantiate(la.entry_by_name("2A2"), {})
-    system = la.closedness_constraints(L)
-    assert system.free_pairs == ("12", "13", "34")
-    for v in system.kernel:
+    _, basis, free_pairs, _ = _closed_forms(L)
+    assert free_pairs == ["12", "13", "34"]
+    for v in basis:
         assert np.abs(la.d_two_form(L, np.asarray(v, dtype=float))).max() < 1e-15
 
 
@@ -218,22 +228,21 @@ def test_closedness_labels_are_the_free_columns():
     # the rref pivots (on A4,12 the kernel vector e13 + e24 is labelled 24).
     for entry in la.catalog():
         for exact in (False, True):
-            L = la.instantiate(entry, entry.sample_params(), exact=exact, check_range=False)
-            system = la.closedness_constraints(L)
-            free = [la.PAIR_LABELS.index(lbl) for lbl in system.free_pairs]
-            for v, col in zip(system.kernel, free):
+            L = la.instantiate(entry, entry.sample_params(), exact=exact)
+            mat, basis, free_pairs, pivot_pairs = _closed_forms(L)
+            free = [la.PAIR_LABELS.index(lbl) for lbl in free_pairs]
+            for v, col in zip(basis, free):
                 assert [v[c] for c in free] == [int(c == col) for c in free], entry.name
-            assert sorted(system.free_pairs + system.pivot_pairs) == sorted(la.PAIR_LABELS)
-            pivots = _smallmat.rref(system.matrix)[1]
-            assert system.pivot_pairs == tuple(la.PAIR_LABELS[p] for p in pivots), entry.name
+            assert sorted(free_pairs + pivot_pairs) == sorted(la.PAIR_LABELS)
+            pivots = _smallmat.rref(mat)[1]
+            assert pivot_pairs == [la.PAIR_LABELS[p] for p in pivots], entry.name
 
 
 def test_closedness_a49b_relation():
     b = 0.3
     L = la.instantiate(la.entry_by_name("A4,9^b"), {"b": b})
-    system = la.closedness_constraints(L)
-    vec = next(np.asarray(v, dtype=float) for v, lbl in zip(system.kernel, system.free_pairs)
-               if lbl == "23")
+    _, basis, free_pairs, _ = _closed_forms(L)
+    vec = next(np.asarray(v, dtype=float) for v, lbl in zip(basis, free_pairs) if lbl == "23")
     # a14 = (1+b) a23 with a12 = a13 = 0
     assert vec[0] == 0 and vec[1] == 0
     assert vec[2] == pytest.approx(1 + b)
@@ -242,22 +251,22 @@ def test_closedness_a49b_relation():
 
 def test_closedness_abelian_full():
     L = la.instantiate(la.entry_by_name("abelian"), {})
-    assert la.closedness_constraints(L).dim == 6
+    assert len(_closed_forms(L)[1]) == 6
 
 
 def test_closedness_exact_mode():
     L = la.instantiate(la.entry_by_name("A4,9^b"), {"b": Fraction(1, 4)}, exact=True)
-    system = la.closedness_constraints(L)
-    assert system.dim == 3
-    vec = next(v for v, lbl in zip(system.kernel, system.free_pairs) if lbl == "23")
+    _, basis, free_pairs, _ = _closed_forms(L)
+    assert len(basis) == 3
+    vec = next(v for v, lbl in zip(basis, free_pairs) if lbl == "23")
     assert vec[2] == Fraction(5, 4)
     # Python ints are exact constants too: read as Fractions, so the kernel
     # never divides int by int in floats.
     L = la.instantiate(la.entry_by_name("A4,9^b"), {"b": Fraction(1, 2)}, exact=True)
     ints = np.empty((4, 4, 4), dtype=object)
     ints.reshape(-1)[:] = [int(2 * v) for v in L.c.reshape(-1)]
-    got = la.closedness_constraints(la.LieAlgebra("ints", ints)).kernel
-    want = la.closedness_constraints(la.LieAlgebra("fractions", 2 * L.c)).kernel
+    got = _closed_forms(la.LieAlgebra("ints", ints))[1]
+    want = _closed_forms(la.LieAlgebra("fractions", 2 * L.c))[1]
     assert all(isinstance(x, Fraction) for v in got for x in v)
     assert len(got) == len(want) == 3
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -303,6 +312,35 @@ def test_catalog_rejects_bad_json(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(la.CatalogError, match="parse"):
         la.load_catalog(bad)
+
+
+def _first_entry(**change):
+    """Edit of a catalog document: its first entry (2A2) with ``change``
+    applied, None deleting a key, and the checksum recomputed."""
+    def edit(doc):
+        raw = doc["entries"][0]
+        for key, value in change.items():
+            if value is None:
+                del raw[key]
+            else:
+                raw[key] = value
+        doc["sha256"] = la.catalog_checksum(doc)
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["entries"], "catalog document is not a JSON object"),
+    (lambda doc: {}, "catalog document has no 'version'"),
+    (_first_entry(verdict=None), "2A2: entry has no 'verdict'"),
+    (_first_entry(brackets="x"), "2A2: malformed entry"),
+], ids=["list", "empty", "no-verdict", "string-brackets"])
+def test_catalog_refuses_malformed_documents(tmp_path, edit, message):
+    # Each escaped as an AttributeError, KeyError or TypeError.
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(edit(json.loads(la._catalog_text()))))
+    with pytest.raises(la.CatalogError, match=re.escape(message)):
+        la.load_catalog(path)
 
 
 @pytest.mark.parametrize("src", [
@@ -416,16 +454,15 @@ def _refusals(build):
         build(entry, {"b": 0.3, "zz": 1.0})
     with pytest.raises(la.CatalogError, match="parameter p is beyond the float range"):
         build(la.entry_by_name("A4,2^p"), {"p": 10**400})
-    for kwargs in ({"exact": True}, {"check_range": False}):
-        with pytest.raises(la.CatalogError, match="parameter p is beyond the float range"):
-            la.instantiate(la.entry_by_name("A4,2^p"), {"p": 10**400}, **kwargs)
+    with pytest.raises(la.CatalogError, match="parameter p is beyond the float range"):
+        la.instantiate(la.entry_by_name("A4,2^p"), {"p": 10**400}, exact=True)
     # Non-finite values are outside every range, bounded or not.
     with pytest.raises(la.CatalogError, match="parameter a=nan outside admissible range"):
         build(la.entry_by_name("A4,11^a"), {"a": float("nan")})
     with pytest.raises(la.CatalogError, match="parameter p=inf outside admissible range"):
         build(la.entry_by_name("A4,2^p"), {"p": float("inf")})
     # A finite parameter whose bracket 2a overflows.
-    with pytest.raises(ValueError):
+    with pytest.raises(la.CatalogError, match="structure constants beyond the float range"):
         build(la.entry_by_name("A4,11^a"), {"a": 1e308})
 
 

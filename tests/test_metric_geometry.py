@@ -44,7 +44,7 @@ def test_admissible_refuses_nonfinite_rows():
     rng = np.random.default_rng(5)
     for entry in la.catalog():
         names = entry.metric_param_names
-        base = np.array([float(v) for v in solver.sample_metric_params(entry, rng).values()])
+        base = np.array([float(v) for v in solver.sample_metric_params(entry, [rng])[0].values()])
         rows = [base]
         for k in range(len(names)):
             for bad in (np.inf, -np.inf, np.nan):
@@ -243,12 +243,11 @@ def test_stacked_curvature_on_fractions_matches_the_exact_oracle(cat):
     algebras, metrics = [], []
     for entry in cat:
         while True:
-            float_params = solver.sample_metric_params(entry, rng)
+            float_params = solver.sample_metric_params(entry, [rng])[0]
             params = {n: Fraction(v).limit_denominator(8) for n, v in float_params.items()}
             if mg.admissible(entry, np.array([float(params[n]) for n in entry.metric_param_names])):
                 break
-        algebras.append(la.instantiate(entry, entry.sample_params(), exact=True,
-                                       check_range=False))
+        algebras.append(la.instantiate(entry, entry.sample_params(), exact=True))
         metrics.append(la.metric_from_params(entry, params, exact=True))
     stacked = mg.curvature_summary(algebras, np.array(metrics))
     for k, (L, g) in enumerate(zip(algebras, metrics)):

@@ -72,7 +72,7 @@ def test_context_agrees_with_residual_vector():
             ap = solver.sample_algebra_params(entry, rng, variant_index=variant_index)
             for mode in ("free_F", "unit_F"):
                 ctx = solver.ResidualContext(entry, [ap], mode=mode)
-                mp = solver.sample_metric_params(entry, rng)
+                mp = solver.sample_metric_params(entry, [rng])[0]
                 x = solver._point(ctx.entry, mp, rng.uniform(-1, 1, len(ctx._facts[0].kernel_t)))
                 got = ctx.residual(x[None, None])[0, 0]
                 [cand] = ctx.candidates(x[None])
@@ -88,7 +88,7 @@ def test_context_agrees_with_residual_vector():
 def _batch(entry, mode, rng, size=4):
     """A one-seed context and ``size`` of its points (1, size, n)."""
     ctx = solver.ResidualContext(entry, [solver.sample_algebra_params(entry, rng)], mode=mode)
-    xs = np.array([solver._point(ctx.entry, solver.sample_metric_params(entry, rng),
+    xs = np.array([solver._point(ctx.entry, solver.sample_metric_params(entry, [rng])[0],
                          rng.uniform(-1, 1, len(ctx._facts[0].kernel_t))) for _ in range(size)])
     return ctx, xs[None]
 
@@ -148,7 +148,7 @@ def test_jacobian_matches_complex_step_oracle():
             for index in [*range(0, 16, 2), *range(1, 2 * n_variants, 2)]:
                 ap = solver.sample_algebra_params(entry, rng, variant_index=index)
                 ctxs.append(solver.ResidualContext(entry, [ap], mode=mode))
-                xs.append(solver._point(ctxs[-1].entry, solver.sample_metric_params(entry, rng),
+                xs.append(solver._point(ctxs[-1].entry, solver.sample_metric_params(entry, [rng])[0],
                                 rng.uniform(-1.5, 1.5, len(ctxs[-1]._facts[0].kernel_t))))
             block, x = solver.ResidualContext.stack(ctxs[:8]), np.array(xs[:8])
             _assert_matches_oracle(block, x, label=(entry.name, mode))
@@ -264,7 +264,7 @@ def test_refine_keeps_the_orientation_label():
 def test_refine_a44_unit_norm_fails():
     entry = la.entry_by_name("A4,4")
     rng = np.random.default_rng(5)
-    mp = solver.sample_metric_params(entry, rng)
+    mp = solver.sample_metric_params(entry, [rng])[0]
     ctx = solver.ResidualContext(entry, [{}], mode="unit_F")
     f6 = ctx._facts[0].kernel_t.T @ np.array([1.0, 0.5, -0.3])
     c = solver.Candidate("A4,4", {}, mp, f6)
@@ -302,7 +302,7 @@ def test_jacobian_matches_forward_differences():
     rng = np.random.default_rng(6)
     entry = la.entry_by_name("2A2")
     ctx = solver.ResidualContext(entry, [{}], mode="unit_F")
-    mp = solver.sample_metric_params(entry, rng)
+    mp = solver.sample_metric_params(entry, [rng])[0]
     x = solver._point(ctx.entry, mp, rng.uniform(-1, 1, len(ctx._facts[0].kernel_t)))
     jac = solver.residual_jacobian(ctx, x[None])[0]
     r0 = ctx.residual(x[None, None])[0, 0]
@@ -533,8 +533,8 @@ def test_block_sampler_matches_one_draw_at_a_time():
     a44 = la.entry_by_name("A4,4")
     tight = dataclasses.replace(a44, metric_constraints=(*a44.metric_constraints,
                                                          "0.000001 - a2^2"))
-    # The several-generator sampler, one call for 20 seeds, gives every seed
-    # the draw and the following generator state of the one-generator call.
+    # One sampler call for 20 seeds gives every seed the draw and the
+    # following generator state of a call with its generator alone.
     seen = set()
     for entry in [*la.catalog(), tight]:
         rngs = [np.random.default_rng(seed) for seed in range(20)]
@@ -546,10 +546,7 @@ def test_block_sampler_matches_one_draw_at_a_time():
                 want = _sample_one_draw_at_a_time(entry, ref)
             except ValueError:
                 want = None
-            try:
-                got = solver.sample_metric_params(entry, rng)
-            except ValueError:
-                got = None
+            got = solver.sample_metric_params(entry, [rng])[0]
             assert got == want == together[seed], (entry.name, seed)
             assert (rng.bit_generator.state == ref.bit_generator.state
                     == rngs[seed].bit_generator.state), (entry.name, seed)
@@ -689,7 +686,7 @@ def test_seed_ledger_is_complete_and_parallel_safe():
 
 
 def test_zero_evidence_is_inconclusive(monkeypatch):
-    def no_start(entry, rngs):  # the several-generator sampler: no admissible draw
+    def no_start(entry, rngs):  # the sampler: no admissible draw
         return [None] * len(rngs)
 
     monkeypatch.setattr(solver, "sample_metric_params", no_start)
