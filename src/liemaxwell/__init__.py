@@ -17,7 +17,7 @@ _EXPORTS = {
     "forms": "hodge_star inner_product norm_sq sd_asd_split two_form",
     "kahler": "endomorphism_from_form is_compatible nijenhuis ricci_form",
     "lie_algebra": "CatalogEntry LieAlgebra bracket catalog catalog_checksum d_one_form "
-                   "d_two_form entry_by_name from_brackets instantiate jacobi_defect "
+                   "d_two_form entry_by_name instantiate jacobi_defect "
                    "load_catalog metric_from_params",
     "maxwell": "EMReport em_residual stress_energy verify_kahler_decomposition",
     "metric_geometry": "validate_metric",

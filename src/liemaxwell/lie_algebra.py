@@ -14,8 +14,8 @@ Conventions used throughout the package:
 Every operation accepts float64 arrays or object arrays of Fractions; with
 Fraction inputs the results are exact.  ``two_form_matrix``,
 ``two_form_coeffs`` and ``d_two_form`` take leading axes: forms (..., 6), and
-for ``d_two_form`` one algebra or a sequence of algebras, whose structure
-constants (``structure_constants``) stack on a leading axis.
+for ``d_two_form`` one algebra or stacked constants (..., 4, 4, 4)
+(``structure_constants``).
 """
 
 from __future__ import annotations
@@ -110,23 +110,6 @@ class LieAlgebra:
         return is_exact(self.c)
 
 
-def from_brackets(name: str, brackets: dict, params: dict | None = None,
-                  exact: bool = False) -> LieAlgebra:
-    """Build an algebra from a 1-based table ``{(i, j): {k: coeff}}`` with i < j."""
-    dtype = object if exact else float
-    c = np.zeros((DIM, DIM, DIM), dtype=dtype)
-    if exact:
-        c[:] = Fraction(0)
-    for (i, j), targets in brackets.items():
-        if not (1 <= i < j <= DIM):
-            raise ValueError(f"bracket indices must satisfy 1 <= i < j <= 4, got ({i}, {j})")
-        for k, coeff in targets.items():
-            value = as_fractions(coeff).item() if exact else float(coeff)
-            c[i - 1, j - 1, k - 1] = value
-            c[j - 1, i - 1, k - 1] = -value
-    return LieAlgebra(name=name, c=c, params=dict(params or {}))
-
-
 # ---------------------------------------------------------------------------
 # Bracket and Jacobi identity
 # ---------------------------------------------------------------------------
@@ -179,11 +162,14 @@ def d_one_form(L: LieAlgebra, alpha: np.ndarray) -> np.ndarray:
 
 
 def structure_constants(L) -> np.ndarray:
-    """C (4, 4, 4) of one algebra, (S, 4, 4, 4) of a sequence of S algebras;
-    an array of structure constants (..., 4, 4, 4) is returned as it is."""
+    """C (4, 4, 4) of one algebra; stacked constants (..., 4, 4, 4) are
+    returned as they are.  Anything else is a TypeError."""
     if isinstance(L, np.ndarray):
         return L
-    return L.c if isinstance(L, LieAlgebra) else np.stack([alg.c for alg in L])
+    if isinstance(L, LieAlgebra):
+        return L.c
+    raise TypeError("expected one LieAlgebra or stacked structure constants (..., 4, 4, 4), "
+                    f"got {type(L).__name__}")
 
 
 def two_form_matrix(a: np.ndarray, dtype=None) -> np.ndarray:
@@ -205,8 +191,8 @@ def two_form_coeffs(F: np.ndarray) -> np.ndarray:
 def d_two_form(L, a: np.ndarray) -> np.ndarray:
     """d of 2-forms (..., 6); returns the 3-form coefficients (..., 4).
 
-    ``L`` is one algebra, a sequence of algebras or their stacked structure
-    constants (``structure_constants``), matching the leading axes of ``a``.
+    ``L`` is one algebra or stacked constants (..., 4, 4, 4)
+    (``structure_constants``), matching the leading axes of ``a``.
     The coefficient of e^{ijk} is the sum over m of -C[i,j,m] F[m,k] +
     C[i,k,m] F[m,j] - C[j,k,m] F[m,i], accumulated from 0 in that order of
     terms by one cumulative sum, so floats round as in a loop over m and a
@@ -221,7 +207,8 @@ def d_two_form(L, a: np.ndarray) -> np.ndarray:
 
 def closedness_matrix(L) -> np.ndarray:
     """Coefficient matrix (4, 6) of dF = 0, column p being d(e^p), of one
-    algebra, or (S, 4, 6) of S algebras (``structure_constants``): d of all
+    algebra, or (S, 4, 6) of stacked constants (S, 4, 4, 4)
+    (``structure_constants``): d of all
     six unit 2-forms in one ``d_two_form`` call.  ``_smallmat.nullspace``
     of one matrix gives the closed 2-forms in canonical rref form, and its
     free columns name their free pairs (``PAIR_LABELS``)."""

@@ -11,8 +11,8 @@ trace-free part survives the rescaling; the tensor itself carries that
 conformal weight.
 
 ``stress_energy`` and ``em_residual`` take leading axes.  One call of
-``em_residual`` with a sequence of S algebras, metrics (S, 4, 4) and forms
-(S, 6) re-verifies S candidates through one pass of the reference chain
+``em_residual`` with stacked constants (S, 4, 4, 4), metrics (S, 4, 4) and
+forms (S, 6) re-verifies S candidates through one pass of the reference chain
 (``curvature_summary``, ``stress_energy``, ``hodge_star``, ``d_two_form``,
 ``norm_sq``), which is how the solver re-verifies each lockstep group's end
 points; one algebra with one metric and one form is the S = 1 case.  The
@@ -96,9 +96,9 @@ class EMReport:
 def em_residual(L, g: np.ndarray, a: np.ndarray):
     """Evaluate the full system on candidates and classify them.
 
-    One algebra with g (4, 4) and a (6,) gives one EMReport; a sequence of S
-    algebras (or their structure constants (S, 4, 4, 4)) with g (S, 4, 4)
-    and a (S, 6) gives a list of S reports from one pass of the reference
+    ``L`` is one algebra or stacked constants.  One algebra with g (4, 4)
+    and a (6,) gives one EMReport; constants (S, 4, 4, 4) with g (S, 4, 4)
+    and a (S, 6) give a list of S reports from one pass of the reference
     chain.  No orientation is needed: reversing it negates *F, and d is
     linear, so every residual and the classification keep their bits.
     """

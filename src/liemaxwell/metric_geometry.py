@@ -23,9 +23,9 @@ exact g is inverted by rational Gauss-Jordan elimination, so the whole chain
 down to the trace-free Ricci tensor is exact for rational data.
 Ricci is the g-inverse contraction of the Riemann tensor; the tests check it
 against an orthonormal-frame sum that ``tests/oracles.py`` derives on its
-own.  The chain is loop-free einsum code that takes leading axes: a
-sequence of S algebras (or their structure constants, (S, 4, 4, 4)) with
-metrics (S, 4, 4) is one call, which is how the solver re-verifies each
+own.  The chain is loop-free einsum code that takes leading axes: one
+algebra or stacked constants (S, 4, 4, 4) with metrics (S, 4, 4) is one
+call, which is how the solver re-verifies each
 lockstep group's end points.  Exact input goes through the same code.
 Each einsum contracts every metric on its own, so a stacked call agrees
 with lone calls to round-off: results may differ in the last bits, and the
@@ -129,8 +129,8 @@ def curvature_summary(L, g: np.ndarray) -> CurvatureSummary:
     ``ricci`` is its g-inverse contraction, ``scalar`` its trace and
     ``ric0`` = Ric - (s/4) g, g-trace-free by construction.
 
-    ``L`` is one algebra with g (4, 4), or a sequence of S algebras (or
-    their structure constants) with g (S, 4, 4); every output then carries
+    ``L`` is one algebra or stacked constants: one algebra with g (4, 4),
+    or constants (S, 4, 4, 4) with g (S, 4, 4), every output then carrying
     the leading axis.
     """
     c, g = _match_dtypes(structure_constants(L), np.asarray(g))

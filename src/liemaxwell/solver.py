@@ -17,12 +17,12 @@ connection, Riemann tensor, Ricci contraction).
 Multistart searches run seeds in lockstep: the seeds of the requests of a
 ``multistart_many`` call, in request order and then index order, are cut
 into programs of at most 32 seeds, and each program is refined by one
-Levenberg-Marquardt program whose state carries a leading seed axis
-(``ResidualContext.stack``), every seed's x padded with zeros to the widest
-search dimension.  Each seed keeps its own damping and counters, and its
-arithmetic does not depend on the seeds beside it, so a seed gives the same
-result alone, in its block and in a padded program.  A process pool, when
-asked for, takes whole programs.
+Levenberg-Marquardt program whose state carries a leading seed axis (one
+``ResidualContext`` for the whole program), every seed's x padded with
+zeros to the widest search dimension.  Each seed keeps its own damping and
+counters, and its arithmetic does not depend on the seeds beside it, so a
+seed gives the same result alone, in its block and in a padded program.  A
+process pool, when asked for, takes whole programs.
 
 Each tick of that program tries a damping ladder per seed: the next three
 dampings a lone run would try (lam, 4 lam, 16 lam), solved, checked and
@@ -36,21 +36,19 @@ stop reasons and residual evaluation counts are those of a lone run.
 
 Starts and re-verification make a fixed number of numpy calls per
 request's share of a program and per program, not per seed.  Each seed
-draws from its own generator, but one ``sample_metric_params`` call draws
-and checks the candidate metrics of all of them, one ``ResidualContext``
-build serves their distinct algebra parameters (brackets evaluated once
-on parameter arrays, one rref per seed, whose pivots fix its kernel
-basis) and one stacked ``norm_sq`` normalizes the unit_F starts.  One
-``em_residual`` call re-verifies the end points of a program, each algebra
-and metric instantiated from its own candidate, by one ``instantiate_many``
-call and one metric build per entry.  Starts, and so end points, are those
-of one seed at a time; the reference chain takes leading axes and serves
-exact input through the same functions, and its reports agree with one
-call per seed to round-off (they may differ in the last bits, never in
-the end points they describe).  On the benchmark's ``classify`` workload
-(2-vCPU Xeon VM, CPython 3.11, numpy 2.4) starts take about 10 % of a
-round, the sampler 4.4 % and the context builds 2.2 % of it, and
-instantiating the re-verified algebras takes 0.6 %.
+draws from its own generator, but one ``sample_metric_params`` call per
+request's share draws and checks the candidate metrics of all its seeds,
+one ``ResidualContext`` build serves the program's distinct (entry,
+algebra parameters) pairs (brackets evaluated once per entry on parameter
+arrays, one rref per seed, whose pivots fix its kernel basis) and one
+stacked ``norm_sq`` normalizes the unit_F starts.  One ``em_residual``
+call re-verifies the end points of a program, each algebra and metric
+instantiated from its own candidate, by one ``instantiate_many`` call and
+one metric build per entry.  Starts, and so end points, are those of one
+seed at a time; the reference chain takes leading axes and serves exact
+input through the same functions, and its reports agree with one call per
+seed to round-off (they may differ in the last bits, never in the end
+points they describe).
 
 Determinism contract: the per-seed RNG is ``default_rng(seed ^ index)``,
 programs are fixed by request and index, every seed runs at most ``SEARCH_MAX_ITER``
@@ -256,17 +254,29 @@ def residual_vector(c: Candidate) -> np.ndarray:
 
 
 class _SeedFacts(NamedTuple):
-    """What a context knows of one seed besides its constants: its algebra
-    parameters, the kernel basis of F as rows (k, 6) and the free pair of
-    each row."""
+    """What a context knows of one seed besides its constants: its entry,
+    algebra parameters, the kernel basis of F as rows (k, 6), the free pair
+    of each row and its width, the number of parameters of its points."""
 
+    entry: CatalogEntry
     params: dict
     kernel_t: np.ndarray
     free_pairs: tuple[str, ...]
+    width: int
+
+
+def _by_entry(entries: list[CatalogEntry]) -> list[tuple[CatalogEntry, list[int]]]:
+    """(entry, positions) of each distinct entry of ``entries``, in order of
+    first appearance.  Entries are told apart by identity: a catalog entry
+    holds dicts and is not hashable."""
+    groups: dict = {}
+    for s, entry in enumerate(entries):
+        groups.setdefault(id(entry), (entry, []))[1].append(s)
+    return list(groups.values())
 
 
 class ResidualContext:
-    """Residual as a function of the parameter vector for one entry.
+    """Residual as a function of the parameter vector, for a stack of seeds.
 
     Parameters are the entry's metric parameters followed by kernel
     coordinates of F (named f<pair> after the free coefficient each kernel
@@ -287,70 +297,81 @@ class ResidualContext:
 
     Every context is a stack of seeds: the constants that depend on the
     algebra parameters carry a leading seed axis, one entry per seed.  The
-    constructor builds the seeds of one entry in one stacked pass (one seed
-    is its S = 1 case), and ``stack`` joins contexts, which lets one call
-    evaluate many seeds of a search at once.  Beside its constants each seed
-    keeps its facts (``_SeedFacts``: algebra parameters, kernel basis, free
-    pairs); ``f_of`` and ``candidates`` take one point per seed, and
-    ``residual`` m points per seed.  ``take`` is the one way to pick seeds:
-    it gathers the seeds of a context once, so that later calls need no
-    gather.  Several points of a seed broadcast against its constants, never
-    repeat them: the products with per-seed matrices take one row per
-    point, so each point has the bits of a lone call.
+    constructor builds the seeds of a whole program in one stacked pass,
+    whatever their entries (one seed is its S = 1 case).  Beside its
+    constants each seed keeps its facts (``_SeedFacts``: entry, algebra
+    parameters, kernel basis, free pairs, width); ``feasible``, ``f_of`` and
+    ``candidates`` take one point per seed, and ``residual`` m points per
+    seed.  ``take`` is the one way to pick seeds: it gathers the seeds of a
+    context once, so that later calls need no gather.  Several points of a
+    seed broadcast against its constants, never repeat them: the products
+    with per-seed matrices take one row per point, so each point has the
+    bits of a lone call.
+
+    Seeds may differ in entry and width.  ``_lin`` has as many rows as the
+    widest seed, a narrower seed's rows past its width being 0: its x is
+    padded with zeros to that width, its residual is unchanged and its
+    padded Jacobian columns are 0.
     """
 
-    #: Per-seed constants on axis 0: the kernel's (``_lin`` and ``_lin0``, the
-    #: fold of every map linear in x; ``_ct``, the structure constants and
-    #: trace form that g^-1 raises; the Killing form; the Hodge-star-then-d
-    #: map), the seed's entry (an index into ``_entries``) and its width.
-    #: ``_lin0``, ``_ct`` and the Killing form carry a point axis of length 1
-    #: next, which broadcasts over the points of a seed.
-    _SEED_AXIS = ("_lin", "_lin0", "_ct", "_killing_half", "_star_d", "_part", "_n_free")
+    #: Per-seed constants on axis 0, the kernel's: ``_lin`` and ``_lin0``,
+    #: the fold of every map linear in x; ``_ct``, the structure constants
+    #: and trace form that g^-1 raises; the Killing form; the
+    #: Hodge-star-then-d map.  ``_lin0``, ``_ct`` and the Killing form carry
+    #: a point axis of length 1 next, which broadcasts over the points of a
+    #: seed.
+    _SEED_AXIS = ("_lin", "_lin0", "_ct", "_killing_half", "_star_d")
 
-    def __init__(self, entry: CatalogEntry, algebra_params: list[dict],
-                 mode: str = "unit_F"):
-        """The context of S seeds of one entry, one algebra parameter dict
+    def __init__(self, seeds: list[tuple[CatalogEntry, dict]], mode: str = "unit_F"):
+        """The context of S seeds, one (entry, algebra parameters) pair
         each, built by one stacked pass: the brackets are evaluated once on
-        parameter arrays (``instantiate_many``), d of the six unit 2-forms
-        once for all seeds, and each seed keeps its own rref, whose pivots
-        fix its kernel basis.  Seed s has the bits of
-        ``ResidualContext(entry, [algebra_params[s]])``."""
+        parameter arrays per entry (``instantiate_many``), d of the six unit
+        2-forms once for all seeds, and each seed keeps its own rref, whose
+        pivots fix its kernel basis.  Seed s has the bits of
+        ``ResidualContext([seeds[s]])``."""
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        if isinstance(algebra_params, dict):
-            raise TypeError("algebra_params must be a list of dicts, one per seed")
-        seeds = [dict(p) for p in algebra_params]
-        self.entry, self.mode = entry, mode
-        c = instantiate_many(entry, seeds)
-        n_seeds, n_metric = len(seeds), len(entry.metric_param_names)
+        if not all(isinstance(pair, tuple) and len(pair) == 2
+                   and isinstance(pair[0], CatalogEntry) for pair in seeds):
+            raise TypeError("seeds must be a list of (entry, algebra_params) pairs, one per seed")
+        self.mode = mode
+        n_seeds = len(seeds)
+        groups = _by_entry([entry for entry, _ in seeds])
+        one_entry = len(groups) == 1  # then index with a slice, a view, not a gather
+        c = np.empty((n_seeds, 4, 4, 4))
+        for entry, rows in groups:
+            c[slice(None) if one_entry else rows] = instantiate_many(
+                entry, [seeds[s][1] for s in rows])
         mats = closedness_matrix(c)
         d_t = mats.swapaxes(1, 2)
         self._facts = []  # per seed, beside the constants of _SEED_AXIS
-        for params, mat in zip(seeds, mats):
+        for (entry, params), mat in zip(seeds, mats):
             basis, free = nullspace(mat)
-            self._facts.append(_SeedFacts(params, np.array(basis) if basis else np.zeros((0, 6)),
-                                          tuple(PAIR_LABELS[p] for p in free)))
-        widths = [n_metric + len(f.kernel_t) for f in self._facts]
-        self._entries, self._part = (entry,), np.zeros(n_seeds, dtype=int)
-        self._n_free = np.array(widths)
+            kernel_t = np.array(basis) if basis else np.zeros((0, 6))
+            self._facts.append(_SeedFacts(entry, dict(params), kernel_t,
+                                          tuple(PAIR_LABELS[p] for p in free),
+                                          len(entry.metric_param_names) + len(kernel_t)))
         # Everything linear in x, folded per seed: x @ _lin + _lin0 is
         # [g | F | g([e_i,e_j],e_l) with rows (i, j) | dF], see _G .. _DF.
         # g is x @ place + g0, place one-hot (one parameter per cell) and g0
         # the literal cells.  A narrower seed's rows past its width stay 0.
-        g0, at, which = entry.metric_cells
-        place = np.zeros((n_metric, 16))
-        place[which, at] = 1.0
         c16 = c.reshape(n_seeds, 16, 4)
-        lin = np.zeros((n_seeds, max(widths), _WIDTH))
-        lin[:, :n_metric, _G] = place
-        lin[:, :n_metric, _CG] = (c16[:, None] @ place.reshape(-1, 4, 4)).reshape(
-            n_seeds, n_metric, 64)
-        for s, facts in enumerate(self._facts):
-            lin[s, n_metric:widths[s], _F] = facts.kernel_t @ _F_PLACE
-            lin[s, n_metric:widths[s], _DF] = facts.kernel_t @ d_t[s]
+        lin = np.zeros((n_seeds, max((f.width for f in self._facts), default=0), _WIDTH))
         lin0 = np.zeros((n_seeds, _WIDTH))
-        lin0[:, _G] = g0
-        lin0[:, _CG] = (c16 @ g0.reshape(4, 4)).reshape(n_seeds, 64)
+        for entry, rows in groups:
+            g0, at, which = entry.metric_cells
+            m = len(entry.metric_param_names)
+            place = np.zeros((m, 16))
+            place[which, at] = 1.0
+            k, rows = len(rows), slice(None) if one_entry else rows
+            lin[rows, :m, _G] = place
+            lin[rows, :m, _CG] = (c16[rows, None] @ place.reshape(m, 4, 4)).reshape(k, m, 64)
+            lin0[rows, _G] = g0
+            lin0[rows, _CG] = (c16[rows] @ g0.reshape(4, 4)).reshape(k, 64)
+        for s, facts in enumerate(self._facts):
+            m = len(facts.entry.metric_param_names)
+            lin[s, m:facts.width, _F] = facts.kernel_t @ _F_PLACE
+            lin[s, m:facts.width, _DF] = facts.kernel_t @ d_t[s]
         self._lin, self._lin0 = lin, lin0[:, None, None]
         # Hodge star then d: F^{kl} (raised, flattened) -> d*F / sqrt det g, with
         # volume form +sqrt(det g) e^1234 (d*F = 0 does not depend on its sign).
@@ -362,33 +383,6 @@ class ResidualContext:
         self._ct = -0.5 * np.concatenate([c.transpose(0, 2, 3, 1).reshape(n_seeds, 4, 16),
                                           np.einsum("sakk->sa", c)[..., None]], axis=2)[:, None]
         self._killing_half = -0.5 * np.einsum("saik,sbki->sab", c, c)[:, None]
-
-    @classmethod
-    def stack(cls, contexts: list["ResidualContext"]) -> "ResidualContext":
-        """One context for the seeds of ``contexts`` (in one mode), their
-        per-seed constants and facts concatenated in order.  Entry and width
-        (number of parameters) may differ: a narrower seed's x is padded
-        with zeros to the widest width, and its ``_lin`` with zero rows, so
-        its residual is unchanged and its padded Jacobian columns are 0."""
-        if len(contexts) == 1:
-            return contexts[0]
-        out = copy.copy(contexts[0])
-        for name in cls._SEED_AXIS[1:-2]:  # all but _lin (padded below) and the indices
-            setattr(out, name, np.concatenate([getattr(c, name) for c in contexts]))
-        out._facts = [facts for c in contexts for facts in c._facts]
-        out._n_free = np.concatenate([c._n_free for c in contexts])
-        out._lin = np.zeros((len(out._n_free), out._n_free.max(), _WIDTH))
-        entries, parts, row = {}, [], 0
-        width = out._lin.shape[1]
-        for c in contexts:
-            n, w = c._lin.shape[:2]
-            out._lin[row:row + n, :w] = c._lin[:, :width]  # rows past every width are 0
-            row += n
-            local = [entries.setdefault(id(e), (len(entries), e))[0] for e in c._entries]
-            parts.append(np.array(local)[c._part])
-        out._entries = tuple(e for _, e in entries.values())
-        out._part = np.concatenate(parts)
-        return out
 
     def take(self, seeds) -> "ResidualContext":
         """A context whose seed s is seed ``seeds[s]`` of this one, its
@@ -408,30 +402,29 @@ class ResidualContext:
         """2-form coefficients (S, 6) of one point per seed x (S, n): one
         vector-matrix product per kernel basis object, each point times its
         own seed's rows, as a lone product is."""
-        xs = _shaped(x, "(S, n)")
-        if len(xs) != len(self._facts):
-            raise ValueError(f"{len(xs)} points for {len(self._facts)} seeds")
+        xs = _shaped(x, "(S, n)", len(self._facts))
         groups: dict = {}
         for s, facts in enumerate(self._facts):
             groups.setdefault(id(facts.kernel_t), []).append(s)
         out = np.empty((len(xs), 6))
         for seeds in groups.values():
-            kernel_t = self._facts[seeds[0]].kernel_t
-            m = len(self._entries[self._part[seeds[0]]].metric_param_names)
-            out[seeds] = (xs[seeds, None, m:m + len(kernel_t)] @ kernel_t)[:, 0]
+            facts = self._facts[seeds[0]]
+            m = len(facts.entry.metric_param_names)
+            out[seeds] = (xs[seeds, None, m:facts.width] @ facts.kernel_t)[:, 0]
         return out
 
-    def feasible(self, x: np.ndarray):
+    def feasible(self, x: np.ndarray) -> np.ndarray:
         """Whether points x (S, ..., n), row s of seed s, are admissible: a
         bool array (S, ...), ``metric_geometry.admissible`` on the metric
         parameters of each row, one call per entry of the seeds."""
-        if len(self._entries) == 1:
-            return admissible(self.entry, x[..., :len(self.entry.metric_param_names)])
+        x = _shaped(x, "(S, ..., n)", len(self._facts))
+        entries = {id(facts.entry): facts.entry for facts in self._facts}
+        if len(entries) == 1:
+            [entry] = entries.values()
+            return admissible(entry, x[..., :len(entry.metric_param_names)])
         ok = np.zeros(x.shape[:-1], dtype=bool)
-        for part, entry in enumerate(self._entries):
-            at = self._part == part
-            if at.any():
-                ok[at] = admissible(entry, x[at, ..., :len(entry.metric_param_names)])
+        for entry, rows in _by_entry([facts.entry for facts in self._facts]):
+            ok[rows] = admissible(entry, x[rows, ..., :len(entry.metric_param_names)])
         return ok
 
     def residual(self, x: np.ndarray) -> np.ndarray:
@@ -445,7 +438,7 @@ class ResidualContext:
         the dtype of x), so a complex x carries derivatives in its imaginary
         part; the complex-step oracle of the tests relies on this.
         """
-        return self._kernel(_shaped(x, "(S, m, n)"))[0]
+        return self._kernel(_shaped(x, "(S, m, n)", len(self._facts)))[0]
 
     def _kernel(self, xs: np.ndarray):
         """Rows (S, m, n_rows) of points xs (S, m, n), point xs[s, i] with the
@@ -512,11 +505,9 @@ class ResidualContext:
         if canonical:
             flips = _sign_flips(f)
             f[flips] = -f[flips]
-        rows = x.tolist()
-        return [Candidate(entry.name, dict(facts.params), dict(zip(entry.metric_param_names, row)),
-                          fs)
-                for entry, facts, row, fs in zip(map(self._entries.__getitem__, self._part.tolist()),
-                                                 self._facts, rows, f)]
+        return [Candidate(facts.entry.name, dict(facts.params),
+                          dict(zip(facts.entry.metric_param_names, row)), fs)
+                for facts, row, fs in zip(self._facts, x.tolist(), f)]
 
 
 def residual_jacobian(ctx: ResidualContext, x: np.ndarray) -> np.ndarray:
@@ -524,14 +515,17 @@ def residual_jacobian(ctx: ResidualContext, x: np.ndarray) -> np.ndarray:
     point per seed x (S, n), point s with the constants of seed s: one
     kernel pass at x, then ``_tangent_step``.
     """
-    x = _shaped(np.asarray(x, dtype=float), "(S, n)")
+    x = _shaped(np.asarray(x, dtype=float), "(S, n)", len(ctx._facts))
     return _tangent_step(ctx, ctx._kernel(x[:, None])[1])
 
 
-def _shaped(x: np.ndarray, shape: str) -> np.ndarray:
-    """x if it has as many axes as ``shape`` names, else a ValueError naming it."""
-    if x.ndim != shape.count(",") + 1:
-        raise ValueError(f"x must have shape {shape}, got {x.shape}")
+def _shaped(x: np.ndarray, shape: str, n_seeds: int) -> np.ndarray:
+    """x if it has as many axes as ``shape`` names (two or more where it
+    names ``...``) and one row per seed, else a ValueError naming it."""
+    ranked = x.ndim >= 2 if "..." in shape else x.ndim == shape.count(",") + 1
+    if not ranked or len(x) != n_seeds:
+        raise ValueError(f"x must have shape {shape}, got {x.shape}; "
+                         f"the context has S = {n_seeds}")
     return x
 
 
@@ -657,7 +651,8 @@ def _iteration_stop(peak: float, iters: int, tol: float, max_iter: int) -> str |
 
 
 def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
-    """Levenberg-Marquardt from one start per seed of ``ctx`` (x0 is (S, n)), in lockstep.
+    """Levenberg-Marquardt from one start per seed of ``ctx`` (x0 is (S, n),
+    n the widest seed's width), in lockstep.
 
     Every seed follows the rules of a lone run: damping lam x10 when the
     damped system is singular, x4 on an infeasible or worse trial, /3
@@ -694,11 +689,11 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     starting and stop flags) are Python lists walked once per tick; only
     points, residuals and normal equations are arrays.
 
-    Seeds of a padded stack own their first ``_n_free`` columns.  Their
-    residuals, Jacobians and J^T J are those of their own width, but J^T r
-    and the LU solve round differently at another width, so both run once
-    per width present, on that width's unpadded block (``_by_width``; one
-    block when the running seeds share a width).
+    Each seed owns the first ``width`` columns of x (``_SeedFacts``), the
+    rest being padding.  Its residual, Jacobian and J^T J are those of its
+    own width, but J^T r and the LU solve round differently at another
+    width, so both run once per width present, on that width's unpadded
+    block (``_by_width``; one block when the running seeds share a width).
 
     Returns per seed: end points (S, n), iterations, stop reasons and
     residual evaluations.  These count the start, one per parameter of the
@@ -716,7 +711,7 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     n = len(pos)
     live = ctx if n == n_seeds else ctx.take(pos)  # the running seeds' constants
     del ctx
-    n_free = live._n_free.tolist()
+    n_free = [facts.width for facts in live._facts]
     widths = _by_width(n_free)
     r, at_x = live._kernel(x[:, None])
     r = r[:, 0]
@@ -751,7 +746,7 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
             if not n:
                 break
             live = live.take(keep)
-            n_free = live._n_free.tolist()
+            n_free = [facts.width for facts in live._facts]
             widths = _by_width(n_free)
         go = [i for i in range(n) if starting[i]]
         if go:
@@ -848,7 +843,7 @@ def refine(c: Candidate, mode: str = "free_F") -> RefineResult:
     """
     entry = entry_by_name(c.entry_name)
     _admitted(entry, c.algebra_params, c.metric_params)
-    ctx = ResidualContext(entry, [c.algebra_params], mode=mode)
+    ctx = ResidualContext([(entry, c.algebra_params)], mode=mode)
     # Kernel coordinates of F: least squares on the seed's basis (6, k).
     kernel = ctx._facts[0].kernel_t.T
     y, defect = np.zeros(0), float(np.abs(c.f_coeffs).max(initial=0.0))
@@ -1014,35 +1009,43 @@ def _sign_flips(f: np.ndarray) -> np.ndarray:
 _BLOCK = 32
 
 
-def _starts(entry: CatalogEntry, seed: int, indices: range, mode: str):
-    """The starts of the seeds in ``indices``: (status, ctx, x0), status
-    the list of their statuses, "refined" for each seed that starts, else
-    why it has none; ctx the context of the starting seeds (None when none
-    does) and x0 their starts (S, n), in index order.  Each seed draws
-    from its own ``default_rng(seed ^ index)``: algebra parameters, then
-    metric parameters (one sampler call for all seeds), then kernel
-    coordinates.  One context build serves the distinct algebra parameters,
-    and the unit_F normalization is one stacked ``norm_sq`` call (two when
-    a start is redrawn); every start has the bits of one seed at a time."""
-    rngs = [np.random.default_rng(seed ^ index) for index in indices]
-    status: list = ["sampling-failed"] * len(indices)
-    algebras = {}
-    for q, index in enumerate(indices):
-        try:
-            algebras[q] = sample_algebra_params(entry, rngs[q], variant_index=index)
-        except ValueError:
-            pass
-    metrics = sample_metric_params(entry, [rngs[q] for q in algebras])
-    sampled = [(q, algebra_params, metric_params)
-               for (q, algebra_params), metric_params in zip(algebras.items(), metrics)
-               if metric_params is not None]
+def _starts(segments: list[tuple], mode: str):
+    """The starts of a program's seeds.  ``segments`` are (entry, seed,
+    indices) triples, one per request's share of the program.  Returns
+    (status, ctx, x0): status the statuses of all seeds, in segment order
+    and then index order, "refined" for each seed that starts, else why it
+    has none; ctx the context of the starting seeds (None when none does)
+    and x0 their starts (S, n), zero past each seed's width, in the same
+    order.  Each seed draws from its own ``default_rng(seed ^ index)``:
+    algebra parameters, then metric parameters (one sampler call per
+    segment), then kernel coordinates.  One context build serves the
+    program's distinct (entry, algebra parameters) pairs, and the unit_F
+    normalization is one stacked ``norm_sq`` call (two when a start is
+    redrawn); every start has the bits of one seed at a time."""
+    status: list = []
+    rngs, sampled = [], []
+    for entry, seed, indices in segments:
+        offset = len(status)
+        status += ["sampling-failed"] * len(indices)
+        rngs += [np.random.default_rng(seed ^ index) for index in indices]
+        algebras = {}
+        for q, index in enumerate(indices, offset):
+            try:
+                algebras[q] = sample_algebra_params(entry, rngs[q], variant_index=index)
+            except ValueError:
+                pass
+        metrics = sample_metric_params(entry, [rngs[q] for q in algebras])
+        sampled += [(q, entry, algebra_params, metric_params)
+                    for (q, algebra_params), metric_params in zip(algebras.items(), metrics)
+                    if metric_params is not None]
     if not sampled:
         return status, None, None
     keys: dict = {}
-    seats = [keys.setdefault(tuple(a.items()), len(keys)) for _, a, _ in sampled]
-    distinct = ResidualContext(entry, [dict(key) for key in keys], mode=mode)
+    seats = [keys.setdefault((id(entry), tuple(a.items())), (len(keys), (entry, a)))[0]
+             for _, entry, a, _ in sampled]
+    distinct = ResidualContext([pair for _, pair in keys.values()], mode=mode)
     started = []
-    for (q, _, metric_params), seat in zip(sampled, seats):
+    for (q, _, _, metric_params), seat in zip(sampled, seats):
         if len(distinct._facts[seat].kernel_t):
             started.append((q, seat, metric_params))
             status[q] = "refined"
@@ -1051,21 +1054,25 @@ def _starts(entry: CatalogEntry, seed: int, indices: range, mode: str):
     if not started:
         return status, None, None
     ctx = distinct.take([seat for _, seat, _ in started])
-    m, widths = len(entry.metric_param_names), ctx._n_free.tolist()
-    x0 = np.zeros((len(started), max(widths)))
+    facts = ctx._facts
+    first = [len(f.entry.metric_param_names) for f in facts]  # each seed's first kernel column
+    x0 = np.zeros((len(started), max(f.width for f in facts)))
     for s, (q, _, metric_params) in enumerate(started):
-        x0[s, :widths[s]] = _point(entry, metric_params,
-                                   rngs[q].uniform(-2.0, 2.0, size=widths[s] - m))
+        x0[s, :facts[s].width] = _point(facts[s].entry, metric_params, rngs[q].uniform(
+            -2.0, 2.0, size=facts[s].width - first[s]))
     if mode == "unit_F":
-        g = metric_from_params(entry, x0[:, :m])
+        g = np.empty((len(started), 4, 4))
+        for entry, rows in _by_entry([f.entry for f in facts]):
+            g[rows] = metric_from_params(entry, x0[rows, :len(entry.metric_param_names)])
         nrm = norm_sq(g, ctx.f_of(x0))
         low = np.flatnonzero(nrm < 1e-6)
         if len(low):
             for s in low.tolist():
-                x0[s, m:widths[s]] = rngs[started[s][0]].uniform(0.5, 2.0, size=widths[s] - m)
+                x0[s, first[s]:facts[s].width] = rngs[started[s][0]].uniform(
+                    0.5, 2.0, size=facts[s].width - first[s])
             nrm[low] = norm_sq(g[low], ctx.take(low).f_of(x0[low]))
-        scaled = nrm > 0
-        x0[scaled, m:] /= np.sqrt(nrm[scaled])[:, None]
+        for s in np.flatnonzero(nrm > 0).tolist():
+            x0[s, first[s]:facts[s].width] /= np.sqrt(nrm[s])
     return status, ctx, x0
 
 
@@ -1092,34 +1099,21 @@ def _reverified(cands: list[Candidate]) -> list[EMReport]:
 
 def _run_block(*segments) -> list[dict]:
     """The seeds of one program: ``segments`` are seed ranges (entry_name,
-    seed, lo, hi, mode), one per request, of one mode.  Sample
-    each range's starts, refine them in one lockstep ``_levmar``, each x
-    padded to the widest width, and re-verify the end points independently
-    (``_reverified``).  One record per seed, in segment order, then index
-    order."""
+    seed, lo, hi, mode), one per request, of one mode.  Draw the program's
+    starts (``_starts``), refine them in one lockstep ``_levmar`` and
+    re-verify the end points independently (``_reverified``).  One record
+    per seed, in segment order, then index order."""
     mode = segments[0][-1]
-    records, refined, contexts, starts = [], [], [], []
-    for entry_name, seed, lo, hi, *_ in segments:
-        status, ctx, x0 = _starts(entry_by_name(entry_name), seed, range(lo, hi), mode)
-        for index, why in zip(range(lo, hi), status):
-            records.append({"index": index, "status": why})
-            if why == "refined":
-                refined.append(records[-1])
-        if ctx is not None:
-            contexts.append(ctx)
-            starts.append(x0)
-    if not refined:
+    status, ctx, x0 = _starts([(entry_by_name(name), seed, range(lo, hi))
+                               for name, seed, lo, hi, _ in segments], mode)
+    indices = [index for _, _, lo, hi, _ in segments for index in range(lo, hi)]
+    records = [{"index": index, "status": why} for index, why in zip(indices, status)]
+    if ctx is None:
         return records
-    x0 = np.zeros((len(refined), max(x.shape[1] for x in starts)))
-    row = 0
-    for x in starts:
-        x0[row:row + len(x), :x.shape[1]] = x
-        row += len(x)
-    ctx = ResidualContext.stack(contexts)
-    del contexts
     x, iters, reasons, _ = _levmar(ctx, x0, tol=SEARCH_TOL, max_iter=SEARCH_MAX_ITER)
     cands = ctx.candidates(x, canonical=True)
     reports = _reverified(cands)
+    refined = [record for record in records if record["status"] == "refined"]
     for s, record in enumerate(refined):
         record.update(reason=reasons[s], iterations=int(iters[s]), candidate=cands[s],
                       report=reports[s])

@@ -374,7 +374,7 @@ def start_alone(entry, seed, index, mode):
     metric_params = solver.sample_metric_params(entry, [rng])[0]
     if metric_params is None:
         return "sampling-failed", None
-    ctx = solver.ResidualContext(entry, [algebra_params], mode=mode)
+    ctx = solver.ResidualContext([(entry, algebra_params)], mode=mode)
     kernel_t = ctx._facts[0].kernel_t
     k = len(kernel_t)
     if k == 0:

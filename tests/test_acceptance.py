@@ -261,7 +261,7 @@ def test_criterion_9_gradient_check():
         entry = entries[k % len(entries)]
         k += 1
         ap = solver.sample_algebra_params(entry, rng)
-        ctx = solver.ResidualContext(entry, [ap], mode="unit_F")
+        ctx = solver.ResidualContext([(entry, ap)], mode="unit_F")
         width = len(ctx._facts[0].kernel_t)
         if width == 0:
             continue

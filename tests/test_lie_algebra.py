@@ -45,9 +45,11 @@ def test_jacobi_valid_algebras():
 
 
 def test_jacobi_corrupted_constants():
-    # c^1_23 = c^2_13 = c^3_12 = c^1_24 = 1, the rest zero.
-    brackets = {(2, 3): {1: 1.0}, (1, 3): {2: 1.0}, (1, 2): {3: 1.0}, (2, 4): {1: 1.0}}
-    L = la.from_brackets("corrupted", brackets)
+    # c^1_23 = c^2_13 = c^3_12 = c^1_24 = 1, the rest zero (0-based below).
+    c = np.zeros((4, 4, 4))
+    for i, j, k in ((1, 2, 0), (0, 2, 1), (0, 1, 2), (1, 3, 0)):
+        c[i, j, k], c[j, i, k] = 1.0, -1.0
+    L = la.LieAlgebra("corrupted", c)
     defect = la.jacobi_defect(L)
     assert defect == pytest.approx(orc.jacobi_brute(np.asarray(L.c, dtype=float)), abs=1e-15)
     assert defect == pytest.approx(1.0, abs=1e-15)  # frozen from the brute-force oracle
@@ -165,7 +167,7 @@ def test_stacked_two_form_code_matches_the_loops_exactly(cat):
     rng = np.random.default_rng(21)
     algebras = [la.instantiate(e, e.sample_params(), exact=True) for e in cat]
     forms = _fractions(rng, (len(algebras), 6))
-    per_algebra = la.d_two_form(algebras, forms)
+    per_algebra = la.d_two_form(np.stack([L.c for L in algebras]), forms)
     for k, L in enumerate(algebras):
         want = orc.d_two_form_loops(L.c, forms[k])
         assert list(la.d_two_form(L, forms[k])) == list(want) == list(per_algebra[k]), L.name
@@ -177,6 +179,23 @@ def test_stacked_two_form_code_matches_the_loops_exactly(cat):
         want = orc.two_form_matrix_loops(a6)
         assert (la.two_form_matrix(a6) == want).all() and (got == want).all()
     assert (la.two_form_coeffs(matrices) == forms).all()
+
+
+def test_a_sequence_of_algebras_is_refused():
+    # One algebra or stacked constants (..., 4, 4, 4): a list of algebras is
+    # neither, in each function that reads structure constants.
+    from liemaxwell import maxwell
+    from liemaxwell import metric_geometry as mg
+
+    L = la.instantiate(la.entry_by_name("2A2"), {})
+    g, f6 = np.stack([np.eye(4)] * 2), np.stack([np.eye(6)[0]] * 2)
+    calls = [lambda ls: la.d_two_form(ls, f6), la.closedness_matrix,
+             lambda ls: mg.curvature_summary(ls, g), lambda ls: maxwell.em_residual(ls, g, f6)]
+    for call in calls:
+        with pytest.raises(TypeError, match=re.escape(
+                "expected one LieAlgebra or stacked structure constants (..., 4, 4, 4), got list")):
+            call([L, L])
+        call(np.stack([L.c] * 2))  # the stacked form of the same two algebras
 
 
 def test_d_squared_zero_all_entries():

@@ -148,7 +148,8 @@ def test_stacked_em_residual_matches_single_calls():
             metrics.append(g)
             fs.append(cand.f_coeffs)
     seen = set()
-    stacked = maxwell.em_residual(algebras, np.array(metrics), np.array(fs))
+    stacked = maxwell.em_residual(np.stack([L.c for L in algebras]), np.array(metrics),
+                                  np.array(fs))
     assert len(stacked) == len(algebras)
     for L, g, f6, got in zip(algebras, metrics, fs, stacked):
         want = maxwell.em_residual(L, g, f6)
@@ -178,7 +179,7 @@ def test_stack_with_a_nonpositive_determinant_is_refused_like_one_call():
     with pytest.raises(ValueError) as single:
         maxwell.em_residual(L, bad, f6)
     with pytest.raises(ValueError) as stacked:
-        maxwell.em_residual([L, L, L], np.array([good, bad, good]), np.array([f6] * 3))
+        maxwell.em_residual(np.stack([L.c] * 3), np.array([good, bad, good]), np.array([f6] * 3))
     assert "determinant must be positive" in str(single.value)
     assert str(stacked.value) == str(single.value)
 

@@ -249,7 +249,7 @@ def test_stacked_curvature_on_fractions_matches_the_exact_oracle(cat):
                 break
         algebras.append(la.instantiate(entry, entry.sample_params(), exact=True))
         metrics.append(la.metric_from_params(entry, params, exact=True))
-    stacked = mg.curvature_summary(algebras, np.array(metrics))
+    stacked = mg.curvature_summary(np.stack([L.c for L in algebras]), np.array(metrics))
     for k, (L, g) in enumerate(zip(algebras, metrics)):
         want = orc.curvature_summary_exact(L.c, g)
         for got_one, got_stacked, value in zip(mg.curvature_summary(L, g), stacked, want):

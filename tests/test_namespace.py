@@ -36,17 +36,20 @@ def test_catalog_alone_loads_no_other_submodule():
 
 #: Second routes to a result that has one route: the one-seed layer of
 #: ``ResidualContext`` (``refine`` reads a seed's facts, ``candidates`` and
-#: ``residual``), ``classify_hermitian_type`` (the ``type`` of
+#: ``residual``) and its ``stack`` (the constructor builds a whole
+#: program), ``classify_hermitian_type`` (the ``type`` of
 #: ``hermitian_diagnostics``), ``Family.kahler_form`` (``omega_from_metric``
-#: of the point's metric) and ``SearchOutcome.to_json`` (``json.dumps`` of
-#: ``to_dict``).
-REMOVED = {"liemaxwell": ["classify_hermitian_type"],
+#: of the point's metric), ``SearchOutcome.to_json`` (``json.dumps`` of
+#: ``to_dict``) and ``from_brackets`` (``LieAlgebra`` of the constants, or
+#: ``instantiate`` of a catalog entry).
+REMOVED = {"liemaxwell": ["classify_hermitian_type", "from_brackets"],
            "liemaxwell.kahler": ["classify_hermitian_type"],
+           "liemaxwell.lie_algebra": ["from_brackets"],
            "liemaxwell.families:Family": ["kahler_form"],
            "liemaxwell.solver:SearchOutcome": ["to_json"],
            "liemaxwell.solver:ResidualContext": ["_one", "algebra_params", "kernel",
                                                  "metric_names", "f_names", "names", "pack",
-                                                 "candidate", "project_f"]}
+                                                 "candidate", "project_f", "stack"]}
 
 
 def test_removed_names_stay_removed():
@@ -57,10 +60,11 @@ def test_removed_names_stay_removed():
         for name in names:
             assert not hasattr(home, name), (where, name)
     assert "classify_hermitian_type" not in liemaxwell.__all__
+    assert "from_brackets" not in liemaxwell.__all__
 
 
 def test_every_exported_name_is_its_home_object():
-    assert len(liemaxwell.__all__) == len(set(liemaxwell.__all__)) == 39
+    assert len(liemaxwell.__all__) == len(set(liemaxwell.__all__)) == 38
     for name in liemaxwell.__all__:
         home = importlib.import_module(f"liemaxwell.{liemaxwell._HOMES[name]}")
         value = getattr(liemaxwell, name)

@@ -71,9 +71,9 @@ def test_context_agrees_with_residual_vector():
         for variant_index in [0, *range(1, 2 * n_variants, 2)]:
             ap = solver.sample_algebra_params(entry, rng, variant_index=variant_index)
             for mode in ("free_F", "unit_F"):
-                ctx = solver.ResidualContext(entry, [ap], mode=mode)
+                ctx = solver.ResidualContext([(entry, ap)], mode=mode)
                 mp = solver.sample_metric_params(entry, [rng])[0]
-                x = solver._point(ctx.entry, mp, rng.uniform(-1, 1, len(ctx._facts[0].kernel_t)))
+                x = solver._point(entry, mp, rng.uniform(-1, 1, len(ctx._facts[0].kernel_t)))
                 got = ctx.residual(x[None, None])[0, 0]
                 [cand] = ctx.candidates(x[None])
                 assert cand.orientation == 1
@@ -87,8 +87,8 @@ def test_context_agrees_with_residual_vector():
 
 def _batch(entry, mode, rng, size=4):
     """A one-seed context and ``size`` of its points (1, size, n)."""
-    ctx = solver.ResidualContext(entry, [solver.sample_algebra_params(entry, rng)], mode=mode)
-    xs = np.array([solver._point(ctx.entry, solver.sample_metric_params(entry, [rng])[0],
+    ctx = solver.ResidualContext([(entry, solver.sample_algebra_params(entry, rng))], mode=mode)
+    xs = np.array([solver._point(entry, solver.sample_metric_params(entry, [rng])[0],
                          rng.uniform(-1, 1, len(ctx._facts[0].kernel_t))) for _ in range(size)])
     return ctx, xs[None]
 
@@ -117,7 +117,7 @@ def test_jacobian_at_the_cone_boundary_matches_the_oracle():
     # a1 = 1e-8 sits where a central step of 1e-6 leaves the positive cone;
     # the forward-mode Jacobian evaluates x alone.
     entry = la.entry_by_name("A4,4")
-    ctx = solver.ResidualContext(entry, [{}], mode="unit_F")
+    ctx = solver.ResidualContext([(entry, {})], mode="unit_F")
     x = solver._point(entry, {"a1": 1e-8, "a2": 0.0, "a3": 1.0}, np.array([0.3, -0.2, 0.5]))[None]
     below = x.copy()
     below[0, 0] -= 1e-6
@@ -147,10 +147,10 @@ def test_jacobian_matches_complex_step_oracle():
             ctxs, xs = [], []
             for index in [*range(0, 16, 2), *range(1, 2 * n_variants, 2)]:
                 ap = solver.sample_algebra_params(entry, rng, variant_index=index)
-                ctxs.append(solver.ResidualContext(entry, [ap], mode=mode))
-                xs.append(solver._point(ctxs[-1].entry, solver.sample_metric_params(entry, [rng])[0],
+                ctxs.append(solver.ResidualContext([(entry, ap)], mode=mode))
+                xs.append(solver._point(entry, solver.sample_metric_params(entry, [rng])[0],
                                 rng.uniform(-1.5, 1.5, len(ctxs[-1]._facts[0].kernel_t))))
-            block, x = solver.ResidualContext.stack(ctxs[:8]), np.array(xs[:8])
+            block, x = _program(ctxs[:8]), np.array(xs[:8])
             _assert_matches_oracle(block, x, label=(entry.name, mode))
             seeds = rng.permutation(8)[:5]
             _assert_matches_oracle(block.take(seeds), x[seeds], label=(entry.name, mode))
@@ -161,12 +161,13 @@ def test_jacobian_matches_complex_step_oracle():
 def test_kernel_refuses_a_nonpositive_determinant():
     # The guard on det g in ResidualContext._kernel: an empty batch passes,
     # a negative or NaN determinant raises, also beside admissible points.
-    ctx = solver.ResidualContext(la.entry_by_name("A4,4"), [{}], mode="unit_F")
-    assert ctx.residual(np.zeros((1, 0, ctx._n_free[0]))).shape == (1, 0, ctx.n_rows)
+    entry = la.entry_by_name("A4,4")
+    ctx = solver.ResidualContext([(entry, {})], mode="unit_F")
+    assert ctx.residual(np.zeros((1, 0, ctx._facts[0].width))).shape == (1, 0, ctx.n_rows)
     f = np.zeros(len(ctx._facts[0].kernel_t))
-    good = solver._point(ctx.entry, {"a1": 1.0, "a2": 0.0, "a3": 1.0}, f)
+    good = solver._point(entry, {"a1": 1.0, "a2": 0.0, "a3": 1.0}, f)
     for a1 in (-1.0, np.nan):
-        bad = solver._point(ctx.entry, {"a1": a1, "a2": 0.0, "a3": 1.0}, f)
+        bad = solver._point(entry, {"a1": a1, "a2": 0.0, "a3": 1.0}, f)
         for x in (bad[None, None], np.array([[good, bad]])):
             with np.errstate(invalid="ignore"), \
                     pytest.raises(ValueError, match="^metric determinant must be positive$"):
@@ -175,12 +176,14 @@ def test_kernel_refuses_a_nonpositive_determinant():
 
 def test_points_of_the_wrong_rank_are_refused():
     # Every context is a stack of seeds: residual takes points (S, m, n),
-    # f_of and residual_jacobian one point per seed (S, n).  A lone point
-    # (n,), or any other rank, is refused with the expected shape, never
-    # reshaped; a dict of algebra parameters is one seed too few axes.
-    entry = la.entry_by_name("A4,4")
-    ctx = solver.ResidualContext(entry, [{}], mode="unit_F")
-    x = solver._point(ctx.entry, {"a1": 1.0, "a2": 0.0, "a3": 1.0}, np.array([0.3, -0.2, 0.5]))
+    # f_of and residual_jacobian one point per seed (S, n), and feasible
+    # points (S, ..., n).  A lone point (n,), any other rank, or a first
+    # axis that is not the context's S seeds is refused with the expected
+    # shape, never reshaped or broadcast; one (entry, params) pair is one
+    # seed too few axes.
+    entry, wide = la.entry_by_name("A4,4"), la.entry_by_name("2A2")
+    ctx = solver.ResidualContext([(entry, {})], mode="unit_F")
+    x = solver._point(entry, {"a1": 1.0, "a2": 0.0, "a3": 1.0}, np.array([0.3, -0.2, 0.5]))
     calls = [(ctx.residual, "(S, m, n)"), (ctx.f_of, "(S, n)"),
              (lambda xs: solver.residual_jacobian(ctx, xs), "(S, n)")]
     for call, shape in calls:
@@ -190,18 +193,37 @@ def test_points_of_the_wrong_rank_are_refused():
             xs = x.reshape((1,) * (wrong - 1) + x.shape)
             with pytest.raises(ValueError, match=re.escape(f"x must have shape {shape}, got ")):
                 call(xs)
-    with pytest.raises(TypeError, match="a list of dicts, one per seed"):
-        solver.ResidualContext(entry, {}, mode="unit_F")
+        rows = np.repeat(x.reshape((1,) * (rank - 1) + x.shape), 3, axis=0)
+        with pytest.raises(ValueError, match=re.escape(f"x must have shape {shape}, got ")):
+            call(rows)  # 3 rows for 1 seed
+    feasible = "(S, ..., n)"
+    for rank in (2, 3, 4):
+        assert ctx.feasible(x.reshape((1,) * (rank - 1) + x.shape)).all()
+    with pytest.raises(ValueError, match=re.escape(f"x must have shape {feasible}, got (6,)")):
+        ctx.feasible(x)
+    with pytest.raises(ValueError, match=re.escape(f"x must have shape {feasible}, got (3, 6)")):
+        ctx.feasible(np.stack([x] * 3))
+    mixed = solver.ResidualContext([(entry, {}), (wide, {})], mode="unit_F")
+    points = np.zeros((2, 8))
+    points[0, :6] = x
+    points[1] = solver._point(wide, cand_2a2().metric_params, np.zeros(3))
+    assert mixed.feasible(points).tolist() == [True, True]
+    assert mixed.feasible(points[:, None]).shape == (2, 1)
+    for wrong in (points[0], points[:1], np.zeros((3, 8))):
+        with pytest.raises(ValueError, match=re.escape(f"x must have shape {feasible}, got ")):
+            mixed.feasible(wrong)
+    with pytest.raises(TypeError, match=r"a list of \(entry, algebra_params\) pairs, one per seed"):
+        solver.ResidualContext((entry, {}), mode="unit_F")
 
 
 def test_take_gives_the_residuals_of_gathered_seeds():
     rng = np.random.default_rng(44)
     entry = la.entry_by_name("A4,11^a")
     ctxs, xs = zip(*(_batch(entry, "unit_F", rng, size=1) for _ in range(6)))
-    block = solver.ResidualContext.stack(ctxs)
+    block = _program(ctxs)
     xs = np.array([x[0, 0] for x in xs])
     for idx in (np.array([4, 1, 1, 0]), np.arange(6), np.array([5])):
-        want = solver.ResidualContext.stack([ctxs[i] for i in idx]).residual(xs[idx, None])
+        want = _program([ctxs[i] for i in idx]).residual(xs[idx, None])  # a fresh build
         assert np.array_equal(block.take(idx).residual(xs[idx, None]), want)
     kernel = ("_lin", "_lin0", "_ct")
     assert set(kernel) <= set(solver.ResidualContext._SEED_AXIS)
@@ -265,7 +287,7 @@ def test_refine_a44_unit_norm_fails():
     entry = la.entry_by_name("A4,4")
     rng = np.random.default_rng(5)
     mp = solver.sample_metric_params(entry, [rng])[0]
-    ctx = solver.ResidualContext(entry, [{}], mode="unit_F")
+    ctx = solver.ResidualContext([(entry, {})], mode="unit_F")
     f6 = ctx._facts[0].kernel_t.T @ np.array([1.0, 0.5, -0.3])
     c = solver.Candidate("A4,4", {}, mp, f6)
     res = solver.refine(c, mode="unit_F")
@@ -286,7 +308,7 @@ def test_refine_refuses_an_inadmissible_start():
     # As residual_vector does: a CandidateError naming the failed
     # constraint, whether det g <= 0 (2A2 with a5 = -1) or det g > 0 with a
     # constraint failing (A4,4 with a1 = 1e-9, inside the EPS_PD margin).
-    a44 = solver.ResidualContext(la.entry_by_name("A4,4"), [{}])
+    a44 = solver.ResidualContext([(la.entry_by_name("A4,4"), {})])
     bad = [cand_2a2(a5=-1.0),
            solver.Candidate("A4,4", {}, {"a1": 1e-9, "a2": 0.0, "a3": 1.0},
                             a44._facts[0].kernel_t.T @ np.array([1.0, 0.5, -0.3]))]
@@ -301,9 +323,9 @@ def test_refine_refuses_an_inadmissible_start():
 def test_jacobian_matches_forward_differences():
     rng = np.random.default_rng(6)
     entry = la.entry_by_name("2A2")
-    ctx = solver.ResidualContext(entry, [{}], mode="unit_F")
+    ctx = solver.ResidualContext([(entry, {})], mode="unit_F")
     mp = solver.sample_metric_params(entry, [rng])[0]
-    x = solver._point(ctx.entry, mp, rng.uniform(-1, 1, len(ctx._facts[0].kernel_t)))
+    x = solver._point(entry, mp, rng.uniform(-1, 1, len(ctx._facts[0].kernel_t)))
     jac = solver.residual_jacobian(ctx, x[None])[0]
     r0 = ctx.residual(x[None, None])[0, 0]
     for k in range(len(x)):
@@ -444,7 +466,7 @@ def test_family_points_samples_and_starts_still_build():
                 la.instantiate(la.entry_by_name(cand.entry_name), cand.algebra_params)
     for entry in la.catalog():
         la.instantiate(entry, entry.sample_params())
-        _, ctx, x0 = solver._starts(entry, 3, range(4), "unit_F")
+        _, ctx, x0 = solver._starts([(entry, 3, range(4))], "unit_F")
         for cand in ctx.candidates(x0) if ctx is not None else []:
             solver.residual_vector(cand)
 
@@ -561,48 +583,64 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _starts_seed_by_seed(segments, mode):
+    """Check the starts ``_starts`` draws for a program against
+    ``orc.start_alone`` seed by seed; return the kernel sizes met."""
+    seen = set()
+    status, ctx, x0 = solver._starts(segments, mode)
+    lone = [(entry, *orc.start_alone(entry, seed, index, mode))
+            for entry, seed, indices in segments for index in indices]
+    assert status == [a if b is None else "refined" for _, a, b in lone], segments
+    started = [(entry, one, start) for entry, one, start in lone if start is not None]
+    assert (ctx is None) == (x0 is None) == (not started)
+    if not started:
+        return seen
+    assert len(x0) == len(ctx._facts) == len(started)
+    for s, (entry, one, start) in enumerate(started):
+        w = len(start)
+        label = (entry.name, len(lone), s)
+        assert _same_bits(x0[s, :w], start) and not x0[s, w:].any(), label
+        facts, [alone] = ctx.take([s])._facts, one._facts
+        assert _same_bits(facts[0].kernel_t, alone.kernel_t), label
+        assert facts[0].free_pairs == ctx._facts[s].free_pairs == alone.free_pairs, label
+        assert ctx._facts[s].params == alone.params, label
+        assert ctx._facts[s].entry is entry and ctx._facts[s].width == w, label
+        for name in solver.ResidualContext._SEED_AXIS:
+            got, want = getattr(ctx, name)[s], getattr(one, name)[0]
+            if name == "_lin":
+                assert not got[w:].any(), label
+                got = got[:w]
+            assert _same_bits(got, want), (label, name)
+        seen.add(len(alone.kernel_t))
+    return seen
+
+
 @pytest.mark.parametrize("mode", solver.MODES)
 def test_stacked_starts_have_the_bits_of_one_seed_at_a_time(mode):
-    # _starts draws the seeds of a range together: one sampler call, one
-    # stacked context build for the distinct algebra parameters and one
-    # stacked |F|^2_g.  Each seed's status, start, names, kernel basis,
-    # free pairs and per-seed constants have the bits of one seed at a time
+    # _starts draws the seeds of a program together: one sampler call per
+    # segment, one stacked context build for the program's distinct
+    # (entry, algebra parameters) pairs and one stacked |F|^2_g.  Each
+    # seed's status, start, entry, width, kernel basis, free pairs and
+    # per-seed constants have the bits of one seed at a time
     # (orc.start_alone, whose context is a one-seed build); a start and
-    # the folded map are zero past the seed's own width.
+    # the folded map are zero past the seed's own width.  Programs of one
+    # segment per entry, and one program of a segment of every entry, each
+    # at its own seed and index range.
     seen = set()
     for entry in la.catalog():
         for n_seeds in (1, 2, 8, 32):
-            status, ctx, x0 = solver._starts(entry, 1024 * 9, range(n_seeds), mode)
-            alone = [orc.start_alone(entry, 1024 * 9, index, mode) for index in range(n_seeds)]
-            assert status == [a if b is None else "refined" for a, b in alone], entry.name
-            started = [(one, start) for one, start in alone if start is not None]
-            assert (ctx is None) == (x0 is None) == (not started)
-            if not started:
-                continue
-            assert len(x0) == len(ctx._facts) == len(started)
-            for s, (one, start) in enumerate(started):
-                w = len(start)
-                label = (entry.name, n_seeds, s)
-                assert _same_bits(x0[s, :w], start) and not x0[s, w:].any(), label
-                facts, [alone] = ctx.take([s])._facts, one._facts
-                assert _same_bits(facts[0].kernel_t, alone.kernel_t), label
-                assert facts[0].free_pairs == ctx._facts[s].free_pairs == alone.free_pairs, label
-                assert ctx._facts[s].params == alone.params, label
-                assert ctx._entries[ctx._part[s]] is entry and ctx._n_free[s] == w, label
-                for name in solver.ResidualContext._SEED_AXIS:
-                    got, want = getattr(ctx, name)[s], getattr(one, name)[0]
-                    if name == "_lin":
-                        assert not got[w:].any(), label
-                        got = got[:w]
-                    if name != "_part":
-                        assert _same_bits(got, want), (label, name)
-                seen.add(len(alone.kernel_t))
+            seen |= _starts_seed_by_seed([(entry, 1024 * 9, range(n_seeds))], mode)
     assert len(seen) > 2
+    program = [(entry, 1024 * (9 + k % 3), range(k % 5, k % 5 + 3))
+               for k, entry in enumerate([*la.catalog(), _tight_a46()])]
+    assert len(_starts_seed_by_seed(program, mode)) > 2
 
 
 def test_a_program_builds_its_contexts_and_algebras_per_program(monkeypatch):
-    # One _run_block builds one stacked context per entry range and
-    # instantiates its end points' algebras once, however many seeds it holds.
+    # One _run_block builds one stacked context for the whole program and
+    # instantiates its end points' algebras once per entry, however many
+    # seeds and entries it holds: one entry at 8 and 32 seeds, and the four
+    # positive rows at 8 seeds each, as the classify workload runs them.
     counts = {}
 
     def counted(name, fn):
@@ -624,6 +662,13 @@ def test_a_program_builds_its_contexts_and_algebras_per_program(monkeypatch):
     assert by_size[8] == by_size[32]
     assert by_size[8]["ResidualContext"] == by_size[8]["em_residual"] == 1
     assert by_size[8].get("instantiate", 0) == 0
+    counts.clear()
+    records = solver._run_block(*[(name, 1024 * 9, 0, 8, "unit_F") for name in _POSITIVE])
+    assert sum(r["status"] == "refined" for r in records) == 8 * len(_POSITIVE)
+    assert counts["ResidualContext"] == counts["em_residual"] == 1
+    assert counts["sample_metric_params"] == len(_POSITIVE)
+    assert counts["instantiate_many"] == 2 * len(_POSITIVE)  # the build, the re-verification
+    assert counts.get("instantiate", 0) == 0
 
 
 @pytest.mark.parametrize("name,n_seeds", [("2A2", 16), ("A4,4", 16), ("A4,6^{a,0}", 16),
@@ -668,7 +713,7 @@ def test_lockstep_block_matches_seeds_run_alone(monkeypatch, name, n_seeds):
         # share the block.
         entry = la.entry_by_name(name)
         algebras = {tuple(sorted(b["candidate"].algebra_params.items())) for b in block}
-        sizes = {len(solver.ResidualContext(entry, [dict(ap)])._facts[0].kernel_t)
+        sizes = {len(solver.ResidualContext([(entry, dict(ap))])._facts[0].kernel_t)
                  for ap in algebras}
         assert len(algebras) > 2 and len(sizes) > 1
 
@@ -724,7 +769,7 @@ def test_programs_span_requests_and_widths(monkeypatch):
     levmar = solver._levmar
 
     def recording(ctx, x0, tol, max_iter):
-        programs.append(set(ctx._n_free.tolist()))
+        programs.append({facts.width for facts in ctx._facts})
         return levmar(ctx, x0, tol, max_iter)
 
     monkeypatch.setattr(solver, "_levmar", recording)
@@ -800,9 +845,15 @@ _LM_TOL = min(maxwell.TOL_SOLUTION * 1e-2, 1e-11)  # the tolerance _run_block re
 
 def _lone_starts(entry, seed, indices, mode):
     """(one-seed context, unpadded start) of each seed that ``_starts`` starts."""
-    _, ctx, x0 = solver._starts(entry, seed, indices, mode)
-    return [(solver.ResidualContext(entry, [facts.params], mode), x0[s, :width])
-            for s, (facts, width) in enumerate(zip(ctx._facts, ctx._n_free.tolist()))]
+    _, ctx, x0 = solver._starts([(entry, seed, indices)], mode)
+    return [(solver.ResidualContext([(entry, facts.params)], mode), x0[s, :facts.width])
+            for s, facts in enumerate(ctx._facts)]
+
+
+def _program(ctxs):
+    """One context built for the seeds of the one-seed contexts ``ctxs``."""
+    return solver.ResidualContext([(c._facts[0].entry, c._facts[0].params) for c in ctxs],
+                                  ctxs[0].mode)
 
 
 def _blocks(entry, seed, n_seeds, mode):
@@ -839,7 +890,7 @@ def test_ladder_matches_lone_runs():
                                  (_tight_a46(), 16, "free_F")]:
         for ctxs, starts in _blocks(entry, 5, n_seeds, mode):
             x, iters, reasons, n_evals = solver._levmar(
-                solver.ResidualContext.stack(ctxs), np.array(starts), _LM_TOL, 45)
+                _program(ctxs), np.array(starts), _LM_TOL, 45)
             for s, (ctx, x0) in enumerate(zip(ctxs, starts)):
                 want = orc.levmar_alone(ctx, x0, _LM_TOL, 45)
                 _assert_same_run((x[s], iters[s], reasons[s], n_evals[s]), want, (entry.name, s))
@@ -853,16 +904,16 @@ def test_narrow_seeds_keep_their_bits_after_the_wide_seed_stops():
     # the first compaction the width-8 program holds only the four A2+2A1
     # starts (width 6).  Its one width is then not the program's: solved at
     # width 8, their steps would round differently from a lone run's.
-    wide = solver.ResidualContext(la.entry_by_name("2A2"), [{}], mode="free_F")
+    wide = solver.ResidualContext([(la.entry_by_name("2A2"), {})], mode="free_F")
     family = cand_2a2()
     narrow = _lone_starts(la.entry_by_name("A2+2A1"), 5, range(4), "free_F")
     x0 = np.zeros((5, 8))
     y = np.linalg.lstsq(wide._facts[0].kernel_t.T, family.f_coeffs, rcond=None)[0]
-    x0[0] = solver._point(wide.entry, family.metric_params, y)
+    x0[0] = solver._point(la.entry_by_name("2A2"), family.metric_params, y)
     for s, (_, start) in enumerate(narrow, 1):
         x0[s, :6] = start
-    stack = solver.ResidualContext.stack([wide, *(ctx for ctx, _ in narrow)])
-    x, iters, reasons, n_evals = solver._levmar(stack, x0, _LM_TOL, 45)
+    program = _program([wide, *(ctx for ctx, _ in narrow)])
+    x, iters, reasons, n_evals = solver._levmar(program, x0, _LM_TOL, 45)
     assert (iters[0], reasons[0]) == (0, "converged")
     for s, (ctx, start) in enumerate(narrow, 1):
         alone_x, alone_iters, alone_reasons, alone_evals = solver._levmar(
@@ -880,7 +931,7 @@ def test_ladder_takes_fewer_ticks_than_trials(monkeypatch):
     solve = solver._solve_stack
     monkeypatch.setattr(solver, "_solve_stack", lambda m, rhs: ticks.append(1) or solve(m, rhs))
     [(ctxs, starts)] = _blocks(la.entry_by_name("A4,4"), 5, 2, "unit_F")
-    solver._levmar(solver.ResidualContext.stack(ctxs), np.array(starts), _LM_TOL, 45)
+    solver._levmar(_program(ctxs), np.array(starts), _LM_TOL, 45)
     trials = [orc.levmar_alone(ctx, x0, _LM_TOL, 45)[4] for ctx, x0 in zip(ctxs, starts)]
     assert len(ticks) < max(trials)
 
@@ -947,7 +998,7 @@ def test_one_kernel_pass_per_tick(monkeypatch):
     levmar, kernel, solve = solver._levmar, solver.ResidualContext._kernel, solver._solve_stack
 
     def run(ctx, *args, **kwargs):
-        runs.append((set(ctx._n_free.tolist()), []))
+        runs.append(({facts.width for facts in ctx._facts}, []))
         return levmar(ctx, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_levmar", run)
@@ -956,7 +1007,7 @@ def test_one_kernel_pass_per_tick(monkeypatch):
     monkeypatch.setattr(solver, "_solve_stack",
                         lambda *args: runs[-1][1].append("s") or solve(*args))
     [(ctxs, starts)] = _blocks(la.entry_by_name("A4,4"), 5, 2, "unit_F")
-    solver._levmar(solver.ResidualContext.stack(ctxs), np.array(starts), _LM_TOL, 45)
+    solver._levmar(_program(ctxs), np.array(starts), _LM_TOL, 45)
     solver.multistart_many([solver.SearchRequest(name, 2, 5) for name in _POSITIVE])
     monkeypatch.undo()
     assert len(runs) == 2 and len(runs[1][0]) > 1
@@ -978,7 +1029,7 @@ def test_reused_jacobians_match_fresh_ones(monkeypatch):
 
     def run(ctx, *args, **kwargs):
         state.update(first=True, live=len(ctx._lin), refused=False)
-        if len(set(ctx._n_free.tolist())) > 1:
+        if len({facts.width for facts in ctx._facts}) > 1:
             seen.add("mixed widths")
         return levmar(ctx, *args, **kwargs)
 
@@ -988,7 +1039,7 @@ def test_reused_jacobians_match_fresh_ones(monkeypatch):
             # A tick's pass (the start pass has no rungs yet) holds every
             # rung, refused or not, as points of its seed.
             n, ok = caller.f_locals["n"], caller.f_locals.get("ok")
-            assert len(self._lin) == len(self._n_free) == n
+            assert len(self._lin) == len(self._facts) == n
             if ok is not None:
                 assert xs.shape[:2] == ok.shape == (n, solver._RUNGS)
             state["refused"] = ok is not None and not ok.all()
@@ -1016,7 +1067,7 @@ def test_reused_jacobians_match_fresh_ones(monkeypatch):
                                  (la.entry_by_name("A4,11^a"), 32, "unit_F"),
                                  (_tight_a46(), 16, "free_F")]:
         for ctxs, starts in _blocks(entry, 5, n_seeds, mode):
-            solver._levmar(solver.ResidualContext.stack(ctxs), np.array(starts), _LM_TOL, 45)
+            solver._levmar(_program(ctxs), np.array(starts), _LM_TOL, 45)
     solver.multistart_many([solver.SearchRequest(name, 2, 5) for name in _POSITIVE])
     assert seen == {"first tick", "after seeds stop", "a refused rung", "free_F",
                     "mixed widths"}
