@@ -265,14 +265,20 @@ class _SeedFacts(NamedTuple):
     width: int
 
 
-def _by_entry(entries: list[CatalogEntry]) -> list[tuple[CatalogEntry, list[int]]]:
-    """(entry, positions) of each distinct entry of ``entries``, in order of
-    first appearance.  Entries are told apart by identity: a catalog entry
-    holds dicts and is not hashable."""
+def _groups(keys: list, items: list) -> list[tuple[object, list[int]]]:
+    """(item, positions) of each distinct key of ``keys``, in order of first
+    appearance, the item being that of its first position.  Entries and
+    kernel bases are keyed by identity: a catalog entry holds dicts and is
+    not hashable."""
     groups: dict = {}
-    for s, entry in enumerate(entries):
-        groups.setdefault(id(entry), (entry, []))[1].append(s)
+    for s, (key, item) in enumerate(zip(keys, items)):
+        groups.setdefault(key, (item, []))[1].append(s)
     return list(groups.values())
+
+
+def _by_entry(entries: list[CatalogEntry]) -> list[tuple[CatalogEntry, list[int]]]:
+    """(entry, positions) of each distinct entry of ``entries``."""
+    return _groups(list(map(id, entries)), entries)
 
 
 class ResidualContext:
@@ -336,12 +342,10 @@ class ResidualContext:
             raise TypeError("seeds must be a list of (entry, algebra_params) pairs, one per seed")
         self.mode = mode
         n_seeds = len(seeds)
-        groups = _by_entry([entry for entry, _ in seeds])
-        one_entry = len(groups) == 1  # then index with a slice, a view, not a gather
+        self._groups = _by_entry([entry for entry, _ in seeds])  # (entry, its seeds)
         c = np.empty((n_seeds, 4, 4, 4))
-        for entry, rows in groups:
-            c[slice(None) if one_entry else rows] = instantiate_many(
-                entry, [seeds[s][1] for s in rows])
+        for entry, rows in self._groups:
+            c[rows] = instantiate_many(entry, [seeds[s][1] for s in rows])
         mats = closedness_matrix(c)
         d_t = mats.swapaxes(1, 2)
         self._facts = []  # per seed, beside the constants of _SEED_AXIS
@@ -358,12 +362,11 @@ class ResidualContext:
         c16 = c.reshape(n_seeds, 16, 4)
         lin = np.zeros((n_seeds, max((f.width for f in self._facts), default=0), _WIDTH))
         lin0 = np.zeros((n_seeds, _WIDTH))
-        for entry, rows in groups:
+        for entry, rows in self._groups:
             g0, at, which = entry.metric_cells
-            m = len(entry.metric_param_names)
+            m, k = len(entry.metric_param_names), len(rows)
             place = np.zeros((m, 16))
             place[which, at] = 1.0
-            k, rows = len(rows), slice(None) if one_entry else rows
             lin[rows, :m, _G] = place
             lin[rows, :m, _CG] = (c16[rows, None] @ place.reshape(m, 4, 4)).reshape(k, m, 64)
             lin0[rows, _G] = g0
@@ -392,6 +395,7 @@ class ResidualContext:
         for name in self._SEED_AXIS:
             setattr(out, name, getattr(self, name)[seeds])
         out._facts = [self._facts[s] for s in np.asarray(seeds).tolist()]
+        out._groups = _by_entry([f.entry for f in out._facts])
         return out
 
     @property
@@ -403,12 +407,8 @@ class ResidualContext:
         vector-matrix product per kernel basis object, each point times its
         own seed's rows, as a lone product is."""
         xs = _shaped(x, "(S, n)", len(self._facts))
-        groups: dict = {}
-        for s, facts in enumerate(self._facts):
-            groups.setdefault(id(facts.kernel_t), []).append(s)
         out = np.empty((len(xs), 6))
-        for seeds in groups.values():
-            facts = self._facts[seeds[0]]
+        for facts, seeds in _groups([id(f.kernel_t) for f in self._facts], self._facts):
             m = len(facts.entry.metric_param_names)
             out[seeds] = (xs[seeds, None, m:facts.width] @ facts.kernel_t)[:, 0]
         return out
@@ -418,12 +418,11 @@ class ResidualContext:
         bool array (S, ...), ``metric_geometry.admissible`` on the metric
         parameters of each row, one call per entry of the seeds."""
         x = _shaped(x, "(S, ..., n)", len(self._facts))
-        entries = {id(facts.entry): facts.entry for facts in self._facts}
-        if len(entries) == 1:
-            [entry] = entries.values()
+        if len(self._groups) == 1:  # one entry: no gather, no scatter
+            [(entry, _)] = self._groups
             return admissible(entry, x[..., :len(entry.metric_param_names)])
         ok = np.zeros(x.shape[:-1], dtype=bool)
-        for entry, rows in _by_entry([facts.entry for facts in self._facts]):
+        for entry, rows in self._groups:
             ok[rows] = admissible(entry, x[rows, ..., :len(entry.metric_param_names)])
         return ok
 
@@ -680,14 +679,16 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
 
     The rungs are points of their seed: the per-seed constants of the
     running seeds are gathered once each time seeds stop
-    (``ResidualContext.take``), the stacked ``ctx`` is released once they
-    are, and a tick evaluates points (S, _RUNGS, n) against them; the
-    kernel computes each point as a lone point is, and the ladder's solve
-    broadcasts each seed's gradient over its rungs.  No context holds more
-    seeds than are running.  A Jacobian of only some seeds gathers their
-    constants with ``take``.  Per-seed scalars (lam, the counters, the
-    starting and stop flags) are Python lists walked once per tick; only
-    points, residuals and normal equations are arrays.
+    (``ResidualContext.take``), and a tick evaluates points (S, _RUNGS, n)
+    against them; the kernel computes each point as a lone point is, and
+    the ladder's solve broadcasts each seed's gradient over its rungs.  Only
+    this function's own reference to ``ctx`` is dropped once the running
+    seeds are gathered: the caller keeps the program's context for
+    ``candidates``.  No context a tick reads holds more seeds than are
+    running.  A Jacobian of only some seeds gathers their constants with
+    ``take``.  Per-seed scalars (lam, the counters, the starting and stop
+    flags) are Python lists walked once per tick; only points, residuals
+    and normal equations are arrays.
 
     Each seed owns the first ``width`` columns of x (``_SeedFacts``), the
     rest being padding.  Its residual, Jacobian and J^T J are those of its
@@ -1062,7 +1063,7 @@ def _starts(segments: list[tuple], mode: str):
             -2.0, 2.0, size=facts[s].width - first[s]))
     if mode == "unit_F":
         g = np.empty((len(started), 4, 4))
-        for entry, rows in _by_entry([f.entry for f in facts]):
+        for entry, rows in ctx._groups:
             g[rows] = metric_from_params(entry, x0[rows, :len(entry.metric_param_names)])
         nrm = norm_sq(g, ctx.f_of(x0))
         low = np.flatnonzero(nrm < 1e-6)
@@ -1071,8 +1072,10 @@ def _starts(segments: list[tuple], mode: str):
                 x0[s, first[s]:facts[s].width] = rngs[started[s][0]].uniform(
                     0.5, 2.0, size=facts[s].width - first[s])
             nrm[low] = norm_sq(g[low], ctx.take(low).f_of(x0[low]))
-        for s in np.flatnonzero(nrm > 0).tolist():
-            x0[s, first[s]:facts[s].width] /= np.sqrt(nrm[s])
+        # Divide each seed's kernel columns, past its own metric columns, by
+        # its norm; a division by 1.0 leaves a value's bits as they are.
+        root = np.sqrt(np.where(nrm > 0, nrm, 1.0))[:, None]
+        x0 /= np.where(np.arange(x0.shape[1]) >= np.array(first)[:, None], root, 1.0)
     return status, ctx, x0
 
 
