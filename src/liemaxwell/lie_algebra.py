@@ -490,14 +490,18 @@ def _validate_entry(entry: CatalogEntry) -> None:
     ordered = entry.ordered_params
     if len(set(ordered)) != len(ordered) or not set(ordered) <= declared:
         raise CatalogError(f"{entry.name}: ordered_params must be distinct declared parameters")
-    # Jacobi gate at the recorded sample point, which must be in range; exact
-    # when the sample is rational.
-    sample = entry.sample_params()
-    exact = all(float(v) == float(Fraction(str(v)).limit_denominator(10**6)) for v in sample.values())
-    L = instantiate(entry, sample, exact=exact)
-    defect = jacobi_defect(L)
-    if (defect != 0) if exact else (float(defect) > 1e-13):
-        raise CatalogError(f"{entry.name}: Jacobi identity fails at sample parameters")
+    # Exact Jacobi gate at the sample and at each admissible variant, each
+    # in range: the Jacobi expression is a polynomial in the parameters, so
+    # it vanishes exactly at a float's binary value.
+    for variant in entry.variants:
+        if set(variant.params) != declared:
+            raise CatalogError(f"{entry.name}: variant {variant.name!r} must name exactly "
+                               f"the parameters {sorted(declared)}, got {sorted(variant.params)}")
+    points = [("sample parameters", entry.sample_params())]
+    points += [(f"variant {v.name!r}", v.params) for v in entry.variants if v.admissible]
+    for where, params in points:
+        if jacobi_defect(instantiate(entry, params, exact=True)) != 0:
+            raise CatalogError(f"{entry.name}: Jacobi identity fails at {where}")
 
 
 def _catalog_text() -> str:

@@ -169,11 +169,13 @@ class Candidate:
             raise CandidateError("f_coeffs must have six components")
         if not _is_orientation(self.orientation):
             raise CandidateError("orientation must be the integer 1 or -1")
+        self.orientation = int(self.orientation)
         if coeffs is not None:
-            if any(isinstance(v, (bool, np.bool_)) for v in params):
+            values = [*coeffs.tolist(), *params]
+            if any(isinstance(v, (bool, np.bool_)) for v in values):
                 raise CandidateError(
-                    "algebra_params and metric_params must be numbers, not booleans")
-            if not all(isinstance(v, numbers.Real) for v in [*coeffs.tolist(), *params]):
+                    "f_coeffs, algebra_params and metric_params must be numbers, not booleans")
+            if not all(isinstance(v, numbers.Real) for v in values):
                 raise CandidateError(
                     "f_coeffs, algebra_params and metric_params must be real numbers")
         try:
@@ -255,8 +257,8 @@ def residual_vector(c: Candidate) -> np.ndarray:
 
 class _SeedFacts(NamedTuple):
     """What a context knows of one seed besides its constants: its entry,
-    algebra parameters, the kernel basis of F as rows (k, 6), the free pair
-    of each row and its width, the number of parameters of its points."""
+    algebra parameters, the kernel basis of F as rows (k, 6) with k >= 2, the
+    free pair of each row and its width (the parameters of its points)."""
 
     entry: CatalogEntry
     params: dict
@@ -333,8 +335,10 @@ class ResidualContext:
         each, built by one stacked pass: the brackets are evaluated once on
         parameter arrays per entry (``instantiate_many``), d of the six unit
         2-forms once for all seeds, and each seed keeps its own rref, whose
-        pivots fix its kernel basis.  Seed s has the bits of
-        ``ResidualContext([seeds[s]])``."""
+        pivots fix its kernel basis.  d maps the 6-dimensional space of
+        2-forms to the 4-dimensional space of 3-forms, so every basis has
+        at least 2 vectors: a 4-dimensional algebra always has closed
+        2-forms.  Seed s has the bits of ``ResidualContext([seeds[s]])``."""
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if not all(isinstance(pair, tuple) and len(pair) == 2
@@ -351,7 +355,7 @@ class ResidualContext:
         self._facts = []  # per seed, beside the constants of _SEED_AXIS
         for (entry, params), mat in zip(seeds, mats):
             basis, free = nullspace(mat)
-            kernel_t = np.array(basis) if basis else np.zeros((0, 6))
+            kernel_t = np.array(basis)
             self._facts.append(_SeedFacts(entry, dict(params), kernel_t,
                                           tuple(PAIR_LABELS[p] for p in free),
                                           len(entry.metric_param_names) + len(kernel_t)))
@@ -847,10 +851,8 @@ def refine(c: Candidate, mode: str = "free_F") -> RefineResult:
     ctx = ResidualContext([(entry, c.algebra_params)], mode=mode)
     # Kernel coordinates of F: least squares on the seed's basis (6, k).
     kernel = ctx._facts[0].kernel_t.T
-    y, defect = np.zeros(0), float(np.abs(c.f_coeffs).max(initial=0.0))
-    if kernel.shape[1]:
-        y = np.linalg.lstsq(kernel, c.f_coeffs, rcond=None)[0]
-        defect = float(np.abs(kernel @ y - c.f_coeffs).max())
+    y = np.linalg.lstsq(kernel, c.f_coeffs, rcond=None)[0]
+    defect = float(np.abs(kernel @ y - c.f_coeffs).max())
     if defect > 1e-8:
         raise CandidateError(
             f"candidate F is not closed (distance {defect:.2e} from the dF=0 subspace)")
@@ -1014,9 +1016,10 @@ def _starts(segments: list[tuple], mode: str):
     """The starts of a program's seeds.  ``segments`` are (entry, seed,
     indices) triples, one per request's share of the program.  Returns
     (status, ctx, x0): status the statuses of all seeds, in segment order
-    and then index order, "refined" for each seed that starts, else why it
-    has none; ctx the context of the starting seeds (None when none does)
-    and x0 their starts (S, n), zero past each seed's width, in the same
+    and then index order, "refined" for each seed whose parameters are
+    drawn (every algebra has closed 2-forms, see ``ResidualContext``), else
+    "sampling-failed"; ctx the context of the sampled seeds (None when none
+    is) and x0 their starts (S, n), zero past each seed's width, in the same
     order.  Each seed draws from its own ``default_rng(seed ^ index)``:
     algebra parameters, then metric parameters (one sampler call per
     segment), then kernel coordinates.  One context build serves the
@@ -1036,40 +1039,31 @@ def _starts(segments: list[tuple], mode: str):
             except ValueError:
                 pass
         metrics = sample_metric_params(entry, [rngs[q] for q in algebras])
-        sampled += [(q, entry, algebra_params, metric_params)
-                    for (q, algebra_params), metric_params in zip(algebras.items(), metrics)
-                    if metric_params is not None]
+        for (q, algebra_params), metric_params in zip(algebras.items(), metrics):
+            if metric_params is not None:
+                sampled.append((q, entry, algebra_params, metric_params))
+                status[q] = "refined"
     if not sampled:
         return status, None, None
     keys: dict = {}
     seats = [keys.setdefault((id(entry), tuple(a.items())), (len(keys), (entry, a)))[0]
              for _, entry, a, _ in sampled]
-    distinct = ResidualContext([pair for _, pair in keys.values()], mode=mode)
-    started = []
-    for (q, _, _, metric_params), seat in zip(sampled, seats):
-        if len(distinct._facts[seat].kernel_t):
-            started.append((q, seat, metric_params))
-            status[q] = "refined"
-        else:
-            status[q] = "no-closed-forms"
-    if not started:
-        return status, None, None
-    ctx = distinct.take([seat for _, seat, _ in started])
+    ctx = ResidualContext([pair for _, pair in keys.values()], mode=mode).take(seats)
     facts = ctx._facts
     first = [len(f.entry.metric_param_names) for f in facts]  # each seed's first kernel column
-    x0 = np.zeros((len(started), max(f.width for f in facts)))
-    for s, (q, _, metric_params) in enumerate(started):
+    x0 = np.zeros((len(sampled), max(f.width for f in facts)))
+    for s, (q, _, _, metric_params) in enumerate(sampled):
         x0[s, :facts[s].width] = _point(facts[s].entry, metric_params, rngs[q].uniform(
             -2.0, 2.0, size=facts[s].width - first[s]))
     if mode == "unit_F":
-        g = np.empty((len(started), 4, 4))
+        g = np.empty((len(sampled), 4, 4))
         for entry, rows in ctx._groups:
             g[rows] = metric_from_params(entry, x0[rows, :len(entry.metric_param_names)])
         nrm = norm_sq(g, ctx.f_of(x0))
         low = np.flatnonzero(nrm < 1e-6)
         if len(low):
             for s in low.tolist():
-                x0[s, first[s]:facts[s].width] = rngs[started[s][0]].uniform(
+                x0[s, first[s]:facts[s].width] = rngs[sampled[s][0]].uniform(
                     0.5, 2.0, size=facts[s].width - first[s])
             nrm[low] = norm_sq(g[low], ctx.take(low).f_of(x0[low]))
         # Divide each seed's kernel columns, past its own metric columns, by
@@ -1079,18 +1073,14 @@ def _starts(segments: list[tuple], mode: str):
     return status, ctx, x0
 
 
-def _reverified(cands: list[Candidate]) -> list[EMReport]:
+def _reverified(entries: list[CatalogEntry], cands: list[Candidate]) -> list[EMReport]:
     """Independent re-verification of candidates through the geometry
-    modules only, in one stacked ``em_residual`` call: each algebra and
-    metric instantiated from its own candidate, one ``instantiate_many``
-    call and one metric build per entry."""
+    modules only, in one stacked ``em_residual`` call: candidate s on entry
+    s, its algebra and metric instantiated from its own parameters, one
+    ``instantiate_many`` call and one metric build per entry."""
     c = np.empty((len(cands), 4, 4, 4))
     g = np.empty((len(cands), 4, 4))
-    by_entry: dict = {}
-    for s, cand in enumerate(cands):
-        by_entry.setdefault(cand.entry_name, []).append(s)
-    for name, rows in by_entry.items():
-        entry = entry_by_name(name)
+    for entry, rows in _by_entry(entries):
         c[rows] = instantiate_many(entry, [cands[s].algebra_params for s in rows])
         g[rows] = metric_from_params(entry, [[cands[s].metric_params[n]
                                               for n in entry.metric_param_names] for s in rows])
@@ -1101,21 +1091,21 @@ def _reverified(cands: list[Candidate]) -> list[EMReport]:
 
 
 def _run_block(*segments) -> list[dict]:
-    """The seeds of one program: ``segments`` are seed ranges (entry_name,
-    seed, lo, hi, mode), one per request, of one mode.  Draw the program's
+    """The seeds of one program: ``segments`` are seed ranges (entry, seed,
+    lo, hi, mode), one per request, of one mode.  Draw the program's
     starts (``_starts``), refine them in one lockstep ``_levmar`` and
     re-verify the end points independently (``_reverified``).  One record
     per seed, in segment order, then index order."""
     mode = segments[0][-1]
-    status, ctx, x0 = _starts([(entry_by_name(name), seed, range(lo, hi))
-                               for name, seed, lo, hi, _ in segments], mode)
+    status, ctx, x0 = _starts([(entry, seed, range(lo, hi))
+                               for entry, seed, lo, hi, _ in segments], mode)
     indices = [index for _, _, lo, hi, _ in segments for index in range(lo, hi)]
     records = [{"index": index, "status": why} for index, why in zip(indices, status)]
     if ctx is None:
         return records
     x, iters, reasons, _ = _levmar(ctx, x0, tol=SEARCH_TOL, max_iter=SEARCH_MAX_ITER)
     cands = ctx.candidates(x, canonical=True)
-    reports = _reverified(cands)
+    reports = _reverified([facts.entry for facts in ctx._facts], cands)
     refined = [record for record in records if record["status"] == "refined"]
     for s, record in enumerate(refined):
         record.update(reason=reasons[s], iterations=int(iters[s]), candidate=cands[s],
@@ -1141,7 +1131,8 @@ def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[Sear
     changes; with n_jobs > 1 a process pool takes whole programs.  The
     packing never depends on n_jobs, and a seed's result is the one it has
     alone, so each outcome is that of the request's own ``multistart_search``
-    (``wall_time`` is the time of the whole call).
+    (``wall_time`` is the time of the whole call).  Each request's entry is
+    resolved once, here, and its programs carry the ``CatalogEntry`` itself.
     """
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
@@ -1162,7 +1153,7 @@ def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[Sear
                 programs.append([])
                 room = _BLOCK
             hi = min(r.n_seeds, lo + room)
-            programs[-1].append((entry.name, r.seed, lo, hi, r.mode))
+            programs[-1].append((entry, r.seed, lo, hi, r.mode))
             room -= hi - lo
             lo = hi
     workers = min(n_jobs, len(programs))
@@ -1221,6 +1212,10 @@ def multistart_search(entry, n_seeds: int, seed: int = 0, mode: str = "unit_F",
     the one-request case of ``multistart_many``.  Seeds run in fixed blocks
     of consecutive indices (``_BLOCK``); with n_jobs > 1 a process pool
     takes whole blocks, so the outcome is the same for every n_jobs.
+
+    ``entry`` is a ``CatalogEntry``, run as given, or the name of a packaged
+    entry.  The outcome's ``to_dict`` records the checksum of the packaged
+    catalog (``catalog_sha256``) whatever entry ran, a derived one included.
     """
     return multistart_many([SearchRequest(entry, n_seeds, seed, mode)], n_jobs)[0]
 

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -35,6 +36,17 @@ def instantiated(cand):
     entry = la.entry_by_name(cand.entry_name)
     return (entry, la.instantiate(entry, cand.algebra_params),
             la.metric_from_params(entry, cand.metric_params))
+
+
+def catalog_copy(tmp_path, name, edit):
+    """Path of a copy of the packaged catalog whose record of entry ``name``
+    ``edit`` changed in place, its checksum recomputed, for ``load_catalog``."""
+    doc = json.loads(la._catalog_text())
+    edit(next(raw for raw in doc["entries"] if raw["name"] == name))
+    doc["sha256"] = la.catalog_checksum(doc)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def admissible_draws(n, seed=0, entries=None):

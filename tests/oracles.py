@@ -377,8 +377,6 @@ def start_alone(entry, seed, index, mode):
     ctx = solver.ResidualContext([(entry, algebra_params)], mode=mode)
     kernel_t = ctx._facts[0].kernel_t
     k = len(kernel_t)
-    if k == 0:
-        return "no-closed-forms", None
     m = len(entry.metric_param_names)
     x0 = solver._point(entry, metric_params, rng.uniform(-2.0, 2.0, size=k))
     if mode == "unit_F":

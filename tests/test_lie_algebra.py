@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from conftest import catalog_copy
 from liemaxwell import _smallmat
 from liemaxwell import lie_algebra as la
 from liemaxwell._expr import ExpressionError, eval_expr
@@ -375,6 +376,18 @@ def test_expression_grammar_refusals(src):
         eval_expr(src, {"a": 2, "b": 3})
 
 
+def test_two_literals_fold_before_they_meet_an_array():
+    # "2*3*a" folds 2*3 into one exact literal, which meets the array as a
+    # float: a float64 result, each element with the bits of Python floats.
+    # Unfolded, Fraction(2) * 3 would meet the array as a Fraction and give
+    # an object array.
+    a = np.array([1.0, 2.0, 0.1, -3.7, 1e-300])
+    got = eval_expr("2*3*a", {"a": a})
+    assert got.dtype == np.float64
+    for x, y in zip(got.tolist(), a.tolist()):
+        assert repr(x) == repr(float(orc.eval_expr_interpreted("2*3*a", {"a": y})))
+
+
 # The sign corners -a^2, (-a)^2 and 1*-a^2 are cases of
 # test_unary_minus_binds_looser_than_power_everywhere.
 @pytest.mark.parametrize("src,value", [("007", 7), ("  a", 2), ("a^0", 1)])
@@ -540,6 +553,11 @@ def test_colliding_lookup_names_are_refused_at_load(tmp_path, field, value):
         la.load_catalog(path)
 
 
+def _sample(name, value):
+    """Edit of a catalog record: the sample of parameter ``name``."""
+    return lambda raw: next(p for p in raw["params"] if p["name"] == name).update(sample=value)
+
+
 @pytest.mark.parametrize("value", [2.0, 0.0])
 def test_an_out_of_range_sample_is_refused_at_load(tmp_path, value):
     # The Jacobi gate instantiates each entry at its sample with the range
@@ -549,14 +567,40 @@ def test_an_out_of_range_sample_is_refused_at_load(tmp_path, value):
     for entry in la.catalog():
         sample = entry.sample_params()
         assert all(spec.admits(float(sample[spec.name])) for spec in entry.params), entry.name
-    doc = json.loads(la._catalog_text())
-    raw = next(e for e in doc["entries"] if e["name"] == "A4,5^{a,b}")
-    next(p for p in raw["params"] if p["name"] == "a")["sample"] = value
-    doc["sha256"] = la.catalog_checksum(doc)
-    path = tmp_path / "catalog.json"
-    path.write_text(json.dumps(doc))
     with pytest.raises(la.CatalogError, match=f"parameter a={value} outside admissible range"):
-        la.load_catalog(path)
+        la.load_catalog(catalog_copy(tmp_path, "A4,5^{a,b}", _sample("a", value)))
+
+
+def test_a_float_sample_passes_the_exact_jacobi_gate(tmp_path):
+    # The Jacobi expression is a polynomial in the parameters: it vanishes
+    # exactly at a float's binary value, however many digits it has.
+    entries = la.load_catalog(catalog_copy(tmp_path, "A4,5^{a,b}", _sample("a", 0.123456789)))
+    entry = next(e for e in entries if e.name == "A4,5^{a,b}")
+    assert entry.sample_params() == {"a": 0.123456789, "b": 1.0}
+
+
+def _bracket_12(expr):
+    """Edit of a catalog record: an added bracket [e1, e2] = expr e3."""
+    return lambda raw: raw["brackets"].append({"i": 1, "j": 2, "coeffs": [[3, expr]]})
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    # [e1, e2] = e3 breaks Jacobi at the sample; (a - 1/2) e3 holds it at the
+    # sample a = 1/2 and at a = -b, and breaks it at a = -1, b = 1/2.
+    ("A4,5^{a,b}", _bracket_12("1"), "A4,5^{a,b}: Jacobi identity fails at sample parameters"),
+    ("A4,5^{a,b}", _bracket_12("a - 0.5"), "A4,5^{a,b}: Jacobi identity fails at variant 'a=-1'"),
+    ("A4,2^p", lambda raw: raw["variants"][0].update(params={"q": 5.0}),
+     "A4,2^p: variant 'p=-1' must name exactly the parameters ['p'], got ['q']"),
+    ("A4,5^{a,b}", lambda raw: raw["variants"][0]["params"].update(a=2.0),
+     "A4,5^{a,b}: parameter a=2.0 outside admissible range"),
+], ids=["bracket-at-sample", "bracket-at-variant", "misnamed-variant", "out-of-range-variant"])
+def test_catalog_gate_checks_every_sample_and_variant(tmp_path, name, edit, message):
+    # The packaged catalog's samples and admissible variants all pass (it
+    # loads); a copy with a corrupted bracket or a bad variant is refused,
+    # naming the entry.  A4,6^{a,0}'s inadmissible variant a = 0 needs only
+    # its parameter names.
+    with pytest.raises(la.CatalogError, match=re.escape(message)):
+        la.load_catalog(catalog_copy(tmp_path, name, edit))
 
 
 def test_the_name_index_is_built_once(monkeypatch):

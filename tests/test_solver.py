@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from conftest import instantiated
+from conftest import catalog_copy, instantiated
 from liemaxwell import lie_algebra as la
 from liemaxwell import maxwell, solver
 from liemaxwell import metric_geometry as mg
@@ -445,6 +445,13 @@ def test_candidate_refuses_boolean_parameters():
     with pytest.raises(solver.CandidateError, match="boolean"):
         solver.Candidate("A4,6^{a,0}", {"a": 1.0}, {**metric, "a3": np.True_}, f6)
     assert solver.Candidate("A4,6^{a,0}", {"a": 1}, metric, f6).algebra_params == {"a": 1}
+    # Booleans among the coefficients are refused as among the parameters,
+    # in a list and as a bool array.
+    a44 = {"a1": 1.0, "a2": 0.0, "a3": 1.0}
+    for coeffs in ([True, 0, 0, 0, 0, 0], [np.True_, 0, 0, 0, 0, 0],
+                   np.array([1, 0, 0, 0, 0, 0], dtype=bool)):
+        with pytest.raises(solver.CandidateError, match="boolean"):
+            solver.Candidate("A4,4", {}, a44, coeffs)
     # Values that are not real numbers at all are refused the same way, never
     # with a TypeError or a bare ValueError from the conversion.
     for value in ("1", None, [1.0], 1j):
@@ -453,6 +460,11 @@ def test_candidate_refuses_boolean_parameters():
     for coeffs in ([1j] * 6, ["x"] * 6, [[1.0, 2.0], 3.0, 0.0, 0.0, 0.0, 0.0]):
         with pytest.raises(solver.CandidateError, match="real numbers"):
             solver.Candidate("A4,6^{a,0}", {"a": 1.0}, metric, coeffs)
+    # A numpy integer orientation is kept as a Python int, so the candidate
+    # serializes to JSON.
+    c = solver.Candidate("A4,4", {}, a44, [1.0, 0, 0, 0, 0, 0], orientation=np.int64(-1))
+    assert type(c.orientation) is int and c.orientation == -1
+    assert json.loads(json.dumps(c.to_dict()))["orientation"] == -1
 
 
 def test_family_points_samples_and_starts_still_build():
@@ -636,6 +648,30 @@ def test_stacked_starts_have_the_bits_of_one_seed_at_a_time(mode):
     assert len(_starts_seed_by_seed(program, mode)) > 2
 
 
+def test_unit_f_starts_redraw_a_tiny_kernel_draw(monkeypatch):
+    # A unit_F start whose kernel draw gives |F|^2_g < 1e-6 is redrawn in
+    # [0.5, 2].  Every seed's generator shrinks its kernel draw (uniform in
+    # [-2, 2], of one size per seed) 10^4 times, in _starts and in
+    # orc.start_alone alike, and the starts keep the bits of the oracle's.
+    redraws = []
+
+    class TinyKernelDraw(np.random.Generator):
+        def uniform(self, low=0.0, high=1.0, size=None):
+            out = super().uniform(low, high, size)
+            if isinstance(size, int) and (low, high) == (-2.0, 2.0):
+                return out * 1e-4
+            if isinstance(size, int) and (low, high) == (0.5, 2.0):
+                redraws.append(size)
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: TinyKernelDraw(np.random.PCG64(seed)))
+    program = [(la.entry_by_name("A4,4"), 7, range(8)), (la.entry_by_name("2A2"), 7, range(3)),
+               (la.entry_by_name("A4,5^{a,b}"), 9, range(5))]
+    _starts_seed_by_seed(program, "unit_F")
+    assert len(redraws) == 2 * 16  # every seed, in the program and in the oracle
+
+
 def test_a_program_builds_its_contexts_and_algebras_per_program(monkeypatch):
     # One _run_block builds one stacked context for the whole program and
     # instantiates its end points' algebras once per entry, however many
@@ -656,14 +692,16 @@ def test_a_program_builds_its_contexts_and_algebras_per_program(monkeypatch):
     by_size = {}
     for n_seeds in (8, 32):
         counts.clear()
-        records = solver._run_block(("A4,6^{a,0}", 1024 * 9, 0, n_seeds, "unit_F"))
+        records = solver._run_block((la.entry_by_name("A4,6^{a,0}"), 1024 * 9, 0, n_seeds,
+                                     "unit_F"))
         assert sum(r["status"] == "refined" for r in records) == n_seeds
         by_size[n_seeds] = dict(counts)
     assert by_size[8] == by_size[32]
     assert by_size[8]["ResidualContext"] == by_size[8]["em_residual"] == 1
     assert by_size[8].get("instantiate", 0) == 0
     counts.clear()
-    records = solver._run_block(*[(name, 1024 * 9, 0, 8, "unit_F") for name in _POSITIVE])
+    records = solver._run_block(*[(la.entry_by_name(name), 1024 * 9, 0, 8, "unit_F")
+                                  for name in _POSITIVE])
     assert sum(r["status"] == "refined" for r in records) == 8 * len(_POSITIVE)
     assert counts["ResidualContext"] == counts["em_residual"] == 1
     assert counts["sample_metric_params"] == len(_POSITIVE)
@@ -691,10 +729,11 @@ def test_lockstep_block_matches_seeds_run_alone(monkeypatch, name, n_seeds):
         return ok
 
     monkeypatch.setattr(solver.ResidualContext, "feasible", spy)
-    block = solver._run_block((name, 7, 0, n_seeds, "unit_F"))
+    entry = la.entry_by_name(name)
+    block = solver._run_block((entry, 7, 0, n_seeds, "unit_F"))
     monkeypatch.undo()
     assert (sum(refused) > 0) == (name != "A4,6^{a,0}"), sum(refused)
-    alone = [solver._run_block((name, 7, i, i + 1, "unit_F"))[0]
+    alone = [solver._run_block((entry, 7, i, i + 1, "unit_F"))[0]
              for i in range(n_seeds)]
     for b, a in zip(block, alone):
         assert b["status"] == a["status"] == "refined", (name, b["index"])
@@ -711,7 +750,6 @@ def test_lockstep_block_matches_seeds_run_alone(monkeypatch, name, n_seeds):
     if name == "A4,5^{a,b}":
         # Generic draws and named variants: several algebras and kernel sizes
         # share the block.
-        entry = la.entry_by_name(name)
         algebras = {tuple(sorted(b["candidate"].algebra_params.items())) for b in block}
         sizes = {len(solver.ResidualContext([(entry, dict(ap))])._facts[0].kernel_t)
                  for ap in algebras}
@@ -728,6 +766,55 @@ def test_seed_ledger_is_complete_and_parallel_safe():
     assert ledger["seeds_refined"] == ledger["seeds_used"] - ledger["stop_reasons"]["infeasible start"]
     assert ledger["seeds_used"] <= ledger["seeds_sampled"] <= 40
     assert ledger["stop_reasons"]["converged"] >= 1
+
+
+def _derived(tmp_path, name, edit):
+    """Entry ``name`` of a ``load_catalog`` copy edited by ``edit``."""
+    entries = la.load_catalog(catalog_copy(tmp_path, name, edit))
+    return next(entry for entry in entries if entry.name == name)
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_a_search_runs_the_entry_it_is_given(tmp_path, n_jobs):
+    # A copy of A4,4 whose extra constraint a1 > 100 leaves no admissible
+    # metric in the sampler's box: no seed samples, although the packaged
+    # A4,4 of the same name samples them all.  40 seeds make two programs,
+    # so n_jobs=2 sends the copy to the pool.  The report still records the
+    # packaged catalog's checksum.
+    copy = _derived(tmp_path, "A4,4", lambda raw: raw["constraints"].append("a1 - 100"))
+    out = solver.multistart_search(copy, n_seeds=40, seed=1024, n_jobs=n_jobs)
+    assert out.entry_name == "A4,4"
+    assert out.seeds_sampled == out.seeds_used == 0 and not out.solutions
+    assert out.to_dict()["catalog_sha256"] == la.catalog_checksum()
+    assert solver.multistart_search("A4,4", n_seeds=4, seed=1024).seeds_sampled == 4
+
+
+def test_a_derived_entry_is_reverified_on_its_own_algebra(tmp_path, monkeypatch):
+    # A copy of A4,4 whose bracket is [e1, e4] = 2 e1: every refined seed's
+    # report is the reference chain's on the copy's algebra, metric and F.
+    def bracket(raw):
+        next(b for b in raw["brackets"] if (b["i"], b["j"]) == (1, 4))["coeffs"] = [[1, "2"]]
+
+    copy = _derived(tmp_path, "A4,4", bracket)
+    records = []
+    outcome = solver._outcome
+
+    def spy(entry, request, results):
+        records.extend(results)
+        return outcome(entry, request, results)
+
+    monkeypatch.setattr(solver, "_outcome", spy)
+    solver.multistart_search(copy, n_seeds=8, seed=5)
+    refined = [r for r in records if r["status"] == "refined"]
+    assert len(refined) == 8
+    for r in refined:
+        cand, report = r["candidate"], r["report"]
+        want = maxwell.em_residual(la.instantiate(copy, cand.algebra_params),
+                                   la.metric_from_params(copy, cand.metric_params), cand.f_coeffs)
+        assert report.classification == want.classification, r["index"]
+        for field in ("r_em", "r_dF", "r_dstarF", "scalar_curvature"):
+            x, y = getattr(report, field), getattr(want, field)
+            assert abs(x - y) <= 1e-12 * max(abs(x), abs(y)), (r["index"], field)
 
 
 def test_zero_evidence_is_inconclusive(monkeypatch):
