@@ -152,7 +152,7 @@ def cmd_curvature(args) -> int:
 def cmd_verify(args) -> int:
     from .solver import Candidate, _admitted
     cand = Candidate.from_json(args.candidate)
-    entry = entry_by_name(cand.entry_name)
+    entry = cand.entry
     L, g = _admitted(entry, cand.algebra_params, cand.metric_params)
     config = RunConfig(command="verify", entries=[entry.name], tol=TOL_SOLUTION,
                        orientation=cand.orientation)

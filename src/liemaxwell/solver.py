@@ -74,7 +74,7 @@ from ._smallmat import nullspace
 from .families import Family, family_by_id
 from .forms import _STAR_PAIRS, _is_orientation, hodge_star, norm_sq
 from .kahler import hermitian_diagnostics
-from .lie_algebra import (PAIR_LABELS, CatalogEntry, LieAlgebra, catalog_checksum,
+from .lie_algebra import (PAIR_LABELS, CatalogEntry, CatalogError, LieAlgebra, catalog_checksum,
                           closedness_matrix, d_two_form, entry_by_name, instantiate,
                           instantiate_many, metric_from_params, two_form_matrix)
 from .maxwell import (NON_EINSTEIN_EM, TOL_SOLUTION, EMReport, em_residual, stress_energy,
@@ -149,15 +149,19 @@ def number_object(value, what: str) -> dict:
 
 @dataclass
 class Candidate:
-    """One point in the per-entry search space."""
+    """One point in the search space of ``entry``, a ``CatalogEntry`` (a
+    string is a TypeError): checking, refining and re-verifying a candidate
+    run on that entry, and ``to_dict`` records its name."""
 
-    entry_name: str
+    entry: CatalogEntry
     algebra_params: dict
     metric_params: dict
     f_coeffs: np.ndarray
     orientation: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.entry, CatalogEntry):
+            raise TypeError(f"entry must be a CatalogEntry, got {self.entry!r}")
         params = [*self.algebra_params.values(), *self.metric_params.values()]
         f = self.f_coeffs
         # Six float64 coefficients and float parameters, as a search makes
@@ -188,7 +192,7 @@ class Candidate:
 
     def to_dict(self) -> dict:
         return {
-            "entry": self.entry_name,
+            "entry": self.entry.name,
             "algebra_params": {k: float(v) for k, v in self.algebra_params.items()},
             "metric_params": {k: float(v) for k, v in self.metric_params.items()},
             "f_coeffs": [float(x) for x in self.f_coeffs],
@@ -200,20 +204,19 @@ class Candidate:
         """A candidate from a parsed JSON document whose values have their
         JSON types: ``entry`` a string, the parameter sets objects of finite
         numbers and ``f_coeffs`` a list of them.  True, "1" or a list of
-        pairs is refused, never converted."""
+        pairs is refused, never converted.  Then the entry's name is looked
+        up: an unknown one is the ``CatalogError`` of ``entry_by_name``."""
         try:
             if not isinstance(raw, dict) or not isinstance(raw.get("entry"), str):
                 raise ValueError("expected a JSON object whose entry is a string")
             f_coeffs = raw["f_coeffs"]
             if not (isinstance(f_coeffs, list) and all(map(finite_number, f_coeffs))):
                 raise ValueError(f"f_coeffs must be a list of finite numbers, got {f_coeffs!r}")
-            return cls(
-                entry_name=raw["entry"],
-                algebra_params=number_object(raw.get("algebra_params", {}), "algebra_params"),
-                metric_params=number_object(raw.get("metric_params", {}), "metric_params"),
-                f_coeffs=np.asarray(f_coeffs, dtype=float),
-                orientation=raw.get("orientation", 1),
-            )
+            params = [number_object(raw.get(k, {}), k) for k in ("algebra_params", "metric_params")]
+            return cls(entry_by_name(raw["entry"]), *params, np.asarray(f_coeffs, dtype=float),
+                       orientation=raw.get("orientation", 1))
+        except CatalogError:
+            raise
         except (KeyError, ValueError) as exc:
             raise CandidateError(f"bad candidate document: {exc}") from exc
 
@@ -239,8 +242,8 @@ def _admitted(entry: CatalogEntry, algebra_params: dict,
 
 
 def residual_vector(c: Candidate) -> np.ndarray:
-    """18 components: EM equation upper triangle (10), dF (4), d*F (4)."""
-    L, g = _admitted(entry_by_name(c.entry_name), c.algebra_params, c.metric_params)
+    """18 components on ``c.entry``: EM upper triangle (10), dF (4), d*F (4)."""
+    L, g = _admitted(c.entry, c.algebra_params, c.metric_params)
     _, _, _, _, ric0 = curvature_summary(L, g)
     em = ric0 + stress_energy(g, c.f_coeffs)
     out = np.empty(18)
@@ -508,7 +511,7 @@ class ResidualContext:
         if canonical:
             flips = _sign_flips(f)
             f[flips] = -f[flips]
-        return [Candidate(facts.entry.name, dict(facts.params),
+        return [Candidate(facts.entry, dict(facts.params),
                           dict(zip(facts.entry.metric_param_names, row)), fs)
                 for facts, row, fs in zip(self._facts, x.tolist(), f)]
 
@@ -843,12 +846,11 @@ def refine(c: Candidate, mode: str = "free_F") -> RefineResult:
     ``ResidualContext``: "unit_F" appends the row |F|^2_g - 1, forcing F away
     from the trivial solution.  Levenberg-Marquardt runs until every
     residual is within SEARCH_TOL, for at most REFINE_MAX_ITER iterations.
-    The refinement does not depend on the orientation, and its candidate
-    keeps the label of ``c``.
+    It runs on ``c.entry`` whatever the orientation, and its candidate
+    keeps the entry and the orientation label of ``c``.
     """
-    entry = entry_by_name(c.entry_name)
-    _admitted(entry, c.algebra_params, c.metric_params)
-    ctx = ResidualContext([(entry, c.algebra_params)], mode=mode)
+    _admitted(c.entry, c.algebra_params, c.metric_params)
+    ctx = ResidualContext([(c.entry, c.algebra_params)], mode=mode)
     # Kernel coordinates of F: least squares on the seed's basis (6, k).
     kernel = ctx._facts[0].kernel_t.T
     y = np.linalg.lstsq(kernel, c.f_coeffs, rcond=None)[0]
@@ -856,7 +858,7 @@ def refine(c: Candidate, mode: str = "free_F") -> RefineResult:
     if defect > 1e-8:
         raise CandidateError(
             f"candidate F is not closed (distance {defect:.2e} from the dF=0 subspace)")
-    x, iters, reasons, n_evals = _levmar(ctx, _point(entry, c.metric_params, y)[None],
+    x, iters, reasons, n_evals = _levmar(ctx, _point(c.entry, c.metric_params, y)[None],
                                          SEARCH_TOL, REFINE_MAX_ITER)
     return RefineResult(candidate=replace(ctx.candidates(x)[0], orientation=c.orientation),
                         converged=reasons[0] == "converged", iterations=int(iters[0]),
@@ -1073,14 +1075,14 @@ def _starts(segments: list[tuple], mode: str):
     return status, ctx, x0
 
 
-def _reverified(entries: list[CatalogEntry], cands: list[Candidate]) -> list[EMReport]:
+def _reverified(cands: list[Candidate]) -> list[EMReport]:
     """Independent re-verification of candidates through the geometry
-    modules only, in one stacked ``em_residual`` call: candidate s on entry
-    s, its algebra and metric instantiated from its own parameters, one
-    ``instantiate_many`` call and one metric build per entry."""
+    modules only, in one stacked ``em_residual`` call: each candidate on its
+    own entry, its algebra and metric instantiated from its own parameters,
+    one ``instantiate_many`` call and one metric build per entry."""
     c = np.empty((len(cands), 4, 4, 4))
     g = np.empty((len(cands), 4, 4))
-    for entry, rows in _by_entry(entries):
+    for entry, rows in _by_entry([cand.entry for cand in cands]):
         c[rows] = instantiate_many(entry, [cands[s].algebra_params for s in rows])
         g[rows] = metric_from_params(entry, [[cands[s].metric_params[n]
                                               for n in entry.metric_param_names] for s in rows])
@@ -1105,7 +1107,7 @@ def _run_block(*segments) -> list[dict]:
         return records
     x, iters, reasons, _ = _levmar(ctx, x0, tol=SEARCH_TOL, max_iter=SEARCH_MAX_ITER)
     cands = ctx.candidates(x, canonical=True)
-    reports = _reverified([facts.entry for facts in ctx._facts], cands)
+    reports = _reverified(cands)
     refined = [record for record in records if record["status"] == "refined"]
     for s, record in enumerate(refined):
         record.update(reason=reasons[s], iterations=int(iters[s]), candidate=cands[s],
@@ -1117,7 +1119,7 @@ def _run_block(*segments) -> list[dict]:
 class SearchRequest:
     """One multistart search: the arguments of ``multistart_search`` but n_jobs."""
 
-    entry: CatalogEntry | str
+    entry: CatalogEntry
     n_seeds: int
     seed: int = 0
     mode: str = "unit_F"
@@ -1131,9 +1133,11 @@ def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[Sear
     changes; with n_jobs > 1 a process pool takes whole programs.  The
     packing never depends on n_jobs, and a seed's result is the one it has
     alone, so each outcome is that of the request's own ``multistart_search``
-    (``wall_time`` is the time of the whole call).  Each request's entry is
-    resolved once, here, and its programs carry the ``CatalogEntry`` itself.
+    (``wall_time`` is the time of the whole call).  Programs carry each
+    request's ``CatalogEntry`` as given; a name in its place is a TypeError.
     """
+    if not all(isinstance(r.entry, CatalogEntry) for r in requests):
+        raise TypeError("each request's entry must be a CatalogEntry")
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
     if any(r.n_seeds < 1 for r in requests):
@@ -1142,18 +1146,16 @@ def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[Sear
         if r.mode not in MODES:
             raise ValueError(f"unknown mode {r.mode!r}")
     t0 = time.perf_counter()
-    entries = [r.entry if isinstance(r.entry, CatalogEntry) else entry_by_name(r.entry)
-               for r in requests]
     programs: list[list[tuple]] = []
     room = 0
-    for r, entry in zip(requests, entries):
+    for r in requests:
         lo = 0
         while lo < r.n_seeds:
             if not room or programs[-1][-1][-1] != r.mode:
                 programs.append([])
                 room = _BLOCK
             hi = min(r.n_seeds, lo + room)
-            programs[-1].append((entry, r.seed, lo, hi, r.mode))
+            programs[-1].append((r.entry, r.seed, lo, hi, r.mode))
             room -= hi - lo
             lo = hi
     workers = min(n_jobs, len(programs))
@@ -1167,8 +1169,8 @@ def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[Sear
         done = [_run_block(*p) for p in programs]
     results = [res for program in done for res in program]
     outcomes, at = [], 0
-    for r, entry in zip(requests, entries):
-        outcomes.append(_outcome(entry, r, results[at:at + r.n_seeds]))
+    for r in requests:
+        outcomes.append(_outcome(r, results[at:at + r.n_seeds]))
         at += r.n_seeds
     wall_time = time.perf_counter() - t0
     for outcome in outcomes:
@@ -1176,7 +1178,7 @@ def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[Sear
     return outcomes
 
 
-def _outcome(entry: CatalogEntry, request: SearchRequest, results: list[dict]) -> SearchOutcome:
+def _outcome(request: SearchRequest, results: list[dict]) -> SearchOutcome:
     """A request's ledger, distinct solutions and closest miss from its
     seeds' records; an infeasible start ran no iteration and is no miss.
     A seed's miss is its largest residual, and a NaN residual makes the
@@ -1184,7 +1186,7 @@ def _outcome(entry: CatalogEntry, request: SearchRequest, results: list[dict]) -
     refined = [res for res in results if res["status"] == "refined"]
     reasons = [res["reason"] for res in refined]
     outcome = SearchOutcome(
-        entry_name=entry.name, mode=request.mode, seed=request.seed, seeds_used=len(refined),
+        request.entry.name, request.mode, request.seed, seeds_used=len(refined),
         seeds_sampled=sum(res["status"] != "sampling-failed" for res in results),
         seeds_refined=len(refined) - reasons.count("infeasible start"),
         stop_reasons={r: reasons.count(r) for r in STOP_REASONS})
@@ -1206,16 +1208,16 @@ def _outcome(entry: CatalogEntry, request: SearchRequest, results: list[dict]) -
     return outcome
 
 
-def multistart_search(entry, n_seeds: int, seed: int = 0, mode: str = "unit_F",
+def multistart_search(entry: CatalogEntry, n_seeds: int, seed: int = 0, mode: str = "unit_F",
                       n_jobs: int = 1) -> SearchOutcome:
     """Refine from n_seeds deterministic random starts and collect solutions:
     the one-request case of ``multistart_many``.  Seeds run in fixed blocks
     of consecutive indices (``_BLOCK``); with n_jobs > 1 a process pool
     takes whole blocks, so the outcome is the same for every n_jobs.
 
-    ``entry`` is a ``CatalogEntry``, run as given, or the name of a packaged
-    entry.  The outcome's ``to_dict`` records the checksum of the packaged
-    catalog (``catalog_sha256``) whatever entry ran, a derived one included.
+    ``entry`` is a ``CatalogEntry``, run as given.  The outcome's ``to_dict``
+    records the checksum of the packaged catalog (``catalog_sha256``)
+    whatever entry ran, a derived one included.
     """
     return multistart_many([SearchRequest(entry, n_seeds, seed, mode)], n_jobs)[0]
 
@@ -1245,13 +1247,8 @@ class FamilyReport:
 
 
 def family_candidate(fam: Family, point: dict, orientation: int = 1) -> Candidate:
-    return Candidate(
-        entry_name=fam.entry_name,
-        algebra_params=fam.algebra_params(point),
-        metric_params=fam.metric_params(point),
-        f_coeffs=fam.f_coeffs(point),
-        orientation=orientation,
-    )
+    return Candidate(entry_by_name(fam.entry_name), fam.algebra_params(point),
+                     fam.metric_params(point), fam.f_coeffs(point), orientation)
 
 
 def verify_solution_family(family_id: str, orientation: int = 1) -> FamilyReport:
@@ -1267,13 +1264,12 @@ def verify_solution_family(family_id: str, orientation: int = 1) -> FamilyReport
         stated = " and ".join(f"{o:+d}" for o in fam.orientations)
         raise ValueError(f"family {fam.id} is stated for orientation {stated} only, "
                          f"not {orientation:+d}")
-    entry = entry_by_name(fam.entry_name)
     max_res = max_kerr = max_rho_err = max_defect = 0.0
     classifications, types = [], []
     ok = True
     for point in fam.default_grid:
         cand = family_candidate(fam, point, orientation)
-        L, g = _admitted(entry, cand.algebra_params, cand.metric_params)
+        L, g = _admitted(cand.entry, cand.algebra_params, cand.metric_params)
         report = em_residual(L, g, cand.f_coeffs)
         max_res = max(max_res, report.r_em, report.r_dF, report.r_dstarF)
         classifications.append(report.classification)
@@ -1326,7 +1322,7 @@ class ClassifyOutcome:
         return out
 
 
-def classify_table(entries, n_seeds: int = 200, seed: int = 0,
+def classify_table(entries: list[CatalogEntry], n_seeds: int = 200, seed: int = 0,
                    n_jobs: int = 1) -> list[ClassifyOutcome]:
     """Compare the search verdict with the catalog verdict, one row per entry.
 
@@ -1344,9 +1340,9 @@ def classify_table(entries, n_seeds: int = 200, seed: int = 0,
     tolerance; otherwise it is inconclusive.  The free-norm pass's closest
     miss is reported beside it and gates nothing: without the |F|^2_g = 1
     row, a run can shrink the absolute residual by driving the metric
-    towards degeneracy.
+    towards degeneracy.  Each of ``entries`` is a ``CatalogEntry``, run as
+    given.
     """
-    entries = [e if isinstance(e, CatalogEntry) else entry_by_name(e) for e in entries]
     units = multistart_many([SearchRequest(e, n_seeds, seed, "unit_F") for e in entries], n_jobs)
     need = [i for i, unit in enumerate(units) if not _non_einstein(unit.solutions)]
     frees = multistart_many([SearchRequest(entries[i], n_seeds, seed, "free_F") for i in need],
@@ -1398,7 +1394,7 @@ def _classify_row(entry: CatalogEntry, outcome: SearchOutcome,
     )
 
 
-def classify_algebra(entry, n_seeds: int = 200, seed: int = 0,
+def classify_algebra(entry: CatalogEntry, n_seeds: int = 200, seed: int = 0,
                      n_jobs: int = 1) -> ClassifyOutcome:
     """One row of ``classify_table``."""
     return classify_table([entry], n_seeds, seed, n_jobs)[0]

@@ -33,7 +33,7 @@ def draw_admissible(entry, rng):
 
 def instantiated(cand):
     """(entry, algebra, metric) of a candidate, built from its parameters."""
-    entry = la.entry_by_name(cand.entry_name)
+    entry = cand.entry
     return (entry, la.instantiate(entry, cand.algebra_params),
             la.metric_from_params(entry, cand.metric_params))
 

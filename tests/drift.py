@@ -31,6 +31,17 @@ fails or when any ledger or verdict differs, else 0.  Each KEY names a report
 expected to differ, as a ``differs:`` line prints it (a JSON list such as
 ``'["family", "2A2", -1]'``); then it exits 0 exactly when the reports that
 are not byte-identical are those named and the 200-seed tables agree.
+
+``verify-write`` records the stdout, stderr and exit code of ``verify
+--json`` on every document of the benchmark's ``verify`` workload at seed
+``VERIFY_SEED`` (the documents come from this script's own tree, the
+package from ``PYTHONPATH``, so one copy of the script serves two trees);
+``verify-compare`` exits 1 naming the first document whose record differs::
+
+    (cd BASE && PYTHONPATH=src python3 CHANGE/tests/drift.py verify-write before.jsonl)
+    PYTHONPATH=src python3 tests/drift.py verify-write after.jsonl
+    python3 tests/drift.py verify-compare before.jsonl after.jsonl
+
 pytest does not collect this file.
 """
 
@@ -58,6 +69,8 @@ ORIENTATIONS = [1, -1]
 INADMISSIBLE = {"entry": "2A2", "metric_params": {"a1": 0.0, "a2": 0.0, "a3": 0.0, "a4": 0.0,
                                                    "a5": 0.0},
                 "f_coeffs": [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]}
+#: Seed of the benchmark's ``verify`` documents: 1,034 of them.
+VERIFY_SEED = 3
 
 
 def _run_cli(argv: list[str]) -> dict:
@@ -235,9 +248,44 @@ def compare(path_a: str, path_b: str, expected: list[str] | None = None) -> bool
     return not unexpected and pooled_same
 
 
+def write_verify(path: str) -> None:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    from workloads import Verify
+
+    from liemaxwell import cli
+
+    with tempfile.TemporaryDirectory() as tmp, open(path, "w") as fh:
+        for doc, _, kind in Verify(VERIFY_SEED, Path(tmp)).docs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["verify", str(doc), "--json"])
+            fh.write(json.dumps({"doc": f"{doc.name} ({kind})", "stdout": out.getvalue(),
+                                 "stderr": err.getvalue(), "exit": code}) + "\n")
+
+
+def compare_verify(path_a: str, path_b: str) -> bool:
+    """Whether two ``verify-write`` files hold the same records; else the
+    first document that differs is printed."""
+    with open(path_a) as fa, open(path_b) as fb:
+        a, b = fa.readlines(), fb.readlines()
+    for line_a, line_b in zip(a, b):
+        if line_a != line_b:
+            print(f"differs: {json.loads(line_a)['doc']}")
+            return False
+    if len(a) != len(b):
+        print(f"the files hold {len(a)} and {len(b)} documents")
+        return False
+    print(f"verify documents: {len(a)}, all identical")
+    return True
+
+
 if __name__ == "__main__":
     if len(sys.argv) == 3 and sys.argv[1] == "write":
         write(sys.argv[2])
+    elif len(sys.argv) == 3 and sys.argv[1] == "verify-write":
+        write_verify(sys.argv[2])
+    elif len(sys.argv) == 4 and sys.argv[1] == "verify-compare":
+        sys.exit(0 if compare_verify(sys.argv[2], sys.argv[3]) else 1)
     elif len(sys.argv) >= 4 and sys.argv[1] == "compare":
         keys = sys.argv[4:] or None
         sys.exit(0 if compare(sys.argv[2], sys.argv[3], keys) else 1)

@@ -283,10 +283,10 @@ def test_criterion_9_gradient_check():
 
 
 def test_criterion_10_determinism():
-    a = solver.multistart_search("2A2", n_seeds=50, seed=7, n_jobs=1)
-    b = solver.multistart_search("2A2", n_seeds=50, seed=7, n_jobs=1)
+    a = solver.multistart_search(la.entry_by_name("2A2"), n_seeds=50, seed=7, n_jobs=1)
+    b = solver.multistart_search(la.entry_by_name("2A2"), n_seeds=50, seed=7, n_jobs=1)
     assert json.dumps(a.to_dict(), indent=2) == json.dumps(b.to_dict(), indent=2)
-    c = solver.multistart_search("2A2", n_seeds=50, seed=7, n_jobs=N_JOBS)
+    c = solver.multistart_search(la.entry_by_name("2A2"), n_seeds=50, seed=7, n_jobs=N_JOBS)
     assert json.dumps(a.to_dict()) == json.dumps(c.to_dict())
     blob = json.loads(json.dumps(a.to_dict()))
     assert blob["n_solutions"] >= 1

@@ -51,3 +51,19 @@ def test_keys_name_exactly_the_records_that_differ(tmp_path, parent, capsys):
     assert not drift.compare(parent, pooled, [json.dumps(TABLES[1])])
     with pytest.raises(SystemExit, match="no report has the key"):
         drift.compare(parent, same, ['["nope"]'])
+
+
+def test_verify_compare_names_the_first_document_that_differs(tmp_path, capsys):
+    def records(path, exits):
+        path.write_text("".join(json.dumps({"doc": f"candidate{k:05d}.json (random draw)",
+                                            "stdout": "", "stderr": "", "exit": code}) + "\n"
+                                for k, code in enumerate(exits)))
+        return str(path)
+
+    parent = records(tmp_path / "parent.jsonl", [1, 1, 2])
+    assert drift.compare_verify(parent, records(tmp_path / "same.jsonl", [1, 1, 2]))
+    assert "verify documents: 3, all identical" in capsys.readouterr().out
+    assert not drift.compare_verify(parent, records(tmp_path / "exit.jsonl", [1, 2, 1]))
+    assert capsys.readouterr().out == "differs: candidate00001.json (random draw)\n"
+    assert not drift.compare_verify(parent, records(tmp_path / "short.jsonl", [1, 1]))
+    assert "the files hold 3 and 2 documents" in capsys.readouterr().out

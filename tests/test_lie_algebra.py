@@ -354,7 +354,9 @@ def _first_entry(**change):
     (lambda doc: {}, "catalog document has no 'version'"),
     (_first_entry(verdict=None), "2A2: entry has no 'verdict'"),
     (_first_entry(brackets="x"), "2A2: malformed entry"),
-], ids=["list", "empty", "no-verdict", "string-brackets"])
+    (lambda doc: {**doc, "entries": {raw["name"]: raw for raw in doc["entries"]}},
+     "catalog entries are not a JSON list"),
+], ids=["list", "empty", "no-verdict", "string-brackets", "entries-object"])
 def test_catalog_refuses_malformed_documents(tmp_path, edit, message):
     # Each escaped as an AttributeError, KeyError or TypeError.
     path = tmp_path / "catalog.json"
@@ -593,14 +595,45 @@ def _bracket_12(expr):
      "A4,2^p: variant 'p=-1' must name exactly the parameters ['p'], got ['q']"),
     ("A4,5^{a,b}", lambda raw: raw["variants"][0]["params"].update(a=2.0),
      "A4,5^{a,b}: parameter a=2.0 outside admissible range"),
-], ids=["bracket-at-sample", "bracket-at-variant", "misnamed-variant", "out-of-range-variant"])
+    ("A4,4", lambda raw: raw["brackets"].append({"i": 2, "j": 1, "coeffs": [[3, "1"]]}),
+     "A4,4: bracket indices must satisfy 1 <= i < j <= 4 and 1 <= k <= 4, got (2, 1)"),
+    ("A4,4", lambda raw: raw["brackets"].append({"i": 1, "j": 2, "coeffs": [[5, "1"]]}),
+     "A4,4: bracket indices must satisfy 1 <= i < j <= 4 and 1 <= k <= 4, got (1, 2)"),
+    ("A4,5^{a,b}", _bracket_12("a +"), "A4,5^{a,b}: bad bracket expression: "),
+    ("A4,4", lambda raw: raw["constraints"].append("a1 * (a3"), "A4,4: bad constraint: "),
+    ("A4,4", lambda raw: raw["positive_metric_params"].append("a4"),
+     "A4,4: positive_metric_params not in shape"),
+], ids=["bracket-at-sample", "bracket-at-variant", "misnamed-variant", "out-of-range-variant",
+        "bracket-order", "bracket-target", "bad-bracket-expression", "bad-constraint",
+        "positive-not-in-shape"])
 def test_catalog_gate_checks_every_sample_and_variant(tmp_path, name, edit, message):
     # The packaged catalog's samples and admissible variants all pass (it
-    # loads); a copy with a corrupted bracket or a bad variant is refused,
-    # naming the entry.  A4,6^{a,0}'s inadmissible variant a = 0 needs only
-    # its parameter names.
+    # loads); a copy with a corrupted bracket, constraint or shape, or a bad
+    # variant, is refused, naming the entry.  A4,6^{a,0}'s inadmissible
+    # variant a = 0 needs only its parameter names.
     with pytest.raises(la.CatalogError, match=re.escape(message)):
         la.load_catalog(catalog_copy(tmp_path, name, edit))
+
+
+def test_a_metric_takes_its_own_entry_names(tmp_path):
+    # A copy of A4,4 whose cell a2 is renamed b2 loads, and its metrics take
+    # its own names: the packaged entry's names are a CatalogError naming
+    # the entry, as are a missing and an extra name.
+    def rename(raw):
+        raw["metric_shape"] = [[{"a2": "b2"}.get(cell, cell) for cell in row]
+                               for row in raw["metric_shape"]]
+        raw["constraints"] = ["a1*a3 - b2^2", "a1"]
+
+    copy = next(e for e in la.load_catalog(catalog_copy(tmp_path, "A4,4", rename))
+                if e.name == "A4,4")
+    g = la.metric_from_params(copy, {"a1": 2.0, "b2": 0.5, "a3": 1.0})
+    assert g[1, 2] == g[2, 1] == 0.5
+    for params in ({"a1": 2.0, "a2": 0.5, "a3": 1.0}, {"a1": 2.0, "a3": 1.0},
+                   {"a1": 2.0, "b2": 0.5, "a3": 1.0, "a4": 0.0}):
+        with pytest.raises(la.CatalogError, match=re.escape(
+                "A4,4: metric parameters ['a1', 'a3', 'b2'] required, got "
+                f"{sorted(params)}")):
+            la.metric_from_params(copy, params)
 
 
 def test_the_name_index_is_built_once(monkeypatch):

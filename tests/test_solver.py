@@ -13,27 +13,28 @@ import pytest
 import oracles as orc
 from conftest import catalog_copy, instantiated
 from liemaxwell import lie_algebra as la
-from liemaxwell import maxwell, solver
+from liemaxwell import cli, kahler, maxwell, solver
 from liemaxwell import metric_geometry as mg
 from liemaxwell.families import FAMILIES
 from liemaxwell.forms import norm_sq, two_form
 
 
 def cand_2a2(a5=2.0, a12=1.0, a34=np.sqrt(3)):
-    return solver.Candidate("2A2", {}, {"a1": 0, "a2": 0, "a3": 0, "a4": 0, "a5": a5},
+    return solver.Candidate(la.entry_by_name("2A2"), {},
+                            {"a1": 0, "a2": 0, "a3": 0, "a4": 0, "a5": a5},
                             two_form(e12=a12, e34=a34))
 
 
 def test_residual_vector_zero_at_family_points():
     assert np.abs(solver.residual_vector(cand_2a2())).max() <= 1e-12
-    c49 = solver.Candidate("A49half", {}, {"a1": 1.0, "a2": 0, "a3": 0, "a4": 0},
+    c49 = solver.Candidate(la.entry_by_name("A49half"), {}, {"a1": 1.0, "a2": 0, "a3": 0, "a4": 0},
                            two_form(e13=np.sqrt(2.5), e24=1.0))
     assert np.abs(solver.residual_vector(c49)).max() <= 1e-12
 
 
 def test_residual_vector_nonzero_matches_oracle():
-    c = solver.Candidate("2A2", {}, {"a1": 0, "a2": 0, "a3": 0, "a4": 0, "a5": 3.0},
-                         two_form(e34=1.0))
+    c = solver.Candidate(la.entry_by_name("2A2"), {},
+                         {"a1": 0, "a2": 0, "a3": 0, "a4": 0, "a5": 3.0}, two_form(e34=1.0))
     vec = solver.residual_vector(c)
     assert len(vec) == 18
     # independent assembly: orthonormal-frame Ricci + direct stress + Leibniz d
@@ -54,8 +55,8 @@ def test_residual_vector_nonzero_matches_oracle():
 
 
 def test_residual_vector_rejects_constraint_violation():
-    bad = solver.Candidate("2A2", {}, {"a1": 0, "a2": 0, "a3": 0, "a4": 0, "a5": -1.0},
-                           two_form(e34=1.0))
+    bad = solver.Candidate(la.entry_by_name("2A2"), {},
+                           {"a1": 0, "a2": 0, "a3": 0, "a4": 0, "a5": -1.0}, two_form(e34=1.0))
     with pytest.raises(solver.CandidateError):
         solver.residual_vector(bad)
 
@@ -254,10 +255,11 @@ def test_search_refuses_bad_mode(monkeypatch):
 
     monkeypatch.setattr(solver, "_run_block", no_program)
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-        solver.multistart_search("2A2", 2, mode="bogus")
+        solver.multistart_search(la.entry_by_name("2A2"), 2, mode="bogus")
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-        solver.multistart_many([solver.SearchRequest("2A2", 2),
-                                solver.SearchRequest("A4,4", 2, mode="bogus")], n_jobs=2)
+        solver.multistart_many([solver.SearchRequest(la.entry_by_name("2A2"), 2),
+                                solver.SearchRequest(la.entry_by_name("A4,4"), 2, mode="bogus")],
+                               n_jobs=2)
 
 
 def test_refine_fixed_point():
@@ -289,7 +291,7 @@ def test_refine_a44_unit_norm_fails():
     mp = solver.sample_metric_params(entry, [rng])[0]
     ctx = solver.ResidualContext([(entry, {})], mode="unit_F")
     f6 = ctx._facts[0].kernel_t.T @ np.array([1.0, 0.5, -0.3])
-    c = solver.Candidate("A4,4", {}, mp, f6)
+    c = solver.Candidate(la.entry_by_name("A4,4"), {}, mp, f6)
     res = solver.refine(c, mode="unit_F")
     assert not res.converged
     assert res.reason in ("stalled", "constraint-trapped", "iteration cap", "slow progress")
@@ -298,8 +300,8 @@ def test_refine_a44_unit_norm_fails():
 
 
 def test_refine_rejects_nonclosed_f():
-    c = solver.Candidate("2A2", {}, {"a1": 0, "a2": 0, "a3": 0, "a4": 0, "a5": 2.0},
-                         two_form(e14=1.0))
+    c = solver.Candidate(la.entry_by_name("2A2"), {},
+                         {"a1": 0, "a2": 0, "a3": 0, "a4": 0, "a5": 2.0}, two_form(e14=1.0))
     with pytest.raises(solver.CandidateError, match="closed"):
         solver.refine(c)
 
@@ -310,7 +312,7 @@ def test_refine_refuses_an_inadmissible_start():
     # constraint failing (A4,4 with a1 = 1e-9, inside the EPS_PD margin).
     a44 = solver.ResidualContext([(la.entry_by_name("A4,4"), {})])
     bad = [cand_2a2(a5=-1.0),
-           solver.Candidate("A4,4", {}, {"a1": 1e-9, "a2": 0.0, "a3": 1.0},
+           solver.Candidate(la.entry_by_name("A4,4"), {}, {"a1": 1e-9, "a2": 0.0, "a3": 1.0},
                             a44._facts[0].kernel_t.T @ np.array([1.0, 0.5, -0.3]))]
     for c in bad:
         with pytest.raises(solver.CandidateError, match="> 0 violated") as refused:
@@ -338,7 +340,7 @@ def test_jacobian_matches_forward_differences():
 
 
 def test_multistart_2a2_finds_family():
-    out = solver.multistart_search("2A2", n_seeds=25, seed=7)
+    out = solver.multistart_search(la.entry_by_name("2A2"), n_seeds=25, seed=7)
     non_einstein = [(c, r) for c, r in out.solutions
                     if r.classification == maxwell.NON_EINSTEIN_EM]
     assert non_einstein
@@ -350,29 +352,29 @@ def test_multistart_2a2_finds_family():
 
 
 def test_multistart_a44_no_solutions():
-    out = solver.multistart_search("A4,4", n_seeds=40, seed=3)
+    out = solver.multistart_search(la.entry_by_name("A4,4"), n_seeds=40, seed=3)
     assert not out.solutions
     assert out.best_nonsolution_residual > 1e-3
 
 
 def test_multistart_abelian_free_f():
-    out = solver.multistart_search("abelian", n_seeds=10, seed=1, mode="free_F")
+    out = solver.multistart_search(la.entry_by_name("abelian"), n_seeds=10, seed=1, mode="free_F")
     assert out.solutions
     assert {r.classification for _, r in out.solutions} == {maxwell.EINSTEIN_NULL_STRESS}
 
 
 def test_multistart_rejects_bad_seeds():
     with pytest.raises(ValueError):
-        solver.multistart_search("2A2", n_seeds=0, seed=0)
+        solver.multistart_search(la.entry_by_name("2A2"), n_seeds=0, seed=0)
     for n_jobs in (0, -1):
         with pytest.raises(ValueError, match="n_jobs"):
-            solver.multistart_search("2A2", n_seeds=2, seed=0, n_jobs=n_jobs)
+            solver.multistart_search(la.entry_by_name("2A2"), n_seeds=2, seed=0, n_jobs=n_jobs)
 
 
 def test_search_determinism_and_parallel_merge():
-    a = solver.multistart_search("2A2", n_seeds=16, seed=7, n_jobs=1)
-    b = solver.multistart_search("2A2", n_seeds=16, seed=7, n_jobs=1)
-    c = solver.multistart_search("2A2", n_seeds=16, seed=7, n_jobs=2)
+    a = solver.multistart_search(la.entry_by_name("2A2"), n_seeds=16, seed=7, n_jobs=1)
+    b = solver.multistart_search(la.entry_by_name("2A2"), n_seeds=16, seed=7, n_jobs=1)
+    c = solver.multistart_search(la.entry_by_name("2A2"), n_seeds=16, seed=7, n_jobs=2)
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict()) == json.dumps(c.to_dict())
     assert "wall_time" not in a.to_dict()
     assert "wall_time" in a.to_dict(include_timing=True)
@@ -380,9 +382,9 @@ def test_search_determinism_and_parallel_merge():
 
 
 def test_sign_flip_orbit():
-    out = solver.multistart_search("2A2", n_seeds=10, seed=2)
+    out = solver.multistart_search(la.entry_by_name("2A2"), n_seeds=10, seed=2)
     cand, rep = out.solutions[0]
-    flipped = solver.Candidate(cand.entry_name, cand.algebra_params, cand.metric_params,
+    flipped = solver.Candidate(cand.entry, cand.algebra_params, cand.metric_params,
                                -cand.f_coeffs, cand.orientation)
     entry = la.entry_by_name("2A2")
     L = la.instantiate(entry, {})
@@ -395,7 +397,7 @@ def test_sign_flip_orbit():
 
 
 def test_independent_reverification_of_solutions():
-    out = solver.multistart_search("A46a0", n_seeds=20, seed=9)
+    out = solver.multistart_search(la.entry_by_name("A46a0"), n_seeds=20, seed=9)
     assert out.solutions
     for cand, rep in out.solutions:
         vec = solver.residual_vector(cand)
@@ -403,12 +405,12 @@ def test_independent_reverification_of_solutions():
 
 
 def test_classify_agreements():
-    res = solver.classify_algebra("2A2", n_seeds=30, seed=0)
+    res = solver.classify_algebra(la.entry_by_name("2A2"), n_seeds=30, seed=0)
     assert res.agree and res.computed == "HasNonEinsteinEM"
-    res = solver.classify_algebra("A4,12", n_seeds=30, seed=0)
+    res = solver.classify_algebra(la.entry_by_name("A4,12"), n_seeds=30, seed=0)
     assert res.agree and not res.inconclusive
     assert res.max_null_stress <= 1e-8
-    res = solver.classify_algebra("A3,9+A1", n_seeds=30, seed=0)
+    res = solver.classify_algebra(la.entry_by_name("A3,9+A1"), n_seeds=30, seed=0)
     assert res.agree
 
 
@@ -416,7 +418,7 @@ def test_classify_all_positive_entries():
     # the four positive entries all classify as HasNonEinsteinEM at a small
     # budget (the negatives run at full budget in the acceptance sweep)
     for name in ("2A2", "A2+2A1", "A46a0", "A49half"):
-        res = solver.classify_algebra(name, n_seeds=40, seed=5)
+        res = solver.classify_algebra(la.entry_by_name(name), n_seeds=40, seed=5)
         assert res.agree and res.computed == "HasNonEinsteinEM", name
 
 
@@ -429,6 +431,30 @@ def test_verify_solution_family_reports():
     assert rev.all_pass and set(rev.hermitian_types) == {"Kahler"}
 
 
+@pytest.mark.parametrize("change", [
+    # a5 = 1 at a12 = a34 = 1: the metric is Einstein there
+    {"default_grid": ({"a12": 1.0, "a34": 1.0},)},
+    # not Kahler where a5 != 4, so no rho0 at those points
+    {"omega_from_metric": lambda mp, o: two_form(e12=1.0, e34=2.0)},
+    {"expected_kappa": lambda p, o: 1.0},
+], ids=["einstein-point", "wrong-omega", "wrong-kappa"])
+def test_the_family_battery_can_fail(monkeypatch, capsys, change):
+    # A 2A2 family with one wrong fact fails its battery, and
+    # `liemaxwell family 2A2` exits 1 on it.
+    monkeypatch.setitem(FAMILIES, "2A2", dataclasses.replace(FAMILIES["2A2"], **change))
+    rep = solver.verify_solution_family("2A2")
+    assert not rep.all_pass
+    if "default_grid" in change:
+        assert rep.classifications == [maxwell.EINSTEIN_NULL_STRESS]
+    elif "omega_from_metric" in change:
+        assert kahler.NOT_COMPATIBLE in rep.hermitian_types
+    else:
+        assert rep.max_kappa_error == pytest.approx(3.12, abs=0.01)
+        assert rep.max_residual <= solver.TOL_FAMILY
+    assert cli.main(["family", "2A2", "--json"]) == cli.EXIT_FAIL
+    assert json.loads(capsys.readouterr().out)["all_pass"] is False
+
+
 @pytest.mark.parametrize("fid", ["2A2", "A2+2A1", "A46a0"])
 def test_family_refuses_an_orientation_it_does_not_state(fid):
     # Stated for +1 only: at -1 their Kahler expectations would read as a FAIL.
@@ -438,33 +464,69 @@ def test_family_refuses_an_orientation_it_does_not_state(fid):
 
 
 def test_candidate_refuses_boolean_parameters():
+    a46, a44 = la.entry_by_name("A4,6^{a,0}"), la.entry_by_name("A4,4")
     metric = {"a1": 0.0, "a2": 0.0, "a3": 1.0}
     f6 = [0, 0, 0, 1, 0, 0]
     with pytest.raises(solver.CandidateError, match="boolean"):
-        solver.Candidate("A4,6^{a,0}", {"a": True}, metric, f6)
+        solver.Candidate(a46, {"a": True}, metric, f6)
     with pytest.raises(solver.CandidateError, match="boolean"):
-        solver.Candidate("A4,6^{a,0}", {"a": 1.0}, {**metric, "a3": np.True_}, f6)
-    assert solver.Candidate("A4,6^{a,0}", {"a": 1}, metric, f6).algebra_params == {"a": 1}
+        solver.Candidate(a46, {"a": 1.0}, {**metric, "a3": np.True_}, f6)
+    assert solver.Candidate(a46, {"a": 1}, metric, f6).algebra_params == {"a": 1}
     # Booleans among the coefficients are refused as among the parameters,
     # in a list and as a bool array.
-    a44 = {"a1": 1.0, "a2": 0.0, "a3": 1.0}
+    a44_metric = {"a1": 1.0, "a2": 0.0, "a3": 1.0}
     for coeffs in ([True, 0, 0, 0, 0, 0], [np.True_, 0, 0, 0, 0, 0],
                    np.array([1, 0, 0, 0, 0, 0], dtype=bool)):
         with pytest.raises(solver.CandidateError, match="boolean"):
-            solver.Candidate("A4,4", {}, a44, coeffs)
+            solver.Candidate(a44, {}, a44_metric, coeffs)
     # Values that are not real numbers at all are refused the same way, never
     # with a TypeError or a bare ValueError from the conversion.
     for value in ("1", None, [1.0], 1j):
         with pytest.raises(solver.CandidateError, match="real numbers"):
-            solver.Candidate("A4,1", {}, {"a1": value}, [0.0] * 6)
+            solver.Candidate(la.entry_by_name("A4,1"), {}, {"a1": value}, [0.0] * 6)
     for coeffs in ([1j] * 6, ["x"] * 6, [[1.0, 2.0], 3.0, 0.0, 0.0, 0.0, 0.0]):
         with pytest.raises(solver.CandidateError, match="real numbers"):
-            solver.Candidate("A4,6^{a,0}", {"a": 1.0}, metric, coeffs)
+            solver.Candidate(a46, {"a": 1.0}, metric, coeffs)
+    # Refusals that a JSON document meets earlier, in from_dict: the wrong
+    # number of coefficients, non-finite values and integers beyond the
+    # float range, in a list, an array or the parameters.
+    for coeffs in ([1.0] * 5, [1.0] * 7, np.zeros(5), np.zeros((2, 6)), 1.0):
+        with pytest.raises(solver.CandidateError, match="six components"):
+            solver.Candidate(a44, {}, a44_metric, coeffs)
+    for coeffs in ([math.inf, 0, 0, 0, 0, 0], np.array([0, 0, math.nan, 0, 0, 0]),
+                   [10 ** 400, 0, 0, 0, 0, 0]):
+        with pytest.raises(solver.CandidateError, match="must be finite"):
+            solver.Candidate(a44, {}, a44_metric, coeffs)
+    for value in (math.inf, -math.inf, math.nan, 10 ** 400):
+        with pytest.raises(solver.CandidateError, match="must be finite"):
+            solver.Candidate(a44, {}, {**a44_metric, "a2": value}, [1.0] + [0.0] * 5)
+        with pytest.raises(solver.CandidateError, match="must be finite"):
+            solver.Candidate(a46, {"a": value}, metric, [0.0] * 6)
     # A numpy integer orientation is kept as a Python int, so the candidate
     # serializes to JSON.
-    c = solver.Candidate("A4,4", {}, a44, [1.0, 0, 0, 0, 0, 0], orientation=np.int64(-1))
+    c = solver.Candidate(a44, {}, a44_metric, [1.0, 0, 0, 0, 0, 0], orientation=np.int64(-1))
     assert type(c.orientation) is int and c.orientation == -1
     assert json.loads(json.dumps(c.to_dict()))["orientation"] == -1
+
+
+def test_a_name_where_an_entry_belongs_is_a_type_error(monkeypatch):
+    # Names are resolved where they are typed; inside the library a string
+    # in place of a CatalogEntry is refused before any program runs.
+    def no_program(*segments):
+        raise AssertionError("a program ran")
+
+    monkeypatch.setattr(solver, "_run_block", no_program)
+    with pytest.raises(TypeError, match="CatalogEntry"):
+        solver.Candidate("A4,4", {}, {"a1": 1.0, "a2": 0.0, "a3": 1.0}, [1.0] + [0.0] * 5)
+    with pytest.raises(TypeError, match="CatalogEntry"):
+        solver.multistart_search("A4,4", n_seeds=2)
+    with pytest.raises(TypeError, match="CatalogEntry"):
+        solver.multistart_many([solver.SearchRequest(la.entry_by_name("2A2"), 2),
+                                solver.SearchRequest("A4,4", 2)])
+    with pytest.raises(TypeError, match="CatalogEntry"):
+        solver.classify_table([la.entry_by_name("2A2"), "A4,4"], n_seeds=2)
+    with pytest.raises(TypeError, match="CatalogEntry"):
+        solver.classify_algebra("2A2", n_seeds=2)
 
 
 def test_family_points_samples_and_starts_still_build():
@@ -475,7 +537,7 @@ def test_family_points_samples_and_starts_still_build():
         for point in fam.default_grid:
             for orientation in (1, -1):
                 cand = solver.family_candidate(fam, point, orientation)
-                la.instantiate(la.entry_by_name(cand.entry_name), cand.algebra_params)
+                la.instantiate(cand.entry, cand.algebra_params)
     for entry in la.catalog():
         la.instantiate(entry, entry.sample_params())
         _, ctx, x0 = solver._starts([(entry, 3, range(4))], "unit_F")
@@ -488,7 +550,7 @@ def test_candidate_serialization_roundtrip(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(__import__("json").dumps(c.to_dict()))
     c2 = solver.Candidate.from_json(path)
-    assert c2.entry_name == "2A2"
+    assert c2.entry is la.entry_by_name("2A2")
     assert np.allclose(c2.f_coeffs, c.f_coeffs)
     with pytest.raises(solver.CandidateError):
         solver.Candidate.from_json(tmp_path / "missing.json")
@@ -757,8 +819,8 @@ def test_lockstep_block_matches_seeds_run_alone(monkeypatch, name, n_seeds):
 
 
 def test_seed_ledger_is_complete_and_parallel_safe():
-    a = solver.multistart_search("2A2", n_seeds=40, seed=3, n_jobs=1)
-    b = solver.multistart_search("2A2", n_seeds=40, seed=3, n_jobs=2)
+    a = solver.multistart_search(la.entry_by_name("2A2"), n_seeds=40, seed=3, n_jobs=1)
+    b = solver.multistart_search(la.entry_by_name("2A2"), n_seeds=40, seed=3, n_jobs=2)
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
     ledger = a.to_dict()
     assert list(ledger["stop_reasons"]) == list(solver.STOP_REASONS)
@@ -786,26 +848,35 @@ def test_a_search_runs_the_entry_it_is_given(tmp_path, n_jobs):
     assert out.entry_name == "A4,4"
     assert out.seeds_sampled == out.seeds_used == 0 and not out.solutions
     assert out.to_dict()["catalog_sha256"] == la.catalog_checksum()
-    assert solver.multistart_search("A4,4", n_seeds=4, seed=1024).seeds_sampled == 4
+    packaged = la.entry_by_name("A4,4")
+    assert solver.multistart_search(packaged, n_seeds=4, seed=1024).seeds_sampled == 4
+
+
+def _double_e1_e4(raw):
+    """Edit A4,4's record to [e1, e4] = 2 e1."""
+    next(b for b in raw["brackets"] if (b["i"], b["j"]) == (1, 4))["coeffs"] = [[1, "2"]]
+
+
+def _refined_records(monkeypatch, entry, n_seeds, seed):
+    """The records of the refined seeds of one search, as ``_outcome`` sees them."""
+    records = []
+    outcome = solver._outcome
+
+    def spy(request, results):
+        records.extend(results)
+        return outcome(request, results)
+
+    monkeypatch.setattr(solver, "_outcome", spy)
+    solver.multistart_search(entry, n_seeds=n_seeds, seed=seed)
+    monkeypatch.undo()
+    return [r for r in records if r["status"] == "refined"]
 
 
 def test_a_derived_entry_is_reverified_on_its_own_algebra(tmp_path, monkeypatch):
     # A copy of A4,4 whose bracket is [e1, e4] = 2 e1: every refined seed's
     # report is the reference chain's on the copy's algebra, metric and F.
-    def bracket(raw):
-        next(b for b in raw["brackets"] if (b["i"], b["j"]) == (1, 4))["coeffs"] = [[1, "2"]]
-
-    copy = _derived(tmp_path, "A4,4", bracket)
-    records = []
-    outcome = solver._outcome
-
-    def spy(entry, request, results):
-        records.extend(results)
-        return outcome(entry, request, results)
-
-    monkeypatch.setattr(solver, "_outcome", spy)
-    solver.multistart_search(copy, n_seeds=8, seed=5)
-    refined = [r for r in records if r["status"] == "refined"]
+    copy = _derived(tmp_path, "A4,4", _double_e1_e4)
+    refined = _refined_records(monkeypatch, copy, 8, 5)
     assert len(refined) == 8
     for r in refined:
         cand, report = r["candidate"], r["report"]
@@ -817,15 +888,37 @@ def test_a_derived_entry_is_reverified_on_its_own_algebra(tmp_path, monkeypatch)
             assert abs(x - y) <= 1e-12 * max(abs(x), abs(y)), (r["index"], field)
 
 
+def test_a_derived_entry_candidate_is_checked_and_refined_on_its_entry(tmp_path, monkeypatch):
+    # Each refined candidate of a search on the [e1, e4] = 2 e1 copy of A4,4
+    # holds the copy, so residual_vector and refine run on the copy's
+    # algebra, never on the packaged A4,4 of the same name (whose EM rows
+    # at seed 5's first candidate read 1.856 against the copy's 2.575).
+    copy = _derived(tmp_path, "A4,4", _double_e1_e4)
+    refined = _refined_records(monkeypatch, copy, 8, 5)
+    assert len(refined) == 8
+    for r in refined:
+        cand = r["candidate"]
+        assert cand.entry is copy, r["index"]
+        want = maxwell.em_residual(la.instantiate(copy, cand.algebra_params),
+                                   la.metric_from_params(copy, cand.metric_params),
+                                   cand.f_coeffs).r_em
+        got = float(np.abs(solver.residual_vector(cand)[:10]).max())
+        assert abs(got - want) <= 1e-12 * max(got, want), r["index"]
+        res = solver.refine(cand)
+        assert res.candidate.entry is copy, r["index"]
+        check = np.abs(solver.residual_vector(res.candidate)).max()
+        assert check == pytest.approx(res.max_residual, rel=1e-9, abs=1e-13), r["index"]
+
+
 def test_zero_evidence_is_inconclusive(monkeypatch):
     def no_start(entry, rngs):  # the sampler: no admissible draw
         return [None] * len(rngs)
 
     monkeypatch.setattr(solver, "sample_metric_params", no_start)
-    out = solver.multistart_search("A4,4", n_seeds=4, seed=0)
+    out = solver.multistart_search(la.entry_by_name("A4,4"), n_seeds=4, seed=0)
     assert out.seeds_used == 0 and not out.solutions
     assert out.seeds_sampled == out.seeds_refined == sum(out.stop_reasons.values()) == 0
-    res = solver.classify_algebra("A4,4", n_seeds=4)
+    res = solver.classify_algebra(la.entry_by_name("A4,4"), n_seeds=4)
     assert res.computed == "NoNonEinsteinEMFound"
     assert res.inconclusive and not res.agree
     assert res.to_dict()["best_free_nonsolution_residual"] is None  # no seed refined
@@ -837,10 +930,10 @@ def test_seeds_that_ran_no_iteration_are_no_evidence(monkeypatch):
     # unrefined starts are no closest miss and the row is inconclusive.
     monkeypatch.setattr(solver.ResidualContext, "feasible",
                         lambda self, x: np.zeros(x.shape[:-1], dtype=bool))
-    out = solver.multistart_search("A4,4", n_seeds=4, seed=0)
+    out = solver.multistart_search(la.entry_by_name("A4,4"), n_seeds=4, seed=0)
     assert out.seeds_used == out.stop_reasons["infeasible start"] == 4
     assert out.seeds_refined == 0 and out.best_nonsolution_residual == float("inf")
-    res = solver.classify_algebra("A4,4", n_seeds=4)
+    res = solver.classify_algebra(la.entry_by_name("A4,4"), n_seeds=4)
     assert res.inconclusive and not res.agree
     assert res.to_dict()["best_nonsolution_residual"] is None
 
@@ -850,8 +943,9 @@ def test_programs_span_requests_and_widths(monkeypatch):
     # free_F).  Seeds are packed in request order into programs of at most
     # 32 seeds, so programs span requests and mix widths, and every
     # request's outcome is that of its own search.
-    requests = [solver.SearchRequest("A4,5^{a,b}", 14, 5), solver.SearchRequest("2A2", 24, 9),
-                solver.SearchRequest("A4,4", 6, 9, mode="free_F")]
+    requests = [solver.SearchRequest(la.entry_by_name("A4,5^{a,b}"), 14, 5),
+                solver.SearchRequest(la.entry_by_name("2A2"), 24, 9),
+                solver.SearchRequest(la.entry_by_name("A4,4"), 6, 9, mode="free_F")]
     programs = []
     levmar = solver._levmar
 
@@ -872,10 +966,10 @@ def test_programs_span_requests_and_widths(monkeypatch):
 
 def test_classify_table_rows_are_one_row_calls():
     # 2A2 stops after its unit_F pass; the other rows run a free_F pass too.
-    names = ["2A2", "A4,4", "A4,5^{a,b}", "A3,1+A1"]
-    table = solver.classify_table(names, n_seeds=6, seed=11)
+    entries = [la.entry_by_name(name) for name in ["2A2", "A4,4", "A4,5^{a,b}", "A3,1+A1"]]
+    table = solver.classify_table(entries, n_seeds=6, seed=11)
     assert [r.to_dict() for r in table] == [
-        solver.classify_algebra(name, n_seeds=6, seed=11).to_dict() for name in names]
+        solver.classify_algebra(entry, n_seeds=6, seed=11).to_dict() for entry in entries]
     assert table[0].best_free_nonsolution_residual == float("inf")
     assert all(r.best_free_nonsolution_residual < float("inf") for r in table[1:])
 
@@ -898,14 +992,14 @@ def test_a_nan_residual_makes_the_closest_miss_nan(place):
     request = solver.SearchRequest(entry, 3)
     finite = [_miss_record(), _miss_record(r_em=0.05, r_dF=0.01, r_dstarF=0.02)]
     for records in itertools.permutations([*finite, _miss_record(**{place: math.nan})]):
-        out = solver._outcome(entry, request, list(records))
+        out = solver._outcome(request, list(records))
         assert math.isnan(out.best_nonsolution_residual), records
         assert out.to_dict()["best_nonsolution_residual"] is None
         row = solver._classify_row(entry, out, None)
         assert row.inconclusive and not row.agree
         assert row.to_dict()["best_nonsolution_residual"] is None
     for records in itertools.permutations(finite):
-        out = solver._outcome(entry, request, list(records))
+        out = solver._outcome(request, list(records))
         assert out.best_nonsolution_residual == 0.05
         row = solver._classify_row(entry, out, None)
         assert not row.inconclusive and row.agree
@@ -916,13 +1010,13 @@ def test_classify_reports_the_free_pass_closest_miss():
     # a solution, inside the evidence band.  The row reports that miss; the
     # verdict and the agreement still rest on the unit_F pass alone.
     band = solver.EVIDENCE_FACTOR * maxwell.TOL_SOLUTION
-    row = solver.classify_algebra("A3,1+A1", n_seeds=2, seed=1024 * 103)
+    row = solver.classify_algebra(la.entry_by_name("A3,1+A1"), n_seeds=2, seed=1024 * 103)
     assert 0 < row.best_free_nonsolution_residual <= band
     assert row.best_nonsolution_residual > band
     assert row.computed == "NoNonEinsteinEMFound" and row.agree and not row.inconclusive
     assert row.to_dict()["best_free_nonsolution_residual"] == row.best_free_nonsolution_residual
     # The free_F pass does not run once the unit_F pass finds a solution.
-    positive = solver.classify_algebra("2A2", n_seeds=4, seed=0)
+    positive = solver.classify_algebra(la.entry_by_name("2A2"), n_seeds=4, seed=0)
     assert positive.n_non_einstein >= 1
     assert positive.to_dict()["best_free_nonsolution_residual"] is None
 
@@ -1095,7 +1189,8 @@ def test_one_kernel_pass_per_tick(monkeypatch):
                         lambda *args: runs[-1][1].append("s") or solve(*args))
     [(ctxs, starts)] = _blocks(la.entry_by_name("A4,4"), 5, 2, "unit_F")
     solver._levmar(_program(ctxs), np.array(starts), _LM_TOL, 45)
-    solver.multistart_many([solver.SearchRequest(name, 2, 5) for name in _POSITIVE])
+    solver.multistart_many([solver.SearchRequest(la.entry_by_name(name), 2, 5)
+                            for name in _POSITIVE])
     monkeypatch.undo()
     assert len(runs) == 2 and len(runs[1][0]) > 1
     for _, log in runs:
@@ -1155,6 +1250,7 @@ def test_reused_jacobians_match_fresh_ones(monkeypatch):
                                  (_tight_a46(), 16, "free_F")]:
         for ctxs, starts in _blocks(entry, 5, n_seeds, mode):
             solver._levmar(_program(ctxs), np.array(starts), _LM_TOL, 45)
-    solver.multistart_many([solver.SearchRequest(name, 2, 5) for name in _POSITIVE])
+    solver.multistart_many([solver.SearchRequest(la.entry_by_name(name), 2, 5)
+                            for name in _POSITIVE])
     assert seen == {"first tick", "after seeds stop", "a refused rung", "free_F",
                     "mixed widths"}
