@@ -74,7 +74,7 @@ from ._smallmat import nullspace
 from .families import Family, family_by_id
 from .forms import _STAR_PAIRS, _is_orientation, hodge_star, norm_sq
 from .kahler import hermitian_diagnostics
-from .lie_algebra import (PAIR_LABELS, CatalogEntry, CatalogError, LieAlgebra, catalog_checksum,
+from .lie_algebra import (CatalogEntry, CatalogError, LieAlgebra, catalog_checksum,
                           closedness_matrix, d_two_form, entry_by_name, instantiate,
                           instantiate_many, metric_from_params, two_form_matrix)
 from .maxwell import (NON_EINSTEIN_EM, TOL_SOLUTION, EMReport, em_residual, stress_energy,
@@ -260,13 +260,12 @@ def residual_vector(c: Candidate) -> np.ndarray:
 
 class _SeedFacts(NamedTuple):
     """What a context knows of one seed besides its constants: its entry,
-    algebra parameters, the kernel basis of F as rows (k, 6) with k >= 2, the
-    free pair of each row and its width (the parameters of its points)."""
+    algebra parameters, the kernel basis of F as rows (k, 6) with k >= 2 and
+    its width (the parameters of its points)."""
 
     entry: CatalogEntry
     params: dict
     kernel_t: np.ndarray
-    free_pairs: tuple[str, ...]
     width: int
 
 
@@ -289,10 +288,9 @@ def _by_entry(entries: list[CatalogEntry]) -> list[tuple[CatalogEntry, list[int]
 class ResidualContext:
     """Residual as a function of the parameter vector, for a stack of seeds.
 
-    Parameters are the entry's metric parameters followed by kernel
-    coordinates of F (named f<pair> after the free coefficient each kernel
-    vector carries), so dF = 0 holds by construction.  In unit_F mode a final
-    row |F|^2_g - 1 excludes the trivial solution.
+    Parameters are the entry's metric parameters followed by the coordinates
+    of F in the closed kernel's basis, so dF = 0 holds by construction.  In
+    unit_F mode a final row |F|^2_g - 1 excludes the trivial solution.
 
     The evaluation here is the fast path: a batched, complex-analytic kernel
     that takes Ricci straight from the structure constants, g and g^-1
@@ -311,7 +309,7 @@ class ResidualContext:
     constructor builds the seeds of a whole program in one stacked pass,
     whatever their entries (one seed is its S = 1 case).  Beside its
     constants each seed keeps its facts (``_SeedFacts``: entry, algebra
-    parameters, kernel basis, free pairs, width); ``feasible``, ``f_of`` and
+    parameters, kernel basis, width); ``feasible``, ``f_of`` and
     ``candidates`` take one point per seed, and ``residual`` m points per
     seed.  ``take`` is the one way to pick seeds: it gathers the seeds of a
     context once, so that later calls need no gather.  Several points of a
@@ -357,10 +355,8 @@ class ResidualContext:
         d_t = mats.swapaxes(1, 2)
         self._facts = []  # per seed, beside the constants of _SEED_AXIS
         for (entry, params), mat in zip(seeds, mats):
-            basis, free = nullspace(mat)
-            kernel_t = np.array(basis)
+            kernel_t = np.array(nullspace(mat)[0])
             self._facts.append(_SeedFacts(entry, dict(params), kernel_t,
-                                          tuple(PAIR_LABELS[p] for p in free),
                                           len(entry.metric_param_names) + len(kernel_t)))
         # Everything linear in x, folded per seed: x @ _lin + _lin0 is
         # [g | F | g([e_i,e_j],e_l) with rows (i, j) | dF], see _G .. _DF.
@@ -877,7 +873,7 @@ class SearchOutcome:
     mode: str
     seed: int
     seeds_used: int  # seeds that reached refinement, not seeds attempted
-    seeds_sampled: int = 0  # seeds whose start could be drawn
+    seeds_sampled: int = 0  # seeds whose start could be drawn; always seeds_used
     seeds_refined: int = 0  # seeds whose refinement ran from a feasible start
     stop_reasons: dict = field(default_factory=dict)  # STOP_REASONS -> seeds
     solutions: list[tuple[Candidate, EMReport]] = field(default_factory=list)
@@ -905,11 +901,6 @@ class SearchOutcome:
         return out
 
 
-#: Draws per generator that ``sample_metric_params`` checks before the rest
-#: of a run: most entries admit one of their first few dozen draws.
-_CHECK_FIRST = 32
-
-
 def sample_metric_params(entry: CatalogEntry, rngs) -> list[dict | None]:
     """Uniform draw from the feasible box: [-3, 3] per parameter, positives in
     (0, 3]; rejection of the draws that are not ``admissible``.
@@ -923,12 +914,11 @@ def sample_metric_params(entry: CatalogEntry, rngs) -> list[dict | None]:
     per generator (None where no draw is admissible).  Each run of draws with
     one box size (200, then 50 at a time) is drawn by one ``uniform`` call
     per generator, and the draws of all generators still searching are
-    checked by two ``admissible`` calls: one on each generator's first
-    ``_CHECK_FIRST`` draws, one on the rest of the draws of the generators
-    that found none there.  Each generator that found one is then rewound
-    (``advance`` by minus the draws past it, one step per value) to just
-    after its first admissible draw.  The result and every later draw from
-    each generator are those of drawing and checking one metric at a time.
+    checked by one ``admissible`` call.  Each generator that found one is
+    then rewound (``advance`` by minus the draws past it, one step per
+    value) to just after its first admissible draw.  The result and every
+    later draw from each generator are those of drawing and checking one
+    metric at a time.
     """
     names = entry.metric_param_names
     found: list[dict | None] = [{} if not names else None for _ in rngs]
@@ -943,13 +933,7 @@ def sample_metric_params(entry: CatalogEntry, rngs) -> list[dict | None]:
         hi = np.where(positive, 1.0 + 2.0 * shrink, 3.0 * shrink)
         draws = np.array([rngs[p].uniform(lo, hi, size=(stop - attempt, len(names)))
                           for p in pending])
-        # Checked in two parts: each generator's first _CHECK_FIRST draws,
-        # then the rest of the draws of the generators with none admissible.
-        ok = np.zeros(draws.shape[:2], dtype=bool)
-        ok[:, :_CHECK_FIRST] = admissible(entry, draws[:, :_CHECK_FIRST])
-        rest = np.flatnonzero(~ok.any(axis=1))
-        if len(rest) and draws.shape[1] > _CHECK_FIRST:
-            ok[rest, _CHECK_FIRST:] = admissible(entry, draws[rest, _CHECK_FIRST:])
+        ok = admissible(entry, draws)
         first = ok.argmax(axis=1).tolist()
         searching = []
         for q, p in enumerate(pending):
@@ -971,6 +955,12 @@ def sample_algebra_params(entry: CatalogEntry, rng: np.random.Generator,
     entry's admissible named variants so every analysis branch gets seeds.
     Generic values of the entry's ``ordered_params`` are sorted into that
     order (A4,5^{a,b} is classified with a <= b).
+
+    Each generic value is drawn from its range clipped to [-2, 2], so an
+    unbounded parameter (A4,2^p's p, A4,6^{a,0}'s a, A4,6^{a,b}'s a and b,
+    A4,11^a's a, A3,7+A1's a) is searched only up to |value| = 2, and a
+    row's negative evidence covers only that window.  A range that the
+    window leaves no value of (margin 0.05) raises ValueError.
     """
     variants = [v for v in entry.variants if v.admissible]
     if variants and variant_index % 2 == 1:
@@ -1025,9 +1015,9 @@ def _starts(segments: list[tuple], mode: str):
     order.  Each seed draws from its own ``default_rng(seed ^ index)``:
     algebra parameters, then metric parameters (one sampler call per
     segment), then kernel coordinates.  One context build serves the
-    program's distinct (entry, algebra parameters) pairs, and the unit_F
-    normalization is one stacked ``norm_sq`` call (two when a start is
-    redrawn); every start has the bits of one seed at a time."""
+    program's distinct (entry, algebra parameters) pairs, and one stacked
+    ``norm_sq`` call scales every unit_F start to |F|_g = 1; every start
+    has the bits of one seed at a time."""
     status: list = []
     rngs, sampled = [], []
     for entry, seed, indices in segments:
@@ -1062,12 +1052,6 @@ def _starts(segments: list[tuple], mode: str):
         for entry, rows in ctx._groups:
             g[rows] = metric_from_params(entry, x0[rows, :len(entry.metric_param_names)])
         nrm = norm_sq(g, ctx.f_of(x0))
-        low = np.flatnonzero(nrm < 1e-6)
-        if len(low):
-            for s in low.tolist():
-                x0[s, first[s]:facts[s].width] = rngs[sampled[s][0]].uniform(
-                    0.5, 2.0, size=facts[s].width - first[s])
-            nrm[low] = norm_sq(g[low], ctx.take(low).f_of(x0[low]))
         # Divide each seed's kernel columns, past its own metric columns, by
         # its norm; a division by 1.0 leaves a value's bits as they are.
         root = np.sqrt(np.where(nrm > 0, nrm, 1.0))[:, None]
@@ -1186,8 +1170,8 @@ def _outcome(request: SearchRequest, results: list[dict]) -> SearchOutcome:
     refined = [res for res in results if res["status"] == "refined"]
     reasons = [res["reason"] for res in refined]
     outcome = SearchOutcome(
-        request.entry.name, request.mode, request.seed, seeds_used=len(refined),
-        seeds_sampled=sum(res["status"] != "sampling-failed" for res in results),
+        request.entry.name, request.mode, request.seed,
+        seeds_used=len(refined), seeds_sampled=len(refined),
         seeds_refined=len(refined) - reasons.count("infeasible start"),
         stop_reasons={r: reasons.count(r) for r in STOP_REASONS})
     kept_vectors: list[np.ndarray] = []
@@ -1196,8 +1180,7 @@ def _outcome(request: SearchRequest, results: list[dict]) -> SearchOutcome:
         cand, report = res["candidate"], res["report"]
         if report.is_solution:
             vec = _canonical_vector(cand)
-            if any(v.shape == vec.shape and np.abs(v - vec).max() < DEDUP_DISTANCE
-                   for v in kept_vectors):
+            if any(np.abs(v - vec).max() < DEDUP_DISTANCE for v in kept_vectors):
                 continue
             kept_vectors.append(vec)
             outcome.solutions.append((cand, report))

@@ -361,8 +361,8 @@ def start_alone(entry, seed, index, mode):
     the one-seed-at-a-time reference for ``solver._starts``.  Returns
     (one-seed context, x0), or (why there is none, None).  The generator is
     ``default_rng(seed ^ index)``; algebra parameters, one metric from the
-    sampler given this generator alone, then kernel coordinates, redrawn in
-    [0.5, 2] when |F|^2_g < 1e-6 and scaled to |F|_g = 1 in unit_F mode."""
+    sampler given this generator alone, then kernel coordinates, scaled to
+    |F|_g = 1 in unit_F mode."""
     from liemaxwell import forms, solver
     from liemaxwell.lie_algebra import metric_from_params
 
@@ -376,15 +376,11 @@ def start_alone(entry, seed, index, mode):
         return "sampling-failed", None
     ctx = solver.ResidualContext([(entry, algebra_params)], mode=mode)
     kernel_t = ctx._facts[0].kernel_t
-    k = len(kernel_t)
     m = len(entry.metric_param_names)
-    x0 = solver._point(entry, metric_params, rng.uniform(-2.0, 2.0, size=k))
+    x0 = solver._point(entry, metric_params, rng.uniform(-2.0, 2.0, size=len(kernel_t)))
     if mode == "unit_F":
         g = metric_from_params(entry, metric_params)
         nrm = float(forms.norm_sq(g, x0[m:] @ kernel_t))
-        if nrm < 1e-6:
-            x0 = solver._point(entry, metric_params, rng.uniform(0.5, 2.0, size=k))
-            nrm = float(forms.norm_sq(g, x0[m:] @ kernel_t))
         if nrm > 0:
             x0[m:] /= np.sqrt(nrm)
     return ctx, x0

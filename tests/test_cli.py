@@ -79,6 +79,13 @@ def test_show_entry(capsys):
     assert code == 2 and "error" in err
 
 
+def test_show_prints_an_entry_note(capsys):
+    entry = la.entry_by_name("A4,5^{a,b}")
+    assert entry.notes  # the one catalog entry with a note
+    code, out, _ = run(["show", entry.name], capsys)
+    assert code == 0 and out.splitlines()[-1] == "  note: " + entry.notes
+
+
 def test_curvature_report(capsys):
     code, out, _ = run(["curvature", "2A2", "--metric-params",
                         '{"a1":0,"a2":0,"a3":0,"a4":0,"a5":2}', "--json"], capsys)

@@ -103,6 +103,12 @@ def test_antisymmetry_gate_float_tolerance():
     assert not la.LieAlgebra("near", near).exact
 
 
+def test_structure_constants_must_be_4x4x4():
+    for shape in ((4, 4), (3, 3, 3), (4, 4, 4, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"must be 4x4x4, got {shape}")):
+            la.LieAlgebra("shape", np.zeros(shape))
+
+
 def test_antisymmetry_gate_refuses_non_finite_floats():
     # NaN beside its partner, and an inf/-inf pair, whose sum is NaN: both
     # refused, with no RuntimeWarning on the way.

@@ -221,3 +221,18 @@ def test_kappa_decomposition_errors():
     with pytest.raises(ValueError, match="F\\+"):
         maxwell.verify_kahler_decomposition(g, fm_only, two_form(e12=1, e34=1),
                                             np.zeros(6))
+
+
+def test_kappa_decomposition_degenerate_inputs():
+    # F = 0 and omega = 0: every coefficient of the stationarity quartic
+    # vanishes, and the scale is 1 with the defect |rho0|^2.  A self-dual F
+    # with omega orthogonal to F+ leaves the quartic the constant -|F+|^2,
+    # which has no root: no stationary scale.
+    g = np.diag([1.0, 2.0, 1.0, 0.5])
+    rho0 = two_form(e12=1, e34=-1)
+    kappa, defect = maxwell.verify_kahler_decomposition(g, np.zeros(6), np.zeros(6), rho0)
+    assert kappa == 1.0 and defect == forms.norm_sq(g, rho0)
+    g = np.eye(4)
+    with pytest.raises(ValueError, match="no stationary scale found"):
+        maxwell.verify_kahler_decomposition(g, two_form(e12=1, e34=1), two_form(e13=1),
+                                            np.zeros(6))

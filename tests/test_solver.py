@@ -1,5 +1,6 @@
 """Residual stacking, LM refinement, multistart search, and classification."""
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -652,6 +653,43 @@ def test_block_sampler_matches_one_draw_at_a_time():
     assert seen == {"empty", "first box", "shrunk"}
 
 
+def test_sampler_checks_each_run_of_draws_with_one_admissible_call(monkeypatch):
+    # Each run of draws (200, then 50 at a time) is checked by one
+    # admissible call on the draws of every generator still searching at
+    # its start: those whose one-at-a-time reference (which calls
+    # admissible itself, past the spy) draws past it.  The tight copy of
+    # A4,4 runs into the shrinking boxes and, for some seeds, to the end.
+    calls = []
+
+    def spy(entry, params):
+        calls.append(np.shape(params))
+        return mg.admissible(entry, params)
+
+    monkeypatch.setattr(solver, "admissible", spy)
+    a44 = la.entry_by_name("A4,4")
+    tight = dataclasses.replace(a44, metric_constraints=(*a44.metric_constraints,
+                                                         "0.000001 - a2^2"))
+    runs = set()
+    for entry in (a44, la.entry_by_name("2A2"), tight):
+        m = len(entry.metric_param_names)
+        drawn = []
+        for seed in range(20):
+            ref = np.random.default_rng(seed)
+            with contextlib.suppress(ValueError):
+                _sample_one_draw_at_a_time(entry, ref)
+            drawn.append(_draws_consumed(seed, ref.bit_generator.state, m))
+        want, attempt = [], 0
+        while attempt < solver.SAMPLE_TRIES and max(drawn) > attempt:
+            stop = 200 if attempt == 0 else attempt + 50
+            want.append((sum(d > attempt for d in drawn), stop - attempt, m))
+            attempt = stop
+        calls.clear()
+        solver.sample_metric_params(entry, [np.random.default_rng(seed) for seed in range(20)])
+        assert calls == want, entry.name
+        runs.add(len(want))
+    assert 1 in runs and max(runs) == 9  # 200 + 8 * 50 = SAMPLE_TRIES draws
+
+
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -676,7 +714,6 @@ def _starts_seed_by_seed(segments, mode):
         assert _same_bits(x0[s, :w], start) and not x0[s, w:].any(), label
         facts, [alone] = ctx.take([s])._facts, one._facts
         assert _same_bits(facts[0].kernel_t, alone.kernel_t), label
-        assert facts[0].free_pairs == ctx._facts[s].free_pairs == alone.free_pairs, label
         assert ctx._facts[s].params == alone.params, label
         assert ctx._facts[s].entry is entry and ctx._facts[s].width == w, label
         for name in solver.ResidualContext._SEED_AXIS:
@@ -694,12 +731,12 @@ def test_stacked_starts_have_the_bits_of_one_seed_at_a_time(mode):
     # _starts draws the seeds of a program together: one sampler call per
     # segment, one stacked context build for the program's distinct
     # (entry, algebra parameters) pairs and one stacked |F|^2_g.  Each
-    # seed's status, start, entry, width, kernel basis, free pairs and
-    # per-seed constants have the bits of one seed at a time
-    # (orc.start_alone, whose context is a one-seed build); a start and
-    # the folded map are zero past the seed's own width.  Programs of one
-    # segment per entry, and one program of a segment of every entry, each
-    # at its own seed and index range.
+    # seed's status, start, entry, width, kernel basis and per-seed
+    # constants have the bits of one seed at a time (orc.start_alone,
+    # whose context is a one-seed build); a start and the folded map are
+    # zero past the seed's own width.  Programs of one segment per entry,
+    # and one program of a segment of every entry, each at its own seed
+    # and index range.
     seen = set()
     for entry in la.catalog():
         for n_seeds in (1, 2, 8, 32):
@@ -708,30 +745,6 @@ def test_stacked_starts_have_the_bits_of_one_seed_at_a_time(mode):
     program = [(entry, 1024 * (9 + k % 3), range(k % 5, k % 5 + 3))
                for k, entry in enumerate([*la.catalog(), _tight_a46()])]
     assert len(_starts_seed_by_seed(program, mode)) > 2
-
-
-def test_unit_f_starts_redraw_a_tiny_kernel_draw(monkeypatch):
-    # A unit_F start whose kernel draw gives |F|^2_g < 1e-6 is redrawn in
-    # [0.5, 2].  Every seed's generator shrinks its kernel draw (uniform in
-    # [-2, 2], of one size per seed) 10^4 times, in _starts and in
-    # orc.start_alone alike, and the starts keep the bits of the oracle's.
-    redraws = []
-
-    class TinyKernelDraw(np.random.Generator):
-        def uniform(self, low=0.0, high=1.0, size=None):
-            out = super().uniform(low, high, size)
-            if isinstance(size, int) and (low, high) == (-2.0, 2.0):
-                return out * 1e-4
-            if isinstance(size, int) and (low, high) == (0.5, 2.0):
-                redraws.append(size)
-            return out
-
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: TinyKernelDraw(np.random.PCG64(seed)))
-    program = [(la.entry_by_name("A4,4"), 7, range(8)), (la.entry_by_name("2A2"), 7, range(3)),
-               (la.entry_by_name("A4,5^{a,b}"), 9, range(5))]
-    _starts_seed_by_seed(program, "unit_F")
-    assert len(redraws) == 2 * 16  # every seed, in the program and in the oracle
 
 
 def test_a_program_builds_its_contexts_and_algebras_per_program(monkeypatch):
@@ -922,6 +935,39 @@ def test_zero_evidence_is_inconclusive(monkeypatch):
     assert res.computed == "NoNonEinsteinEMFound"
     assert res.inconclusive and not res.agree
     assert res.to_dict()["best_free_nonsolution_residual"] is None  # no seed refined
+
+
+def test_an_algebra_range_outside_the_sampling_window_fails_every_seed():
+    # sample_algebra_params draws from each range clipped to [-2, 2]: a copy
+    # of A4,9^b (no variants) whose b lies in [3, 4] leaves it no value, so
+    # every seed is "sampling-failed" and the row has no evidence.  numpy
+    # refuses the empty window itself; b in (2, 4] leaves the window the
+    # one value 2, which the open bound refuses draw after draw.  The
+    # unbounded parameters of the catalog are drawn inside the window.
+    a49 = la.entry_by_name("A4,9^b")
+    [spec] = a49.params
+    far, edge = (dataclasses.replace(a49, variants=(), params=(dataclasses.replace(
+        spec, lo=lo, hi=4.0, open_lo=open_lo, open_hi=False, exclude=()),))
+        for lo, open_lo in ((3.0, False), (2.0, True)))
+    with pytest.raises(ValueError):
+        solver.sample_algebra_params(far, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=re.escape("A4,9^b: cannot sample parameter b")):
+        solver.sample_algebra_params(edge, np.random.default_rng(0))
+    assert solver._starts([(edge, 0, range(2))], "unit_F") == (["sampling-failed"] * 2, None, None)
+    status, ctx, x0 = solver._starts([(far, 0, range(4))], "unit_F")
+    assert status == ["sampling-failed"] * 4 and ctx is None and x0 is None
+    out = solver.multistart_search(far, n_seeds=4)
+    assert out.seeds_used == out.seeds_sampled == out.seeds_refined == 0
+    assert not out.solutions and sum(out.stop_reasons.values()) == 0
+    [row] = solver.classify_table([far], n_seeds=4)
+    assert row.inconclusive and not row.agree
+    unbounded = [(entry, spec.name) for entry in la.catalog() for spec in entry.params
+                 if spec.lo is None or spec.hi is None]
+    assert len(unbounded) == 6
+    for entry, name in unbounded:
+        top = max(abs(solver.sample_algebra_params(entry, np.random.default_rng(seed))[name])
+                  for seed in range(200))
+        assert 1.9 < top <= 2.0, (entry.name, name)
 
 
 def test_seeds_that_ran_no_iteration_are_no_evidence(monkeypatch):
