@@ -4,49 +4,39 @@ A 2-form is a vector of six coefficients in the fixed order
 ``e^12, e^13, e^14, e^23, e^24, e^34``.  The star is defined by
 ``F ^ *G = <F, G>_g vol_g`` with ``vol_g = sign * sqrt(det g) * e^1234`` and
 ``<F, G> = (1/2) F_ij G^ij``; it is realized by raising both indices with
-``g^{-1}`` and contracting with the Levi-Civita symbol.
+``g^{-1}`` and contracting with the Levi-Civita symbol, which on 2-forms is
+the wedge pairing ``_WEDGE``: e^p ^ e^q as a multiple of e^1234.
 
 ``inner_product``, ``norm_sq``, ``volume_coefficient`` and ``hodge_star``
 take leading axes: metrics (..., 4, 4) with forms (..., 6), one result per
 leading index.  ``inner_product`` and ``norm_sq`` keep exact (Fraction)
 input exact; ``hodge_star`` casts to float, and ``hodge_star_exact`` is the
 exact star, carrying sqrt(det g) as a separate radical; exact input meets
-the Levi-Civita symbol as ``_smallmat.as_fractions(LEVI4)``, the package's
-one Fraction converter.  An orientation is the integer 1 or -1; 1.0, True
-and "1" are refused.  Whether F is co-closed, d(*F) = 0, is decided in one
-place: ``maxwell.em_residual``, by its ``r_dstarF`` at ``TOL_SOLUTION``.
+the star matrix as ``_smallmat.as_fractions(_STAR_PAIRS)``, the package's
+one Fraction converter.  ``wedge_two_two`` is the pairing itself.  An
+orientation is the integer 1 or -1; 1.0, True and "1" are refused.  Whether
+F is co-closed, d(*F) = 0, is decided in one place: ``maxwell.em_residual``,
+by its ``r_dstarF`` at ``TOL_SOLUTION``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 
 from . import _smallmat
-from .lie_algebra import DIM, PAIRS, two_form_coeffs, two_form_matrix
+from .lie_algebra import DIM, PAIRS, two_form_matrix
 from .metric_geometry import _match_dtypes
 
 
-def _levi_civita_symbol() -> np.ndarray:
-    eps = np.zeros((DIM,) * 4, dtype=int)
-    for perm in permutations(range(DIM)):
-        sign = 1
-        p = list(perm)
-        for i in range(DIM):
-            for j in range(i + 1, DIM):
-                if p[i] > p[j]:
-                    sign = -sign
-        eps[perm] = sign
-    return eps
-
-
-LEVI4 = _levi_civita_symbol()
+#: e^p ^ e^q as a multiple of e^1234, p and q in the pair order: each pair
+#: meets only its complement, and e^13 ^ e^24 = -e^1234.
+_WEDGE = np.fliplr(np.diag([1, -1, 1, 1, -1, 1]))
 
 #: The star as a matrix: coefficient p of eps_{klmn} F^{mn}, (k, l) the p-th
-#: pair, is row (m, n) of F^{mn} flattened times column p.
-_STAR_PAIRS = np.array([LEVI4[i, j] for i, j in PAIRS], dtype=float).reshape(6, 16).T.copy()
+#: pair, is row (m, n) of F^{mn} flattened times column p (row p of _WEDGE).
+_STAR_PAIRS = two_form_matrix(_WEDGE, dtype=float).reshape(6, 16).T.copy()
 
 
 def _is_orientation(value) -> bool:
@@ -122,8 +112,7 @@ def hodge_star_exact(g: np.ndarray, a: np.ndarray,
     g, a = _match_dtypes(np.asarray(g), np.asarray(a))
     det = _positive_det(g)
     fu = _raised(g, a)
-    mat = np.einsum("klmn,mn->kl", _smallmat.as_fractions(LEVI4), fu) / 2
-    coeffs = two_form_coeffs(mat) * Fraction(orientation)
+    coeffs = fu.reshape(DIM * DIM) @ _smallmat.as_fractions(_STAR_PAIRS) * Fraction(orientation, 2)
     root = _smallmat.sqrt_fraction(det)
     if root is not None:
         return coeffs * root, Fraction(1)
@@ -139,11 +128,9 @@ def sd_asd_split(g: np.ndarray, a: np.ndarray,
 
 
 def wedge_two_two(a: np.ndarray, b: np.ndarray):
-    """Coefficient of e^1234 in F ^ G (metric-free pairing of 2-forms)."""
-    fm = two_form_matrix(np.asarray(a))
-    gm = two_form_matrix(np.asarray(b), dtype=fm.dtype)
-    eps = _smallmat.as_fractions(LEVI4) if fm.dtype == object else LEVI4
-    return np.einsum("ijkl,ij,kl->", eps, fm, gm) / 4
+    """Coefficient of e^1234 in F ^ G (metric-free pairing of 2-forms),
+    exact for Fraction coefficients."""
+    return a @ _WEDGE @ b
 
 
 def two_form(**coeffs) -> np.ndarray:

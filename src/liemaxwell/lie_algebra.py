@@ -82,8 +82,6 @@ class LieAlgebra:
     c: np.ndarray
     params: dict = field(default_factory=dict)
 
-    dim: int = DIM
-
     def __post_init__(self):
         c = np.asarray(self.c)
         if c.shape != (DIM, DIM, DIM):
@@ -154,11 +152,7 @@ def jacobi_defect(L: LieAlgebra):
 
 def d_one_form(L: LieAlgebra, alpha: np.ndarray) -> np.ndarray:
     """d of a 1-form: six coefficients (d alpha)_{jk} = -alpha([e_j, e_k])."""
-    alpha = np.asarray(alpha)
-    out = np.zeros(6, dtype=L.c.dtype)
-    for p, (j, k) in enumerate(PAIRS):
-        out[p] = -sum(L.c[j, k, m] * alpha[m] for m in range(DIM))
-    return out
+    return -two_form_coeffs(L.c @ alpha)
 
 
 def structure_constants(L) -> np.ndarray:

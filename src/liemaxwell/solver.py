@@ -114,10 +114,10 @@ _TRIU_ROWS, _TRIU_COLS = np.triu_indices(4)
 _TRIU_FLAT = 4 * _TRIU_ROWS + _TRIU_COLS
 
 #: Columns of the folded linear map ``x @ _lin + _lin0`` of a
-#: ``ResidualContext``: the metric g, F as a 4x4 matrix, the bracket rows
-#: g([e_i,e_j],e_l) and dF.
-_G, _F, _CG, _DF = slice(0, 16), slice(16, 32), slice(32, 96), slice(96, 100)
-_WIDTH = 100
+#: ``ResidualContext``: the metric g, F as a 4x4 matrix and the bracket rows
+#: g([e_i,e_j],e_l).  dF of a kernel coordinate is 0, so it has no columns.
+_G, _F, _CG = slice(0, 16), slice(16, 32), slice(32, 96)
+_WIDTH = 96
 
 #: Six 2-form coefficients -> antisymmetric 4x4 matrix, flattened.
 _F_PLACE = two_form_matrix(np.eye(6)).reshape(6, 16)
@@ -289,20 +289,21 @@ class ResidualContext:
     """Residual as a function of the parameter vector, for a stack of seeds.
 
     Parameters are the entry's metric parameters followed by the coordinates
-    of F in the closed kernel's basis, so dF = 0 holds by construction.  In
-    unit_F mode a final row |F|^2_g - 1 excludes the trivial solution.
+    of F in the closed kernel's basis, so dF = 0 holds by construction and
+    its four rows are literal zeros.  In unit_F mode a final row
+    |F|^2_g - 1 excludes the trivial solution.
 
     The evaluation here is the fast path: a batched, complex-analytic kernel
     that takes Ricci straight from the structure constants, g and g^-1
     (Besse, Einstein Manifolds, Cor. 7.38).  Everything linear in x is one
-    folded map: ``x @ _lin + _lin0`` gives g, F, the bracket rows
-    g([e_i,e_j],e_l) and dF at once.  ``_tangent_step`` differentiates a
-    kernel pass in forward mode; the tests hold it to the complex step, which
-    the kernel stays complex-analytic for.  The module-level
-    ``residual_vector`` derives the same rows independently (Koszul
-    connection, Riemann tensor, Ricci contraction, Hodge star) through the
-    geometry modules; the two agree to round-off and are property-tested
-    against each other.
+    folded map: ``x @ _lin + _lin0`` gives [g | F | cg], g, F and the
+    bracket rows cg = g([e_i,e_j],e_l), at once.  ``_tangent_step``
+    differentiates a kernel pass in forward mode; the tests hold it to the
+    complex step, which the kernel stays complex-analytic for.  The
+    module-level ``residual_vector`` derives the same rows independently
+    (Koszul connection, Riemann tensor, Ricci contraction, Hodge star)
+    through the geometry modules; the two agree to round-off and are
+    property-tested against each other.
 
     Every context is a stack of seeds: the constants that depend on the
     algebra parameters carry a leading seed axis, one entry per seed.  The
@@ -359,7 +360,7 @@ class ResidualContext:
             self._facts.append(_SeedFacts(entry, dict(params), kernel_t,
                                           len(entry.metric_param_names) + len(kernel_t)))
         # Everything linear in x, folded per seed: x @ _lin + _lin0 is
-        # [g | F | g([e_i,e_j],e_l) with rows (i, j) | dF], see _G .. _DF.
+        # [g | F | g([e_i,e_j],e_l) with rows (i, j)], see _G .. _CG.
         # g is x @ place + g0, place one-hot (one parameter per cell) and g0
         # the literal cells.  A narrower seed's rows past its width stay 0.
         c16 = c.reshape(n_seeds, 16, 4)
@@ -377,7 +378,6 @@ class ResidualContext:
         for s, facts in enumerate(self._facts):
             m = len(facts.entry.metric_param_names)
             lin[s, m:facts.width, _F] = facts.kernel_t @ _F_PLACE
-            lin[s, m:facts.width, _DF] = facts.kernel_t @ d_t[s]
         self._lin, self._lin0 = lin, lin0[:, None, None]
         # Hodge star then d: F^{kl} (raised, flattened) -> d*F / sqrt det g, with
         # volume form +sqrt(det g) e^1234 (d*F = 0 does not depend on its sign).
@@ -489,7 +489,7 @@ class ResidualContext:
         trace = g_inv.reshape(p, 1, 1, 16) @ em.reshape(p, 1, 16, 1)
         out = np.empty((p, 1, self.n_rows), dtype=u.dtype)
         out[..., :10] = (em - 0.25 * trace * g).reshape(p, 1, 16).take(_TRIU_FLAT, axis=-1)
-        out[..., 10:14] = u[..., _DF]
+        out[..., 10:14] = 0.0  # dF of a point of the closed kernel
         # Co-closedness rows: F with both indices raised, starred and differentiated.
         fu = g_inv @ fg
         root = np.sqrt(det)[..., None]
@@ -537,10 +537,10 @@ def _tangent_step(ctx: ResidualContext, inter: tuple) -> np.ndarray:
     constants of seed s.
 
     Forward mode (Griewank & Walther, Evaluating Derivatives, SIAM 2008):
-    the k columns ride along as tangents.  Those of g, F, the bracket
-    rows and dF are rows of the folded linear map; the rest follow from
-    d(g^-1) = -g^-1 dg g^-1, d sqrt(det g) = 1/2 sqrt(det g) <g^-1, dg> and
-    the product rule.  Exact to round-off; no point is evaluated.
+    the k columns ride along as tangents.  Those of g, F and the bracket
+    rows are rows of the folded linear map, those of dF 0; the rest follow
+    from d(g^-1) = -g^-1 dg g^-1, d sqrt(det g) = 1/2 sqrt(det g) <g^-1, dg>
+    and the product rule.  Exact to round-off; no point is evaluated.
     """
     u, g_inv, raised, half, qcg, fg, em, trace, fu, root, star = inter
     s = len(u)
@@ -577,7 +577,7 @@ def _tangent_step(ctx: ResidualContext, inter: tuple) -> np.ndarray:
     dem -= 0.25 * (dtrace * g + trace * dg)
     jt = np.empty((s, k, ctx.n_rows))
     jt[..., :10] = dem.reshape(s, k, 16).take(_TRIU_FLAT, axis=-1)
-    jt[..., 10:14] = du[..., _DF]
+    jt[..., 10:14] = 0.0
     dfu = dg_inv @ fg + g_inv @ dfg
     droot = 0.5 * root * (g_inv.reshape(s, 1, 1, 16) @ dg.reshape(s, k, 16, 1))[..., 0]
     jt[..., 14:18] = droot * star + root * (dfu.reshape(s, k, 16) @ ctx._star_d)
@@ -959,8 +959,8 @@ def sample_algebra_params(entry: CatalogEntry, rng: np.random.Generator,
     Each generic value is drawn from its range clipped to [-2, 2], so an
     unbounded parameter (A4,2^p's p, A4,6^{a,0}'s a, A4,6^{a,b}'s a and b,
     A4,11^a's a, A3,7+A1's a) is searched only up to |value| = 2, and a
-    row's negative evidence covers only that window.  A range that the
-    window leaves no value of (margin 0.05) raises ValueError.
+    row's negative evidence covers only that window.  A range outside it,
+    or one whose 100 draws all miss its 0.05 margin, raises ValueError.
     """
     variants = [v for v in entry.variants if v.admissible]
     if variants and variant_index % 2 == 1:
@@ -970,6 +970,9 @@ def sample_algebra_params(entry: CatalogEntry, rng: np.random.Generator,
     for spec in entry.params:
         lo = -2.0 if spec.lo is None else max(spec.lo, -2.0)
         hi = 2.0 if spec.hi is None else min(spec.hi, 2.0)
+        if lo > hi:
+            raise ValueError(f"{entry.name}: cannot sample parameter {spec.name}: "
+                             "its range lies outside the window [-2, 2]")
         for _ in range(100):
             val = float(rng.uniform(lo, hi))
             if spec.admits(val, margin=0.05):

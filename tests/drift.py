@@ -42,6 +42,17 @@ package from ``PYTHONPATH``, so one copy of the script serves two trees);
     PYTHONPATH=src python3 tests/drift.py verify-write after.jsonl
     python3 tests/drift.py verify-compare before.jsonl after.jsonl
 
+``against REF [DIR]`` does all of that in one command: it checks out the
+commit REF in a temporary ``git worktree``, writes REF's drift set with
+REF's own ``write`` and this tree's set, then both trees' verify records
+with this script's ``verify-write``, each run with ``PYTHONPATH`` at its
+tree's ``src``.  It removes the worktree, runs ``compare`` (no KEYs) and
+``verify-compare``, and exits 1 when either fails.  The four files stay in
+DIR (a new temporary directory when DIR is not given) as ``base.jsonl``,
+``change.jsonl``, ``base-verify.jsonl`` and ``change-verify.jsonl``::
+
+    python3 tests/drift.py against HEAD~1 records/
+
 pytest does not collect this file.
 """
 
@@ -50,6 +61,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -279,6 +292,42 @@ def compare_verify(path_a: str, path_b: str) -> bool:
     return True
 
 
+def _run_in(tree: Path, script: Path, command: str, path: Path) -> None:
+    """``script command path`` with the package of ``tree``: cwd and the
+    front of ``PYTHONPATH`` at that tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, str(script), command, str(path)], cwd=tree, env=env,
+                   check=True)
+
+
+def against(ref: str, out_dir: str | None = None) -> bool:
+    """Write the drift set and the verify records of commit ``ref`` and of
+    this tree into ``out_dir`` and compare them; whether both comparisons
+    pass."""
+    here = Path(__file__).resolve()
+    root = here.parents[1]
+    out = Path(out_dir or tempfile.mkdtemp(prefix="drift-")).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    files = {name: out / f"{name}.jsonl"
+             for name in ("base", "change", "base-verify", "change-verify")}
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        subprocess.run(["git", "-C", str(root), "worktree", "add", "--detach", str(base), ref],
+                       check=True)
+        try:
+            _run_in(base, base / "tests" / "drift.py", "write", files["base"])
+            _run_in(base, here, "verify-write", files["base-verify"])
+        finally:
+            subprocess.run(["git", "-C", str(root), "worktree", "remove", "--force", str(base)],
+                           check=True)
+    _run_in(root, here, "write", files["change"])
+    _run_in(root, here, "verify-write", files["change-verify"])
+    print(f"records: {out}")
+    same = compare(str(files["base"]), str(files["change"]))
+    return compare_verify(str(files["base-verify"]), str(files["change-verify"])) and same
+
+
 if __name__ == "__main__":
     if len(sys.argv) == 3 and sys.argv[1] == "write":
         write(sys.argv[2])
@@ -289,5 +338,7 @@ if __name__ == "__main__":
     elif len(sys.argv) >= 4 and sys.argv[1] == "compare":
         keys = sys.argv[4:] or None
         sys.exit(0 if compare(sys.argv[2], sys.argv[3], keys) else 1)
+    elif len(sys.argv) in (3, 4) and sys.argv[1] == "against":
+        sys.exit(0 if against(*sys.argv[2:]) else 1)
     else:
         sys.exit(__doc__)

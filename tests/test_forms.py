@@ -18,6 +18,27 @@ def test_star_euclidean_fixtures():
     assert np.allclose(forms.hodge_star(g, two_form(e12=1)), two_form(e34=1))
     assert np.allclose(forms.hodge_star(g, two_form(e13=1)), two_form(e24=-1))
     assert np.allclose(forms.hodge_star(g, two_form(e14=1)), two_form(e23=1))
+    with pytest.raises(ValueError, match="unknown 2-form coefficient 'e21'"):
+        two_form(e21=1)  # a pair is named i < j
+
+
+def test_wedge_pairing_is_the_oracles_and_gives_the_levi_civita_star():
+    # _WEDGE against the oracle's wedge of antisymmetric tensors, and the
+    # star matrix against one built from an epsilon derived here: the sign
+    # of a permutation is the determinant of its permutation matrix, and a
+    # repeated index gives a singular one.
+    assert np.array_equal(forms._WEDGE, orc._wedge_pairing())
+    eps = np.array([np.linalg.det(np.eye(4)[list(ix)]) for ix in np.ndindex(4, 4, 4, 4)])
+    eps = eps.round().reshape(4, 4, 4, 4)
+    star = np.array([eps[i, j] for i, j in la.PAIRS]).reshape(6, 16).T
+    assert np.array_equal(forms._STAR_PAIRS, star)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        a, b = rng.integers(-9, 10, size=(2, 6))
+        want = np.einsum("ijkl,ij,kl->", eps, la.two_form_matrix(a), la.two_form_matrix(b)) / 4
+        got = forms.wedge_two_two(*(np.array([Fraction(int(v), 3) for v in x]) for x in (a, b)))
+        assert type(got) is Fraction and got == Fraction(round(want), 9)
+        assert forms.wedge_two_two(a / 3.0, b / 3.0) == pytest.approx(want / 9, abs=1e-14)
 
 
 _G, _A = np.diag([1.0, 1.0, 2.0, 1.0]), two_form(e12=1.0, e34=1.0)

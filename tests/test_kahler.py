@@ -102,6 +102,8 @@ def test_ricci_form_2a2():
         want = two_form(e12=(1 - a5) / (2 * a5), e34=(a5 - 1) / (2 * np.sqrt(a5)))
         assert np.abs(rho0 - want).max() < 1e-13
         assert defect < 1e-13
+    with pytest.raises(ValueError, match="not a compatible almost-Hermitian pair"):
+        kahler.ricci_form(L, E, two_form(e12=2, e34=1))
 
 
 def test_ricci_form_a22a1():

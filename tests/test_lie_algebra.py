@@ -378,6 +378,8 @@ def test_catalog_refuses_malformed_documents(tmp_path, edit, message):
     "a^-1", "a^0.5", "a^(2)", "a^b", "a^2^3",
     # trailing input, empty parentheses, a leading *, a trailing blank
     "a b", "2a", "()", "*a", "a ",
+    # a name the environment does not hold
+    "a + c",
 ])
 def test_expression_grammar_refusals(src):
     with pytest.raises(ExpressionError):

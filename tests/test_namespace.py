@@ -45,6 +45,8 @@ def test_catalog_alone_loads_no_other_submodule():
 REMOVED = {"liemaxwell": ["classify_hermitian_type", "from_brackets"],
            "liemaxwell.kahler": ["classify_hermitian_type"],
            "liemaxwell.lie_algebra": ["from_brackets"],
+           "liemaxwell.lie_algebra:LieAlgebra": ["dim"],
+           "liemaxwell.forms": ["LEVI4", "_levi_civita_symbol"],
            "liemaxwell.families:Family": ["kahler_form"],
            "liemaxwell.solver:SearchOutcome": ["to_json"],
            "liemaxwell.solver:ResidualContext": ["_one", "algebra_params", "kernel",

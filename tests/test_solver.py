@@ -87,6 +87,22 @@ def test_context_agrees_with_residual_vector():
                 assert np.abs(got - want).max() < 1e-12 * scale, (entry.name, variant_index, mode)
 
 
+def test_d_of_every_closed_kernel_basis_vector_is_exactly_zero():
+    # The kernel writes its dF rows as literal zeros.  They have the bits of
+    # kernel_t @ d_t, d applied to each closed-kernel basis vector in floats,
+    # because that product is exactly 0.0: at each entry's sample, at every
+    # admissible variant and at 64 generic draws.
+    rng = np.random.default_rng(43)
+    for entry in la.catalog():
+        params = [entry.sample_params(), *(dict(v.params) for v in entry.variants if v.admissible)]
+        params += [solver.sample_algebra_params(entry, rng) for _ in range(64)]
+        ctx = solver.ResidualContext([(entry, p) for p in params])
+        d_t = la.closedness_matrix(la.instantiate_many(entry, params)).swapaxes(1, 2)
+        for facts, d in zip(ctx._facts, d_t):
+            product = facts.kernel_t @ d
+            assert product.dtype == float and not product.any(), (entry.name, facts.params)
+
+
 def _batch(entry, mode, rng, size=4):
     """A one-seed context and ``size`` of its points (1, size, n)."""
     ctx = solver.ResidualContext([(entry, solver.sample_algebra_params(entry, rng))], mode=mode)
@@ -940,16 +956,19 @@ def test_zero_evidence_is_inconclusive(monkeypatch):
 def test_an_algebra_range_outside_the_sampling_window_fails_every_seed():
     # sample_algebra_params draws from each range clipped to [-2, 2]: a copy
     # of A4,9^b (no variants) whose b lies in [3, 4] leaves it no value, so
-    # every seed is "sampling-failed" and the row has no evidence.  numpy
-    # refuses the empty window itself; b in (2, 4] leaves the window the
-    # one value 2, which the open bound refuses draw after draw.  The
-    # unbounded parameters of the catalog are drawn inside the window.
+    # every seed is "sampling-failed" and the row has no evidence.  The
+    # empty window is refused before any draw; b in (2, 4] leaves the window
+    # the one value 2, which the open bound refuses draw after draw, and b in
+    # [2, 4] draws that value.  The unbounded parameters of the catalog are
+    # drawn inside the window.
     a49 = la.entry_by_name("A4,9^b")
     [spec] = a49.params
-    far, edge = (dataclasses.replace(a49, variants=(), params=(dataclasses.replace(
+    far, edge, closed = (dataclasses.replace(a49, variants=(), params=(dataclasses.replace(
         spec, lo=lo, hi=4.0, open_lo=open_lo, open_hi=False, exclude=()),))
-        for lo, open_lo in ((3.0, False), (2.0, True)))
-    with pytest.raises(ValueError):
+        for lo, open_lo in ((3.0, False), (2.0, True), (2.0, False)))
+    assert solver.sample_algebra_params(closed, np.random.default_rng(0)) == {"b": 2.0}
+    with pytest.raises(ValueError, match=re.escape(
+            "A4,9^b: cannot sample parameter b: its range lies outside the window [-2, 2]")):
         solver.sample_algebra_params(far, np.random.default_rng(0))
     with pytest.raises(ValueError, match=re.escape("A4,9^b: cannot sample parameter b")):
         solver.sample_algebra_params(edge, np.random.default_rng(0))
