@@ -29,11 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .families import FAMILIES, family_by_id
-from .kahler import hermitian_diagnostics
+from .families import FAMILIES
 from .lie_algebra import VERDICTS, catalog, catalog_checksum, entry_by_name
-from .maxwell import (EINSTEIN_NULL_STRESS, NON_EINSTEIN_EM, TOL_EINSTEIN, TOL_SOLUTION,
-                      em_residual)
+from .maxwell import EINSTEIN_NULL_STRESS, NON_EINSTEIN_EM, TOL_EINSTEIN, TOL_SOLUTION
 from .metric_geometry import curvature_summary
 
 EXIT_OK = 0
@@ -150,23 +148,12 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .solver import Candidate, _admitted
+    from .solver import Candidate, verify_candidate
     cand = Candidate.from_json(args.candidate)
-    entry = cand.entry
-    L, g = _admitted(entry, cand.algebra_params, cand.metric_params)
-    config = RunConfig(command="verify", entries=[entry.name], tol=TOL_SOLUTION,
+    report = verify_candidate(cand)
+    config = RunConfig(command="verify", entries=[cand.entry.name], tol=TOL_SOLUTION,
                        orientation=cand.orientation)
-    report = em_residual(L, g, cand.f_coeffs)
-    report.inputs["orientation"] = cand.orientation
-    computed = (report.r_em, report.r_dF, report.r_dstarF, report.scalar_curvature)
-    if not all(np.isfinite(computed)):
-        raise ValueError("residuals are not finite: the candidate's values overflow "
-                         "floating point")
-    if entry.family:
-        fam = family_by_id(entry.family["id"])
-        omega = fam.omega_from_metric(cand.metric_params, cand.orientation)
-        report.hermitian = hermitian_diagnostics(L, g, omega)
-    text = (f"{entry.name}: {report.classification}  "
+    text = (f"{cand.entry.name}: {report.classification}  "
             f"r_em={report.r_em:.3e} r_dF={report.r_dF:.3e} r_d*F={report.r_dstarF:.3e}  "
             f"s={report.scalar_curvature:.6g}")
     _emit(report.to_dict(), config, args, text)

@@ -24,7 +24,7 @@ import functools
 import hashlib
 import importlib.resources
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -80,7 +80,6 @@ class LieAlgebra:
 
     name: str
     c: np.ndarray
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         c = np.asarray(self.c)
@@ -344,7 +343,7 @@ def instantiate(entry: CatalogEntry, params: dict | None = None, *,
     if exact:
         env = dict(zip(params, as_fractions(np.array(list(params.values()), dtype=object))))
         c = _bracket_constants(entry, env, dtype=object)
-    return LieAlgebra(name=entry.name, c=c, params=params)
+    return LieAlgebra(name=entry.name, c=c)
 
 
 def instantiate_many(entry: CatalogEntry, params: list[dict]) -> np.ndarray:

@@ -593,6 +593,7 @@ def _tangent_step(ctx: ResidualContext, inter: tuple) -> np.ndarray:
 
 
 #: Why a refinement stopped, in the order the search ledger lists them.
+#: Every start is admitted, so the last one counts no seed.
 STOP_REASONS = ("converged", "slow progress", "stalled", "constraint-trapped",
                 "iteration cap", "infeasible start")
 
@@ -654,7 +655,8 @@ def _iteration_stop(peak: float, iters: int, tol: float, max_iter: int) -> str |
 
 def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     """Levenberg-Marquardt from one start per seed of ``ctx`` (x0 is (S, n),
-    n the widest seed's width), in lockstep.
+    n the widest seed's width), in lockstep.  Precondition: x0 is
+    admissible; ``_starts`` and ``refine`` admit every start they pass.
 
     Every seed follows the rules of a lone run: damping lam x10 when the
     damped system is singular, x4 on an infeasible or worse trial, /3
@@ -704,16 +706,12 @@ def _levmar(ctx: ResidualContext, x0: np.ndarray, tol: float, max_iter: int):
     seed for each Jacobian, and each feasible trial of the lone-run
     rules; rungs evaluated but dropped or refused do not count.
     """
-    n_seeds, k = x0.shape
+    n, k = x0.shape
     out_x = np.array(x0, dtype=float)
-    out_iters = [0] * n_seeds
-    out_evals = [0] * n_seeds
-    reasons = ["infeasible start"] * n_seeds
-    # State of the running seeds, compacted whenever some of them stop.
-    pos = ctx.feasible(out_x).nonzero()[0]
-    x = out_x[pos]
-    n = len(pos)
-    live = ctx if n == n_seeds else ctx.take(pos)  # the running seeds' constants
+    out_iters, out_evals, reasons = [0] * n, [0] * n, [""] * n
+    # State of the running seeds, compacted whenever some of them stop;
+    # live holds their constants.
+    pos, x, live = np.arange(n), out_x.copy(), ctx
     del ctx
     n_free = [facts.width for facts in live._facts]
     widths = _by_width(n_free)
@@ -874,7 +872,7 @@ class SearchOutcome:
     seed: int
     seeds_used: int  # seeds that reached refinement, not seeds attempted
     seeds_sampled: int = 0  # seeds whose start could be drawn; always seeds_used
-    seeds_refined: int = 0  # seeds whose refinement ran from a feasible start
+    seeds_refined: int = 0  # seeds refined from their admitted start; always seeds_used
     stop_reasons: dict = field(default_factory=dict)  # STOP_REASONS -> seeds
     solutions: list[tuple[Candidate, EMReport]] = field(default_factory=list)
     best_nonsolution_residual: float = float("inf")
@@ -1079,16 +1077,14 @@ def _reverified(cands: list[Candidate]) -> list[EMReport]:
     return reports
 
 
-def _run_block(*segments) -> list[dict]:
-    """The seeds of one program: ``segments`` are seed ranges (entry, seed,
-    lo, hi, mode), one per request, of one mode.  Draw the program's
-    starts (``_starts``), refine them in one lockstep ``_levmar`` and
-    re-verify the end points independently (``_reverified``).  One record
-    per seed, in segment order, then index order."""
-    mode = segments[0][-1]
-    status, ctx, x0 = _starts([(entry, seed, range(lo, hi))
-                               for entry, seed, lo, hi, _ in segments], mode)
-    indices = [index for _, _, lo, hi, _ in segments for index in range(lo, hi)]
+def _run_block(mode: str, segments: list[tuple]) -> list[dict]:
+    """The seeds of one program of one mode, ``segments`` (entry, seed,
+    range of indices) triples, one per request's share: draw their starts
+    (``_starts``), refine them in one lockstep ``_levmar`` and re-verify the
+    end points independently (``_reverified``).  One record per seed, in
+    segment order, then index order."""
+    status, ctx, x0 = _starts(segments, mode)
+    indices = [index for _, _, indices in segments for index in indices]
     records = [{"index": index, "status": why} for index, why in zip(indices, status)]
     if ctx is None:
         return records
@@ -1122,27 +1118,32 @@ def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[Sear
     alone, so each outcome is that of the request's own ``multistart_search``
     (``wall_time`` is the time of the whole call).  Programs carry each
     request's ``CatalogEntry`` as given; a name in its place is a TypeError.
+    A bad seed, n_seeds or mode is a ValueError before any program runs.
     """
     if not all(isinstance(r.entry, CatalogEntry) for r in requests):
         raise TypeError("each request's entry must be a CatalogEntry")
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
-    if any(r.n_seeds < 1 for r in requests):
-        raise ValueError("n_seeds must be >= 1")
     for r in requests:
         if r.mode not in MODES:
             raise ValueError(f"unknown mode {r.mode!r}")
+        for name, least in (("n_seeds", 1), ("seed", 0)):
+            value = getattr(r, name)  # an integer (numpy's too: __index__), never a bool
+            if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
     t0 = time.perf_counter()
-    programs: list[list[tuple]] = []
+    programs: list[tuple[str, list[tuple]]] = []  # (mode, segments), _run_block's arguments
     room = 0
     for r in requests:
         lo = 0
         while lo < r.n_seeds:
-            if not room or programs[-1][-1][-1] != r.mode:
-                programs.append([])
+            if not room or programs[-1][0] != r.mode:
+                programs.append((r.mode, []))
                 room = _BLOCK
             hi = min(r.n_seeds, lo + room)
-            programs[-1].append((r.entry, r.seed, lo, hi, r.mode))
+            programs[-1][1].append((r.entry, r.seed, range(lo, hi)))
             room -= hi - lo
             lo = hi
     workers = min(n_jobs, len(programs))
@@ -1167,15 +1168,14 @@ def multistart_many(requests: list[SearchRequest], n_jobs: int = 1) -> list[Sear
 
 def _outcome(request: SearchRequest, results: list[dict]) -> SearchOutcome:
     """A request's ledger, distinct solutions and closest miss from its
-    seeds' records; an infeasible start ran no iteration and is no miss.
-    A seed's miss is its largest residual, and a NaN residual makes the
-    miss, and with it the closest miss, NaN wherever it sits."""
+    seeds' records.  A seed's miss is its largest residual, and a NaN
+    residual makes the miss, and with it the closest miss, NaN wherever it
+    sits."""
     refined = [res for res in results if res["status"] == "refined"]
     reasons = [res["reason"] for res in refined]
     outcome = SearchOutcome(
-        request.entry.name, request.mode, request.seed,
-        seeds_used=len(refined), seeds_sampled=len(refined),
-        seeds_refined=len(refined) - reasons.count("infeasible start"),
+        request.entry.name, request.mode, int(request.seed),
+        seeds_used=len(refined), seeds_sampled=len(refined), seeds_refined=len(refined),
         stop_reasons={r: reasons.count(r) for r in STOP_REASONS})
     kept_vectors: list[np.ndarray] = []
     misses = []
@@ -1187,7 +1187,7 @@ def _outcome(request: SearchRequest, results: list[dict]) -> SearchOutcome:
                 continue
             kept_vectors.append(vec)
             outcome.solutions.append((cand, report))
-        elif res["reason"] != "infeasible start":
+        else:
             misses.append((report.r_em, report.r_dF, report.r_dstarF))
     if misses:  # numpy's max and min, unlike Python's, keep a NaN
         outcome.best_nonsolution_residual = float(np.max(misses, axis=1).min())
@@ -1209,8 +1209,23 @@ def multistart_search(entry: CatalogEntry, n_seeds: int, seed: int = 0, mode: st
 
 
 # ---------------------------------------------------------------------------
-# Family verification and catalog classification
+# Candidate and family verification, catalog classification
 # ---------------------------------------------------------------------------
+
+
+def verify_candidate(c: Candidate) -> EMReport:
+    """The report ``verify`` prints and the family battery reads: ``c`` admitted,
+    ``em_residual`` with its orientation (a ValueError if not finite) and, on
+    an entry with a family, ``hermitian_diagnostics`` of the family's omega."""
+    L, g = _admitted(c.entry, c.algebra_params, c.metric_params)
+    report = em_residual(L, g, c.f_coeffs)
+    report.inputs["orientation"] = c.orientation
+    if not all(np.isfinite((report.r_em, report.r_dF, report.r_dstarF, report.scalar_curvature))):
+        raise ValueError("residuals are not finite: the candidate's values overflow floating point")
+    if c.entry.family:
+        omega = family_by_id(c.entry.family["id"]).omega_from_metric(c.metric_params, c.orientation)
+        report.hermitian = hermitian_diagnostics(L, g, omega)
+    return report
 
 
 @dataclass
@@ -1238,10 +1253,10 @@ def family_candidate(fam: Family, point: dict, orientation: int = 1) -> Candidat
 
 
 def verify_solution_family(family_id: str, orientation: int = 1) -> FamilyReport:
-    """Run the full verification battery on the family's default grid; each
-    point is admitted once and passes the reference chain once, and its
-    Hermitian type and rho0 are those of the ``hermitian`` block that
-    ``verify`` reports (one ``hermitian_diagnostics`` call).  A point whose
+    """Run the full verification battery on the family's default grid: each
+    point's classification, Hermitian type and rho0 are those of its
+    ``verify_candidate`` report (the one ``verify`` prints), on whose
+    metric, F and omega the Kahler decomposition is checked.  A point whose
     type is not Kahler or almost Kahler has no rho0 and fails.  An
     orientation the family does not state (``Family.orientations``) is a
     ValueError: its Kahler expectations hold in the stated ones only."""
@@ -1254,15 +1269,12 @@ def verify_solution_family(family_id: str, orientation: int = 1) -> FamilyReport
     classifications, types = [], []
     ok = True
     for point in fam.default_grid:
-        cand = family_candidate(fam, point, orientation)
-        L, g = _admitted(cand.entry, cand.algebra_params, cand.metric_params)
-        report = em_residual(L, g, cand.f_coeffs)
+        report = verify_candidate(family_candidate(fam, point, orientation))
         max_res = max(max_res, report.r_em, report.r_dF, report.r_dstarF)
         classifications.append(report.classification)
         if report.classification != NON_EINSTEIN_EM:
             ok = False
-        omega = fam.omega_from_metric(cand.metric_params, orientation)
-        hermitian = hermitian_diagnostics(L, g, omega)
+        hermitian = report.hermitian
         types.append(hermitian["type"])
         if hermitian["type"] != fam.expected_type(orientation):
             ok = False
@@ -1271,7 +1283,8 @@ def verify_solution_family(family_id: str, orientation: int = 1) -> FamilyReport
         rho0 = np.array(hermitian["rho0"])
         rho_err = float(np.abs(rho0 - fam.expected_rho0(point, orientation)).max())
         max_rho_err = max(max_rho_err, rho_err)
-        kappa, defect = verify_kahler_decomposition(g, cand.f_coeffs, omega, rho0, orientation)
+        g, f = report.inputs["metric"], report.inputs["f_coeffs"]
+        kappa, defect = verify_kahler_decomposition(g, f, hermitian["omega"], rho0, orientation)
         max_kerr = max(max_kerr, abs(kappa - fam.expected_kappa(point, orientation)))
         max_defect = max(max_defect, defect)
     ok = (ok and max_res <= TOL_FAMILY and max_kerr <= TOL_FAMILY and max_rho_err <= TOL_FAMILY
@@ -1321,13 +1334,13 @@ def classify_table(entries: list[CatalogEntry], n_seeds: int = 200, seed: int = 
     Only the presence of a NonEinsteinEM solution is checked.  A negative
     verdict is numerical evidence only, never a proof: it is reported as "no
     solution found at budget" and demands that the unit-norm pass refined at
-    least one seed (ran an iteration from a feasible start) and that the
-    closest non-solution stays a factor of 100 above the solution
-    tolerance; otherwise it is inconclusive.  The free-norm pass's closest
-    miss is reported beside it and gates nothing: without the |F|^2_g = 1
-    row, a run can shrink the absolute residual by driving the metric
-    towards degeneracy.  Each of ``entries`` is a ``CatalogEntry``, run as
-    given.
+    least one seed (drew a start: every drawn start is admitted and
+    refined) and that the closest non-solution stays a factor of 100 above
+    the solution tolerance; otherwise it is inconclusive.  The free-norm
+    pass's closest miss is reported beside it and gates nothing: without
+    the |F|^2_g = 1 row, a run can shrink the absolute residual by driving
+    the metric towards degeneracy.  Each of ``entries`` is a
+    ``CatalogEntry``, run as given.
     """
     units = multistart_many([SearchRequest(e, n_seeds, seed, "unit_F") for e in entries], n_jobs)
     need = [i for i, unit in enumerate(units) if not _non_einstein(unit.solutions)]
@@ -1364,7 +1377,7 @@ def _classify_row(entry: CatalogEntry, outcome: SearchOutcome,
         # No refined seed is no evidence; a near miss, or a NaN one, is
         # evidence against.  No miss (inf) leaves the verdict standing.
         band = EVIDENCE_FACTOR * TOL_SOLUTION
-        inconclusive = bool(outcome.seeds_refined == 0
+        inconclusive = bool(outcome.seeds_used == 0
                             or not outcome.best_nonsolution_residual > band)
     if entry.verdict == "HasNonEinsteinEM":
         agree = computed == "HasNonEinsteinEM"

@@ -310,8 +310,7 @@ def levmar_alone(ctx, x0, tol, max_iter, singular=lambda iteration, trial: False
     from liemaxwell.solver import residual_jacobian as jacobian
 
     x = np.array(x0, dtype=float)
-    if not ctx.feasible(x[None])[0]:
-        return x, 0, "infeasible start", 0, 0
+    assert ctx.feasible(x[None])[0], "x0 must be admissible, as _levmar requires"
     r = ctx.residual(x[None, None])[0, 0]
     n_evals, n_trials, lam, iters = 1, 0, 1e-3, 0
     while True:

@@ -460,7 +460,7 @@ def test_verify_refuses_values_of_the_wrong_json_type(capsys, tmp_path, doc):
 _TOL_COMMANDS = {
     "curvature": (["curvature", "2A2", "--metric-params",
                    json.dumps(_SOLUTION_2A2["metric_params"])], (cli, "curvature_summary")),
-    "verify": (["verify", "DOC"], (cli, "em_residual")),
+    "verify": (["verify", "DOC"], (solver, "verify_candidate")),
     "family": (["family", "2A2"], (solver, "verify_solution_family")),
     "search": (["search", "2A2", "--seeds", "2"], (solver, "multistart_search")),
 }

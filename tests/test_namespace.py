@@ -41,11 +41,12 @@ def test_catalog_alone_loads_no_other_submodule():
 #: ``hermitian_diagnostics``), ``Family.kahler_form`` (``omega_from_metric``
 #: of the point's metric), ``SearchOutcome.to_json`` (``json.dumps`` of
 #: ``to_dict``) and ``from_brackets`` (``LieAlgebra`` of the constants, or
-#: ``instantiate`` of a catalog entry).
+#: ``instantiate`` of a catalog entry); and ``LieAlgebra.dim`` and
+#: ``LieAlgebra.params``, which nothing in the package read.
 REMOVED = {"liemaxwell": ["classify_hermitian_type", "from_brackets"],
            "liemaxwell.kahler": ["classify_hermitian_type"],
            "liemaxwell.lie_algebra": ["from_brackets"],
-           "liemaxwell.lie_algebra:LieAlgebra": ["dim"],
+           "liemaxwell.lie_algebra:LieAlgebra": ["dim", "params"],
            "liemaxwell.forms": ["LEVI4", "_levi_civita_symbol"],
            "liemaxwell.families:Family": ["kahler_form"],
            "liemaxwell.solver:SearchOutcome": ["to_json"],
@@ -61,6 +62,12 @@ def test_removed_names_stay_removed():
         home = getattr(home, attr) if attr else home
         for name in names:
             assert not hasattr(home, name), (where, name)
+    # A dataclass field with a default_factory is no class attribute: look
+    # on an instance too.
+    from liemaxwell.lie_algebra import entry_by_name, instantiate
+    algebra = instantiate(entry_by_name("2A2"))
+    for name in REMOVED["liemaxwell.lie_algebra:LieAlgebra"]:
+        assert not hasattr(algebra, name), name
     assert "classify_hermitian_type" not in liemaxwell.__all__
     assert "from_brackets" not in liemaxwell.__all__
 
